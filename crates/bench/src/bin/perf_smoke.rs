@@ -55,7 +55,8 @@
 //!    materialized (slurp + `parse_swf` + eager `load`, same retention
 //!    mode). End-state fingerprints, summaries and counters are asserted
 //!    identical before the peak-allocation ratio is trusted; the full run
-//!    gates the ratio at ≥10×.
+//!    gates the ratio at ≥10× and the materialized/streamed wall-time
+//!    ratio at ≤1.3 (cycle cost must not depend on preloaded events).
 //!
 //! `--quick` (or `DYNBATCH_QUICK=1`) shrinks the workload, repetition
 //! counts and sweep matrix in **every** section for CI; the full run is
@@ -922,8 +923,19 @@ fn main() {
         let records = sim.server().journal().map_or(0, |j| j.total_appended());
         (jobs, records)
     };
-    let (base_ms, (base_jobs, _)) = time_ms(reps, || journal_run(false));
-    let (journal_ms, (journal_jobs, journal_records)) = time_ms(reps, || journal_run(true));
+    // Interleaved, best of each: a host whose speed drifts between two
+    // back-to-back blocks (the CI box has plateaus ~1.4× apart) would
+    // otherwise move the ratio by more than the bound below.
+    let (mut base_ms, mut journal_ms) = (f64::INFINITY, f64::INFINITY);
+    let (mut base_jobs, mut journal_jobs, mut journal_records) = (0, 0, 0);
+    for _ in 0..reps {
+        let (ms, (jobs, _)) = time_ms(1, || journal_run(false));
+        base_ms = base_ms.min(ms);
+        base_jobs = jobs;
+        let (ms, (jobs, records)) = time_ms(1, || journal_run(true));
+        journal_ms = journal_ms.min(ms);
+        (journal_jobs, journal_records) = (jobs, records);
+    }
     assert_eq!(
         base_jobs, journal_jobs,
         "journaling changed the outcome count — it must be pure observation"
@@ -1243,9 +1255,14 @@ fn main() {
     assert_eq!(stream_result.summary, mat_result.summary);
     assert_eq!(stream_result.stats, mat_result.stats);
     let ingest_ratio = mat_peak as f64 / stream_peak.max(1) as f64;
+    // Both replays run the same cycles over the same live jobs; only the
+    // number of pending Submit events differs (a 6 h window vs the whole
+    // trace), and that may cost a deeper heap, not a scan.
+    let ingest_wall_ratio = mat_secs / stream_secs;
     eprintln!(
-        "  streamed {:>7.1} MiB peak  materialized {:>7.1} MiB peak  ({ingest_ratio:.1}x less, \
-         {} jobs completed)",
+        "  streamed {:>7.1} MiB peak {stream_secs:.2} s  materialized {:>7.1} MiB peak \
+         {mat_secs:.2} s  ({ingest_ratio:.1}x less memory, {ingest_wall_ratio:.2}x the wall \
+         time, {} jobs completed)",
         stream_peak as f64 / (1u64 << 20) as f64,
         mat_peak as f64 / (1u64 << 20) as f64,
         stream_result.summary.jobs_completed
@@ -1254,6 +1271,11 @@ fn main() {
         assert!(
             ingest_ratio >= 10.0,
             "streaming ingestion peak-memory advantage regressed below 10x: {ingest_ratio:.2}x"
+        );
+        assert!(
+            ingest_wall_ratio <= 1.3,
+            "materialized replay took {ingest_wall_ratio:.2}x the streamed wall time \
+             ({mat_secs:.2} s vs {stream_secs:.2} s): a per-cycle cost grows with preloaded events"
         );
     }
 
@@ -1441,6 +1463,10 @@ fn main() {
                     ]),
                 ),
                 ("peak_reduction", Json::Float(ingest_ratio)),
+                (
+                    "materialized_over_streamed_wall",
+                    Json::Float(ingest_wall_ratio),
+                ),
                 // Set only after the fingerprint/summary/stats asserts
                 // above — false is unrepresentable in an emitted report.
                 ("identical_results", Json::Bool(true)),

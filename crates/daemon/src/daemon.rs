@@ -936,7 +936,7 @@ impl ServerDaemon {
         }
         let revive: Vec<Revive> = self
             .server
-            .jobs()
+            .live_jobs()
             .filter(|j| j.state.is_active() && j.start_time.is_some())
             .filter_map(|j| {
                 let alloc = self.server.cluster().allocation_of(j.id)?.clone();

@@ -258,7 +258,13 @@ impl Journal {
     /// is re-derivable from the image alone. Records at or above the
     /// retain floor ([`Journal::set_retain_floor`]) are kept in front of
     /// the new snapshot for replication to finish streaming.
-    pub fn compact(&mut self, image: ServerImage) {
+    ///
+    /// `rebuild` returns the new image and is handed the newest snapshot
+    /// this compaction discards, so an owner that compacts over and over
+    /// can fill the old image's buffers instead of allocating (and
+    /// page-faulting in) a fresh multi-megabyte list per compaction and
+    /// unmapping the previous one.
+    pub fn compact(&mut self, rebuild: impl FnOnce(Option<ServerImage>) -> ServerImage) {
         let drop_n = if self.retain_floor == 0 {
             self.entries.len()
         } else {
@@ -267,13 +273,18 @@ impl Journal {
                 .saturating_sub(first)
                 .min(self.entries.len() as u64) as usize
         };
-        self.entries.drain(..drop_n);
+        let mut spare = None;
+        for record in self.entries.drain(..drop_n) {
+            if let Record::Snapshot(image) = record {
+                spare = Some(*image);
+            }
+        }
         self.snapshot_at = self
             .snapshot_at
             .iter()
             .filter_map(|&i| i.checked_sub(drop_n))
             .collect();
-        self.append(Record::Snapshot(Box::new(image)));
+        self.append(Record::Snapshot(Box::new(rebuild(spare))));
     }
 
     /// The journal truncated to its first `k` records — "the server died
@@ -1216,6 +1227,30 @@ mod tests {
     }
 
     #[test]
+    fn compact_hands_back_the_newest_discarded_snapshot() {
+        let mut j = Journal::new();
+        let mut first = sample_image();
+        first.next_job_id = 100;
+        j.append(Record::Snapshot(Box::new(first)));
+        let mut second = sample_image();
+        second.next_job_id = 200;
+        j.append(Record::Snapshot(Box::new(second)));
+        j.compact(|spare| {
+            assert_eq!(spare.expect("two snapshots discarded").next_job_id, 200);
+            sample_image()
+        });
+        assert!(matches!(j.records(), [Record::Snapshot(_)]));
+        assert_eq!(j.total_appended(), 3);
+        // A retain floor above the old snapshot keeps it: nothing to reuse.
+        j.set_retain_floor(3);
+        j.compact(|spare| {
+            assert!(spare.is_none());
+            sample_image()
+        });
+        assert_eq!(j.len(), 2);
+    }
+
+    #[test]
     fn compaction_replaces_history() {
         let mut j = Journal::new();
         j.set_snapshot_every(2);
@@ -1228,7 +1263,7 @@ mod tests {
             now: SimTime::from_secs(2),
         });
         assert!(j.wants_snapshot());
-        j.compact(sample_image());
+        j.compact(|_| sample_image());
         assert_eq!(j.len(), 1);
         assert_eq!(j.since_last_snapshot(), 0);
         assert!(matches!(j.records(), [Record::Snapshot(_)]));

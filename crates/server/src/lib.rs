@@ -33,6 +33,8 @@ pub mod mom;
 pub mod reactor;
 pub mod replication;
 pub mod server;
+#[cfg(test)]
+mod table_props;
 
 pub use accounting::AccountingLog;
 pub use journal::{Journal, PendingDynImage, Record, ServerImage};

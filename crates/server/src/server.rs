@@ -24,7 +24,8 @@ use dynbatch_sched::{
     DeltaLog, DfsReject, DynDecision, DynRequest, IterationOutcome, ProfileDelta, QueuedJob,
     RunningJob, Snapshot, UsageHistory,
 };
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A pending dynamic request held at the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,11 +91,92 @@ pub enum Applied {
     },
 }
 
+/// A statistic bumped from `&self` paths. Atomic rather than `Cell` so the
+/// server stays `Sync`; `Relaxed` throughout — it publishes no other data.
+#[derive(Debug, Default)]
+struct Counter(AtomicU64);
+
+impl Counter {
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Clone for Counter {
+    fn clone(&self) -> Self {
+        Counter(AtomicU64::new(self.get()))
+    }
+}
+
+/// Every retained job in id order: an ordered merge of the live table and
+/// the retained-terminal table ([`PbsServer::jobs`]). Merges on the maps'
+/// keys, so choosing a side never touches a `Job`.
+struct AllJobs<'a> {
+    live: btree_map::Iter<'a, JobId, Job>,
+    terminal: btree_map::Iter<'a, JobId, Job>,
+    /// The next unyielded entry of each table.
+    next_live: Option<(&'a JobId, &'a Job)>,
+    next_terminal: Option<(&'a JobId, &'a Job)>,
+}
+
+impl<'a> AllJobs<'a> {
+    fn new(live: &'a BTreeMap<JobId, Job>, terminal: &'a BTreeMap<JobId, Job>) -> Self {
+        let (mut live, mut terminal) = (live.iter(), terminal.iter());
+        AllJobs {
+            next_live: live.next(),
+            next_terminal: terminal.next(),
+            live,
+            terminal,
+        }
+    }
+}
+
+impl<'a> Iterator for AllJobs<'a> {
+    type Item = &'a Job;
+
+    // `jobs()` hands this type to other crates; without the hint every
+    // step there is an out-of-line call.
+    #[inline]
+    fn next(&mut self) -> Option<&'a Job> {
+        let take_terminal = match (self.next_live, self.next_terminal) {
+            (Some((l, _)), Some((t, _))) => t < l,
+            (live, _) => live.is_none(),
+        };
+        let entry = if take_terminal {
+            std::mem::replace(&mut self.next_terminal, self.terminal.next())
+        } else {
+            std::mem::replace(&mut self.next_live, self.live.next())
+        };
+        entry.map(|(_, job)| job)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.live.len()
+            + self.terminal.len()
+            + self.next_live.is_some() as usize
+            + self.next_terminal.is_some() as usize;
+        (n, Some(n))
+    }
+}
+
 /// The extended Torque server.
 #[derive(Debug, Clone)]
 pub struct PbsServer {
     cluster: Cluster,
+    /// The **live** job table: queued and active jobs only. Everything a
+    /// scheduler cycle walks (`snapshot`, the drain check, the counters)
+    /// reads this map, so cycle cost is independent of how many jobs the
+    /// server has ever finished. A job leaves it the moment it completes
+    /// or is cancelled ([`PbsServer::retire`]).
     jobs: BTreeMap<JobId, Job>,
+    /// Retained terminal (completed/cancelled) jobs, kept for inspection
+    /// and the durable image only — no per-cycle path reads it. Empty
+    /// when `retain_terminal_jobs` is off.
+    terminal: BTreeMap<JobId, Job>,
     dyn_pending: BTreeMap<JobId, PendingDyn>,
     next_job_id: u64,
     next_dyn_seq: u64,
@@ -151,6 +233,10 @@ pub struct PbsServer {
     /// outcomes live on in the accounting ledger's totals and digest,
     /// and the usage ledger is charged before the drop).
     retain_terminal_jobs: bool,
+    /// Snapshots that met a `DynQueued` job with no pending-request entry
+    /// (see [`PbsServer::invariant_breaches`]). Process-local, like the
+    /// other soft state: not journalled, zeroed by `reset`.
+    invariant_breaches: Counter,
 }
 
 impl PbsServer {
@@ -160,6 +246,7 @@ impl PbsServer {
         PbsServer {
             cluster,
             jobs: BTreeMap::new(),
+            terminal: BTreeMap::new(),
             dyn_pending: BTreeMap::new(),
             next_job_id: 1,
             next_dyn_seq: 0,
@@ -176,6 +263,7 @@ impl PbsServer {
             collect_usage_events: false,
             publish_usage: false,
             retain_terminal_jobs: true,
+            invariant_breaches: Counter::default(),
         }
     }
 
@@ -187,6 +275,7 @@ impl PbsServer {
     pub fn reset(&mut self, cluster: Cluster, alloc_policy: AllocPolicy) {
         self.cluster = cluster;
         self.jobs.clear();
+        self.terminal.clear();
         self.dyn_pending.clear();
         self.next_job_id = 1;
         self.next_dyn_seq = 0;
@@ -206,6 +295,7 @@ impl PbsServer {
         self.collect_usage_events = false;
         self.publish_usage = false;
         self.retain_terminal_jobs = true;
+        self.invariant_breaches = Counter::default();
     }
 
     /// Enables the *guaranteeing* site policy (paper §II-B): evolving jobs
@@ -259,11 +349,11 @@ impl PbsServer {
         let journal = self.journal.as_mut().expect("journal enabled");
         journal.append(record);
         if journal.wants_snapshot() {
-            let image = self.image();
-            self.journal
-                .as_mut()
-                .expect("journal enabled")
-                .compact(image);
+            // The journal steps aside while the image is taken: building
+            // it reads the rest of `self`.
+            let mut journal = self.journal.take().expect("journal enabled");
+            journal.compact(|spare| self.image_reusing(spare));
+            self.journal = Some(journal);
         }
     }
 
@@ -274,6 +364,49 @@ impl PbsServer {
     /// breaks timeline continuity and the scheduler rebuilds on the first
     /// epoch gap.
     pub fn image(&self) -> ServerImage {
+        self.image_reusing(None)
+    }
+
+    /// [`PbsServer::image`], built inside `spare`'s history-sized lists
+    /// (jobs, outcomes) when a compaction has an old image to give back.
+    /// The journaled write path compacts every few dozen records; without
+    /// the reuse each compaction maps, faults in and later unmaps a list
+    /// that grows with every job the server has seen (half a million page
+    /// faults over a 30 000-job burst on a fresh heap), and acknowledgement
+    /// latency follows the kernel's mood rather than the work.
+    fn image_reusing(&self, spare: Option<ServerImage>) -> ServerImage {
+        let (mut jobs, mut outcomes) =
+            spare.map_or_else(Default::default, |s| (s.jobs, s.outcomes));
+        // One merged pass over both tables.
+        let mut all = self.jobs();
+        let n = self.jobs.len() + self.terminal.len();
+        let mut entry = || {
+            let job = all.next().expect("jobs() is as long as both tables");
+            (job.clone(), self.cluster.allocation_of(job.id).cloned())
+        };
+        if jobs.capacity() < n {
+            // A recycled list grows by an eighth, not by `extend`'s
+            // doubling — it is the server's largest single allocation —
+            // and a one-off image gets exactly what it needs.
+            let headroom = if jobs.capacity() == 0 { 0 } else { n / 8 };
+            jobs = Vec::with_capacity(n + headroom);
+        }
+        // Old entries are overwritten one at a time, so each new entry's
+        // small allocations (name, request points) are served from what
+        // the previous entry just freed. Clearing the list first and
+        // refilling it measured 15 % slower on the whole write path: the
+        // allocator then hands back thousands of cold chunks.
+        jobs.truncate(n);
+        for slot in &mut jobs {
+            *slot = entry();
+        }
+        // `repeat_with(..).take(k)` has an exact length, so the appended
+        // 240-byte entries are built in place; pushing in a loop copies
+        // each once more.
+        let appended = n - jobs.len();
+        jobs.extend(std::iter::repeat_with(entry).take(appended));
+        // Same overwrite-in-order for the outcomes (they own a name too).
+        self.accounting.outcomes().clone_into(&mut outcomes);
         ServerImage {
             next_job_id: self.next_job_id,
             next_dyn_seq: self.next_dyn_seq,
@@ -286,13 +419,9 @@ impl PbsServer {
                 .filter(|n| !n.is_up())
                 .map(|n| n.id())
                 .collect(),
-            jobs: self
-                .jobs
-                .values()
-                .map(|job| (job.clone(), self.cluster.allocation_of(job.id).cloned()))
-                .collect(),
+            jobs,
             dyn_pending: self.pending_dyn_requests().collect(),
-            outcomes: self.accounting.outcomes().to_vec(),
+            outcomes,
             usage: self.usage.iter().map(|(&u, &ms)| (u, ms)).collect(),
             usage_since: self.usage_since.iter().map(|(&j, &at)| (j, at)).collect(),
             usage_hist: self.usage_hist.clone(),
@@ -325,13 +454,34 @@ impl PbsServer {
                 cluster.adopt(job.id, alloc)?;
             }
         }
+        // Each table is bulk-built from its (still id-ordered) share of
+        // the image's list. `repeat_with(..).take(n)` has an exact length,
+        // which lets `collect` build every fat entry in place.
+        let n_terminal = img
+            .jobs
+            .iter()
+            .filter(|(j, _)| j.state.is_terminal())
+            .count();
+        let table = |terminal: bool, len: usize| -> BTreeMap<JobId, Job> {
+            let mut share = img
+                .jobs
+                .iter()
+                .filter(|(j, _)| j.state.is_terminal() == terminal);
+            std::iter::repeat_with(|| {
+                let (job, _) = share.next().expect("counted above");
+                (job.id, job.clone())
+            })
+            .take(len)
+            .collect()
+        };
         let mut accounting = AccountingLog::new();
         for o in &img.outcomes {
             accounting.record(o.clone());
         }
         Ok(PbsServer {
             cluster,
-            jobs: img.jobs.iter().map(|(j, _)| (j.id, j.clone())).collect(),
+            jobs: table(false, img.jobs.len() - n_terminal),
+            terminal: table(true, n_terminal),
             dyn_pending: img
                 .dyn_pending
                 .iter()
@@ -361,6 +511,7 @@ impl PbsServer {
             collect_usage_events: false,
             publish_usage: false,
             retain_terminal_jobs: true,
+            invariant_breaches: Counter::default(),
         })
     }
 
@@ -462,8 +613,7 @@ impl PbsServer {
     /// Cores currently pre-reserved (held but idle) under the
     /// guaranteeing policy.
     pub fn reserved_unused_cores(&self) -> u32 {
-        self.jobs
-            .values()
+        self.live_jobs()
             .filter(|j| j.state.is_active())
             .map(|j| j.reserved_extra)
             .sum()
@@ -494,12 +644,52 @@ impl PbsServer {
     /// cancelled — after its outcome is recorded and its usage segment
     /// charged — so the table holds only live jobs and month-scale
     /// replays run in bounded memory. Turning retention off also sweeps
-    /// jobs that are already terminal. Restored by [`PbsServer::reset`].
+    /// jobs that are already terminal. Retention changes memory only:
+    /// terminal jobs never sit in the table the scheduler cycle walks, so
+    /// a retained run's cycles cost what an evicted run's do. Restored by
+    /// [`PbsServer::reset`].
     pub fn set_job_retention(&mut self, retain: bool) {
         self.retain_terminal_jobs = retain;
         if !retain {
-            self.jobs.retain(|_, j| !j.state.is_terminal());
+            self.terminal.clear();
         }
+    }
+
+    /// Moves a job that just turned terminal out of the live table — into
+    /// the retained-terminal table, or nowhere with retention off. Runs
+    /// last in `qdel`/`job_finished`: after the usage segment closed and
+    /// the journal record (and any compacting snapshot it triggered) was
+    /// written with the job still in place.
+    fn retire(&mut self, id: JobId) {
+        let job = self.jobs.remove(&id).expect("retiring job is live");
+        debug_assert!(job.state.is_terminal());
+        if self.retain_terminal_jobs {
+            self.terminal.insert(id, job);
+        }
+    }
+
+    /// The error for a command naming a job that is not live: a retained
+    /// terminal job is in the wrong state for `operation`, anything else
+    /// (never submitted, or terminal and evicted) is unknown.
+    fn not_live(&self, id: JobId, operation: &'static str, state: &'static str) -> Error {
+        if self.terminal.contains_key(&id) {
+            Error::InvalidState {
+                job: id,
+                operation,
+                state,
+            }
+        } else {
+            Error::UnknownJob(id)
+        }
+    }
+
+    /// How many snapshots met a `DynQueued` job without a pending-request
+    /// entry. The two are written together by every mutation path, so a
+    /// non-zero count means corrupted state (e.g. a damaged image); the
+    /// snapshot serves such a job as "no request this cycle" — and test
+    /// builds panic instead.
+    pub fn invariant_breaches(&self) -> u64 {
+        self.invariant_breaches.get()
     }
 
     /// Per-user historical usage in core-milliseconds (closed segments
@@ -590,32 +780,40 @@ impl PbsServer {
         self.usage_since.remove(&id);
     }
 
-    /// Looks up a job.
+    /// Looks up a job, live or retained-terminal.
     pub fn job(&self, id: JobId) -> Result<&Job> {
-        self.jobs.get(&id).ok_or(Error::UnknownJob(id))
+        self.jobs
+            .get(&id)
+            .or_else(|| self.terminal.get(&id))
+            .ok_or(Error::UnknownJob(id))
     }
 
-    /// Iterates all known jobs in id order.
+    /// Iterates all known jobs — live and retained-terminal — in id order.
+    /// O(history); per-cycle callers want [`PbsServer::live_jobs`].
     pub fn jobs(&self) -> impl Iterator<Item = &Job> {
+        AllJobs::new(&self.jobs, &self.terminal)
+    }
+
+    /// Iterates the queued and active jobs in id order, skipping history.
+    pub fn live_jobs(&self) -> impl Iterator<Item = &Job> {
         self.jobs.values()
     }
 
     /// Number of jobs in `Queued` state.
     pub fn queued_count(&self) -> usize {
-        self.jobs
-            .values()
+        self.live_jobs()
             .filter(|j| j.state == JobState::Queued)
             .count()
     }
 
     /// Number of jobs holding resources.
     pub fn active_count(&self) -> usize {
-        self.jobs.values().filter(|j| j.state.is_active()).count()
+        self.live_jobs().filter(|j| j.state.is_active()).count()
     }
 
     /// True when no job is queued or running — the workload has drained.
     pub fn is_drained(&self) -> bool {
-        self.jobs.values().all(|j| j.state.is_terminal())
+        self.jobs.is_empty()
     }
 
     /// `qsub`: validates and queues a job.
@@ -645,14 +843,9 @@ impl PbsServer {
 
     /// `qdel`: cancels a job, releasing resources if it was active.
     pub fn qdel(&mut self, id: JobId, now: SimTime) -> Result<()> {
-        let job = self.jobs.get_mut(&id).ok_or(Error::UnknownJob(id))?;
-        if job.state.is_terminal() {
-            return Err(Error::InvalidState {
-                job: id,
-                operation: "qdel",
-                state: "terminal",
-            });
-        }
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return Err(self.not_live(id, "qdel", "terminal"));
+        };
         let was_active = job.state.is_active();
         job.state = JobState::Cancelled;
         job.end_time = Some(now);
@@ -665,9 +858,7 @@ impl PbsServer {
         if self.journal.is_some() {
             self.log(Record::Qdel { job: id, now });
         }
-        if !self.retain_terminal_jobs {
-            self.jobs.remove(&id);
-        }
+        self.retire(id);
         Ok(())
     }
 
@@ -691,7 +882,9 @@ impl PbsServer {
         deadline: Option<SimTime>,
         now: SimTime,
     ) -> Result<()> {
-        let job = self.jobs.get_mut(&id).ok_or(Error::UnknownJob(id))?;
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return Err(self.not_live(id, "tm_dynget", "not running"));
+        };
         match job.state {
             JobState::Running => {}
             JobState::DynQueued => return Err(Error::DynRequestPending(id)),
@@ -731,7 +924,9 @@ impl PbsServer {
 
     /// A `tm_dynfree()` release: takes effect immediately (paper Fig 4).
     pub fn tm_dynfree(&mut self, id: JobId, released: &Allocation, now: SimTime) -> Result<()> {
-        let job = self.jobs.get_mut(&id).ok_or(Error::UnknownJob(id))?;
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return Err(self.not_live(id, "tm_dynfree", "not active"));
+        };
         if !job.state.is_active() {
             return Err(Error::InvalidState {
                 job: id,
@@ -766,7 +961,9 @@ impl PbsServer {
 
     /// The application exited: release everything and record the outcome.
     pub fn job_finished(&mut self, id: JobId, now: SimTime) -> Result<JobOutcome> {
-        let job = self.jobs.get_mut(&id).ok_or(Error::UnknownJob(id))?;
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return Err(self.not_live(id, "finish", "not active"));
+        };
         // Validate everything before the first mutation: an out-of-order
         // finish (double delivery, stale timer) must deny, never panic.
         let Some(start_time) = job.start_time.filter(|_| job.state.is_active()) else {
@@ -801,19 +998,30 @@ impl PbsServer {
         if self.journal.is_some() {
             self.log(Record::Finish { job: id, now });
         }
-        if !self.retain_terminal_jobs {
-            self.jobs.remove(&id);
-        }
+        self.retire(id);
         Ok(outcome)
     }
 
     /// Builds the scheduler's view of the current state (paper Algorithm 2,
-    /// steps 2–3).
+    /// steps 2–3): one in-order walk of the live table, so the cost is
+    /// O(queued + running) however long the server has been up.
     pub fn snapshot(&self, now: SimTime) -> Snapshot {
+        self.snapshot_of(self.live_jobs(), now)
+    }
+
+    /// The executable spec [`PbsServer::snapshot`] is checked against: the
+    /// same classification over *every* retained job, as the snapshot ran
+    /// before terminal jobs left the live table.
+    #[cfg(test)]
+    pub(crate) fn snapshot_full_scan(&self, now: SimTime) -> Snapshot {
+        self.snapshot_of(self.jobs(), now)
+    }
+
+    fn snapshot_of<'a>(&self, jobs: impl Iterator<Item = &'a Job>, now: SimTime) -> Snapshot {
         let mut running = Vec::new();
         let mut queued = Vec::new();
         let mut dyn_requests = Vec::new();
-        for job in self.jobs.values() {
+        for job in jobs {
             match job.state {
                 JobState::Running | JobState::DynQueued => {
                     running.push(RunningJob {
@@ -827,14 +1035,16 @@ impl PbsServer {
                         reserved_extra: job.reserved_extra,
                         malleable: job.spec.malleable,
                     });
-                    // Checked lookup: a DynQueued job without a pending
-                    // entry is an invariant breach, but the snapshot path
-                    // degrades it to "no request this cycle" rather than
-                    // panicking the daemon.
                     if job.state == JobState::DynQueued {
-                        if let (Some(pending), Some(remaining_walltime)) =
-                            (self.dyn_pending.get(&job.id), job.remaining_walltime(now))
-                        {
+                        let Some(pending) = self.dyn_pending.get(&job.id) else {
+                            // Invariant breach. A release daemon degrades
+                            // it to "no request this cycle" and counts it;
+                            // test builds fail loudly.
+                            self.invariant_breaches.bump();
+                            debug_assert!(false, "{}: DynQueued without a pending request", job.id);
+                            continue;
+                        };
+                        if let Some(remaining_walltime) = job.remaining_walltime(now) {
                             dyn_requests.push(DynRequest {
                                 job: job.id,
                                 user: job.spec.user,
@@ -1403,6 +1613,83 @@ mod tests {
         assert_eq!(snap.queued[0].id, b);
         assert_eq!(snap.total_cores, 120);
         assert!(snap.dyn_requests.is_empty());
+    }
+
+    #[test]
+    fn dynqueued_without_pending_entry_is_counted_not_silent() {
+        // Regression: the snapshot used to turn this breach into "no
+        // request this cycle" without a trace. No command sequence can
+        // produce it, so the state comes from a doctored image.
+        let mut s = server();
+        let mut m = hp_maui();
+        let id = s
+            .qsub(
+                JobSpec::evolving(
+                    "F",
+                    UserId(6),
+                    GroupId(0),
+                    8,
+                    ExecutionModel::esp_evolving(1846, 1230, 4),
+                ),
+                t(0),
+            )
+            .unwrap();
+        cycle(&mut s, &mut m, t(0));
+        s.tm_dynget(id, 4, t(295)).unwrap();
+        assert_eq!(s.snapshot(t(295)).dyn_requests.len(), 1);
+        assert_eq!(s.invariant_breaches(), 0);
+
+        let mut img = s.image();
+        img.dyn_pending.clear();
+        let broken = PbsServer::from_image(&img).unwrap();
+        assert_eq!(broken.job(id).unwrap().state, JobState::DynQueued);
+        let snap = std::panic::catch_unwind(|| {
+            let snap = broken.snapshot(t(296));
+            (
+                snap.running.len(),
+                snap.dyn_requests.len(),
+                broken.invariant_breaches(),
+            )
+        });
+        if cfg!(debug_assertions) {
+            assert!(snap.is_err(), "test builds must fail on the breach");
+        } else {
+            // Still running, no request served, and the breach is on record.
+            assert_eq!(snap.unwrap(), (1, 0, 1));
+        }
+    }
+
+    #[test]
+    fn compacting_snapshot_rebuilt_in_old_buffers_equals_fresh_image() {
+        // Every record compacts, so every snapshot but the first is built
+        // inside its predecessor's lists: longer, equal and — once
+        // retention is turned off and terminal jobs are swept — shorter.
+        let mut s = server();
+        s.enable_journal(1);
+        let newest = |s: &PbsServer| s.journal().unwrap().latest_snapshot().unwrap().1.clone();
+        let mut ids = Vec::new();
+        for i in 0..12 {
+            let spec = JobSpec::rigid(
+                format!("job-with-a-long-name-{i}"),
+                UserId(i),
+                GroupId(0),
+                4,
+                SimDuration::from_secs(100 + u64::from(i)),
+            );
+            ids.push(s.qsub(spec, t(u64::from(i))).unwrap());
+            assert_eq!(newest(&s), s.image());
+        }
+        for &id in &ids[..6] {
+            s.qdel(id, t(20)).unwrap();
+            assert_eq!(newest(&s), s.image());
+        }
+        assert_eq!(newest(&s).jobs.len(), 12);
+        s.set_job_retention(false);
+        s.qsub(rigid("late", 1, 4, 50), t(21)).unwrap();
+        assert_eq!(newest(&s).jobs.len(), 7, "swept jobs leave the image");
+        assert_eq!(newest(&s), s.image());
+        let recovered = PbsServer::recover(s.journal().unwrap().clone()).unwrap();
+        assert_eq!(recovered.state_digest(), s.state_digest());
     }
 
     #[test]

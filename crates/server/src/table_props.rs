@@ -1,0 +1,350 @@
+//! Property suite for the live/terminal job-table split.
+//!
+//! Two servers are driven through one random command sequence: `kept`
+//! retains terminal jobs and journals (so it can crash and `recover`),
+//! `flip` has its retention toggled at random. After **every** operation:
+//!
+//! * `snapshot()` (the live-table walk) equals the `#[cfg(test)]`
+//!   full-scan reference over `jobs()`, on both servers;
+//! * the two servers' snapshots and accounting digests are equal —
+//!   retention changes memory, never a decision;
+//! * `jobs()` is strictly id-ordered and is exactly the live jobs plus
+//!   the terminal jobs a model says retention kept, and `live_jobs()`,
+//!   the counters and `is_drained` agree with a scan of it;
+//! * a command naming a terminal job fails with `InvalidState` where the
+//!   job is retained and `UnknownJob` where it was evicted.
+
+use crate::PbsServer;
+use dynbatch_cluster::{Allocation, Cluster};
+use dynbatch_core::testkit::{check, TestRng};
+use dynbatch_core::{
+    AllocPolicy, DfsConfig, Error, ExecutionModel, GroupId, JobId, JobSpec, JobState, NodeId,
+    SchedulerConfig, SimDuration, SimTime, UserId,
+};
+use dynbatch_sched::{Maui, Snapshot};
+use std::collections::BTreeSet;
+
+const NODES: u32 = 6;
+const CORES_PER_NODE: u32 = 8;
+
+fn fresh_server() -> PbsServer {
+    PbsServer::new(
+        Cluster::homogeneous(NODES, CORES_PER_NODE),
+        AllocPolicy::Pack,
+    )
+}
+
+fn fresh_maui(guarantee: bool) -> Maui {
+    let mut cfg = SchedulerConfig::paper_eval();
+    cfg.dfs = DfsConfig::highest_priority();
+    cfg.guarantee_evolving = guarantee;
+    Maui::new(cfg)
+}
+
+fn random_spec(rng: &mut TestRng) -> JobSpec {
+    let user = UserId(rng.range_u32(0, 4));
+    let cores = rng.range_u32(1, 17);
+    if rng.chance(0.4) {
+        let set = rng.range(200, 2000);
+        let mut spec = JobSpec::evolving(
+            "E",
+            user,
+            GroupId(0),
+            cores,
+            ExecutionModel::esp_evolving(set, set * 2 / 3, rng.range_u32(1, 9)),
+        );
+        if rng.chance(0.5) {
+            spec.dyn_timeout = Some(SimDuration::from_secs(rng.range(10, 300)));
+        }
+        spec
+    } else {
+        JobSpec::rigid(
+            "R",
+            user,
+            GroupId(0),
+            cores,
+            SimDuration::from_secs(rng.range(50, 1500)),
+        )
+    }
+}
+
+fn same_view(a: &Snapshot, b: &Snapshot, what: &str) {
+    assert_eq!(a.now, b.now, "{what}: now");
+    assert_eq!(a.total_cores, b.total_cores, "{what}: total_cores");
+    assert_eq!(a.running, b.running, "{what}: running");
+    assert_eq!(a.queued, b.queued, "{what}: queued");
+    assert_eq!(a.dyn_requests, b.dyn_requests, "{what}: dyn_requests");
+}
+
+/// The two servers plus what the test itself knows about them.
+struct Twin {
+    kept: PbsServer,
+    flip: PbsServer,
+    flip_retains: bool,
+    /// Terminal ids `flip` should still hold.
+    flip_kept_terminal: BTreeSet<JobId>,
+    /// Every id that ever turned terminal (all retained by `kept`).
+    terminal: Vec<JobId>,
+    guarantee: bool,
+    maui: Maui,
+}
+
+impl Twin {
+    fn new(guarantee: bool) -> Self {
+        let mut twin = Twin {
+            kept: fresh_server(),
+            flip: fresh_server(),
+            flip_retains: true,
+            flip_kept_terminal: BTreeSet::new(),
+            terminal: Vec::new(),
+            guarantee,
+            maui: fresh_maui(guarantee),
+        };
+        twin.arm();
+        twin
+    }
+
+    /// Per-process settings, as after construction or `reset`.
+    fn arm(&mut self) {
+        self.kept.set_guarantee_evolving(self.guarantee);
+        self.flip.set_guarantee_evolving(self.guarantee);
+        // A short compaction interval: snapshot records get written at
+        // the very record that retires a job.
+        self.kept.enable_journal(5);
+    }
+
+    /// Runs a command on both servers.
+    fn both<T>(&mut self, f: impl Fn(&mut PbsServer) -> T) -> (T, T) {
+        (f(&mut self.kept), f(&mut self.flip))
+    }
+
+    /// Runs a command that names only live jobs: the servers must agree.
+    fn agree<T: PartialEq + std::fmt::Debug>(&mut self, f: impl Fn(&mut PbsServer) -> T) -> T {
+        let (a, b) = self.both(f);
+        assert_eq!(a, b, "retained and evicted servers answered differently");
+        a
+    }
+
+    fn went_terminal(&mut self, id: JobId) {
+        self.terminal.push(id);
+        if self.flip_retains {
+            self.flip_kept_terminal.insert(id);
+        }
+    }
+
+    fn live_ids(&self, pred: impl Fn(JobState) -> bool) -> Vec<JobId> {
+        self.kept
+            .live_jobs()
+            .filter(|j| pred(j.state))
+            .map(|j| j.id)
+            .collect()
+    }
+
+    fn check(&self, now: SimTime) {
+        for (name, s) in [("kept", &self.kept), ("flip", &self.flip)] {
+            same_view(&s.snapshot(now), &s.snapshot_full_scan(now), name);
+            let all: Vec<&dynbatch_core::Job> = s.jobs().collect();
+            assert!(
+                all.windows(2).all(|w| w[0].id < w[1].id),
+                "{name}: jobs() not strictly id-ordered"
+            );
+            let live: Vec<JobId> = s.live_jobs().map(|j| j.id).collect();
+            let scanned: Vec<JobId> = all
+                .iter()
+                .filter(|j| !j.state.is_terminal())
+                .map(|j| j.id)
+                .collect();
+            assert_eq!(live, scanned, "{name}: live_jobs() vs scan of jobs()");
+            assert_eq!(s.is_drained(), scanned.is_empty(), "{name}: is_drained");
+            assert_eq!(
+                s.queued_count(),
+                all.iter().filter(|j| j.state == JobState::Queued).count()
+            );
+            assert_eq!(
+                s.active_count(),
+                all.iter().filter(|j| j.state.is_active()).count()
+            );
+            assert_eq!(s.invariant_breaches(), 0);
+            s.cluster().check_invariants().unwrap();
+        }
+        // A compacting snapshot is built inside the buffers of the one it
+        // replaces: when it is the newest record it must equal a fresh image.
+        let journal = self.kept.journal().expect("journal on");
+        if let Some((pos, img)) = journal.latest_snapshot() {
+            if pos == journal.total_appended() {
+                assert_eq!(*img, self.kept.image(), "recycled snapshot image");
+            }
+        }
+        same_view(
+            &self.kept.snapshot(now),
+            &self.flip.snapshot(now),
+            "kept vs flip",
+        );
+        assert_eq!(
+            self.kept.accounting().digest(),
+            self.flip.accounting().digest()
+        );
+        let terminal_ids = |s: &PbsServer| -> BTreeSet<JobId> {
+            s.jobs()
+                .filter(|j| j.state.is_terminal())
+                .map(|j| j.id)
+                .collect()
+        };
+        assert_eq!(
+            terminal_ids(&self.kept),
+            self.terminal.iter().copied().collect::<BTreeSet<_>>()
+        );
+        assert_eq!(terminal_ids(&self.flip), self.flip_kept_terminal);
+    }
+
+    /// Every job-addressed command against a terminal id: the kind of the
+    /// error tells retained from evicted, and nothing changes.
+    fn poke_terminal(&mut self, id: JobId, rng: &mut TestRng, now: SimTime) {
+        let mut part = Allocation::empty();
+        part.add(NodeId(0), 1);
+        let which = rng.below(4);
+        let (kept, flip) = self.both(|s| match which {
+            0 => s.qdel(id, now),
+            1 => s.tm_dynget(id, 2, now),
+            2 => s.tm_dynfree(id, &part, now),
+            _ => s.job_finished(id, now).map(|_| ()),
+        });
+        assert!(
+            matches!(kept, Err(Error::InvalidState { job, .. }) if job == id),
+            "retained terminal job: {kept:?}"
+        );
+        if self.flip_kept_terminal.contains(&id) {
+            assert_eq!(flip, kept);
+            assert!(self.flip.job(id).unwrap().state.is_terminal());
+        } else {
+            assert_eq!(flip, Err(Error::UnknownJob(id)), "evicted terminal job");
+            assert_eq!(self.flip.job(id).err(), Some(Error::UnknownJob(id)));
+        }
+    }
+}
+
+#[test]
+fn live_table_walks_match_full_scans_under_random_commands() {
+    check(48, 0x7AB1E, |rng: &mut TestRng| {
+        let mut twin = Twin::new(rng.chance(0.3));
+        let mut now = SimTime::ZERO;
+        for _ in 0..160 {
+            now += SimDuration::from_secs(rng.below(40));
+            match rng.below(20) {
+                0..=4 => {
+                    let spec = random_spec(rng);
+                    // Denied when failed nodes left less than it asks for.
+                    let _ = twin.agree(|s| s.qsub(spec.clone(), now));
+                }
+                5..=8 => {
+                    // One scheduler cycle: both servers produce the same
+                    // snapshot, so one outcome applies to both.
+                    let outcome = twin.maui.iterate(&twin.kept.snapshot(now));
+                    twin.agree(|s| s.apply(&outcome, now));
+                }
+                9..=10 => {
+                    if let Some(&id) = pick(rng, &twin.live_ids(JobState::is_active)) {
+                        twin.agree(|s| s.job_finished(id, now)).unwrap();
+                        twin.maui.dfs_mut().job_left_queue(id);
+                        twin.went_terminal(id);
+                    }
+                }
+                11 => {
+                    if let Some(&id) = pick(rng, &twin.live_ids(|_| true)) {
+                        twin.agree(|s| s.qdel(id, now)).unwrap();
+                        twin.maui.dfs_mut().job_left_queue(id);
+                        twin.went_terminal(id);
+                    }
+                }
+                12 => {
+                    // Any live job, asking for what its execution model
+                    // declares: queued, rigid (zero cores) and
+                    // already-DynQueued ones exercise the denial paths.
+                    if let Some(&id) = pick(rng, &twin.live_ids(|_| true)) {
+                        let extra = twin.kept.job(id).unwrap().spec.exec.extra_cores();
+                        let deadline = rng
+                            .chance(0.5)
+                            .then(|| now + SimDuration::from_secs(rng.range(5, 120)));
+                        let _ = twin.agree(|s| s.tm_dynget_negotiated(id, extra, deadline, now));
+                    }
+                }
+                13 => {
+                    if let Some(&id) = pick(rng, &twin.live_ids(JobState::is_active)) {
+                        let mut alloc = twin.kept.cluster().allocation_of(id).unwrap().clone();
+                        let part = alloc.take(rng.range_u32(1, 5));
+                        let _ = twin.agree(|s| s.tm_dynfree(id, &part, now));
+                    }
+                }
+                14 => {
+                    if rng.chance(0.5) {
+                        twin.agree(|s| s.expire_dyn_requests(now));
+                    } else if let Some(&id) =
+                        pick(rng, &twin.live_ids(|s| s == JobState::DynQueued))
+                    {
+                        let seq = twin.kept.pending_dyn_seq(id).expect("DynQueued has a seq");
+                        twin.agree(|s| s.expire_dyn_request(id, seq, now));
+                    }
+                }
+                15 => {
+                    let node = NodeId(rng.range_u32(0, NODES));
+                    let up = twin
+                        .kept
+                        .cluster()
+                        .nodes()
+                        .any(|n| n.id() == node && n.is_up());
+                    if up {
+                        twin.agree(|s| s.node_failed(node, now)).unwrap();
+                    } else {
+                        twin.agree(|s| s.node_repaired(node)).unwrap();
+                    }
+                }
+                16 => {
+                    twin.flip_retains = !twin.flip_retains;
+                    twin.flip.set_job_retention(twin.flip_retains);
+                    if !twin.flip_retains {
+                        twin.flip_kept_terminal.clear();
+                    }
+                }
+                17 => {
+                    if let Some(&id) = pick(rng, &twin.terminal) {
+                        twin.poke_terminal(id, rng, now);
+                    }
+                }
+                18 => {
+                    // Crash + recovery, or an image round trip: the job
+                    // tables are rebuilt from a flat id-ordered list.
+                    let digest = twin.kept.state_digest();
+                    if rng.chance(0.5) {
+                        let journal = twin.kept.take_journal().expect("journal on");
+                        twin.kept = PbsServer::recover(journal).unwrap();
+                    } else {
+                        twin.kept = PbsServer::from_image(&twin.kept.image()).unwrap();
+                        twin.kept.enable_journal(5);
+                    }
+                    assert_eq!(twin.kept.state_digest(), digest);
+                    twin.flip = PbsServer::from_image(&twin.flip.image()).unwrap();
+                    twin.flip.set_job_retention(twin.flip_retains);
+                }
+                _ => {
+                    if rng.chance(0.25) {
+                        twin.kept
+                            .reset(fresh_server().cluster().clone(), AllocPolicy::Pack);
+                        twin.flip
+                            .reset(fresh_server().cluster().clone(), AllocPolicy::Pack);
+                        twin.flip_retains = true;
+                        twin.flip_kept_terminal.clear();
+                        twin.terminal.clear();
+                        twin.maui = fresh_maui(twin.guarantee);
+                        twin.arm();
+                        assert!(twin.kept.jobs().next().is_none());
+                    }
+                }
+            }
+            twin.check(now);
+        }
+    });
+}
+
+fn pick<'a, T>(rng: &mut TestRng, items: &'a [T]) -> Option<&'a T> {
+    (!items.is_empty()).then(|| rng.pick(items))
+}

@@ -386,12 +386,10 @@ impl BatchSim {
     /// Processes one timestamp group (all simultaneous events plus the
     /// scheduler iteration that follows). Returns `false` when drained.
     pub fn step(&mut self) -> bool {
-        // Batched pop: take the whole timestamp group in one call instead
-        // of a pop-then-`peek_time` per event (`peek_time` is a linear
-        // scan once cancelled finish/phase timers are buried in the
-        // heap). Events scheduled *at* `now` while the group is applied —
+        // Batched pop: take the whole timestamp group in one call.
+        // Events scheduled *at* `now` while the group is applied —
         // zero-delay wakes, immediate expiries — join the same timestamp
-        // group, exactly as the serial pop loop processed them.
+        // group, exactly as a serial pop loop would process them.
         let mut batch = std::mem::take(&mut self.batch);
         let Some(now) = self.queue.pop_group_into(&mut batch) else {
             self.batch = batch;

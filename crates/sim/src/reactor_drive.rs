@@ -173,7 +173,7 @@ impl World {
         loop {
             let due = self
                 .server
-                .jobs()
+                .live_jobs()
                 .filter(|j| j.state.is_active())
                 .filter_map(|j| j.start_time.map(|s| (s + j.spec.walltime, j.id)))
                 .filter(|(end, _)| *end <= now)

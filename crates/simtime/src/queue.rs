@@ -5,8 +5,18 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A handle to a scheduled event, usable for cancellation.
+///
+/// Names a slot of the queue's pending-event table plus the generation
+/// the slot had when the event was scheduled. Slots are recycled; a token
+/// whose event already fired, was cancelled, or predates a
+/// [`EventQueue::reset`] carries a stale generation and cancels nothing.
+/// (Generations are 32-bit and wrap: a stale token could only alias after
+/// exactly 2³² reuses of its one slot.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Token(u64);
+pub struct Token {
+    slot: u32,
+    gen: u32,
+}
 
 /// An event as stored in the queue.
 #[derive(Debug, Clone)]
@@ -23,7 +33,9 @@ struct HeapEntry<E> {
     at: SimTime,
     seq: u64,
     payload: E,
-    cancelled_slot: usize,
+    /// The slot and generation this entry was scheduled under; it is
+    /// still pending iff the slot's current generation matches.
+    token: Token,
 }
 
 impl<E> PartialEq for HeapEntry<E> {
@@ -51,14 +63,24 @@ impl<E> Ord for HeapEntry<E> {
 
 /// A deterministic future-event list.
 ///
-/// Events fire in `(time, insertion sequence)` order. Cancellation is O(1)
-/// (lazy): cancelled events are skipped on pop.
+/// Events fire in `(time, insertion sequence)` order. Cancellation is
+/// lazy for buried entries — the heap entry stays until it surfaces — but
+/// **the heap top is never a cancelled entry**: `cancel` and every pop
+/// discard cancelled entries that reach the top, so
+/// [`EventQueue::peek_time`] is a plain O(1) peek.
+///
+/// Pending events occupy recycled slots of a generation table: a slot is
+/// freed (generation bumped) the moment its event is popped or cancelled,
+/// so the table is bounded by the peak number of *concurrently pending*
+/// events, not by the number ever scheduled.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: Vec<bool>,
+    /// Current generation per slot.
+    gens: Vec<u32>,
+    /// Slots holding no pending event.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -72,10 +94,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: Vec::new(),
+            gens: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            live: 0,
         }
     }
 
@@ -86,12 +108,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.gens.len() - self.free.len()
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
+    }
+
+    /// Size of the slot table: the peak number of concurrently pending
+    /// events since construction (it never shrinks, and `reset` keeps it).
+    pub fn slot_capacity(&self) -> usize {
+        self.gens.len()
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -107,85 +135,77 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.cancelled.len();
-        self.cancelled.push(false);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.gens.len()).expect("under 2^32 pending events");
+            self.gens.push(0);
+            slot
+        });
+        let token = Token {
+            slot,
+            gen: self.gens[slot as usize],
+        };
         self.heap.push(HeapEntry {
             at,
             seq,
             payload,
-            cancelled_slot: slot,
+            token,
         });
-        self.live += 1;
-        Token(slot as u64)
+        token
+    }
+
+    fn is_pending(&self, token: Token) -> bool {
+        self.gens.get(token.slot as usize) == Some(&token.gen)
+    }
+
+    /// Frees a pending event's slot; every outstanding copy of its token
+    /// (the caller's and the heap entry's) goes stale.
+    fn release(&mut self, token: Token) {
+        let gen = &mut self.gens[token.slot as usize];
+        *gen = gen.wrapping_add(1);
+        self.free.push(token.slot);
+    }
+
+    /// Restores the invariant that the heap top is pending.
+    fn prune_top(&mut self) {
+        while self.heap.peek().is_some_and(|e| !self.is_pending(e.token)) {
+            self.heap.pop();
+        }
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending.
     pub fn cancel(&mut self, token: Token) -> bool {
-        let slot = token.0 as usize;
-        match self.cancelled.get_mut(slot) {
-            Some(flag) if !*flag => {
-                *flag = true;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        if !self.is_pending(token) {
+            return false;
         }
+        self.release(token);
+        self.prune_top();
+        true
     }
 
     /// Pops the next live event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled[entry.cancelled_slot] {
-                continue;
-            }
-            self.cancelled[entry.cancelled_slot] = true; // slot consumed
-            self.live -= 1;
-            debug_assert!(entry.at >= self.now);
-            self.now = entry.at;
-            return Some(ScheduledEvent {
-                at: entry.at,
-                seq: entry.seq,
-                payload: entry.payload,
-            });
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(self.is_pending(entry.token), "heap top was cancelled");
+        debug_assert!(entry.at >= self.now);
+        self.release(entry.token);
+        self.prune_top();
+        self.now = entry.at;
+        Some(ScheduledEvent {
+            at: entry.at,
+            seq: entry.seq,
+            payload: entry.payload,
+        })
     }
 
     /// Pops **all** live events sharing the earliest pending timestamp
     /// into `out` (cleared first), in insertion-sequence order, and
     /// advances the clock to that timestamp. Returns the group's time, or
     /// `None` when the queue is drained.
-    ///
-    /// This is the batched-pop fast path for simultaneous-event bursts:
-    /// the caller pays one peek per event instead of a full
-    /// [`EventQueue::peek_time`] between pops — and `peek_time` degrades
-    /// to a linear scan whenever lazily-cancelled entries are buried in
-    /// the heap, which made the pop-then-peek loop quadratic on
-    /// cancellation-heavy runs.
     pub fn pop_group_into(&mut self, out: &mut Vec<ScheduledEvent<E>>) -> Option<SimTime> {
         out.clear();
-        let first = self.pop()?;
-        let at = first.at;
-        out.push(first);
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled[top.cancelled_slot] {
-                // Lazily-cancelled entry: discard and keep scanning.
-                self.heap.pop();
-                continue;
-            }
-            if top.at != at {
-                break;
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            self.cancelled[entry.cancelled_slot] = true; // slot consumed
-            self.live -= 1;
-            out.push(ScheduledEvent {
-                at: entry.at,
-                seq: entry.seq,
-                payload: entry.payload,
-            });
-        }
+        let at = self.peek_time()?;
+        self.drain_until(at, out);
         Some(at)
     }
 
@@ -195,52 +215,30 @@ impl<E> EventQueue<E> {
     /// stay queued.
     pub fn drain_until(&mut self, limit: SimTime, out: &mut Vec<ScheduledEvent<E>>) {
         out.clear();
-        loop {
-            match self.heap.peek() {
-                Some(top) if self.cancelled[top.cancelled_slot] => {
-                    self.heap.pop();
-                }
-                Some(top) if top.at <= limit => {
-                    let entry = self.heap.pop().expect("peeked entry exists");
-                    self.cancelled[entry.cancelled_slot] = true; // slot consumed
-                    self.live -= 1;
-                    self.now = entry.at;
-                    out.push(ScheduledEvent {
-                        at: entry.at,
-                        seq: entry.seq,
-                        payload: entry.payload,
-                    });
-                }
-                _ => break,
-            }
+        while self.peek_time().is_some_and(|at| at <= limit) {
+            out.extend(self.pop());
         }
     }
 
     /// Empties the queue and rewinds the clock to zero, **retaining** the
-    /// heap and cancellation-table storage. A sweep worker recycling one
+    /// heap and slot-table storage. A sweep worker recycling one
     /// simulator across hundreds of runs calls this instead of allocating
-    /// a fresh queue per run.
+    /// a fresh queue per run. Every slot's generation moves on, so tokens
+    /// issued before the reset stay dead however the slots are reused.
     pub fn reset(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
+        for gen in &mut self.gens {
+            *gen = gen.wrapping_add(1);
+        }
+        self.free.clear();
+        self.free.extend((0..self.gens.len() as u32).rev());
         self.next_seq = 0;
         self.now = SimTime::ZERO;
-        self.live = 0;
     }
 
     /// The time of the next live event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Fast path: nothing cancelled, the heap top is authoritative.
-        if self.live == self.heap.len() {
-            return self.heap.peek().map(|e| e.at);
-        }
-        // Slow path: find the minimum live entry.
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled[e.cancelled_slot])
-            .map(|e| (e.at, e.seq))
-            .min()
-            .map(|(at, _)| at)
+        self.heap.peek().map(|e| e.at)
     }
 }
 

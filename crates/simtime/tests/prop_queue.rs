@@ -12,6 +12,14 @@
 //! deliberately tiny domain so timestamp collisions (the FIFO-tie-break
 //! regime) and cancellations of already-buried entries (the
 //! lazy-cancellation regime) both occur constantly.
+//!
+//! Further suites pin what the O(1) `peek_time` and the recycled slot
+//! table rest on: cancellation-heavy schedules (most events cancelled,
+//! the top cancelled on purpose, tokens cancelled after their event
+//! fired) never leave a cancelled entry visible at the top; a stale
+//! token cannot cancel the event that reuses its slot, not even across
+//! `reset`; and the slot table is bounded by the peak number of
+//! concurrently pending events, not by the number ever scheduled.
 
 use dynbatch_core::testkit::{check, TestRng};
 use dynbatch_core::SimTime;
@@ -202,4 +210,163 @@ fn reset_preserves_semantics() {
         assert_eq!((e.at, e.seq, e.payload), (SimTime::from_secs(3), 0, 7));
         assert!(!q.cancel(tok), "already popped");
     });
+}
+
+#[test]
+fn cancellation_heavy_schedules_keep_peek_exact() {
+    check(48, 0xCA_9CE1, |rng: &mut TestRng| {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut model = Model::default();
+        let mut tokens: Vec<Token> = Vec::new();
+        let mut cancelled = 0usize;
+        let agree = |q: &EventQueue<usize>, model: &Model| {
+            assert_eq!(q.peek_time(), model.peek_time());
+            assert_eq!(q.len(), model.len());
+        };
+
+        for _ in 0..30 {
+            // A burst, then cancel well over half of what is pending —
+            // always including the current top.
+            for _ in 0..rng.range_usize(2, 12) {
+                let at = q.now() + dynbatch_core::SimDuration::from_secs(rng.below(20));
+                let idx = model.schedule(at);
+                tokens.push(q.schedule(at, idx));
+                agree(&q, &model);
+            }
+            let pending: Vec<usize> = model.live_indices().collect();
+            let top = pending
+                .iter()
+                .copied()
+                .min_by_key(|&i| (model.events[i].at, i))
+                .expect("burst scheduled something");
+            for idx in std::iter::once(top).chain(pending) {
+                if idx == top || rng.chance(0.7) {
+                    let was_pending = model.cancel(idx);
+                    assert_eq!(q.cancel(tokens[idx]), was_pending);
+                    cancelled += was_pending as usize;
+                    agree(&q, &model);
+                }
+            }
+            // Pop a little; a token cancelled after its event fired is
+            // dead and must leave the new top alone.
+            for _ in 0..rng.below(3) {
+                let Some((at, idx)) = model.pop() else { break };
+                let e = q.pop().expect("model had an event");
+                assert_eq!((e.at, e.payload), (at, idx));
+                assert!(!q.cancel(tokens[idx]), "cancel after pop");
+                agree(&q, &model);
+            }
+        }
+        assert!(
+            cancelled * 2 >= tokens.len(),
+            "only {cancelled} of {} events were cancelled",
+            tokens.len()
+        );
+        while let Some((at, idx)) = model.pop() {
+            let e = q.pop().expect("queue drained before model");
+            assert_eq!((e.at, e.payload), (at, idx));
+            agree(&q, &model);
+        }
+        assert!(q.pop().is_none());
+    });
+}
+
+#[test]
+fn stale_token_cannot_cancel_the_slot_s_next_tenant() {
+    // The pinned case first: one slot, three tenants, a reset in between.
+    let at = SimTime::from_secs(1);
+    let mut q: EventQueue<&str> = EventQueue::new();
+    let popped = q.schedule(at, "popped");
+    q.pop();
+    let cancelled = q.schedule(at, "cancelled");
+    assert!(q.cancel(cancelled));
+    let before_reset = q.schedule(at, "before reset");
+    assert_eq!(q.slot_capacity(), 1, "all three shared one slot");
+    assert!(!q.cancel(popped) && !q.cancel(cancelled));
+    assert_eq!(q.len(), 1);
+    q.reset();
+    let survivor = q.schedule(at, "survivor");
+    assert_eq!(q.slot_capacity(), 1);
+    for stale in [popped, cancelled, before_reset] {
+        assert!(!q.cancel(stale), "stale token cancelled its successor");
+    }
+    assert_eq!(q.pop().map(|e| e.payload), Some("survivor"));
+    assert!(!q.cancel(survivor));
+
+    // Then at random: every token ever issued is retried all the time;
+    // only a token whose own event is still pending may succeed.
+    check(32, 0x57A1E, |rng: &mut TestRng| {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        // (token, its event still pending), indexed by payload.
+        let mut issued: Vec<(Token, bool)> = Vec::new();
+        for _ in 0..400 {
+            match rng.below(8) {
+                0..=2 => {
+                    let at = q.now() + dynbatch_core::SimDuration::from_secs(rng.below(5));
+                    issued.push((q.schedule(at, issued.len()), true));
+                }
+                3..=4 => {
+                    if let Some(e) = q.pop() {
+                        assert!(issued[e.payload].1, "popped a dead event");
+                        issued[e.payload].1 = false;
+                    }
+                }
+                5..=6 => {
+                    if !issued.is_empty() {
+                        let i = rng.range_usize(0, issued.len());
+                        assert_eq!(q.cancel(issued[i].0), issued[i].1);
+                        issued[i].1 = false;
+                    }
+                }
+                _ => {
+                    if rng.chance(0.2) {
+                        q.reset();
+                        issued.iter_mut().for_each(|(_, pending)| *pending = false);
+                    }
+                }
+            }
+            assert_eq!(q.len(), issued.iter().filter(|(_, p)| *p).count());
+        }
+    });
+}
+
+#[test]
+fn slot_table_is_bounded_by_concurrently_pending_events() {
+    // A million events through a queue that never holds many at once,
+    // cancellations (of buried, fired and already-cancelled events) mixed
+    // in: the table stays at the peak occupancy instead of gaining an
+    // entry per schedule.
+    let mut rng = TestRng::from_seed(0x51_07);
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut tokens: std::collections::VecDeque<Token> = Default::default();
+    let mut peak_pending = 0;
+    let mut scheduled = 0u32;
+    while scheduled < 1_000_000 {
+        for _ in 0..rng.range(1, 40) {
+            let at = q.now() + dynbatch_core::SimDuration::from_millis(rng.below(5_000));
+            tokens.push_back(q.schedule(at, scheduled));
+            scheduled += 1;
+        }
+        peak_pending = peak_pending.max(q.len());
+        while q.len() > 64 || (rng.chance(0.6) && !q.is_empty()) {
+            if rng.chance(0.33) {
+                // Oldest outstanding token: buried, fired or cancelled.
+                if let Some(tok) = tokens.pop_front() {
+                    q.cancel(tok);
+                }
+            } else {
+                q.pop();
+            }
+        }
+        if tokens.len() > 256 {
+            tokens.drain(..128);
+        }
+        assert!(q.slot_capacity() <= peak_pending);
+    }
+    assert!(peak_pending <= 64 + 40);
+    assert!(
+        q.slot_capacity() <= peak_pending,
+        "{} slots for at most {peak_pending} concurrently pending events",
+        q.slot_capacity()
+    );
 }
