@@ -14,8 +14,8 @@ fn loaded_snapshot() -> Snapshot {
     let mut snap = Snapshot {
         now: SimTime::from_secs(500),
         total_cores: 120,
-        running: Vec::new(),
-        queued: Vec::new(),
+        running: Default::default(),
+        queued: Default::default(),
         dyn_requests: Vec::new(),
         usage: None,
         deltas: None,

@@ -16,8 +16,8 @@ fn snapshot(running: usize, queued: usize, dyn_reqs: usize) -> Snapshot {
     let mut snap = Snapshot {
         now: SimTime::from_secs(1000),
         total_cores: 120,
-        running: Vec::new(),
-        queued: Vec::new(),
+        running: Default::default(),
+        queued: Default::default(),
         dyn_requests: Vec::new(),
         usage: None,
         deltas: None,

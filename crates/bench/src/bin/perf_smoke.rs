@@ -21,6 +21,12 @@
 //!    `Maui` and a rebuild-every-iteration `Maui`. Decisions are asserted
 //!    identical tick by tick — with the rebuild-equivalence guard enabled
 //!    on the correctness pass — before either path is timed.
+//!    A second part (**deep queue**) times one steady-state cycle —
+//!    one pending `tm_dynget`, six idle cores — at queue depth 250 /
+//!    1 000 / 4 000 behind the same 150×8 machine, decisions asserted
+//!    identical to `sched::reference::iterate_naive`; the full run gates
+//!    the depth-4 000 cycle at ≤ 0.25× the reference's and records
+//!    `depth4000 / depth250`.
 //! 4. **Sharded kernel** — the same tick sequence through the
 //!    partitioned-timeline scheduler at shard counts {1, 2, 4, 8}:
 //!    per-tick decisions asserted byte-identical to the serial path at
@@ -120,8 +126,8 @@ fn scaled_snapshot(nodes: u32, jobs: usize, seed: u64) -> Snapshot {
     let mut snap = Snapshot {
         now,
         total_cores,
-        running: Vec::new(),
-        queued: Vec::new(),
+        running: Default::default(),
+        queued: Default::default(),
         dyn_requests: Vec::new(),
         usage: None,
         deltas: None,
@@ -192,6 +198,10 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
     let total_cores = nodes * 8;
     let mut rng = SplitMix64::new(seed ^ 0x71C5);
     let mut snap = scaled_snapshot(nodes, jobs, seed);
+    // The running and queued jobs as plain vectors: the tick edits them
+    // in place, each snapshot takes a copy.
+    let mut running: Vec<RunningJob> = snap.running.to_vec();
+    let mut queued: Vec<QueuedJob> = snap.queued.iter().cloned().collect();
     let mut epoch = 0u64;
     let mut seq = snap
         .dyn_requests
@@ -214,23 +224,19 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
         // Retire jobs 60 s past their walltime; until then they stay
         // running overdue, pinned to the one-grace clamp on both paths.
         let mut i = 0;
-        while i < snap.running.len() {
-            if snap.running[i].walltime_end + SimDuration::from_secs(60) <= now {
-                let gone = snap.running.swap_remove(i);
+        while i < running.len() {
+            if running[i].walltime_end + SimDuration::from_secs(60) <= now {
+                let gone = running.swap_remove(i);
                 deltas.push(ProfileDelta::Finished { job: gone.id });
             } else {
                 i += 1;
             }
         }
-        let mut used: u32 = snap
-            .running
-            .iter()
-            .map(|r| r.cores + r.reserved_extra)
-            .sum();
+        let mut used: u32 = running.iter().map(|r| r.cores + r.reserved_extra).sum();
         // Resize one running job by a core (grow if it fits, else shrink).
-        if !snap.running.is_empty() {
-            let i = rng.next_below(snap.running.len() as u64) as usize;
-            let r = &mut snap.running[i];
+        if !running.is_empty() {
+            let i = rng.next_below(running.len() as u64) as usize;
+            let r = &mut running[i];
             if used < total_cores {
                 r.cores += 1;
                 used += 1;
@@ -246,9 +252,9 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
         // Start queued jobs into whatever the retirements freed.
         let mut started = 0;
         while started < 4 {
-            match snap.queued.last() {
+            match queued.last() {
                 Some(q) if used + q.cores <= total_cores => {
-                    let q = snap.queued.pop().expect("just peeked");
+                    let q = queued.pop().expect("just peeked");
                     used += q.cores;
                     let end = now + SimDuration::from_secs(120 + rng.next_below(7_200));
                     deltas.push(ProfileDelta::Started {
@@ -256,7 +262,7 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
                         held_cores: q.cores,
                         walltime_end: end,
                     });
-                    snap.running.push(RunningJob {
+                    running.push(RunningJob {
                         id: q.id,
                         user: q.user,
                         group: q.group,
@@ -273,8 +279,7 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
             }
         }
         // Fresh dynamic requests from the surviving evolving jobs.
-        snap.dyn_requests = snap
-            .running
+        snap.dyn_requests = running
             .iter()
             .filter(|r| r.id.0.is_multiple_of(4) && r.walltime_end > now)
             .take(16)
@@ -291,6 +296,8 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
                 }
             })
             .collect();
+        snap.running = running.clone().into();
+        snap.queued = queued.clone().into();
         snap.deltas = Some(DeltaLog {
             base_epoch: epoch,
             epoch: epoch + 1,
@@ -300,6 +307,177 @@ fn tick_sequence(nodes: u32, jobs: usize, seed: u64, ticks: usize) -> Vec<Snapsh
         out.push(snap.clone());
     }
     out
+}
+
+/// The deep-queue snapshot: a 150×8 machine with all but six cores
+/// running, and the oldest `depth` jobs of a 4 000-job backlog (1–64
+/// cores, 1–30 min, one submission a second, 32 users) queued behind it.
+/// The running set does not depend on `depth`.
+fn deep_queue_snapshot(depth: usize) -> Snapshot {
+    let total_cores = 150 * 8;
+    let now = SimTime::from_secs(20_000);
+    let mut rng = SplitMix64::new(0xDEE9);
+    let mut running = Vec::new();
+    let mut used = 0;
+    while used < total_cores - 6 {
+        let cores = (1 + rng.next_below(16) as u32).min(total_cores - 6 - used);
+        used += cores;
+        let id = running.len() as u64;
+        running.push(RunningJob {
+            id: JobId(id),
+            user: dynbatch_core::UserId((id % 32) as u32),
+            group: dynbatch_core::GroupId(0),
+            cores,
+            start_time: now - SimDuration::from_secs(1 + rng.next_below(1_000)),
+            walltime_end: now + SimDuration::from_secs(60 + rng.next_below(1_740)),
+            backfilled: false,
+            reserved_extra: 0,
+            malleable: None,
+        });
+    }
+    let first_end = running[0].walltime_end;
+    let mut rng = SplitMix64::new(0xBAC7);
+    let queued: Vec<QueuedJob> = (0..4_000u64)
+        .map(|i| QueuedJob {
+            id: JobId(10_000 + i),
+            user: dynbatch_core::UserId(rng.next_below(32) as u32),
+            group: dynbatch_core::GroupId(0),
+            queue: QueueId(0),
+            cores: 1 + rng.next_below(64) as u32,
+            walltime: SimDuration::from_secs(60 + rng.next_below(1_740)),
+            submit_time: SimTime::from_secs(10_000 + i),
+            priority_boost: 0,
+            suppress_backfill_while_queued: false,
+            reserve_extra: 0,
+            moldable: None,
+        })
+        .take(depth)
+        .collect();
+    Snapshot {
+        now,
+        total_cores,
+        running: running.into(),
+        queued: queued.into(),
+        // What triggers most cycles of a busy site: one `tm_dynget`.
+        dyn_requests: vec![DynRequest {
+            job: JobId(0),
+            user: dynbatch_core::UserId(0),
+            group: dynbatch_core::GroupId(0),
+            extra_cores: 4,
+            remaining_walltime: first_end.duration_since(now),
+            seq: 0,
+            deadline: None,
+        }],
+        usage: None,
+        deltas: None,
+    }
+}
+
+/// 3a. Deep queue: what one steady-state scheduler cycle costs as the
+/// queue behind a full machine deepens 16-fold. Each depth keeps a warm
+/// `Maui` (it has ranked this queue before and follows the delta log, as
+/// between two cycles of a run); the depths are timed interleaved, rep by
+/// rep, and the visit-every-job reference in blocks between them, so the
+/// box's drift lands on everything alike. Decisions are asserted identical
+/// to the reference first. Returns the section, `depth4000 / depth250` of
+/// the medians, and the depth-4000 median over the reference's.
+fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
+    use dynbatch_sched::reference::iterate_naive;
+    const BLOCK: usize = 10;
+    let depths = [250usize, 1_000, 4_000];
+    let mut cfg = SchedulerConfig::paper_eval();
+    cfg.dfs = DfsConfig::uniform_target(500, SimDuration::from_hours(1));
+    let mut snaps: Vec<Snapshot> = depths.iter().map(|&d| deep_queue_snapshot(d)).collect();
+    for snap in &snaps {
+        assert!(snap.idle_cores() <= 8, "the machine is all but full");
+        let a = Maui::new(cfg.clone()).iterate(snap);
+        let b = iterate_naive(&mut Maui::new(cfg.clone()), snap);
+        assert_eq!(a.starts, b.starts, "deep queue: starts diverged");
+        assert_eq!(
+            a.dyn_decisions, b.dyn_decisions,
+            "deep queue: dyn decisions diverged"
+        );
+        assert_eq!(
+            a.reservations, b.reservations,
+            "deep queue: reservations diverged"
+        );
+        assert_eq!(
+            a.baseline_plan, b.baseline_plan,
+            "deep queue: baseline plan diverged"
+        );
+    }
+    let mut mauis: Vec<Maui> = depths.iter().map(|_| Maui::new(cfg.clone())).collect();
+    let mut naive = Maui::new(cfg.clone());
+    let mut us: Vec<Vec<f64>> = depths.iter().map(|_| Vec::with_capacity(reps)).collect();
+    let mut naive_us: Vec<Vec<f64>> = depths.iter().map(|_| Vec::new()).collect();
+    // Epoch 0 is the untimed first cycle (full rank, timeline rebuild).
+    for epoch in 0..=reps {
+        for (k, snap) in snaps.iter_mut().enumerate() {
+            snap.deltas = Some(DeltaLog {
+                base_epoch: epoch as u64,
+                epoch: epoch as u64 + 1,
+                deltas: Vec::new(),
+            });
+            let t0 = Instant::now();
+            black_box(mauis[k].iterate(snap));
+            let dt = t0.elapsed().as_secs_f64() * 1e6;
+            if epoch > 0 {
+                us[k].push(dt);
+            }
+        }
+        // The reference churns through enough memory to evict the
+        // scheduler's working set, so it runs between blocks, not cycles.
+        if epoch % BLOCK == 0 {
+            for (k, snap) in snaps.iter().enumerate() {
+                let t0 = Instant::now();
+                black_box(iterate_naive(&mut naive, snap));
+                naive_us[k].push(t0.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+    }
+    let mut rows = Vec::new();
+    let mut medians = Vec::new();
+    let mut naive_medians = Vec::new();
+    for (k, &depth) in depths.iter().enumerate() {
+        us[k].sort_by(f64::total_cmp);
+        naive_us[k].sort_by(f64::total_cmp);
+        let (median, p95) = (quantile(&us[k], 0.5), quantile(&us[k], 0.95));
+        let naive_median = quantile(&naive_us[k], 0.5);
+        eprintln!(
+            "  depth {depth:>5}  iterate median {median:>7.1} us  p95 {p95:>7.1} us  \
+             (visit-every-job reference {naive_median:.1} us)"
+        );
+        medians.push(median);
+        naive_medians.push(naive_median);
+        rows.push(Json::obj(vec![
+            ("queue_depth", Json::UInt(depth as u64)),
+            ("iterate_us_median", Json::Float(median)),
+            ("iterate_us_p95", Json::Float(p95)),
+            ("reference_us_median", Json::Float(naive_median)),
+        ]));
+    }
+    let ratio = medians[2] / medians[0];
+    let over_reference = medians[2] / naive_medians[2];
+    let per_job_ns = (medians[2] - medians[0]) * 1e3 / (depths[2] - depths[0]) as f64;
+    let section = Json::obj(vec![
+        ("nodes", Json::UInt(150)),
+        ("cores", Json::UInt(1200)),
+        ("idle_cores", Json::UInt(snaps[0].idle_cores() as u64)),
+        ("running_jobs", Json::UInt(snaps[0].running.len() as u64)),
+        ("pending_dyn_requests", Json::UInt(1)),
+        ("reps", Json::UInt(reps as u64)),
+        ("per_depth", Json::Arr(rows)),
+        ("depth4000_over_depth250", Json::Float(ratio)),
+        ("marginal_ns_per_queued_job", Json::Float(per_job_ns)),
+        ("depth4000_over_reference", Json::Float(over_reference)),
+        (
+            "gate",
+            Json::Str("depth4000 <= 0.25 x reference at depth 4000 (full runs)".into()),
+        ),
+        // Set only after the asserts against `iterate_naive` above.
+        ("identical_decisions", Json::Bool(true)),
+    ]);
+    (section, ratio, over_reference)
 }
 
 /// `plan_starts` in the pre-change formulation.
@@ -707,7 +885,7 @@ fn main() {
     eprintln!("perf_smoke: scaled kernel ({nodes} nodes, {jobs} jobs, {reps} reps)");
     let snap = scaled_snapshot(nodes, jobs, 42);
     let ranked: Vec<QueuedJob> = {
-        let mut v = snap.queued.clone();
+        let mut v: Vec<QueuedJob> = snap.queued.iter().cloned().collect();
         rank_jobs(&mut v, snap.now, &cfg.priority, FairnessView::None);
         v
     };
@@ -802,6 +980,17 @@ fn main() {
     eprintln!(
         "  profile rebuild {reb_profile_ms:.2} ms  incremental {inc_profile_ms:.2} ms  \
          ({maintenance_speedup:.1}x); iterate {it_reb_ms:.2} -> {it_inc_ms:.2} ms"
+    );
+
+    // 3a. Deep queue: steady-state cycle cost at queue depth 250 / 1 000 /
+    // 4 000 behind a full machine.
+    let deep_reps = if quick { 30 } else { 300 };
+    eprintln!("perf_smoke: deep queue (depths 250/1000/4000, {deep_reps} reps)");
+    let (deep_queue_json, deep_queue_ratio, deep_queue_over_reference) =
+        deep_queue_section(deep_reps);
+    eprintln!(
+        "  depth4000 / depth250 = {deep_queue_ratio:.2}; depth4000 / reference = \
+         {deep_queue_over_reference:.2}"
     );
 
     // 3b. Sharded scheduler: the same delta-carrying tick sequence
@@ -1368,6 +1557,7 @@ fn main() {
                 ("identical_decisions", Json::Bool(true)),
             ]),
         ),
+        ("deep_queue", deep_queue_json),
         (
             "sharded_kernel",
             Json::obj(vec![
@@ -1606,6 +1796,11 @@ fn main() {
         assert!(
             maintenance_speedup >= 2.0,
             "incremental profile maintenance regressed below 2x: {maintenance_speedup:.2}x"
+        );
+        assert!(
+            deep_queue_over_reference <= 0.25,
+            "a cycle at queue depth 4000 costs {deep_queue_over_reference:.2}x the \
+             visit-every-job reference (bound 0.25)"
         );
         // The parallel-efficiency bar only applies where there are cores
         // to scale onto; the determinism asserts above always run.

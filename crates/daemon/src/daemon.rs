@@ -1272,8 +1272,9 @@ impl ServerDaemon {
     /// the applied actions out to the moms.
     fn cycle(&mut self, now: SimTime) {
         self.sync_fairshare();
-        let snapshot = self.server.snapshot_incremental(now);
-        let outcome = self.maui.iterate(&snapshot);
+        // The snapshot shares the server's scheduler view; dropped before
+        // `apply` mutates it, nothing is ever copied.
+        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
         let applied = self.server.apply(&outcome, now);
         for action in applied {
             match action {

@@ -414,7 +414,7 @@ mod tests {
         Snapshot {
             now,
             total_cores: total,
-            running,
+            running: running.into(),
             deltas,
             ..Default::default()
         }

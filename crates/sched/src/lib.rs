@@ -58,6 +58,6 @@ pub use priority::{priority_of, rank_jobs, FairnessView, Priority};
 pub use reservation::{PlannedStart, Reservation, StartKind};
 pub use router::{MultiShardHold, ShardRouter, StealQueues};
 pub use shard::{with_round_pool, ShardCommitError, ShardLayout, ShardedTimeline};
-pub use snapshot::{DynRequest, QueuedJob, RunningJob, Snapshot};
+pub use snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 pub use timeline::{planned_end, AvailabilityProfile, OVERDUE_GRACE};
 pub use usage_history::{DecayedAccount, UsageHistory, UsageSnapshot};

@@ -24,17 +24,16 @@ use crate::dfs::{DelayCharge, DfsEngine, DfsReject, DfsVerdict};
 use crate::fairshare::FairshareTracker;
 use crate::incremental::{profile_from_running, rebuild_into, IncrementalTimeline, TimelineStats};
 use crate::plan::plan_starts;
-use crate::priority::{priority_of, rank_jobs, FairnessView, Priority};
+use crate::priority::{FairnessView, RankOrder, Ranked};
 use crate::reservation::{PlannedStart, Reservation};
 use crate::router::{ShardRouter, StealQueues};
 use crate::shard::{with_round_pool, ShardedTimeline};
-use crate::snapshot::{DynRequest, QueuedJob, RunningJob, Snapshot};
+use crate::snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 use crate::timeline::{planned_end, AvailabilityProfile};
 use crate::usage_history::UsageSnapshot;
 use dynbatch_core::{
     BackfillPolicy, FairshareConfig, FairshareMode, JobId, SchedulerConfig, SimTime, UserId,
 };
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -146,11 +145,12 @@ impl IterationOutcome {
     }
 }
 
-/// Reusable profile buffers for the dynamic-request what-if pass. One set
-/// is allocated per iteration and refilled with
-/// [`AvailabilityProfile::assign_from`] per request, so delay measurement
-/// performs no per-request heap allocation.
-#[derive(Debug)]
+/// Reusable profile buffers for the baseline plan and the dynamic-request
+/// what-if pass. The scheduler keeps one set across iterations (each
+/// sharded worker, one per iteration) and refills a buffer with
+/// [`AvailabilityProfile::assign_from`] before every use, so planning
+/// performs no per-cycle or per-request heap allocation.
+#[derive(Debug, Clone)]
 struct PlanScratch {
     /// The partition-released view a request draws resources from.
     trial: AvailabilityProfile,
@@ -160,12 +160,14 @@ struct PlanScratch {
     plan: AvailabilityProfile,
 }
 
-impl PlanScratch {
-    fn new(now: SimTime, total_cores: u32) -> Self {
+impl Default for PlanScratch {
+    /// Empty buffers; every user assigns into one before reading it.
+    fn default() -> Self {
+        let empty = || AvailabilityProfile::new(SimTime::ZERO, 0);
         PlanScratch {
-            trial: AvailabilityProfile::new(now, total_cores),
-            expanded: AvailabilityProfile::new(now, total_cores),
-            plan: AvailabilityProfile::new(now, total_cores),
+            trial: empty(),
+            expanded: empty(),
+            plan: empty(),
         }
     }
 }
@@ -208,6 +210,11 @@ pub struct Maui {
     shard_workers: usize,
     /// Recycled buffer the per-iteration working base is staged in.
     base_buf: AvailabilityProfile,
+    /// Recycled what-if buffers of the serial iteration.
+    scratch: PlanScratch,
+    /// The previous cycle's queue order, which the next ranking starts
+    /// from.
+    rank: RankOrder,
 }
 
 impl Maui {
@@ -230,6 +237,8 @@ impl Maui {
             sharded: None,
             shard_workers: 0,
             base_buf: AvailabilityProfile::new(SimTime::ZERO, 0),
+            scratch: PlanScratch::default(),
+            rank: RankOrder::default(),
         }
     }
 
@@ -340,10 +349,10 @@ impl Maui {
 
     /// Runs one scheduling iteration (paper Algorithm 2).
     ///
-    /// With `shards > 1` the three expensive phases (ranking, the
-    /// dynamic-request loop, backfill) run speculatively on a
-    /// round-synchronised worker pool; all commits are applied in the
-    /// serial order, so the outcome is byte-identical to `shards == 1`.
+    /// With `shards > 1` the two expensive phases (the dynamic-request
+    /// loop, backfill) run speculatively on a round-synchronised worker
+    /// pool; all commits are applied in the serial order, so the outcome
+    /// is byte-identical to `shards == 1`.
     pub fn iterate(&mut self, snap: &Snapshot) -> IterationOutcome {
         if self.config.shards > 1 {
             return self.iterate_sharded(snap);
@@ -355,10 +364,12 @@ impl Maui {
 
         // Steps 6–9: select and prioritise static jobs and dynamic
         // requests. The queue is ranked through references — the snapshot
-        // is never cloned on this path.
+        // is never cloned on this path — starting from the previous
+        // cycle's order.
         let fairness = fairness_view(&self.config, &self.fairshare, snap.usage.as_ref());
-        let mut ranked: Vec<&QueuedJob> = snap.queued.iter().collect();
-        rank_jobs(&mut ranked, now, &self.config.priority, fairness);
+        let ranked = self
+            .rank
+            .rank(&snap.queued, now, &self.config.priority, fairness);
 
         // The base profile carries running jobs' remaining walltimes; all
         // planning happens on top of clones of it. On the incremental
@@ -384,20 +395,14 @@ impl Maui {
         }
         // The partition may be partly consumed by grants during this
         // iteration; `partition` tracks what remains held.
-        let partition = self
-            .config
-            .dyn_partition_cores
-            .min(base.min_idle(now, SimTime::MAX));
-        if partition > 0 {
-            base.hold(now, SimTime::MAX, partition);
-        }
+        let partition = hold_partition(&self.config, &mut base, now);
         // Step 10: plan static jobs without starting them — the baseline.
-        let mut scratch = PlanScratch::new(now, snap.total_cores);
+        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.plan.assign_from(&base);
         let mut outcome = IterationOutcome {
             baseline_plan: plan_starts(
                 &mut scratch.plan,
-                &ranked,
+                &ranked.jobs,
                 self.config.lookahead_depth(),
                 now,
             ),
@@ -407,18 +412,14 @@ impl Maui {
         // Steps 11–24: the dynamic-request loop, threading the mutable
         // world through evaluate → commit per request (the sharded path
         // runs the same two functions, evaluating speculatively).
-        let mut world = DynWorld::new(base, partition, &snap.running);
-        if self.config.dynamic_enabled {
+        let mut world = DynWorld::new(base, partition);
+        if self.config.dynamic_enabled && !snap.dyn_requests.is_empty() {
             let mut requests: Vec<&DynRequest> = snap.dyn_requests.iter().collect();
             requests.sort_by_key(|r| r.seq);
-            // Resolve `JobId → &QueuedJob` once; the delay loop used to
-            // rescan the ranked queue per charge.
-            let jobs_by_id: HashMap<JobId, &QueuedJob> =
-                ranked.iter().map(|j| (j.id, *j)).collect();
             let ctx = DynCtx {
                 config: &self.config,
-                ranked: &ranked,
-                jobs_by_id: &jobs_by_id,
+                ranked: &ranked.jobs,
+                queued: &snap.queued,
                 running: &snap.running,
                 usage: snap.usage.as_ref(),
                 now,
@@ -433,30 +434,23 @@ impl Maui {
         let DynWorld {
             base,
             preempted,
-            mut cur_cores,
+            resized,
             ..
         } = world;
 
         // Step 25: schedule static jobs (with starts) and create
         // reservations against the post-grant profile.
         let mut profile = base;
-        let (started, reserved) =
-            static_pass(&self.config, &ranked, &mut profile, &mut outcome, now);
+        let taken = static_pass(&self.config, &ranked.jobs, &mut profile, &mut outcome, now);
 
         // Step 26: backfill.
         if self.config.backfill != BackfillPolicy::None && !snap.backfill_suppressed() {
-            for job in &ranked {
-                if started.contains(&job.id) || reserved.contains(&job.id) {
-                    continue;
+            for i in backfill_candidates(&ranked, &taken, profile.idle_at(now)) {
+                // Backfill only ever takes cores away from "now".
+                if profile.idle_at(now) == 0 {
+                    break;
                 }
-                if let Some(width) = mold_fit(&profile, job, now) {
-                    profile.hold_for(now, job.walltime, width + job.reserve_extra);
-                    outcome.starts.push(StartDecision {
-                        job: job.id,
-                        backfilled: true,
-                        cores: (width != job.cores).then_some(width),
-                    });
-                }
+                backfill_one(&mut profile, ranked.jobs[i], &mut outcome, now);
             }
         }
 
@@ -467,7 +461,7 @@ impl Maui {
             &snap.running,
             &mut profile,
             &preempted,
-            &mut cur_cores,
+            &resized,
             &mut outcome,
             now,
         );
@@ -477,16 +471,16 @@ impl Maui {
             self.dfs.job_left_queue(s.job);
         }
 
-        // Recycle the working profile's step buffer for the next
-        // iteration.
+        // Recycle the working buffers for the next iteration.
         self.base_buf = profile;
+        self.scratch = scratch;
 
         outcome
     }
 
     /// The sharded iteration: same algorithm, same commit order, same
-    /// bytes out — but the three expensive phases (ranking, dynamic-
-    /// request evaluation, backfill fit tests) run speculatively on a
+    /// bytes out — but the two expensive phases (dynamic-request
+    /// evaluation, backfill fit tests) run speculatively on a
     /// round-synchronised worker pool, and the base profile is maintained
     /// by the partitioned [`ShardedTimeline`] instead of the serial one.
     ///
@@ -496,11 +490,9 @@ impl Maui {
     ///   of the per-shard step functions, and the canonical profile form
     ///   is unique, so it is byte-equal to the serial rebuild (asserted
     ///   under the same guard as the serial incremental path).
-    /// * **Rank** — workers sort chunks by the total order
-    ///   `(cmp_desc, original index)` and the driver k-way-merges with
-    ///   the same comparator; job ids are unique, so the order is *the*
-    ///   sorted permutation whatever the chunking — identical to the
-    ///   serial stable sort.
+    /// * **Rank** — the serial path's own [`RankOrder::rank`]: one pass
+    ///   from the previous cycle's order leaves nothing worth a round of
+    ///   the pool.
     /// * **Dynamic requests** — workers evaluate a window of requests
     ///   against the world at revision `r` ([`evaluate_dynamic`] is pure);
     ///   the driver commits strictly in seq order and discards any
@@ -541,19 +533,17 @@ impl Maui {
         } else {
             rebuild_into(&mut base, now, snap.total_cores, &snap.running);
         }
-        let partition = self
-            .config
-            .dyn_partition_cores
-            .min(base.min_idle(now, SimTime::MAX));
-        if partition > 0 {
-            base.hold(now, SimTime::MAX, partition);
-        }
+        let partition = hold_partition(&self.config, &mut base, now);
 
         // ---- Shared state of the worker pool, hoisted so both closures
         // can borrow it. Everything below is either immutable input or a
         // lock-guarded cell the driver fills between rounds.
         let config = &self.config;
         let fairness = fairness_view(&self.config, &self.fairshare, snap.usage.as_ref());
+        // Ranking is the serial path's: one pass from the previous order.
+        let ranked = self
+            .rank
+            .rank(&snap.queued, now, &config.priority, fairness);
         let plan_cache_enabled = self.plan_cache_enabled;
         // The DFS engine moves into a lock for the duration of the
         // iteration: workers read it while evaluating, the driver writes
@@ -574,26 +564,11 @@ impl Maui {
         let router = ShardRouter::new(shards);
         let assign = router.assign_tasks(requests.iter().map(|r| r.job));
         let dyn_queues = StealQueues::new(&assign, shards);
-        let jobs_by_id: HashMap<JobId, &QueuedJob> =
-            snap.queued.iter().map(|j| (j.id, j)).collect();
 
         let phase = AtomicUsize::new(PHASE_IDLE);
         let scratches: Vec<Mutex<PlanScratch>> = (0..workers)
-            .map(|_| Mutex::new(PlanScratch::new(now, snap.total_cores)))
+            .map(|_| Mutex::new(PlanScratch::default()))
             .collect();
-
-        // Rank phase cells.
-        let rank_len = snap.queued.len();
-        let parallel_rank = workers > 1 && rank_len >= RANK_PARALLEL_MIN;
-        let rank_chunks = if parallel_rank {
-            (workers * 4).min(rank_len)
-        } else {
-            0
-        };
-        let rank_slots: Vec<Mutex<Vec<(Priority, u32)>>> =
-            (0..rank_chunks).map(|_| Mutex::new(Vec::new())).collect();
-        let rank_cursor = AtomicUsize::new(0);
-        let ranked_cell: RwLock<Vec<&QueuedJob>> = RwLock::new(Vec::new());
 
         // Dynamic phase cells: one slot per request, windowed speculation.
         let world_cell: RwLock<Option<DynWorld>> = RwLock::new(None);
@@ -607,7 +582,7 @@ impl Maui {
         let bf_cell: RwLock<Option<BfParallel>> = RwLock::new(None);
         let bf_cands_cell: RwLock<Vec<&QueuedJob>> = RwLock::new(Vec::new());
         let bf_slots: Vec<Mutex<Option<BfEval>>> =
-            (0..rank_len).map(|_| Mutex::new(None)).collect();
+            (0..ranked.jobs.len()).map(|_| Mutex::new(None)).collect();
         let bf_next = AtomicUsize::new(0);
         let bf_cursor = AtomicUsize::new(0);
         let bf_window = (32 * workers).max(64);
@@ -615,27 +590,7 @@ impl Maui {
         // What every worker (the driver participates as worker 0) does
         // each round, dispatched on the current phase.
         let work = |_shared: &(), wid: usize| match phase.load(Ordering::Acquire) {
-            PHASE_RANK => loop {
-                let c = rank_cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= rank_chunks {
-                    break;
-                }
-                let (lo, hi) = chunk_bounds(rank_len, rank_chunks, c);
-                let mut keys: Vec<(Priority, u32)> = snap.queued[lo..hi]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, j)| {
-                        (
-                            priority_of(j, now, &config.priority, fairness),
-                            (lo + k) as u32,
-                        )
-                    })
-                    .collect();
-                keys.sort_unstable_by(|a, b| a.0.cmp_desc(&b.0).then(a.1.cmp(&b.1)));
-                *rank_slots[c].lock().expect("rank slot") = keys;
-            },
             PHASE_DYN => {
-                let ranked_g = ranked_cell.read().expect("ranked cell");
                 let world_g = world_cell.read().expect("world cell");
                 let Some(w) = world_g.as_ref() else { return };
                 let dfs_g = dfs_cell.read().expect("dfs cell");
@@ -644,8 +599,8 @@ impl Maui {
                 let rev = w.rev;
                 let ctx = DynCtx {
                     config,
-                    ranked: &ranked_g,
-                    jobs_by_id: &jobs_by_id,
+                    ranked: &ranked.jobs,
+                    queued: &snap.queued,
                     running: &snap.running,
                     usage: snap.usage.as_ref(),
                     now,
@@ -699,49 +654,26 @@ impl Maui {
         };
 
         let drive = |round: &mut dyn FnMut()| -> (IterationOutcome, AvailabilityProfile) {
-            // Phase 1: rank. Parallel chunk-sort + merge when the queue is
-            // long enough to pay for it; otherwise the serial sort.
-            let ranked: Vec<&QueuedJob> = if parallel_rank {
-                phase.store(PHASE_RANK, Ordering::Release);
-                rank_cursor.store(0, Ordering::Relaxed);
-                round();
-                phase.store(PHASE_IDLE, Ordering::Release);
-                let chunks: Vec<Vec<(Priority, u32)>> = rank_slots
-                    .iter()
-                    .map(|m| std::mem::take(&mut *m.lock().expect("rank slot")))
-                    .collect();
-                merge_ranked(&chunks)
-                    .into_iter()
-                    .map(|i| &snap.queued[i as usize])
-                    .collect()
-            } else {
-                let mut r: Vec<&QueuedJob> = snap.queued.iter().collect();
-                rank_jobs(&mut r, now, &config.priority, fairness);
-                r
-            };
-            // Workers read a clone (the driver must not hold a read guard
-            // across rounds it participates in).
-            ranked_cell
-                .write()
-                .expect("ranked cell")
-                .clone_from(&ranked);
-
             // Baseline plan (step 10).
             let mut outcome = IterationOutcome::default();
             {
                 let mut scratch = scratches[0].lock().expect("scratch");
                 scratch.plan.assign_from(&base);
-                outcome.baseline_plan =
-                    plan_starts(&mut scratch.plan, &ranked, config.lookahead_depth(), now);
+                outcome.baseline_plan = plan_starts(
+                    &mut scratch.plan,
+                    &ranked.jobs,
+                    config.lookahead_depth(),
+                    now,
+                );
             }
 
-            // Phase 2: the dynamic-request loop.
-            let mut world = DynWorld::new(base, partition, &snap.running);
+            // Phase 1: the dynamic-request loop.
+            let mut world = DynWorld::new(base, partition);
             if !requests.is_empty() {
                 let ctx = DynCtx {
                     config,
-                    ranked: &ranked,
-                    jobs_by_id: &jobs_by_id,
+                    ranked: &ranked.jobs,
+                    queued: &snap.queued,
                     running: &snap.running,
                     usage: snap.usage.as_ref(),
                     now,
@@ -774,7 +706,7 @@ impl Maui {
                                 scratch.plan.assign_from(&w.base);
                                 let plan = plan_starts(
                                     &mut scratch.plan,
-                                    &ranked,
+                                    &ranked.jobs,
                                     config.reservation_delay_depth,
                                     now,
                                 );
@@ -816,32 +748,24 @@ impl Maui {
             let DynWorld {
                 base,
                 preempted,
-                mut cur_cores,
+                resized,
                 ..
             } = world;
 
-            // Phase 3: static starts and reservations (driver-serial — it
+            // Phase 2: static starts and reservations (driver-serial — it
             // is a single cheap pass over the ranked queue).
             let mut profile = base;
-            let (started, reserved) = static_pass(config, &ranked, &mut profile, &mut outcome, now);
+            let taken = static_pass(config, &ranked.jobs, &mut profile, &mut outcome, now);
 
-            // Phase 4: backfill.
+            // Phase 3: backfill.
             if config.backfill != BackfillPolicy::None && !snap.backfill_suppressed() {
-                let cands: Vec<&QueuedJob> = ranked
-                    .iter()
-                    .filter(|j| !started.contains(&j.id) && !reserved.contains(&j.id))
-                    .copied()
-                    .collect();
+                let cands: Vec<&QueuedJob> =
+                    backfill_candidates(&ranked, &taken, profile.idle_at(now))
+                        .map(|i| ranked.jobs[i])
+                        .collect();
                 if workers == 1 || cands.len() < 2 {
                     for job in &cands {
-                        if let Some(width) = mold_fit(&profile, job, now) {
-                            profile.hold_for(now, job.walltime, width + job.reserve_extra);
-                            outcome.starts.push(StartDecision {
-                                job: job.id,
-                                backfilled: true,
-                                cores: (width != job.cores).then_some(width),
-                            });
-                        }
+                        backfill_one(&mut profile, job, &mut outcome, now);
                     }
                 } else {
                     bf_cands_cell.write().expect("bf cands").clone_from(&cands);
@@ -892,13 +816,13 @@ impl Maui {
                 }
             }
 
-            // Phase 5: malleable grows, DFS slate wipes.
+            // Phase 4: malleable grows, DFS slate wipes.
             grow_pass(
                 config,
                 &snap.running,
                 &mut profile,
                 &preempted,
-                &mut cur_cores,
+                &resized,
                 &mut outcome,
                 now,
             );
@@ -919,13 +843,8 @@ impl Maui {
 /// Phase tags of the sharded worker pool (stored in an atomic the workers
 /// dispatch on at the start of every round).
 const PHASE_IDLE: usize = 0;
-const PHASE_RANK: usize = 1;
-const PHASE_DYN: usize = 2;
-const PHASE_BACKFILL: usize = 3;
-
-/// Queues shorter than this rank serially — the chunk-sort + merge does
-/// not pay for itself.
-const RANK_PARALLEL_MIN: usize = 64;
+const PHASE_DYN: usize = 1;
+const PHASE_BACKFILL: usize = 2;
 
 /// Per-round state of the parallel backfill pass.
 struct BfParallel {
@@ -940,53 +859,10 @@ struct BfEval {
     fit: Option<u32>,
 }
 
-/// Bounds of chunk `c` of `chunks` even slices over `len` items (the
-/// first `len % chunks` chunks take one extra item).
-fn chunk_bounds(len: usize, chunks: usize, c: usize) -> (usize, usize) {
-    let base = len / chunks;
-    let rem = len % chunks;
-    let lo = c * base + c.min(rem);
-    (lo, lo + base + usize::from(c < rem))
-}
-
-/// K-way merge of chunk-sorted `(priority, original index)` keys by the
-/// total order `(cmp_desc, index)` — job indices are unique, so the
-/// result is *the* sorted permutation, independent of chunking, and equal
-/// to the serial stable sort by `cmp_desc`.
-fn merge_ranked(chunks: &[Vec<(Priority, u32)>]) -> Vec<u32> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; chunks.len()];
-    let mut out = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (c, &h) in heads.iter().enumerate() {
-            if h >= chunks[c].len() {
-                continue;
-            }
-            best = Some(match best {
-                None => c,
-                Some(b) => {
-                    let (bp, bi) = &chunks[b][heads[b]];
-                    let (cp, ci) = &chunks[c][h];
-                    if cp.cmp_desc(bp).then(ci.cmp(bi)).is_lt() {
-                        c
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let b = best.expect("`total` items remain across the heads");
-        out.push(chunks[b][heads[b]].1);
-        heads[b] += 1;
-    }
-    out
-}
-
 /// Selects the fairness mechanism for this iteration per
 /// [`FairshareConfig::mode`]. A pure function of config + published
 /// usage, so the serial and sharded paths see the identical view.
-fn fairness_view<'a>(
+pub(crate) fn fairness_view<'a>(
     config: &'a SchedulerConfig,
     tracker: &'a FairshareTracker,
     usage: Option<&'a UsageSnapshot>,
@@ -1006,7 +882,11 @@ fn fairness_view<'a>(
 /// floored at 1/4 so over-budget users can still obtain small grants.
 /// Everyone at or under target — and every static-mode run — scales by
 /// exactly 1 (evaluate unchanged).
-fn dfs_target_scale(fs: &FairshareConfig, usage: Option<&UsageSnapshot>, user: UserId) -> f64 {
+pub(crate) fn dfs_target_scale(
+    fs: &FairshareConfig,
+    usage: Option<&UsageSnapshot>,
+    user: UserId,
+) -> f64 {
     if fs.mode != FairshareMode::TimeAware || !fs.enabled {
         return 1.0;
     }
@@ -1030,8 +910,9 @@ fn dfs_target_scale(fs: &FairshareConfig, usage: Option<&UsageSnapshot>, user: U
 struct DynCtx<'a> {
     config: &'a SchedulerConfig,
     ranked: &'a [&'a QueuedJob],
-    jobs_by_id: &'a HashMap<JobId, &'a QueuedJob>,
-    running: &'a [RunningJob],
+    /// The queue by id, for charging a planned job's delay to its owner.
+    queued: &'a QueuedSet,
+    running: &'a RunningSet,
     /// Decayed usage accounts published with the snapshot (time-aware
     /// mode), for the DFS heavy-user penalty.
     usage: Option<&'a UsageSnapshot>,
@@ -1052,26 +933,59 @@ struct DynWorld {
     partition: u32,
     /// Revision counter; bumped by every grant-side mutation.
     rev: u64,
-    /// Jobs preempted earlier in this iteration.
-    preempted: HashSet<JobId>,
-    /// Live view of running jobs' core counts: same-iteration shrinks
-    /// must be visible to later dynamic requests and to the grow pass.
-    cur_cores: HashMap<JobId, u32>,
+    /// Jobs preempted earlier in this iteration (a handful at most).
+    preempted: Vec<JobId>,
+    /// Running jobs whose core count changed in this iteration, with the
+    /// new count: same-iteration shrinks and grants must be visible to
+    /// later dynamic requests and to the grow pass. Everyone else still
+    /// holds what the snapshot says ([`cores_now`]).
+    resized: Vec<(JobId, u32)>,
     /// The cached "before" plan of the delay measurement.
     before: Option<CachedPlan>,
 }
 
 impl DynWorld {
-    fn new(base: AvailabilityProfile, partition: u32, running: &[RunningJob]) -> Self {
+    fn new(base: AvailabilityProfile, partition: u32) -> Self {
         DynWorld {
             base,
             partition,
             rev: 0,
-            preempted: HashSet::new(),
-            cur_cores: running.iter().map(|r| (r.id, r.cores)).collect(),
+            preempted: Vec::new(),
+            resized: Vec::new(),
             before: None,
         }
     }
+
+    /// Records that `job` now holds `cores`.
+    fn set_cores(&mut self, job: JobId, cores: u32) {
+        match self.resized.iter_mut().find(|(id, _)| *id == job) {
+            Some(entry) => entry.1 = cores,
+            None => self.resized.push((job, cores)),
+        }
+    }
+}
+
+/// The cores `r` holds at this point of the iteration: its snapshot width
+/// unless a grant or shrink earlier in the iteration changed it.
+fn cores_now(resized: &[(JobId, u32)], r: &RunningJob) -> u32 {
+    resized
+        .iter()
+        .find(|(id, _)| *id == r.id)
+        .map_or(r.cores, |&(_, cores)| cores)
+}
+
+/// Holds the dynamic partition (paper §II-B) out of `base` — as much of
+/// it as is durably idle — and returns the width held. A site without a
+/// partition skips the whole-profile scan.
+fn hold_partition(config: &SchedulerConfig, base: &mut AvailabilityProfile, now: SimTime) -> u32 {
+    if config.dyn_partition_cores == 0 {
+        return 0;
+    }
+    let partition = config
+        .dyn_partition_cores
+        .min(base.min_idle(now, SimTime::MAX));
+    base.hold(now, SimTime::MAX, partition);
+    partition
 }
 
 /// What [`evaluate_dynamic`] decided a request deserves, pending commit.
@@ -1114,7 +1028,11 @@ struct DynEval {
 
 /// The availability hint attached to a deferral, computed only when the
 /// request can actually be deferred (a live deadline).
-fn defer_hint(req: &DynRequest, base: &AvailabilityProfile, now: SimTime) -> Option<SimTime> {
+pub(crate) fn defer_hint(
+    req: &DynRequest,
+    base: &AvailabilityProfile,
+    now: SimTime,
+) -> Option<SimTime> {
     match req.deadline {
         Some(d) if now < d => base.earliest_fit(req.extra_cores, req.remaining_walltime, now),
         _ => None,
@@ -1125,7 +1043,7 @@ fn defer_hint(req: &DynRequest, base: &AvailabilityProfile, now: SimTime) -> Opt
 /// is deferred — kept at the server and reconsidered next iteration, with
 /// the scheduler's best availability estimate attached — instead of
 /// rejected outright.
-fn reject_or_defer(
+pub(crate) fn reject_or_defer(
     req: &DynRequest,
     reason: DfsReject,
     hint: Option<SimTime>,
@@ -1174,7 +1092,7 @@ fn evaluate_dynamic(
     // Guaranteeing policy: a request covered by the job's own pre-reserve
     // is granted instantly — the capacity is already held in every plan,
     // so nobody is delayed and no fairness question arises.
-    if let Some(holder) = ctx.running.iter().find(|r| r.id == req.job) {
+    if let Some(holder) = ctx.running.get(req.job) {
         if holder.reserved_extra >= req.extra_cores {
             return DynEval {
                 rev,
@@ -1208,26 +1126,26 @@ fn evaluate_dynamic(
                 r.id != req.job
                     && !w.preempted.contains(&r.id)
                     && r.malleable
-                        .is_some_and(|m| w.cur_cores[&r.id] > m.min_cores)
+                        .is_some_and(|m| cores_now(&w.resized, r) > m.min_cores)
             })
             .collect();
         candidates.sort_by_key(|r| {
-            let slack = w.cur_cores[&r.id] - r.malleable.expect("filtered").min_cores;
+            let slack = cores_now(&w.resized, r) - r.malleable.expect("filtered").min_cores;
             (std::cmp::Reverse(slack), r.id)
         });
         for cand in candidates {
             if trial.idle_at(now) >= req.extra_cores {
                 break;
             }
-            let cores_now = w.cur_cores[&cand.id];
+            let from_cores = cores_now(&w.resized, cand);
             let min = cand.malleable.expect("filtered").min_cores;
             let deficit = req.extra_cores - trial.idle_at(now);
-            let give = (cores_now - min).min(deficit);
+            let give = (from_cores - min).min(deficit);
             trial.release(now, planned_end(now, cand.walltime_end), give);
             to_shrink.push(ResizeDecision {
                 job: cand.id,
-                from_cores: cores_now,
-                to_cores: cores_now - give,
+                from_cores,
+                to_cores: from_cores - give,
             });
         }
     }
@@ -1244,11 +1162,13 @@ fn evaluate_dynamic(
             if trial.idle_at(now) >= req.extra_cores {
                 break;
             }
-            trial.release(
-                now,
-                planned_end(now, cand.walltime_end),
-                w.cur_cores[&cand.id],
-            );
+            // A victim this very request already shrank holds only what
+            // the shrink left it — and, once preempted, is not resized.
+            let held = match to_shrink.iter().position(|r| r.job == cand.id) {
+                Some(i) => to_shrink.remove(i).to_cores,
+                None => cores_now(&w.resized, cand),
+            };
+            trial.release(now, planned_end(now, cand.walltime_end), held);
             to_preempt.push(cand.id);
         }
     }
@@ -1302,7 +1222,7 @@ fn evaluate_dynamic(
         // full-machine job that only fits once the partition is in use).
         // A job plannable before but not after is pushed past the horizon
         // — charge the delay to its walltime as a bound.
-        let job = ctx.jobs_by_id.get(&b.job).expect("planned job is queued");
+        let job = ctx.queued.get(b.job).expect("planned job is queued");
         let delay = match after.iter().find(|a| a.job == b.job) {
             Some(a) => a.start.duration_since(b.start),
             None => job.walltime,
@@ -1422,10 +1342,10 @@ fn commit_dynamic(
             });
             w.preempted.extend(to_preempt.iter().copied());
             for r in &to_shrink {
-                w.cur_cores.insert(r.job, r.to_cores);
+                w.set_cores(r.job, r.to_cores);
             }
-            if let Some(c) = w.cur_cores.get_mut(&req.job) {
-                *c += req.extra_cores;
+            if let Some(holder) = ctx.running.get(req.job) {
+                w.set_cores(req.job, cores_now(&w.resized, holder) + req.extra_cores);
             }
             DynDecision::Granted {
                 job: req.job,
@@ -1439,19 +1359,20 @@ fn commit_dynamic(
 }
 
 /// Step 25: schedule static jobs (with starts) and create reservations
-/// against the post-grant profile. Returns the started and reserved job
-/// sets the backfill pass must skip. Shared verbatim by the serial and
-/// sharded paths.
+/// against the post-grant profile. Returns, per job of the visited prefix
+/// of `ranked`, whether it was started or given a reservation — the jobs
+/// the backfill pass must skip. The pass ends as soon as it is blocked and
+/// out of reservations: nothing further down the queue can change.
+/// Shared verbatim by the serial and sharded paths.
 fn static_pass(
     config: &SchedulerConfig,
     ranked: &[&QueuedJob],
     profile: &mut AvailabilityProfile,
     outcome: &mut IterationOutcome,
     now: SimTime,
-) -> (HashSet<JobId>, HashSet<JobId>) {
+) -> Vec<bool> {
     let mut blocked = false;
-    let mut started: HashSet<JobId> = HashSet::new();
-    let mut reserved: HashSet<JobId> = HashSet::new();
+    let mut taken = Vec::new();
     let reservation_limit = match config.backfill {
         BackfillPolicy::Conservative => usize::MAX,
         _ => config.reservation_depth,
@@ -1460,7 +1381,7 @@ fn static_pass(
         if !blocked {
             if let Some(width) = mold_fit(profile, job, now) {
                 profile.hold_for(now, job.walltime, width + job.reserve_extra);
-                started.insert(job.id);
+                taken.push(true);
                 outcome.starts.push(StartDecision {
                     job: job.id,
                     backfilled: false,
@@ -1470,46 +1391,91 @@ fn static_pass(
             }
             blocked = true;
         }
-        if outcome.reservations.len() < reservation_limit {
-            let width = job.cores + job.reserve_extra;
-            if let Some(start) = profile.earliest_fit(width, job.walltime, now) {
-                // A job whose earliest fit is *now* is not blocked — it
-                // is a backfill candidate, not a reservation holder.
-                if start > now {
-                    let end = start.saturating_add(job.walltime);
-                    profile.hold(start, end, width);
-                    reserved.insert(job.id);
-                    outcome.reservations.push(Reservation {
-                        job: job.id,
-                        start,
-                        end,
-                        cores: width,
-                    });
-                }
-            }
+        if outcome.reservations.len() >= reservation_limit {
+            break;
+        }
+        let width = job.cores + job.reserve_extra;
+        // A job whose earliest fit is *now* is not blocked — it is a
+        // backfill candidate, not a reservation holder.
+        let start = profile
+            .earliest_fit(width, job.walltime, now)
+            .filter(|&start| start > now);
+        taken.push(start.is_some());
+        if let Some(start) = start {
+            let end = start.saturating_add(job.walltime);
+            profile.hold(start, end, width);
+            outcome.reservations.push(Reservation {
+                job: job.id,
+                start,
+                end,
+                cores: width,
+            });
         }
     }
-    (started, reserved)
+    taken
+}
+
+/// Step 26's candidates, as indices into `ranked`: every job the static
+/// pass neither started nor reserved whose narrowest start fits into the
+/// `idle` cores free right now. Backfill only ever lowers that number, so
+/// a job filtered here could not have started later in the pass either —
+/// and with nothing idle there are no candidates at all (a queued job
+/// needs at least one core).
+fn backfill_candidates<'a>(
+    ranked: &'a Ranked<'_>,
+    taken: &'a [bool],
+    idle: u32,
+) -> impl Iterator<Item = usize> + 'a {
+    let need = if idle == 0 { &[] } else { ranked.need };
+    need.iter()
+        .enumerate()
+        .filter(move |&(i, &need)| need <= idle && !taken.get(i).is_some_and(|&t| t))
+        .map(|(i, _)| i)
+}
+
+/// Starts `job` by backfill if it fits `profile` right now.
+fn backfill_one(
+    profile: &mut AvailabilityProfile,
+    job: &QueuedJob,
+    outcome: &mut IterationOutcome,
+    now: SimTime,
+) {
+    if let Some(width) = mold_fit(profile, job, now) {
+        profile.hold_for(now, job.walltime, width + job.reserve_extra);
+        outcome.starts.push(StartDecision {
+            job: job.id,
+            backfilled: true,
+            cores: (width != job.cores).then_some(width),
+        });
+    }
 }
 
 /// Malleability: pour leftover idle capacity into running malleable jobs
-/// (never into cores the reservations already claim). Shared verbatim by
-/// the serial and sharded paths.
+/// (never into cores the reservations already claim), in id order —
+/// which is the running set's own. Shared verbatim by the serial and
+/// sharded paths.
 fn grow_pass(
     config: &SchedulerConfig,
-    running: &[RunningJob],
+    running: &RunningSet,
     profile: &mut AvailabilityProfile,
-    preempted: &HashSet<JobId>,
-    cur_cores: &mut HashMap<JobId, u32>,
+    preempted: &[JobId],
+    resized: &[(JobId, u32)],
     outcome: &mut IterationOutcome,
     now: SimTime,
 ) {
     if !config.grow_malleable_on_idle {
         return;
     }
+    let growables: Vec<&RunningJob> = running
+        .iter()
+        .filter(|r| r.malleable.is_some() && !preempted.contains(&r.id))
+        .collect();
+    if growables.is_empty() {
+        return;
+    }
     // A shrink decided this very iteration must not be undone by a grow
     // in the same breath.
-    let shrunk_now: HashSet<JobId> = outcome
+    let shrunk_now: Vec<JobId> = outcome
         .dyn_decisions
         .iter()
         .filter_map(|d| match d {
@@ -1518,29 +1484,24 @@ fn grow_pass(
         })
         .flatten()
         .collect();
-    let mut growables: Vec<&RunningJob> = running
-        .iter()
-        .filter(|r| {
-            !preempted.contains(&r.id) && !shrunk_now.contains(&r.id) && r.malleable.is_some()
-        })
-        .collect();
-    growables.sort_by_key(|r| r.id);
     for r in growables {
-        let cores_now = cur_cores[&r.id];
+        if shrunk_now.contains(&r.id) {
+            continue;
+        }
+        let from_cores = cores_now(resized, r);
         let max = r.malleable.expect("filtered").max_cores;
-        if cores_now >= max {
+        if from_cores >= max {
             continue;
         }
         let end = planned_end(now, r.walltime_end);
         let available = profile.min_idle(now, end);
-        let give = available.min(max - cores_now);
+        let give = available.min(max - from_cores);
         if give > 0 {
             profile.hold(now, end, give);
-            cur_cores.insert(r.id, cores_now + give);
             outcome.grows.push(ResizeDecision {
                 job: r.id,
-                from_cores: cores_now,
-                to_cores: cores_now + give,
+                from_cores,
+                to_cores: from_cores + give,
             });
         }
     }
@@ -1549,16 +1510,19 @@ fn grow_pass(
 /// The core count `job` can start on right now: its requested cores, or —
 /// for a moldable job — the largest count in its range that fits (molding
 /// happens before start and never after; paper §I). `None` when nothing
-/// fits.
+/// fits; the window scan stops at the first segment too narrow for the
+/// job's smallest start.
 ///
 /// Public for the brute-force oracle test that pins the `reserve_extra`
 /// subtraction path; it is not part of the scheduler's driving API.
 pub fn mold_fit(profile: &AvailabilityProfile, job: &QueuedJob, now: SimTime) -> Option<u32> {
-    let idle = profile.min_idle(now, now.saturating_add(job.walltime));
+    let end = now.saturating_add(job.walltime);
+    let need = job.min_start_width();
     match job.moldable {
-        None => (idle >= job.cores + job.reserve_extra).then_some(job.cores),
+        None => profile.fits(now, end, need).then_some(job.cores),
         Some(r) => {
-            let best = r.max_cores.min(idle.saturating_sub(job.reserve_extra));
+            let idle = profile.min_idle_at_least(now, end, need)?;
+            let best = r.max_cores.min(idle - job.reserve_extra);
             (best >= r.min_cores).then_some(best)
         }
     }
@@ -1661,8 +1625,8 @@ mod tests {
         let snap = Snapshot {
             now,
             total_cores: 20,
-            running: vec![bf, shrinkable, growable, evolving],
-            queued: vec![],
+            running: vec![bf, shrinkable, growable, evolving].into(),
+            queued: vec![].into(),
             // +10 forces the full source chain: 6 idle + 2 shrunk from the
             // overdue malleable + 4 preempted from the overdue backfill.
             dyn_requests: vec![dyn_req(3, 1, 10, 1000, 0)],
@@ -1689,6 +1653,48 @@ mod tests {
     }
 
     #[test]
+    fn a_victim_shrunk_and_then_preempted_is_released_once() {
+        // Regression (found by the naive-reference suite): a running job
+        // that is both malleable and backfilled could be shrunk *and*
+        // preempted for the same request; the preemption then released its
+        // pre-shrink width on top of the shrink, and the grant was planned
+        // on cores that do not exist (a panic once the victim's planned
+        // end came before the requester's).
+        let mut cfg = SchedulerConfig::paper_eval();
+        cfg.dfs = DfsConfig::highest_priority();
+        cfg.shrink_malleable_for_dyn = true;
+        cfg.preempt_backfilled_for_dyn = true;
+        let mut m = Maui::new(cfg);
+        let mut both = running(2, 0, 4, 100);
+        both.backfilled = true;
+        both.malleable = Some(dynbatch_core::MalleableRange {
+            min_cores: 2,
+            max_cores: 4,
+        });
+        let mut bf = running(3, 0, 2, 100);
+        bf.backfilled = true;
+        let snap = Snapshot {
+            now: t(0),
+            total_cores: 8,
+            running: vec![running(1, 1, 2, 1000), both, bf].into(),
+            queued: Default::default(),
+            // +6: 2 from the shrink, 2 from job 3, the last 2 from job 2.
+            dyn_requests: vec![dyn_req(1, 1, 6, 1000, 0)],
+            usage: None,
+            deltas: None,
+        };
+        match &m.iterate(&snap).dyn_decisions[0] {
+            DynDecision::Granted {
+                preempted, shrunk, ..
+            } => {
+                assert_eq!(preempted, &[JobId(3), JobId(2)]);
+                assert!(shrunk.is_empty(), "a preempted job is not resized");
+            }
+            other => panic!("expected a grant, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn empty_snapshot_is_a_noop() {
         let mut m = maui(DfsConfig::default());
         let out = m.iterate(&Snapshot {
@@ -1706,8 +1712,8 @@ mod tests {
         let snap = Snapshot {
             now: t(100),
             total_cores: 8,
-            running: vec![],
-            queued: vec![queued(2, 0, 4, 100, 50), queued(1, 0, 4, 100, 0)],
+            running: vec![].into(),
+            queued: vec![queued(2, 0, 4, 100, 50), queued(1, 0, 4, 100, 0)].into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -1727,8 +1733,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 8,
-            running: vec![running(1, 0, 6, 100)],
-            queued: vec![queued(2, 0, 8, 100, 0), queued(3, 1, 2, 50, 10)],
+            running: vec![running(1, 0, 6, 100)].into(),
+            queued: vec![queued(2, 0, 8, 100, 0), queued(3, 1, 2, 50, 10)].into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -1750,8 +1756,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 8,
-            running: vec![running(1, 0, 6, 100)],
-            queued: vec![queued(2, 0, 8, 100, 0), queued(3, 1, 2, 150, 10)],
+            running: vec![running(1, 0, 6, 100)].into(),
+            queued: vec![queued(2, 0, 8, 100, 0), queued(3, 1, 2, 150, 10)].into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -1769,8 +1775,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 8,
-            running: vec![running(1, 0, 6, 100)],
-            queued: vec![z, queued(3, 1, 2, 50, 10)],
+            running: vec![running(1, 0, 6, 100)].into(),
+            queued: vec![z, queued(3, 1, 2, 50, 10)].into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -1788,8 +1794,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 4, 200)],
-            queued: vec![],
+            running: vec![running(1, 0, 4, 200)].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 190, 0)],
             usage: None,
             deltas: None,
@@ -1805,8 +1811,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 8, 200)],
-            queued: vec![],
+            running: vec![running(1, 0, 8, 200)].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 190, 0)],
             usage: None,
             deltas: None,
@@ -1829,8 +1835,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 4, 200)],
-            queued: vec![],
+            running: vec![running(1, 0, 4, 200)].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 190, 0)],
             usage: None,
             deltas: None,
@@ -1848,8 +1854,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 6,
-            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)],
-            queued: vec![queued(3, 2, 4, 4 * h, 0)],
+            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)].into(),
+            queued: vec![queued(3, 2, 4, 4 * h, 0)].into(),
             dyn_requests: vec![dyn_req(1, 0, 2, 8 * h, 0)],
             usage: None,
             deltas: None,
@@ -1877,8 +1883,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 6,
-            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)],
-            queued: vec![queued(3, 2, 4, 4 * h, 0)],
+            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)].into(),
+            queued: vec![queued(3, 2, 4, 4 * h, 0)].into(),
             dyn_requests: vec![dyn_req(1, 0, 2, 8 * h, 0)],
             usage: None,
             deltas: None,
@@ -1908,8 +1914,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 6,
-            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)],
-            queued: vec![queued(3, 0, 4, 4 * h, 0)],
+            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)].into(),
+            queued: vec![queued(3, 0, 4, 4 * h, 0)].into(),
             dyn_requests: vec![dyn_req(1, 0, 2, 8 * h, 0)],
             usage: None,
             deltas: None,
@@ -1930,8 +1936,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 6,
-            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)],
-            queued: vec![queued(3, 2, 4, 4 * h, 0), queued(4, 3, 4, 4 * h, 10)],
+            running: vec![running(1, 0, 2, 8 * h), running(2, 1, 2, 4 * h)].into(),
+            queued: vec![queued(3, 2, 4, 4 * h, 0), queued(4, 3, 4, 4 * h, 10)].into(),
             dyn_requests: vec![dyn_req(1, 0, 2, 8 * h, 0)],
             usage: None,
             deltas: None,
@@ -1958,8 +1964,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 4, 300), bf],
-            queued: vec![],
+            running: vec![running(1, 0, 4, 300), bf].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 290, 0)],
             usage: None,
             deltas: None,
@@ -1984,8 +1990,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 4, 300), bf],
-            queued: vec![],
+            running: vec![running(1, 0, 4, 300), bf].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 290, 0)],
             usage: None,
             deltas: None,
@@ -2008,8 +2014,8 @@ mod tests {
         let snap = Snapshot {
             now: t(10),
             total_cores: 8,
-            running: vec![running(1, 0, 2, 200), running(2, 1, 2, 200)],
-            queued: vec![],
+            running: vec![running(1, 0, 2, 200), running(2, 1, 2, 200)].into(),
+            queued: vec![].into(),
             dyn_requests: vec![dyn_req(2, 1, 4, 190, 7), dyn_req(1, 0, 4, 190, 3)],
             usage: None,
             deltas: None,
@@ -2029,8 +2035,8 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 8,
-            running: vec![running(1, 0, 4, 100)],
-            queued: vec![queued(2, 1, 4, 50, 0)],
+            running: vec![running(1, 0, 4, 100)].into(),
+            queued: vec![queued(2, 1, 4, 50, 0)].into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 100, 0)],
             usage: None,
             deltas: None,
@@ -2061,12 +2067,13 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 8,
-            running: vec![running(1, 0, 8, 100)],
+            running: vec![running(1, 0, 8, 100)].into(),
             queued: vec![
                 queued(2, 0, 8, 100, 0),
                 queued(3, 1, 8, 100, 1),
                 queued(4, 2, 8, 100, 2),
-            ],
+            ]
+            .into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -2080,12 +2087,13 @@ mod tests {
         let snap = Snapshot {
             now: t(0),
             total_cores: 16,
-            running: vec![running(1, 0, 6, 100)],
+            running: vec![running(1, 0, 6, 100)].into(),
             queued: vec![
                 queued(2, 0, 8, 100, 0),
                 queued(3, 1, 2, 50, 10),
                 queued(4, 2, 16, 30, 20),
-            ],
+            ]
+            .into(),
             dyn_requests: vec![dyn_req(1, 0, 4, 90, 0)],
             usage: None,
             deltas: None,
@@ -2116,8 +2124,8 @@ mod tests {
         let mut snap = Snapshot {
             now: t(1_000),
             total_cores: 120,
-            running: Vec::new(),
-            queued: Vec::new(),
+            running: Default::default(),
+            queued: Default::default(),
             dyn_requests: Vec::new(),
             usage: None,
             deltas: None,

@@ -7,7 +7,7 @@
 //! jobs), and the static-fairshare deviation.
 
 use crate::fairshare::FairshareTracker;
-use crate::snapshot::QueuedJob;
+use crate::snapshot::{QueuedJob, QueuedSet};
 use crate::usage_history::UsageSnapshot;
 use dynbatch_core::{FairshareConfig, PriorityWeights, QueueId, SimTime, UserId};
 use std::cmp::Ordering;
@@ -121,12 +121,19 @@ pub fn priority_of(
     fairness: FairnessView<'_>,
 ) -> Priority {
     let wait_min = now.duration_since(job.submit_time).as_mins_f64();
-    let walltime_min = job.walltime.as_mins_f64().max(1e-9);
-    let expansion = wait_min / walltime_min;
+    // The expansion factor is finite (the walltime floor sees to that),
+    // so under a zero weight its term is a zero and adding it changes no
+    // comparison: the two divisions are only made when they count.
+    let expansion_term = if weights.expansion_weight == 0.0 {
+        0.0
+    } else {
+        let walltime_min = job.walltime.as_mins_f64().max(1e-9);
+        weights.expansion_weight * (wait_min / walltime_min)
+    };
     let fs_delta = fairness.delta(job.user);
     let score = job.priority_boost as f64
         + weights.queue_time_weight * wait_min
-        + weights.expansion_weight * expansion
+        + expansion_term
         + weights.resource_weight * job.cores as f64
         + weights.fairshare_weight * fs_delta
         - fairness.demotion(job.user, job.queue);
@@ -156,6 +163,162 @@ pub fn rank_jobs<J: std::borrow::Borrow<QueuedJob>>(
             fairness,
         ))
     });
+}
+
+/// The queue in scheduling order, as [`RankOrder::rank`] hands it to the
+/// passes of one iteration.
+#[derive(Debug)]
+pub(crate) struct Ranked<'a> {
+    /// The queued jobs, highest priority first — the permutation
+    /// [`rank_jobs`] produces.
+    pub jobs: Vec<&'a QueuedJob>,
+    /// Per job, in the same order: the fewest idle cores it can start on
+    /// ([`QueuedJob::min_start_width`]). Kept apart from the jobs so a
+    /// pass that only asks "could this fit in what is idle now?" reads
+    /// four bytes per job, not the job.
+    pub need: &'a [u32],
+}
+
+/// Ranks the queue once per cycle, starting from the previous cycle's
+/// order.
+///
+/// Priorities drift with time, but the *order* of a queue rarely changes
+/// between two cycles: jobs leave, new ones arrive at the back. So the
+/// scheduler keeps the last order (as slot positions of the
+/// [`QueuedSet`]), computes every job's [`Priority`] exactly once, checks
+/// in the same pass that the sequence is still sorted, and sorts only
+/// when it is not. [`Priority::cmp_desc`] is a total order over distinct
+/// job ids, so the sorted permutation is unique — the result is exactly
+/// what [`rank_jobs`] returns for the same queue, which debug builds
+/// assert.
+///
+/// The remembered positions are a hint, never trusted: a position that no
+/// longer holds a job is dropped, new slots are appended, and if the
+/// candidates do not add up to the queue (a different server, a swept
+/// slot vector) the pass restarts from id order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RankOrder {
+    /// `(priority, slot position)` per queued job in rank order: the
+    /// previous cycle's result, overwritten in place by the next one.
+    keys: Vec<(Priority, u32)>,
+    /// Slot count of the previous cycle's queue: later slots are new.
+    seen: usize,
+    /// [`Ranked::need`] of the current cycle.
+    need: Vec<u32>,
+}
+
+impl RankOrder {
+    /// Ranks `queue` at `now`; see the type's documentation.
+    pub fn rank<'a>(
+        &'a mut self,
+        queue: &'a QueuedSet,
+        now: SimTime,
+        weights: &PriorityWeights,
+        fairness: FairnessView<'_>,
+    ) -> Ranked<'a> {
+        let slots = queue.slot_count();
+        let fresh = self.seen.min(slots)..slots;
+        self.seen = slots;
+        let mut pass = RankPass {
+            queue,
+            now,
+            weights,
+            fairness,
+            jobs: Vec::with_capacity(queue.len()),
+            need: std::mem::take(&mut self.need),
+            sorted: true,
+        };
+        pass.need.clear();
+        // The survivors of the previous order, compacted in place…
+        let mut kept = 0usize;
+        for i in 0..self.keys.len() {
+            let pos = self.keys[i].1;
+            if let Some(priority) = pass.visit(pos, kept.checked_sub(1).map(|p| &self.keys[p].0)) {
+                self.keys[kept] = (priority, pos);
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        // …then the arrivals, in slot (id) order.
+        self.append(&mut pass, fresh);
+        if self.keys.len() != queue.len() {
+            // The hint does not cover this queue: start over from id order.
+            self.keys.clear();
+            pass.restart();
+            self.append(&mut pass, 0..slots);
+        }
+        if !pass.sorted {
+            self.keys.sort_by(|a, b| a.0.cmp_desc(&b.0));
+            pass.restart();
+            for &(_, pos) in &self.keys {
+                pass.take(queue.slot(pos as usize).expect("keyed slot holds a job"));
+            }
+        }
+        let RankPass { jobs, need, .. } = pass;
+        self.need = need;
+        debug_assert!(
+            {
+                let mut spec: Vec<&QueuedJob> = queue.iter().collect();
+                rank_jobs(&mut spec, now, weights, fairness);
+                spec.iter().map(|j| j.id).eq(jobs.iter().map(|j| j.id))
+            },
+            "rank-once order diverged from rank_jobs at {now}"
+        );
+        Ranked {
+            jobs,
+            need: &self.need,
+        }
+    }
+
+    /// Visits `positions` in turn, keying every job found after the ones
+    /// already keyed.
+    fn append(&mut self, pass: &mut RankPass<'_, '_>, positions: std::ops::Range<usize>) {
+        for pos in positions {
+            let pos = pos as u32;
+            if let Some(priority) = pass.visit(pos, self.keys.last().map(|k| &k.0)) {
+                self.keys.push((priority, pos));
+            }
+        }
+    }
+}
+
+/// The state of one walk over candidate slot positions.
+struct RankPass<'a, 'w> {
+    queue: &'a QueuedSet,
+    now: SimTime,
+    weights: &'w PriorityWeights,
+    fairness: FairnessView<'w>,
+    /// The jobs met so far, and the width each needs to start.
+    jobs: Vec<&'a QueuedJob>,
+    need: Vec<u32>,
+    /// Whether they came in rank order.
+    sorted: bool,
+}
+
+impl<'a> RankPass<'a, '_> {
+    /// Visits slot `pos`: if it holds a job, records it and returns its
+    /// priority, having compared it with `prev`, its predecessor's.
+    fn visit(&mut self, pos: u32, prev: Option<&Priority>) -> Option<Priority> {
+        let job = self.queue.slot(pos as usize)?;
+        let priority = priority_of(job, self.now, self.weights, self.fairness);
+        if let Some(prev) = prev {
+            self.sorted &= prev.cmp_desc(&priority).is_lt();
+        }
+        self.take(job);
+        Some(priority)
+    }
+
+    fn take(&mut self, job: &'a QueuedJob) {
+        debug_assert!(job.min_start_width() > 0, "{}: a job needs a core", job.id);
+        self.jobs.push(job);
+        self.need.push(job.min_start_width());
+    }
+
+    fn restart(&mut self) {
+        self.jobs.clear();
+        self.need.clear();
+        self.sorted = true;
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +505,159 @@ mod tests {
         // Any user submitting into queue 3 is demoted; other queues fine.
         assert_eq!(view.demotion(UserId(9), QueueId(3)), cfg.budget_demotion);
         assert_eq!(view.demotion(UserId(0), QueueId(1)), 0.0);
+    }
+
+    /// Ranks `queue` through `order` and through `rank_jobs`, asserts the
+    /// two agree, and returns the ids in rank order.
+    fn rank_both_ways(
+        order: &mut RankOrder,
+        queue: &QueuedSet,
+        now: SimTime,
+        w: &PriorityWeights,
+        view: FairnessView<'_>,
+    ) -> Vec<u64> {
+        let mut spec: Vec<&QueuedJob> = queue.iter().collect();
+        rank_jobs(&mut spec, now, w, view);
+        let ranked = order.rank(queue, now, w, view);
+        let ids: Vec<u64> = ranked.jobs.iter().map(|j| j.id.0).collect();
+        assert_eq!(ids, spec.iter().map(|j| j.id.0).collect::<Vec<_>>());
+        let need: Vec<u32> = ranked.jobs.iter().map(|j| j.min_start_width()).collect();
+        assert_eq!(ranked.need, need);
+        ids
+    }
+
+    #[test]
+    fn remembered_order_tracks_rank_jobs_while_priorities_cross() {
+        use crate::usage_history::UsageHistory;
+        use dynbatch_core::testkit::TestRng;
+        use dynbatch_core::FairshareConfig;
+        let mut rng = TestRng::from_seed(0x0D0E);
+        let fs_cfg = FairshareConfig {
+            enabled: true,
+            default_target: 0.2,
+            half_life: SimDuration::from_secs(600),
+            user_budget_core_hours: Some(1.0),
+            budget_demotion: 40.0,
+            ..FairshareConfig::default()
+        };
+        let mut tracker = FairshareTracker::new(fs_cfg.clone(), SimTime::ZERO);
+        let mut hist = UsageHistory::new(fs_cfg.half_life, 64);
+        // Expansion factor: short jobs overtake long ones as both wait.
+        // Fairshare and the budget demotion: whole users move at once.
+        let w = PriorityWeights {
+            queue_time_weight: 1.0,
+            expansion_weight: 3.0,
+            resource_weight: 0.0,
+            fairshare_weight: 50.0,
+        };
+        let mut queue = QueuedSet::default();
+        let (mut stat, mut aware) = (RankOrder::default(), RankOrder::default());
+        let (mut last_stat, mut last_aware): (Vec<u64>, Vec<u64>) = Default::default();
+        let (mut reordered_stat, mut reordered_aware) = (0, 0);
+        let mut next_id = 1;
+        let mut now = SimTime::from_secs(100);
+        for _ in 0..300 {
+            for _ in 0..rng.range_usize(0, 4) {
+                let mut j = job(next_id, now.as_secs() - rng.below(100), 4, 0);
+                j.user = UserId(rng.range_u32(0, 4));
+                j.walltime = SimDuration::from_secs(rng.range(30, 4000));
+                next_id += 1;
+                queue.push(j);
+            }
+            let ids: Vec<JobId> = queue.iter().map(|q| q.id).collect();
+            for id in ids {
+                // Departures, and now and then a requeue into an old slot.
+                if rng.chance(0.08) {
+                    let gone = queue.remove(id).expect("listed");
+                    if rng.chance(0.2) {
+                        queue.push(gone);
+                    }
+                }
+            }
+            let user = UserId(rng.range_u32(0, 4));
+            tracker.advance_to(now);
+            tracker.charge(user, rng.range(0, 5000) as f64);
+            hist.charge(user, QueueId(0), rng.range(0, 3_600_000), now);
+            let usage = hist.snapshot(now);
+
+            // Which jobs moved relative to each other since last cycle?
+            let crossed = |before: &[u64], after: &[u64]| {
+                let kept: Vec<u64> = before
+                    .iter()
+                    .copied()
+                    .filter(|i| after.contains(i))
+                    .collect();
+                let still: Vec<u64> = after
+                    .iter()
+                    .copied()
+                    .filter(|i| before.contains(i))
+                    .collect();
+                kept != still
+            };
+            let ids = rank_both_ways(&mut stat, &queue, now, &w, FairnessView::Static(&tracker));
+            reordered_stat += usize::from(crossed(&last_stat, &ids));
+            last_stat = ids;
+            let view = FairnessView::TimeAware {
+                config: &fs_cfg,
+                usage: Some(&usage),
+            };
+            let ids = rank_both_ways(&mut aware, &queue, now, &w, view);
+            reordered_aware += usize::from(crossed(&last_aware, &ids));
+            last_aware = ids;
+            now += SimDuration::from_secs(rng.range(1, 120));
+        }
+        assert!(
+            reordered_stat > 20 && reordered_aware > 20,
+            "the order must really change between cycles for this to test anything: \
+             {reordered_stat} / {reordered_aware} of 300"
+        );
+    }
+
+    #[test]
+    fn remembered_order_survives_another_queue_and_a_swept_one() {
+        let w = PriorityWeights::default();
+        let mut order = RankOrder::default();
+        let a: QueuedSet = (1..=50).map(|i| job(i, 100 - i, 4, 0)).collect();
+        rank_both_ways(
+            &mut order,
+            &a,
+            SimTime::from_secs(200),
+            &w,
+            FairnessView::None,
+        );
+        // A different, shorter queue: none of the remembered slots match.
+        let b: QueuedSet = (7..=20).map(|i| job(i, i, 4, 0)).collect();
+        rank_both_ways(
+            &mut order,
+            &b,
+            SimTime::from_secs(300),
+            &w,
+            FairnessView::None,
+        );
+        // Departures until the set sweeps its empty slots: every position
+        // shifts under the remembered order.
+        let mut c = a.clone();
+        for i in 1..=45 {
+            c.remove(JobId(i));
+            if i % 9 == 0 {
+                rank_both_ways(
+                    &mut order,
+                    &c,
+                    SimTime::from_secs(400 + i),
+                    &w,
+                    FairnessView::None,
+                );
+            }
+        }
+        assert!(c.slot_count() < 50, "the set swept its empty slots");
+        let ids = rank_both_ways(
+            &mut order,
+            &c,
+            SimTime::from_secs(500),
+            &w,
+            FairnessView::None,
+        );
+        assert_eq!(ids, vec![50, 49, 48, 47, 46]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::incremental::DeltaLog;
 use crate::usage_history::UsageSnapshot;
 use dynbatch_core::{GroupId, JobId, MalleableRange, QueueId, SimDuration, SimTime, UserId};
+use std::sync::Arc;
 
 /// A job currently holding resources.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +68,15 @@ pub struct QueuedJob {
     pub moldable: Option<MalleableRange>,
 }
 
+impl QueuedJob {
+    /// The fewest idle cores this job can start on: its requested cores —
+    /// the bottom of its range, if moldable — plus its pre-reserve. At
+    /// least one for any job a server admits.
+    pub fn min_start_width(&self) -> u32 {
+        self.moldable.map_or(self.cores, |m| m.min_cores) + self.reserve_extra
+    }
+}
+
 /// A pending dynamic request from a running evolving job
 /// (the server-side image of a `tm_dynget()` call).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,6 +103,232 @@ pub struct DynRequest {
     pub deadline: Option<SimTime>,
 }
 
+/// The running jobs of a snapshot, in ascending job-id order.
+///
+/// The order is an invariant of the type (every constructor and mutator
+/// keeps it), which is what lets the scheduler find a request's holder by
+/// binary search. The storage is shared copy-on-write: the resource
+/// manager keeps one set up to date at its mutation sites and hands a
+/// clone — a reference-count bump — to every snapshot; a mutation while a
+/// snapshot is still alive copies the set first, so a snapshot never
+/// changes under its reader.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunningSet(Arc<Vec<RunningJob>>);
+
+impl RunningSet {
+    fn position(&self, id: JobId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |r| r.id)
+    }
+
+    /// The running job `id`, if present. O(log n).
+    pub fn get(&self, id: JobId) -> Option<&RunningJob> {
+        self.position(id).ok().map(|i| &self.0[i])
+    }
+
+    /// Mutable access to the running job `id` (its `id` must not change).
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut RunningJob> {
+        let i = self.position(id).ok()?;
+        Some(&mut Arc::make_mut(&mut self.0)[i])
+    }
+
+    /// Adds a job at its id-ordered position.
+    ///
+    /// # Panics
+    /// If a job with the same id is already present.
+    pub fn push(&mut self, job: RunningJob) {
+        match self.position(job.id) {
+            Ok(_) => panic!("{}: already in the running set", job.id),
+            Err(i) => Arc::make_mut(&mut self.0).insert(i, job),
+        }
+    }
+
+    /// Removes and returns the job `id`, if present.
+    pub fn remove(&mut self, id: JobId) -> Option<RunningJob> {
+        let i = self.position(id).ok()?;
+        Some(Arc::make_mut(&mut self.0).remove(i))
+    }
+}
+
+impl std::ops::Deref for RunningSet {
+    type Target = [RunningJob];
+
+    fn deref(&self) -> &[RunningJob] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a RunningSet {
+    type Item = &'a RunningJob;
+    type IntoIter = std::slice::Iter<'a, RunningJob>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<RunningJob>> for RunningSet {
+    /// Takes the jobs in any order (ids must be distinct).
+    fn from(mut jobs: Vec<RunningJob>) -> Self {
+        jobs.sort_by_key(|r| r.id);
+        debug_assert!(
+            jobs.windows(2).all(|w| w[0].id < w[1].id),
+            "duplicate job id in the running set"
+        );
+        RunningSet(Arc::new(jobs))
+    }
+}
+
+/// Departed slots are swept out once they outnumber the queued jobs by
+/// this much, so the slot vector stays within about twice the queue.
+const SWEEP_SLACK: usize = 32;
+
+#[derive(Debug, Clone, Default)]
+struct QueuedSlots {
+    /// Ascending; one entry per slot, departed or not (a departed slot
+    /// keeps its id so the vector stays searchable).
+    ids: Vec<JobId>,
+    /// `None` once the job has left the queue.
+    jobs: Vec<Option<QueuedJob>>,
+    live: usize,
+    /// Queued jobs with `suppress_backfill_while_queued` (the Z rule).
+    suppressors: usize,
+}
+
+/// The queued jobs of a snapshot, in ascending job-id order, with the Z
+/// rule's "suppress backfill" count kept alongside.
+///
+/// Like [`RunningSet`], the storage is shared copy-on-write between the
+/// resource manager and its snapshots. Jobs sit in *slots*: submission
+/// appends one, departure (start, `qdel`) empties one in place, so both
+/// cost O(log n) however deep the queue is, and a job's slot position
+/// stays put until the set sweeps its empty slots or a requeue inserts
+/// mid-vector. The scheduler's persistent rank order
+/// (`priority::RankOrder`) is a permutation of slot positions
+/// for that reason; it treats them as a hint and never depends on their
+/// stability for correctness.
+#[derive(Debug, Clone, Default)]
+pub struct QueuedSet(Arc<QueuedSlots>);
+
+impl QueuedSet {
+    /// Number of queued jobs.
+    pub fn len(&self) -> usize {
+        self.0.live
+    }
+
+    /// True iff no job is queued.
+    pub fn is_empty(&self) -> bool {
+        self.0.live == 0
+    }
+
+    /// The queued jobs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = &QueuedJob> + Clone {
+        self.0.jobs.iter().flatten()
+    }
+
+    /// The queued job `id`, if present. O(log n).
+    pub fn get(&self, id: JobId) -> Option<&QueuedJob> {
+        let i = self.0.ids.binary_search(&id).ok()?;
+        self.0.jobs[i].as_ref()
+    }
+
+    /// How many queued jobs suppress backfill (the ESP Z rule).
+    pub(crate) fn backfill_suppressors(&self) -> usize {
+        self.0.suppressors
+    }
+
+    /// Number of slots, empty ones included: the exclusive upper bound of
+    /// the positions [`QueuedSet::slot`] accepts.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.0.jobs.len()
+    }
+
+    /// The job in slot `pos`; `None` when the slot is empty or out of
+    /// range.
+    pub(crate) fn slot(&self, pos: usize) -> Option<&QueuedJob> {
+        self.0.jobs.get(pos)?.as_ref()
+    }
+
+    /// Adds a job: O(1) when its id is the highest seen (every fresh
+    /// submission), a mid-vector insert otherwise (a requeue).
+    ///
+    /// # Panics
+    /// If a job with the same id is already queued.
+    pub fn push(&mut self, job: QueuedJob) {
+        let s = Arc::make_mut(&mut self.0);
+        s.live += 1;
+        s.suppressors += usize::from(job.suppress_backfill_while_queued);
+        if s.ids.last().is_none_or(|&last| last < job.id) {
+            s.ids.push(job.id);
+            s.jobs.push(Some(job));
+            return;
+        }
+        match s.ids.binary_search(&job.id) {
+            Ok(i) => {
+                assert!(s.jobs[i].is_none(), "{}: already queued", job.id);
+                s.jobs[i] = Some(job);
+            }
+            Err(i) => {
+                s.ids.insert(i, job.id);
+                s.jobs.insert(i, Some(job));
+            }
+        }
+    }
+
+    /// Removes and returns the job `id`, if queued. O(log n) amortised:
+    /// the slot is emptied in place and empty slots are swept together
+    /// once they outnumber the queued jobs.
+    pub fn remove(&mut self, id: JobId) -> Option<QueuedJob> {
+        let i = self.0.ids.binary_search(&id).ok()?;
+        // Checked before `make_mut`: a miss must not copy a shared set.
+        self.0.jobs[i].as_ref()?;
+        let s = Arc::make_mut(&mut self.0);
+        let job = s.jobs[i].take().expect("checked above");
+        s.live -= 1;
+        s.suppressors -= usize::from(job.suppress_backfill_while_queued);
+        if s.jobs.len() - s.live > s.live + SWEEP_SLACK {
+            s.jobs.retain(Option::is_some);
+            s.ids.clear();
+            s.ids.extend(s.jobs.iter().flatten().map(|j| j.id));
+        }
+        Some(job)
+    }
+}
+
+impl PartialEq for QueuedSet {
+    /// Equal iff the same jobs are queued (slot layout is not state).
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for QueuedSet {}
+
+impl From<Vec<QueuedJob>> for QueuedSet {
+    /// Takes the jobs in any order (ids must be distinct).
+    fn from(mut jobs: Vec<QueuedJob>) -> Self {
+        jobs.sort_by_key(|q| q.id);
+        debug_assert!(
+            jobs.windows(2).all(|w| w[0].id < w[1].id),
+            "duplicate job id in the queue"
+        );
+        QueuedSet(Arc::new(QueuedSlots {
+            ids: jobs.iter().map(|q| q.id).collect(),
+            live: jobs.len(),
+            suppressors: jobs
+                .iter()
+                .filter(|q| q.suppress_backfill_while_queued)
+                .count(),
+            jobs: jobs.into_iter().map(Some).collect(),
+        }))
+    }
+}
+
+impl FromIterator<QueuedJob> for QueuedSet {
+    fn from_iter<I: IntoIterator<Item = QueuedJob>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
 /// Scheduler input for one iteration.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -100,10 +336,10 @@ pub struct Snapshot {
     pub now: SimTime,
     /// Total cores across up nodes.
     pub total_cores: u32,
-    /// Jobs currently holding cores.
-    pub running: Vec<RunningJob>,
-    /// Jobs waiting, in any order (the scheduler ranks them).
-    pub queued: Vec<QueuedJob>,
+    /// Jobs currently holding cores, in id order.
+    pub running: RunningSet,
+    /// Jobs waiting, in id order (the scheduler ranks them).
+    pub queued: QueuedSet,
     /// Pending dynamic requests, in any order (the scheduler sorts by
     /// `seq`).
     pub dyn_requests: Vec<DynRequest>,
@@ -132,9 +368,10 @@ impl Snapshot {
         self.total_cores.saturating_sub(self.busy_cores())
     }
 
-    /// True iff any queued job suppresses backfill (the Z rule).
+    /// True iff any queued job suppresses backfill (the Z rule). O(1):
+    /// the queue keeps the count.
     pub fn backfill_suppressed(&self) -> bool {
-        self.queued.iter().any(|q| q.suppress_backfill_while_queued)
+        self.queued.backfill_suppressors() > 0
     }
 }
 
@@ -157,8 +394,9 @@ mod tests {
                 backfilled: false,
                 reserved_extra: 0,
                 malleable: None,
-            }],
-            queued: vec![],
+            }]
+            .into(),
+            queued: QueuedSet::default(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,
@@ -168,12 +406,107 @@ mod tests {
         assert!(!snap.backfill_suppressed());
     }
 
+    fn queued(id: u64, z: bool) -> QueuedJob {
+        QueuedJob {
+            id: JobId(id),
+            user: UserId(0),
+            group: GroupId(0),
+            queue: QueueId(0),
+            cores: 4,
+            walltime: SimDuration::from_secs(100),
+            submit_time: SimTime::ZERO,
+            priority_boost: 0,
+            suppress_backfill_while_queued: z,
+            reserve_extra: 0,
+            moldable: None,
+        }
+    }
+
+    fn ids(set: &QueuedSet) -> Vec<u64> {
+        set.iter().map(|q| q.id.0).collect()
+    }
+
+    #[test]
+    fn queued_set_keeps_id_order_counts_and_slots() {
+        let mut set: QueuedSet = vec![queued(5, false), queued(2, true), queued(9, false)].into();
+        assert_eq!(ids(&set), vec![2, 5, 9]);
+        assert_eq!((set.len(), set.backfill_suppressors()), (3, 1));
+        // A departure empties its slot in place: later positions hold.
+        assert_eq!(set.remove(JobId(2)).map(|q| q.id), Some(JobId(2)));
+        assert_eq!(set.remove(JobId(2)), None);
+        assert_eq!((set.len(), set.slot_count()), (2, 3));
+        assert_eq!(set.backfill_suppressors(), 0);
+        assert!(set.slot(0).is_none() && set.get(JobId(2)).is_none());
+        assert_eq!(set.slot(2).map(|q| q.id), Some(JobId(9)));
+        assert!(set.slot(3).is_none());
+        // A requeue of the same id revives the slot; any other lower id
+        // is inserted where it sorts.
+        set.push(queued(2, true));
+        set.push(queued(7, false));
+        set.push(queued(11, false));
+        assert_eq!(ids(&set), vec![2, 5, 7, 9, 11]);
+        assert_eq!(set.get(JobId(7)).map(|q| q.id), Some(JobId(7)));
+        assert_eq!(set.backfill_suppressors(), 1);
+        // Equality is about the jobs queued, not the slot layout.
+        let fresh: QueuedSet = (0..5)
+            .map(|i| queued([2, 5, 7, 9, 11][i], i == 0))
+            .collect();
+        assert_eq!(set, fresh);
+    }
+
+    #[test]
+    fn queued_set_sweeps_empty_slots_once_they_dominate() {
+        let mut set: QueuedSet = (0..200).map(|i| queued(i, false)).collect();
+        for i in 0..150 {
+            set.remove(JobId(i));
+            assert!(
+                set.slot_count() <= 2 * set.len() + SWEEP_SLACK + 1,
+                "slots stay within twice the queue"
+            );
+        }
+        assert_eq!(set.len(), 50);
+        assert!(set.slot_count() < 200, "swept at least once");
+        assert_eq!(ids(&set), (150..200).collect::<Vec<_>>());
+        assert_eq!(set.get(JobId(180)).map(|q| q.id), Some(JobId(180)));
+    }
+
+    #[test]
+    fn a_clone_of_a_set_is_not_changed_by_later_mutations() {
+        let mut set: QueuedSet = vec![queued(1, false), queued(2, false)].into();
+        let shared = set.clone();
+        set.remove(JobId(1));
+        set.push(queued(3, false));
+        assert_eq!(ids(&shared), vec![1, 2]);
+        assert_eq!(ids(&set), vec![2, 3]);
+
+        let run = |id: u64| RunningJob {
+            id: JobId(id),
+            user: UserId(0),
+            group: GroupId(0),
+            cores: 2,
+            start_time: SimTime::ZERO,
+            walltime_end: SimTime::from_secs(100),
+            backfilled: false,
+            reserved_extra: 0,
+            malleable: None,
+        };
+        let mut running: RunningSet = vec![run(4), run(1)].into();
+        let shared = running.clone();
+        running.push(run(3));
+        running.get_mut(JobId(4)).unwrap().cores = 8;
+        assert_eq!(running.remove(JobId(1)).map(|r| r.id), Some(JobId(1)));
+        let view = |s: &RunningSet| s.iter().map(|r| (r.id.0, r.cores)).collect::<Vec<_>>();
+        assert_eq!(view(&shared), vec![(1, 2), (4, 2)]);
+        assert_eq!(view(&running), vec![(3, 2), (4, 8)]);
+        assert!(running.get(JobId(1)).is_none());
+    }
+
     #[test]
     fn z_suppression() {
         let snap = Snapshot {
             now: SimTime::ZERO,
             total_cores: 120,
-            running: vec![],
+            running: RunningSet::default(),
             queued: vec![QueuedJob {
                 id: JobId(9),
                 user: UserId(9),
@@ -186,7 +519,8 @@ mod tests {
                 suppress_backfill_while_queued: true,
                 reserve_extra: 0,
                 moldable: None,
-            }],
+            }]
+            .into(),
             dyn_requests: vec![],
             usage: None,
             deltas: None,

@@ -19,6 +19,8 @@
 //!
 //! * [`AvailabilityProfile::idle_at`] — O(log n);
 //! * [`AvailabilityProfile::min_idle`] — O(log n + k);
+//! * [`AvailabilityProfile::fits`] — O(log n + k) at worst, O(1) when
+//!   the window's first segment is already too narrow;
 //! * [`AvailabilityProfile::hold`] / [`AvailabilityProfile::release`] —
 //!   O(log n + k) value updates plus at most two breakpoint insertions
 //!   and two boundary merges (each an O(n) `Vec` shift in the worst
@@ -107,9 +109,43 @@ impl AvailabilityProfile {
         min
     }
 
+    /// Whether at least `cores` cores are idle throughout `[from, to)` —
+    /// `min_idle(from, to) >= cores`, but the scan stops at the first
+    /// segment below `cores` instead of running to the end of the window.
+    /// The fit test of every start and backfill candidate: on a full
+    /// machine the very first segment answers it.
+    pub fn fits(&self, from: SimTime, to: SimTime, cores: u32) -> bool {
+        self.min_idle_at_least(from, to, cores).is_some()
+    }
+
+    /// `min_idle(from, to)` when it is at least `floor`, `None` as soon
+    /// as a segment falls below it.
+    pub fn min_idle_at_least(&self, from: SimTime, to: SimTime, floor: u32) -> Option<u32> {
+        assert!(from >= self.origin && to >= from);
+        let lo = self.segment_index(from);
+        let mut min = self.steps[lo].1;
+        if min < floor {
+            return None;
+        }
+        for &(s, idle) in &self.steps[lo + 1..] {
+            if s >= to {
+                break;
+            }
+            if idle < floor {
+                return None;
+            }
+            min = min.min(idle);
+        }
+        Some(min)
+    }
+
     /// Index of the segment whose span contains `t` (requires
     /// `t >= origin`).
     fn segment_index(&self, t: SimTime) -> usize {
+        // Nearly every query of a scheduling pass is about "now".
+        if t == self.origin {
+            return 0;
+        }
         match self.steps.binary_search_by(|&(s, _)| s.cmp(&t)) {
             Ok(i) => i,
             Err(0) => unreachable!("first step is at origin"),

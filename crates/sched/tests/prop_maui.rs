@@ -1,13 +1,19 @@
 //! Property tests of the full Maui iteration: for arbitrary (consistent)
 //! snapshots and site policies, the outcome never violates capacity,
-//! ranges, or determinism.
+//! ranges, or determinism — and over random multi-cycle runs it equals the
+//! visit-every-job reference iteration decision for decision.
 
 use dynbatch_core::testkit::{check, TestRng};
 use dynbatch_core::{
-    DfsConfig, GroupId, JobId, MalleableRange, QueueId, SchedulerConfig, SimDuration, SimTime,
-    UserId,
+    BackfillPolicy, DfsConfig, FairshareMode, GroupId, JobId, MalleableRange, QueueId,
+    SchedulerConfig, SimDuration, SimTime, UserId,
 };
-use dynbatch_sched::{DynDecision, DynRequest, Maui, QueuedJob, RunningJob, Snapshot};
+use dynbatch_sched::reference::iterate_naive;
+use dynbatch_sched::{
+    DynDecision, DynRequest, IterationOutcome, Maui, QueuedJob, QueuedSet, RunningJob, Snapshot,
+    UsageHistory,
+};
+use std::collections::HashMap;
 
 const CAPACITY: u32 = 64;
 
@@ -16,8 +22,8 @@ fn random_snapshot(rng: &mut TestRng) -> (Snapshot, SchedulerConfig) {
     let mut snap = Snapshot {
         now,
         total_cores: CAPACITY,
-        running: Vec::new(),
-        queued: Vec::new(),
+        running: Default::default(),
+        queued: Default::default(),
         dyn_requests: Vec::new(),
         usage: None,
         deltas: None,
@@ -219,6 +225,277 @@ fn dfs_cap_bounds_committed_delay() {
                 ms <= cap * 1000,
                 "{user}: committed {ms} ms exceeds cap {cap} s"
             );
+        }
+    });
+}
+
+/// A miniature resource manager for the equivalence suite: it applies
+/// each outcome the way the server does (preempt → shrink → grant → grow
+/// → start), lets time pass, retires and admits jobs, and keeps the
+/// queue in one long-lived [`QueuedSet`] so slots empty, get swept and
+/// get refilled by requeues under the scheduler's remembered order.
+struct World {
+    now: SimTime,
+    running: Vec<RunningJob>,
+    queued: QueuedSet,
+    /// Every job ever queued, for requeueing a preempted one.
+    specs: HashMap<JobId, QueuedJob>,
+    usage: UsageHistory,
+    next_id: u64,
+    next_seq: u64,
+}
+
+impl World {
+    fn new() -> Self {
+        World {
+            now: SimTime::from_secs(10_000),
+            running: Vec::new(),
+            queued: QueuedSet::default(),
+            specs: HashMap::new(),
+            usage: UsageHistory::new(SimDuration::from_hours(1), CAPACITY as u64),
+            next_id: 1,
+            next_seq: 0,
+        }
+    }
+
+    fn admit(&mut self, rng: &mut TestRng) {
+        let cores = rng.range_u32(1, 40);
+        let z = rng.chance(0.02);
+        let job = QueuedJob {
+            id: JobId(self.next_id),
+            user: UserId(rng.range_u32(0, 5)),
+            group: GroupId(rng.range_u32(0, 2)),
+            queue: QueueId(rng.range_u32(0, 2)),
+            cores,
+            walltime: if rng.chance(0.05) {
+                SimDuration::ZERO
+            } else {
+                SimDuration::from_secs(rng.range(10, 3000))
+            },
+            submit_time: SimTime::from_millis(self.now.as_millis() - rng.below(2_000_000)),
+            priority_boost: if z { 1_000_000 } else { 0 },
+            suppress_backfill_while_queued: z,
+            reserve_extra: if rng.chance(0.15) {
+                rng.range_u32(1, 5)
+            } else {
+                0
+            },
+            moldable: rng.chance(0.15).then(|| MalleableRange {
+                min_cores: rng.range_u32(1, cores + 1),
+                max_cores: rng.range_u32(cores, cores + 9),
+            }),
+        };
+        self.next_id += 1;
+        self.specs.insert(job.id, job.clone());
+        self.queued.push(job);
+    }
+
+    fn snapshot(&mut self, rng: &mut TestRng, time_aware: bool) -> Snapshot {
+        let mut dyn_requests = Vec::new();
+        for r in &self.running {
+            // An overdue job's expansion would be held for no time at all.
+            if r.walltime_end > self.now && rng.chance(0.3) {
+                dyn_requests.push(DynRequest {
+                    job: r.id,
+                    user: r.user,
+                    group: r.group,
+                    extra_cores: rng.range_u32(1, 9),
+                    remaining_walltime: r.walltime_end.duration_since(self.now),
+                    seq: self.next_seq,
+                    deadline: rng.chance(0.3).then(|| {
+                        SimTime::from_millis(self.now.as_millis() - 50_000 + rng.below(100_000))
+                    }),
+                });
+                self.next_seq += 1;
+            }
+        }
+        // The scheduler orders requests by `seq`, whatever order they
+        // arrive in.
+        dyn_requests.reverse();
+        Snapshot {
+            now: self.now,
+            total_cores: CAPACITY,
+            running: self.running.clone().into(),
+            queued: self.queued.clone(),
+            dyn_requests,
+            usage: time_aware.then(|| self.usage.snapshot(self.now)),
+            deltas: None,
+        }
+    }
+
+    fn apply(&mut self, out: &IterationOutcome, rng: &mut TestRng) {
+        let now = self.now;
+        let at = |running: &[RunningJob], id: JobId| {
+            running
+                .iter()
+                .position(|r| r.id == id)
+                .expect("decision names a running job")
+        };
+        for d in &out.dyn_decisions {
+            if let DynDecision::Granted {
+                job,
+                extra_cores,
+                preempted,
+                shrunk,
+                ..
+            } = d
+            {
+                for victim in preempted {
+                    let i = at(&self.running, *victim);
+                    self.running.swap_remove(i);
+                    self.queued.push(self.specs[victim].clone());
+                }
+                for r in shrunk {
+                    let i = at(&self.running, r.job);
+                    assert_eq!(self.running[i].cores, r.from_cores);
+                    self.running[i].cores = r.to_cores;
+                }
+                let i = at(&self.running, *job);
+                self.running[i].cores += extra_cores;
+                self.running[i].reserved_extra =
+                    self.running[i].reserved_extra.saturating_sub(*extra_cores);
+            }
+        }
+        for g in &out.grows {
+            let i = at(&self.running, g.job);
+            assert_eq!(self.running[i].cores, g.from_cores);
+            self.running[i].cores = g.to_cores;
+        }
+        for s in &out.starts {
+            let q = self.queued.remove(s.job).expect("started job was queued");
+            if q.walltime.is_zero() {
+                // Holds nothing in any plan: over before it began.
+                continue;
+            }
+            let cores = s.cores.unwrap_or(q.cores);
+            self.usage
+                .charge(q.user, q.queue, cores as u64 * q.walltime.as_millis(), now);
+            self.running.push(RunningJob {
+                id: q.id,
+                user: q.user,
+                group: q.group,
+                cores,
+                start_time: now,
+                walltime_end: now + q.walltime,
+                backfilled: s.backfilled,
+                reserved_extra: q.reserve_extra,
+                // Only evolving jobs pre-reserve, and those never resize.
+                malleable: (q.reserve_extra == 0 && rng.chance(0.3)).then(|| MalleableRange {
+                    min_cores: rng.range_u32(1, cores + 1),
+                    max_cores: rng.range_u32(cores, cores + 9),
+                }),
+            });
+        }
+        let held: u32 = self
+            .running
+            .iter()
+            .map(|r| r.cores + r.reserved_extra)
+            .sum();
+        assert!(held <= CAPACITY, "outcome over-committed the machine");
+    }
+
+    /// Time passes: due jobs mostly finish (a few linger overdue), some
+    /// finish early, some queued jobs are deleted, new ones arrive.
+    fn advance(&mut self, rng: &mut TestRng) {
+        self.now += SimDuration::from_secs(rng.below(200));
+        let now = self.now;
+        self.running.retain(|r| {
+            let due = r.walltime_end <= now;
+            !(due && rng.chance(0.8) || !due && rng.chance(0.1))
+        });
+        let ids: Vec<JobId> = self.queued.iter().map(|q| q.id).collect();
+        for id in ids {
+            if rng.chance(0.03) {
+                self.queued.remove(id);
+            }
+        }
+        let arrivals = if rng.chance(0.05) {
+            80
+        } else {
+            rng.range_usize(0, 6)
+        };
+        for _ in 0..arrivals {
+            self.admit(rng);
+        }
+    }
+}
+
+fn random_config(rng: &mut TestRng) -> SchedulerConfig {
+    let mut cfg = SchedulerConfig::paper_eval();
+    cfg.reservation_depth = *rng.pick(&[0, 1, 5]);
+    cfg.reservation_delay_depth = *rng.pick(&[0, 1, 5, 8]);
+    cfg.backfill = *rng.pick(&[
+        BackfillPolicy::None,
+        BackfillPolicy::Easy,
+        BackfillPolicy::Easy,
+        BackfillPolicy::Conservative,
+    ]);
+    cfg.dfs = if rng.chance(0.5) {
+        DfsConfig::highest_priority()
+    } else {
+        DfsConfig::uniform_target(rng.range(10, 5000), SimDuration::from_hours(1))
+    };
+    cfg.preempt_backfilled_for_dyn = rng.chance(0.5);
+    cfg.shrink_malleable_for_dyn = rng.chance(0.5);
+    cfg.grow_malleable_on_idle = rng.chance(0.5);
+    cfg.dyn_partition_cores = *rng.pick(&[0, 0, 0, 4, 8]);
+    cfg.priority.queue_time_weight = *rng.pick(&[1.0, 1.0, 0.0]);
+    cfg.priority.expansion_weight = *rng.pick(&[0.0, 0.0, 25.0]);
+    cfg.priority.resource_weight = *rng.pick(&[0.0, 0.0, 1.0, -1.0]);
+    if rng.chance(0.5) {
+        cfg.fairshare.enabled = true;
+        cfg.priority.fairshare_weight = 500.0;
+        if rng.chance(0.5) {
+            cfg.fairshare.mode = FairshareMode::TimeAware;
+            cfg.fairshare.half_life = SimDuration::from_hours(1);
+            cfg.fairshare.user_budget_core_hours = Some(20.0);
+            cfg.fairshare.budget_demotion = 300.0;
+        }
+    }
+    cfg
+}
+
+#[test]
+fn iterate_equals_the_naive_reference_over_random_cycles() {
+    check(96, 0x5EED_CAFE, |rng| {
+        let cfg = random_config(rng);
+        let time_aware = cfg.fairshare.mode == FairshareMode::TimeAware;
+        let mut fast = Maui::new(cfg.clone());
+        let mut naive = Maui::new(cfg);
+        let mut world = World::new();
+        // Some runs open on a deep queue, the rest grow one.
+        for _ in 0..if rng.chance(0.3) { 150 } else { 5 } {
+            world.admit(rng);
+        }
+        for cycle in 0..40 {
+            let snap = world.snapshot(rng, time_aware);
+            let a = fast.iterate(&snap);
+            let b = iterate_naive(&mut naive, &snap);
+            assert_eq!(a.starts, b.starts, "cycle {cycle}: starts");
+            assert_eq!(
+                a.reservations, b.reservations,
+                "cycle {cycle}: reservations"
+            );
+            assert_eq!(
+                a.dyn_decisions, b.dyn_decisions,
+                "cycle {cycle}: dyn decisions"
+            );
+            assert_eq!(
+                a.baseline_plan, b.baseline_plan,
+                "cycle {cycle}: baseline plan"
+            );
+            assert_eq!(a.grows, b.grows, "cycle {cycle}: grows");
+            drop(snap);
+            // Static fairshare sees the same charges on both sides.
+            for s in &a.starts {
+                let q = &world.specs[&s.job];
+                for m in [&mut fast, &mut naive] {
+                    m.fairshare_mut()
+                        .charge(q.user, q.cores as f64 * q.walltime.as_secs_f64());
+                }
+            }
+            world.apply(&a, rng);
+            world.advance(rng);
         }
     });
 }

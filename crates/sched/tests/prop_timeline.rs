@@ -99,6 +99,33 @@ fn min_idle_equals_pointwise_minimum() {
 }
 
 #[test]
+fn fits_is_min_idle_with_an_early_exit() {
+    check(256, 0xF175, |rng| {
+        let p = build(64, &holds(rng));
+        // Windows at the origin (the scheduler's "now"), mid-profile,
+        // empty, and running past the last breakpoint to infinity.
+        let from = SimTime::from_secs(if rng.chance(0.3) { 0 } else { rng.below(6000) });
+        let to = match rng.below(4) {
+            0 => from,
+            1 => SimTime::MAX,
+            _ => from + SimDuration::from_secs(rng.range(1, 4000)),
+        };
+        let min = p.min_idle(from, to);
+        for cores in [0, 1, min.saturating_sub(1), min, min + 1, 64, 65] {
+            assert_eq!(
+                p.fits(from, to, cores),
+                min >= cores,
+                "{cores} in [{from}, {to})"
+            );
+            assert_eq!(
+                p.min_idle_at_least(from, to, cores),
+                (min >= cores).then_some(min)
+            );
+        }
+    });
+}
+
+#[test]
 fn holds_commute() {
     check(128, 0xD1CE, |rng| {
         // Applying a feasibility-filtered op list in order equals applying

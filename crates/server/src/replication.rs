@@ -1579,8 +1579,7 @@ mod tests {
     }
 
     fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) {
-        let snap = server.snapshot(now);
-        let outcome = maui.iterate(&snap);
+        let outcome = maui.iterate(&server.snapshot(now));
         server.apply(&outcome, now);
     }
 

@@ -22,7 +22,7 @@ use dynbatch_core::{
 };
 use dynbatch_sched::{
     DeltaLog, DfsReject, DynDecision, DynRequest, IterationOutcome, ProfileDelta, QueuedJob,
-    RunningJob, Snapshot, UsageHistory,
+    QueuedSet, RunningJob, RunningSet, Snapshot, UsageHistory,
 };
 use std::collections::{btree_map, BTreeMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,6 +178,19 @@ pub struct PbsServer {
     /// when `retain_terminal_jobs` is off.
     terminal: BTreeMap<JobId, Job>,
     dyn_pending: BTreeMap<JobId, PendingDyn>,
+    /// The scheduler's view of the live table — what a [`Snapshot`]
+    /// carries — kept up to date at the mutation sites that push
+    /// [`ProfileDelta`]s, so a cycle is handed the view (two
+    /// reference-count bumps) instead of rebuilding it from `jobs`.
+    /// `running` holds exactly the active jobs, `queued` exactly the
+    /// `Queued` ones, each as [`PbsServer::running_entry`] /
+    /// [`PbsServer::queued_entry`] would build it now; debug builds check
+    /// every snapshot against the walk ([`PbsServer::snapshot_walk`]).
+    running: RunningSet,
+    queued: QueuedSet,
+    /// How many live jobs are `DynQueued`: each must have a `dyn_pending`
+    /// entry, which is how a snapshot notices a breach without a walk.
+    dyn_queued: usize,
     next_job_id: u64,
     next_dyn_seq: u64,
     alloc_policy: AllocPolicy,
@@ -248,6 +261,9 @@ impl PbsServer {
             jobs: BTreeMap::new(),
             terminal: BTreeMap::new(),
             dyn_pending: BTreeMap::new(),
+            running: RunningSet::default(),
+            queued: QueuedSet::default(),
+            dyn_queued: 0,
             next_job_id: 1,
             next_dyn_seq: 0,
             alloc_policy,
@@ -277,6 +293,9 @@ impl PbsServer {
         self.jobs.clear();
         self.terminal.clear();
         self.dyn_pending.clear();
+        self.running = RunningSet::default();
+        self.queued = QueuedSet::default();
+        self.dyn_queued = 0;
         self.next_job_id = 1;
         self.next_dyn_seq = 0;
         self.alloc_policy = alloc_policy;
@@ -302,7 +321,7 @@ impl PbsServer {
     /// pre-reserve their maximum dynamic demand at start and every dynamic
     /// request is served from that reserve.
     pub fn set_guarantee_evolving(&mut self, on: bool) {
-        self.guarantee_evolving = on;
+        self.set_guarantee(on);
         if self.journal.is_some() {
             self.log(Record::Guarantee { on });
         }
@@ -478,10 +497,13 @@ impl PbsServer {
         for o in &img.outcomes {
             accounting.record(o.clone());
         }
-        Ok(PbsServer {
+        let mut server = PbsServer {
             cluster,
             jobs: table(false, img.jobs.len() - n_terminal),
             terminal: table(true, n_terminal),
+            running: RunningSet::default(),
+            queued: QueuedSet::default(),
+            dyn_queued: 0,
             dyn_pending: img
                 .dyn_pending
                 .iter()
@@ -512,7 +534,9 @@ impl PbsServer {
             publish_usage: false,
             retain_terminal_jobs: true,
             invariant_breaches: Counter::default(),
-        })
+        };
+        server.rebuild_view();
+        Ok(server)
     }
 
     /// Crash recovery: rebuilds the server a journal describes by loading
@@ -594,7 +618,7 @@ impl PbsServer {
                 self.node_failed(*node, *now)?;
             }
             Record::NodeRepaired { node } => self.node_repaired(*node)?,
-            Record::Guarantee { on } => self.guarantee_evolving = *on,
+            Record::Guarantee { on } => self.set_guarantee(*on),
         }
         Ok(())
     }
@@ -613,10 +637,7 @@ impl PbsServer {
     /// Cores currently pre-reserved (held but idle) under the
     /// guaranteeing policy.
     pub fn reserved_unused_cores(&self) -> u32 {
-        self.live_jobs()
-            .filter(|j| j.state.is_active())
-            .map(|j| j.reserved_extra)
-            .sum()
+        self.running.iter().map(|r| r.reserved_extra).sum()
     }
 
     /// The managed cluster (read-only).
@@ -799,21 +820,19 @@ impl PbsServer {
         self.jobs.values()
     }
 
-    /// Number of jobs in `Queued` state.
+    /// Number of jobs in `Queued` state. O(1).
     pub fn queued_count(&self) -> usize {
-        self.live_jobs()
-            .filter(|j| j.state == JobState::Queued)
-            .count()
+        self.queued.len()
     }
 
-    /// Number of jobs holding resources.
+    /// Number of jobs holding resources. O(1).
     pub fn active_count(&self) -> usize {
-        self.live_jobs().filter(|j| j.state.is_active()).count()
+        self.running.len()
     }
 
     /// True when no job is queued or running — the workload has drained.
     pub fn is_drained(&self) -> bool {
-        self.jobs.is_empty()
+        self.queued.is_empty() && self.running.is_empty()
     }
 
     /// `qsub`: validates and queues a job.
@@ -834,7 +853,9 @@ impl PbsServer {
             spec: spec.clone(),
             now,
         });
-        self.jobs.insert(id, Job::new(id, spec, now));
+        let job = Job::new(id, spec, now);
+        self.queued.push(self.queued_entry(&job));
+        self.jobs.insert(id, job);
         if let Some(record) = record {
             self.log(record);
         }
@@ -846,14 +867,15 @@ impl PbsServer {
         let Some(job) = self.jobs.get_mut(&id) else {
             return Err(self.not_live(id, "qdel", "terminal"));
         };
-        let was_active = job.state.is_active();
-        job.state = JobState::Cancelled;
+        let was = std::mem::replace(&mut job.state, JobState::Cancelled);
         job.end_time = Some(now);
-        if was_active {
+        if was.is_active() {
             self.cluster.release_all(id)?;
             self.usage_close(id, now);
             self.dyn_pending.remove(&id);
-            self.deltas.push(ProfileDelta::Finished { job: id });
+            self.left_machine(id, was);
+        } else {
+            self.queued.remove(id);
         }
         if self.journal.is_some() {
             self.log(Record::Qdel { job: id, now });
@@ -900,6 +922,7 @@ impl PbsServer {
             return Err(Error::BadSpec("dynamic request for zero cores".into()));
         }
         job.state = JobState::DynQueued;
+        self.dyn_queued += 1;
         job.dyn_requests += 1;
         let seq = self.next_dyn_seq;
         self.next_dyn_seq += 1;
@@ -944,11 +967,7 @@ impl PbsServer {
         self.usage_mark(id, now);
         let job = self.jobs.get_mut(&id).expect("checked above");
         job.cores_allocated -= total;
-        let held_cores = job.cores_allocated + job.reserved_extra;
-        self.deltas.push(ProfileDelta::Resized {
-            job: id,
-            held_cores,
-        });
+        self.resized(id);
         if self.journal.is_some() {
             self.log(Record::DynFree {
                 job: id,
@@ -973,12 +992,12 @@ impl PbsServer {
                 state: "not active",
             });
         };
-        job.state = JobState::Completed;
+        let was = std::mem::replace(&mut job.state, JobState::Completed);
         job.end_time = Some(now);
         self.dyn_pending.remove(&id);
         self.cluster.release_all(id)?;
         self.usage_close(id, now);
-        self.deltas.push(ProfileDelta::Finished { job: id });
+        self.left_machine(id, was);
         let job = &self.jobs[&id];
         let outcome = JobOutcome {
             id,
@@ -1002,16 +1021,68 @@ impl PbsServer {
         Ok(outcome)
     }
 
-    /// Builds the scheduler's view of the current state (paper Algorithm 2,
-    /// steps 2–3): one in-order walk of the live table, so the cost is
-    /// O(queued + running) however long the server has been up.
+    /// The scheduler's view of the current state (paper Algorithm 2, steps
+    /// 2–3). The running and queued sets are the maintained ones, shared
+    /// with the snapshot by reference count — O(1) however deep the queue
+    /// — and only the pending requests (whose remaining walltime depends
+    /// on `now`) are built per call. While the snapshot is alive the next
+    /// mutation of a set copies it first, so drivers drop the snapshot
+    /// before [`PbsServer::apply`].
     pub fn snapshot(&self, now: SimTime) -> Snapshot {
+        let mut dyn_requests = Vec::with_capacity(self.dyn_pending.len());
+        let mut served = 0;
+        for (id, pending) in &self.dyn_pending {
+            let Some(job) = self.jobs.get(id).filter(|j| j.state == JobState::DynQueued) else {
+                continue;
+            };
+            served += 1;
+            if let Some(remaining_walltime) = job.remaining_walltime(now) {
+                dyn_requests.push(Self::dyn_request(job, pending, remaining_walltime));
+            }
+        }
+        // Every `DynQueued` job has a pending entry, so `served` is their
+        // number; a shortfall is an invariant breach. A release daemon
+        // degrades it to "no request this cycle" and counts it; test
+        // builds fail loudly.
+        for _ in served..self.dyn_queued {
+            self.invariant_breaches.bump();
+        }
+        debug_assert!(
+            served >= self.dyn_queued,
+            "{} DynQueued job(s) without a pending request",
+            self.dyn_queued - served
+        );
+        let snap = Snapshot {
+            now,
+            total_cores: self.cluster.total_cores(),
+            running: self.running.clone(),
+            queued: self.queued.clone(),
+            dyn_requests,
+            usage: None,
+            deltas: None,
+        };
+        debug_assert!(
+            {
+                let walk = self.snapshot_walk(now);
+                (snap.running == walk.running)
+                    && (snap.queued == walk.queued)
+                    && (snap.dyn_requests == walk.dyn_requests)
+            },
+            "maintained scheduler view diverged from the live-table walk at {now}"
+        );
+        snap
+    }
+
+    /// The executable spec of [`PbsServer::snapshot`]: the same view built
+    /// from scratch by one in-order walk of the live table, as every
+    /// snapshot was before the view was maintained. Debug builds compare
+    /// the two on every snapshot; `table_props` after every operation.
+    pub(crate) fn snapshot_walk(&self, now: SimTime) -> Snapshot {
         self.snapshot_of(self.live_jobs(), now)
     }
 
-    /// The executable spec [`PbsServer::snapshot`] is checked against: the
-    /// same classification over *every* retained job, as the snapshot ran
-    /// before terminal jobs left the live table.
+    /// The walk over *every* retained job, as the snapshot ran before
+    /// terminal jobs left the live table.
     #[cfg(test)]
     pub(crate) fn snapshot_full_scan(&self, now: SimTime) -> Snapshot {
         self.snapshot_of(self.jobs(), now)
@@ -1024,65 +1095,141 @@ impl PbsServer {
         for job in jobs {
             match job.state {
                 JobState::Running | JobState::DynQueued => {
-                    running.push(RunningJob {
-                        id: job.id,
-                        user: job.spec.user,
-                        group: job.spec.group,
-                        cores: job.cores_allocated,
-                        start_time: job.start_time.expect("running job started"),
-                        walltime_end: job.walltime_end().expect("running job started"),
-                        backfilled: job.backfilled,
-                        reserved_extra: job.reserved_extra,
-                        malleable: job.spec.malleable,
-                    });
+                    running.push(Self::running_entry(job));
                     if job.state == JobState::DynQueued {
                         let Some(pending) = self.dyn_pending.get(&job.id) else {
-                            // Invariant breach. A release daemon degrades
-                            // it to "no request this cycle" and counts it;
-                            // test builds fail loudly.
+                            // Invariant breach (see `snapshot`).
                             self.invariant_breaches.bump();
                             debug_assert!(false, "{}: DynQueued without a pending request", job.id);
                             continue;
                         };
                         if let Some(remaining_walltime) = job.remaining_walltime(now) {
-                            dyn_requests.push(DynRequest {
-                                job: job.id,
-                                user: job.spec.user,
-                                group: job.spec.group,
-                                extra_cores: pending.extra_cores,
-                                remaining_walltime,
-                                seq: pending.seq,
-                                deadline: pending.deadline,
-                            });
+                            dyn_requests.push(Self::dyn_request(job, pending, remaining_walltime));
                         }
                     }
                 }
-                JobState::Queued => {
-                    queued.push(QueuedJob {
-                        id: job.id,
-                        user: job.spec.user,
-                        group: job.spec.group,
-                        queue: job.spec.effective_queue(),
-                        cores: job.spec.cores,
-                        walltime: job.spec.walltime,
-                        submit_time: job.submit_time,
-                        priority_boost: job.spec.priority_boost,
-                        suppress_backfill_while_queued: job.spec.suppress_backfill_while_queued,
-                        reserve_extra: self.reserve_for(job),
-                        moldable: job.spec.moldable,
-                    });
-                }
+                JobState::Queued => queued.push(self.queued_entry(job)),
                 _ => {}
             }
         }
         Snapshot {
             now,
             total_cores: self.cluster.total_cores(),
-            running,
-            queued,
+            running: running.into(),
+            queued: queued.into(),
             dyn_requests,
             usage: None,
             deltas: None,
+        }
+    }
+
+    /// How the scheduler sees an active job.
+    fn running_entry(job: &Job) -> RunningJob {
+        RunningJob {
+            id: job.id,
+            user: job.spec.user,
+            group: job.spec.group,
+            cores: job.cores_allocated,
+            start_time: job.start_time.expect("running job started"),
+            walltime_end: job.walltime_end().expect("running job started"),
+            backfilled: job.backfilled,
+            reserved_extra: job.reserved_extra,
+            malleable: job.spec.malleable,
+        }
+    }
+
+    /// How the scheduler sees a queued job.
+    fn queued_entry(&self, job: &Job) -> QueuedJob {
+        QueuedJob {
+            id: job.id,
+            user: job.spec.user,
+            group: job.spec.group,
+            queue: job.spec.effective_queue(),
+            cores: job.spec.cores,
+            walltime: job.spec.walltime,
+            submit_time: job.submit_time,
+            priority_boost: job.spec.priority_boost,
+            suppress_backfill_while_queued: job.spec.suppress_backfill_while_queued,
+            reserve_extra: self.reserve_for(job),
+            moldable: job.spec.moldable,
+        }
+    }
+
+    /// How the scheduler sees a `DynQueued` job's pending request.
+    fn dyn_request(job: &Job, pending: &PendingDyn, remaining_walltime: SimDuration) -> DynRequest {
+        DynRequest {
+            job: job.id,
+            user: job.spec.user,
+            group: job.spec.group,
+            extra_cores: pending.extra_cores,
+            remaining_walltime,
+            seq: pending.seq,
+            deadline: pending.deadline,
+        }
+    }
+
+    /// Rebuilds the maintained view from the live table (image load; a
+    /// policy flip that changes every queued job's pre-reserve).
+    fn rebuild_view(&mut self) {
+        let (mut running, mut queued) = (Vec::new(), Vec::new());
+        self.dyn_queued = 0;
+        for job in self.jobs.values() {
+            match job.state {
+                JobState::Running | JobState::DynQueued => {
+                    running.push(Self::running_entry(job));
+                    self.dyn_queued += usize::from(job.state == JobState::DynQueued);
+                }
+                JobState::Queued => queued.push(self.queued_entry(job)),
+                _ => {}
+            }
+        }
+        self.running = running.into();
+        self.queued = queued.into();
+    }
+
+    /// Sets the guaranteeing policy; queued jobs' pre-reserves follow it.
+    fn set_guarantee(&mut self, on: bool) {
+        if self.guarantee_evolving != on {
+            self.guarantee_evolving = on;
+            self.rebuild_view();
+        }
+    }
+
+    /// View and delta log: `id` (in state `was`) stopped holding cores —
+    /// finished, killed, preempted, or lost to a node failure.
+    fn left_machine(&mut self, id: JobId, was: JobState) {
+        self.running.remove(id);
+        self.dyn_queued -= usize::from(was == JobState::DynQueued);
+        self.deltas.push(ProfileDelta::Finished { job: id });
+    }
+
+    /// View and delta log: the running job `id` changed width (its
+    /// allocation or its pre-reserve).
+    fn resized(&mut self, id: JobId) {
+        let job = &self.jobs[&id];
+        let entry = self.running.get_mut(id).expect("active job is in view");
+        entry.cores = job.cores_allocated;
+        entry.reserved_extra = job.reserved_extra;
+        self.deltas.push(ProfileDelta::Resized {
+            job: id,
+            held_cores: job.cores_allocated + job.reserved_extra,
+        });
+    }
+
+    /// View: `id` was requeued (preempted, or its node failed).
+    fn requeued(&mut self, id: JobId) {
+        let entry = self.queued_entry(&self.jobs[&id]);
+        self.queued.push(entry);
+    }
+
+    /// A pending request was settled without a grant: the job, if still
+    /// `DynQueued`, goes back to `Running`.
+    fn request_settled(&mut self, id: JobId) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            if job.state == JobState::DynQueued {
+                job.state = JobState::Running;
+                self.dyn_queued -= 1;
+            }
         }
     }
 
@@ -1145,28 +1292,20 @@ impl PbsServer {
                     // Charge the pre-grant constant-width segment before
                     // the width grows.
                     self.usage_mark(*job, now);
+                    debug_assert_eq!(self.jobs[job].state, JobState::DynQueued);
+                    self.request_settled(*job);
                     let j = self.jobs.get_mut(job).expect("granted job exists");
-                    debug_assert_eq!(j.state, JobState::DynQueued);
-                    j.state = JobState::Running;
                     j.cores_allocated += extra_cores;
                     j.dyn_grants += 1;
                     // Under the guaranteeing policy the grant consumes the
                     // job's own pre-reserve.
                     j.reserved_extra = j.reserved_extra.saturating_sub(*extra_cores);
-                    let held_cores = j.cores_allocated + j.reserved_extra;
-                    self.deltas.push(ProfileDelta::Resized {
-                        job: *job,
-                        held_cores,
-                    });
+                    self.resized(*job);
                     self.dyn_pending.remove(job);
                     applied.push(Applied::DynGranted { job: *job, added });
                 }
                 DynDecision::Rejected { job, reason } => {
-                    if let Some(j) = self.jobs.get_mut(job) {
-                        if j.state == JobState::DynQueued {
-                            j.state = JobState::Running;
-                        }
-                    }
+                    self.request_settled(*job);
                     self.dyn_pending.remove(job);
                     applied.push(Applied::DynRejected {
                         job: *job,
@@ -1211,6 +1350,9 @@ impl PbsServer {
             job.backfilled = start.backfilled;
             job.reserved_extra = reserve;
             let walltime_end = job.walltime_end().expect("just started");
+            let entry = Self::running_entry(job);
+            self.queued.remove(start.job);
+            self.running.push(entry);
             let alloc = self
                 .cluster
                 .allocate(start.job, cores, self.alloc_policy)
@@ -1252,11 +1394,12 @@ impl PbsServer {
             self.usage_close(v, now);
             self.dyn_pending.remove(&v);
             let job = self.jobs.get_mut(&v).expect("victim is a known job");
-            job.state = JobState::Queued;
+            let was = std::mem::replace(&mut job.state, JobState::Queued);
             job.start_time = None;
             job.cores_allocated = 0;
             job.backfilled = false;
-            self.deltas.push(ProfileDelta::Finished { job: v });
+            self.left_machine(v, was);
+            self.requeued(v);
         }
         self.deltas.push(ProfileDelta::CapacityChanged);
         if self.journal.is_some() {
@@ -1307,11 +1450,7 @@ impl PbsServer {
         self.usage_mark(r.job, now);
         let job = self.jobs.get_mut(&r.job).expect("checked above");
         job.cores_allocated = r.to_cores;
-        let held_cores = r.to_cores + job.reserved_extra;
-        self.deltas.push(ProfileDelta::Resized {
-            job: r.job,
-            held_cores,
-        });
+        self.resized(r.job);
         Ok(Applied::Resized {
             job: r.job,
             from_cores: r.from_cores,
@@ -1355,11 +1494,7 @@ impl PbsServer {
             return false;
         }
         self.dyn_pending.remove(&id);
-        if let Some(job) = self.jobs.get_mut(&id) {
-            if job.state == JobState::DynQueued {
-                job.state = JobState::Running;
-            }
-        }
+        self.request_settled(id);
         if self.journal.is_some() {
             self.log(Record::ExpireOne { job: id, seq, now });
         }
@@ -1378,11 +1513,7 @@ impl PbsServer {
             .collect();
         for &id in &expired {
             self.dyn_pending.remove(&id);
-            if let Some(job) = self.jobs.get_mut(&id) {
-                if job.state == JobState::DynQueued {
-                    job.state = JobState::Running;
-                }
-            }
+            self.request_settled(id);
         }
         if self.journal.is_some() && !expired.is_empty() {
             self.log(Record::ExpireSweep { now });
@@ -1405,11 +1536,12 @@ impl PbsServer {
         self.usage_close(id, now);
         self.dyn_pending.remove(&id);
         let job = self.jobs.get_mut(&id).expect("checked above");
-        job.state = JobState::Queued;
+        let was = std::mem::replace(&mut job.state, JobState::Queued);
         job.start_time = None;
         job.cores_allocated = 0;
         job.backfilled = false;
-        self.deltas.push(ProfileDelta::Finished { job: id });
+        self.left_machine(id, was);
+        self.requeued(id);
         Ok(())
     }
 }
@@ -1446,8 +1578,7 @@ mod tests {
 
     /// Drives one scheduler iteration against the server.
     fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) -> Vec<Applied> {
-        let snap = server.snapshot(now);
-        let outcome = maui.iterate(&snap);
+        let outcome = maui.iterate(&server.snapshot(now));
         server.apply(&outcome, now)
     }
 
@@ -1610,9 +1741,112 @@ mod tests {
         assert_eq!(snap.running.len(), 1);
         assert_eq!(snap.running[0].id, a);
         assert_eq!(snap.queued.len(), 1);
-        assert_eq!(snap.queued[0].id, b);
+        assert_eq!(snap.queued.iter().next().unwrap().id, b);
         assert_eq!(snap.total_cores, 120);
         assert!(snap.dyn_requests.is_empty());
+    }
+
+    /// The maintained view against the walk it replaced (debug builds
+    /// assert this inside every `snapshot`; this holds in release too).
+    fn assert_view_is_the_walk(s: &PbsServer, now: SimTime) {
+        let (view, walk) = (s.snapshot(now), s.snapshot_walk(now));
+        assert_eq!(view.running, walk.running);
+        assert_eq!(view.queued, walk.queued);
+        assert_eq!(view.dyn_requests, walk.dyn_requests);
+        assert_eq!(
+            view.backfill_suppressed(),
+            walk.queued.iter().any(|q| q.suppress_backfill_while_queued)
+        );
+        assert_eq!(s.queued_count(), walk.queued.len());
+        assert_eq!(s.active_count(), walk.running.len());
+    }
+
+    #[test]
+    fn view_follows_preemption_requeue_and_a_policy_flip() {
+        let mut s = server();
+        let mut cfg = SchedulerConfig::paper_eval();
+        cfg.dfs = DfsConfig::highest_priority();
+        cfg.preempt_backfilled_for_dyn = true;
+        let mut m = Maui::new(cfg);
+        let evolving = JobSpec::evolving(
+            "F",
+            UserId(6),
+            GroupId(0),
+            8,
+            ExecutionModel::esp_evolving(1846, 1230, 4),
+        );
+        let f = s.qsub(evolving.clone(), t(0)).unwrap();
+        let _wide = s.qsub(rigid("wide", 1, 100, 500), t(0)).unwrap();
+        // `blocked` gets a reservation; `small` is backfilled around it.
+        let blocked = s.qsub(rigid("blocked", 2, 120, 500), t(1)).unwrap();
+        let small = s.qsub(rigid("small", 3, 12, 100), t(2)).unwrap();
+        let mut z = rigid("Z", 4, 8, 100);
+        z.suppress_backfill_while_queued = true;
+        cycle(&mut s, &mut m, t(2));
+        assert!(
+            s.job(small).unwrap().backfilled,
+            "12 cores fit around the reservation"
+        );
+        assert_view_is_the_walk(&s, t(2));
+
+        // The machine is full: the request preempts the backfilled job,
+        // which re-enters the queue *between* older and newer ids.
+        let late = s.qsub(rigid("late", 5, 120, 50), t(3)).unwrap();
+        s.tm_dynget(f, 4, t(295)).unwrap();
+        assert_view_is_the_walk(&s, t(295));
+        let applied = cycle(&mut s, &mut m, t(295));
+        assert!(applied.contains(&Applied::Preempted { job: small }));
+        assert_eq!(s.job(small).unwrap().state, JobState::Queued);
+        assert_view_is_the_walk(&s, t(295));
+        let queued: Vec<JobId> = s.snapshot(t(296)).queued.iter().map(|q| q.id).collect();
+        assert_eq!(queued, vec![blocked, small, late]);
+
+        // A Z job comes and goes; a queued evolving job's pre-reserve
+        // follows the guaranteeing policy when it flips.
+        let z = s.qsub(z, t(300)).unwrap();
+        assert!(s.snapshot(t(300)).backfill_suppressed());
+        let g = s.qsub(evolving, t(301)).unwrap();
+        s.set_guarantee_evolving(true);
+        assert_eq!(s.snapshot(t(302)).queued.get(g).unwrap().reserve_extra, 4);
+        assert_view_is_the_walk(&s, t(302));
+        s.set_guarantee_evolving(false);
+        s.qdel(z, t(303)).unwrap();
+        assert!(!s.snapshot(t(303)).backfill_suppressed());
+        assert_view_is_the_walk(&s, t(303));
+
+        // A node under the evolving job fails: it requeues too.
+        let node = s
+            .cluster()
+            .allocation_of(f)
+            .unwrap()
+            .entries()
+            .next()
+            .unwrap()
+            .0;
+        assert!(s.node_failed(node, t(310)).unwrap().contains(&f));
+        assert_view_is_the_walk(&s, t(310));
+    }
+
+    #[test]
+    fn a_live_snapshot_is_not_changed_by_later_mutations() {
+        // The snapshot shares the server's view; the first mutation after
+        // it copies, so what the scheduler was handed stays what it was.
+        let mut s = server();
+        let mut m = hp_maui();
+        let a = s.qsub(rigid("A", 0, 100, 500), t(0)).unwrap();
+        let b = s.qsub(rigid("B", 1, 100, 500), t(1)).unwrap();
+        let before = s.snapshot(t(1));
+        let outcome = m.iterate(&before);
+        s.apply(&outcome, t(1));
+        s.qdel(b, t(2)).unwrap();
+        let ids = |snap: &Snapshot| -> (Vec<JobId>, Vec<JobId>) {
+            (
+                snap.running.iter().map(|r| r.id).collect(),
+                snap.queued.iter().map(|q| q.id).collect(),
+            )
+        };
+        assert_eq!(ids(&before), (vec![], vec![a, b]));
+        assert_eq!(ids(&s.snapshot(t(2))), (vec![a], vec![]));
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! Property suite for the live/terminal job-table split.
+//! Property suite for the live/terminal job-table split and the
+//! maintained scheduler view.
 //!
 //! Two servers are driven through one random command sequence: `kept`
 //! retains terminal jobs and journals (so it can crash and `recover`),
-//! `flip` has its retention toggled at random. After **every** operation:
+//! `flip` has its retention toggled at random. After **every** operation
+//! (submissions, cycles, finishes, deletes, requests and their expiry,
+//! releases, node failures and repairs, recovery, image round trips,
+//! `reset`, retention flips; preemption and a policy flip with jobs
+//! queued are driven directly in `server::tests`):
 //!
-//! * `snapshot()` (the live-table walk) equals the `#[cfg(test)]`
+//! * `snapshot()` (the view maintained at the mutation sites) equals the
+//!   live-table walk it replaced, which equals the `#[cfg(test)]`
 //!   full-scan reference over `jobs()`, on both servers;
 //! * the two servers' snapshots and accounting digests are equal —
 //!   retention changes memory, never a decision;
@@ -34,14 +40,26 @@ fn fresh_server() -> PbsServer {
     )
 }
 
-fn fresh_maui(guarantee: bool) -> Maui {
+fn fresh_maui(guarantee: bool, preempt: bool) -> Maui {
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.dfs = DfsConfig::highest_priority();
     cfg.guarantee_evolving = guarantee;
+    // Preempted jobs go back into the middle of the id-ordered queue.
+    cfg.preempt_backfilled_for_dyn = preempt;
     Maui::new(cfg)
 }
 
 fn random_spec(rng: &mut TestRng) -> JobSpec {
+    let mut spec = random_class(rng);
+    if rng.chance(0.05) {
+        // An ESP Z job: while it queues, backfill is off.
+        spec.priority_boost = 1_000_000;
+        spec.suppress_backfill_while_queued = true;
+    }
+    spec
+}
+
+fn random_class(rng: &mut TestRng) -> JobSpec {
     let user = UserId(rng.range_u32(0, 4));
     let cores = rng.range_u32(1, 17);
     if rng.chance(0.4) {
@@ -86,11 +104,12 @@ struct Twin {
     /// Every id that ever turned terminal (all retained by `kept`).
     terminal: Vec<JobId>,
     guarantee: bool,
+    preempt: bool,
     maui: Maui,
 }
 
 impl Twin {
-    fn new(guarantee: bool) -> Self {
+    fn new(guarantee: bool, preempt: bool) -> Self {
         let mut twin = Twin {
             kept: fresh_server(),
             flip: fresh_server(),
@@ -98,7 +117,8 @@ impl Twin {
             flip_kept_terminal: BTreeSet::new(),
             terminal: Vec::new(),
             guarantee,
-            maui: fresh_maui(guarantee),
+            preempt,
+            maui: fresh_maui(guarantee, preempt),
         };
         twin.arm();
         twin
@@ -142,7 +162,14 @@ impl Twin {
 
     fn check(&self, now: SimTime) {
         for (name, s) in [("kept", &self.kept), ("flip", &self.flip)] {
-            same_view(&s.snapshot(now), &s.snapshot_full_scan(now), name);
+            same_view(&s.snapshot(now), &s.snapshot_walk(now), name);
+            same_view(&s.snapshot_walk(now), &s.snapshot_full_scan(now), name);
+            assert_eq!(
+                s.snapshot(now).backfill_suppressed(),
+                s.live_jobs()
+                    .any(|j| j.state == JobState::Queued && j.spec.suppress_backfill_while_queued),
+                "{name}: Z-rule count"
+            );
             let all: Vec<&dynbatch_core::Job> = s.jobs().collect();
             assert!(
                 all.windows(2).all(|w| w[0].id < w[1].id),
@@ -226,7 +253,7 @@ impl Twin {
 #[test]
 fn live_table_walks_match_full_scans_under_random_commands() {
     check(48, 0x7AB1E, |rng: &mut TestRng| {
-        let mut twin = Twin::new(rng.chance(0.3));
+        let mut twin = Twin::new(rng.chance(0.3), rng.chance(0.5));
         let mut now = SimTime::ZERO;
         for _ in 0..160 {
             now += SimDuration::from_secs(rng.below(40));
@@ -334,7 +361,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                         twin.flip_retains = true;
                         twin.flip_kept_terminal.clear();
                         twin.terminal.clear();
-                        twin.maui = fresh_maui(twin.guarantee);
+                        twin.maui = fresh_maui(twin.guarantee, twin.preempt);
                         twin.arm();
                         assert!(twin.kept.jobs().next().is_none());
                     }

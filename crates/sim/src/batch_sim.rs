@@ -667,8 +667,9 @@ impl BatchSim {
     /// One scheduler iteration plus application of its outcome.
     fn run_cycle(&mut self, now: SimTime) {
         self.stats.cycles += 1;
-        let snapshot = self.server.snapshot_incremental(now);
-        let outcome = self.maui.iterate(&snapshot);
+        // The snapshot shares the server's scheduler view; dropped before
+        // `apply` mutates it, nothing is ever copied.
+        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
         for d in &outcome.dyn_decisions {
             if let dynbatch_sched::DynDecision::Granted { delays, .. } = d {
                 self.stats.delay_charged_ms +=

@@ -162,8 +162,7 @@ impl World {
     }
 
     fn cycle(&mut self, now: SimTime) {
-        let snap = self.server.snapshot_incremental(now);
-        let outcome = self.maui.iterate(&snap);
+        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
         self.server.apply(&outcome, now);
     }
 

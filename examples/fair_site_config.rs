@@ -51,7 +51,8 @@ fn fig1_snapshot(reg: &mut CredRegistry) -> Snapshot {
                 reserved_extra: 0,
                 malleable: None,
             },
-        ],
+        ]
+        .into(),
         queued: vec![QueuedJob {
             id: dynbatch::core::JobId(3),
             user: user03,
@@ -64,7 +65,8 @@ fn fig1_snapshot(reg: &mut CredRegistry) -> Snapshot {
             suppress_backfill_while_queued: false,
             reserve_extra: 0,
             moldable: None,
-        }],
+        }]
+        .into(),
         dyn_requests: vec![DynRequest {
             job: dynbatch::core::JobId(1),
             user: user01,

@@ -48,6 +48,15 @@ echo "    random commands; queue peek/slot-table properties)"
 cargo test -q -p dynbatch-server --lib table_props
 cargo test -q -p dynbatch-simtime --test prop_queue
 
+echo "==> queue-depth-independent cycle (Maui::iterate == the visit-every-job"
+echo "    reference over random multi-cycle runs; remembered rank order =="
+echo "    rank_jobs while priorities cross; fits == min_idle >= cores; the"
+echo "    maintained scheduler view == the live-table walk, via table_props above)"
+cargo test -q -p dynbatch-sched --test prop_maui
+cargo test -q -p dynbatch-sched --test prop_timeline
+cargo test -q -p dynbatch-sched --lib priority
+cargo test -q -p dynbatch-server --lib view_
+
 echo "==> replication smoke (transport hardening, 50-seed leader-kill chaos"
 echo "    sweep, compaction handoff, daemon failover with live clients)"
 cargo test -q --test replication_chaos
@@ -97,6 +106,15 @@ results — regenerate with: cargo run --release -p dynbatch-bench --bin perf_sm
 grep -q '"materialized_over_streamed_wall"' BENCH_sched.json \
   || { echo "BENCH_sched.json ingest section lacks the materialized/streamed \
 wall-time ratio — regenerate with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
+
+echo "==> committed BENCH_sched.json must carry the deep_queue section with"
+echo "    decisions identical to the visit-every-job reference"
+grep -q '"deep_queue"' BENCH_sched.json \
+  || { echo "BENCH_sched.json lacks the deep_queue section — regenerate \
+with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
+grep -q '"depth4000_over_reference"' BENCH_sched.json \
+  || { echo "BENCH_sched.json deep_queue section lacks the depth-4000 / \
+reference ratio — regenerate with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
 
 echo "==> committed BENCH_sched.json must carry the fairness section"
 grep -q '"fairness"' BENCH_sched.json \

@@ -178,8 +178,8 @@ fn over_budget_user_is_demoted_not_denied() {
     let snap = |queued: Vec<QueuedJob>| Snapshot {
         now: SimTime::from_secs(5_000),
         total_cores: 8,
-        running: Vec::new(),
-        queued,
+        running: Default::default(),
+        queued: queued.into(),
         dyn_requests: Vec::new(),
         usage: Some(hist.snapshot(SimTime::from_secs(5_000))),
         deltas: None,
