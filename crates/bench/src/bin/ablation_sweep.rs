@@ -13,19 +13,19 @@
 //! Each row is a full dynamic-ESP (or modified) run, averaged over seeds.
 //! The per-seed runs of a row are sharded over all cores by the
 //! deterministic sweep engine (`sim::sweep`) — row values are identical
-//! to the serial loop at any worker count. Both `--workers` (sweep-engine
-//! pool width) and `--shards` (in-run scheduler shard count) default to
-//! `std::thread::available_parallelism()`. The JSON echo before the
-//! tables records the *requested* values (null when defaulted) separately
-//! from the *effective* ones, so campaign logs from different hosts stay
-//! comparable: everything below the echo line is host-independent, and a
-//! startup pin re-runs the baseline row single-threaded/unsharded to
-//! assert the per-seed summaries are byte-identical to the host-derived
-//! settings — both knobs are pure parallelism, enforced, not assumed.
+//! to the serial loop at any worker count. `--workers` (sweep-engine
+//! pool width) defaults to `std::thread::available_parallelism()`. The
+//! JSON echo before the tables records the *requested* value (null when
+//! defaulted) separately from the *effective* one, so campaign logs from
+//! different hosts stay comparable: everything below the echo line is
+//! host-independent, and a startup pin re-runs the baseline row
+//! single-threaded to assert the per-seed summaries are byte-identical to
+//! the host-derived setting — the knob is pure parallelism, enforced, not
+//! assumed.
 //!
 //! ```text
 //! cargo run --release -p dynbatch-bench --bin ablation_sweep \
-//!     [-- --seeds N] [--workers W] [--shards S]
+//!     [-- --seeds N] [--workers W]
 //! ```
 
 use dynbatch_bench::alloc_meter;
@@ -99,18 +99,6 @@ fn apply_fairness(sched: &mut SchedulerConfig, mode: FairshareMode) {
         sched.fairshare.half_life = SimDuration::from_hours(6);
         sched.fairshare.default_target = 0.1;
     }
-}
-
-/// In-run scheduler shard count as requested — `None` when `--shards`
-/// was absent and the host default applies.
-fn shards_requested() -> Option<usize> {
-    flag_value("--shards")
-}
-
-/// The shard count actually used. Sharding is decision-invariant, so any
-/// value reproduces the same rows (see [`determinism_pin`]).
-fn shards_effective() -> usize {
-    shards_requested().unwrap_or_else(available_cores)
 }
 
 struct Avg {
@@ -187,7 +175,6 @@ fn run_many(
 ) -> Avg {
     let mut sched = SchedulerConfig::paper_eval();
     sched.dfs = DfsConfig::uniform_target(200, SimDuration::from_hours(1));
-    sched.shards = shards_effective();
     apply_fairness(&mut sched, fairness_mode());
     sched_mut(&mut sched);
     let configs = [ExperimentConfig::paper_cluster("ablation", sched)];
@@ -209,15 +196,14 @@ fn run_many(
     average(&results)
 }
 
-/// Host-independence pin: the baseline row re-run single-threaded and
-/// unsharded must produce per-seed summaries byte-identical to the
-/// effective (possibly host-derived) settings. A host with a different
+/// Host-independence pin: the baseline row re-run single-threaded must
+/// produce per-seed summaries byte-identical to the effective (possibly
+/// host-derived) worker count. A host with a different
 /// core count changes only the echo line, never a table value.
 fn determinism_pin(seeds: &[u64]) {
-    let run = |workers: usize, shards: usize| {
+    let run = |workers: usize| {
         let mut sched = SchedulerConfig::paper_eval();
         sched.dfs = DfsConfig::uniform_target(200, SimDuration::from_hours(1));
-        sched.shards = shards;
         apply_fairness(&mut sched, fairness_mode());
         let configs = [ExperimentConfig::paper_cluster("pin", sched)];
         run_sweep(&configs, seeds, workers, |_, seed| {
@@ -230,11 +216,11 @@ fn determinism_pin(seeds: &[u64]) {
         .map(|cell| cell.result.summary)
         .collect::<Vec<_>>()
     };
-    let reference = run(1, 1);
-    let host = run(workers_effective(), shards_effective());
+    let reference = run(1);
+    let host = run(workers_effective());
     assert_eq!(
         reference, host,
-        "ablation rows depend on host parallelism — workers/shards must be pure mechanism"
+        "ablation rows depend on host parallelism — workers must be pure mechanism"
     );
 }
 
@@ -251,15 +237,15 @@ fn main() {
     // Echo the parallelism settings as JSON so a campaign log records
     // what was asked for (null = defaulted) and what actually ran; only
     // this line may vary across hosts.
-    let requested = |r: Option<usize>| r.map_or(Json::Null, |n| Json::UInt(n as u64));
     println!(
         "{}",
         Json::to_string_compact(&Json::obj(vec![
             ("seeds", Json::UInt(seeds.len() as u64)),
-            ("workers_requested", requested(workers_requested())),
+            (
+                "workers_requested",
+                workers_requested().map_or(Json::Null, |n| Json::UInt(n as u64))
+            ),
             ("workers_effective", Json::UInt(workers_effective() as u64)),
-            ("shards_requested", requested(shards_requested())),
-            ("shards_effective", Json::UInt(shards_effective() as u64)),
             (
                 "available_parallelism",
                 Json::UInt(available_cores() as u64)
@@ -281,7 +267,7 @@ fn main() {
             ),
         ]))
     );
-    println!("(parallelism pin: baseline row identical at workers=1/shards=1 and host settings)");
+    println!("(parallelism pin: baseline row identical at workers=1 and host settings)");
     println!(
         "Ablations on the dynamic ESP workload (DFS target 200 s/h unless varied; {} seeds)",
         seeds.len()

@@ -27,34 +27,26 @@
 //!    identical to `sched::reference::iterate_naive`; the full run gates
 //!    the depth-4 000 cycle at ≤ 0.25× the reference's and records
 //!    `depth4000 / depth250`.
-//! 4. **Sharded kernel** — the same tick sequence through the
-//!    partitioned-timeline scheduler at shard counts {1, 2, 4, 8}:
-//!    per-tick decisions asserted byte-identical to the serial path at
-//!    every count (with the threaded rounds pinned on), then each count
-//!    timed with auto worker selection. The ≥2× bar at 4 shards is
-//!    enforced only on hosts with ≥4 cores — skipped (and recorded as
-//!    skipped), never faked, elsewhere.
-//! 5. **Table II end-to-end** — the paper configurations (Static, Dyn-HP,
+//! 4. **Table II end-to-end** — the paper configurations (Static, Dyn-HP,
 //!    Dyn-500, Dyn-100) over the ESP workload, wall clock plus
 //!    per-iteration stats.
-//! 6. **Journal overhead** — the Dyn-HP ESP run with the write-ahead
+//! 5. **Journal overhead** — the Dyn-HP ESP run with the write-ahead
 //!    state journal disabled vs enabled, append cost charged per
 //!    scheduled job, with a ≤10 % regression sanity bound (durability
 //!    must stay in the noise).
-//! 7. **Command reactor** — sustained submissions/sec through the
+//! 6. **Command reactor** — sustained submissions/sec through the
 //!    `server::reactor` front-end: N client threads race `qsub` lines
 //!    into the reactor while the host drains admission batches into a
-//!    journaled `PbsServer`, with group-commit acks vs per-command acks.
-//!    Every command's journal record is appended before its reply either
-//!    way (ack-on-append); the contrast isolates the ack-batching cost.
-//! 8. **Sweep engine** — a `(config × seed)` ESP campaign run serially
+//!    journaled `PbsServer` with group-commit acks: every command's
+//!    journal record is appended before its reply (ack-on-append).
+//! 7. **Sweep engine** — a `(config × seed)` ESP campaign run serially
 //!    (fresh simulator per run) and on the parallel sweep engine at two
 //!    different worker counts, per-seed `RunSummary`s asserted identical
 //!    across all three. Written to `BENCH_sweep.json`, with requested
 //!    (null when auto-derived) and effective worker counts recorded
 //!    separately so emitted content stays comparable across hosts.
 //!
-//! 9. **Streaming ingestion** — a month-scale synthetic SWF trace is
+//! 8. **Streaming ingestion** — a month-scale synthetic SWF trace is
 //!    written to disk once, then replayed twice under a counting global
 //!    allocator: streamed (`SwfSource` over a `BufRead`, lazy admission
 //!    through a bounded lookahead window, O(trace) side buffers off) and
@@ -993,75 +985,6 @@ fn main() {
          {deep_queue_over_reference:.2}"
     );
 
-    // 3b. Sharded scheduler: the same delta-carrying tick sequence
-    // through the partitioned-timeline planner at shard counts
-    // {1, 2, 4, 8}. Correctness first: every shard count must reproduce
-    // the serial decisions byte for byte, with the threaded rounds forced
-    // on (two pinned workers) so even a single-core CI host exercises the
-    // speculative evaluate/commit path. Timing second: the worker count
-    // is left on auto (host parallelism), the honest deployment setting.
-    // Quick mode inherits the shrunken (nodes, jobs, ticks) above.
-    eprintln!("perf_smoke: sharded kernel (shards 1/2/4/8, {ticks} ticks)");
-    let run_shards = |shards: usize, workers: usize| {
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.shards = shards;
-        let mut m = Maui::new(shard_cfg);
-        m.set_shard_workers(workers);
-        let mut outs = Vec::with_capacity(seq_snaps.len());
-        for s in &seq_snaps {
-            outs.push(m.iterate(s));
-        }
-        outs
-    };
-    let serial_outs = run_shards(1, 1);
-    for shards in [2usize, 4, 8] {
-        let outs = run_shards(shards, 2);
-        for (i, (a, b)) in serial_outs.iter().zip(&outs).enumerate() {
-            assert_eq!(
-                a.starts, b.starts,
-                "shards={shards} tick {i}: starts diverged"
-            );
-            assert_eq!(
-                a.dyn_decisions, b.dyn_decisions,
-                "shards={shards} tick {i}: dynamic decisions diverged"
-            );
-            assert_eq!(
-                a.reservations, b.reservations,
-                "shards={shards} tick {i}: reservations diverged"
-            );
-            assert_eq!(a.grows, b.grows, "shards={shards} tick {i}: grows diverged");
-        }
-    }
-    let mut shard_rows = Vec::new();
-    let mut serial_shard_ms = f64::NAN;
-    let mut sharded_speedup_4 = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let (ms, outs) = time_ms(it_reps, || run_shards(shards, 0));
-        black_box(outs.len());
-        if shards == 1 {
-            serial_shard_ms = ms;
-        }
-        let speedup = serial_shard_ms / ms;
-        if shards == 4 {
-            sharded_speedup_4 = speedup;
-        }
-        eprintln!("  shards {shards}  {ms:.2} ms  ({speedup:.2}x vs serial)");
-        shard_rows.push(Json::obj(vec![
-            ("shards", Json::UInt(shards as u64)),
-            ("wall_ms", Json::Float(ms)),
-            ("speedup_vs_serial", Json::Float(speedup)),
-        ]));
-    }
-    let cores = worker_count(0);
-    // The ≥2x bar only applies where there are cores to scale onto and at
-    // the full workload size; the byte-equality asserts above always run.
-    let shard_gate_enforced = !quick && cores >= 4;
-    let shard_gate = if shard_gate_enforced {
-        "enforced".to_owned()
-    } else {
-        format!("skipped ({cores} cores, quick={quick})")
-    };
-
     // 4. Table II end-to-end sweep. Quick mode keeps the two extreme
     // columns (Static, Dyn-HP) rather than all four.
     let esp_seed = 2014;
@@ -1207,6 +1130,7 @@ fn main() {
         "streaming must not perturb the leader (replication-off byte-identity)"
     );
     let repl_overhead_pct = (repl_ms - journal_ms) / journal_ms * 100.0;
+    let cores = worker_count(0);
     let repl_parallel = cores > repl_followers as usize;
     let repl_gate = if repl_parallel {
         "parallel"
@@ -1292,18 +1216,15 @@ fn main() {
     repl_rs.shutdown();
 
     // 7. Command reactor: sustained submissions/sec through the reactor
-    // front-end, group-commit acks (replies flushed once per admission
-    // batch, after every record of the batch is journaled) vs per-command
-    // acks. The journal append precedes the reply in both modes — the
-    // ack-on-append contract — so the contrast isolates ack batching.
+    // front-end with group-commit acks (replies flushed once per
+    // admission batch, after every record of the batch is journaled).
     let reactor_clients = 8usize;
     let reactor_subs: usize = if quick { 2_000 } else { 20_000 };
     eprintln!(
         "perf_smoke: command reactor ({reactor_clients} clients, {reactor_subs} submissions)"
     );
-    let reactor_run = |group_commit: bool| -> (f64, u64) {
+    let (gc_secs, gc_batches) = {
         let mut reactor = Reactor::new();
-        reactor.set_ack_each(!group_commit);
         // Clients pipeline their whole share before reading replies;
         // size the reply channels so the slow-reader path never engages.
         reactor.set_reply_capacity(reactor_subs / reactor_clients + 2);
@@ -1353,14 +1274,8 @@ fn main() {
         );
         (secs, stats.batches)
     };
-    let (gc_secs, gc_batches) = reactor_run(true);
-    let (ae_secs, ae_batches) = reactor_run(false);
     let gc_rate = reactor_subs as f64 / gc_secs;
-    let ae_rate = reactor_subs as f64 / ae_secs;
-    eprintln!(
-        "  group-commit {gc_rate:>9.0} subs/s ({gc_batches} batches)  \
-         ack-each {ae_rate:>9.0} subs/s ({ae_batches} batches)"
-    );
+    eprintln!("  group-commit {gc_rate:>9.0} subs/s ({gc_batches} batches)");
 
     // 9. Streaming ingestion: a month-scale synthetic SWF trace replayed
     // streamed vs materialized under the counting allocator. The trace is
@@ -1558,19 +1473,6 @@ fn main() {
             ]),
         ),
         ("deep_queue", deep_queue_json),
-        (
-            "sharded_kernel",
-            Json::obj(vec![
-                ("nodes", Json::UInt(nodes as u64)),
-                ("jobs", Json::UInt(jobs as u64)),
-                ("ticks", Json::UInt(ticks as u64)),
-                ("available_parallelism", Json::UInt(cores as u64)),
-                ("identical_decisions", Json::Bool(true)),
-                ("per_shard_count", Json::Arr(shard_rows)),
-                ("speedup_at_4_shards", Json::Float(sharded_speedup_4)),
-                ("gate_2x_at_4_shards", Json::Str(shard_gate.clone())),
-            ]),
-        ),
         ("esp_table2", Json::Arr(esp)),
         (
             "reactor",
@@ -1585,15 +1487,6 @@ fn main() {
                         ("batches", Json::UInt(gc_batches)),
                     ]),
                 ),
-                (
-                    "ack_each",
-                    Json::obj(vec![
-                        ("wall_secs", Json::Float(ae_secs)),
-                        ("subs_per_sec", Json::Float(ae_rate)),
-                        ("batches", Json::UInt(ae_batches)),
-                    ]),
-                ),
-                ("group_commit_speedup", Json::Float(ae_secs / gc_secs)),
             ]),
         ),
         (
@@ -1812,14 +1705,6 @@ fn main() {
             );
         }
     }
-    if shard_gate_enforced {
-        assert!(
-            sharded_speedup_4 >= 2.0,
-            "sharded iterate speedup at 4 shards regressed below 2x on a \
-             {cores}-core host: {sharded_speedup_4:.2}x"
-        );
-    }
     println!("kernel_speedup_x {kernel_speedup:.2}");
-    println!("sharded_speedup_4x {sharded_speedup_4:.2}");
     println!("sweep_speedup_x {best_speedup:.2}");
 }

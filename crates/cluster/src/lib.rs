@@ -30,19 +30,6 @@ pub use node::{Node, NodeState};
 use dynbatch_core::{AllocPolicy, Error, JobId, NodeId, Result};
 use std::collections::HashMap;
 
-/// One contiguous slice of the node list — the nodes a scheduler shard
-/// owns (see [`Cluster::contiguous_slices`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeSlice {
-    /// First node in the slice (`None` for an empty slice — more slices
-    /// than nodes).
-    pub first_node: Option<NodeId>,
-    /// Number of nodes in the slice.
-    pub node_count: u32,
-    /// Cores across the slice's *up* nodes.
-    pub cores: u32,
-}
-
 /// The cluster: a fixed set of nodes plus allocation state.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -115,36 +102,6 @@ impl Cluster {
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter()
-    }
-
-    /// Splits the node list into `slices` contiguous slices, remainder
-    /// nodes going to the lowest-index slices — the node-level view of a
-    /// sharded scheduler's ownership map. Slice cores count only up
-    /// nodes, consistent with [`Cluster::total_cores`]; on a homogeneous,
-    /// healthy cluster whose node count `slices` divides, every slice
-    /// carries `total_cores / slices` cores (node-aligned sharding).
-    pub fn contiguous_slices(&self, slices: usize) -> Vec<NodeSlice> {
-        assert!(slices >= 1, "at least one slice");
-        let n = self.nodes.len();
-        let base = n / slices;
-        let rem = n % slices;
-        let mut first = 0usize;
-        (0..slices)
-            .map(|i| {
-                let count = base + usize::from(i < rem);
-                let nodes = &self.nodes[first..first + count];
-                first += count;
-                NodeSlice {
-                    first_node: nodes.first().map(|nd| nd.id()),
-                    node_count: count as u32,
-                    cores: nodes
-                        .iter()
-                        .filter(|nd| nd.state() == NodeState::Up)
-                        .map(|nd| nd.cores_total())
-                        .sum(),
-                }
-            })
-            .collect()
     }
 
     /// The allocation currently held by `job`, if any.
@@ -391,41 +348,6 @@ mod tests {
 
     fn paper_cluster() -> Cluster {
         Cluster::homogeneous(15, 8)
-    }
-
-    #[test]
-    fn contiguous_slices_cover_the_cluster() {
-        let c = paper_cluster(); // 15 nodes × 8 cores
-        for slices in 1..=6 {
-            let view = c.contiguous_slices(slices);
-            assert_eq!(view.len(), slices);
-            assert_eq!(view.iter().map(|s| s.node_count).sum::<u32>(), 15);
-            assert_eq!(view.iter().map(|s| s.cores).sum::<u32>(), 120);
-            // Contiguity: each slice starts right after its predecessor.
-            let mut next = 0u32;
-            for s in &view {
-                assert_eq!(s.first_node, Some(NodeId(next)));
-                next += s.node_count;
-            }
-        }
-        // Dividing shard counts are node-aligned and even.
-        for slices in [1usize, 3, 5] {
-            let view = c.contiguous_slices(slices);
-            for s in &view {
-                assert_eq!(s.cores, 120 / slices as u32);
-            }
-        }
-        // A failed node's cores vanish from its slice only.
-        let mut c = paper_cluster();
-        c.fail_node(NodeId(0)).unwrap();
-        let view = c.contiguous_slices(3);
-        assert_eq!(view[0].cores, 32);
-        assert_eq!(view[1].cores, 40);
-        // More slices than nodes: trailing slices are empty.
-        let tiny = Cluster::homogeneous(2, 4);
-        let view = tiny.contiguous_slices(4);
-        assert_eq!(view[2].first_node, None);
-        assert_eq!(view[3].cores, 0);
     }
 
     #[test]

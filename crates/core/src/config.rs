@@ -364,13 +364,6 @@ pub struct SchedulerConfig {
     /// draw from them first — and since no static job could ever have used
     /// them, partition grants inflict no measurable delay.
     pub dyn_partition_cores: u32,
-    /// Scheduler shards for within-run parallelism: the cluster's cores
-    /// are split into this many contiguous slices, each with its own
-    /// incremental timeline, and the planning phases run on a scoped
-    /// worker pool. `1` (the default) is the serial path; any other
-    /// value produces **byte-identical decisions** — sharding is a pure
-    /// performance knob, asserted by the sharded-equivalence suite.
-    pub shards: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -389,7 +382,6 @@ impl Default for SchedulerConfig {
             shrink_malleable_for_dyn: false,
             grow_malleable_on_idle: false,
             dyn_partition_cores: 0,
-            shards: 1,
         }
     }
 }
@@ -438,9 +430,6 @@ impl SchedulerConfig {
             if b.is_nan() || b < 0.0 {
                 return Err("queue resource-hour budget must be non-negative".into());
             }
-        }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
         }
         Ok(())
     }

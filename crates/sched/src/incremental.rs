@@ -209,34 +209,8 @@ impl IncrementalTimeline {
     /// Returns `false` on an inconsistent stream (unknown job, duplicate
     /// start) — the caller rebuilds, which discards any partial mutation.
     fn apply(&mut self, now: SimTime, deltas: &[ProfileDelta]) -> bool {
-        self.reanchor(now);
-        self.apply_ops(now, deltas)
-    }
-
-    /// Sharded-mode entry: moves the profile origin to `now` and
-    /// re-clamps overdue holds, without applying any deltas. A sharded
-    /// timeline re-anchors every shard once per advance, then routes each
-    /// global delta to per-shard [`IncrementalTimeline::apply_ops`] calls;
-    /// the serial fast path is `reanchor` + `apply_ops` in one step.
-    ///
-    /// # Panics
-    /// If `now` precedes the current origin (time may only advance).
-    pub fn reanchor(&mut self, now: SimTime) {
         self.profile.advance_origin(now);
         self.reclamp_overdue(now);
-    }
-
-    /// Sharded-mode entry: replays `deltas` against a profile already
-    /// anchored at `now` (see [`IncrementalTimeline::reanchor`]). Returns
-    /// `false` on an inconsistent stream (unknown job, duplicate start,
-    /// in-stream capacity change) — the timeline state is then torn and
-    /// the caller must rebuild before the next use.
-    pub fn apply_ops(&mut self, now: SimTime, deltas: &[ProfileDelta]) -> bool {
-        debug_assert_eq!(
-            now,
-            self.profile.origin(),
-            "apply_ops requires a profile re-anchored at now"
-        );
         for delta in deltas {
             match *delta {
                 ProfileDelta::Started {
@@ -247,17 +221,7 @@ impl IncrementalTimeline {
                     if self.held.contains_key(&job) {
                         return false;
                     }
-                    let end = planned_end(now, walltime_end);
-                    self.profile.hold(now, end, held_cores);
-                    self.held.insert(
-                        job,
-                        HeldJob {
-                            cores: held_cores,
-                            walltime_end,
-                            effective_end: end,
-                        },
-                    );
-                    self.ends.insert((end, job));
+                    self.book(now, job, held_cores, walltime_end);
                 }
                 ProfileDelta::Finished { job } => {
                     let Some(h) = self.held.remove(&job) else {
@@ -318,22 +282,7 @@ impl IncrementalTimeline {
         }
     }
 
-    /// Sharded-mode slow path: discard all state and rebuild this
-    /// (sub-)timeline of `capacity` cores from explicit
-    /// `(job, held_cores, walltime_end)` parts — the slice of each running
-    /// job a shard router placed here. Continuity bookkeeping (epochs,
-    /// revision) is the caller's business, as with
-    /// [`IncrementalTimeline::apply_ops`].
-    pub fn rebuild_parts(&mut self, now: SimTime, capacity: u32, parts: &[(JobId, u32, SimTime)]) {
-        self.profile.reset(now, capacity);
-        self.held.clear();
-        self.ends.clear();
-        for &(job, cores, walltime_end) in parts {
-            self.book(now, job, cores, walltime_end);
-        }
-    }
-
-    /// Books one hold during a rebuild.
+    /// Books one new hold.
     fn book(&mut self, now: SimTime, job: JobId, cores: u32, walltime_end: SimTime) {
         let end = planned_end(now, walltime_end);
         self.profile.hold(now, end, cores);

@@ -24,9 +24,6 @@
 //!   StartNow/StartLater, delay what-ifs);
 //! * [`dfs`] — the dynamic-fairness engine (paper §III-D);
 //! * [`maui`] — the extended scheduling iteration (paper Algorithm 2);
-//! * [`router`] / [`shard`] — within-run sharding: deterministic
-//!   work routing, partitioned timelines, cross-shard reservations and
-//!   the round-synchronised worker pool behind `shards > 1`;
 //! * [`snapshot`] / [`reservation`] — the value types crossing the
 //!   scheduler boundary.
 
@@ -41,8 +38,6 @@ pub mod plan;
 pub mod priority;
 pub mod reference;
 pub mod reservation;
-pub mod router;
-pub mod shard;
 pub mod snapshot;
 pub mod timeline;
 pub mod usage_history;
@@ -56,8 +51,6 @@ pub use maui::{mold_fit, DynDecision, IterationOutcome, Maui, ResizeDecision, St
 pub use plan::plan_starts;
 pub use priority::{priority_of, rank_jobs, FairnessView, Priority};
 pub use reservation::{PlannedStart, Reservation, StartKind};
-pub use router::{MultiShardHold, ShardRouter, StealQueues};
-pub use shard::{with_round_pool, ShardCommitError, ShardLayout, ShardedTimeline};
 pub use snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 pub use timeline::{planned_end, AvailabilityProfile, OVERDUE_GRACE};
 pub use usage_history::{DecayedAccount, UsageHistory, UsageSnapshot};

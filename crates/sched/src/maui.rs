@@ -26,16 +26,12 @@ use crate::incremental::{profile_from_running, rebuild_into, IncrementalTimeline
 use crate::plan::plan_starts;
 use crate::priority::{FairnessView, RankOrder, Ranked};
 use crate::reservation::{PlannedStart, Reservation};
-use crate::router::{ShardRouter, StealQueues};
-use crate::shard::{with_round_pool, ShardedTimeline};
 use crate::snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 use crate::timeline::{planned_end, AvailabilityProfile};
 use crate::usage_history::UsageSnapshot;
 use dynbatch_core::{
     BackfillPolicy, FairshareConfig, FairshareMode, JobId, SchedulerConfig, SimTime, UserId,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
 
 /// A batch-system-initiated resize of a running malleable job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,10 +142,9 @@ impl IterationOutcome {
 }
 
 /// Reusable profile buffers for the baseline plan and the dynamic-request
-/// what-if pass. The scheduler keeps one set across iterations (each
-/// sharded worker, one per iteration) and refills a buffer with
-/// [`AvailabilityProfile::assign_from`] before every use, so planning
-/// performs no per-cycle or per-request heap allocation.
+/// what-if pass. The scheduler keeps one set across iterations and refills
+/// a buffer with [`AvailabilityProfile::assign_from`] before every use, so
+/// planning performs no per-cycle or per-request heap allocation.
 #[derive(Debug, Clone)]
 struct PlanScratch {
     /// The partition-released view a request draws resources from.
@@ -202,15 +197,9 @@ pub struct Maui {
     incremental_check: bool,
     /// The persistent delta-maintained profile.
     timeline: IncrementalTimeline,
-    /// The partitioned timelines behind `shards > 1` (created lazily on
-    /// the first sharded iteration).
-    sharded: Option<ShardedTimeline>,
-    /// Worker-thread count of the sharded planner; 0 = one per available
-    /// core, capped at the shard count.
-    shard_workers: usize,
     /// Recycled buffer the per-iteration working base is staged in.
     base_buf: AvailabilityProfile,
-    /// Recycled what-if buffers of the serial iteration.
+    /// Recycled what-if buffers.
     scratch: PlanScratch,
     /// The previous cycle's queue order, which the next ranking starts
     /// from.
@@ -234,44 +223,10 @@ impl Maui {
             incremental_enabled: true,
             incremental_check: false,
             timeline: IncrementalTimeline::new(),
-            sharded: None,
-            shard_workers: 0,
             base_buf: AvailabilityProfile::new(SimTime::ZERO, 0),
             scratch: PlanScratch::default(),
             rank: RankOrder::default(),
         }
-    }
-
-    /// Reconfigures the shard count (1 = the serial path). Decisions are
-    /// byte-identical at every count — the serial path is the executable
-    /// spec and the sharded planner commits in the same order — so this
-    /// only changes wall-clock. Resets the partitioned timeline; the next
-    /// iteration rebuilds it.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "at least one shard");
-        self.config.shards = shards;
-        self.sharded = None;
-        self.timeline.invalidate();
-    }
-
-    /// Test/benchmark knob: fixes the worker-thread count of the sharded
-    /// planner (0 = one per available core, capped at the shard count).
-    /// Results never depend on it; only wall-clock does.
-    pub fn set_shard_workers(&mut self, workers: usize) {
-        self.shard_workers = workers;
-    }
-
-    fn shard_worker_count(&self) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let w = if self.shard_workers > 0 {
-            self.shard_workers
-        } else {
-            auto
-        };
-        w.clamp(1, self.config.shards)
     }
 
     /// Test/debug knob: when disabled, the "before" plan of the delay
@@ -294,9 +249,6 @@ impl Maui {
             // Deltas drained while the knob is off are never applied;
             // drop continuity so re-enabling starts from a rebuild.
             self.timeline.invalidate();
-            if let Some(t) = &mut self.sharded {
-                t.invalidate();
-            }
         }
     }
 
@@ -309,15 +261,8 @@ impl Maui {
     }
 
     /// Counters for the incremental timeline (rebuilds vs delta batches).
-    /// With `shards > 1` these come from the partitioned timeline.
     pub fn timeline_stats(&self) -> TimelineStats {
-        if self.config.shards > 1 {
-            self.sharded
-                .as_ref()
-                .map_or_else(TimelineStats::default, ShardedTimeline::stats)
-        } else {
-            self.timeline.stats()
-        }
+        self.timeline.stats()
     }
 
     /// The site configuration.
@@ -348,15 +293,7 @@ impl Maui {
     }
 
     /// Runs one scheduling iteration (paper Algorithm 2).
-    ///
-    /// With `shards > 1` the two expensive phases (the dynamic-request
-    /// loop, backfill) run speculatively on a round-synchronised worker
-    /// pool; all commits are applied in the serial order, so the outcome
-    /// is byte-identical to `shards == 1`.
     pub fn iterate(&mut self, snap: &Snapshot) -> IterationOutcome {
-        if self.config.shards > 1 {
-            return self.iterate_sharded(snap);
-        }
         let now = snap.now;
         // Step 4 of Algorithm 1/2: update statistics.
         self.dfs.advance_to(now);
@@ -409,9 +346,8 @@ impl Maui {
             ..Default::default()
         };
 
-        // Steps 11–24: the dynamic-request loop, threading the mutable
-        // world through evaluate → commit per request (the sharded path
-        // runs the same two functions, evaluating speculatively).
+        // Steps 11–24: the dynamic-request loop, in FIFO order; each
+        // request sees the world the previous grant left.
         let mut world = DynWorld::new(base, partition);
         if self.config.dynamic_enabled && !snap.dyn_requests.is_empty() {
             let mut requests: Vec<&DynRequest> = snap.dyn_requests.iter().collect();
@@ -426,8 +362,7 @@ impl Maui {
                 plan_cache_enabled: self.plan_cache_enabled,
             };
             for req in requests {
-                let eval = evaluate_dynamic(&ctx, &self.dfs, &world, req, &mut scratch);
-                let decision = commit_dynamic(&ctx, &mut self.dfs, &mut world, req, eval);
+                let decision = dynamic_request(&ctx, &mut self.dfs, &mut world, req, &mut scratch);
                 outcome.dyn_decisions.push(decision);
             }
         }
@@ -477,391 +412,11 @@ impl Maui {
 
         outcome
     }
-
-    /// The sharded iteration: same algorithm, same commit order, same
-    /// bytes out — but the two expensive phases (dynamic-request
-    /// evaluation, backfill fit tests) run speculatively on a
-    /// round-synchronised worker pool, and the base profile is maintained
-    /// by the partitioned [`ShardedTimeline`] instead of the serial one.
-    ///
-    /// Determinism argument, phase by phase:
-    ///
-    /// * **Base profile** — the merged shard profile is the pointwise sum
-    ///   of the per-shard step functions, and the canonical profile form
-    ///   is unique, so it is byte-equal to the serial rebuild (asserted
-    ///   under the same guard as the serial incremental path).
-    /// * **Rank** — the serial path's own [`RankOrder::rank`]: one pass
-    ///   from the previous cycle's order leaves nothing worth a round of
-    ///   the pool.
-    /// * **Dynamic requests** — workers evaluate a window of requests
-    ///   against the world at revision `r` ([`evaluate_dynamic`] is pure);
-    ///   the driver commits strictly in seq order and discards any
-    ///   evaluation whose revision went stale. Request *i* is only ever
-    ///   committed from an evaluation against exactly the world the
-    ///   serial loop would have shown it.
-    /// * **Backfill** — same speculate/commit scheme over `mold_fit`,
-    ///   with the twist that a miss leaves the profile untouched and so
-    ///   does not invalidate the rest of the window.
-    ///
-    /// Which worker evaluates a task is decided by the deterministic
-    /// steal queues ([`ShardRouter::assign_tasks`]), but results land in
-    /// task-indexed slots, so thread timing is unobservable.
-    fn iterate_sharded(&mut self, snap: &Snapshot) -> IterationOutcome {
-        let now = snap.now;
-        self.dfs.advance_to(now);
-        self.fairshare.advance_to(now);
-        let shards = self.config.shards;
-        let workers = self.shard_worker_count();
-
-        // Base profile from the partitioned timeline (or a plain rebuild
-        // when the incremental path is switched off — serial semantics).
-        let mut base = std::mem::replace(&mut self.base_buf, AvailabilityProfile::new(now, 0));
-        if self.incremental_enabled {
-            let tl = match &mut self.sharded {
-                Some(t) if t.shard_count() == shards => t,
-                slot => slot.insert(ShardedTimeline::new(shards)),
-            };
-            let merged = tl.advance(snap);
-            if cfg!(debug_assertions) || self.incremental_check {
-                let rebuilt = profile_from_running(now, snap.total_cores, &snap.running);
-                assert_eq!(
-                    *merged, rebuilt,
-                    "sharded availability timeline diverged from the rebuild at {now}"
-                );
-            }
-            base.assign_from(merged);
-        } else {
-            rebuild_into(&mut base, now, snap.total_cores, &snap.running);
-        }
-        let partition = hold_partition(&self.config, &mut base, now);
-
-        // ---- Shared state of the worker pool, hoisted so both closures
-        // can borrow it. Everything below is either immutable input or a
-        // lock-guarded cell the driver fills between rounds.
-        let config = &self.config;
-        let fairness = fairness_view(&self.config, &self.fairshare, snap.usage.as_ref());
-        // Ranking is the serial path's: one pass from the previous order.
-        let ranked = self
-            .rank
-            .rank(&snap.queued, now, &config.priority, fairness);
-        let plan_cache_enabled = self.plan_cache_enabled;
-        // The DFS engine moves into a lock for the duration of the
-        // iteration: workers read it while evaluating, the driver writes
-        // it between rounds when committing.
-        let dfs_cell = RwLock::new(std::mem::replace(
-            &mut self.dfs,
-            DfsEngine::new(config.dfs.clone(), now),
-        ));
-
-        // Dynamic requests in FIFO order plus their deterministic shard
-        // assignment (the router's pure hash-plus-load fold).
-        let mut requests: Vec<&DynRequest> = if config.dynamic_enabled {
-            snap.dyn_requests.iter().collect()
-        } else {
-            Vec::new()
-        };
-        requests.sort_by_key(|r| r.seq);
-        let router = ShardRouter::new(shards);
-        let assign = router.assign_tasks(requests.iter().map(|r| r.job));
-        let dyn_queues = StealQueues::new(&assign, shards);
-
-        let phase = AtomicUsize::new(PHASE_IDLE);
-        let scratches: Vec<Mutex<PlanScratch>> = (0..workers)
-            .map(|_| Mutex::new(PlanScratch::default()))
-            .collect();
-
-        // Dynamic phase cells: one slot per request, windowed speculation.
-        let world_cell: RwLock<Option<DynWorld>> = RwLock::new(None);
-        let dyn_slots: Vec<Mutex<Option<DynEval>>> =
-            (0..requests.len()).map(|_| Mutex::new(None)).collect();
-        let dyn_next = AtomicUsize::new(0);
-        let dyn_window = (4 * workers).max(16);
-
-        // Backfill phase cells: one slot per candidate (bounded by the
-        // queue length), claimed through a plain cursor.
-        let bf_cell: RwLock<Option<BfParallel>> = RwLock::new(None);
-        let bf_cands_cell: RwLock<Vec<&QueuedJob>> = RwLock::new(Vec::new());
-        let bf_slots: Vec<Mutex<Option<BfEval>>> =
-            (0..ranked.jobs.len()).map(|_| Mutex::new(None)).collect();
-        let bf_next = AtomicUsize::new(0);
-        let bf_cursor = AtomicUsize::new(0);
-        let bf_window = (32 * workers).max(64);
-
-        // What every worker (the driver participates as worker 0) does
-        // each round, dispatched on the current phase.
-        let work = |_shared: &(), wid: usize| match phase.load(Ordering::Acquire) {
-            PHASE_DYN => {
-                let world_g = world_cell.read().expect("world cell");
-                let Some(w) = world_g.as_ref() else { return };
-                let dfs_g = dfs_cell.read().expect("dfs cell");
-                let start = dyn_next.load(Ordering::Acquire);
-                let end = (start + dyn_window).min(requests.len());
-                let rev = w.rev;
-                let ctx = DynCtx {
-                    config,
-                    ranked: &ranked.jobs,
-                    queued: &snap.queued,
-                    running: &snap.running,
-                    usage: snap.usage.as_ref(),
-                    now,
-                    plan_cache_enabled,
-                };
-                let mut scratch = scratches[wid].lock().expect("scratch");
-                while let Some(task) = dyn_queues.next_for(wid) {
-                    if task < start || task >= end {
-                        continue;
-                    }
-                    if dyn_slots[task]
-                        .lock()
-                        .expect("dyn slot")
-                        .as_ref()
-                        .is_some_and(|e| e.rev == rev)
-                    {
-                        continue;
-                    }
-                    let eval = evaluate_dynamic(&ctx, &dfs_g, w, requests[task], &mut scratch);
-                    *dyn_slots[task].lock().expect("dyn slot") = Some(eval);
-                }
-            }
-            PHASE_BACKFILL => {
-                let cands_g = bf_cands_cell.read().expect("bf cands");
-                let st_g = bf_cell.read().expect("bf cell");
-                let Some(st) = st_g.as_ref() else { return };
-                let start = bf_next.load(Ordering::Acquire);
-                let end = (start + bf_window).min(cands_g.len());
-                let rev = st.rev;
-                loop {
-                    let i = bf_cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= end {
-                        break;
-                    }
-                    if i < start {
-                        continue;
-                    }
-                    if bf_slots[i]
-                        .lock()
-                        .expect("bf slot")
-                        .as_ref()
-                        .is_some_and(|e| e.rev == rev)
-                    {
-                        continue;
-                    }
-                    let fit = mold_fit(&st.profile, cands_g[i], now);
-                    *bf_slots[i].lock().expect("bf slot") = Some(BfEval { rev, fit });
-                }
-            }
-            _ => {}
-        };
-
-        let drive = |round: &mut dyn FnMut()| -> (IterationOutcome, AvailabilityProfile) {
-            // Baseline plan (step 10).
-            let mut outcome = IterationOutcome::default();
-            {
-                let mut scratch = scratches[0].lock().expect("scratch");
-                scratch.plan.assign_from(&base);
-                outcome.baseline_plan = plan_starts(
-                    &mut scratch.plan,
-                    &ranked.jobs,
-                    config.lookahead_depth(),
-                    now,
-                );
-            }
-
-            // Phase 1: the dynamic-request loop.
-            let mut world = DynWorld::new(base, partition);
-            if !requests.is_empty() {
-                let ctx = DynCtx {
-                    config,
-                    ranked: &ranked.jobs,
-                    queued: &snap.queued,
-                    running: &snap.running,
-                    usage: snap.usage.as_ref(),
-                    now,
-                    plan_cache_enabled,
-                };
-                if workers == 1 || requests.len() == 1 {
-                    // Degenerate path: the plain serial loop.
-                    let mut dfs = dfs_cell.write().expect("dfs cell");
-                    let mut scratch = scratches[0].lock().expect("scratch");
-                    for req in &requests {
-                        let eval = evaluate_dynamic(&ctx, &dfs, &world, req, &mut scratch);
-                        let d = commit_dynamic(&ctx, &mut dfs, &mut world, req, eval);
-                        outcome.dyn_decisions.push(d);
-                    }
-                } else {
-                    *world_cell.write().expect("world cell") = Some(world);
-                    phase.store(PHASE_DYN, Ordering::Release);
-                    let mut next = 0;
-                    while next < requests.len() {
-                        {
-                            // Pre-warm the "before" plan so the whole
-                            // window shares one computation; the value is
-                            // exactly what the serial lazy ensure stores
-                            // (a pure function of the base at this rev).
-                            let mut wg = world_cell.write().expect("world cell");
-                            let w = wg.as_mut().expect("world present");
-                            let valid = w.before.as_ref().is_some_and(|c| c.base_rev == w.rev);
-                            if plan_cache_enabled && !valid {
-                                let mut scratch = scratches[0].lock().expect("scratch");
-                                scratch.plan.assign_from(&w.base);
-                                let plan = plan_starts(
-                                    &mut scratch.plan,
-                                    &ranked.jobs,
-                                    config.reservation_delay_depth,
-                                    now,
-                                );
-                                w.before = Some(CachedPlan {
-                                    base_rev: w.rev,
-                                    plan,
-                                });
-                            }
-                        }
-                        dyn_queues.reset();
-                        dyn_next.store(next, Ordering::Release);
-                        round();
-                        let mut wg = world_cell.write().expect("world cell");
-                        let w = wg.as_mut().expect("world present");
-                        let mut dfs = dfs_cell.write().expect("dfs cell");
-                        while next < requests.len() {
-                            let taken = dyn_slots[next].lock().expect("dyn slot").take();
-                            match taken {
-                                Some(e) if e.rev == w.rev => {
-                                    let d = commit_dynamic(&ctx, &mut dfs, w, requests[next], e);
-                                    outcome.dyn_decisions.push(d);
-                                    next += 1;
-                                }
-                                // Not evaluated yet, or evaluated against
-                                // a world a grant has since replaced:
-                                // re-evaluate next round.
-                                _ => break,
-                            }
-                        }
-                    }
-                    phase.store(PHASE_IDLE, Ordering::Release);
-                    world = world_cell
-                        .write()
-                        .expect("world cell")
-                        .take()
-                        .expect("world present");
-                }
-            }
-            let DynWorld {
-                base,
-                preempted,
-                resized,
-                ..
-            } = world;
-
-            // Phase 2: static starts and reservations (driver-serial — it
-            // is a single cheap pass over the ranked queue).
-            let mut profile = base;
-            let taken = static_pass(config, &ranked.jobs, &mut profile, &mut outcome, now);
-
-            // Phase 3: backfill.
-            if config.backfill != BackfillPolicy::None && !snap.backfill_suppressed() {
-                let cands: Vec<&QueuedJob> =
-                    backfill_candidates(&ranked, &taken, profile.idle_at(now))
-                        .map(|i| ranked.jobs[i])
-                        .collect();
-                if workers == 1 || cands.len() < 2 {
-                    for job in &cands {
-                        backfill_one(&mut profile, job, &mut outcome, now);
-                    }
-                } else {
-                    bf_cands_cell.write().expect("bf cands").clone_from(&cands);
-                    *bf_cell.write().expect("bf cell") = Some(BfParallel { profile, rev: 0 });
-                    phase.store(PHASE_BACKFILL, Ordering::Release);
-                    let mut next = 0;
-                    while next < cands.len() {
-                        bf_cursor.store(next, Ordering::Relaxed);
-                        bf_next.store(next, Ordering::Release);
-                        round();
-                        let mut bg = bf_cell.write().expect("bf cell");
-                        let st = bg.as_mut().expect("bf state present");
-                        while next < cands.len() {
-                            let taken = bf_slots[next].lock().expect("bf slot").take();
-                            match taken {
-                                Some(e) if e.rev == st.rev => {
-                                    if let Some(width) = e.fit {
-                                        let job = cands[next];
-                                        st.profile.hold_for(
-                                            now,
-                                            job.walltime,
-                                            width + job.reserve_extra,
-                                        );
-                                        outcome.starts.push(StartDecision {
-                                            job: job.id,
-                                            backfilled: true,
-                                            cores: (width != job.cores).then_some(width),
-                                        });
-                                        // A hit mutates the profile: the
-                                        // rest of the window is stale.
-                                        st.rev += 1;
-                                    }
-                                    // A miss leaves the profile unchanged,
-                                    // so later evaluations stay valid.
-                                    next += 1;
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                    phase.store(PHASE_IDLE, Ordering::Release);
-                    profile = bf_cell
-                        .write()
-                        .expect("bf cell")
-                        .take()
-                        .expect("bf state present")
-                        .profile;
-                }
-            }
-
-            // Phase 4: malleable grows, DFS slate wipes.
-            grow_pass(
-                config,
-                &snap.running,
-                &mut profile,
-                &preempted,
-                &resized,
-                &mut outcome,
-                now,
-            );
-            let mut dfs = dfs_cell.write().expect("dfs cell");
-            for s in &outcome.starts {
-                dfs.job_left_queue(s.job);
-            }
-            (outcome, profile)
-        };
-
-        let (outcome, profile) = with_round_pool(workers, &(), work, drive);
-        self.dfs = dfs_cell.into_inner().expect("dfs cell");
-        self.base_buf = profile;
-        outcome
-    }
-}
-
-/// Phase tags of the sharded worker pool (stored in an atomic the workers
-/// dispatch on at the start of every round).
-const PHASE_IDLE: usize = 0;
-const PHASE_DYN: usize = 1;
-const PHASE_BACKFILL: usize = 2;
-
-/// Per-round state of the parallel backfill pass.
-struct BfParallel {
-    profile: AvailabilityProfile,
-    rev: u64,
-}
-
-/// One speculative backfill fit test, tagged with the profile revision it
-/// ran against.
-struct BfEval {
-    rev: u64,
-    fit: Option<u32>,
 }
 
 /// Selects the fairness mechanism for this iteration per
 /// [`FairshareConfig::mode`]. A pure function of config + published
-/// usage, so the serial and sharded paths see the identical view.
+/// usage, so [`crate::reference::iterate_naive`] sees the identical view.
 pub(crate) fn fairness_view<'a>(
     config: &'a SchedulerConfig,
     tracker: &'a FairshareTracker,
@@ -905,8 +460,7 @@ pub(crate) fn dfs_target_scale(
     (target / share).clamp(0.25, 1.0)
 }
 
-/// Read-only inputs of the dynamic-request loop, shared by the serial
-/// and sharded paths (and across worker threads in the latter).
+/// Read-only inputs of the dynamic-request loop.
 struct DynCtx<'a> {
     config: &'a SchedulerConfig,
     ranked: &'a [&'a QueuedJob],
@@ -920,12 +474,9 @@ struct DynCtx<'a> {
     plan_cache_enabled: bool,
 }
 
-/// The mutable world the dynamic loop threads through requests. Only
-/// [`commit_dynamic`] mutates it; `rev` counts base-profile mutations so
-/// speculative evaluations can detect staleness — every state a
-/// [`evaluate_dynamic`] result depends on (base, partition, the preempted
-/// set, live core counts, the DFS slate) changes only alongside a `rev`
-/// bump.
+/// The mutable world the dynamic loop threads through requests. Only a
+/// grant in [`dynamic_request`] mutates it; `rev` counts base-profile
+/// mutations, which is what the cached "before" plan is keyed on.
 struct DynWorld {
     /// The base profile (dynamic partition held).
     base: AvailabilityProfile,
@@ -988,44 +539,6 @@ fn hold_partition(config: &SchedulerConfig, base: &mut AvailabilityProfile, now:
     partition
 }
 
-/// What [`evaluate_dynamic`] decided a request deserves, pending commit.
-enum DynEvalKind {
-    /// The job was preempted earlier this iteration; its request is moot.
-    Preempted,
-    /// Covered by the job's own pre-reserve (guaranteeing policy).
-    FromReserve,
-    /// No resources even after shrinks and preemptions (step 22).
-    NoFit { hint: Option<SimTime> },
-    /// The DFS engine vetoed the measured delays.
-    Veto {
-        reason: DfsReject,
-        hint: Option<SimTime>,
-    },
-    /// The DFS engine allowed the expansion.
-    Grant {
-        delays: Vec<DelayCharge>,
-        to_preempt: Vec<JobId>,
-        to_shrink: Vec<ResizeDecision>,
-        /// The post-grant base profile (owned — the scratch buffer it was
-        /// staged in is reused by the next evaluation).
-        expanded: AvailabilityProfile,
-        /// The plan over `expanded`, which becomes the next "before".
-        after: Vec<PlannedStart>,
-        unused_partition: u32,
-    },
-}
-
-/// One evaluated dynamic request: pure output of [`evaluate_dynamic`],
-/// applied by [`commit_dynamic`] iff `rev` still matches the world.
-struct DynEval {
-    /// World revision this evaluation is valid against.
-    rev: u64,
-    /// The "before" plan computed because the cache was stale — installed
-    /// at commit, mirroring the serial lazy ensure-and-store.
-    computed_before: Option<Vec<PlannedStart>>,
-    kind: DynEvalKind,
-}
-
 /// The availability hint attached to a deferral, computed only when the
 /// request can actually be deferred (a live deadline).
 pub(crate) fn defer_hint(
@@ -1062,30 +575,25 @@ pub(crate) fn reject_or_defer(
     }
 }
 
-/// Steps 12–23 for a single dynamic request, side-effect-free: everything
-/// the request would do to the world is computed against `w` (at revision
-/// `w.rev`) and returned for [`commit_dynamic`] to apply. The serial loop
-/// runs evaluate → commit per request; the sharded loop evaluates
-/// speculatively on worker threads and commits in seq order, discarding
-/// evaluations whose revision went stale — both paths therefore execute
-/// the same decision code and produce byte-identical outcomes.
-fn evaluate_dynamic(
+/// Steps 12–23 for a single dynamic request: size it against the world
+/// `w`, measure the delays the expansion would inflict, ask the DFS
+/// engine, and — on a grant — charge the slate and make the expanded
+/// world the one the next request sees.
+fn dynamic_request(
     ctx: &DynCtx<'_>,
-    dfs: &DfsEngine,
-    w: &DynWorld,
+    dfs: &mut DfsEngine,
+    w: &mut DynWorld,
     req: &DynRequest,
     scratch: &mut PlanScratch,
-) -> DynEval {
+) -> DynDecision {
     let now = ctx.now;
-    let rev = w.rev;
     // A job preempted earlier in this very iteration (to feed another
     // dynamic request) is back in the queue; its own pending request is
     // moot.
     if w.preempted.contains(&req.job) {
-        return DynEval {
-            rev,
-            computed_before: None,
-            kind: DynEvalKind::Preempted,
+        return DynDecision::Rejected {
+            job: req.job,
+            reason: DfsReject::NoResources,
         };
     }
 
@@ -1094,10 +602,12 @@ fn evaluate_dynamic(
     // so nobody is delayed and no fairness question arises.
     if let Some(holder) = ctx.running.get(req.job) {
         if holder.reserved_extra >= req.extra_cores {
-            return DynEval {
-                rev,
-                computed_before: None,
-                kind: DynEvalKind::FromReserve,
+            return DynDecision::Granted {
+                job: req.job,
+                extra_cores: req.extra_cores,
+                delays: Vec::new(),
+                preempted: Vec::new(),
+                shrunk: Vec::new(),
             };
         }
     }
@@ -1174,13 +684,8 @@ fn evaluate_dynamic(
     }
     if trial.idle_at(now) < req.extra_cores {
         // Step 22: no resources at all.
-        return DynEval {
-            rev,
-            computed_before: None,
-            kind: DynEvalKind::NoFit {
-                hint: defer_hint(req, &w.base, now),
-            },
-        };
+        let hint = defer_hint(req, &w.base, now);
+        return reject_or_defer(req, DfsReject::NoResources, hint, now);
     }
 
     // Build the post-grant world for static planning: the expansion held
@@ -1199,20 +704,18 @@ fn evaluate_dynamic(
     // (paper §III-D). Partition-only grants therefore measure zero delay
     // — static jobs never had those cores. The "before" plan is a pure
     // function of `base`, reused across requests while its revision tag
-    // matches; when stale it is recomputed here and installed at commit.
+    // matches and recomputed into the cache when stale.
     let depth = ctx.config.reservation_delay_depth;
     let cache_valid =
-        ctx.plan_cache_enabled && w.before.as_ref().is_some_and(|c| c.base_rev == rev);
-    let computed_before = if cache_valid {
-        None
-    } else {
+        ctx.plan_cache_enabled && w.before.as_ref().is_some_and(|c| c.base_rev == w.rev);
+    if !cache_valid {
         scratch.plan.assign_from(&w.base);
-        Some(plan_starts(&mut scratch.plan, ctx.ranked, depth, now))
-    };
-    let before: &[PlannedStart] = match &computed_before {
-        Some(p) => p,
-        None => &w.before.as_ref().expect("cache checked valid").plan,
-    };
+        w.before = Some(CachedPlan {
+            base_rev: w.rev,
+            plan: plan_starts(&mut scratch.plan, ctx.ranked, depth, now),
+        });
+    }
+    let before = &w.before.as_ref().expect("just ensured").plan;
     scratch.plan.assign_from(&scratch.expanded);
     let after = plan_starts(&mut scratch.plan, ctx.ranked, depth, now);
 
@@ -1235,126 +738,52 @@ fn evaluate_dynamic(
         });
     }
 
-    // Steps 14–20: the fairness gate (read-only here; the slate is
-    // charged at commit).
-    match dfs.evaluate_scaled(
-        req.user,
-        &delays,
-        dfs_target_scale(&ctx.config.fairshare, ctx.usage, req.user),
-    ) {
-        DfsVerdict::Allowed => DynEval {
-            rev,
-            computed_before,
-            kind: DynEvalKind::Grant {
-                delays,
-                to_preempt,
-                to_shrink,
-                expanded: scratch.expanded.clone(),
-                after,
-                unused_partition,
-            },
-        },
-        DfsVerdict::Rejected(reason) => DynEval {
-            rev,
-            computed_before,
-            kind: DynEvalKind::Veto {
-                reason,
-                hint: defer_hint(req, &w.base, now),
-            },
-        },
+    // Steps 14–20: the fairness gate.
+    let scale = dfs_target_scale(&ctx.config.fairshare, ctx.usage, req.user);
+    if let DfsVerdict::Rejected(reason) = dfs.evaluate_scaled(req.user, &delays, scale) {
+        let hint = defer_hint(req, &w.base, now);
+        return reject_or_defer(req, reason, hint, now);
     }
-}
 
-/// Applies one evaluated request to the world — DFS charge, base-profile
-/// swap, partition accounting, plan-cache install — and produces the
-/// outward decision. Must be called with `eval.rev == w.rev`; the
-/// sharded driver guarantees it by discarding stale slots.
-fn commit_dynamic(
-    ctx: &DynCtx<'_>,
-    dfs: &mut DfsEngine,
-    w: &mut DynWorld,
-    req: &DynRequest,
-    eval: DynEval,
-) -> DynDecision {
-    debug_assert_eq!(eval.rev, w.rev, "committing a stale evaluation");
-    let now = ctx.now;
-    // The serial semantics store the lazily-computed "before" plan
-    // whenever the measurement ran against an invalid cache; install it
-    // so later requests at this revision reuse it.
-    let cache_valid =
-        ctx.plan_cache_enabled && w.before.as_ref().is_some_and(|c| c.base_rev == w.rev);
-    match eval.kind {
-        DynEvalKind::Preempted => DynDecision::Rejected {
-            job: req.job,
-            reason: DfsReject::NoResources,
-        },
-        DynEvalKind::FromReserve => DynDecision::Granted {
-            job: req.job,
-            extra_cores: req.extra_cores,
-            delays: Vec::new(),
-            preempted: Vec::new(),
-            shrunk: Vec::new(),
-        },
-        DynEvalKind::NoFit { hint } => reject_or_defer(req, DfsReject::NoResources, hint, now),
-        DynEvalKind::Veto { reason, hint } => {
-            if !cache_valid {
-                if let Some(plan) = eval.computed_before {
-                    w.before = Some(CachedPlan {
-                        base_rev: w.rev,
-                        plan,
-                    });
-                }
-            }
-            reject_or_defer(req, reason, hint, now)
-        }
-        DynEvalKind::Grant {
-            delays,
-            to_preempt,
-            to_shrink,
-            expanded,
-            after,
-            unused_partition,
-        } => {
-            dfs.commit(req.user, &delays);
-            w.base.assign_from(&expanded);
-            w.rev += 1;
-            w.partition = unused_partition;
-            // Re-expand the partition toward its configured width:
-            // shrinks and preemptions can leave cores durably free (a
-            // preempted job frees its whole width, not just the deficit),
-            // and without this the opening clamp would pin the partition
-            // below `dyn_partition_cores` for the rest of the iteration.
-            let want = ctx.config.dyn_partition_cores.saturating_sub(w.partition);
-            let regrow = want.min(w.base.min_idle(now, SimTime::MAX));
-            if regrow > 0 {
-                w.base.hold(now, SimTime::MAX, regrow);
-                w.partition += regrow;
-                w.rev += 1;
-            }
-            // The new base *is* the expanded world — unless the partition
-            // just re-grew, the plan computed against it becomes the next
-            // request's "before". (A re-grow holds cores `after` was
-            // planned without, so the revision tag keeps the cache cold
-            // and the next request replans.)
-            w.before = (ctx.plan_cache_enabled && regrow == 0).then_some(CachedPlan {
-                base_rev: w.rev,
-                plan: after,
-            });
-            w.preempted.extend(to_preempt.iter().copied());
-            for r in &to_shrink {
-                w.set_cores(r.job, r.to_cores);
-            }
-            if let Some(holder) = ctx.running.get(req.job) {
-                w.set_cores(req.job, cores_now(&w.resized, holder) + req.extra_cores);
-            }
-            DynDecision::Granted {
-                job: req.job,
-                extra_cores: req.extra_cores,
-                delays,
-                preempted: to_preempt,
-                shrunk: to_shrink,
-            }
-        }
+    dfs.commit(req.user, &delays);
+    // The expanded world becomes the base; the old base stays behind in
+    // the scratch buffer, which the next request refills before reading.
+    std::mem::swap(&mut w.base, &mut scratch.expanded);
+    w.rev += 1;
+    w.partition = unused_partition;
+    // Re-expand the partition toward its configured width: shrinks and
+    // preemptions can leave cores durably free (a preempted job frees its
+    // whole width, not just the deficit), and without this the opening
+    // clamp would pin the partition below `dyn_partition_cores` for the
+    // rest of the iteration.
+    let want = ctx.config.dyn_partition_cores.saturating_sub(w.partition);
+    let regrow = want.min(w.base.min_idle(now, SimTime::MAX));
+    if regrow > 0 {
+        w.base.hold(now, SimTime::MAX, regrow);
+        w.partition += regrow;
+        w.rev += 1;
+    }
+    // The new base *is* the expanded world — unless the partition just
+    // re-grew, the plan computed against it becomes the next request's
+    // "before". (A re-grow holds cores `after` was planned without, so
+    // the cache is dropped and the next request replans.)
+    w.before = (ctx.plan_cache_enabled && regrow == 0).then_some(CachedPlan {
+        base_rev: w.rev,
+        plan: after,
+    });
+    w.preempted.extend(to_preempt.iter().copied());
+    for r in &to_shrink {
+        w.set_cores(r.job, r.to_cores);
+    }
+    if let Some(holder) = ctx.running.get(req.job) {
+        w.set_cores(req.job, cores_now(&w.resized, holder) + req.extra_cores);
+    }
+    DynDecision::Granted {
+        job: req.job,
+        extra_cores: req.extra_cores,
+        delays,
+        preempted: to_preempt,
+        shrunk: to_shrink,
     }
 }
 
@@ -1363,7 +792,6 @@ fn commit_dynamic(
 /// of `ranked`, whether it was started or given a reservation — the jobs
 /// the backfill pass must skip. The pass ends as soon as it is blocked and
 /// out of reservations: nothing further down the queue can change.
-/// Shared verbatim by the serial and sharded paths.
 fn static_pass(
     config: &SchedulerConfig,
     ranked: &[&QueuedJob],
@@ -1452,8 +880,7 @@ fn backfill_one(
 
 /// Malleability: pour leftover idle capacity into running malleable jobs
 /// (never into cores the reservations already claim), in id order —
-/// which is the running set's own. Shared verbatim by the serial and
-/// sharded paths.
+/// which is the running set's own.
 fn grow_pass(
     config: &SchedulerConfig,
     running: &RunningSet,
@@ -2103,82 +1530,5 @@ mod tests {
         assert_eq!(out1.starts, out2.starts);
         assert_eq!(out1.reservations, out2.reservations);
         assert_eq!(out1.dyn_decisions, out2.dyn_decisions);
-    }
-
-    #[test]
-    fn shard_smoke_serial_matches_three_shards() {
-        // The quick sharded-equivalence gate `scripts/check.sh` runs by
-        // name: a busy 120-core snapshot driven through the serial
-        // scheduler and the 3-shard scheduler (threaded rounds pinned on
-        // with two workers) for a few re-anchoring ticks. Every decision
-        // field must be byte-identical; the full-run gates live in
-        // `tests/sharded_equivalence.rs`.
-        let build = |shards: usize| {
-            let mut cfg = SchedulerConfig::paper_eval();
-            cfg.dfs = DfsConfig::highest_priority();
-            cfg.shards = shards;
-            let mut m = Maui::new(cfg);
-            m.set_shard_workers(2);
-            m
-        };
-        let mut snap = Snapshot {
-            now: t(1_000),
-            total_cores: 120,
-            running: Default::default(),
-            queued: Default::default(),
-            dyn_requests: Vec::new(),
-            usage: None,
-            deltas: None,
-        };
-        for i in 0..40u64 {
-            snap.running.push(running(
-                i,
-                (i % 7) as u32,
-                1 + (i % 3) as u32,
-                1_200 + 37 * i,
-            ));
-        }
-        for i in 0..30u64 {
-            snap.queued.push(queued(
-                100 + i,
-                (i % 5) as u32,
-                2 + (i * i % 17) as u32,
-                300 + 91 * i,
-                13 * i,
-            ));
-        }
-        for (seq, id) in [0u64, 4, 8, 12, 20, 32].into_iter().enumerate() {
-            snap.dyn_requests.push(dyn_req(
-                id,
-                (id % 7) as u32,
-                2 + (id % 4) as u32,
-                900 + 31 * id,
-                seq as u64,
-            ));
-        }
-        let mut serial = build(1);
-        let mut sharded = build(3);
-        for tick in 0..3u64 {
-            let a = serial.iterate(&snap);
-            let b = sharded.iterate(&snap);
-            assert_eq!(a.starts, b.starts, "tick {tick}: starts diverged");
-            assert_eq!(
-                a.dyn_decisions, b.dyn_decisions,
-                "tick {tick}: dynamic decisions diverged"
-            );
-            assert_eq!(
-                a.reservations, b.reservations,
-                "tick {tick}: reservations diverged"
-            );
-            assert_eq!(
-                a.baseline_plan, b.baseline_plan,
-                "tick {tick}: baseline plans diverged"
-            );
-            assert_eq!(a.grows, b.grows, "tick {tick}: grows diverged");
-            snap.now += d(60);
-            for r in &mut snap.dyn_requests {
-                r.seq += 100; // fresh requests next tick
-            }
-        }
     }
 }

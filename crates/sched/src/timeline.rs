@@ -293,57 +293,6 @@ impl AvailabilityProfile {
         &self.steps
     }
 
-    /// Overwrites `self` with the pointwise sum of `parts`: capacity is
-    /// the sum of the part capacities and `idle(t)` the sum of the part
-    /// idle counts. All parts must share one origin (the scheduling
-    /// instant) and `parts` must be non-empty.
-    ///
-    /// This is the sharded timeline's merge step: the global availability
-    /// profile of a partitioned cluster is exactly the sum of the
-    /// per-shard profiles, whatever the assignment of jobs to shards.
-    /// The k-way merge emits breakpoints in time order and skips
-    /// value-preserving ones, so the output is in canonical (coalesced)
-    /// form — and canonical form is unique, so the merged profile is
-    /// byte-equal to the profile the serial path builds over the whole
-    /// cluster.
-    pub fn sum_from(&mut self, parts: &[&AvailabilityProfile]) {
-        assert!(!parts.is_empty(), "cannot sum zero profiles");
-        let origin = parts[0].origin;
-        self.origin = origin;
-        self.capacity = 0;
-        self.steps.clear();
-        let mut idx = vec![0usize; parts.len()];
-        let mut sum: u32 = 0;
-        for p in parts {
-            assert_eq!(p.origin, origin, "summed profiles must share an origin");
-            self.capacity += p.capacity;
-            sum += p.steps[0].1;
-        }
-        self.steps.push((origin, sum));
-        loop {
-            // The next breakpoint is the earliest unconsumed step time
-            // across all parts; consume every part stepping at it.
-            let mut next = SimTime::MAX;
-            for (i, p) in parts.iter().enumerate() {
-                if let Some(&(t, _)) = p.steps.get(idx[i] + 1) {
-                    next = next.min(t);
-                }
-            }
-            if next == SimTime::MAX {
-                break;
-            }
-            for (i, p) in parts.iter().enumerate() {
-                if p.steps.get(idx[i] + 1).is_some_and(|&(t, _)| t == next) {
-                    sum = sum - p.steps[idx[i]].1 + p.steps[idx[i] + 1].1;
-                    idx[i] += 1;
-                }
-            }
-            if sum != self.steps.last().expect("steps never empty").1 {
-                self.steps.push((next, sum));
-            }
-        }
-    }
-
     /// Overwrites `self` with a copy of `other`, reusing `self`'s step
     /// buffer. This is the scratch-profile API: a what-if pass keeps one
     /// scratch `AvailabilityProfile` alive and `assign_from`s the base
@@ -615,41 +564,6 @@ mod tests {
         // At the far-future boundary the clamp saturates instead of
         // overflowing.
         assert_eq!(planned_end(SimTime::MAX, t(3)), SimTime::MAX);
-    }
-
-    #[test]
-    fn sum_from_matches_whole_cluster_profile() {
-        // Splitting holds across two shard profiles and summing them must
-        // reproduce the profile of the same holds on one big profile —
-        // including the coalescing of breakpoints where one shard steps
-        // down exactly as another steps up.
-        let mut whole = AvailabilityProfile::new(t(10), 16);
-        let mut a = AvailabilityProfile::new(t(10), 10);
-        let mut b = AvailabilityProfile::new(t(10), 6);
-        for (from, to, cores) in [(10, 40, 3u32), (20, 30, 5), (25, 60, 2)] {
-            whole.hold(t(from), t(to), cores);
-        }
-        a.hold(t(10), t(40), 3);
-        a.hold(t(20), t(30), 2);
-        b.hold(t(20), t(30), 3);
-        b.hold(t(25), t(60), 2);
-        let mut merged = AvailabilityProfile::new(t(0), 0);
-        merged.sum_from(&[&a, &b]);
-        assert_eq!(merged, whole);
-
-        // Opposite-direction steps at the same instant coalesce away.
-        let mut c = AvailabilityProfile::new(t(0), 4);
-        let mut e = AvailabilityProfile::new(t(0), 4);
-        c.hold(t(0), t(5), 1); // steps up at 5
-        e.hold(t(5), t(9), 1); // steps down at 5
-        merged.sum_from(&[&c, &e]);
-        let mut expect = AvailabilityProfile::new(t(0), 8);
-        expect.hold(t(0), t(9), 1);
-        assert_eq!(merged, expect);
-
-        // Single-part sum is a copy.
-        merged.sum_from(&[&whole]);
-        assert_eq!(merged, whole);
     }
 
     #[test]

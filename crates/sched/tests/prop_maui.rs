@@ -13,6 +13,7 @@ use dynbatch_sched::{
     DynDecision, DynRequest, IterationOutcome, Maui, QueuedJob, QueuedSet, RunningJob, Snapshot,
     UsageHistory,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 
 const CAPACITY: u32 = 64;
@@ -457,6 +458,11 @@ fn random_config(rng: &mut TestRng) -> SchedulerConfig {
 
 #[test]
 fn iterate_equals_the_naive_reference_over_random_cycles() {
+    // Coverage witnesses: the equivalence below only pins the loop's
+    // grant-to-grant hand-off (the base/expanded buffer swap, the
+    // `resized` / `preempted` threading) if the seeded run reaches it.
+    let multi_grant_cycles = Cell::new(0u32);
+    let grants_after_a_shrink_or_preemption = Cell::new(0u32);
     check(96, 0x5EED_CAFE, |rng| {
         let cfg = random_config(rng);
         let time_aware = cfg.fairshare.mode == FairshareMode::TimeAware;
@@ -486,6 +492,24 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
             );
             assert_eq!(a.grows, b.grows, "cycle {cycle}: grows");
             drop(snap);
+            let mut grants = 0;
+            let mut disturbed = false;
+            for d in &a.dyn_decisions {
+                if let DynDecision::Granted {
+                    preempted, shrunk, ..
+                } = d
+                {
+                    grants += 1;
+                    if disturbed {
+                        grants_after_a_shrink_or_preemption
+                            .set(grants_after_a_shrink_or_preemption.get() + 1);
+                    }
+                    disturbed |= !preempted.is_empty() || !shrunk.is_empty();
+                }
+            }
+            if grants >= 2 {
+                multi_grant_cycles.set(multi_grant_cycles.get() + 1);
+            }
             // Static fairshare sees the same charges on both sides.
             for s in &a.starts {
                 let q = &world.specs[&s.job];
@@ -498,4 +522,12 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
             world.advance(rng);
         }
     });
+    assert!(
+        multi_grant_cycles.get() > 0,
+        "no cycle committed two grants: the grant-to-grant hand-off went untested"
+    );
+    assert!(
+        grants_after_a_shrink_or_preemption.get() > 0,
+        "no grant followed a same-cycle shrink or preemption"
+    );
 }

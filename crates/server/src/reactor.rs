@@ -17,8 +17,7 @@
 //!   server — by which point every mutation's journal record has been
 //!   appended ([`crate::PbsServer`] logs before returning). An acked
 //!   command therefore always survives crash recovery, and the acks of a
-//!   batch amortise into one flush. `ack_each` mode
-//!   ([`Reactor::set_ack_each`]) acks per command, as the perf baseline.
+//!   batch amortise into one flush.
 //! * **Backpressure without blocking.** Replies go out through bounded
 //!   per-connection channels with `try_send`; a stalled reader's replies
 //!   spill into a bounded overflow queue and, past the limit, the
@@ -91,16 +90,6 @@ pub enum Reply {
     /// The command was refused — malformed, unknown job, out of order.
     /// Never a panic: denial is the contract for bad input.
     Denied(String),
-}
-
-/// How acks are released to clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AckMode {
-    /// Buffer the batch's replies, flush after the whole batch applied
-    /// (every journal record appended) — the default.
-    GroupCommit,
-    /// Deliver each reply as its command applies (perf baseline).
-    AckEach,
 }
 
 /// One step of a [`Reactor::poll_batch`] drive.
@@ -179,7 +168,6 @@ pub struct Reactor {
     pending: BTreeMap<u64, (u64, String)>,
     next_apply: u64,
     conns: HashMap<u64, Conn>,
-    mode: AckMode,
     reply_capacity: usize,
     overflow_limit: usize,
     stats: ReactorStats,
@@ -205,20 +193,10 @@ impl Reactor {
             pending: BTreeMap::new(),
             next_apply: 0,
             conns: HashMap::new(),
-            mode: AckMode::GroupCommit,
             reply_capacity: 64,
             overflow_limit: 1024,
             stats: ReactorStats::default(),
         }
-    }
-
-    /// Switches between per-command acks (`true`) and group commit.
-    pub fn set_ack_each(&mut self, on: bool) {
-        self.mode = if on {
-            AckMode::AckEach
-        } else {
-            AckMode::GroupCommit
-        };
     }
 
     /// Shrinks the per-connection bounded reply channel (tests exercise
@@ -297,7 +275,6 @@ impl Reactor {
     {
         self.drain_mailbox();
         let mut held: Vec<(u64, Reply)> = Vec::new();
-        let mut n = 0usize;
         while self.next_apply < limit {
             let Some((conn, line)) = self.pending.remove(&self.next_apply) else {
                 break;
@@ -316,12 +293,9 @@ impl Reactor {
                 }
             };
             self.next_apply += 1;
-            n += 1;
-            match self.mode {
-                AckMode::AckEach => self.deliver(conn, reply),
-                AckMode::GroupCommit => held.push((conn, reply)),
-            }
+            held.push((conn, reply));
         }
+        let n = held.len();
         // Group-commit flush: `apply` has returned for the whole batch,
         // so every mutation's journal record is appended — each ack below
         // is crash-safe by construction. The Commit event runs first, so
@@ -789,22 +763,6 @@ mod tests {
         assert_eq!(seen_during_batch, vec![None, None]);
         assert_eq!(c.try_recv(), Some(Reply::Status("t0".into())));
         assert_eq!(c.try_recv(), Some(Reply::Status("t1".into())));
-    }
-
-    #[test]
-    fn ack_each_delivers_immediately() {
-        let mut r = Reactor::new();
-        r.set_ack_each(true);
-        let c = r.connect();
-        c.send("qstat 1");
-        c.send("qstat 2");
-        let mut seen = Vec::new();
-        r.poll_with(|t, _| {
-            seen.push(c.try_recv().is_some());
-            Reply::Status(format!("t{t}"))
-        });
-        // The second command already sees the first's ack delivered.
-        assert_eq!(seen, vec![false, true]);
     }
 
     #[test]

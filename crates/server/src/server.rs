@@ -2256,80 +2256,4 @@ mod tests {
         let seq_of = |j: JobId| snap.dyn_requests.iter().find(|r| r.job == j).unwrap().seq;
         assert!(seq_of(b) < seq_of(a), "b asked first");
     }
-
-    #[test]
-    fn sharded_scheduler_drives_the_incremental_protocol() {
-        // Two identical servers, one scheduled serially and one with two
-        // shards, both fed through `snapshot_incremental`: the sharded
-        // timeline consumes the same delta logs (starts, dynamic grants,
-        // finishes) through its per-shard routing, and every applied
-        // effect plus the final server state must match bit for bit.
-        let submit = |s: &mut PbsServer| {
-            for i in 0..6u32 {
-                s.qsub(rigid(&format!("R{i}"), i, 8 + 4 * (i % 3), 300), t(0))
-                    .unwrap();
-            }
-            s.qsub(
-                JobSpec::evolving(
-                    "E",
-                    UserId(9),
-                    GroupId(0),
-                    16,
-                    ExecutionModel::esp_evolving(1000, 700, 8),
-                ),
-                t(0),
-            )
-            .unwrap()
-        };
-        let mut srv_a = server();
-        let mut srv_b = server();
-        let ev_a = submit(&mut srv_a);
-        let ev_b = submit(&mut srv_b);
-        assert_eq!(ev_a, ev_b, "identical submissions get identical ids");
-
-        let mut serial = hp_maui();
-        let mut cfg = SchedulerConfig::paper_eval();
-        cfg.dfs = DfsConfig::highest_priority();
-        cfg.shards = 2;
-        let mut sharded = Maui::new(cfg);
-        sharded.set_shard_workers(2);
-
-        let drive = |srv: &mut PbsServer, m: &mut Maui, now: SimTime| {
-            let snap = srv.snapshot_incremental(now);
-            let outcome = m.iterate(&snap);
-            srv.apply(&outcome, now)
-        };
-        // Start everything, raise a dynamic request, finish a job to free
-        // cores, let the request land — exercising Started, Resized and
-        // Finished deltas through the shard router's fast path.
-        for now in [0u64, 30] {
-            let a = drive(&mut srv_a, &mut serial, t(now));
-            let b = drive(&mut srv_b, &mut sharded, t(now));
-            assert_eq!(a, b, "applied effects diverged at t={now}");
-        }
-        srv_a.tm_dynget(ev_a, 8, t(60)).unwrap();
-        srv_b.tm_dynget(ev_b, 8, t(60)).unwrap();
-        let first_running = srv_a
-            .snapshot(t(60))
-            .running
-            .iter()
-            .find(|r| r.id != ev_a)
-            .expect("a rigid job is running")
-            .id;
-        srv_a.job_finished(first_running, t(61)).unwrap();
-        srv_b.job_finished(first_running, t(61)).unwrap();
-        for now in [62u64, 90, 120] {
-            let a = drive(&mut srv_a, &mut serial, t(now));
-            let b = drive(&mut srv_b, &mut sharded, t(now));
-            assert_eq!(a, b, "applied effects diverged at t={now}");
-        }
-
-        assert_eq!(srv_a.state_digest(), srv_b.state_digest());
-        let stats = sharded.timeline_stats();
-        assert!(
-            stats.delta_batches >= 1,
-            "the sharded timeline never took the delta fast path: {stats:?}"
-        );
-        srv_b.cluster().check_invariants().unwrap();
-    }
 }

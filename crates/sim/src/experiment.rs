@@ -365,37 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scheduler_is_invisible_to_results() {
-        // `shards > 1` routes the whole run through the partitioned
-        // timelines and the speculative planner; summary, outcomes and
-        // counters must match the serial scheduler bit for bit — and a
-        // reset must not leak shard state between runs.
-        let mut reg = CredRegistry::new();
-        let wl = generate_esp(&EspConfig::paper_dynamic(), &mut reg);
-        let mut cfg = ExperimentConfig::paper_cluster(
-            "Dyn-500",
-            sched(DfsConfig::uniform_target(500, SimDuration::from_hours(1))),
-        );
-        let serial = run_experiment(&cfg, &wl);
-
-        cfg.sched.shards = 3;
-        let mut sim = crate::BatchSim::new(
-            Cluster::homogeneous(cfg.nodes, cfg.cores_per_node),
-            cfg.sched.clone(),
-        );
-        sim.maui_mut().set_shard_workers(2);
-        let sharded = run_loaded(&mut sim, &cfg, &wl);
-        assert_eq!(serial.summary, sharded.summary);
-        assert_eq!(serial.outcomes, sharded.outcomes);
-        assert_eq!(serial.stats, sharded.stats);
-
-        // Recycle the same simulator for a second sharded run.
-        let recycled = crate::experiment::run_experiment_on(&mut sim, &cfg, &wl);
-        assert_eq!(recycled.outcomes, serial.outcomes);
-        assert_eq!(recycled.stats, serial.stats);
-    }
-
-    #[test]
     fn deterministic_experiments() {
         let mut reg = CredRegistry::new();
         let wl = generate_esp(&EspConfig::paper_dynamic(), &mut reg);

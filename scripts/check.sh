@@ -28,10 +28,6 @@ cargo test -q --test sweep_engine
 echo "==> incremental timeline equivalence (delta path == rebuild path)"
 cargo test -q --test timeline_incremental
 
-echo "==> sharded-scheduler equivalence (partitioned path == serial path)"
-cargo test -q --test sharded_equivalence
-cargo test -q -p dynbatch-sched --test prop_router
-
 echo "==> reactor smoke (serial apply vs reactor-batched apply, identical digest)"
 cargo test -q --test reactor_equivalence reactor_equivalence_at_1_8_64_clients
 cargo test -q --test reactor_chaos stalled_reader_blocks_nothing
@@ -64,7 +60,7 @@ cargo test -q --test replication_failover
 cargo test -q -p dynbatch-server replication
 cargo test -q -p dynbatch-sim replica
 
-echo "==> time-aware fairness suite (static inertness, shard/worker"
+echo "==> time-aware fairness suite (static inertness, sweep-worker"
 echo "    determinism, demote-not-deny budgets)"
 cargo test -q --test fairness
 cargo test -q -p dynbatch-sched --lib usage_history
@@ -72,8 +68,7 @@ cargo test -q -p dynbatch-sched --lib fairshare
 cargo test -q -p dynbatch-sched --lib dfs
 
 echo "==> perf_smoke --quick (runs the incremental path with the"
-echo "    rebuild-equivalence assert enabled on every tick, and the"
-echo "    sharded kernel with byte-equality asserted at shards 2/4/8)"
+echo "    rebuild-equivalence assert enabled on every tick)"
 cargo run --release -q -p dynbatch-bench --bin perf_smoke -- --quick \
   --out /tmp/BENCH_sched.quick.json --out-sweep /tmp/BENCH_sweep.quick.json
 
@@ -81,14 +76,6 @@ echo "==> frozen benchmark harness still builds and passes against this tree"
 echo "    (API drift in PbsServer/BatchSim/EventQueue fails here, not in the"
 echo "    benchmark pipeline)"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-
-echo "==> sharded-equivalence smoke (quick kernel, shards 1 and 3)"
-cargo test -q --release -p dynbatch-sched shard_smoke_serial_matches_three_shards
-
-echo "==> committed BENCH_sched.json must carry the sharded_kernel section"
-grep -q '"sharded_kernel"' BENCH_sched.json \
-  || { echo "BENCH_sched.json lacks the sharded_kernel section — regenerate \
-with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
 
 echo "==> committed BENCH_sched.json must carry the reactor section"
 grep -q '"reactor"' BENCH_sched.json \

@@ -1,21 +1,16 @@
 //! `dynbatch` — command-line front end to the batch-system simulator.
 //!
-//! ```text
-//! dynbatch esp [--static] [--seed N] [--seeds K] [--dfs-cap SECS]
-//!              [--nodes N] [--cores-per-node C] [--walltime-factor F]
-//!     Run the (dynamic or static) ESP benchmark and print a Table-II row.
+//! * `dynbatch esp` — run the (dynamic or static) ESP benchmark and print
+//!   a Table-II row.
+//! * `dynbatch run` — run a workload trace (JSON or SWF) and print the
+//!   summary; optionally dump the per-job waiting-time series and/or the
+//!   Gantt schedule as CSV.
+//! * `dynbatch gen-esp` — write the ESP workload as a replayable JSON
+//!   trace.
 //!
-//! dynbatch run --trace FILE.json | --swf FILE.swf
-//!              [--dfs-cap SECS] [--nodes N] [--cores-per-node C]
-//!              [--evolving-fraction F] [--max-jobs N]
-//!              [--guarantee] [--shrink-malleable] [--grow-malleable]
-//!              [--csv-waits FILE] [--csv-gantt FILE]
-//!     Run a workload trace and print the summary; optionally dump the
-//!     per-job waiting-time series and/or the Gantt schedule as CSV.
-//!
-//! dynbatch gen-esp --out FILE.json [--static] [--seed N]
-//!     Write the ESP workload as a replayable JSON trace.
-//! ```
+//! [`USAGE`] lists each subcommand's flags. A subcommand accepts only the
+//! flags it reads: an unknown flag, a valued flag without its value or an
+//! unparseable value prints the usage text and exits with code 2.
 
 use dynbatch::core::{CredRegistry, DfsConfig, SchedulerConfig, SimDuration};
 use dynbatch::metrics::{gantt_csv, render_csv, render_table2, waits_by_submission};
@@ -23,31 +18,102 @@ use dynbatch::sim::{run_experiment, ExperimentConfig};
 use dynbatch::workload::{generate_esp, parse_swf, EspConfig, SwfConfig, Trace, WorkloadItem};
 use std::process::ExitCode;
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--key`.
+/// The flag synopsis printed with every command-line error.
+const USAGE: &str = "\
+usage: dynbatch <esp|run|gen-esp> [flags]
+
+  dynbatch esp [--static] [--seed N] [--seeds K] [--walltime-factor F]
+               [scheduler flags]
+  dynbatch run --trace FILE.json | --swf FILE.swf
+               [--evolving-fraction F] [--max-jobs N]
+               [--csv-waits FILE] [--csv-gantt FILE] [scheduler flags]
+  dynbatch gen-esp --out FILE.json [--static] [--seed N]
+
+  scheduler flags: [--dfs-cap SECS] [--nodes N] [--cores-per-node C]
+               [--reservation-depth N] [--reservation-delay-depth N]
+               [--guarantee] [--shrink-malleable] [--grow-malleable]";
+
+/// A flag a subcommand reads: its name and whether a value follows it.
+type Flag = (&'static str, bool);
+
+/// Cluster and scheduler flags, read by `esp` and `run` alike.
+const SCHED_FLAGS: &[Flag] = &[
+    ("dfs-cap", true),
+    ("nodes", true),
+    ("cores-per-node", true),
+    ("reservation-depth", true),
+    ("reservation-delay-depth", true),
+    ("guarantee", false),
+    ("shrink-malleable", false),
+    ("grow-malleable", false),
+];
+const ESP_FLAGS: &[Flag] = &[
+    ("static", false),
+    ("seed", true),
+    ("seeds", true),
+    ("walltime-factor", true),
+];
+const RUN_FLAGS: &[Flag] = &[
+    ("trace", true),
+    ("swf", true),
+    ("evolving-fraction", true),
+    ("max-jobs", true),
+    ("csv-waits", true),
+    ("csv-gantt", true),
+];
+const GEN_ESP_FLAGS: &[Flag] = &[("out", true), ("static", false), ("seed", true)];
+
+/// Why a command failed: a bad command line (usage text, exit code 2) or
+/// a run that could not complete (exit code 1).
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl Failure {
+    /// The `map_err` adapter for a failed read or write of `path`.
+    fn at<E: std::fmt::Display>(path: &str) -> impl FnOnce(E) -> Failure + '_ {
+        move |e| Failure::Run(format!("{path}: {e}"))
+    }
+}
+
+impl From<String> for Failure {
+    /// Bare messages come from flag handling.
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+/// The flags of one subcommand: `--key value` pairs plus boolean `--key`.
 struct Args {
-    positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let mut positional = Vec::new();
+    /// Parses `raw` (the arguments after the subcommand) against the
+    /// flags the subcommand reads. Anything else — an unknown flag, a
+    /// valued flag without its value, a stray positional — is an error.
+    fn parse(raw: &[String], known: &[Flag]) -> Result<Args, String> {
         let mut flags = Vec::new();
-        let raw: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
+        let mut it = raw.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            let Some(&(_, takes_value)) = known.iter().find(|(n, _)| *n == name) else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            let value = if takes_value {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("--{name}: missing value")),
                 }
-                flags.push((name.to_string(), value));
             } else {
-                positional.push(raw[i].clone());
-            }
-            i += 1;
+                None
+            };
+            flags.push((name.to_string(), value));
         }
-        Args { positional, flags }
+        Ok(Args { flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -85,6 +151,7 @@ fn sched_from(args: &Args) -> Result<SchedulerConfig, String> {
     s.guarantee_evolving = args.has("guarantee");
     s.shrink_malleable_for_dyn = args.has("shrink-malleable");
     s.grow_malleable_on_idle = args.has("grow-malleable");
+    s.validate()?;
     Ok(s)
 }
 
@@ -97,7 +164,7 @@ fn cluster_from(args: &Args, sched: SchedulerConfig) -> Result<ExperimentConfig,
     })
 }
 
-fn cmd_esp(args: &Args) -> Result<(), String> {
+fn cmd_esp(args: &Args) -> Result<(), Failure> {
     let seeds: u64 = args.num("seeds", 1u64)?;
     let base_seed: u64 = args.num("seed", EspConfig::default().seed)?;
     let mut summaries = Vec::new();
@@ -141,12 +208,12 @@ fn cmd_esp(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_workload(args: &Args) -> Result<Vec<WorkloadItem>, String> {
+fn load_workload(args: &Args) -> Result<Vec<WorkloadItem>, Failure> {
     if let Some(path) = args.get("trace") {
-        let trace = Trace::load(path).map_err(|e| format!("{path}: {e}"))?;
+        let trace = Trace::load(path).map_err(Failure::at(path))?;
         Ok(trace.items)
     } else if let Some(path) = args.get("swf") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(Failure::at(path))?;
         let mut reg = CredRegistry::new();
         let cfg = SwfConfig {
             total_cores: args.num("nodes", 15u32)? * args.num("cores-per-node", 8u32)?,
@@ -154,13 +221,15 @@ fn load_workload(args: &Args) -> Result<Vec<WorkloadItem>, String> {
             max_jobs: args.num("max-jobs", 0usize)?,
             ..Default::default()
         };
-        parse_swf(&text, &cfg, &mut reg).map_err(|e| e.to_string())
+        parse_swf(&text, &cfg, &mut reg).map_err(Failure::at(path))
     } else {
-        Err("run: need --trace FILE.json or --swf FILE.swf".into())
+        Err(Failure::Usage(
+            "run: need --trace FILE.json or --swf FILE.swf".into(),
+        ))
     }
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args) -> Result<(), Failure> {
     let wl = load_workload(args)?;
     let cfg = cluster_from(args, sched_from(args)?)?;
     let r = run_experiment(&cfg, &wl);
@@ -175,7 +244,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         r.stats.preemptions,
     );
     if let Some(path) = args.get("csv-gantt") {
-        std::fs::write(path, gantt_csv(&r.outcomes)).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, gantt_csv(&r.outcomes)).map_err(Failure::at(path))?;
         println!("schedule (Gantt) written to {path}");
     }
     if let Some(path) = args.get("csv-waits") {
@@ -183,15 +252,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .into_iter()
             .map(|(i, w)| vec![i as f64, w])
             .collect();
-        std::fs::write(path, render_csv(&["job", "wait_s"], &rows))
-            .map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, render_csv(&["job", "wait_s"], &rows)).map_err(Failure::at(path))?;
         println!("waiting-time series written to {path}");
     }
     Ok(())
 }
 
-fn cmd_gen_esp(args: &Args) -> Result<(), String> {
-    let out = args.get("out").ok_or("gen-esp: need --out FILE.json")?;
+fn cmd_gen_esp(args: &Args) -> Result<(), Failure> {
+    let out = args
+        .get("out")
+        .ok_or_else(|| Failure::Usage("gen-esp: need --out FILE.json".into()))?;
     let mut wl_cfg = if args.has("static") {
         EspConfig::paper_static()
     } else {
@@ -213,28 +283,33 @@ fn cmd_gen_esp(args: &Args) -> Result<(), String> {
         reg,
         items,
     );
-    trace.save(out).map_err(|e| format!("{out}: {e}"))?;
+    trace.save(out).map_err(Failure::at(out))?;
     println!("wrote {} jobs to {out}", trace.items.len());
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let result = match args.positional.first().map(String::as_str) {
-        Some("esp") => cmd_esp(&args),
-        Some("run") => cmd_run(&args),
-        Some("gen-esp") => cmd_gen_esp(&args),
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    type Cmd = fn(&Args) -> Result<(), Failure>;
+    let (cmd, known): (Cmd, Vec<Flag>) = match raw.first().map(String::as_str) {
+        Some("esp") => (cmd_esp, [ESP_FLAGS, SCHED_FLAGS].concat()),
+        Some("run") => (cmd_run, [RUN_FLAGS, SCHED_FLAGS].concat()),
+        Some("gen-esp") => (cmd_gen_esp, GEN_ESP_FLAGS.to_vec()),
         _ => {
-            eprintln!(
-                "usage: dynbatch <esp|run|gen-esp> [flags]\n\
-                 see the module docs (src/bin/dynbatch.rs) for the flag list"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
+    let result = Args::parse(&raw[1..], &known)
+        .map_err(Failure::Usage)
+        .and_then(|args| cmd(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
