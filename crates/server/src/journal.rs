@@ -14,8 +14,11 @@
 //! * **Snapshot records** — a full [`ServerImage`] of the durable state.
 //!   The journal always starts with one (the genesis snapshot written by
 //!   [`crate::PbsServer::enable_journal`]); periodic *compacting*
-//!   snapshots replace the whole history with one fresh image so the
-//!   journal stays bounded on long runs.
+//!   snapshots replace the whole history with one image so the journal
+//!   stays bounded on long runs. The server builds that image by
+//!   patching the snapshot the compaction discards
+//!   ([`Journal::compact`]), so a compaction costs the live jobs, not
+//!   the terminal history.
 //!
 //! Recovery ([`crate::PbsServer::recover`]) loads the latest snapshot and
 //! replays every record after it. Scheduler soft state (DFS accumulators,
@@ -259,24 +262,26 @@ impl Journal {
     /// retain floor ([`Journal::set_retain_floor`]) are kept in front of
     /// the new snapshot for replication to finish streaming.
     ///
-    /// `rebuild` returns the new image and is handed the newest snapshot
-    /// this compaction discards, so an owner that compacts over and over
-    /// can fill the old image's buffers instead of allocating (and
-    /// page-faulting in) a fresh multi-megabyte list per compaction and
-    /// unmapping the previous one.
-    pub fn compact(&mut self, rebuild: impl FnOnce(Option<ServerImage>) -> ServerImage) {
+    /// `rebuild` returns the new image. It is handed the newest snapshot
+    /// this compaction discards, **with the absolute position that
+    /// snapshot was appended at**: the image is the state as of that
+    /// position, so an owner that knows what changed since can return it
+    /// patched instead of imaging everything again. `None` when no
+    /// snapshot is discarded — the retain floor kept them all, and a new
+    /// image has to be materialised next to them.
+    pub fn compact(&mut self, rebuild: impl FnOnce(Option<(u64, ServerImage)>) -> ServerImage) {
+        let first = self.first_pos();
         let drop_n = if self.retain_floor == 0 {
             self.entries.len()
         } else {
-            let first = self.first_pos();
             self.retain_floor
                 .saturating_sub(first)
                 .min(self.entries.len() as u64) as usize
         };
-        let mut spare = None;
-        for record in self.entries.drain(..drop_n) {
+        let mut discarded = None;
+        for (i, record) in self.entries.drain(..drop_n).enumerate() {
             if let Record::Snapshot(image) = record {
-                spare = Some(*image);
+                discarded = Some((first + i as u64, *image));
             }
         }
         self.snapshot_at = self
@@ -284,7 +289,7 @@ impl Journal {
             .iter()
             .filter_map(|&i| i.checked_sub(drop_n))
             .collect();
-        self.append(Record::Snapshot(Box::new(rebuild(spare))));
+        self.append(Record::Snapshot(Box::new(rebuild(discarded))));
     }
 
     /// The journal truncated to its first `k` records — "the server died
@@ -370,6 +375,13 @@ impl Journal {
             unreachable!("snapshot_at indexes snapshot records");
         };
         Some((self.first_pos() + i as u64, img))
+    }
+
+    /// Absolute position of the oldest snapshot record still retained: no
+    /// later compaction can hand back an image older than this one.
+    pub fn oldest_snapshot_pos(&self) -> Option<u64> {
+        let &i = self.snapshot_at.first()?;
+        Some(self.first_pos() + i as u64)
     }
 
     /// Parses a journal like [`Journal::from_text`], but tolerates a torn
@@ -1235,19 +1247,34 @@ mod tests {
         let mut second = sample_image();
         second.next_job_id = 200;
         j.append(Record::Snapshot(Box::new(second)));
-        j.compact(|spare| {
-            assert_eq!(spare.expect("two snapshots discarded").next_job_id, 200);
+        j.compact(|discarded| {
+            let (pos, image) = discarded.expect("two snapshots discarded");
+            assert_eq!((pos, image.next_job_id), (2, 200));
             sample_image()
         });
         assert!(matches!(j.records(), [Record::Snapshot(_)]));
         assert_eq!(j.total_appended(), 3);
-        // A retain floor above the old snapshot keeps it: nothing to reuse.
+        assert_eq!(j.oldest_snapshot_pos(), Some(3));
+        // A retain floor at the old snapshot keeps it: nothing handed back.
         j.set_retain_floor(3);
-        j.compact(|spare| {
-            assert!(spare.is_none());
+        j.compact(|discarded| {
+            assert!(discarded.is_none());
             sample_image()
         });
         assert_eq!(j.len(), 2);
+        assert_eq!(j.oldest_snapshot_pos(), Some(3));
+        // Once the floor passes it, it comes back under its own position,
+        // not the newest snapshot's.
+        j.append(Record::ExpireSweep {
+            now: SimTime::from_secs(1),
+        });
+        j.set_retain_floor(4);
+        j.compact(|discarded| {
+            assert_eq!(discarded.expect("position 3 discarded").0, 3);
+            sample_image()
+        });
+        assert_eq!(j.first_pos(), 4);
+        assert_eq!(j.oldest_snapshot_pos(), Some(4));
     }
 
     #[test]

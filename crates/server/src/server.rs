@@ -112,6 +112,63 @@ impl Clone for Counter {
     }
 }
 
+/// Which jobs left the live table since which journal position — what
+/// lets a compaction patch the image it discards instead of imaging the
+/// whole table again ([`PbsServer::patched_image`]). A live job is copied
+/// into every image, so nothing about it needs noting; a terminal job
+/// never changes again, so the one thing to note is the moment a job
+/// stops being live ([`PbsServer::retire`]).
+#[derive(Debug, Clone, Default)]
+struct Retirements {
+    /// One note per job retired while journaling: the journal's
+    /// `total_appended` at that moment, and the id. Stamps never decrease.
+    /// A snapshot appended at position `p` was taken after every
+    /// retirement noted with a stamp below `p` and before every one noted
+    /// at or above it.
+    notes: Vec<(u64, JobId)>,
+    /// The notes are complete for snapshots at or after this position:
+    /// every difference between such an image and the server is a live
+    /// job, a noted one, an accounting outcome appended since, or a field
+    /// a compaction rebuilds anyway. `None` while no snapshot in the
+    /// journal qualifies.
+    complete_from: Option<u64>,
+}
+
+impl Retirements {
+    /// Notes written from here on describe the snapshot at `pos`, which
+    /// was imaged from the whole table, and everything after it.
+    fn restart_at(&mut self, pos: u64) {
+        self.notes.clear();
+        self.complete_from = Some(pos);
+    }
+
+    /// No snapshot in the journal can be patched any more: the server
+    /// changed, or is about to change, in ways nobody noted.
+    fn invalidate(&mut self) {
+        self.notes.clear();
+        self.complete_from = None;
+    }
+
+    /// The retirements noted since the snapshot at `pos`, oldest first,
+    /// or `None` when that snapshot predates the notes.
+    fn since(&self, pos: u64) -> Option<&[(u64, JobId)]> {
+        if pos < self.complete_from? {
+            return None;
+        }
+        let first = self.notes.partition_point(|&(stamp, _)| stamp < pos);
+        Some(&self.notes[first..])
+    }
+
+    /// Drops the notes no snapshot left in the journal needs: the next
+    /// compaction hands back one at `oldest_snapshot` or later.
+    fn trim(&mut self, oldest_snapshot: u64) {
+        let keep = self
+            .notes
+            .partition_point(|&(stamp, _)| stamp < oldest_snapshot);
+        self.notes.drain(..keep);
+    }
+}
+
 /// Every retained job in id order: an ordered merge of the live table and
 /// the retained-terminal table ([`PbsServer::jobs`]). Merges on the maps'
 /// keys, so choosing a side never touches a `Job`.
@@ -209,6 +266,9 @@ pub struct PbsServer {
     /// appends a record *after* taking effect, so the log tail is always
     /// consistent with in-memory state; crash points sit between records.
     journal: Option<Journal>,
+    /// Jobs that left the live table since the snapshots still in the
+    /// journal ([`PbsServer::retire`]); empty while journaling is off.
+    retired: Retirements,
     /// Per-user historical usage in core-milliseconds, accumulated in
     /// constant-width segments: whenever a job's width changes or it
     /// leaves the machine, the segment ending now is charged at its
@@ -272,6 +332,7 @@ impl PbsServer {
             deltas: Vec::new(),
             snapshot_epoch: 0,
             journal: None,
+            retired: Retirements::default(),
             usage: BTreeMap::new(),
             usage_since: BTreeMap::new(),
             usage_hist: UsageHistory::new(SimDuration::from_hours(24), capacity),
@@ -304,6 +365,7 @@ impl PbsServer {
         self.deltas.clear();
         self.snapshot_epoch = 0;
         self.journal = None;
+        self.retired.invalidate();
         self.usage.clear();
         self.usage_since.clear();
         self.usage_hist = UsageHistory::new(
@@ -336,7 +398,9 @@ impl PbsServer {
     pub fn enable_journal(&mut self, snapshot_every: usize) {
         let mut j = Journal::new();
         j.set_snapshot_every(snapshot_every);
+        // Full image: genesis has no predecessor.
         j.append(Record::Snapshot(Box::new(self.image())));
+        self.retired.restart_at(j.total_appended());
         self.journal = Some(j);
     }
 
@@ -358,7 +422,14 @@ impl PbsServer {
     /// Detaches the journal (e.g. to recover from it after a simulated
     /// crash); journaling is off afterwards.
     pub fn take_journal(&mut self) -> Option<Journal> {
+        self.retired.invalidate();
         self.journal.take()
+    }
+
+    /// Where the retirement notes reach back to (see `Retirements`).
+    #[cfg(test)]
+    pub(crate) fn patchable_from(&self) -> Option<u64> {
+        self.retired.complete_from
     }
 
     /// Appends a record and compacts when the interval is reached. Only
@@ -371,7 +442,26 @@ impl PbsServer {
             // The journal steps aside while the image is taken: building
             // it reads the rest of `self`.
             let mut journal = self.journal.take().expect("journal enabled");
-            journal.compact(|spare| self.image_reusing(spare));
+            journal.compact(|discarded| {
+                let patched = discarded.and_then(|(pos, old)| self.patched_image(old, pos));
+                if let Some(patched) = &patched {
+                    debug_assert_eq!(*patched, self.image(), "patched snapshot diverged");
+                }
+                // Full image: no snapshot was discarded (the retain floor
+                // kept them all), or the newest one discarded predates
+                // the retirement notes — the first compaction after
+                // `recover` or a retention flip.
+                patched.unwrap_or_else(|| {
+                    #[cfg(test)]
+                    compaction_work::record(compaction_work::Work::default());
+                    self.image()
+                })
+            });
+            if self.retired.complete_from.is_none() {
+                self.retired.restart_at(journal.total_appended());
+            }
+            let oldest = journal.oldest_snapshot_pos().expect("just appended one");
+            self.retired.trim(oldest);
             self.journal = Some(journal);
         }
     }
@@ -382,50 +472,37 @@ impl PbsServer {
     /// `ProfileDelta` buffer and snapshot epoch) is excluded: recovery
     /// breaks timeline continuity and the scheduler rebuilds on the first
     /// epoch gap.
+    ///
+    /// O(every retained job + the accounting log). Compactions avoid it
+    /// ([`PbsServer::patched_image`]); it stays the reference they are
+    /// checked against.
     pub fn image(&self) -> ServerImage {
-        self.image_reusing(None)
-    }
-
-    /// [`PbsServer::image`], built inside `spare`'s history-sized lists
-    /// (jobs, outcomes) when a compaction has an old image to give back.
-    /// The journaled write path compacts every few dozen records; without
-    /// the reuse each compaction maps, faults in and later unmaps a list
-    /// that grows with every job the server has seen (half a million page
-    /// faults over a 30 000-job burst on a fresh heap), and acknowledgement
-    /// latency follows the kernel's mood rather than the work.
-    fn image_reusing(&self, spare: Option<ServerImage>) -> ServerImage {
-        let (mut jobs, mut outcomes) =
-            spare.map_or_else(Default::default, |s| (s.jobs, s.outcomes));
-        // One merged pass over both tables.
+        // One merged pass over both tables. `repeat_with(..).take(n)` has
+        // an exact length, so the 240-byte entries are built in place;
+        // collecting `jobs()` itself copies each once more.
         let mut all = self.jobs();
         let n = self.jobs.len() + self.terminal.len();
-        let mut entry = || {
-            let job = all.next().expect("jobs() is as long as both tables");
-            (job.clone(), self.cluster.allocation_of(job.id).cloned())
-        };
-        if jobs.capacity() < n {
-            // A recycled list grows by an eighth, not by `extend`'s
-            // doubling — it is the server's largest single allocation —
-            // and a one-off image gets exactly what it needs.
-            let headroom = if jobs.capacity() == 0 { 0 } else { n / 8 };
-            jobs = Vec::with_capacity(n + headroom);
-        }
-        // Old entries are overwritten one at a time, so each new entry's
-        // small allocations (name, request points) are served from what
-        // the previous entry just freed. Clearing the list first and
-        // refilling it measured 15 % slower on the whole write path: the
-        // allocator then hands back thousands of cold chunks.
-        jobs.truncate(n);
-        for slot in &mut jobs {
-            *slot = entry();
-        }
-        // `repeat_with(..).take(k)` has an exact length, so the appended
-        // 240-byte entries are built in place; pushing in a loop copies
-        // each once more.
-        let appended = n - jobs.len();
-        jobs.extend(std::iter::repeat_with(entry).take(appended));
-        // Same overwrite-in-order for the outcomes (they own a name too).
-        self.accounting.outcomes().clone_into(&mut outcomes);
+        let jobs = std::iter::repeat_with(|| {
+            self.image_entry(all.next().expect("jobs() is as long as both tables"))
+        })
+        .take(n)
+        .collect();
+        self.image_around(jobs, self.accounting.outcomes().to_vec())
+    }
+
+    /// A job as an image holds it: the job and its exact allocation.
+    fn image_entry(&self, job: &Job) -> (Job, Option<Allocation>) {
+        (job.clone(), self.cluster.allocation_of(job.id).cloned())
+    }
+
+    /// An image with the given history-sized lists and every other field
+    /// — O(nodes + users + active jobs + pending requests) together —
+    /// read from the server now.
+    fn image_around(
+        &self,
+        jobs: Vec<(Job, Option<Allocation>)>,
+        outcomes: Vec<JobOutcome>,
+    ) -> ServerImage {
         ServerImage {
             next_job_id: self.next_job_id,
             next_dyn_seq: self.next_dyn_seq,
@@ -445,6 +522,100 @@ impl PbsServer {
             usage_since: self.usage_since.iter().map(|(&j, &at)| (j, at)).collect(),
             usage_hist: self.usage_hist.clone(),
         }
+    }
+
+    /// [`PbsServer::image`] at the cost of the live table: `old`, the
+    /// snapshot appended at journal position `pos`, brought up to date in
+    /// place. A job that was already terminal at `pos` is byte for byte
+    /// what `old` holds, so only the live jobs and the ones retired since
+    /// are copied again; the accounting log only grows, so only its new
+    /// tail is; the small fields are read afresh. `None` when the
+    /// retirement notes do not reach back to `pos`.
+    fn patched_image(&self, old: ServerImage, pos: u64) -> Option<ServerImage> {
+        let retired = self.retired.since(pos)?;
+        let ServerImage {
+            mut jobs,
+            mut outcomes,
+            ..
+        } = old;
+        // `jobs[..known]` is what the old image held, in id order.
+        let known = jobs.len();
+        let mut next = 0;
+        let mut evicted = Vec::new();
+        #[cfg(test)]
+        let mut copied = 0;
+        // Brings one id up to date; ids must come in ascending order.
+        // `job` is `None` for a job dropped with retention off.
+        let mut patch = |id: JobId, job: Option<&Job>| {
+            // Each search starts where the last one ended and gallops:
+            // live jobs sit side by side or a few terminal ones apart.
+            let rest = &jobs[next..known];
+            let mut reach = 0;
+            while rest.get(reach).is_some_and(|(held, _)| held.id < id) {
+                reach = 2 * reach + 1;
+            }
+            let window = &rest[reach / 2..rest.len().min(reach + 1)];
+            let found = window.binary_search_by_key(&id, |(held, _)| held.id);
+            let (Ok(skip) | Err(skip)) = found;
+            next += reach / 2 + skip;
+            let held = found.is_ok();
+            #[cfg(test)]
+            {
+                copied += usize::from(job.is_some());
+            }
+            match job {
+                Some(job) if held => jobs[next] = self.image_entry(job),
+                // Submitted since `pos`: ids only grow, so it sorts after
+                // everything the old image held and after every new id
+                // appended before it.
+                Some(job) => {
+                    if jobs.len() == jobs.capacity() {
+                        // The server's largest single allocation grows by
+                        // an eighth, not by `push`'s doubling.
+                        jobs.reserve_exact(jobs.len() / 8 + 1);
+                    }
+                    jobs.push(self.image_entry(job));
+                }
+                // Terminal and dropped (retention off).
+                None if held => evicted.push(id),
+                // Submitted and dropped since `pos`.
+                None => {}
+            }
+            next += usize::from(held);
+        };
+        // What may differ from `old`: every live job and every job retired
+        // since — two ascending runs of ids, merged as they are read. A
+        // job is live until it retires, once, so no id comes up twice.
+        let mut retired_ids: Vec<JobId> = retired.iter().map(|&(_, id)| id).collect();
+        retired_ids.sort_unstable();
+        let mut retired_ids = retired_ids.into_iter().peekable();
+        for (&id, job) in &self.jobs {
+            while let Some(retired) = retired_ids.next_if(|&retired| retired < id) {
+                patch(retired, self.terminal.get(&retired));
+            }
+            patch(id, Some(job));
+        }
+        for retired in retired_ids {
+            patch(retired, self.terminal.get(&retired));
+        }
+        if !evicted.is_empty() {
+            jobs.retain(|(job, _)| evicted.binary_search(&job.id).is_err());
+        }
+        let recorded = self.accounting.outcomes();
+        let had = outcomes.len();
+        outcomes.extend_from_slice(&recorded[had..]);
+        #[cfg(test)]
+        compaction_work::record(compaction_work::Work {
+            patched_from: Some(pos),
+            jobs: copied,
+            outcomes: recorded.len() - had,
+            retired: retired
+                .iter()
+                .filter(|(_, id)| self.terminal.contains_key(id))
+                .count(),
+            evicted: evicted.len(),
+        });
+        Some(self.image_around(jobs, outcomes))
     }
 
     /// The serialised [`PbsServer::image`]: a deterministic, byte-comparable
@@ -526,6 +697,7 @@ impl PbsServer {
             deltas: Vec::new(),
             snapshot_epoch: 0,
             journal: None,
+            retired: Retirements::default(),
             usage: img.usage.iter().copied().collect(),
             usage_since: img.usage_since.iter().copied().collect(),
             usage_hist: img.usage_hist.clone(),
@@ -658,6 +830,9 @@ impl PbsServer {
     /// plus the O(1) accounting derivatives.
     pub fn set_accounting_retention(&mut self, retain: bool) {
         self.accounting.set_retain(retain);
+        // Turning retention off empties the outcome log under the
+        // snapshots in the journal.
+        self.retired.invalidate();
     }
 
     /// Whether terminal jobs stay in the job table (default: yes). With
@@ -674,6 +849,8 @@ impl PbsServer {
         if !retain {
             self.terminal.clear();
         }
+        // The sweep drops jobs without noting them one by one.
+        self.retired.invalidate();
     }
 
     /// Moves a job that just turned terminal out of the live table — into
@@ -686,6 +863,12 @@ impl PbsServer {
         debug_assert!(job.state.is_terminal());
         if self.retain_terminal_jobs {
             self.terminal.insert(id, job);
+        }
+        // The next compaction copies live jobs; this one it has to be
+        // told about, once: to bring its entry to its final state, or to
+        // drop it. One not-taken branch while journaling is off.
+        if let Some(journal) = &self.journal {
+            self.retired.notes.push((journal.total_appended(), id));
         }
     }
 
@@ -1546,6 +1729,38 @@ impl PbsServer {
     }
 }
 
+/// What the last compaction on this thread did — work counted, not timed.
+#[cfg(test)]
+pub(crate) mod compaction_work {
+    use std::cell::Cell;
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Work {
+        /// Position of the snapshot that was patched; `None` = full image.
+        pub patched_from: Option<u64>,
+        /// Job entries and accounting outcomes copied into the image.
+        pub jobs: usize,
+        pub outcomes: usize,
+        /// Of those entries, the jobs retired since the patched snapshot;
+        /// and the retired jobs dropped from the image (retention off).
+        pub retired: usize,
+        pub evicted: usize,
+    }
+
+    thread_local! {
+        static LAST: Cell<Option<Work>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn record(work: Work) {
+        LAST.with(|last| last.set(Some(work)));
+    }
+
+    /// The work of the compaction since the previous call, if one ran.
+    pub(crate) fn take() -> Option<Work> {
+        LAST.with(Cell::take)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1746,6 +1961,15 @@ mod tests {
         assert!(snap.dyn_requests.is_empty());
     }
 
+    /// With `enable_journal(1)` every record compacts: the newest record
+    /// is a snapshot patched from the one before it.
+    fn assert_newest_snapshot_is_fresh(s: &PbsServer) {
+        let journal = s.journal().unwrap();
+        let (pos, newest) = journal.latest_snapshot().unwrap();
+        assert_eq!(pos, journal.total_appended());
+        assert_eq!(*newest, s.image());
+    }
+
     /// The maintained view against the walk it replaced (debug builds
     /// assert this inside every `snapshot`; this holds in release too).
     fn assert_view_is_the_walk(s: &PbsServer, now: SimTime) {
@@ -1764,6 +1988,7 @@ mod tests {
     #[test]
     fn view_follows_preemption_requeue_and_a_policy_flip() {
         let mut s = server();
+        s.enable_journal(1);
         let mut cfg = SchedulerConfig::paper_eval();
         cfg.dfs = DfsConfig::highest_priority();
         cfg.preempt_backfilled_for_dyn = true;
@@ -1798,6 +2023,7 @@ mod tests {
         assert!(applied.contains(&Applied::Preempted { job: small }));
         assert_eq!(s.job(small).unwrap().state, JobState::Queued);
         assert_view_is_the_walk(&s, t(295));
+        assert_newest_snapshot_is_fresh(&s);
         let queued: Vec<JobId> = s.snapshot(t(296)).queued.iter().map(|q| q.id).collect();
         assert_eq!(queued, vec![blocked, small, late]);
 
@@ -1825,6 +2051,7 @@ mod tests {
             .0;
         assert!(s.node_failed(node, t(310)).unwrap().contains(&f));
         assert_view_is_the_walk(&s, t(310));
+        assert_newest_snapshot_is_fresh(&s);
     }
 
     #[test]
@@ -1895,9 +2122,9 @@ mod tests {
 
     #[test]
     fn compacting_snapshot_rebuilt_in_old_buffers_equals_fresh_image() {
-        // Every record compacts, so every snapshot but the first is built
-        // inside its predecessor's lists: longer, equal and — once
-        // retention is turned off and terminal jobs are swept — shorter.
+        // Every record compacts, so every snapshot but the first is its
+        // predecessor patched in place: longer, equal and — once
+        // retention is turned off and terminal jobs are dropped — shorter.
         let mut s = server();
         s.enable_journal(1);
         let newest = |s: &PbsServer| s.journal().unwrap().latest_snapshot().unwrap().1.clone();
@@ -1922,8 +2149,109 @@ mod tests {
         s.qsub(rigid("late", 1, 4, 50), t(21)).unwrap();
         assert_eq!(newest(&s).jobs.len(), 7, "swept jobs leave the image");
         assert_eq!(newest(&s), s.image());
+        // With retention off a deleted job is in the snapshot its own
+        // record triggers and gone from the next one.
+        s.qdel(ids[6], t(22)).unwrap();
+        assert_eq!(newest(&s).jobs.len(), 7);
+        s.qsub(rigid("later", 1, 4, 50), t(23)).unwrap();
+        assert_eq!(newest(&s).jobs.len(), 7, "dropped job leaves the image");
+        assert_eq!(newest(&s), s.image());
         let recovered = PbsServer::recover(s.journal().unwrap().clone()).unwrap();
         assert_eq!(recovered.state_digest(), s.state_digest());
+    }
+
+    #[test]
+    fn compaction_copies_the_live_table_not_the_history() {
+        // Work counted, not timed. Behind the journal sit 5 000 retained
+        // terminal jobs and as many outcomes; each compaction may copy
+        // only the live jobs and the ones retired since the snapshot it
+        // patched.
+        for lag_intervals in [0, 2] {
+            let mut s = server();
+            let mut m = hp_maui();
+            for round in 0..50 {
+                let ids: Vec<JobId> = (0..100)
+                    .map(|i| s.qsub(rigid("old", i % 7, 1, 10), t(round)).unwrap())
+                    .collect();
+                cycle(&mut s, &mut m, t(round));
+                for id in ids {
+                    s.job_finished(id, t(round)).unwrap();
+                }
+            }
+            assert_eq!(s.jobs().count(), 5_000);
+            assert_eq!(s.accounting().outcomes().len(), 5_000);
+            s.enable_journal(64);
+            compaction_work::take();
+
+            // The journal's length when the script retired a job (after
+            // the command: a retirement is noted last) and when it
+            // finished one (before it).
+            let mut retired: Vec<u64> = Vec::new();
+            let mut finished: Vec<u64> = Vec::new();
+            let (mut queued, mut running) = (Vec::new(), Vec::new());
+            let (mut compactions, mut patched, mut patched_older) = (0, 0, 0);
+            for step in 0..4_000u64 {
+                let now = t(100 + step);
+                let journal = s.journal().unwrap();
+                let stamp = journal.total_appended();
+                let latest = journal.latest_snapshot().unwrap().0;
+                s.journal_retain_from((stamp + 1).saturating_sub(64 * lag_intervals));
+                let mut retires = false;
+                match step % 8 {
+                    0..=3 => queued.push(s.qsub(rigid("new", 1, 2, 500), now).unwrap()),
+                    4 if !queued.is_empty() => {
+                        s.qdel(queued.remove(0), now).unwrap();
+                        retires = true;
+                    }
+                    5 if !running.is_empty() => {
+                        s.job_finished(running.remove(0), now).unwrap();
+                        retires = true;
+                        finished.push(stamp);
+                    }
+                    6 => {
+                        for applied in cycle(&mut s, &mut m, now) {
+                            let Applied::Started { job, .. } = applied else {
+                                panic!("rigid jobs only start: {applied:?}");
+                            };
+                            queued.retain(|&id| id != job);
+                            running.push(job);
+                        }
+                    }
+                    _ => {}
+                }
+                retired.extend(retires.then(|| s.journal().unwrap().total_appended()));
+                let Some(work) = compaction_work::take() else {
+                    continue;
+                };
+                compactions += 1;
+                let Some(from) = work.patched_from else {
+                    // The floor's first step above zero lands below the
+                    // journal's start: nothing is discarded, once.
+                    assert!(lag_intervals > 0 && compactions <= 3, "{work:?}");
+                    continue;
+                };
+                // The command's own record triggered the compaction, so a
+                // job it retires was still live in that image, and noted
+                // after it.
+                let live = s.live_jobs().count() + usize::from(retires);
+                let noted = &retired[..retired.len() - usize::from(retires)];
+                let since = noted.iter().filter(|&&at| at >= from).count();
+                assert_eq!(work.retired, since, "{work:?}");
+                assert_eq!(work.jobs, live + since, "{work:?}");
+                assert!(work.jobs < 1_500, "{work:?}");
+                let recorded = finished.iter().filter(|&&at| at >= from).count();
+                assert_eq!(work.outcomes, recorded, "{work:?}");
+                patched += 1;
+                patched_older += usize::from(from < latest);
+            }
+            assert!(patched >= 30 && patched + 1 >= compactions, "{patched}");
+            if lag_intervals == 0 {
+                assert_eq!(patched_older, 0);
+            } else {
+                assert!(patched_older + 3 >= patched, "{patched_older} of {patched}");
+            }
+            assert!(s.jobs().count() > 6_000);
+        }
     }
 
     #[test]
@@ -2055,6 +2383,7 @@ mod tests {
     #[test]
     fn malleable_resize_round_trip() {
         let mut s = server();
+        s.enable_journal(1);
         let mut m = {
             let mut cfg = SchedulerConfig::paper_eval();
             cfg.dfs = DfsConfig::highest_priority();
@@ -2080,6 +2409,7 @@ mod tests {
         assert!(grew, "{applied:?}");
         assert_eq!(s.job(id).unwrap().cores_allocated, 64);
         assert_eq!(s.cluster().cores_of(id), 64);
+        assert_newest_snapshot_is_fresh(&s);
         s.cluster().check_invariants().unwrap();
     }
 

@@ -1,9 +1,11 @@
 //! Property suite for the live/terminal job-table split and the
 //! maintained scheduler view.
 //!
-//! Two servers are driven through one random command sequence: `kept`
-//! retains terminal jobs and journals (so it can crash and `recover`),
-//! `flip` has its retention toggled at random. After **every** operation
+//! Two servers are driven through one random command sequence, both
+//! journaling with a short compaction interval and a retain floor that
+//! trails the log by zero to three intervals: `kept` retains terminal
+//! jobs (so it can crash and `recover`), `flip` has its job and
+//! accounting retention toggled at random. After **every** operation
 //! (submissions, cycles, finishes, deletes, requests and their expiry,
 //! releases, node failures and repairs, recovery, image round trips,
 //! `reset`, retention flips; preemption and a policy flip with jobs
@@ -18,8 +20,16 @@
 //!   the terminal jobs a model says retention kept, and `live_jobs()`,
 //!   the counters and `is_drained` agree with a scan of it;
 //! * a command naming a terminal job fails with `InvalidState` where the
-//!   job is retained and `UnknownJob` where it was evicted.
+//!   job is retained and `UnknownJob` where it was evicted;
+//! * a compacting snapshot, patched in place (live jobs and the jobs
+//!   noted as retired since its predecessor copied again),
+//!   equals a fresh `image()`; it was patched from the newest snapshot
+//!   the compaction discarded whenever the notes reach back that far,
+//!   and imaged from the whole table only when nothing was discarded or
+//!   a recovery or retention flip had cut the notes off.
 
+use crate::journal::Record;
+use crate::server::compaction_work::{self, Work};
 use crate::PbsServer;
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::testkit::{check, TestRng};
@@ -28,10 +38,14 @@ use dynbatch_core::{
     SchedulerConfig, SimDuration, SimTime, UserId,
 };
 use dynbatch_sched::{Maui, Snapshot};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 const NODES: u32 = 6;
 const CORES_PER_NODE: u32 = 8;
+/// A short compaction interval: snapshot records get written at the very
+/// record that retires a job.
+const SNAPSHOT_EVERY: usize = 5;
 
 fn fresh_server() -> PbsServer {
     PbsServer::new(
@@ -94,11 +108,52 @@ fn same_view(a: &Snapshot, b: &Snapshot, what: &str) {
     assert_eq!(a.dyn_requests, b.dyn_requests, "{what}: dyn_requests");
 }
 
+/// Which compactions the seeded run went through, summed over all cases.
+#[derive(Default)]
+struct Witness {
+    patched_from_latest: Cell<u32>,
+    patched_from_older: Cell<u32>,
+    rebuilt_after_recovery: Cell<u32>,
+    rebuilt_after_retention_flip: Cell<u32>,
+    retired_ids_patched: Cell<usize>,
+    retired_ids_evicted: Cell<usize>,
+}
+
+fn bump<T: Copy + std::ops::Add<Output = T>>(cell: &Cell<T>, by: T) {
+    cell.set(cell.get() + by);
+}
+
+/// Why a server's retirement notes were cut off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    Recovery,
+    RetentionFlip,
+}
+
+/// What the test knows about one server's journal.
+#[derive(Default)]
+struct Tracked {
+    /// The retain floor the journal holds (it keeps the maximum).
+    floor: u64,
+    /// Set when the notes are cut off, cleared by the full image that
+    /// restarts them.
+    cut: Option<Cut>,
+    /// The newest snapshot is the newest record, yet the server moved on
+    /// without a record: a retention flip swept jobs or outcomes, or a
+    /// terminal job was dropped right after the snapshot was written.
+    moved_on: bool,
+}
+
 /// The two servers plus what the test itself knows about them.
-struct Twin {
+struct Twin<'w> {
     kept: PbsServer,
     flip: PbsServer,
+    tracked: [Tracked; 2],
+    witness: &'w Witness,
+    /// The job the current operation retired, if any.
+    retired: Option<JobId>,
     flip_retains: bool,
+    flip_retains_outcomes: bool,
     /// Terminal ids `flip` should still hold.
     flip_kept_terminal: BTreeSet<JobId>,
     /// Every id that ever turned terminal (all retained by `kept`).
@@ -108,12 +163,16 @@ struct Twin {
     maui: Maui,
 }
 
-impl Twin {
-    fn new(guarantee: bool, preempt: bool) -> Self {
+impl<'w> Twin<'w> {
+    fn new(guarantee: bool, preempt: bool, witness: &'w Witness) -> Self {
         let mut twin = Twin {
             kept: fresh_server(),
             flip: fresh_server(),
+            tracked: Default::default(),
+            witness,
+            retired: None,
             flip_retains: true,
+            flip_retains_outcomes: true,
             flip_kept_terminal: BTreeSet::new(),
             terminal: Vec::new(),
             guarantee,
@@ -128,14 +187,38 @@ impl Twin {
     fn arm(&mut self) {
         self.kept.set_guarantee_evolving(self.guarantee);
         self.flip.set_guarantee_evolving(self.guarantee);
-        // A short compaction interval: snapshot records get written at
-        // the very record that retires a job.
-        self.kept.enable_journal(5);
+        self.kept.enable_journal(SNAPSHOT_EVERY);
+        self.flip.enable_journal(SNAPSHOT_EVERY);
+        self.tracked = Default::default();
     }
 
-    /// Runs a command on both servers.
+    /// Runs a command on both servers, holding any compaction it causes
+    /// to the patching contract.
     fn both<T>(&mut self, f: impl Fn(&mut PbsServer) -> T) -> (T, T) {
-        (f(&mut self.kept), f(&mut self.flip))
+        let run = |server: &mut PbsServer, tracked: &mut Tracked| {
+            let before = Discardable::of(server, tracked.floor);
+            let out = f(server);
+            if let Some(work) = compaction_work::take() {
+                before.judge(work, tracked, self.witness);
+            }
+            out
+        };
+        let [kept, flip] = &mut self.tracked;
+        (run(&mut self.kept, kept), run(&mut self.flip, flip))
+    }
+
+    /// Raises a server's retain floor to `intervals` compaction intervals
+    /// behind its log, as a follower that far behind would.
+    fn trail(&mut self, flip: bool, intervals: u64) {
+        let (server, tracked) = if flip {
+            (&mut self.flip, &mut self.tracked[1])
+        } else {
+            (&mut self.kept, &mut self.tracked[0])
+        };
+        let appended = server.journal().expect("journal on").total_appended();
+        let pos = (appended + 1).saturating_sub(intervals * SNAPSHOT_EVERY as u64);
+        server.journal_retain_from(pos);
+        tracked.floor = tracked.floor.max(pos);
     }
 
     /// Runs a command that names only live jobs: the servers must agree.
@@ -146,6 +229,7 @@ impl Twin {
     }
 
     fn went_terminal(&mut self, id: JobId) {
+        self.retired = Some(id);
         self.terminal.push(id);
         if self.flip_retains {
             self.flip_kept_terminal.insert(id);
@@ -160,7 +244,8 @@ impl Twin {
             .collect()
     }
 
-    fn check(&self, now: SimTime) {
+    fn check(&mut self, now: SimTime) {
+        self.check_newest_snapshots();
         for (name, s) in [("kept", &self.kept), ("flip", &self.flip)] {
             same_view(&s.snapshot(now), &s.snapshot_walk(now), name);
             same_view(&s.snapshot_walk(now), &s.snapshot_full_scan(now), name);
@@ -194,14 +279,6 @@ impl Twin {
             assert_eq!(s.invariant_breaches(), 0);
             s.cluster().check_invariants().unwrap();
         }
-        // A compacting snapshot is built inside the buffers of the one it
-        // replaces: when it is the newest record it must equal a fresh image.
-        let journal = self.kept.journal().expect("journal on");
-        if let Some((pos, img)) = journal.latest_snapshot() {
-            if pos == journal.total_appended() {
-                assert_eq!(*img, self.kept.image(), "recycled snapshot image");
-            }
-        }
         same_view(
             &self.kept.snapshot(now),
             &self.flip.snapshot(now),
@@ -222,6 +299,31 @@ impl Twin {
             self.terminal.iter().copied().collect::<BTreeSet<_>>()
         );
         assert_eq!(terminal_ids(&self.flip), self.flip_kept_terminal);
+    }
+
+    /// A compacting snapshot is its predecessor patched in place: while it
+    /// is the newest record it must equal a fresh image, on both servers.
+    fn check_newest_snapshots(&mut self) {
+        let retired = self.retired.take();
+        for (i, s) in [&self.kept, &self.flip].into_iter().enumerate() {
+            let tracked = &mut self.tracked[i];
+            let journal = s.journal().expect("journal on");
+            let (pos, snapshot) = journal.latest_snapshot().expect("genesis at least");
+            if pos < journal.total_appended() || tracked.moved_on {
+                continue;
+            }
+            let mut want = s.image();
+            // `retire` runs after the record (and its compacting snapshot)
+            // is written: with retention off the job is in the snapshot
+            // and gone from the server. `kept` still has it.
+            if let Some(id) = retired.filter(|&id| s.job(id).is_err()) {
+                let at = want.jobs.partition_point(|(job, _)| job.id < id);
+                let job = self.kept.job(id).expect("kept retains").clone();
+                want.jobs.insert(at, (job, None));
+                tracked.moved_on = true;
+            }
+            assert_eq!(*snapshot, want, "patched snapshot vs fresh image");
+        }
     }
 
     /// Every job-addressed command against a terminal id: the kind of the
@@ -252,11 +354,29 @@ impl Twin {
 
 #[test]
 fn live_table_walks_match_full_scans_under_random_commands() {
+    let witness = Witness::default();
     check(48, 0x7AB1E, |rng: &mut TestRng| {
-        let mut twin = Twin::new(rng.chance(0.3), rng.chance(0.5));
+        // What this suite added for journal compaction draws from a
+        // stream of its own, so the command sequence stays the one the
+        // seed above has always produced.
+        let mut side = TestRng::from_seed(rng.clone().next_u64() ^ 0x0C0A_9AC7);
+        let mut twin = Twin::new(rng.chance(0.3), rng.chance(0.5), &witness);
         let mut now = SimTime::ZERO;
         for _ in 0..160 {
             now += SimDuration::from_secs(rng.below(40));
+            // Followers confirm in bursts: the floor mostly stands still
+            // and now and then jumps to 0-3 intervals behind the log.
+            for flip in [false, true] {
+                if side.chance(0.3) {
+                    twin.trail(flip, side.below(4));
+                }
+            }
+            if side.chance(0.04) {
+                twin.flip_retains_outcomes = !twin.flip_retains_outcomes;
+                twin.flip
+                    .set_accounting_retention(twin.flip_retains_outcomes);
+                twin.tracked[1].retention_flipped();
+            }
             match rng.below(20) {
                 0..=4 => {
                     let spec = random_spec(rng);
@@ -331,6 +451,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     if !twin.flip_retains {
                         twin.flip_kept_terminal.clear();
                     }
+                    twin.tracked[1].retention_flipped();
                 }
                 17 => {
                     if let Some(&id) = pick(rng, &twin.terminal) {
@@ -344,13 +465,29 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     if rng.chance(0.5) {
                         let journal = twin.kept.take_journal().expect("journal on");
                         twin.kept = PbsServer::recover(journal).unwrap();
+                        twin.tracked[0].cut = Some(Cut::Recovery);
                     } else {
                         twin.kept = PbsServer::from_image(&twin.kept.image()).unwrap();
-                        twin.kept.enable_journal(5);
+                        twin.kept.enable_journal(SNAPSHOT_EVERY);
+                        twin.tracked[0] = Tracked::default();
                     }
                     assert_eq!(twin.kept.state_digest(), digest);
-                    twin.flip = PbsServer::from_image(&twin.flip.image()).unwrap();
-                    twin.flip.set_job_retention(twin.flip_retains);
+                    // An image holds the outcomes retained, and a server
+                    // loaded from one digests only those: `flip` goes
+                    // round while its log is whole. Retention is a
+                    // per-process setting the image does not carry; set
+                    // after the journal is on, it cuts the notes off like
+                    // any other flip.
+                    let log = twin.flip.accounting();
+                    if log.outcomes().len() as u64 == log.recorded() {
+                        twin.flip = PbsServer::from_image(&twin.flip.image()).unwrap();
+                        twin.flip.enable_journal(SNAPSHOT_EVERY);
+                        twin.flip.set_job_retention(twin.flip_retains);
+                        twin.flip
+                            .set_accounting_retention(twin.flip_retains_outcomes);
+                        twin.tracked[1] = Tracked::default();
+                        twin.tracked[1].retention_flipped();
+                    }
                 }
                 _ => {
                     if rng.chance(0.25) {
@@ -359,6 +496,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                         twin.flip
                             .reset(fresh_server().cluster().clone(), AllocPolicy::Pack);
                         twin.flip_retains = true;
+                        twin.flip_retains_outcomes = true;
                         twin.flip_kept_terminal.clear();
                         twin.terminal.clear();
                         twin.maui = fresh_maui(twin.guarantee, twin.preempt);
@@ -370,6 +508,101 @@ fn live_table_walks_match_full_scans_under_random_commands() {
             twin.check(now);
         }
     });
+    // Coverage witnesses: the equalities above say nothing about a kind
+    // of compaction the seeded run never performs.
+    for (what, count) in [
+        (
+            "patched from the newest snapshot",
+            witness.patched_from_latest.get(),
+        ),
+        (
+            "patched from an older snapshot",
+            witness.patched_from_older.get(),
+        ),
+        (
+            "imaged in full after recovery",
+            witness.rebuilt_after_recovery.get(),
+        ),
+        (
+            "imaged in full after a retention flip",
+            witness.rebuilt_after_retention_flip.get(),
+        ),
+    ] {
+        assert!(count > 0, "no compaction was {what}");
+    }
+    assert!(
+        witness.retired_ids_patched.get() > 0,
+        "no retired job was brought to its final state"
+    );
+    assert!(
+        witness.retired_ids_evicted.get() > 0,
+        "no retired job was dropped from an image"
+    );
+}
+
+impl Tracked {
+    /// `flip` changed what it retains: the notes are cut off, and its
+    /// image no longer holds what the flip swept.
+    fn retention_flipped(&mut self) {
+        self.cut = Some(Cut::RetentionFlip);
+        self.moved_on = true;
+    }
+}
+
+/// What a server's next compaction could patch, read before the command
+/// that may trigger it.
+struct Discardable {
+    /// Position of the newest snapshot below the retain floor.
+    newest: Option<u64>,
+    /// Position of the newest snapshot in the journal.
+    latest: u64,
+    /// Where the server's retirement notes reach back to.
+    patchable_from: Option<u64>,
+}
+
+impl Discardable {
+    fn of(server: &PbsServer, floor: u64) -> Self {
+        let journal = server.journal().expect("journal on");
+        let newest = (journal.first_pos()..)
+            .zip(journal.records())
+            .filter(|(pos, r)| matches!(r, Record::Snapshot(_)) && (floor == 0 || *pos < floor))
+            .map(|(pos, _)| pos)
+            .last();
+        Discardable {
+            newest,
+            latest: journal.latest_snapshot().expect("genesis at least").0,
+            patchable_from: server.patchable_from(),
+        }
+    }
+
+    /// A compaction ran: it must have patched `newest` unless it had no
+    /// choice.
+    fn judge(&self, work: Work, tracked: &mut Tracked, witness: &Witness) {
+        let usable = self
+            .newest
+            .filter(|&pos| self.patchable_from.is_some_and(|from| pos >= from));
+        assert_eq!(
+            work.patched_from, usable,
+            "{work:?}, newest discardable {:?}, notes from {:?}",
+            self.newest, self.patchable_from
+        );
+        tracked.moved_on = false;
+        if let Some(pos) = work.patched_from {
+            assert_eq!(tracked.cut, None, "patched across a cut");
+            if pos == self.latest {
+                bump(&witness.patched_from_latest, 1);
+            } else {
+                bump(&witness.patched_from_older, 1);
+            }
+            bump(&witness.retired_ids_patched, work.retired);
+            bump(&witness.retired_ids_evicted, work.evicted);
+        } else if self.patchable_from.is_none() {
+            match tracked.cut.take().expect("notes cut off by the test") {
+                Cut::Recovery => bump(&witness.rebuilt_after_recovery, 1),
+                Cut::RetentionFlip => bump(&witness.rebuilt_after_retention_flip, 1),
+            }
+        }
+    }
 }
 
 fn pick<'a, T>(rng: &mut TestRng, items: &'a [T]) -> Option<&'a T> {

@@ -44,6 +44,21 @@ echo "    random commands; queue peek/slot-table properties)"
 cargo test -q -p dynbatch-server --lib table_props
 cargo test -q -p dynbatch-simtime --test prop_queue
 
+echo "==> checkpoints that cost the live table (both table_props servers"
+echo "    journal under a trailing retain floor: patched snapshot == fresh"
+echo "    image after every command, patched whenever a valid predecessor is"
+echo "    discarded, every kind of compaction witnessed; entries and outcomes"
+echo "    copied per compaction counted against 5 000 retained jobs)"
+cargo test -q -p dynbatch-server --lib live_table_walks_match_full_scans_under_random_commands
+cargo test -q -p dynbatch-server --lib compaction_copies_the_live_table_not_the_history
+cargo test -q -p dynbatch-server --lib compacting_snapshot_rebuilt_in_old_buffers_equals_fresh_image
+cargo test -q -p dynbatch-server --lib compact_hands_back_the_newest_discarded_snapshot
+cargo test -q --test crash_recovery crash_sweep_survives_compaction
+
+echo "==> command line (usage errors exit 2; a workload wider than the"
+echo "    cluster is one of them)"
+cargo test -q --test cli
+
 echo "==> queue-depth-independent cycle (Maui::iterate == the visit-every-job"
 echo "    reference over random multi-cycle runs; remembered rank order =="
 echo "    rank_jobs while priorities cross; fits == min_idle >= cores; the"
@@ -107,6 +122,12 @@ echo "==> committed BENCH_sched.json must carry the fairness section"
 grep -q '"fairness"' BENCH_sched.json \
   || { echo "BENCH_sched.json lacks the fairness section — regenerate \
 with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
+
+echo "==> committed BENCH_sched.json must carry the journal section as median"
+echo "    overhead of alternating off/on pairs under its recorded bound"
+grep -q '"overhead_bound_pct"' BENCH_sched.json \
+  || { echo "BENCH_sched.json journal section predates the paired-median \
+measurement — regenerate with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
 
 echo "==> committed BENCH_sched.json must carry the replication section"
 echo "    (append->apply lag, follower-read throughput, failover latency)"

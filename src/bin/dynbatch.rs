@@ -164,6 +164,19 @@ fn cluster_from(args: &Args, sched: SchedulerConfig) -> Result<ExperimentConfig,
     })
 }
 
+/// A job wider than the whole cluster can never start, and `BatchSim`
+/// takes a workload the server refuses for a bug: turn it away here.
+fn check_fits(wl: &[WorkloadItem], cfg: &ExperimentConfig) -> Result<(), String> {
+    let capacity = cfg.nodes.saturating_mul(cfg.cores_per_node);
+    match wl.iter().find(|item| item.spec.cores > capacity) {
+        Some(item) => Err(format!(
+            "job {} requests {} cores, the cluster has {capacity}",
+            item.spec.name, item.spec.cores
+        )),
+        None => Ok(()),
+    }
+}
+
 fn cmd_esp(args: &Args) -> Result<(), Failure> {
     let seeds: u64 = args.num("seeds", 1u64)?;
     let base_seed: u64 = args.num("seed", EspConfig::default().seed)?;
@@ -181,6 +194,7 @@ fn cmd_esp(args: &Args) -> Result<(), Failure> {
         let mut reg = CredRegistry::new();
         let wl = generate_esp(&wl_cfg, &mut reg);
         let cfg = cluster_from(args, sched_from(args)?)?;
+        check_fits(&wl, &cfg)?;
         let r = run_experiment(&cfg, &wl);
         acc = Some(match acc {
             None => r.summary,
@@ -232,6 +246,7 @@ fn load_workload(args: &Args) -> Result<Vec<WorkloadItem>, Failure> {
 fn cmd_run(args: &Args) -> Result<(), Failure> {
     let wl = load_workload(args)?;
     let cfg = cluster_from(args, sched_from(args)?)?;
+    check_fits(&wl, &cfg)?;
     let r = run_experiment(&cfg, &wl);
     print!("{}", render_table2(std::slice::from_ref(&r.summary)));
     println!(

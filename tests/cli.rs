@@ -49,9 +49,36 @@ fn unparseable_value_is_rejected() {
 }
 
 #[test]
-fn static_esp_prints_a_table_row() {
-    let out = dynbatch(&["esp", "--static", "--seed", "1"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
+fn workload_wider_than_the_cluster_is_rejected() {
+    // Used to die in `BatchSim` with a backtrace. ESP scales its widths
+    // to a 120-core machine; one 8-core node holds none of the wide ones.
+    assert_usage_error(
+        &["esp", "--nodes", "1", "--static"],
+        "cores, the cluster has 8",
+    );
+    // The same workload through `run --trace`.
+    let trace = std::env::temp_dir().join(format!("dynbatch-cli-{}.json", std::process::id()));
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let out = dynbatch(&["gen-esp", "--static", "--out", trace]);
     assert!(out.status.success(), "stderr {:?}", out.stderr);
-    assert!(stdout.contains("ESP-static"), "no Table-II row in {stdout}");
+    assert_usage_error(
+        &["run", "--trace", trace, "--nodes", "2"],
+        "cores, the cluster has 16",
+    );
+    let out = dynbatch(&["run", "--trace", trace, "--nodes", "15"]);
+    std::fs::remove_file(trace).expect("trace written above");
+    assert!(out.status.success(), "stderr {:?}", out.stderr);
+}
+
+#[test]
+fn static_esp_prints_a_table_row() {
+    for args in [
+        &["esp", "--static", "--seed", "1"][..],
+        &["esp", "--static", "--nodes", "15"],
+    ] {
+        let out = dynbatch(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "stderr {:?}", out.stderr);
+        assert!(stdout.contains("ESP-static"), "no Table-II row in {stdout}");
+    }
 }
