@@ -57,11 +57,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Bytes currently allocated.
-pub fn current_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// High-water mark since the last [`reset_peak`].
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)

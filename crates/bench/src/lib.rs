@@ -1,4 +1,4 @@
 //! # dynbatch-bench
-//! Benchmark harness; see `src/bin` and `benches`.
+//! Benchmark harness; see `src/bin`.
 
 pub mod alloc_meter;

@@ -250,12 +250,6 @@ impl JobSpec {
         self
     }
 
-    /// Routes the job to an explicit submission queue.
-    pub fn with_queue(mut self, queue: QueueId) -> Self {
-        self.queue = Some(queue);
-        self
-    }
-
     /// The queue this job's usage is accounted to: the explicit queue, or
     /// the group-derived default (one queue per user group).
     pub fn effective_queue(&self) -> QueueId {

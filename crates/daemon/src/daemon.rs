@@ -23,11 +23,12 @@ use crate::timer::{TimerHandle, TimerId, TimerService};
 use crate::wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
-    FairshareMode, JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimDuration,
-    SimTime, UserId,
+    FairshareMode, JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimTime, UserId,
 };
 use dynbatch_sched::Maui;
-use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
+use dynbatch_server::reactor::{
+    apply_to_server, BatchEvent, Command as ReactorCommand, Reply as ReactorReply,
+};
 use dynbatch_server::replication::{HubConfig, ReadRouter, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
     Applied, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient, ReactorConnector,
@@ -509,75 +510,7 @@ fn server_main(
     let timers = TimerService::start(&format!("{tag}tmr"), move |cmd| {
         let _ = self_tx.send(cmd);
     });
-    let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
-    let alloc_policy = config.sched.alloc;
-    let crash_points: VecDeque<u64> = config
-        .faults
-        .as_ref()
-        .map(|p| p.server_crashes.iter().map(|c| c.after_record).collect())
-        .unwrap_or_default();
-    let leader_kill_points: VecDeque<u64> = config
-        .faults
-        .as_ref()
-        .map(|p| p.leader_kills.iter().map(|c| c.after_record).collect())
-        .unwrap_or_default();
-    // The replication hub and its follower threads live on the server
-    // thread's side of the world: streaming is pumped at every command
-    // boundary, so follower state only ever reflects journal prefixes.
-    let repl = config.replication.as_ref().map(|rc| {
-        let faults = config
-            .faults
-            .as_ref()
-            .and_then(|p| p.replication.clone())
-            .unwrap_or_else(|| ReplFaultPlan::none(0));
-        let mut hub = ReplicationHub::new(HubConfig {
-            digest_every: rc.digest_every,
-            faults,
-            ..HubConfig::default()
-        });
-        for i in 0..rc.followers {
-            hub.add_follower(&format!("{tag}rep{i}"));
-        }
-        ReplHost {
-            hub,
-            router: ReadRouter::new(rc.read_your_writes),
-            cfg: rc.clone(),
-            failovers: 0,
-            acked_watermark: 0,
-            lost_records: 0,
-            acked_lost: 0,
-            errors: Vec::new(),
-        }
-    });
-    // The daemon always journals: crash recovery (scheduled by the fault
-    // plan or exercised by the chaos suite) depends on it, and the append
-    // cost is measured and bounded by the perf harness.
-    let mut server = PbsServer::new(cluster, alloc_policy);
-    // Half-life before `enable_journal` so the genesis image already
-    // carries it; segment-close events feed the window-exact fairshare
-    // sync below.
-    server.set_usage_half_life(config.sched.fairshare.half_life);
-    server.set_publish_usage(config.sched.fairshare.mode == FairshareMode::TimeAware);
-    server.set_collect_usage_events(true);
-    server.enable_journal(JOURNAL_SNAPSHOT_EVERY);
-    let mut d = ServerDaemon {
-        server,
-        maui: Maui::new(config.sched.clone()),
-        sched: config.sched,
-        crash_points,
-        moms,
-        ms_directory,
-        timers: timers.handle(),
-        app_timers: HashMap::new(),
-        dyn_timers: HashMap::new(),
-        job_gen: HashMap::new(),
-        fs_synced: HashMap::new(),
-        reactor: Some(reactor),
-        run_waiters: Vec::new(),
-        drain_waiters: Vec::new(),
-        repl,
-        leader_kill_points,
-    };
+    let mut d = ServerDaemon::new(config, moms, ms_directory, timers.handle(), reactor, &tag);
     d.pump_replication(); // seed followers with the genesis snapshot
     let epoch = Instant::now();
     while let Ok(cmd) = rx.recv() {
@@ -599,6 +532,88 @@ fn server_main(
 }
 
 impl ServerDaemon {
+    /// Boots the server side of an ensemble: a journaling `pbs_server`, a
+    /// fresh Maui, the fault plan's crash schedule and the replication hub
+    /// with its follower threads (named `{tag}rep{i}`).
+    fn new(
+        config: DaemonConfig,
+        moms: Vec<MomLink>,
+        ms_directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
+        timers: TimerHandle<ServerCmd>,
+        reactor: Reactor,
+        tag: &str,
+    ) -> Self {
+        let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
+        let alloc_policy = config.sched.alloc;
+        let crash_points: VecDeque<u64> = config
+            .faults
+            .as_ref()
+            .map(|p| p.server_crashes.iter().map(|c| c.after_record).collect())
+            .unwrap_or_default();
+        let leader_kill_points: VecDeque<u64> = config
+            .faults
+            .as_ref()
+            .map(|p| p.leader_kills.iter().map(|c| c.after_record).collect())
+            .unwrap_or_default();
+        // The replication hub and its follower threads live on the server
+        // thread's side of the world: streaming is pumped at every command
+        // boundary, so follower state only ever reflects journal prefixes.
+        let repl = config.replication.as_ref().map(|rc| {
+            let faults = config
+                .faults
+                .as_ref()
+                .and_then(|p| p.replication.clone())
+                .unwrap_or_else(|| ReplFaultPlan::none(0));
+            let mut hub = ReplicationHub::new(HubConfig {
+                digest_every: rc.digest_every,
+                faults,
+                ..HubConfig::default()
+            });
+            for i in 0..rc.followers {
+                hub.add_follower(&format!("{tag}rep{i}"));
+            }
+            ReplHost {
+                hub,
+                router: ReadRouter::new(rc.read_your_writes),
+                cfg: rc.clone(),
+                failovers: 0,
+                acked_watermark: 0,
+                lost_records: 0,
+                acked_lost: 0,
+                errors: Vec::new(),
+            }
+        });
+        // The daemon always journals: crash recovery (scheduled by the fault
+        // plan or exercised by the chaos suite) depends on it, and the append
+        // cost is measured and bounded (`perf_smoke`'s `journal` section).
+        let mut server = PbsServer::new(cluster, alloc_policy);
+        // Half-life before `enable_journal` so the genesis image already
+        // carries it; segment-close events feed the window-exact fairshare
+        // sync below.
+        server.set_usage_half_life(config.sched.fairshare.half_life);
+        server.set_publish_usage(config.sched.fairshare.mode == FairshareMode::TimeAware);
+        server.set_collect_usage_events(true);
+        server.enable_journal(JOURNAL_SNAPSHOT_EVERY);
+        ServerDaemon {
+            server,
+            maui: Maui::new(config.sched.clone()),
+            sched: config.sched,
+            crash_points,
+            moms,
+            ms_directory,
+            timers,
+            app_timers: HashMap::new(),
+            dyn_timers: HashMap::new(),
+            job_gen: HashMap::new(),
+            fs_synced: HashMap::new(),
+            reactor: Some(reactor),
+            run_waiters: Vec::new(),
+            drain_waiters: Vec::new(),
+            repl,
+            leader_kill_points,
+        }
+    }
+
     /// Processes one command; returns `false` on shutdown.
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
         let state_changed = match cmd {
@@ -630,31 +645,20 @@ impl ServerDaemon {
     fn handle_client(&mut self, req: ClientReq, t: SimTime) -> bool {
         match req {
             ClientReq::QSub { spec, reply } => {
-                let res = self.server.qsub(*spec, t).map_err(|e| e.to_string());
-                let _ = reply.send(res);
-                true
+                let (res, mutated) = self.apply_command(&ReactorCommand::QSub(spec), t);
+                let _ = reply.send(match res {
+                    ReactorReply::Submitted(id) => Ok(id),
+                    other => Err(denial(other)),
+                });
+                mutated
             }
             ClientReq::QDel { job, reply } => {
-                let was_active = self
-                    .server
-                    .job(job)
-                    .map(|j| j.state.is_active())
-                    .unwrap_or(false);
-                let res = self.server.qdel(job, t).map_err(|e| e.to_string());
-                let ok = res.is_ok();
-                if ok && was_active {
-                    // A running job dies with its timers disarmed and its
-                    // mom told to kill the app (the server settled its
-                    // usage charges inside `qdel`).
-                    self.cancel_timers(job);
-                    let ms = self.ms_directory.lock().unwrap().remove(&job);
-                    if let Some(ms) = ms {
-                        self.moms[ms.0 as usize]
-                            .send(MomMsg::FromServer(ServerToMom::KillJob { job }));
-                    }
-                }
-                let _ = reply.send(res);
-                ok
+                let (res, mutated) = self.apply_command(&ReactorCommand::QDel(job), t);
+                let _ = reply.send(match res {
+                    ReactorReply::Ok => Ok(()),
+                    other => Err(denial(other)),
+                });
+                mutated
             }
             ClientReq::QStat { job, reply } => {
                 let _ = reply.send(self.server.job(job).map(|j| j.state).ok());
@@ -694,28 +698,22 @@ impl ServerDaemon {
             } => {
                 // tm_dynget landed: DynQueued + immediate scheduling cycle
                 // (paper: "This triggers a new scheduling cycle").
-                let deadline = timeout.map(|w| t + w);
-                let res = self
-                    .server
-                    .tm_dynget_negotiated(job, extra_cores, deadline, t);
-                if res.is_ok() {
-                    if let Some(d) = deadline {
-                        let seq = self
-                            .server
-                            .pending_dyn_seq(job)
-                            .expect("request just queued");
-                        self.arm_dyn_timer(job, seq, d, t);
-                    }
-                    true
-                } else {
+                let cmd = ReactorCommand::DynGet {
+                    job,
+                    extra: extra_cores,
+                    timeout_ms: timeout.map(|w| w.as_millis()),
+                };
+                let (_, queued) = self.apply_command(&cmd, t);
+                if !queued {
                     // Already pending or not running: deny straight back.
                     self.send_to_ms(job, ServerToMom::DynReject { job });
-                    false
                 }
+                queued
             }
             MomToServer::DynFree { job, released } => {
-                let _ = self.server.tm_dynfree(job, &released, t);
-                true
+                // The mom already shrank its hostlist: nothing to send back.
+                self.apply_command(&ReactorCommand::DynFree { job, released }, t)
+                    .1
             }
             MomToServer::JobStarted {
                 job,
@@ -783,85 +781,78 @@ impl ServerDaemon {
         }
     }
 
-    /// Honours the fault plan's server-crash schedule: once the journal has
-    /// appended the next crash point's record count, the server "process"
-    /// dies at this command boundary and restarts from its journal.
+    /// Honours the fault plan's schedule: once the journal has appended
+    /// the next crash (or, with replication live, leader-kill) point's
+    /// record count, the server "process" dies at this command boundary.
     fn maybe_crash(&mut self, t: SimTime) {
         loop {
-            let appended = match self.server.journal() {
-                Some(j) => j.total_appended(),
-                None => return,
+            let Some(appended) = self.server.journal().map(|j| j.total_appended()) else {
+                return;
             };
-            match self.crash_points.front() {
-                Some(&k) if appended >= k => {
-                    self.crash_points.pop_front();
-                    self.crash_restart(t);
-                }
-                _ => break,
-            }
-        }
-        // Leader kills: unlike a crash-restart, the leader's process (and
-        // its journal file) is gone for good — a follower must take over.
-        loop {
-            let appended = match self.server.journal() {
-                Some(j) => j.total_appended(),
-                None => return,
-            };
-            match self.leader_kill_points.front() {
-                Some(&k) if appended >= k && self.repl.is_some() => {
-                    self.leader_kill_points.pop_front();
-                    self.failover_restart(t);
-                }
-                _ => return,
+            let due = |points: &VecDeque<u64>| points.front().is_some_and(|&k| appended >= k);
+            if due(&self.crash_points) {
+                self.crash_points.pop_front();
+                self.restart(false, t);
+            } else if self.repl.is_some() && due(&self.leader_kill_points) {
+                self.leader_kill_points.pop_front();
+                self.restart(true, t);
+            } else {
+                return;
             }
         }
     }
 
     /// The server dies and comes back: scheduler soft state, armed
-    /// deadlines and the fairshare ledger's open segments are lost; the
-    /// write-ahead journal is the only survivor. Recovery rebuilds the
-    /// server by snapshot-load + replay, re-arms every outstanding
-    /// deadline from recovered state (not from wall-clock leftovers), and
-    /// re-attaches the moms by replaying each active job's placement.
-    fn crash_restart(&mut self, t: SimTime) {
-        // All pre-crash timers die with the process. `job_gen` is
-        // deliberately carried across — it is a monotonic nonce, not
-        // recoverable state: bumping it below makes any pre-crash firing
-        // already sitting in the command queue stale on arrival.
-        for (_, id) in self.app_timers.drain() {
-            self.timers.cancel(id);
-        }
-        for (_, id) in self.dyn_timers.drain() {
-            self.timers.cancel(id);
-        }
-        let journal = self
-            .server
-            .take_journal()
-            .expect("daemon servers always journal");
-        self.server = PbsServer::recover(journal).expect("journal replays cleanly");
-        self.adopt_recovered(t);
-    }
-
-    /// Leader failover: this "process" is dead — journal and all — and
-    /// the highest-watermark follower takes over. The promoted replica is
+    /// deadlines and the fairshare ledger's open segments are lost.
+    ///
+    /// A crash-restart keeps the write-ahead journal: the server is rebuilt
+    /// by snapshot-load + replay. A leader kill (`failover`) loses the
+    /// journal too, and the highest-watermark follower takes over — it is
     /// byte-identical to the dead leader at its watermark; records past it
     /// are reconciled into the failover accounting as lost (and, under
-    /// `ack_after_replicate`, provably exclude anything acked). The same
-    /// adoption path as a local crash-restart then re-arms timers and
-    /// re-attaches moms, plus a negotiation reconcile so no application
-    /// hangs on a request record that died with the old leader.
-    fn failover_restart(&mut self, t: SimTime) {
-        for (_, id) in self.app_timers.drain() {
+    /// `ack_after_replicate`, provably exclude anything acked). With every
+    /// follower dead or diverged the deployment degrades to recovery from
+    /// the local journal (nothing is lost, availability was).
+    ///
+    /// Either way [`ServerDaemon::adopt_recovered`] then re-arms every
+    /// outstanding deadline from recovered state (not from wall-clock
+    /// leftovers) and re-attaches the moms.
+    fn restart(&mut self, failover: bool, t: SimTime) {
+        // All pre-crash timers die with the process. `job_gen` is
+        // deliberately carried across — it is a monotonic nonce, not
+        // recoverable state: bumping it in `adopt_recovered` makes any
+        // pre-crash firing already sitting in the command queue stale on
+        // arrival.
+        for (_, id) in self.app_timers.drain().chain(self.dyn_timers.drain()) {
             self.timers.cancel(id);
         }
-        for (_, id) in self.dyn_timers.drain() {
-            self.timers.cancel(id);
+        let promoted = failover.then(|| self.promote_follower()).flatten();
+        self.server = promoted.unwrap_or_else(|| {
+            let journal = self
+                .server
+                .take_journal()
+                .expect("daemon servers always journal");
+            PbsServer::recover(journal).expect("journal replays cleanly")
+        });
+        self.adopt_recovered(t);
+        if failover {
+            // Deny parked tm_dynget callers whose request records died
+            // with the old leader; surviving negotiations stay parked and
+            // will be answered by this (new) leader's scheduling cycles.
+            let live: Vec<JobId> = self.server.pending_dyn_requests().map(|p| p.job).collect();
+            for mom in &self.moms {
+                mom.send(MomMsg::ReconcileDyn { live: live.clone() });
+            }
+            // Re-seed the surviving followers under the new term right away.
+            self.pump_replication();
         }
-        let old_appended = self
-            .server
-            .journal()
-            .map(|j| j.total_appended())
-            .unwrap_or(0);
+    }
+
+    /// Fails over to the highest-watermark follower and books the lost
+    /// tail; `None` (with the error kept for the status query) when no
+    /// follower can be promoted.
+    fn promote_follower(&mut self) -> Option<PbsServer> {
+        let old_appended = self.appended();
         let repl = self.repl.as_mut().expect("failover requires replication");
         match repl.hub.fail_over(old_appended, repl.acked_watermark) {
             Ok((promoted, report)) => {
@@ -872,30 +863,13 @@ impl ServerDaemon {
                 // watermark (that is the point); the counter restarts in
                 // the new term's coordinates.
                 repl.acked_watermark = 0;
-                self.server = promoted;
+                Some(promoted)
             }
             Err(e) => {
-                // Every follower is dead or diverged: the deployment
-                // degrades to single-node crash recovery from the local
-                // journal (nothing is lost, availability was).
                 repl.errors.push(format!("failover failed: {e}"));
-                let journal = self
-                    .server
-                    .take_journal()
-                    .expect("daemon servers always journal");
-                self.server = PbsServer::recover(journal).expect("journal replays cleanly");
+                None
             }
         }
-        self.adopt_recovered(t);
-        // Deny parked tm_dynget callers whose request records died with
-        // the old leader; surviving negotiations stay parked and will be
-        // answered by this (new) leader's scheduling cycles.
-        let live: Vec<JobId> = self.server.pending_dyn_requests().map(|p| p.job).collect();
-        for mom in &self.moms {
-            mom.send(MomMsg::ReconcileDyn { live: live.clone() });
-        }
-        // Re-seed the surviving followers under the new term right away.
-        self.pump_replication();
     }
 
     /// The shared adoption path for a server that just materialised from
@@ -958,15 +932,7 @@ impl ServerDaemon {
             // known one keeps its hostlist and any parked TM caller). Its
             // open usage segment needs no action — `usage_since` was
             // recovered from the journal image along with the rest.
-            let gen = {
-                let g = self.job_gen.entry(r.job).or_insert(0);
-                *g += 1;
-                *g
-            };
-            let id = self
-                .timers
-                .schedule(r.remaining, ServerCmd::JobExited(r.job, gen));
-            self.app_timers.insert(r.job, id);
+            self.arm_app_timer(r.job, r.remaining);
             let ms = {
                 let mut dir = self.ms_directory.lock().unwrap();
                 *dir.entry(r.job)
@@ -980,13 +946,9 @@ impl ServerDaemon {
         // Outstanding negotiation windows continue from their *recovered*
         // deadlines; a window that elapsed while the server was down
         // expires on the next firing rather than silently leaking.
-        let pending: Vec<(JobId, u64, SimTime)> = self
-            .server
-            .pending_dyn_requests()
-            .filter_map(|p| p.deadline.map(|d| (p.job, p.seq, d)))
-            .collect();
-        for (job, seq, deadline) in pending {
-            self.arm_dyn_timer(job, seq, deadline, t);
+        let pending: Vec<JobId> = self.server.pending_dyn_requests().map(|p| p.job).collect();
+        for job in pending {
+            self.arm_dyn_timer(job, t);
         }
         // The world may have moved while the server was down: run a cycle
         // against recovered state immediately.
@@ -1008,12 +970,18 @@ impl ServerDaemon {
             .job_finished(job, t)
             .expect("active job finishes");
         self.maui.dfs_mut().job_left_queue(job);
+        self.kill_app(job);
+        true
+    }
+
+    /// A job stopped running (finished, deleted, preempted): its timers
+    /// are disarmed and its mom told to kill what is left of the app.
+    fn kill_app(&mut self, job: JobId) {
         self.cancel_timers(job);
         let ms = self.ms_directory.lock().unwrap().remove(&job);
         if let Some(ms) = ms {
             self.moms[ms.0 as usize].send(MomMsg::FromServer(ServerToMom::KillJob { job }));
         }
-        true
     }
 
     /// Drains the command reactor: every admissible (contiguous-ticket)
@@ -1045,9 +1013,10 @@ impl ServerDaemon {
         changed
     }
 
-    /// [`ServerDaemon::reactor_apply`] plus the replication concerns:
-    /// qstat offloading to staleness-eligible followers, and
-    /// read-your-writes bookkeeping for mutating commands.
+    /// The reactor door: [`ServerDaemon::apply_command`] plus qstat
+    /// offloading to staleness-eligible followers, read-your-writes
+    /// bookkeeping for mutating commands, and the disjoin a released
+    /// hostlist owes the mother superior.
     fn reactor_apply_routed(
         &mut self,
         conn: u64,
@@ -1080,13 +1049,21 @@ impl ServerDaemon {
                 }
             }
         }
-        let (reply, mutated) = self.reactor_apply(cmd, t);
+        let (reply, mutated) = self.apply_command(cmd, t);
         if mutated {
-            let watermark = self
-                .server
-                .journal()
-                .map(|j| j.total_appended())
-                .unwrap_or(0);
+            if let ReactorCommand::DynFree { job, released } = cmd {
+                // Unlike the mom-originated TM path (where the mom already
+                // shrank its hostlist), a reactor dynfree must tell the
+                // mother superior to disjoin.
+                self.send_to_ms(
+                    *job,
+                    ServerToMom::DynDisjoin {
+                        job: *job,
+                        released: released.clone(),
+                    },
+                );
+            }
+            let watermark = self.appended();
             if let Some(repl) = self.repl.as_mut() {
                 repl.router.note_write(conn, watermark);
             }
@@ -1099,14 +1076,10 @@ impl ServerDaemon {
     /// batch's records — only then may the held acks flush. Otherwise just
     /// keep the stream warm.
     fn commit_gate(&mut self, batch_dirty: bool) {
+        let target = self.appended();
         let Some(repl) = self.repl.as_mut() else {
             return;
         };
-        let target = self
-            .server
-            .journal()
-            .map(|j| j.total_appended())
-            .unwrap_or(0);
         if repl.cfg.ack_after_replicate && batch_dirty {
             repl.hub.await_replicated(&self.server, target);
             repl.acked_watermark = repl.acked_watermark.max(target);
@@ -1134,13 +1107,14 @@ impl ServerDaemon {
         repl.errors.extend(report.errors);
     }
 
+    /// Records the journal has appended this term.
+    fn appended(&self) -> u64 {
+        self.server.journal().map_or(0, |j| j.total_appended())
+    }
+
     /// Answers [`ClientReq::ReplicationStatus`].
     fn replication_status(&mut self) -> Option<ReplicationStatus> {
-        let leader_appended = self
-            .server
-            .journal()
-            .map(|j| j.total_appended())
-            .unwrap_or(0);
+        let leader_appended = self.appended();
         let repl = self.repl.as_mut()?;
         Some(ReplicationStatus {
             term: repl.hub.term(),
@@ -1154,83 +1128,29 @@ impl ServerDaemon {
         })
     }
 
-    /// Applies one reactor command through the same paths the typed
-    /// [`ClientReq`]/TM handlers use, so reactor traffic and direct
-    /// clients are indistinguishable to the server, the journal and the
-    /// moms. Returns the reply and whether server state changed.
-    fn reactor_apply(&mut self, cmd: &ReactorCommand, t: SimTime) -> (ReactorReply, bool) {
+    /// The one place a client command reaches the server, whichever door
+    /// it came through (typed client request, mom-forwarded TM call, reactor
+    /// line): [`apply_to_server`] plus the side effects only the daemon
+    /// owns. Returns the reply and whether server state changed — the ack
+    /// of a dynget means "queued, journalled"; the grant or rejection
+    /// itself arrives at the job's mom from a later cycle.
+    fn apply_command(&mut self, cmd: &ReactorCommand, t: SimTime) -> (ReactorReply, bool) {
+        let was_running = matches!(cmd, ReactorCommand::QDel(job)
+            if self.server.job(*job).is_ok_and(|j| j.state.is_active()));
+        let reply = apply_to_server(&mut self.server, cmd, t);
+        let mutated = matches!(reply, ReactorReply::Submitted(_) | ReactorReply::Ok);
         match cmd {
-            ReactorCommand::QSub(spec) => match self.server.qsub((**spec).clone(), t) {
-                Ok(id) => (ReactorReply::Submitted(id), true),
-                Err(e) => (ReactorReply::Denied(e.to_string()), false),
-            },
-            ReactorCommand::QStat(job) => match self.server.job(*job) {
-                Ok(j) => (ReactorReply::Status(format!("{:?}", j.state)), false),
-                Err(e) => (ReactorReply::Denied(e.to_string()), false),
-            },
-            ReactorCommand::QDel(job) => {
-                let job = *job;
-                let was_active = self
-                    .server
-                    .job(job)
-                    .map(|j| j.state.is_active())
-                    .unwrap_or(false);
-                match self.server.qdel(job, t) {
-                    Ok(()) => {
-                        if was_active {
-                            self.cancel_timers(job);
-                            let ms = self.ms_directory.lock().unwrap().remove(&job);
-                            if let Some(ms) = ms {
-                                self.moms[ms.0 as usize]
-                                    .send(MomMsg::FromServer(ServerToMom::KillJob { job }));
-                            }
-                        }
-                        (ReactorReply::Ok, true)
-                    }
-                    Err(e) => (ReactorReply::Denied(e.to_string()), false),
+            ReactorCommand::QDel(job) if mutated => {
+                self.maui.dfs_mut().job_left_queue(*job);
+                if was_running {
+                    // The server settled its usage charges inside `qdel`.
+                    self.kill_app(*job);
                 }
             }
-            ReactorCommand::DynGet {
-                job,
-                extra,
-                timeout_ms,
-            } => {
-                let deadline = timeout_ms.map(|w| t + SimDuration::from_millis(w));
-                match self.server.tm_dynget_negotiated(*job, *extra, deadline, t) {
-                    Ok(()) => {
-                        // The ack means "queued, journalled": the grant or
-                        // rejection itself arrives at the job's mom later.
-                        if let Some(d) = deadline {
-                            let seq = self
-                                .server
-                                .pending_dyn_seq(*job)
-                                .expect("request just queued");
-                            self.arm_dyn_timer(*job, seq, d, t);
-                        }
-                        (ReactorReply::Ok, true)
-                    }
-                    Err(e) => (ReactorReply::Denied(e.to_string()), false),
-                }
-            }
-            ReactorCommand::DynFree { job, released } => {
-                match self.server.tm_dynfree(*job, released, t) {
-                    Ok(()) => {
-                        // Unlike the mom-originated TM path (where the mom
-                        // already shrank its hostlist), a reactor dynfree
-                        // must tell the mother superior to disjoin.
-                        self.send_to_ms(
-                            *job,
-                            ServerToMom::DynDisjoin {
-                                job: *job,
-                                released: released.clone(),
-                            },
-                        );
-                        (ReactorReply::Ok, true)
-                    }
-                    Err(e) => (ReactorReply::Denied(e.to_string()), false),
-                }
-            }
+            ReactorCommand::DynGet { job, .. } if mutated => self.arm_dyn_timer(*job, t),
+            _ => {}
         }
+        (reply, mutated)
     }
 
     /// Forwards usage newly charged by the server (core-milliseconds, per
@@ -1272,10 +1192,7 @@ impl ServerDaemon {
     /// the applied actions out to the moms.
     fn cycle(&mut self, now: SimTime) {
         self.sync_fairshare();
-        // The snapshot shares the server's scheduler view; dropped before
-        // `apply` mutates it, nothing is ever copied.
-        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
-        let applied = self.server.apply(&outcome, now);
+        let (_, applied) = self.server.run_cycle(&mut self.maui, now);
         for action in applied {
             match action {
                 Applied::Started { job, alloc, .. } => {
@@ -1287,21 +1204,7 @@ impl ServerDaemon {
                     };
                     self.moms[ms.0 as usize]
                         .send(MomMsg::FromServer(ServerToMom::RunJob { job, alloc }));
-                    // The "application": a cancellable deadline that exits
-                    // after the job's modelled runtime (1 SimTime ms == 1
-                    // wall ms here), tagged with this run's generation.
-                    let gen = {
-                        let g = self.job_gen.entry(job).or_insert(0);
-                        *g += 1;
-                        *g
-                    };
-                    let id = self.timers.schedule(
-                        Duration::from_millis(dur.as_millis()),
-                        ServerCmd::JobExited(job, gen),
-                    );
-                    if let Some(old) = self.app_timers.insert(job, id) {
-                        self.timers.cancel(old);
-                    }
+                    self.arm_app_timer(job, Duration::from_millis(dur.as_millis()));
                 }
                 Applied::DynGranted { job, added } => {
                     if let Some(id) = self.dyn_timers.remove(&job) {
@@ -1320,14 +1223,7 @@ impl ServerDaemon {
                     // the application keeps waiting on its TM reply channel
                     // until a later cycle grants it or the expiry fires.
                 }
-                Applied::Preempted { job } => {
-                    self.cancel_timers(job);
-                    let ms = self.ms_directory.lock().unwrap().remove(&job);
-                    if let Some(ms) = ms {
-                        self.moms[ms.0 as usize]
-                            .send(MomMsg::FromServer(ServerToMom::KillJob { job }));
-                    }
-                }
+                Applied::Preempted { job } => self.kill_app(job),
                 Applied::Resized {
                     job,
                     from_cores,
@@ -1355,7 +1251,24 @@ impl ServerDaemon {
         }
     }
 
-    fn arm_dyn_timer(&mut self, job: JobId, seq: u64, deadline: SimTime, now: SimTime) {
+    /// The "application": a cancellable deadline that exits `after` the
+    /// job's remaining modelled runtime (1 SimTime ms == 1 wall ms here),
+    /// tagged with a fresh run generation.
+    fn arm_app_timer(&mut self, job: JobId, after: Duration) {
+        let gen = self.job_gen.entry(job).or_insert(0);
+        *gen += 1;
+        let id = self.timers.schedule(after, ServerCmd::JobExited(job, *gen));
+        if let Some(old) = self.app_timers.insert(job, id) {
+            self.timers.cancel(old);
+        }
+    }
+
+    /// Arms the expiry of `job`'s pending request, if it negotiates.
+    fn arm_dyn_timer(&mut self, job: JobId, now: SimTime) {
+        let pending = self.server.pending_dyn_requests().find(|p| p.job == job);
+        let Some((seq, deadline)) = pending.and_then(|p| Some((p.seq, p.deadline?))) else {
+            return;
+        };
         // +1 ms guards the SimTime floor: never fire before the deadline.
         let wait = Duration::from_millis(deadline.duration_since(now).as_millis() + 1);
         let id = self
@@ -1406,6 +1319,15 @@ impl ServerDaemon {
                 let _ = w.send(());
             }
         }
+    }
+}
+
+/// The error text of a command the server refused, as the typed client
+/// door reports it.
+fn denial(reply: ReactorReply) -> String {
+    match reply {
+        ReactorReply::Denied(why) => why,
+        other => format!("unexpected reply {other:?}"),
     }
 }
 
@@ -1818,6 +1740,61 @@ mod tests {
         d.shutdown();
     }
 
+    /// A queued job that a grant delayed and that is then deleted leaves
+    /// nothing behind in the scheduler's per-job delay slate (it used to
+    /// grow with every such job the daemon had ever seen).
+    #[test]
+    fn qdel_of_a_delayed_queued_job_clears_its_dfs_slate() {
+        let timers = TimerService::start("t.tmr", |_| {});
+        // The moms' receivers are gone: what the server sends them is dropped.
+        let moms = (0..3).map(|i| MomLink::new(i, channel().0, None)).collect();
+        let mut d = ServerDaemon::new(
+            hp_config(3),
+            moms,
+            Arc::default(),
+            timers.handle(),
+            Reactor::new(),
+            "t.",
+        );
+        let qsub = |d: &mut ServerDaemon, spec: JobSpec| {
+            let (reply, rx) = channel();
+            let spec = Box::new(spec);
+            d.handle(
+                ServerCmd::Client(ClientReq::QSub { spec, reply }),
+                SimTime::ZERO,
+            );
+            rx.recv().unwrap().expect("qsub")
+        };
+        let mut other_user = spec("evolving", 8, 1_000_000);
+        other_user.user = UserId(1);
+        let evolving = qsub(&mut d, other_user);
+        qsub(&mut d, spec("short", 8, 500_000));
+        // 8 of 24 cores idle: `waiting` starts when `short` ends — unless
+        // `evolving` grows by 4 first, which pushes it out to 1 000 s.
+        let waiting = qsub(&mut d, spec("waiting", 16, 100_000));
+        d.handle(
+            ServerCmd::FromMom(MomToServer::DynRequest {
+                job: evolving,
+                extra_cores: 4,
+                timeout: None,
+            }),
+            SimTime::from_millis(10),
+        );
+        assert_eq!(d.server.job(evolving).unwrap().cores_allocated, 12);
+        assert!(!d.maui.dfs().job_charged(waiting).is_zero());
+        let (reply, rx) = channel();
+        d.handle(
+            ServerCmd::Client(ClientReq::QDel {
+                job: waiting,
+                reply,
+            }),
+            SimTime::from_millis(20),
+        );
+        rx.recv().unwrap().expect("qdel");
+        assert!(d.maui.dfs().job_charged(waiting).is_zero());
+        timers.shutdown();
+    }
+
     // ------------------------------------------------------------------
     // sync_fairshare window attribution (mechanism level).
     // ------------------------------------------------------------------
@@ -1840,8 +1817,7 @@ mod tests {
         let id = server
             .qsub(spec("seg", 8, 3_600_000), SimTime::ZERO)
             .expect("qsub");
-        let snap = server.snapshot_incremental(SimTime::ZERO);
-        server.apply(&maui.iterate(&snap), SimTime::ZERO);
+        server.run_cycle(&mut maui, SimTime::ZERO);
         assert_eq!(server.job(id).expect("known").state, JobState::Running);
 
         // The segment closes at 59 min: 8 cores × 59 min.

@@ -326,14 +326,6 @@ impl DfsEngine {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// The group's cumulative charged delay in the current interval.
-    pub fn group_charged(&self, group: GroupId) -> SimDuration {
-        self.group_delay
-            .get(&group)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// The queued job's accumulated delay.
     pub fn job_charged(&self, job: JobId) -> SimDuration {
         self.job_delay

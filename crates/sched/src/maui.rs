@@ -1080,6 +1080,39 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_to_an_overdue_job_keeps_its_cores_for_the_iteration() {
+        // The server reports an overdue requester's remaining walltime as
+        // one grace (never zero), the span the job itself is held for.
+        // That hold must keep the granted cores from the next request and
+        // from the static pass of the same iteration.
+        let mut m = maui(DfsConfig::highest_priority());
+        let mut overdue = dyn_req(1, 1, 6, 0, 0);
+        overdue.remaining_walltime = crate::OVERDUE_GRACE;
+        let snap = Snapshot {
+            now: t(1000),
+            total_cores: 20,
+            running: vec![running(1, 1, 6, 900), running(2, 2, 5, 2000)].into(),
+            queued: vec![queued(3, 3, 5, 100, 0)].into(),
+            // 9 idle: 6 and then 7 do not both fit.
+            dyn_requests: vec![overdue, dyn_req(2, 2, 7, 1000, 1)],
+            usage: None,
+            deltas: None,
+        };
+        let out = m.iterate(&snap);
+        assert!(matches!(
+            out.dyn_decisions[..],
+            [
+                DynDecision::Granted { job: JobId(1), .. },
+                DynDecision::Rejected {
+                    job: JobId(2),
+                    reason: DfsReject::NoResources
+                }
+            ]
+        ));
+        assert!(out.starts.is_empty(), "5 cores do not fit the 3 left");
+    }
+
+    #[test]
     fn a_victim_shrunk_and_then_preempted_is_released_once() {
         // Regression (found by the naive-reference suite): a running job
         // that is both malleable and backfilled could be shrunk *and*

@@ -10,14 +10,10 @@
 //! availability timeline, kept verbatim: `hold`/`release` scan and
 //! re-coalesce the whole step vector, `earliest_fit` materialises a
 //! candidate list and re-scans the steps per candidate. It exists for
-//! two jobs:
-//!
-//! 1. the property suite (`tests/prop_timeline.rs`) checks the windowed
-//!    [`crate::AvailabilityProfile`] against it on random operation
-//!    sequences — observational equivalence over `steps()` / `idle_at` /
-//!    `min_idle` / `earliest_fit`;
-//! 2. the `perf_smoke` harness (in `dynbatch-bench`) times it as the
-//!    pre-optimisation baseline recorded in `BENCH_sched.json`.
+//! the property suite (`tests/prop_timeline.rs`), which checks the
+//! windowed [`crate::AvailabilityProfile`] against it on random operation
+//! sequences — observational equivalence over `steps()` / `idle_at` /
+//! `min_idle` / `earliest_fit`.
 //!
 //! Do not "optimise" this module: its value is being obviously correct.
 

@@ -133,11 +133,6 @@ impl UsageHistory {
         self.capacity_cores
     }
 
-    /// Replaces the normalization capacity (cluster resize / reset).
-    pub fn set_capacity_cores(&mut self, capacity_cores: u64) {
-        self.capacity_cores = capacity_cores;
-    }
-
     /// True when no charge has ever landed.
     pub fn is_empty(&self) -> bool {
         self.users.is_empty() && self.queues.is_empty()

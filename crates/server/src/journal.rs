@@ -383,31 +383,6 @@ impl Journal {
         let &i = self.snapshot_at.first()?;
         Some(self.first_pos() + i as u64)
     }
-
-    /// Parses a journal like [`Journal::from_text`], but tolerates a torn
-    /// *trailing* record — the classic partial-write crash artifact — by
-    /// truncating it and returning a warning instead of failing. A
-    /// malformed record with valid records after it is still a hard error
-    /// (that is corruption, not a torn tail).
-    pub fn from_text_tolerant(text: &str) -> Result<(Journal, Option<String>), String> {
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .collect();
-        let mut j = Journal::new();
-        for (k, &(i, line)) in lines.iter().enumerate() {
-            let parsed = dynbatch_core::json::parse(line).and_then(|v| record_from_json(&v));
-            match parsed {
-                Ok(record) => j.append(record),
-                Err(e) if k + 1 == lines.len() => {
-                    return Ok((j, Some(format!("truncated torn trailing record {i}: {e}"))))
-                }
-                Err(e) => return Err(format!("record {i}: {e}")),
-            }
-        }
-        Ok((j, None))
-    }
 }
 
 // ---------------------------------------------------------------------------

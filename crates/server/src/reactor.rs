@@ -392,11 +392,6 @@ impl Reactor {
         self.next_apply
     }
 
-    /// Tickets issued so far (commands sent, applied or in flight).
-    pub fn tickets_issued(&self) -> u64 {
-        self.tickets.load(Ordering::Relaxed)
-    }
-
     /// Counters.
     pub fn stats(&self) -> ReactorStats {
         self.stats
@@ -652,10 +647,10 @@ pub fn format_qsub(spec: &JobSpec) -> String {
 }
 
 /// Applies one parsed command to a bare [`crate::PbsServer`] — the serial
-/// reference semantics the daemon mirrors (minus timer/mom side effects)
-/// and the equivalence harness uses directly. Every mutation's journal
-/// record is appended before this returns, which is what makes the
-/// reactor's ack-on-append contract hold.
+/// reference semantics: the daemon calls it behind every door (adding its
+/// timer/mom side effects) and the equivalence harness uses it directly.
+/// Every mutation's journal record is appended before this returns, which
+/// is what makes the reactor's ack-on-append contract hold.
 pub fn apply_to_server(server: &mut crate::PbsServer, cmd: &Command, now: SimTime) -> Reply {
     match cmd {
         Command::QSub(spec) => match server.qsub((**spec).clone(), now) {

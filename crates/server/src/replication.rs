@@ -1148,11 +1148,6 @@ impl ReplicationHub {
         self.term
     }
 
-    /// Live follower count.
-    pub fn live_followers(&self) -> usize {
-        self.links.iter().filter(|l| l.alive).count()
-    }
-
     /// Streaming counters.
     pub fn stats(&self) -> HubStats {
         self.stats
@@ -1579,8 +1574,7 @@ mod tests {
     }
 
     fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) {
-        let outcome = maui.iterate(&server.snapshot(now));
-        server.apply(&outcome, now);
+        server.run_cycle(maui, now);
     }
 
     /// A journaled leader driven through a small but eventful script:

@@ -21,8 +21,8 @@ use dynbatch_core::{
     UserId,
 };
 use dynbatch_sched::{
-    DeltaLog, DfsReject, DynDecision, DynRequest, IterationOutcome, ProfileDelta, QueuedJob,
-    QueuedSet, RunningJob, RunningSet, Snapshot, UsageHistory,
+    DeltaLog, DfsReject, DynDecision, DynRequest, IterationOutcome, Maui, ProfileDelta, QueuedJob,
+    QueuedSet, RunningJob, RunningSet, Snapshot, UsageHistory, OVERDUE_GRACE,
 };
 use std::collections::{btree_map, BTreeMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1338,14 +1338,18 @@ impl PbsServer {
         }
     }
 
-    /// How the scheduler sees a `DynQueued` job's pending request.
+    /// How the scheduler sees a `DynQueued` job's pending request. A job
+    /// past its walltime still holds its cores for `OVERDUE_GRACE` in the
+    /// scheduler's profile, and so must cores granted to it: a zero-length
+    /// hold would leave them free for a second grant or a start in the
+    /// same iteration.
     fn dyn_request(job: &Job, pending: &PendingDyn, remaining_walltime: SimDuration) -> DynRequest {
         DynRequest {
             job: job.id,
             user: job.spec.user,
             group: job.spec.group,
             extra_cores: pending.extra_cores,
-            remaining_walltime,
+            remaining_walltime: remaining_walltime.max(OVERDUE_GRACE),
             seq: pending.seq,
             deadline: pending.deadline,
         }
@@ -1435,6 +1439,17 @@ impl PbsServer {
             deltas: std::mem::take(&mut self.deltas),
         });
         snap
+    }
+
+    /// One scheduling cycle (paper Algorithm 2): the incremental snapshot,
+    /// one `maui` iteration over it, and the outcome applied. Returns the
+    /// outcome (for the driver's decision log) with its concrete effects.
+    /// The snapshot is dropped before [`PbsServer::apply`], so the shared
+    /// scheduler view is never copied.
+    pub fn run_cycle(&mut self, maui: &mut Maui, now: SimTime) -> (IterationOutcome, Vec<Applied>) {
+        let outcome = maui.iterate(&self.snapshot_incremental(now));
+        let applied = self.apply(&outcome, now);
+        (outcome, applied)
     }
 
     /// Applies a scheduler outcome to real state, in the scheduler's
@@ -1584,11 +1599,45 @@ impl PbsServer {
             self.left_machine(v, was);
             self.requeued(v);
         }
+        self.shed_reserves();
         self.deltas.push(ProfileDelta::CapacityChanged);
         if self.journal.is_some() {
             self.log(Record::NodeFailed { node, now });
         }
         Ok(victims)
+    }
+
+    /// Under the guaranteeing policy a running job holds its pre-reserve
+    /// in the scheduler's profile but not in the cluster, so a node failure
+    /// can leave more held than the machine has. The youngest reserves go
+    /// first until what is held fits again.
+    fn shed_reserves(&mut self) {
+        let held: u32 = self
+            .running
+            .iter()
+            .map(|r| r.cores + r.reserved_extra)
+            .sum();
+        let mut over = held.saturating_sub(self.cluster.total_cores());
+        if over == 0 {
+            return;
+        }
+        let reserved: Vec<JobId> = self
+            .running
+            .iter()
+            .rev()
+            .filter(|r| r.reserved_extra > 0)
+            .map(|r| r.id)
+            .collect();
+        for id in reserved {
+            if over == 0 {
+                break;
+            }
+            let job = self.jobs.get_mut(&id).expect("running job is live");
+            let shed = job.reserved_extra.min(over);
+            job.reserved_extra -= shed;
+            over -= shed;
+            self.resized(id);
+        }
     }
 
     /// A failed node returned to service.
@@ -1793,8 +1842,7 @@ mod tests {
 
     /// Drives one scheduler iteration against the server.
     fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) -> Vec<Applied> {
-        let outcome = maui.iterate(&server.snapshot(now));
-        server.apply(&outcome, now)
+        server.run_cycle(maui, now).1
     }
 
     #[test]
@@ -2378,6 +2426,77 @@ mod tests {
         assert_eq!(job.reserved_extra, 0);
         assert_eq!(s.reserved_unused_cores(), 0);
         s.cluster().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn grant_to_an_overdue_requester_keeps_its_cores_for_the_iteration() {
+        let evolving = |name: &str, cores, set| {
+            JobSpec::evolving(
+                name,
+                UserId(1),
+                GroupId(0),
+                cores,
+                ExecutionModel::esp_evolving(set, set, 4),
+            )
+        };
+        let mut s = server();
+        let mut m = hp_maui();
+        let late = s.qsub(evolving("late", 56, 100), t(0)).unwrap();
+        let other = s.qsub(evolving("other", 55, 1000), t(0)).unwrap();
+        cycle(&mut s, &mut m, t(0));
+        assert_eq!(s.cluster().idle_cores(), 9);
+        // `late` is 50 s past its walltime when it asks: its remaining
+        // walltime is zero. Both requests fit the 9 idle cores alone,
+        // together they do not.
+        s.tm_dynget(late, 6, t(150)).unwrap();
+        s.tm_dynget(other, 7, t(150)).unwrap();
+        let applied = cycle(&mut s, &mut m, t(150));
+        assert!(applied
+            .iter()
+            .any(|a| matches!(a, Applied::DynGranted { job, .. } if *job == late)));
+        assert!(applied.iter().any(|a| matches!(
+            a,
+            Applied::DynRejected { job, reason: DfsReject::NoResources } if *job == other
+        )));
+        assert_eq!(s.cluster().idle_cores(), 3);
+        s.cluster().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn node_failure_sheds_pre_reserves_the_machine_cannot_honour() {
+        let mut s = PbsServer::new(Cluster::homogeneous(3, 8), AllocPolicy::Pack);
+        s.set_guarantee_evolving(true);
+        s.enable_journal(0);
+        let mut m = {
+            let mut cfg = SchedulerConfig::paper_eval();
+            cfg.dfs = DfsConfig::highest_priority();
+            cfg.guarantee_evolving = true;
+            Maui::new(cfg)
+        };
+        let evolving = |name: &str, cores, extra| {
+            JobSpec::evolving(
+                name,
+                UserId(1),
+                GroupId(0),
+                cores,
+                ExecutionModel::esp_evolving(1000, 700, extra),
+            )
+        };
+        let old = s.qsub(evolving("old", 8, 6), t(0)).unwrap();
+        let young = s.qsub(evolving("young", 4, 4), t(0)).unwrap();
+        cycle(&mut s, &mut m, t(0));
+        assert_eq!(s.reserved_unused_cores(), 10);
+        // 22 of 24 cores held; the idle third node fails and 16 are left.
+        let victims = s.node_failed(dynbatch_core::NodeId(2), t(10)).unwrap();
+        assert!(victims.is_empty());
+        assert_eq!(s.job(young).unwrap().reserved_extra, 0);
+        assert_eq!(s.job(old).unwrap().reserved_extra, 4);
+        assert_view_is_the_walk(&s, t(10));
+        cycle(&mut s, &mut m, t(10));
+        let journal = s.journal().unwrap().clone();
+        let recovered = PbsServer::recover(journal).unwrap();
+        assert_eq!(recovered.state_digest(), s.state_digest());
+        assert_eq!(recovered.reserved_unused_cores(), 4);
     }
 
     #[test]

@@ -355,7 +355,7 @@ impl<'w> Twin<'w> {
 #[test]
 fn live_table_walks_match_full_scans_under_random_commands() {
     let witness = Witness::default();
-    check(48, 0x7AB1E, |rng: &mut TestRng| {
+    let case = |rng: &mut TestRng| {
         // What this suite added for journal compaction draws from a
         // stream of its own, so the command sequence stays the one the
         // seed above has always produced.
@@ -384,8 +384,9 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     let _ = twin.agree(|s| s.qsub(spec.clone(), now));
                 }
                 5..=8 => {
-                    // One scheduler cycle: both servers produce the same
-                    // snapshot, so one outcome applies to both.
+                    // One scheduler cycle, not `run_cycle`: both servers
+                    // produce the same snapshot, so one outcome applies to
+                    // both.
                     let outcome = twin.maui.iterate(&twin.kept.snapshot(now));
                     twin.agree(|s| s.apply(&outcome, now));
                 }
@@ -507,7 +508,8 @@ fn live_table_walks_match_full_scans_under_random_commands() {
             }
             twin.check(now);
         }
-    });
+    };
+    check(48, 0x7AB1E, case);
     // Coverage witnesses: the equalities above say nothing about a kind
     // of compaction the seeded run never performs.
     for (what, count) in [
@@ -538,6 +540,12 @@ fn live_table_walks_match_full_scans_under_random_commands() {
         witness.retired_ids_evicted.get() > 0,
         "no retired job was dropped from an image"
     );
+    // Equalities only: the seeds on which a grant to a job past its
+    // walltime booked nothing, and a node failure under the guaranteeing
+    // policy left more pre-reserved than the machine had.
+    for seed in [0x1, 0x2, 0x3, 0x7AB1F, 0x7AB20, 0x7AB21, 0x7AB22] {
+        check(64, seed, case);
+    }
 }
 
 impl Tracked {

@@ -531,12 +531,7 @@ impl BatchSim {
                             .map(|j| !j.state.is_terminal())
                             .unwrap_or(false)
                         {
-                            self.cancel_run_events(job);
-                            self.runs.remove(&job);
-                            // Charge before the qdel, as in the WallKill
-                            // arm: retention-off drops the record there.
-                            self.charge_fairshare(job, now);
-                            self.server.qdel(job, now).expect("live job deletable");
+                            self.kill_job(job, now);
                             self.stats.qdels += 1;
                         }
                     }
@@ -571,14 +566,7 @@ impl BatchSim {
                     .map(|j| j.state.is_active())
                     .unwrap_or(false)
                 {
-                    self.cancel_run_events(job);
-                    self.runs.remove(&job);
-                    // Fairshare is charged *before* the qdel: with job
-                    // retention off the record is dropped at the qdel,
-                    // and the charge reads nothing the qdel mutates, so
-                    // the order is behaviour-neutral under retention.
-                    self.charge_fairshare(job, now);
-                    self.server.qdel(job, now).expect("active job killable");
+                    self.kill_job(job, now);
                     self.stats.walltime_kills += 1;
                 }
             }
@@ -667,19 +655,16 @@ impl BatchSim {
     /// One scheduler iteration plus application of its outcome.
     fn run_cycle(&mut self, now: SimTime) {
         self.stats.cycles += 1;
-        // The snapshot shares the server's scheduler view; dropped before
-        // `apply` mutates it, nothing is ever copied.
-        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
-        for d in &outcome.dyn_decisions {
-            if let dynbatch_sched::DynDecision::Granted { delays, .. } = d {
+        let (outcome, applied) = self.server.run_cycle(&mut self.maui, now);
+        for d in outcome.dyn_decisions {
+            if let dynbatch_sched::DynDecision::Granted { delays, .. } = &d {
                 self.stats.delay_charged_ms +=
                     delays.iter().map(|c| c.delay.as_millis()).sum::<u64>();
             }
             if self.dyn_log_enabled {
-                self.dyn_log.push((now, d.clone()));
+                self.dyn_log.push((now, d));
             }
         }
-        let applied = self.server.apply(&outcome, now);
         let mut wake = false;
         for action in applied {
             match action {
@@ -999,6 +984,19 @@ impl BatchSim {
         self.last_completion = self.last_completion.max(now);
     }
 
+    /// `qdel` of a live job: an operator deletion or the walltime reaper.
+    fn kill_job(&mut self, job: JobId, now: SimTime) {
+        self.cancel_run_events(job);
+        self.runs.remove(&job);
+        // Fairshare is charged *before* the qdel: with job retention off
+        // the record is dropped at the qdel, and the charge reads nothing
+        // the qdel mutates, so the order is behaviour-neutral under
+        // retention.
+        self.charge_fairshare(job, now);
+        self.server.qdel(job, now).expect("live job deletable");
+        self.maui.dfs_mut().job_left_queue(job);
+    }
+
     fn charge_fairshare(&mut self, job: JobId, now: SimTime) {
         if let Ok(j) = self.server.job(job) {
             if let Some(start) = j.start_time {
@@ -1024,9 +1022,4 @@ impl BatchSim {
             }
         }
     }
-}
-
-/// Convenience: elapsed runtime helper for tests.
-pub fn runtime_of(start: SimTime, end: SimTime) -> SimDuration {
-    end.duration_since(start)
 }

@@ -102,8 +102,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, workload: &[WorkloadItem]) -> Expe
 /// Like [`run_experiment`], but recycles an existing simulator via
 /// [`BatchSim::reset`] instead of constructing a fresh one — the sweep
 /// engine's per-worker fast path. Results are bit-identical to
-/// [`run_experiment`] (the `reset_reuse_matches_fresh` test and the
-/// `BENCH_sweep` harness both pin it).
+/// [`run_experiment`] (the `reset_reuse_matches_fresh` test pins it).
 pub fn run_experiment_on(
     sim: &mut BatchSim,
     cfg: &ExperimentConfig,

@@ -162,8 +162,7 @@ impl World {
     }
 
     fn cycle(&mut self, now: SimTime) {
-        let outcome = self.maui.iterate(&self.server.snapshot_incremental(now));
-        self.server.apply(&outcome, now);
+        self.server.run_cycle(&mut self.maui, now);
     }
 
     /// Finishes due jobs (oldest planned end first, cycling at each

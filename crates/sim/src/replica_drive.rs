@@ -64,7 +64,7 @@ impl ReplicatedSim {
     /// Pumps the stream every `n` event steps instead of every step
     /// (minimum 1, the default). A batched cadence trades follower lag —
     /// still bounded, still measured in `max_lag` — for a cheaper leader
-    /// hot path; the perf harness uses it to mirror a group-commit
+    /// hot path; the repo benchmark uses it to mirror a group-commit
     /// streaming interval.
     pub fn set_pump_stride(&mut self, n: u64) {
         self.pump_stride = n.max(1);
@@ -155,11 +155,6 @@ impl ReplicatedSim {
     /// The leader simulation.
     pub fn sim(&self) -> &BatchSim {
         &self.sim
-    }
-
-    /// Mutable leader access (for workload loading before the run).
-    pub fn sim_mut(&mut self) -> &mut BatchSim {
-        &mut self.sim
     }
 
     /// The follower hub (watermarks, reads, failover).

@@ -118,16 +118,6 @@ impl Trace {
         let text = fs::read_to_string(path)?;
         Trace::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
-
-    /// Consumes the trace into a submit-time-ordered workload stream.
-    /// Trace items may be stored in any order; the sort is stable, so
-    /// same-instant items keep their file order — exactly the order the
-    /// simulator's eager `load` of the sorted Vec would submit them in.
-    pub fn into_stream(self) -> std::vec::IntoIter<WorkloadItem> {
-        let mut items = self.items;
-        items.sort_by_key(|i| i.at);
-        items.into_iter()
-    }
 }
 
 #[cfg(test)]

@@ -94,6 +94,26 @@ fn highest_priority_grant_delays_c_by_four_hours() {
 }
 
 #[test]
+fn qdel_of_the_delayed_job_clears_its_dfs_slate() {
+    // C (third submission, job id 3) is charged the 4 h once A's request
+    // is granted at 48 min; an operator deletes it at 1 h.
+    let c = dynbatch::core::JobId(3);
+    let mut sim = scenario(DfsConfig::highest_priority());
+    sim.inject_qdel(SimTime::from_secs(HOUR), 2);
+    while sim.now() < SimTime::from_secs(48 * 60) {
+        assert!(sim.step());
+    }
+    assert_eq!(
+        sim.maui().dfs().job_charged(c),
+        SimDuration::from_hours(4),
+        "C delayed by the grant"
+    );
+    sim.run();
+    assert_eq!(sim.stats().qdels, 1);
+    assert!(sim.maui().dfs().job_charged(c).is_zero());
+}
+
+#[test]
 fn target_policy_protects_c() {
     // A cumulative cap of 1 h per 24 h interval: the 4 h delay is refused.
     let mut sim = scenario(DfsConfig::uniform_target(HOUR, SimDuration::from_hours(24)));

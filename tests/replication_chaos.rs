@@ -103,9 +103,7 @@ fn apply_op(s: &mut PbsServer, m: &mut Maui, op: &Op, now: SimTime) {
             let _ = s.qsub(spec.clone(), now);
         }
         Op::Cycle => {
-            let snap = s.snapshot_incremental(now);
-            let outcome = m.iterate(&snap);
-            s.apply(&outcome, now);
+            s.run_cycle(m, now);
         }
         Op::Finish(job) => {
             let _ = s.job_finished(*job, now);
