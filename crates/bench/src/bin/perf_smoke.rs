@@ -4,18 +4,22 @@
 //! compares decide identically before it times them.
 //!
 //! 1. **`scaled_iteration`** — `Maui::iterate` on a 10×-ESP-scale snapshot
-//!    (150 nodes / 1200 cores, 2300 jobs), before-plan cache on vs off.
+//!    (150 nodes / 1200 cores, 2300 jobs), before-plan cache on vs off:
+//!    median and p95 of 30 alternating runs.
 //! 2. **`incremental_timeline`** — a multi-tick snapshot sequence (jobs
 //!    finishing, starting and resizing between scheduler cycles, each
 //!    tick carrying the server's [`DeltaLog`]) driven through a delta-fed
 //!    `Maui` and a rebuild-every-iteration `Maui`, with the
-//!    rebuild-equivalence guard enabled on the correctness pass; the full
-//!    run gates profile maintenance at ≥ 2× the rebuild.
+//!    rebuild-equivalence guard enabled on the correctness pass; medians
+//!    and p95s of 30 alternating runs, and the full run gates profile
+//!    maintenance at ≥ 2× the rebuild.
 //! 3. **`deep_queue`** — one steady-state cycle (one pending `tm_dynget`,
 //!    six idle cores) at queue depth 250 / 1 000 / 4 000 behind the same
 //!    150×8 machine, against `sched::reference::iterate_naive`; the full
 //!    run gates the depth-4 000 cycle at ≤ 0.25× the reference's and
-//!    records `depth4000 / depth250`.
+//!    records `depth4000 / depth250`. Per depth it also records the work
+//!    of a cycle in exact counts — priority scores computed, sorts, heap
+//!    allocations and their bytes — which `scripts/check.sh` gates.
 //! 4. **`esp_table2`** — the paper configurations (Static, Dyn-HP,
 //!    Dyn-500, Dyn-100) over the ESP workload, wall clock plus
 //!    per-iteration stats.
@@ -33,9 +37,9 @@
 //!    time-aware fairshare: per-user p95 wait spread and Jain's index over
 //!    a seed ensemble.
 //!
-//! `--quick` (or `DYNBATCH_QUICK=1`) shrinks the workload, repetition and
-//! seed counts in **every** section for CI; the full run is the one whose
-//! numbers are recorded in the committed JSON.
+//! `--quick` (or `DYNBATCH_QUICK=1`) shrinks the workload and the seed or
+//! repetition counts for CI; the full run is the one whose numbers are
+//! recorded in the committed JSON.
 
 use dynbatch_bench::alloc_meter;
 use dynbatch_cluster::Cluster;
@@ -58,9 +62,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Every byte the harness allocates flows through the counter so the
-/// ingest section can assert a peak-memory *ratio* deterministically.
+/// ingest section can assert a peak-memory *ratio* and the deep-queue
+/// section an allocation *count* deterministically.
 #[global_allocator]
-static ALLOC: alloc_meter::CountingAlloc = alloc_meter::CountingAlloc;
+static ALLOC: alloc_meter::TallyingAlloc = alloc_meter::TallyingAlloc;
 
 /// Journal section: alternating journal-off / journal-on pairs timed, and
 /// the bound on their median overhead. Eight runs on the reference box
@@ -367,6 +372,10 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
     let mut naive = Maui::new(cfg.clone());
     let mut us: Vec<Vec<f64>> = depths.iter().map(|_| Vec::with_capacity(reps)).collect();
     let mut naive_us: Vec<Vec<f64>> = depths.iter().map(|_| Vec::new()).collect();
+    // Work done by the timed cycles, in exact counts: heap allocations
+    // (calls, bytes) and, below, the rank order's own counters.
+    let mut allocated = vec![(0usize, 0usize); depths.len()];
+    let mut first_cycle = Vec::new();
     // Epoch 0 is the untimed first cycle (full rank, timeline rebuild).
     for epoch in 0..=reps {
         for (k, snap) in snaps.iter_mut().enumerate() {
@@ -375,11 +384,17 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
                 epoch: epoch as u64 + 1,
                 deltas: Vec::new(),
             });
+            let before = alloc_meter::allocated();
             let t0 = Instant::now();
             black_box(mauis[k].iterate(snap));
             let dt = t0.elapsed().as_secs_f64() * 1e6;
+            let after = alloc_meter::allocated();
             if epoch > 0 {
                 us[k].push(dt);
+                allocated[k].0 += after.0 - before.0;
+                allocated[k].1 += after.1 - before.1;
+            } else {
+                first_cycle.push(mauis[k].rank_stats());
             }
         }
         // The reference churns through enough memory to evict the
@@ -406,11 +421,24 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
         );
         medians.push(median);
         naive_medians.push(naive_median);
+        let rank = mauis[k].rank_stats();
+        let evaluations = rank.evaluations - first_cycle[k].evaluations;
+        let per_cycle = |total: u64| Json::Float(total as f64 / reps as f64);
+        eprintln!(
+            "               per cycle: {:.1} scores computed, {:.1} allocations of {:.0} bytes",
+            evaluations as f64 / reps as f64,
+            allocated[k].0 as f64 / reps as f64,
+            allocated[k].1 as f64 / reps as f64,
+        );
         rows.push(Json::obj(vec![
             ("queue_depth", Json::UInt(depth as u64)),
             ("iterate_us_median", Json::Float(median)),
             ("iterate_us_p95", Json::Float(p95)),
             ("reference_us_median", Json::Float(naive_median)),
+            ("priority_evaluations_per_cycle", per_cycle(evaluations)),
+            ("rank_sorts", Json::UInt(rank.sorts - first_cycle[k].sorts)),
+            ("allocs_per_iterate", per_cycle(allocated[k].0 as u64)),
+            ("alloc_bytes_per_iterate", per_cycle(allocated[k].1 as u64)),
         ]));
     }
     let ratio = medians[2] / medians[0];
@@ -437,16 +465,43 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
     (section, ratio, over_reference)
 }
 
-fn time_ms<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
+fn timed_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// Median and 95th percentile of a set of timings, in milliseconds.
+struct Timing {
+    median_ms: f64,
+    p95_ms: f64,
+}
+
+/// Times `reps` runs of `a` and of `b`, alternating so the box's drift
+/// lands on both alike, and returns each side's timing and last result.
+fn time_pair<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Timing, A, Timing, B) {
+    let (mut a_ms, mut b_ms) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     let mut last = None;
     for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
+        let (ms, out_a) = timed_ms(&mut a);
+        a_ms.push(ms);
+        let (ms, out_b) = timed_ms(&mut b);
+        b_ms.push(ms);
+        last = Some((out_a, out_b));
     }
-    (best, last.expect("reps >= 1"))
+    let timing = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        Timing {
+            median_ms: quantile(&ms, 0.5),
+            p95_ms: quantile(&ms, 0.95),
+        }
+    };
+    let (out_a, out_b) = last.expect("reps >= 1");
+    (timing(a_ms), out_a, timing(b_ms), out_b)
 }
 
 fn run_esp_config(label: &str, cap: Option<u64>, dynamic: bool, seed: u64) -> Json {
@@ -580,7 +635,9 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_sched.json".to_owned());
 
-    let (nodes, jobs, reps) = if quick { (40, 600, 3) } else { (150, 2300, 10) };
+    let (nodes, jobs) = if quick { (40, 600) } else { (150, 2300) };
+    // Paired timings below report the median and p95 of this many runs.
+    let reps = 30;
     // Deep-lookahead stress configuration for the scaled measurements: at
     // 10× the paper's testbed the site would plan correspondingly deeper,
     // and depth is exactly what the cached what-if planning amortises.
@@ -597,14 +654,17 @@ fn main() {
         m.set_plan_cache_enabled(cache);
         m.iterate(&snap)
     };
-    let (uncached_ms, out_u) = time_ms(reps, || iterate(false));
-    let (cached_ms, out_c) = time_ms(reps, || iterate(true));
+    let (uncached, out_u, cached, out_c) = time_pair(reps, || iterate(false), || iterate(true));
     assert_eq!(out_u.starts, out_c.starts);
     assert_eq!(out_u.dyn_decisions, out_c.dyn_decisions);
     assert_eq!(out_u.reservations, out_c.reservations);
     eprintln!(
-        "  iterate uncached {uncached_ms:.2} ms  cached {cached_ms:.2} ms  ({:.1}x)",
-        uncached_ms / cached_ms
+        "  iterate uncached {:.2} ms (p95 {:.2})  cached {:.2} ms (p95 {:.2})  ({:.1}x)",
+        uncached.median_ms,
+        uncached.p95_ms,
+        cached.median_ms,
+        cached.p95_ms,
+        uncached.median_ms / cached.median_ms
     );
 
     // 2. Incremental timeline: a multi-tick delta-carrying snapshot
@@ -640,21 +700,24 @@ fn main() {
     // Maintenance alone: applying each tick's deltas (plus re-anchoring)
     // vs rebuilding the base profile from the running set — the edit this
     // section exists to measure.
-    let (reb_profile_ms, _) = time_ms(reps, || {
-        let mut buf = AvailabilityProfile::new(SimTime::ZERO, 0);
-        for s in &seq_snaps {
-            rebuild_into(&mut buf, s.now, s.total_cores, &s.running);
-            black_box(buf.steps().len());
-        }
-    });
-    let (inc_profile_ms, _) = time_ms(reps, || {
-        let mut tl = IncrementalTimeline::new();
-        for s in &seq_snaps {
-            tl.advance(s);
-            black_box(tl.profile().steps().len());
-        }
-    });
-    let maintenance_speedup = reb_profile_ms / inc_profile_ms;
+    let (reb_profile, _, inc_profile, _) = time_pair(
+        reps,
+        || {
+            let mut buf = AvailabilityProfile::new(SimTime::ZERO, 0);
+            for s in &seq_snaps {
+                rebuild_into(&mut buf, s.now, s.total_cores, &s.running);
+                black_box(buf.steps().len());
+            }
+        },
+        || {
+            let mut tl = IncrementalTimeline::new();
+            for s in &seq_snaps {
+                tl.advance(s);
+                black_box(tl.profile().steps().len());
+            }
+        },
+    );
+    let maintenance_speedup = reb_profile.median_ms / inc_profile.median_ms;
     // End to end: the full iterate sequence both ways. Planning dominates
     // each iteration, so the headline here is the maintenance speedup;
     // this pins "incremental is never slower overall".
@@ -667,12 +730,18 @@ fn main() {
         }
         n
     };
-    let it_reps = reps.min(3);
-    let (it_reb_ms, _) = time_ms(it_reps, || run_seq(false));
-    let (it_inc_ms, _) = time_ms(it_reps, || run_seq(true));
+    let (it_reb, _, it_inc, _) = time_pair(reps, || run_seq(false), || run_seq(true));
     eprintln!(
-        "  profile rebuild {reb_profile_ms:.2} ms  incremental {inc_profile_ms:.2} ms  \
-         ({maintenance_speedup:.1}x); iterate {it_reb_ms:.2} -> {it_inc_ms:.2} ms"
+        "  profile rebuild {:.2} ms (p95 {:.2})  incremental {:.2} ms (p95 {:.2})  \
+         ({maintenance_speedup:.1}x); iterate {:.2} (p95 {:.2}) -> {:.2} ms (p95 {:.2})",
+        reb_profile.median_ms,
+        reb_profile.p95_ms,
+        inc_profile.median_ms,
+        inc_profile.p95_ms,
+        it_reb.median_ms,
+        it_reb.p95_ms,
+        it_inc.median_ms,
+        it_inc.p95_ms,
     );
 
     // 3. Deep queue: steady-state cycle cost at queue depth 250 / 1 000 /
@@ -742,9 +811,9 @@ fn main() {
     let (mut base_all, mut journal_all, mut overhead_all) = (Vec::new(), Vec::new(), Vec::new());
     let (mut base_jobs, mut journal_jobs, mut journal_records) = (0, 0, 0);
     for _ in 0..JOURNAL_PAIRS {
-        let (base, (jobs, _)) = time_ms(1, || journal_run(false));
+        let (base, (jobs, _)) = timed_ms(|| journal_run(false));
         base_jobs = jobs;
-        let (journaled, (jobs, records)) = time_ms(1, || journal_run(true));
+        let (journaled, (jobs, records)) = timed_ms(|| journal_run(true));
         (journal_jobs, journal_records) = (jobs, records);
         base_all.push(base);
         journal_all.push(journaled);
@@ -928,9 +997,15 @@ fn main() {
         (
             "scaled_iteration",
             Json::obj(vec![
-                ("uncached_ms", Json::Float(uncached_ms)),
-                ("cached_ms", Json::Float(cached_ms)),
-                ("speedup", Json::Float(uncached_ms / cached_ms)),
+                ("reps", Json::UInt(reps as u64)),
+                ("uncached_ms", Json::Float(uncached.median_ms)),
+                ("uncached_ms_p95", Json::Float(uncached.p95_ms)),
+                ("cached_ms", Json::Float(cached.median_ms)),
+                ("cached_ms_p95", Json::Float(cached.p95_ms)),
+                (
+                    "speedup",
+                    Json::Float(uncached.median_ms / cached.median_ms),
+                ),
                 ("identical_decisions", Json::Bool(true)),
             ]),
         ),
@@ -938,12 +1013,23 @@ fn main() {
             "incremental_timeline",
             Json::obj(vec![
                 ("ticks", Json::UInt(ticks as u64)),
-                ("profile_rebuild_ms", Json::Float(reb_profile_ms)),
-                ("profile_incremental_ms", Json::Float(inc_profile_ms)),
+                ("reps", Json::UInt(reps as u64)),
+                ("profile_rebuild_ms", Json::Float(reb_profile.median_ms)),
+                ("profile_rebuild_ms_p95", Json::Float(reb_profile.p95_ms)),
+                ("profile_incremental_ms", Json::Float(inc_profile.median_ms)),
+                (
+                    "profile_incremental_ms_p95",
+                    Json::Float(inc_profile.p95_ms),
+                ),
                 ("maintenance_speedup", Json::Float(maintenance_speedup)),
-                ("iterate_rebuild_ms", Json::Float(it_reb_ms)),
-                ("iterate_incremental_ms", Json::Float(it_inc_ms)),
-                ("iterate_speedup", Json::Float(it_reb_ms / it_inc_ms)),
+                ("iterate_rebuild_ms", Json::Float(it_reb.median_ms)),
+                ("iterate_rebuild_ms_p95", Json::Float(it_reb.p95_ms)),
+                ("iterate_incremental_ms", Json::Float(it_inc.median_ms)),
+                ("iterate_incremental_ms_p95", Json::Float(it_inc.p95_ms)),
+                (
+                    "iterate_speedup",
+                    Json::Float(it_reb.median_ms / it_inc.median_ms),
+                ),
                 ("identical_decisions", Json::Bool(true)),
             ]),
         ),

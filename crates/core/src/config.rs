@@ -431,6 +431,27 @@ impl SchedulerConfig {
                 return Err("queue resource-hour budget must be non-negative".into());
             }
         }
+        // Everything that is added into a job's priority score: one NaN
+        // or infinity makes scores unordered, and a comparison sort over
+        // an order that is not total may panic.
+        let w = &self.priority;
+        let summands = [
+            ("queue_time_weight", w.queue_time_weight),
+            ("expansion_weight", w.expansion_weight),
+            ("resource_weight", w.resource_weight),
+            ("fairshare_weight", w.fairshare_weight),
+            ("fairshare budget_demotion", self.fairshare.budget_demotion),
+            ("fairshare default_target", self.fairshare.default_target),
+        ];
+        let targets = self.fairshare.user_targets.values();
+        let targets = targets.map(|&t| ("fairshare user target", t));
+        if let Some((name, v)) = summands
+            .into_iter()
+            .chain(targets)
+            .find(|(_, v)| !v.is_finite())
+        {
+            return Err(format!("{name} must be finite, got {v}"));
+        }
         Ok(())
     }
 }
@@ -698,6 +719,36 @@ GROUPCFG[group06] DFSDYNDELAYPERM=0
         let mut cfg = DfsConfig::uniform_target(500, SimDuration::ZERO);
         cfg.interval = SimDuration::ZERO;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_priority_inputs_are_rejected() {
+        type Set = fn(&mut SchedulerConfig, f64);
+        let fields: [Set; 7] = [
+            |c, v| c.priority.queue_time_weight = v,
+            |c, v| c.priority.expansion_weight = v,
+            |c, v| c.priority.resource_weight = v,
+            |c, v| c.priority.fairshare_weight = v,
+            |c, v| c.fairshare.budget_demotion = v,
+            |c, v| c.fairshare.default_target = v,
+            |c, v| {
+                c.fairshare.user_targets.insert(UserId(3), v);
+            },
+        ];
+        for set in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = SchedulerConfig::paper_eval();
+                set(&mut c, bad);
+                let err = c
+                    .validate()
+                    .expect_err("a non-finite summand must be rejected");
+                assert!(err.contains("must be finite"), "{err}");
+            }
+            // Any finite value, negative ones included, is the site's call.
+            let mut c = SchedulerConfig::paper_eval();
+            set(&mut c, -2.5);
+            assert!(c.validate().is_ok());
+        }
     }
 
     #[test]

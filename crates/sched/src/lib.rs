@@ -49,7 +49,7 @@ pub use incremental::{
 };
 pub use maui::{mold_fit, DynDecision, IterationOutcome, Maui, ResizeDecision, StartDecision};
 pub use plan::plan_starts;
-pub use priority::{priority_of, rank_jobs, FairnessView, Priority};
+pub use priority::{priority_of, rank_jobs, FairnessView, Priority, RankStats};
 pub use reservation::{PlannedStart, Reservation, StartKind};
 pub use snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 pub use timeline::{planned_end, AvailabilityProfile, OVERDUE_GRACE};

@@ -24,7 +24,7 @@ use crate::dfs::{DelayCharge, DfsEngine, DfsReject, DfsVerdict};
 use crate::fairshare::FairshareTracker;
 use crate::incremental::{profile_from_running, rebuild_into, IncrementalTimeline, TimelineStats};
 use crate::plan::plan_starts;
-use crate::priority::{FairnessView, RankOrder, Ranked};
+use crate::priority::{FairnessView, RankOrder, RankStats, Ranked};
 use crate::reservation::{PlannedStart, Reservation};
 use crate::snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 use crate::timeline::{planned_end, AvailabilityProfile};
@@ -201,8 +201,7 @@ pub struct Maui {
     base_buf: AvailabilityProfile,
     /// Recycled what-if buffers.
     scratch: PlanScratch,
-    /// The previous cycle's queue order, which the next ranking starts
-    /// from.
+    /// The queue's scheduling order, kept from cycle to cycle.
     rank: RankOrder,
 }
 
@@ -265,6 +264,12 @@ impl Maui {
         self.timeline.stats()
     }
 
+    /// Work counters of the kept rank order (entries walked, scores
+    /// computed, sorts).
+    pub fn rank_stats(&self) -> RankStats {
+        self.rank.stats()
+    }
+
     /// The site configuration.
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
@@ -300,13 +305,13 @@ impl Maui {
         self.fairshare.advance_to(now);
 
         // Steps 6–9: select and prioritise static jobs and dynamic
-        // requests. The queue is ranked through references — the snapshot
-        // is never cloned on this path — starting from the previous
-        // cycle's order.
+        // requests. The queue's order is kept across cycles and lent out
+        // as slot positions; the planner gets the few jobs it looks at.
         let fairness = fairness_view(&self.config, &self.fairshare, snap.usage.as_ref());
         let ranked = self
             .rank
             .rank(&snap.queued, now, &self.config.priority, fairness);
+        let head: Vec<&QueuedJob> = ranked.iter().take(self.config.lookahead_depth()).collect();
 
         // The base profile carries running jobs' remaining walltimes; all
         // planning happens on top of clones of it. On the incremental
@@ -339,7 +344,7 @@ impl Maui {
         let mut outcome = IterationOutcome {
             baseline_plan: plan_starts(
                 &mut scratch.plan,
-                &ranked.jobs,
+                &head,
                 self.config.lookahead_depth(),
                 now,
             ),
@@ -354,7 +359,7 @@ impl Maui {
             requests.sort_by_key(|r| r.seq);
             let ctx = DynCtx {
                 config: &self.config,
-                ranked: &ranked.jobs,
+                head: &head,
                 queued: &snap.queued,
                 running: &snap.running,
                 usage: snap.usage.as_ref(),
@@ -376,7 +381,7 @@ impl Maui {
         // Step 25: schedule static jobs (with starts) and create
         // reservations against the post-grant profile.
         let mut profile = base;
-        let taken = static_pass(&self.config, &ranked.jobs, &mut profile, &mut outcome, now);
+        let taken = static_pass(&self.config, &ranked, &mut profile, &mut outcome, now);
 
         // Step 26: backfill.
         if self.config.backfill != BackfillPolicy::None && !snap.backfill_suppressed() {
@@ -385,7 +390,7 @@ impl Maui {
                 if profile.idle_at(now) == 0 {
                     break;
                 }
-                backfill_one(&mut profile, ranked.jobs[i], &mut outcome, now);
+                backfill_one(&mut profile, ranked.job(i), &mut outcome, now);
             }
         }
 
@@ -463,7 +468,9 @@ pub(crate) fn dfs_target_scale(
 /// Read-only inputs of the dynamic-request loop.
 struct DynCtx<'a> {
     config: &'a SchedulerConfig,
-    ranked: &'a [&'a QueuedJob],
+    /// The top `lookahead_depth` jobs of the ranked queue: all the delay
+    /// measurement plans.
+    head: &'a [&'a QueuedJob],
     /// The queue by id, for charging a planned job's delay to its owner.
     queued: &'a QueuedSet,
     running: &'a RunningSet,
@@ -712,12 +719,12 @@ fn dynamic_request(
         scratch.plan.assign_from(&w.base);
         w.before = Some(CachedPlan {
             base_rev: w.rev,
-            plan: plan_starts(&mut scratch.plan, ctx.ranked, depth, now),
+            plan: plan_starts(&mut scratch.plan, ctx.head, depth, now),
         });
     }
     let before = &w.before.as_ref().expect("just ensured").plan;
     scratch.plan.assign_from(&scratch.expanded);
-    let after = plan_starts(&mut scratch.plan, ctx.ranked, depth, now);
+    let after = plan_starts(&mut scratch.plan, ctx.head, depth, now);
 
     let mut delays = Vec::new();
     for b in before {
@@ -794,7 +801,7 @@ fn dynamic_request(
 /// out of reservations: nothing further down the queue can change.
 fn static_pass(
     config: &SchedulerConfig,
-    ranked: &[&QueuedJob],
+    ranked: &Ranked<'_>,
     profile: &mut AvailabilityProfile,
     outcome: &mut IterationOutcome,
     now: SimTime,
@@ -805,7 +812,7 @@ fn static_pass(
         BackfillPolicy::Conservative => usize::MAX,
         _ => config.reservation_depth,
     };
-    for job in ranked {
+    for job in ranked.iter() {
         if !blocked {
             if let Some(width) = mold_fit(profile, job, now) {
                 profile.hold_for(now, job.walltime, width + job.reserve_extra);

@@ -236,16 +236,10 @@ impl QueuedSet {
         self.0.suppressors
     }
 
-    /// Number of slots, empty ones included: the exclusive upper bound of
-    /// the positions [`QueuedSet::slot`] accepts.
-    pub(crate) fn slot_count(&self) -> usize {
-        self.0.jobs.len()
-    }
-
-    /// The job in slot `pos`; `None` when the slot is empty or out of
-    /// range.
-    pub(crate) fn slot(&self, pos: usize) -> Option<&QueuedJob> {
-        self.0.jobs.get(pos)?.as_ref()
+    /// The slots in position order, `None` where the job has left: what
+    /// `priority::RankOrder` checks its remembered positions against.
+    pub(crate) fn slots(&self) -> &[Option<QueuedJob>] {
+        &self.0.jobs
     }
 
     /// Adds a job: O(1) when its id is the highest seen (every fresh
@@ -434,11 +428,10 @@ mod tests {
         // A departure empties its slot in place: later positions hold.
         assert_eq!(set.remove(JobId(2)).map(|q| q.id), Some(JobId(2)));
         assert_eq!(set.remove(JobId(2)), None);
-        assert_eq!((set.len(), set.slot_count()), (2, 3));
+        assert_eq!((set.len(), set.slots().len()), (2, 3));
         assert_eq!(set.backfill_suppressors(), 0);
-        assert!(set.slot(0).is_none() && set.get(JobId(2)).is_none());
-        assert_eq!(set.slot(2).map(|q| q.id), Some(JobId(9)));
-        assert!(set.slot(3).is_none());
+        assert!(set.slots()[0].is_none() && set.get(JobId(2)).is_none());
+        assert_eq!(set.slots()[2].as_ref().map(|q| q.id), Some(JobId(9)));
         // A requeue of the same id revives the slot; any other lower id
         // is inserted where it sorts.
         set.push(queued(2, true));
@@ -460,12 +453,12 @@ mod tests {
         for i in 0..150 {
             set.remove(JobId(i));
             assert!(
-                set.slot_count() <= 2 * set.len() + SWEEP_SLACK + 1,
+                set.slots().len() <= 2 * set.len() + SWEEP_SLACK + 1,
                 "slots stay within twice the queue"
             );
         }
         assert_eq!(set.len(), 50);
-        assert!(set.slot_count() < 200, "swept at least once");
+        assert!(set.slots().len() < 200, "swept at least once");
         assert_eq!(ids(&set), (150..200).collect::<Vec<_>>());
         assert_eq!(set.get(JobId(180)).map(|q| q.id), Some(JobId(180)));
     }

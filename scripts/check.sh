@@ -110,4 +110,35 @@ for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
   done
 done
 
+echo "==> deep_queue in exact counts (its queue is single-class FIFO): no priority"
+echo "    score computed and no sort at any depth; bytes allocated per cycle at"
+echo "    depth 4000 within 2x those at depth 250"
+for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
+  awk -v report="$report" '
+    function value(field) { gsub(/,/, "", field); return field + 0 }
+    /"queue_depth"/ { depth = value($2) }
+    /"priority_evaluations_per_cycle"/ || /"rank_sorts"/ {
+      if (value($2) != 0) {
+        print report ": deep_queue depth " depth " reports " $1 " " $2 " (must be 0)"
+        bad = 1
+      }
+      seen[depth]++
+    }
+    /"alloc_bytes_per_iterate"/ { bytes[depth] = value($2) }
+    END {
+      for (d in seen) rows += (seen[d] == 2)
+      if (rows != 3 || !(250 in bytes) || !(4000 in bytes)) {
+        print report ": deep_queue lacks its work counters — regenerate with: " \
+          "cargo run --release -p dynbatch-bench --bin perf_smoke"
+        exit 1
+      }
+      if (bytes[4000] > 2 * bytes[250]) {
+        print report ": a cycle at depth 4000 allocates " bytes[4000] \
+          " bytes, over 2x the " bytes[250] " at depth 250"
+        bad = 1
+      }
+      exit bad
+    }' "$report"
+done
+
 echo "check.sh: all gates passed"
