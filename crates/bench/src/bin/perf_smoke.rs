@@ -3,19 +3,21 @@
 //! `BENCH_sched.json`. Every section asserts that the two things it
 //! compares decide identically before it times them.
 //!
-//! 1. **`scaled_iteration`** — `Maui::iterate` on a 10×-ESP-scale snapshot
-//!    (150 nodes / 1200 cores, 2300 jobs), before-plan cache on vs off:
-//!    median and p95 of 30 alternating runs.
+//! 1. **`scaled_iteration`** — a first `Maui::iterate` on a 10×-ESP-scale
+//!    snapshot (150 nodes / 1200 cores, 2300 jobs) against the executable
+//!    spec, `sched::reference::iterate_naive` (every pass visits every
+//!    job, no plan cached): median and p95 of 30 alternating runs.
 //! 2. **`incremental_timeline`** — a multi-tick snapshot sequence (jobs
 //!    finishing, starting and resizing between scheduler cycles, each
-//!    tick carrying the server's [`DeltaLog`]) driven through a delta-fed
-//!    `Maui` and a rebuild-every-iteration `Maui`, with the
-//!    rebuild-equivalence guard enabled on the correctness pass; medians
-//!    and p95s of 30 alternating runs, and the full run gates profile
-//!    maintenance at ≥ 2× the rebuild.
+//!    tick carrying the server's [`DeltaLog`]). Profile maintenance alone
+//!    (`IncrementalTimeline::advance` vs `rebuild_into`) and the whole
+//!    sequence through `Maui::iterate` vs `iterate_naive`, which rebuilds
+//!    the profile every tick; per-tick decisions asserted equal first;
+//!    medians and p95s of 30 alternating runs, and the full run gates
+//!    profile maintenance at ≥ 2× the rebuild.
 //! 3. **`deep_queue`** — one steady-state cycle (one pending `tm_dynget`,
 //!    six idle cores) at queue depth 250 / 1 000 / 4 000 behind the same
-//!    150×8 machine, against `sched::reference::iterate_naive`; the full
+//!    150×8 machine, against `iterate_naive`; the full
 //!    run gates the depth-4 000 cycle at ≤ 0.25× the reference's and
 //!    records `depth4000 / depth250`. Per depth it also records the work
 //!    of a cycle in exact counts — priority scores computed, sorts, heap
@@ -50,9 +52,10 @@ use dynbatch_core::{
 };
 use dynbatch_metrics::{stats::quantile, user_wait_fairness, Aggregate};
 use dynbatch_sched::incremental::rebuild_into;
+use dynbatch_sched::reference::iterate_naive;
 use dynbatch_sched::{
-    AvailabilityProfile, DeltaLog, DynRequest, IncrementalTimeline, Maui, ProfileDelta, QueuedJob,
-    RunningJob, Snapshot,
+    AvailabilityProfile, DeltaLog, DynRequest, IncrementalTimeline, IterationOutcome, Maui,
+    ProfileDelta, QueuedJob, RunningJob, Snapshot,
 };
 use dynbatch_sim::{run_sweep, BatchSim, ExperimentConfig};
 use dynbatch_simtime::SplitMix64;
@@ -344,7 +347,6 @@ fn deep_queue_snapshot(depth: usize) -> Snapshot {
 /// to the reference first. Returns the section, `depth4000 / depth250` of
 /// the medians, and the depth-4000 median over the reference's.
 fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
-    use dynbatch_sched::reference::iterate_naive;
     const BLOCK: usize = 10;
     let depths = [250usize, 1_000, 4_000];
     let mut cfg = SchedulerConfig::paper_eval();
@@ -354,19 +356,7 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
         assert!(snap.idle_cores() <= 8, "the machine is all but full");
         let a = Maui::new(cfg.clone()).iterate(snap);
         let b = iterate_naive(&mut Maui::new(cfg.clone()), snap);
-        assert_eq!(a.starts, b.starts, "deep queue: starts diverged");
-        assert_eq!(
-            a.dyn_decisions, b.dyn_decisions,
-            "deep queue: dyn decisions diverged"
-        );
-        assert_eq!(
-            a.reservations, b.reservations,
-            "deep queue: reservations diverged"
-        );
-        assert_eq!(
-            a.baseline_plan, b.baseline_plan,
-            "deep queue: baseline plan diverged"
-        );
+        assert_eq!(a, b, "deep queue: decisions diverged");
     }
     let mut mauis: Vec<Maui> = depths.iter().map(|_| Maui::new(cfg.clone())).collect();
     let mut naive = Maui::new(cfg.clone());
@@ -646,54 +636,39 @@ fn main() {
     cfg.reservation_depth = 20;
     cfg.reservation_delay_depth = 20;
 
-    // 1. Full Maui::iterate on the scaled snapshot, cache on vs off.
+    // 1. A first Maui::iterate on the scaled snapshot against the
+    // visit-every-job, cache-nothing reference.
     eprintln!("perf_smoke: scaled iteration ({nodes} nodes, {jobs} jobs, {reps} reps)");
     let snap = scaled_snapshot(nodes, jobs, 42);
-    let iterate = |cache: bool| {
-        let mut m = Maui::new(cfg.clone());
-        m.set_plan_cache_enabled(cache);
-        m.iterate(&snap)
-    };
-    let (uncached, out_u, cached, out_c) = time_pair(reps, || iterate(false), || iterate(true));
-    assert_eq!(out_u.starts, out_c.starts);
-    assert_eq!(out_u.dyn_decisions, out_c.dyn_decisions);
-    assert_eq!(out_u.reservations, out_c.reservations);
+    let (reference, out_r, iterate, out_i) = time_pair(
+        reps,
+        || iterate_naive(&mut Maui::new(cfg.clone()), &snap),
+        || Maui::new(cfg.clone()).iterate(&snap),
+    );
+    assert_eq!(out_r, out_i, "scaled iteration: decisions diverged");
     eprintln!(
-        "  iterate uncached {:.2} ms (p95 {:.2})  cached {:.2} ms (p95 {:.2})  ({:.1}x)",
-        uncached.median_ms,
-        uncached.p95_ms,
-        cached.median_ms,
-        cached.p95_ms,
-        uncached.median_ms / cached.median_ms
+        "  reference {:.2} ms (p95 {:.2})  iterate {:.2} ms (p95 {:.2})  ({:.1}x)",
+        reference.median_ms,
+        reference.p95_ms,
+        iterate.median_ms,
+        iterate.p95_ms,
+        reference.median_ms / iterate.median_ms
     );
 
     // 2. Incremental timeline: a multi-tick delta-carrying snapshot
-    // sequence through a delta-fed Maui and a rebuild-every-iteration
-    // Maui. Correctness first (decisions asserted identical per tick,
-    // rebuild-equivalence guard enabled), then timing with the guard off.
+    // sequence through a delta-fed Maui and through the reference, which
+    // rebuilds the profile every tick. Decisions first, tick by tick.
     let ticks = if quick { 40 } else { 150 };
     eprintln!("perf_smoke: incremental timeline ({ticks} ticks)");
     let seq_snaps = tick_sequence(nodes, jobs, 43, ticks);
     {
-        let mut m_inc = Maui::new(cfg.clone());
-        m_inc.set_incremental_check_enabled(true);
-        let mut m_reb = Maui::new(cfg.clone());
-        m_reb.set_incremental_enabled(false);
+        let mut fed = Maui::new(cfg.clone());
+        let mut naive = Maui::new(cfg.clone());
         for (i, s) in seq_snaps.iter().enumerate() {
-            let a = m_inc.iterate(s);
-            let b = m_reb.iterate(s);
-            assert_eq!(a.starts, b.starts, "tick {i}: starts diverged");
-            assert_eq!(
-                a.dyn_decisions, b.dyn_decisions,
-                "tick {i}: dynamic decisions diverged"
-            );
-            assert_eq!(
-                a.reservations, b.reservations,
-                "tick {i}: reservations diverged"
-            );
-            assert_eq!(a.grows, b.grows, "tick {i}: grows diverged");
+            let (a, b) = (fed.iterate(s), iterate_naive(&mut naive, s));
+            assert_eq!(a, b, "tick {i}: decisions diverged");
         }
-        let st = m_inc.timeline_stats();
+        let st = fed.timeline_stats();
         assert_eq!(st.rebuilds, 1, "only the first tick may rebuild");
         assert_eq!(st.delta_batches as usize, ticks - 1);
     }
@@ -718,22 +693,23 @@ fn main() {
         },
     );
     let maintenance_speedup = reb_profile.median_ms / inc_profile.median_ms;
-    // End to end: the full iterate sequence both ways. Planning dominates
-    // each iteration, so the headline here is the maintenance speedup;
-    // this pins "incremental is never slower overall".
-    let run_seq = |incremental: bool| {
+    // End to end: the whole sequence through the reference and through
+    // `iterate`. The reference rebuilds, re-ranks and re-plans everything
+    // every tick, so this ratio is the cycle's, not the timeline's alone —
+    // that one is the maintenance speedup above.
+    let run_seq = |cycle: fn(&mut Maui, &Snapshot) -> IterationOutcome| {
         let mut m = Maui::new(cfg.clone());
-        m.set_incremental_enabled(incremental);
         let mut n = 0usize;
         for s in &seq_snaps {
-            n += black_box(m.iterate(s)).starts.len();
+            n += black_box(cycle(&mut m, s)).starts.len();
         }
         n
     };
-    let (it_reb, _, it_inc, _) = time_pair(reps, || run_seq(false), || run_seq(true));
+    let (it_reb, _, it_inc, _) =
+        time_pair(reps, || run_seq(iterate_naive), || run_seq(Maui::iterate));
     eprintln!(
         "  profile rebuild {:.2} ms (p95 {:.2})  incremental {:.2} ms (p95 {:.2})  \
-         ({maintenance_speedup:.1}x); iterate {:.2} (p95 {:.2}) -> {:.2} ms (p95 {:.2})",
+         ({maintenance_speedup:.1}x); reference {:.2} (p95 {:.2}) -> iterate {:.2} ms (p95 {:.2})",
         reb_profile.median_ms,
         reb_profile.p95_ms,
         inc_profile.median_ms,
@@ -998,13 +974,13 @@ fn main() {
             "scaled_iteration",
             Json::obj(vec![
                 ("reps", Json::UInt(reps as u64)),
-                ("uncached_ms", Json::Float(uncached.median_ms)),
-                ("uncached_ms_p95", Json::Float(uncached.p95_ms)),
-                ("cached_ms", Json::Float(cached.median_ms)),
-                ("cached_ms_p95", Json::Float(cached.p95_ms)),
+                ("reference_ms", Json::Float(reference.median_ms)),
+                ("reference_ms_p95", Json::Float(reference.p95_ms)),
+                ("iterate_ms", Json::Float(iterate.median_ms)),
+                ("iterate_ms_p95", Json::Float(iterate.p95_ms)),
                 (
                     "speedup",
-                    Json::Float(uncached.median_ms / cached.median_ms),
+                    Json::Float(reference.median_ms / iterate.median_ms),
                 ),
                 ("identical_decisions", Json::Bool(true)),
             ]),
@@ -1022,10 +998,10 @@ fn main() {
                     Json::Float(inc_profile.p95_ms),
                 ),
                 ("maintenance_speedup", Json::Float(maintenance_speedup)),
-                ("iterate_rebuild_ms", Json::Float(it_reb.median_ms)),
-                ("iterate_rebuild_ms_p95", Json::Float(it_reb.p95_ms)),
-                ("iterate_incremental_ms", Json::Float(it_inc.median_ms)),
-                ("iterate_incremental_ms_p95", Json::Float(it_inc.p95_ms)),
+                ("reference_ms", Json::Float(it_reb.median_ms)),
+                ("reference_ms_p95", Json::Float(it_reb.p95_ms)),
+                ("iterate_ms", Json::Float(it_inc.median_ms)),
+                ("iterate_ms_p95", Json::Float(it_inc.p95_ms)),
                 (
                     "iterate_speedup",
                     Json::Float(it_reb.median_ms / it_inc.median_ms),

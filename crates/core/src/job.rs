@@ -237,13 +237,6 @@ impl JobSpec {
         }
     }
 
-    /// Pads the walltime by `factor` (users over-request; paper §III-D
-    /// discusses the effect on delay accounting).
-    pub fn with_walltime_factor(mut self, factor: f64) -> Self {
-        self.walltime = self.walltime.mul_f64(factor);
-        self
-    }
-
     /// Sets the priority boost.
     pub fn with_priority_boost(mut self, boost: i64) -> Self {
         self.priority_boost = boost;
@@ -485,12 +478,6 @@ mod tests {
         );
         assert_eq!(s.walltime, SimDuration::from_secs(1846));
         assert_eq!(s.class, JobClass::Evolving);
-    }
-
-    #[test]
-    fn walltime_factor() {
-        let s = spec().with_walltime_factor(2.0);
-        assert_eq!(s.walltime, SimDuration::from_secs(534));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::timer::{TimerHandle, TimerId, TimerService};
 use crate::wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
-    FairshareMode, JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimTime, UserId,
+    JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimTime, UserId,
 };
 use dynbatch_sched::Maui;
 use dynbatch_server::reactor::{
@@ -441,9 +441,6 @@ const JOURNAL_SNAPSHOT_EVERY: usize = 64;
 struct ServerDaemon {
     server: PbsServer,
     maui: Maui,
-    /// Scheduler configuration, kept to rebuild a fresh Maui when the
-    /// server crash-restarts (scheduler soft state dies with the process).
-    sched: SchedulerConfig,
     /// Outstanding server-crash points from the fault plan, ascending, in
     /// journal-record coordinates.
     crash_points: VecDeque<u64>,
@@ -457,12 +454,6 @@ struct ServerDaemon {
     /// Run generation per job: bumped at every (re)start; app-exit firings
     /// carrying an older generation are stale and dropped.
     job_gen: HashMap<JobId, u64>,
-    /// Per-user core-milliseconds already forwarded from the server's
-    /// journalled usage ledger into the Maui fairshare tracker. Charges
-    /// live in the server (and thus in the journal); the tracker is synced
-    /// by delta each cycle, so a crash-restart's fresh Maui recharges the
-    /// full recovered totals instead of forfeiting them.
-    fs_synced: HashMap<UserId, u64>,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
     /// rest of the daemon).
@@ -588,16 +579,12 @@ impl ServerDaemon {
         // cost is measured and bounded (`perf_smoke`'s `journal` section).
         let mut server = PbsServer::new(cluster, alloc_policy);
         // Half-life before `enable_journal` so the genesis image already
-        // carries it; segment-close events feed the window-exact fairshare
-        // sync below.
+        // carries it.
         server.set_usage_half_life(config.sched.fairshare.half_life);
-        server.set_publish_usage(config.sched.fairshare.mode == FairshareMode::TimeAware);
-        server.set_collect_usage_events(true);
         server.enable_journal(JOURNAL_SNAPSHOT_EVERY);
         ServerDaemon {
             server,
-            maui: Maui::new(config.sched.clone()),
-            sched: config.sched,
+            maui: Maui::new(config.sched),
             crash_points,
             moms,
             ms_directory,
@@ -605,7 +592,6 @@ impl ServerDaemon {
             app_timers: HashMap::new(),
             dyn_timers: HashMap::new(),
             job_gen: HashMap::new(),
-            fs_synced: HashMap::new(),
             reactor: Some(reactor),
             run_waiters: Vec::new(),
             drain_waiters: Vec::new(),
@@ -874,19 +860,15 @@ impl ServerDaemon {
 
     /// The shared adoption path for a server that just materialised from
     /// recovery (crash-restart) or promotion (failover): rebuild scheduler
-    /// soft state, re-arm per-process flags and the journal, revive app
-    /// deadlines, re-attach moms, and re-arm negotiation expiries.
+    /// soft state, re-arm the journal, revive app deadlines, re-attach
+    /// moms, and re-arm negotiation expiries.
     fn adopt_recovered(&mut self, t: SimTime) {
-        // Per-process flags are not journalled; re-arm them first, boot
-        // order: half-life before `enable_journal` below so a fresh
+        // Boot order: half-life before `enable_journal` below so a fresh
         // genesis image already carries it. (The decayed usage accounts
         // themselves come back bit-exact from the image, half-life
         // included, so the setter is a no-op unless they are empty.)
         self.server
-            .set_usage_half_life(self.sched.fairshare.half_life);
-        self.server
-            .set_publish_usage(self.sched.fairshare.mode == FairshareMode::TimeAware);
-        self.server.set_collect_usage_events(true);
+            .set_usage_half_life(self.maui.config().fairshare.half_life);
         if self.server.journal().is_none() {
             // A promoted follower arrives journal-less: journaling is a
             // per-process concern. The genesis snapshot this appends opens
@@ -897,12 +879,9 @@ impl ServerDaemon {
         // bookkeeping) is not journalled: a fresh Maui restarts from the
         // recovered server state, exactly as a real scheduler restart
         // would. Fairshare charges, however, DO survive: they live in the
-        // server's journalled usage ledger, and clearing `fs_synced` makes
-        // the post-recovery cycle recharge the full recovered totals into
-        // the fresh tracker (previously the in-memory ledger was forfeit
-        // and post-recovery priorities diverged from a crash-free run).
-        self.maui = Maui::new(self.sched.clone());
-        self.fs_synced.clear();
+        // server's journalled usage ledger, and the first delta log of a
+        // recovered or promoted server carries the totals.
+        self.maui = Maui::new(self.maui.config().clone());
         struct Revive {
             job: JobId,
             remaining: Duration,
@@ -969,7 +948,6 @@ impl ServerDaemon {
         self.server
             .job_finished(job, t)
             .expect("active job finishes");
-        self.maui.dfs_mut().job_left_queue(job);
         self.kill_app(job);
         true
     }
@@ -1140,58 +1118,17 @@ impl ServerDaemon {
         let reply = apply_to_server(&mut self.server, cmd, t);
         let mutated = matches!(reply, ReactorReply::Submitted(_) | ReactorReply::Ok);
         match cmd {
-            ReactorCommand::QDel(job) if mutated => {
-                self.maui.dfs_mut().job_left_queue(*job);
-                if was_running {
-                    // The server settled its usage charges inside `qdel`.
-                    self.kill_app(*job);
-                }
-            }
+            // The server settled its usage charges inside `qdel`.
+            ReactorCommand::QDel(job) if mutated && was_running => self.kill_app(*job),
             ReactorCommand::DynGet { job, .. } if mutated => self.arm_dyn_timer(*job, t),
             _ => {}
         }
         (reply, mutated)
     }
 
-    /// Forwards usage newly charged by the server (core-milliseconds, per
-    /// user) into the Maui fairshare tracker. Charges are journalled at
-    /// the server, so this delta sync is what makes fairshare priorities
-    /// crash-consistent: after a crash-restart `fs_synced` is cleared and
-    /// the recovered totals recharge in full.
-    fn sync_fairshare(&mut self) {
-        // Exact path: each closed usage segment is charged into the
-        // fairshare window covering its *close instant*. A cycle that
-        // runs just after a window boundary must not attribute the old
-        // window's compute to the new one (that mis-attribution let a
-        // user shed decayed history by idling across boundaries).
-        for (user, delta_ms, at) in self.server.take_usage_events() {
-            *self.fs_synced.entry(user).or_insert(0) += delta_ms;
-            self.maui
-                .fairshare_mut()
-                .charge_at(user, delta_ms as f64 / 1000.0, at);
-        }
-        // Fallback for charges with no event: after a crash-restart the
-        // events died with the process, so the recovered totals recharge
-        // in full here. Close-instant attribution is lost for those, but
-        // the compute is not forfeited. In steady state the event drain
-        // above keeps `fs_synced` flush with the ledger and this loop
-        // charges nothing.
-        for (user, total) in self.server.usage() {
-            let seen = self.fs_synced.entry(user).or_insert(0);
-            if total > *seen {
-                let delta_ms = total - *seen;
-                *seen = total;
-                self.maui
-                    .fairshare_mut()
-                    .charge(user, delta_ms as f64 / 1000.0);
-            }
-        }
-    }
-
     /// One scheduling cycle: snapshot → Maui iteration → apply, then fan
     /// the applied actions out to the moms.
     fn cycle(&mut self, now: SimTime) {
-        self.sync_fairshare();
         let (_, applied) = self.server.run_cycle(&mut self.maui, now);
         for action in applied {
             match action {
@@ -1738,123 +1675,6 @@ mod tests {
         assert_eq!(d.qstat(doomed), Some(JobState::Cancelled));
         assert!(d.await_drained(Duration::from_secs(2)));
         d.shutdown();
-    }
-
-    /// A queued job that a grant delayed and that is then deleted leaves
-    /// nothing behind in the scheduler's per-job delay slate (it used to
-    /// grow with every such job the daemon had ever seen).
-    #[test]
-    fn qdel_of_a_delayed_queued_job_clears_its_dfs_slate() {
-        let timers = TimerService::start("t.tmr", |_| {});
-        // The moms' receivers are gone: what the server sends them is dropped.
-        let moms = (0..3).map(|i| MomLink::new(i, channel().0, None)).collect();
-        let mut d = ServerDaemon::new(
-            hp_config(3),
-            moms,
-            Arc::default(),
-            timers.handle(),
-            Reactor::new(),
-            "t.",
-        );
-        let qsub = |d: &mut ServerDaemon, spec: JobSpec| {
-            let (reply, rx) = channel();
-            let spec = Box::new(spec);
-            d.handle(
-                ServerCmd::Client(ClientReq::QSub { spec, reply }),
-                SimTime::ZERO,
-            );
-            rx.recv().unwrap().expect("qsub")
-        };
-        let mut other_user = spec("evolving", 8, 1_000_000);
-        other_user.user = UserId(1);
-        let evolving = qsub(&mut d, other_user);
-        qsub(&mut d, spec("short", 8, 500_000));
-        // 8 of 24 cores idle: `waiting` starts when `short` ends — unless
-        // `evolving` grows by 4 first, which pushes it out to 1 000 s.
-        let waiting = qsub(&mut d, spec("waiting", 16, 100_000));
-        d.handle(
-            ServerCmd::FromMom(MomToServer::DynRequest {
-                job: evolving,
-                extra_cores: 4,
-                timeout: None,
-            }),
-            SimTime::from_millis(10),
-        );
-        assert_eq!(d.server.job(evolving).unwrap().cores_allocated, 12);
-        assert!(!d.maui.dfs().job_charged(waiting).is_zero());
-        let (reply, rx) = channel();
-        d.handle(
-            ServerCmd::Client(ClientReq::QDel {
-                job: waiting,
-                reply,
-            }),
-            SimTime::from_millis(20),
-        );
-        rx.recv().unwrap().expect("qdel");
-        assert!(d.maui.dfs().job_charged(waiting).is_zero());
-        timers.shutdown();
-    }
-
-    // ------------------------------------------------------------------
-    // sync_fairshare window attribution (mechanism level).
-    // ------------------------------------------------------------------
-
-    /// The window-attribution regression: a usage segment that closes at
-    /// t=59 min but is synced at t=61 min — after the 1 h fairshare
-    /// window boundary — must charge the window covering the close
-    /// instant, so a late-syncing daemon agrees exactly with one that
-    /// synced eagerly. Pre-fix, `sync_fairshare` charged the window
-    /// current at sync time and the two diverged (the late charge
-    /// escaped one decay step).
-    #[test]
-    fn fairshare_sync_attributes_segment_close_across_window_boundary() {
-        use dynbatch_core::{AllocPolicy, FairshareConfig};
-        use dynbatch_sched::FairshareTracker;
-
-        let mut server = PbsServer::new(Cluster::homogeneous(1, 8), AllocPolicy::Pack);
-        server.set_collect_usage_events(true);
-        let mut maui = Maui::new(SchedulerConfig::paper_eval());
-        let id = server
-            .qsub(spec("seg", 8, 3_600_000), SimTime::ZERO)
-            .expect("qsub");
-        server.run_cycle(&mut maui, SimTime::ZERO);
-        assert_eq!(server.job(id).expect("known").state, JobState::Running);
-
-        // The segment closes at 59 min: 8 cores × 59 min.
-        let close = SimTime::from_secs(59 * 60);
-        server.job_finished(id, close).expect("finishes");
-
-        let fs = FairshareConfig {
-            enabled: true,
-            window: SimDuration::from_hours(1),
-            windows: 4,
-            decay: 0.5,
-            ..FairshareConfig::default()
-        };
-        // Eager daemon: syncs the event inside the window it closed in,
-        // then advances over the boundary. Late daemon: its first cycle
-        // after the close happens at 61 min, past the boundary.
-        let mut eager = FairshareTracker::new(fs.clone(), SimTime::ZERO);
-        let mut late = FairshareTracker::new(fs, SimTime::ZERO);
-        let sync_at = SimTime::from_secs(61 * 60);
-        late.advance_to(sync_at);
-
-        let events = server.take_usage_events();
-        assert_eq!(events.len(), 1, "one closed segment, one event");
-        for &(user, delta_ms, at) in &events {
-            assert_eq!(at, close, "event carries the close instant");
-            eager.charge_at(user, delta_ms as f64 / 1000.0, at);
-            late.charge_at(user, delta_ms as f64 / 1000.0, at);
-        }
-        eager.advance_to(sync_at);
-
-        let user = UserId(0);
-        assert!(late.usage_share(user) > 0.0, "charge must not be dropped");
-        assert_eq!(
-            late.priority_delta(user),
-            eager.priority_delta(user),
-            "late sync must agree with eager sync bit-for-bit"
-        );
     }
 
     // ------------------------------------------------------------------

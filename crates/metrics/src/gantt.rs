@@ -1,7 +1,7 @@
-//! Schedule export: per-job Gantt rows and the busy-core time series —
-//! the raw material for external plotting of a run.
+//! Schedule export: per-job Gantt rows — the raw material for external
+//! plotting of a run.
 
-use dynbatch_core::{JobOutcome, SimTime};
+use dynbatch_core::JobOutcome;
 use std::fmt::Write as _;
 
 /// One Gantt row.
@@ -51,19 +51,10 @@ pub fn gantt_csv(outcomes: &[JobOutcome]) -> String {
     out
 }
 
-/// Renders a `(time, busy_cores)` step series as CSV.
-pub fn occupancy_csv(samples: &[(SimTime, u32)]) -> String {
-    let mut out = String::from("time_s,busy_cores\n");
-    for &(t, busy) in samples {
-        let _ = writeln!(out, "{},{}", t.as_secs_f64(), busy);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynbatch_core::{JobClass, JobId, UserId};
+    use dynbatch_core::{JobClass, JobId, SimTime, UserId};
 
     fn outcome(name: &str, submit: u64, start: u64, end: u64, cores: u32) -> JobOutcome {
         JobOutcome {
@@ -101,8 +92,5 @@ mod tests {
             Some("name,submit_s,start_s,end_s,cores,backfilled")
         );
         assert_eq!(lines.next(), Some("a,0,10,20,8,false"));
-
-        let occ = occupancy_csv(&[(SimTime::ZERO, 0), (SimTime::from_secs(10), 8)]);
-        assert!(occ.contains("10,8"));
     }
 }

@@ -19,9 +19,9 @@ pub mod summary;
 pub use fairness::{
     jain_index, per_user_excess, per_user_waits, user_wait_fairness, UserWaitSummary,
 };
-pub use gantt::{gantt_csv, gantt_rows, occupancy_csv, GanttRow};
+pub use gantt::{gantt_csv, gantt_rows, GanttRow};
 pub use recorder::{throughput_jobs_per_min, UtilizationRecorder};
 pub use report::{ascii_plot, render_csv, render_table2};
-pub use series::{paired_waits, waits_by_submission, waits_of_type};
+pub use series::{waits_by_submission, waits_of_type};
 pub use stats::{aggregate, summarize_ensemble, Aggregate, EnsembleStats};
 pub use summary::RunSummary;

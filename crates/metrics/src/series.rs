@@ -26,17 +26,6 @@ pub fn waits_of_type(outcomes: &[JobOutcome], name: &str) -> Vec<f64> {
     typed.iter().map(|o| o.wait().as_secs_f64()).collect()
 }
 
-/// Pairs two runs' waiting-time series by submission rank for side-by-side
-/// comparison; shorter series are truncated to the common length.
-pub fn paired_waits(a: &[JobOutcome], b: &[JobOutcome]) -> Vec<(u64, f64, f64)> {
-    let wa = waits_by_submission(a);
-    let wb = waits_by_submission(b);
-    wa.iter()
-        .zip(wb.iter())
-        .map(|(&(i, x), &(_, y))| (i, x, y))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +68,5 @@ mod tests {
         ];
         assert_eq!(waits_of_type(&outs, "L"), vec![100.0, 40.0]);
         assert!(waits_of_type(&outs, "Z").is_empty());
-    }
-
-    #[test]
-    fn pairing_truncates() {
-        let a = vec![outcome(1, "A", 0, 1), outcome(2, "A", 1, 3)];
-        let b = vec![outcome(1, "A", 0, 2)];
-        let p = paired_waits(&a, &b);
-        assert_eq!(p, vec![(1, 1.0, 2.0)]);
     }
 }

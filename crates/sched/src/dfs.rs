@@ -16,6 +16,7 @@
 //!   `DFSDecay` (the paper's worked example: limit 4800 s, current 3600 s,
 //!   decay 0.2 ⇒ the next interval starts charged with 720 s).
 
+use crate::snapshot::QueuedSet;
 use dynbatch_core::{DfsConfig, GroupId, JobId, SimDuration, SimTime, UserId};
 use std::collections::HashMap;
 
@@ -81,7 +82,7 @@ pub enum DfsVerdict {
 }
 
 /// The stateful dynamic-fairness accountant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DfsEngine {
     config: DfsConfig,
     interval_start: SimTime,
@@ -314,8 +315,23 @@ impl DfsEngine {
     }
 
     /// Clears per-job accounting once `job` starts or leaves the queue.
-    pub fn job_left_queue(&mut self, job: JobId) {
+    pub(crate) fn job_left_queue(&mut self, job: JobId) {
         self.job_delay.remove(&job);
+    }
+
+    /// Drops the slate of every job not in `queued` — the gap rule of
+    /// [`crate::incremental`]: departures nobody recorded are read off
+    /// the queue itself.
+    pub(crate) fn prune_slates(&mut self, queued: &QueuedSet) {
+        self.job_delay.retain(|&job, _| queued.get(job).is_some());
+    }
+
+    /// The jobs carrying a delay slate, in no particular order. Right
+    /// after an iteration each of them is queued: a slate is wiped when
+    /// its job starts, and at the top of the iteration that learns of its
+    /// deletion.
+    pub fn delayed_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.job_delay.keys().copied()
     }
 
     /// The user's cumulative charged delay in the current interval.

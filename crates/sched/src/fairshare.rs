@@ -12,7 +12,7 @@ use dynbatch_core::{FairshareConfig, SimDuration, SimTime, UserId};
 use std::collections::HashMap;
 
 /// Rolling windowed usage tracker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairshareTracker {
     config: FairshareConfig,
     /// `windows[0]` is the current window; older windows follow.
@@ -109,11 +109,6 @@ impl FairshareTracker {
             self.totals[idx] += core_seconds;
         }
         // Older than the retained span: already fully decayed, drop.
-    }
-
-    /// Convenience: charge a (cores × duration) product.
-    pub fn charge_span(&mut self, user: UserId, cores: u32, span: SimDuration) {
-        self.charge(user, cores as f64 * span.as_secs_f64());
     }
 
     /// Total core-seconds charged to `user` across all retained windows,
@@ -235,13 +230,6 @@ mod tests {
         let mut fs = FairshareTracker::new(c, SimTime::ZERO);
         fs.charge(UserId(0), 1000.0);
         assert_eq!(fs.priority_delta(UserId(0)), 0.0);
-    }
-
-    #[test]
-    fn charge_span_product() {
-        let mut fs = FairshareTracker::new(cfg(), SimTime::ZERO);
-        fs.charge_span(UserId(0), 4, SimDuration::from_secs(100));
-        assert!((fs.usage_share(UserId(0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

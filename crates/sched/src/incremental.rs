@@ -1,23 +1,42 @@
-//! Incremental maintenance of the base availability profile.
+//! The delta log — everything the resource manager tells the scheduler
+//! between two snapshots — and the base availability profile kept from it.
 //!
 //! Every `Maui::iterate` needs the availability profile of the running
 //! workload — each running job holding its cores until its (grace-clamped)
 //! walltime end. Rebuilding it from the full running set costs O(running
 //! jobs) per iteration even when nothing changed since the last cycle;
-//! this module maintains it *incrementally* instead: the resource manager
-//! records a [`ProfileDelta`] at every running-set mutation (job start,
-//! finish, resize, preempt, node fail/repair), drains them into the
-//! [`DeltaLog`] of the next [`Snapshot`], and [`IncrementalTimeline`]
-//! applies only those deltas and re-anchors the profile origin to `now`
+//! [`IncrementalTimeline`] applies only the [`ProfileDelta`]s of the
+//! snapshot's [`DeltaLog`] and re-anchors the profile origin to `now`
 //! ([`AvailabilityProfile::advance_origin`]).
 //!
-//! # The contract
+//! # The log's contract
 //!
-//! * **Delta kinds** — `Started` (a job began holding cores), `Finished`
-//!   (it stopped: completion, kill, preemption or node failure),
-//!   `Resized` (its held width changed: dynamic grant, malleable resize,
-//!   `tm_dynfree`), `CapacityChanged` (node failed or repaired; the whole
-//!   profile is invalid).
+//! * **What is recorded, where** — one [`ProfileDelta`] at each of these
+//!   sites of the resource manager and nowhere else: `Started` (a job
+//!   began holding cores), `Finished` (it stopped: completion, kill,
+//!   preemption or node failure), `Resized` (its held width changed:
+//!   dynamic grant, malleable resize, `tm_dynfree`, a shed pre-reserve),
+//!   `CapacityChanged` (node failed or repaired; the whole profile is
+//!   invalid), `LeftQueue` (`qdel` removed a *queued* job) and `Charged`
+//!   (a constant-width usage segment closed). The first four feed the
+//!   timeline; the last two are absorbed at the top of `Maui::iterate` —
+//!   by a step shared verbatim with [`crate::reference::iterate_naive`] —
+//!   which wipes the job's DFS slate and charges the static-fairshare
+//!   window covering the close instant. Beside the snapshot's own sets,
+//!   the log is the only way a fact reaches the scheduler.
+//! * **Recording rule** — nothing is recorded until a first log has been
+//!   drained since the resource manager was built, reset, recovered or
+//!   loaded from an image: a server nobody drains holds an empty log.
+//! * **Gap rule** — the first log after any of those (`base_epoch == 0`)
+//!   is self-contained: it carries the per-user usage totals as `Charged`
+//!   entries at `now`, and the scheduler drops what it knew — the
+//!   timeline rebuilds, DFS slates are pruned to the snapshot's queue, the
+//!   fairshare tracker restarts from the totals. A snapshot without a log
+//!   rebuilds and prunes and tells the tracker nothing. Any other break
+//!   in the epochs (below) rebuilds the timeline.
+//! * **One consumer per server** — draining is destructive: a log handed
+//!   to one scheduler and then dropped, or split between two, is lost to
+//!   the tracker.
 //! * **Re-anchor rule** — on advance, the origin moves forward to `now`
 //!   and exactly the overdue holds (effective end `< now` + grace) are
 //!   re-clamped to `now + grace`, preserving [`planned_end`] semantics.
@@ -26,8 +45,8 @@
 //!   profile is *byte-equal* to [`profile_from_running`] over the
 //!   snapshot's running set. `AvailabilityProfile`'s canonical form
 //!   (coalesced, first step at origin) is unique, so byte equality is
-//!   functional equality. `Maui` asserts this in debug builds and under
-//!   its test-mode knob; `tests/timeline_incremental.rs` fuzzes it.
+//!   functional equality. `Maui` asserts this, and the whole outcome
+//!   against `iterate_naive`, in debug builds.
 //!
 //! Continuity is tracked by epochs: the server stamps each drained log
 //! with the epoch of the previous snapshot (`base_epoch`) and its own
@@ -38,10 +57,11 @@
 
 use crate::snapshot::{RunningJob, Snapshot};
 use crate::timeline::{planned_end, AvailabilityProfile};
-use dynbatch_core::{JobId, SimTime};
+use dynbatch_core::{JobId, SimTime, UserId};
 use std::collections::{BTreeSet, HashMap};
 
-/// One running-set mutation, as observed by the resource manager.
+/// One fact the resource manager recorded for the scheduler: a
+/// running-set mutation, a queue departure or a usage charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileDelta {
     /// A job began holding cores (queue start, backfill start, moldable
@@ -74,18 +94,38 @@ pub enum ProfileDelta {
     /// The machine width changed (node failed or repaired). The profile
     /// capacity is stale; the timeline must rebuild.
     CapacityChanged,
+    /// A queued job was deleted; whatever delay grants had charged to it
+    /// is moot. No profile effect.
+    LeftQueue {
+        /// The job.
+        job: JobId,
+    },
+    /// A constant-width usage segment closed (width change, finish,
+    /// kill, preemption, node failure) — or, in a `base_epoch == 0` log,
+    /// a user's whole recorded usage. No profile effect.
+    Charged {
+        /// The job's owner.
+        user: UserId,
+        /// Width × length of the segment, core-milliseconds.
+        core_ms: u64,
+        /// When the segment closed: static fairshare charges the window
+        /// covering this instant, not the one current when the log is
+        /// absorbed.
+        at: SimTime,
+    },
 }
 
-/// The running-set mutations since the previous snapshot, stamped for
-/// continuity.
+/// What the resource manager recorded since the previous snapshot,
+/// stamped for continuity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaLog {
     /// Epoch of the snapshot these deltas extend. The timeline only
-    /// applies the log if this matches the epoch it last advanced to.
+    /// applies the log if this matches the epoch it last advanced to;
+    /// `0` marks a self-contained log (the module's gap rule).
     pub base_epoch: u64,
     /// Epoch of the snapshot carrying this log.
     pub epoch: u64,
-    /// The mutations, in occurrence order.
+    /// The entries, in occurrence order.
     pub deltas: Vec<ProfileDelta>,
 }
 
@@ -98,7 +138,8 @@ pub struct TimelineStats {
     pub rebuilds: u64,
     /// Advances served by the delta fast path.
     pub delta_batches: u64,
-    /// Individual deltas applied on the fast path.
+    /// Individual profile deltas applied on the fast path (`LeftQueue`
+    /// and `Charged` entries are not the timeline's and are not counted).
     pub deltas_applied: u64,
 }
 
@@ -124,7 +165,7 @@ pub struct IncrementalTimeline {
     /// exactly the overdue prefix instead of scanning every hold.
     ends: BTreeSet<(SimTime, JobId)>,
     /// Epoch of the snapshot last advanced to (`None` until the first
-    /// advance, and after [`IncrementalTimeline::invalidate`]).
+    /// advance, and after a snapshot without a log).
     epoch: Option<u64>,
     /// Bumped on every advance; consumers caching plans derived from the
     /// profile can tag them with this to self-invalidate.
@@ -165,11 +206,6 @@ impl IncrementalTimeline {
     /// Monotone counter distinguishing profile states across advances.
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// Forgets continuity: the next advance rebuilds unconditionally.
-    pub fn invalidate(&mut self) {
-        self.epoch = None;
     }
 
     /// Brings the profile up to `snap`: the delta fast path when the
@@ -245,6 +281,7 @@ impl IncrementalTimeline {
                 }
                 // Filtered out before `apply` is entered; defensive.
                 ProfileDelta::CapacityChanged => return false,
+                ProfileDelta::LeftQueue { .. } | ProfileDelta::Charged { .. } => continue,
             }
             self.stats.deltas_applied += 1;
         }
@@ -382,13 +419,20 @@ mod tests {
         assert_eq!(tl.stats().rebuilds, 1, "no continuity on first advance");
         assert_eq!(*tl.profile(), profile_from_running(t(0), 8, &jobs));
 
-        // Job 2 finishes, job 3 starts; continuity holds → fast path.
+        // Job 2 finishes, job 3 starts; continuity holds → fast path. The
+        // entries that are not the timeline's pass through uncounted.
         let jobs2 = vec![running(1, 4, t(100)), running(3, 3, t(80))];
         let log1 = DeltaLog {
             base_epoch: 1,
             epoch: 2,
             deltas: vec![
+                ProfileDelta::Charged {
+                    user: UserId(0),
+                    core_ms: 20_000,
+                    at: t(10),
+                },
                 ProfileDelta::Finished { job: JobId(2) },
+                ProfileDelta::LeftQueue { job: JobId(9) },
                 ProfileDelta::Started {
                     job: JobId(3),
                     held_cores: 3,
@@ -401,6 +445,13 @@ mod tests {
         assert_eq!(tl.stats().delta_batches, 1);
         assert_eq!(tl.stats().deltas_applied, 2);
         assert_eq!(*tl.profile(), profile_from_running(t(10), 8, &jobs2));
+    }
+
+    #[test]
+    fn a_log_entry_stays_three_words() {
+        // The server pushes one per start, finish, resize and closed
+        // segment, and the snapshot carries them by value.
+        assert_eq!(std::mem::size_of::<ProfileDelta>(), 24);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Pass order, following the paper:
 //!
-//! 1. refresh statistics (DFS intervals, fairshare windows);
+//! 1. refresh statistics: absorb what the snapshot's delta log says about
+//!    deleted jobs and closed usage segments, then roll DFS intervals and
+//!    fairshare windows forward ([`update_statistics`]);
 //! 2. rank eligible static jobs by priority; order dynamic requests FIFO;
 //! 3. *plan* static jobs (reservations, no starts) — the StartNow /
 //!    StartLater baseline;
@@ -22,9 +24,10 @@
 
 use crate::dfs::{DelayCharge, DfsEngine, DfsReject, DfsVerdict};
 use crate::fairshare::FairshareTracker;
-use crate::incremental::{profile_from_running, rebuild_into, IncrementalTimeline, TimelineStats};
+use crate::incremental::{profile_from_running, IncrementalTimeline, ProfileDelta, TimelineStats};
 use crate::plan::plan_starts;
 use crate::priority::{FairnessView, RankOrder, RankStats, Ranked};
+use crate::reference::naive_cycle;
 use crate::reservation::{PlannedStart, Reservation};
 use crate::snapshot::{DynRequest, QueuedJob, QueuedSet, RunningJob, RunningSet, Snapshot};
 use crate::timeline::{planned_end, AvailabilityProfile};
@@ -114,7 +117,7 @@ impl DynDecision {
 }
 
 /// Everything one iteration decided.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IterationOutcome {
     /// Jobs to start, in decision order.
     pub starts: Vec<StartDecision>,
@@ -178,23 +181,15 @@ struct CachedPlan {
 }
 
 /// The extended Maui scheduler.
+///
+/// Built once and then only [`iterate`](Maui::iterate)d: everything the
+/// scheduler learns between cycles arrives in the [`Snapshot`], so no
+/// driver holds a mutable handle on its accountants.
 #[derive(Debug, Clone)]
 pub struct Maui {
-    config: SchedulerConfig,
-    dfs: DfsEngine,
-    fairshare: FairshareTracker,
-    /// Reuse the "before" plan across consecutive dynamic requests (it
-    /// only changes when a grant mutates the base profile). Disabled via
-    /// [`Maui::set_plan_cache_enabled`] for equivalence testing.
-    plan_cache_enabled: bool,
-    /// Maintain the base profile incrementally from snapshot delta logs
-    /// instead of rebuilding from the running set each iteration.
-    /// Disabled via [`Maui::set_incremental_enabled`] for equivalence
-    /// testing (decisions are byte-identical either way).
-    incremental_enabled: bool,
-    /// Assert the incremental profile byte-equal to the rebuild on every
-    /// iteration even in release builds (debug builds always check).
-    incremental_check: bool,
+    pub(crate) config: SchedulerConfig,
+    pub(crate) dfs: DfsEngine,
+    pub(crate) fairshare: FairshareTracker,
     /// The persistent delta-maintained profile.
     timeline: IncrementalTimeline,
     /// Recycled buffer the per-iteration working base is staged in.
@@ -218,45 +213,11 @@ impl Maui {
             config,
             dfs,
             fairshare,
-            plan_cache_enabled: true,
-            incremental_enabled: true,
-            incremental_check: false,
             timeline: IncrementalTimeline::new(),
             base_buf: AvailabilityProfile::new(SimTime::ZERO, 0),
             scratch: PlanScratch::default(),
             rank: RankOrder::default(),
         }
-    }
-
-    /// Test/debug knob: when disabled, the "before" plan of the delay
-    /// measurement is recomputed for every dynamic request instead of
-    /// cached between grants. Decisions are identical either way (the
-    /// integration suite asserts it); the cache only saves work.
-    pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
-        self.plan_cache_enabled = enabled;
-    }
-
-    /// Test/debug knob: when disabled, the base profile is rebuilt from
-    /// the running set every iteration (the pre-incremental behaviour)
-    /// instead of maintained from snapshot delta logs. Decisions are
-    /// byte-identical either way (`tests/timeline_incremental.rs` and the
-    /// `perf_smoke` bench both assert it); the delta path only saves
-    /// work.
-    pub fn set_incremental_enabled(&mut self, enabled: bool) {
-        self.incremental_enabled = enabled;
-        if !enabled {
-            // Deltas drained while the knob is off are never applied;
-            // drop continuity so re-enabling starts from a rebuild.
-            self.timeline.invalidate();
-        }
-    }
-
-    /// Test knob: force the rebuild-equivalence assert even in release
-    /// builds (debug builds always check). The quick CI smoke enables
-    /// this so the incremental path is exercised under the guard outside
-    /// `cfg(debug_assertions)` too.
-    pub fn set_incremental_check_enabled(&mut self, enabled: bool) {
-        self.incremental_check = enabled;
     }
 
     /// Counters for the incremental timeline (rebuilds vs delta batches).
@@ -275,34 +236,28 @@ impl Maui {
         &self.config
     }
 
-    /// The dynamic-fairness accountant (for inspection and accounting
-    /// hooks).
+    /// The dynamic-fairness accountant (for inspection).
     pub fn dfs(&self) -> &DfsEngine {
         &self.dfs
     }
 
-    /// Mutable access to the DFS engine (the server notifies job
-    /// departures so per-job delay slates are wiped).
-    pub fn dfs_mut(&mut self) -> &mut DfsEngine {
-        &mut self.dfs
-    }
-
-    /// The static-fairshare tracker (read-only).
+    /// The static-fairshare tracker (for inspection).
     pub fn fairshare(&self) -> &FairshareTracker {
         &self.fairshare
-    }
-
-    /// The static-fairshare tracker (the server charges usage here).
-    pub fn fairshare_mut(&mut self) -> &mut FairshareTracker {
-        &mut self.fairshare
     }
 
     /// Runs one scheduling iteration (paper Algorithm 2).
     pub fn iterate(&mut self, snap: &Snapshot) -> IterationOutcome {
         let now = snap.now;
+        // Debug builds run the executable spec next to every cycle, on
+        // copies of the only state it advances.
+        let spec = cfg!(debug_assertions).then(|| {
+            let (mut dfs, mut fairshare) = (self.dfs.clone(), self.fairshare.clone());
+            let outcome = naive_cycle(&self.config, &mut dfs, &mut fairshare, snap);
+            (outcome, dfs, fairshare)
+        });
         // Step 4 of Algorithm 1/2: update statistics.
-        self.dfs.advance_to(now);
-        self.fairshare.advance_to(now);
+        update_statistics(&self.config, &mut self.dfs, &mut self.fairshare, snap);
 
         // Steps 6–9: select and prioritise static jobs and dynamic
         // requests. The queue's order is kept across cycles and lent out
@@ -314,27 +269,18 @@ impl Maui {
         let head: Vec<&QueuedJob> = ranked.iter().take(self.config.lookahead_depth()).collect();
 
         // The base profile carries running jobs' remaining walltimes; all
-        // planning happens on top of clones of it. On the incremental
-        // path it comes from the persistent delta-maintained timeline
-        // (re-anchored to `now`); otherwise it is rebuilt from the
-        // running set. The dynamic partition (paper §II-B) is held out of
-        // every *static* plan; the dynamic path releases it when sizing
-        // requests.
+        // planning happens on top of clones of it. It comes from the
+        // persistent delta-maintained timeline, re-anchored to `now`. The
+        // dynamic partition (paper §II-B) is held out of every *static*
+        // plan; the dynamic path releases it when sizing requests.
         let mut base = std::mem::replace(&mut self.base_buf, AvailabilityProfile::new(now, 0));
-        if self.incremental_enabled {
-            self.timeline.advance(snap);
-            if cfg!(debug_assertions) || self.incremental_check {
-                let rebuilt = profile_from_running(now, snap.total_cores, &snap.running);
-                assert_eq!(
-                    *self.timeline.profile(),
-                    rebuilt,
-                    "incremental availability timeline diverged from the rebuild at {now}"
-                );
-            }
-            base.assign_from(self.timeline.profile());
-        } else {
-            rebuild_into(&mut base, now, snap.total_cores, &snap.running);
-        }
+        self.timeline.advance(snap);
+        debug_assert_eq!(
+            *self.timeline.profile(),
+            profile_from_running(now, snap.total_cores, &snap.running),
+            "incremental availability timeline diverged from the rebuild at {now}"
+        );
+        base.assign_from(self.timeline.profile());
         // The partition may be partly consumed by grants during this
         // iteration; `partition` tracks what remains held.
         let partition = hold_partition(&self.config, &mut base, now);
@@ -364,7 +310,6 @@ impl Maui {
                 running: &snap.running,
                 usage: snap.usage.as_ref(),
                 now,
-                plan_cache_enabled: self.plan_cache_enabled,
             };
             for req in requests {
                 let decision = dynamic_request(&ctx, &mut self.dfs, &mut world, req, &mut scratch);
@@ -415,8 +360,51 @@ impl Maui {
         self.base_buf = profile;
         self.scratch = scratch;
 
+        if let Some((spec, dfs, fairshare)) = spec {
+            assert_eq!(
+                outcome, spec,
+                "iterate diverged from iterate_naive at {now}"
+            );
+            assert!(
+                self.dfs == dfs && self.fairshare == fairshare,
+                "iterate left other fairness statistics than iterate_naive at {now}"
+            );
+        }
         outcome
     }
+}
+
+/// Step 4 of Algorithm 1/2, "update statistics", for [`Maui::iterate`] and
+/// [`crate::reference::iterate_naive`] alike: absorbs what the snapshot's
+/// delta log says about the queue and about usage (the gap rule and the
+/// entry kinds are [`crate::incremental`]'s contract), then rolls the DFS
+/// interval and the fairshare window forward to `now`.
+pub(crate) fn update_statistics(
+    config: &SchedulerConfig,
+    dfs: &mut DfsEngine,
+    fairshare: &mut FairshareTracker,
+    snap: &Snapshot,
+) {
+    match &snap.deltas {
+        None => dfs.prune_slates(&snap.queued),
+        Some(log) => {
+            if log.base_epoch == 0 {
+                dfs.prune_slates(&snap.queued);
+                *fairshare = FairshareTracker::new(config.fairshare.clone(), SimTime::ZERO);
+            }
+            for delta in &log.deltas {
+                match *delta {
+                    ProfileDelta::LeftQueue { job } => dfs.job_left_queue(job),
+                    ProfileDelta::Charged { user, core_ms, at } => {
+                        fairshare.charge_at(user, core_ms as f64 / 1000.0, at);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    dfs.advance_to(snap.now);
+    fairshare.advance_to(snap.now);
 }
 
 /// Selects the fairness mechanism for this iteration per
@@ -478,7 +466,6 @@ struct DynCtx<'a> {
     /// mode), for the DFS heavy-user penalty.
     usage: Option<&'a UsageSnapshot>,
     now: SimTime,
-    plan_cache_enabled: bool,
 }
 
 /// The mutable world the dynamic loop threads through requests. Only a
@@ -713,9 +700,7 @@ fn dynamic_request(
     // function of `base`, reused across requests while its revision tag
     // matches and recomputed into the cache when stale.
     let depth = ctx.config.reservation_delay_depth;
-    let cache_valid =
-        ctx.plan_cache_enabled && w.before.as_ref().is_some_and(|c| c.base_rev == w.rev);
-    if !cache_valid {
+    if w.before.as_ref().is_none_or(|c| c.base_rev != w.rev) {
         scratch.plan.assign_from(&w.base);
         w.before = Some(CachedPlan {
             base_rev: w.rev,
@@ -774,7 +759,7 @@ fn dynamic_request(
     // re-grew, the plan computed against it becomes the next request's
     // "before". (A re-grow holds cores `after` was planned without, so
     // the cache is dropped and the next request replans.)
-    w.before = (ctx.plan_cache_enabled && regrow == 0).then_some(CachedPlan {
+    w.before = (regrow == 0).then_some(CachedPlan {
         base_rev: w.rev,
         plan: after,
     });

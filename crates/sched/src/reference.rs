@@ -1,10 +1,14 @@
 //! Naive reference implementations — the executable specification.
 //!
 //! [`iterate_naive`] is the scheduling iteration with every pass visiting
-//! every queued job, as it ran before the cycle became independent of
-//! queue depth; `tests/prop_maui.rs` checks [`Maui::iterate`] against it
-//! decision for decision and `perf_smoke`'s `deep_queue` section times it
-//! as the baseline.
+//! every queued job, the base profile rebuilt from the running set and no
+//! plan cached, as it ran before the cycle became independent of queue
+//! depth and history. Debug builds of [`Maui::iterate`] run it beside
+//! every cycle and assert the same outcome and the same fairness
+//! statistics; `tests/prop_maui.rs` drives the two over random
+//! multi-cycle runs in any build, and `perf_smoke` times it as the
+//! baseline of its `scaled_iteration`, `incremental_timeline` and
+//! `deep_queue` sections.
 //!
 //! [`NaiveProfile`] is the original O(n²) formulation of the
 //! availability timeline, kept verbatim: `hold`/`release` scan and
@@ -18,10 +22,11 @@
 //! Do not "optimise" this module: its value is being obviously correct.
 
 use crate::dfs::{DelayCharge, DfsEngine, DfsReject, DfsVerdict};
+use crate::fairshare::FairshareTracker;
 use crate::incremental::profile_from_running;
 use crate::maui::{
-    defer_hint, dfs_target_scale, fairness_view, reject_or_defer, DynDecision, IterationOutcome,
-    Maui, ResizeDecision, StartDecision,
+    defer_hint, dfs_target_scale, fairness_view, reject_or_defer, update_statistics, DynDecision,
+    IterationOutcome, Maui, ResizeDecision, StartDecision,
 };
 use crate::plan::plan_starts;
 use crate::priority::rank_jobs;
@@ -196,22 +201,31 @@ impl NaiveProfile {
 /// pass, and answer every fit test with a full-window `min_idle`. The
 /// base profile is rebuilt from the running set and no plan is cached.
 ///
-/// [`Maui::iterate`] must return exactly this, decision for decision;
-/// `tests/prop_maui.rs` drives both over random snapshot sequences.
-/// Advances `maui`'s DFS and fairshare state the way `iterate` does and
-/// touches nothing else of it.
+/// [`Maui::iterate`] must return exactly this, decision for decision.
+/// Advances `maui`'s DFS and fairshare state the way `iterate` does —
+/// through the same [`update_statistics`] — and touches nothing else of
+/// it.
 pub fn iterate_naive(maui: &mut Maui, snap: &Snapshot) -> IterationOutcome {
+    naive_cycle(&maui.config, &mut maui.dfs, &mut maui.fairshare, snap)
+}
+
+/// [`iterate_naive`] on the state it advances, so that `Maui::iterate`
+/// can run it on copies.
+pub(crate) fn naive_cycle(
+    config: &SchedulerConfig,
+    dfs: &mut DfsEngine,
+    fairshare: &mut FairshareTracker,
+    snap: &Snapshot,
+) -> IterationOutcome {
     let now = snap.now;
-    let config = maui.config().clone();
-    maui.dfs_mut().advance_to(now);
-    maui.fairshare_mut().advance_to(now);
+    update_statistics(config, dfs, fairshare, snap);
 
     let mut ranked: Vec<&QueuedJob> = snap.queued.iter().collect();
     rank_jobs(
         &mut ranked,
         now,
         &config.priority,
-        fairness_view(&config, maui.fairshare(), snap.usage.as_ref()),
+        fairness_view(config, fairshare, snap.usage.as_ref()),
     );
 
     let mut base = profile_from_running(now, snap.total_cores, &snap.running);
@@ -235,8 +249,8 @@ pub fn iterate_naive(maui: &mut Maui, snap: &Snapshot) -> IterationOutcome {
         let jobs_by_id: HashMap<JobId, &QueuedJob> = ranked.iter().map(|j| (j.id, *j)).collect();
         for req in requests {
             let decision = naive_dynamic_request(
-                &config,
-                maui.dfs_mut(),
+                config,
+                dfs,
                 snap,
                 &ranked,
                 &jobs_by_id,
@@ -349,7 +363,7 @@ pub fn iterate_naive(maui: &mut Maui, snap: &Snapshot) -> IterationOutcome {
     }
 
     for s in &outcome.starts {
-        maui.dfs_mut().job_left_queue(s.job);
+        dfs.job_left_queue(s.job);
     }
     outcome
 }

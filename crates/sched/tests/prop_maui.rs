@@ -1,7 +1,9 @@
 //! Property tests of the full Maui iteration: for arbitrary (consistent)
 //! snapshots and site policies, the outcome never violates capacity,
-//! ranges, or determinism — and over random multi-cycle runs it equals the
-//! visit-every-job reference iteration decision for decision.
+//! ranges, or determinism — and over random multi-cycle runs fed by a
+//! delta log (with plain snapshots interleaved and resource-manager
+//! restarts) it equals the visit-every-job reference iteration decision
+//! for decision, and leaves the same fairness statistics.
 
 use dynbatch_core::testkit::{check, TestRng};
 use dynbatch_core::{
@@ -10,11 +12,11 @@ use dynbatch_core::{
 };
 use dynbatch_sched::reference::iterate_naive;
 use dynbatch_sched::{
-    DynDecision, DynRequest, IterationOutcome, Maui, QueuedJob, QueuedSet, RunningJob, Snapshot,
-    UsageHistory,
+    DeltaLog, DynDecision, DynRequest, IterationOutcome, Maui, ProfileDelta, QueuedJob, QueuedSet,
+    RunningJob, Snapshot, UsageHistory,
 };
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const CAPACITY: u32 = 64;
 
@@ -190,14 +192,9 @@ fn iteration_outcomes_are_always_consistent() {
         assert_eq!(out.dyn_decisions, out2.dyn_decisions);
         assert_eq!(out.grows, out2.grows);
 
-        // And one with the before-plan cache disabled agrees too: the
-        // cache is a pure work-saving device.
-        let mut uncached = Maui::new(cfg);
-        uncached.set_plan_cache_enabled(false);
-        let out3 = uncached.iterate(&snap);
-        assert_eq!(out.starts, out3.starts);
-        assert_eq!(out.dyn_decisions, out3.dyn_decisions);
-        assert_eq!(out.grows, out3.grows);
+        // And the reference, which caches no plan, agrees too: the cache
+        // is a pure work-saving device.
+        assert_eq!(out, iterate_naive(&mut Maui::new(cfg), &snap));
     });
 }
 
@@ -234,7 +231,10 @@ fn dfs_cap_bounds_committed_delay() {
 /// each outcome the way the server does (preempt → shrink → grant → grow
 /// → start), lets time pass, retires and admits jobs, and keeps the
 /// queue in one long-lived [`QueuedSet`] so slots empty, get swept and
-/// get refilled by requeues under the scheduler's remembered order.
+/// get refilled by requeues under the scheduler's remembered order. What
+/// it does between two snapshots it records in a delta log, under the
+/// server's rules: nothing before the first drain, and a first log that
+/// carries the usage totals.
 struct World {
     now: SimTime,
     running: Vec<RunningJob>,
@@ -242,6 +242,10 @@ struct World {
     /// Every job ever queued, for requeueing a preempted one.
     specs: HashMap<JobId, QueuedJob>,
     usage: UsageHistory,
+    /// Core-milliseconds charged per user, all time.
+    charged: BTreeMap<UserId, u64>,
+    log: Vec<ProfileDelta>,
+    epoch: u64,
     next_id: u64,
     next_seq: u64,
 }
@@ -254,6 +258,9 @@ impl World {
             queued: QueuedSet::default(),
             specs: HashMap::new(),
             usage: UsageHistory::new(SimDuration::from_hours(1), CAPACITY as u64),
+            charged: BTreeMap::new(),
+            log: Vec::new(),
+            epoch: 0,
             next_id: 1,
             next_seq: 0,
         }
@@ -291,6 +298,44 @@ impl World {
         self.queued.push(job);
     }
 
+    fn note(&mut self, delta: ProfileDelta) {
+        if self.epoch > 0 {
+            self.log.push(delta);
+        }
+    }
+
+    /// The log a snapshot carries: mostly the drained one; now and then
+    /// none at all (a plain snapshot: nothing is drained), or the first of
+    /// a restarted resource manager (`base_epoch == 0`).
+    fn drain(&mut self, rng: &mut TestRng) -> Option<DeltaLog> {
+        if rng.chance(0.05) {
+            return None;
+        }
+        if rng.chance(0.05) {
+            self.epoch = 0;
+        }
+        let base_epoch = self.epoch;
+        self.epoch += 1;
+        let deltas = if base_epoch == 0 {
+            self.log.clear();
+            let totals = self.charged.iter();
+            totals
+                .map(|(&user, &core_ms)| ProfileDelta::Charged {
+                    user,
+                    core_ms,
+                    at: self.now,
+                })
+                .collect()
+        } else {
+            std::mem::take(&mut self.log)
+        };
+        Some(DeltaLog {
+            base_epoch,
+            epoch: self.epoch,
+            deltas,
+        })
+    }
+
     fn snapshot(&mut self, rng: &mut TestRng, time_aware: bool) -> Snapshot {
         let mut dyn_requests = Vec::new();
         for r in &self.running {
@@ -320,7 +365,7 @@ impl World {
             queued: self.queued.clone(),
             dyn_requests,
             usage: time_aware.then(|| self.usage.snapshot(self.now)),
-            deltas: None,
+            deltas: self.drain(rng),
         }
     }
 
@@ -345,22 +390,26 @@ impl World {
                     let i = at(&self.running, *victim);
                     self.running.swap_remove(i);
                     self.queued.push(self.specs[victim].clone());
+                    self.note(ProfileDelta::Finished { job: *victim });
                 }
                 for r in shrunk {
                     let i = at(&self.running, r.job);
                     assert_eq!(self.running[i].cores, r.from_cores);
                     self.running[i].cores = r.to_cores;
+                    self.resized(i);
                 }
                 let i = at(&self.running, *job);
                 self.running[i].cores += extra_cores;
                 self.running[i].reserved_extra =
                     self.running[i].reserved_extra.saturating_sub(*extra_cores);
+                self.resized(i);
             }
         }
         for g in &out.grows {
             let i = at(&self.running, g.job);
             assert_eq!(self.running[i].cores, g.from_cores);
             self.running[i].cores = g.to_cores;
+            self.resized(i);
         }
         for s in &out.starts {
             let q = self.queued.remove(s.job).expect("started job was queued");
@@ -369,8 +418,21 @@ impl World {
                 continue;
             }
             let cores = s.cores.unwrap_or(q.cores);
-            self.usage
-                .charge(q.user, q.queue, cores as u64 * q.walltime.as_millis(), now);
+            // Both fairness mechanisms are charged a job's whole walltime
+            // as it starts.
+            let core_ms = cores as u64 * q.walltime.as_millis();
+            self.usage.charge(q.user, q.queue, core_ms, now);
+            *self.charged.entry(q.user).or_insert(0) += core_ms;
+            self.note(ProfileDelta::Charged {
+                user: q.user,
+                core_ms,
+                at: now,
+            });
+            self.note(ProfileDelta::Started {
+                job: q.id,
+                held_cores: cores + q.reserve_extra,
+                walltime_end: now + q.walltime,
+            });
             self.running.push(RunningJob {
                 id: q.id,
                 user: q.user,
@@ -395,20 +457,38 @@ impl World {
         assert!(held <= CAPACITY, "outcome over-committed the machine");
     }
 
+    /// Log: the running job at `i` changed width.
+    fn resized(&mut self, i: usize) {
+        let r = &self.running[i];
+        self.note(ProfileDelta::Resized {
+            job: r.id,
+            held_cores: r.cores + r.reserved_extra,
+        });
+    }
+
     /// Time passes: due jobs mostly finish (a few linger overdue), some
     /// finish early, some queued jobs are deleted, new ones arrive.
     fn advance(&mut self, rng: &mut TestRng) {
         self.now += SimDuration::from_secs(rng.below(200));
         let now = self.now;
+        let mut gone = Vec::new();
         self.running.retain(|r| {
             let due = r.walltime_end <= now;
-            !(due && rng.chance(0.8) || !due && rng.chance(0.1))
+            let stays = !(due && rng.chance(0.8) || !due && rng.chance(0.1));
+            if !stays {
+                gone.push(ProfileDelta::Finished { job: r.id });
+            }
+            stays
         });
         let ids: Vec<JobId> = self.queued.iter().map(|q| q.id).collect();
         for id in ids {
             if rng.chance(0.03) {
                 self.queued.remove(id);
+                gone.push(ProfileDelta::LeftQueue { job: id });
             }
+        }
+        for delta in gone {
+            self.note(delta);
         }
         let arrivals = if rng.chance(0.05) {
             80
@@ -463,6 +543,9 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
     // `resized` / `preempted` threading) if the seeded run reaches it.
     let multi_grant_cycles = Cell::new(0u32);
     let grants_after_a_shrink_or_preemption = Cell::new(0u32);
+    // ... and the log's fast path and gap rule only if both are taken.
+    let delta_fed_cycles = Cell::new(0u64);
+    let restarts_with_usage = Cell::new(0u32);
     check(96, 0x5EED_CAFE, |rng| {
         let cfg = random_config(rng);
         let time_aware = cfg.fairshare.mode == FairshareMode::TimeAware;
@@ -475,6 +558,9 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
         }
         for cycle in 0..40 {
             let snap = world.snapshot(rng, time_aware);
+            if let Some(log) = snap.deltas.as_ref().filter(|log| log.base_epoch == 0) {
+                restarts_with_usage.set(restarts_with_usage.get() + !log.deltas.is_empty() as u32);
+            }
             let a = fast.iterate(&snap);
             let b = iterate_naive(&mut naive, &snap);
             assert_eq!(a.starts, b.starts, "cycle {cycle}: starts");
@@ -491,6 +577,14 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
                 "cycle {cycle}: baseline plan"
             );
             assert_eq!(a.grows, b.grows, "cycle {cycle}: grows");
+            assert!(
+                fast.dfs() == naive.dfs() && fast.fairshare() == naive.fairshare(),
+                "cycle {cycle}: fairness statistics"
+            );
+            // No slate outlives its job's stay in the queue.
+            for job in fast.dfs().delayed_jobs() {
+                assert!(snap.queued.get(job).is_some(), "{job} keeps a delay slate");
+            }
             drop(snap);
             let mut grants = 0;
             let mut disturbed = false;
@@ -510,18 +604,20 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
             if grants >= 2 {
                 multi_grant_cycles.set(multi_grant_cycles.get() + 1);
             }
-            // Static fairshare sees the same charges on both sides.
-            for s in &a.starts {
-                let q = &world.specs[&s.job];
-                for m in [&mut fast, &mut naive] {
-                    m.fairshare_mut()
-                        .charge(q.user, q.cores as f64 * q.walltime.as_secs_f64());
-                }
-            }
             world.apply(&a, rng);
             world.advance(rng);
         }
+        delta_fed_cycles.set(delta_fed_cycles.get() + fast.timeline_stats().delta_batches);
     });
+    assert!(
+        delta_fed_cycles.get() > 1000,
+        "the delta log carried only {} of 3840 cycles",
+        delta_fed_cycles.get()
+    );
+    assert!(
+        restarts_with_usage.get() > 0,
+        "no resource-manager restart re-seeded the usage totals"
+    );
     assert!(
         multi_grant_cycles.get() > 0,
         "no cycle committed two grants: the grant-to-grant hand-off went untested"

@@ -131,41 +131,6 @@ pub fn deframe(buf: &[u8]) -> Result<Deframed, String> {
     Ok(out)
 }
 
-/// Serialises a journal into the framed transport form: one CRC-framed
-/// compact-JSON record per entry.
-pub fn journal_to_bytes(journal: &Journal) -> Vec<u8> {
-    let mut out = Vec::new();
-    for record in journal.records() {
-        out.extend_from_slice(&frame(
-            record_to_json(record).to_string_compact().as_bytes(),
-        ));
-    }
-    out
-}
-
-/// Parses a framed journal ([`journal_to_bytes`]), tolerating a torn
-/// trailing frame: the intact prefix is returned together with a warning.
-/// Corruption inside the run (CRC mismatch, unparseable verified payload)
-/// stays a hard error.
-pub fn journal_from_bytes(bytes: &[u8]) -> Result<(Journal, Option<String>), String> {
-    let deframed = deframe(bytes)?;
-    let mut journal = Journal::new();
-    for (i, payload) in deframed.payloads.iter().enumerate() {
-        let text = std::str::from_utf8(payload).map_err(|e| format!("record {i}: {e}"))?;
-        let record = json::parse(text)
-            .and_then(|v| record_from_json(&v))
-            .map_err(|e| format!("record {i}: {e}"))?;
-        journal.append(record);
-    }
-    let warn = deframed.torn.then(|| {
-        format!(
-            "truncated torn trailing frame after record {}",
-            journal.len()
-        )
-    });
-    Ok((journal, warn))
-}
-
 /// FNV-1a (64-bit) of `bytes` — the rolling digest replication compares
 /// across the stream without shipping full images.
 pub fn digest64(bytes: &[u8]) -> u64 {
@@ -1599,6 +1564,74 @@ mod tests {
         s
     }
 
+    /// Nobody drains a follower's delta log, so it must record nothing (it
+    /// used to keep an entry per start, finish and resize for as long as it
+    /// followed). Promoted, its first log is self-contained: the scheduler
+    /// rebuilds, is told the usage totals, and decides what the reference
+    /// decides.
+    #[test]
+    fn a_follower_records_no_deltas_and_its_first_cycle_after_promotion_rebuilds() {
+        use dynbatch_sched::reference::iterate_naive;
+        use dynbatch_sched::ProfileDelta;
+
+        let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        leader.enable_journal(0);
+        let mut m = hp_maui();
+        // 5 000 jobs through the machine, fifteen at a time: 10 000 start
+        // and finish records (and 5 000 submissions).
+        let mut live = std::collections::VecDeque::new();
+        for k in 0..5_000u64 {
+            live.push_back(
+                leader
+                    .qsub(rigid("J", (k % 7) as u32, 8, 100), t(k))
+                    .unwrap(),
+            );
+            if live.len() == 15 {
+                leader
+                    .job_finished(live.pop_front().unwrap(), t(k))
+                    .unwrap();
+            }
+            cycle(&mut leader, &mut m, t(k));
+        }
+        // A backlog for the promoted server's first cycle to decide on.
+        let now = t(5_000);
+        for job in live.drain(..5) {
+            leader.job_finished(job, now).unwrap();
+        }
+        for k in 0..8 {
+            leader.qsub(rigid("Q", k, 8 + k, 100), now).unwrap();
+        }
+
+        let journal = leader.journal().unwrap();
+        assert!(journal.total_appended() > 14_900);
+        let mut follower = Follower::new();
+        for f in tail_frames(journal, 1, 1) {
+            follower.apply_frame(f).unwrap();
+            assert_eq!(follower.server().unwrap().delta_log_len(), 0);
+        }
+        let (mut promoted, _) = follower.take_promoted().unwrap();
+
+        let snap = promoted.snapshot_incremental(now);
+        let log = snap.deltas.as_ref().unwrap();
+        assert_eq!(log.base_epoch, 0);
+        let totals = log.deltas.iter().map(|d| match *d {
+            ProfileDelta::Charged { user, core_ms, at } if at == now => (user, core_ms),
+            ref other => panic!("{other:?} in a first log"),
+        });
+        let told: Vec<_> = totals.collect();
+        assert_eq!(told, promoted.usage().collect::<Vec<_>>());
+        assert_eq!(told.len(), 7);
+        let mut fresh = hp_maui();
+        let outcome = fresh.iterate(&snap);
+        assert_eq!(outcome, iterate_naive(&mut hp_maui(), &snap));
+        assert!(outcome.starts.len() > 2, "the freed cores are handed out");
+        assert_eq!(fresh.timeline_stats().rebuilds, 1);
+        // From here on the promoted server is drained, and records.
+        drop(snap);
+        promoted.apply(&outcome, now);
+        assert_eq!(promoted.delta_log_len(), outcome.starts.len());
+    }
+
     #[test]
     fn crc_framing_roundtrip() {
         let payloads: Vec<&[u8]> = vec![b"hello", b"", b"{\"k\":1}"];
@@ -1627,24 +1660,6 @@ mod tests {
             assert!(got.torn, "cut {cut} should be torn");
             assert_eq!(got.payloads, vec![b"abcdef".to_vec()]);
         }
-    }
-
-    #[test]
-    fn framed_journal_roundtrip_and_torn_tail() {
-        let leader = scripted_leader(0);
-        let journal = leader.journal().unwrap();
-        let wire = journal_to_bytes(journal);
-        let (back, warn) = journal_from_bytes(&wire).unwrap();
-        assert!(warn.is_none());
-        assert_eq!(back.len(), journal.len());
-        assert_eq!(
-            PbsServer::recover(back).unwrap().state_digest(),
-            leader.state_digest()
-        );
-        // Torn trailing record: truncate-and-warn, prefix intact.
-        let (short, warn) = journal_from_bytes(&wire[..wire.len() - 5]).unwrap();
-        assert_eq!(short.len(), journal.len() - 1);
-        assert!(warn.unwrap().contains("torn"));
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::accounting::AccountingLog;
 use crate::journal::{self, Journal, PendingDynImage, Record, ServerImage};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
-    AllocPolicy, Error, Job, JobId, JobOutcome, JobSpec, JobState, Result, SimDuration, SimTime,
-    UserId,
+    AllocPolicy, Error, FairshareMode, Job, JobId, JobOutcome, JobSpec, JobState, Result,
+    SimDuration, SimTime, UserId,
 };
 use dynbatch_sched::{
     DeltaLog, DfsReject, DynDecision, DynRequest, IterationOutcome, Maui, ProfileDelta, QueuedJob,
@@ -253,13 +253,15 @@ pub struct PbsServer {
     alloc_policy: AllocPolicy,
     accounting: AccountingLog,
     guarantee_evolving: bool,
-    /// Running-set mutations since the last incremental snapshot, in
-    /// occurrence order — the feed for the scheduler's incremental
-    /// timeline (`dynbatch_sched::incremental`). Drained by
-    /// [`PbsServer::snapshot_incremental`].
+    /// What happened since the last incremental snapshot that its
+    /// consumer cannot read off the view: running-set mutations, queued
+    /// jobs deleted, usage segments closed — in occurrence order, under
+    /// the contract of `dynbatch_sched::incremental`. Written through
+    /// [`PbsServer::note`], drained by [`PbsServer::snapshot_incremental`].
     deltas: Vec<ProfileDelta>,
     /// Continuity epoch: incremented per incremental snapshot, stamped
-    /// into each drained [`DeltaLog`].
+    /// into each drained [`DeltaLog`]. Zero until the first one — a server
+    /// nobody drains records nothing.
     snapshot_epoch: u64,
     /// The write-ahead journal, when durability is enabled
     /// ([`PbsServer::enable_journal`]). Every successful state mutation
@@ -288,18 +290,6 @@ pub struct PbsServer {
     /// snapshotted bit-exactly in [`ServerImage`] so recovery is O(1) and
     /// byte-identical, like the raw ledger.
     usage_hist: UsageHistory,
-    /// Exact `(user, core_ms, close_instant)` tuples of segments closed
-    /// since the last drain — the daemon's window-boundary-correct
-    /// fairshare sync feed. Volatile by design (the journal already
-    /// carries everything needed to rebuild totals); only collected when
-    /// [`PbsServer::set_collect_usage_events`] is on, since nothing
-    /// bounds the buffer in a simulator run.
-    usage_events: Vec<(UserId, u64, SimTime)>,
-    collect_usage_events: bool,
-    /// Attach a decayed-usage snapshot to every incremental scheduler
-    /// snapshot (time-aware fairshare mode). Off by default: static-mode
-    /// runs stay byte-identical to builds without the feature.
-    publish_usage: bool,
     /// Keep terminal (completed/cancelled) jobs in the job table for
     /// inspection (`true`, the default) or drop them as they terminate
     /// (`false` — bounded-memory replay of month-scale traces; their
@@ -336,9 +326,6 @@ impl PbsServer {
             usage: BTreeMap::new(),
             usage_since: BTreeMap::new(),
             usage_hist: UsageHistory::new(SimDuration::from_hours(24), capacity),
-            usage_events: Vec::new(),
-            collect_usage_events: false,
-            publish_usage: false,
             retain_terminal_jobs: true,
             invariant_breaches: Counter::default(),
         }
@@ -372,9 +359,6 @@ impl PbsServer {
             self.usage_hist.half_life(),
             self.cluster.total_cores() as u64,
         );
-        self.usage_events.clear();
-        self.collect_usage_events = false;
-        self.publish_usage = false;
         self.retain_terminal_jobs = true;
         self.invariant_breaches = Counter::default();
     }
@@ -430,6 +414,12 @@ impl PbsServer {
     #[cfg(test)]
     pub(crate) fn patchable_from(&self) -> Option<u64> {
         self.retired.complete_from
+    }
+
+    /// Entries waiting in the delta log.
+    #[cfg(test)]
+    pub(crate) fn delta_log_len(&self) -> usize {
+        self.deltas.len()
     }
 
     /// Appends a record and compacts when the interval is reached. Only
@@ -701,9 +691,6 @@ impl PbsServer {
             usage: img.usage.iter().copied().collect(),
             usage_since: img.usage_since.iter().copied().collect(),
             usage_hist: img.usage_hist.clone(),
-            usage_events: Vec::new(),
-            collect_usage_events: false,
-            publish_usage: false,
             retain_terminal_jobs: true,
             invariant_breaches: Counter::default(),
         };
@@ -897,8 +884,8 @@ impl PbsServer {
     }
 
     /// Per-user historical usage in core-milliseconds (closed segments
-    /// only), in user-id order — the durable feed the daemon recharges
-    /// its fairshare tracker from, including after crash recovery.
+    /// only), in user-id order — what the first delta log after a
+    /// recovery re-seeds the scheduler's fairshare tracker with.
     pub fn usage(&self) -> impl Iterator<Item = (UserId, u64)> + '_ {
         self.usage.iter().map(|(&u, &ms)| (u, ms))
     }
@@ -926,24 +913,6 @@ impl PbsServer {
         }
     }
 
-    /// Attach a decayed-usage snapshot to every
-    /// [`PbsServer::snapshot_incremental`] (time-aware fairshare mode).
-    pub fn set_publish_usage(&mut self, on: bool) {
-        self.publish_usage = on;
-    }
-
-    /// Collect exact `(user, core_ms, close_instant)` tuples per closed
-    /// usage segment, for the daemon's window-boundary-correct fairshare
-    /// sync. Off by default (nothing bounds the buffer in a sim run).
-    pub fn set_collect_usage_events(&mut self, on: bool) {
-        self.collect_usage_events = on;
-    }
-
-    /// Drains the segment-close events collected since the last call.
-    pub fn take_usage_events(&mut self) -> Vec<(UserId, u64, SimTime)> {
-        std::mem::take(&mut self.usage_events)
-    }
-
     /// Opens the usage cursor for a job that just started holding cores.
     fn usage_open(&mut self, id: JobId, now: SimTime) {
         self.usage_since.insert(id, now);
@@ -959,22 +928,24 @@ impl PbsServer {
             return;
         };
         let span = now.duration_since(*since).as_millis();
-        let charge = job.cores_allocated as u64 * span;
-        *self.usage.entry(job.spec.user).or_insert(0) += charge;
-        if charge > 0 {
+        *since = now;
+        let core_ms = job.cores_allocated as u64 * span;
+        let (user, queue) = (job.spec.user, job.spec.effective_queue());
+        *self.usage.entry(user).or_insert(0) += core_ms;
+        if core_ms > 0 {
             // Charge-at-close: the whole segment lands at its close
             // instant in the decayed accounts (a segment is at most one
             // width-change interval long, far shorter than any sensible
             // half-life, so the approximation error is negligible — and
             // replay re-issues the identical charge sequence, keeping
             // recovery byte-exact).
-            self.usage_hist
-                .charge(job.spec.user, job.spec.effective_queue(), charge, now);
-            if self.collect_usage_events {
-                self.usage_events.push((job.spec.user, charge, now));
-            }
+            self.usage_hist.charge(user, queue, core_ms, now);
+            self.note(ProfileDelta::Charged {
+                user,
+                core_ms,
+                at: now,
+            });
         }
-        *since = now;
     }
 
     /// Charges the final segment and drops the cursor (finish, qdel,
@@ -1059,6 +1030,7 @@ impl PbsServer {
             self.left_machine(id, was);
         } else {
             self.queued.remove(id);
+            self.note(ProfileDelta::LeftQueue { job: id });
         }
         if self.journal.is_some() {
             self.log(Record::Qdel { job: id, now });
@@ -1382,12 +1354,21 @@ impl PbsServer {
         }
     }
 
+    /// Appends to the delta log — once somebody drains it. Until the
+    /// first [`PbsServer::snapshot_incremental`] the log stays empty: that
+    /// snapshot's log is self-contained, so nothing before it is owed.
+    fn note(&mut self, delta: ProfileDelta) {
+        if self.snapshot_epoch > 0 {
+            self.deltas.push(delta);
+        }
+    }
+
     /// View and delta log: `id` (in state `was`) stopped holding cores —
     /// finished, killed, preempted, or lost to a node failure.
     fn left_machine(&mut self, id: JobId, was: JobState) {
         self.running.remove(id);
         self.dyn_queued -= usize::from(was == JobState::DynQueued);
-        self.deltas.push(ProfileDelta::Finished { job: id });
+        self.note(ProfileDelta::Finished { job: id });
     }
 
     /// View and delta log: the running job `id` changed width (its
@@ -1397,7 +1378,7 @@ impl PbsServer {
         let entry = self.running.get_mut(id).expect("active job is in view");
         entry.cores = job.cores_allocated;
         entry.reserved_extra = job.reserved_extra;
-        self.deltas.push(ProfileDelta::Resized {
+        self.note(ProfileDelta::Resized {
             job: id,
             held_cores: job.cores_allocated + job.reserved_extra,
         });
@@ -1420,36 +1401,75 @@ impl PbsServer {
         }
     }
 
-    /// Like [`PbsServer::snapshot`], but participates in the incremental
-    /// timeline protocol: drains the running-set mutations recorded since
-    /// the previous incremental snapshot and stamps them with continuity
-    /// epochs, letting the scheduler update its availability profile by
-    /// delta instead of rebuilding it. [`PbsServer::snapshot`] (which
-    /// leaves `deltas` as `None` and drains nothing) remains available for
-    /// out-of-band inspection; the scheduler simply rebuilds on the next
-    /// epoch gap.
+    /// Like [`PbsServer::snapshot`], but carries the delta log: drains
+    /// what was recorded since the previous incremental snapshot and
+    /// stamps it with continuity epochs, so the scheduler updates its
+    /// availability profile by delta, wipes the DFS slates of deleted
+    /// jobs and charges closed usage segments to static fairshare. The
+    /// first log (`base_epoch == 0`) has no recorded history behind it
+    /// and carries the usage ledger's totals instead.
+    /// [`PbsServer::snapshot`] (which leaves `deltas` as `None` and drains
+    /// nothing) remains available for out-of-band inspection; the
+    /// scheduler simply rebuilds on the next epoch gap.
     pub fn snapshot_incremental(&mut self, now: SimTime) -> Snapshot {
         let mut snap = self.snapshot(now);
-        snap.usage = self.publish_usage.then(|| self.usage_hist.snapshot(now));
         let base_epoch = self.snapshot_epoch;
         self.snapshot_epoch += 1;
+        let deltas = if base_epoch == 0 {
+            let charged = |(&user, &core_ms): (&UserId, &u64)| ProfileDelta::Charged {
+                user,
+                core_ms,
+                at: now,
+            };
+            let totals = self.usage.iter().filter(|(_, &core_ms)| core_ms > 0);
+            totals.map(charged).collect()
+        } else {
+            std::mem::take(&mut self.deltas)
+        };
         snap.deltas = Some(DeltaLog {
             base_epoch,
             epoch: self.snapshot_epoch,
-            deltas: std::mem::take(&mut self.deltas),
+            deltas,
         });
         snap
     }
 
-    /// One scheduling cycle (paper Algorithm 2): the incremental snapshot,
-    /// one `maui` iteration over it, and the outcome applied. Returns the
-    /// outcome (for the driver's decision log) with its concrete effects.
-    /// The snapshot is dropped before [`PbsServer::apply`], so the shared
-    /// scheduler view is never copied.
+    /// One scheduling cycle (paper Algorithm 2): the incremental snapshot
+    /// — with the decayed usage accounts attached when `maui` runs
+    /// time-aware fairshare — one `maui` iteration over it, and the
+    /// outcome applied. Returns the outcome (for the driver's decision
+    /// log) with its concrete effects. The snapshot is dropped before
+    /// [`PbsServer::apply`], so the shared scheduler view is never copied.
     pub fn run_cycle(&mut self, maui: &mut Maui, now: SimTime) -> (IterationOutcome, Vec<Applied>) {
-        let outcome = maui.iterate(&self.snapshot_incremental(now));
+        let outcome = {
+            let mut snap = self.snapshot_incremental(now);
+            if maui.config().fairshare.mode == FairshareMode::TimeAware {
+                snap.usage = Some(self.usage_hist.snapshot(now));
+            }
+            maui.iterate(&snap)
+        };
+        debug_assert!(self.told_all_usage(maui, now), "{now}: fairshare tracker");
         let applied = self.apply(&outcome, now);
+        debug_assert!(
+            { maui.dfs().delayed_jobs() }.all(|job| self.queued.get(job).is_some()),
+            "{now}: a DFS delay slate outlived its job's stay in the queue"
+        );
         (outcome, applied)
+    }
+
+    /// Whether `maui`, having just absorbed this server's delta log, holds
+    /// the usage ledger in its static-fairshare tracker: every closed
+    /// segment, none twice. (Once the oldest window has rotated out of the
+    /// tracker it holds less, and nothing is checked.)
+    fn told_all_usage(&self, maui: &Maui, now: SimTime) -> bool {
+        let fs = maui.fairshare();
+        let retained = fs.config().window * fs.config().windows as u64;
+        let forgetful = !retained.is_zero() && now >= SimTime::ZERO + retained;
+        forgetful
+            || self.usage().all(|(user, core_ms)| {
+                let (held, told) = (fs.charged(user), core_ms as f64 / 1000.0);
+                (held - told).abs() <= 1e-9 * told.max(1.0)
+            })
     }
 
     /// Applies a scheduler outcome to real state, in the scheduler's
@@ -1555,7 +1575,7 @@ impl PbsServer {
                 .cluster
                 .allocate(start.job, cores, self.alloc_policy)
                 .expect("planned start must fit");
-            self.deltas.push(ProfileDelta::Started {
+            self.note(ProfileDelta::Started {
                 job: start.job,
                 held_cores: cores + reserve,
                 walltime_end,
@@ -1600,7 +1620,7 @@ impl PbsServer {
             self.requeued(v);
         }
         self.shed_reserves();
-        self.deltas.push(ProfileDelta::CapacityChanged);
+        self.note(ProfileDelta::CapacityChanged);
         if self.journal.is_some() {
             self.log(Record::NodeFailed { node, now });
         }
@@ -1643,7 +1663,7 @@ impl PbsServer {
     /// A failed node returned to service.
     pub fn node_repaired(&mut self, node: dynbatch_core::NodeId) -> Result<()> {
         self.cluster.repair_node(node)?;
-        self.deltas.push(ProfileDelta::CapacityChanged);
+        self.note(ProfileDelta::CapacityChanged);
         if self.journal.is_some() {
             self.log(Record::NodeRepaired { node });
         }
@@ -2548,6 +2568,152 @@ mod tests {
             Applied::Started { job, alloc, .. } if *job == id && alloc.total_cores() == 48
         )));
         assert_eq!(s.job(id).unwrap().cores_allocated, 48);
+    }
+
+    // ------------------------------------------------------------------
+    // The delta log: what is recorded, when, and what a gap costs.
+    // ------------------------------------------------------------------
+
+    /// A scheduler with windowed static fairshare switched on.
+    fn windowed_maui() -> Maui {
+        let mut cfg = SchedulerConfig::paper_eval();
+        cfg.dfs = DfsConfig::highest_priority();
+        cfg.fairshare.enabled = true;
+        cfg.fairshare.windows = 4;
+        cfg.fairshare.decay = 0.5;
+        Maui::new(cfg)
+    }
+
+    #[test]
+    fn the_log_records_only_once_somebody_drains_it() {
+        let mut s = server();
+        let mut m = hp_maui();
+        // Plain snapshots drain nothing, so nothing is kept for them.
+        let id = s.qsub(rigid("J", 0, 8, 100), t(0)).unwrap();
+        let outcome = m.iterate(&s.snapshot(t(0)));
+        s.apply(&outcome, t(0));
+        s.job_finished(id, t(10)).unwrap();
+        assert!(s.deltas.is_empty() && s.deltas.capacity() == 0);
+        // The first drained log stands for all of that: totals, no history.
+        let charged = |core_ms, at| ProfileDelta::Charged {
+            user: UserId(0),
+            core_ms,
+            at,
+        };
+        let snap = s.snapshot_incremental(t(60));
+        m.iterate(&snap);
+        let first = snap.deltas.unwrap();
+        assert_eq!((first.base_epoch, first.epoch), (0, 1));
+        assert_eq!(first.deltas, [charged(80_000, t(60))]);
+        let id = s.qsub(rigid("J", 0, 8, 100), t(60)).unwrap();
+        cycle(&mut s, &mut m, t(60));
+        s.job_finished(id, t(70)).unwrap();
+        let queued = s.qsub(rigid("Q", 1, 8, 100), t(70)).unwrap();
+        s.qdel(queued, t(71)).unwrap();
+        assert!(matches!(s.deltas[0], ProfileDelta::Started { job, .. } if job == id));
+        let (finished, left) = (
+            ProfileDelta::Finished { job: id },
+            ProfileDelta::LeftQueue { job: queued },
+        );
+        assert_eq!(s.deltas[1..], [charged(80_000, t(70)), finished, left]);
+        // `reset`, `recover` and an image load all start over.
+        s.enable_journal(0);
+        let loaded = PbsServer::from_image(&s.image()).unwrap();
+        let recovered = PbsServer::recover(s.take_journal().unwrap()).unwrap();
+        s.reset(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        for (mut s, core_s) in [(s, 0.0), (recovered, 160.0), (loaded, 160.0)] {
+            s.qsub(rigid("J", 0, 8, 100), t(80)).unwrap();
+            let outcome = m.iterate(&s.snapshot(t(80)));
+            s.apply(&outcome, t(80));
+            assert!(s.deltas.is_empty());
+            // The totals a first log carries replace what `m` held.
+            let snap = s.snapshot_incremental(t(80));
+            m.iterate(&snap);
+            assert_eq!(snap.deltas.unwrap().base_epoch, 0);
+            assert_eq!(m.fairshare().charged(UserId(0)), core_s);
+        }
+    }
+
+    /// The window-attribution regression, where the mechanism lives: a
+    /// usage segment that closes at t=59 min but reaches the scheduler at
+    /// t=61 min — after the 1 h fairshare window boundary — is charged to
+    /// the window covering the close instant, so a scheduler whose next
+    /// cycle comes late agrees exactly with one that ran a cycle inside
+    /// the window. (Charged to the window current at the drain, the late
+    /// charge escaped one decay step.)
+    #[test]
+    fn a_late_drain_charges_the_window_the_segment_closed_in() {
+        let close = t(59 * 60);
+        let run = |cycle_at_close: bool| {
+            let mut s = PbsServer::new(Cluster::homogeneous(1, 8), AllocPolicy::Pack);
+            let mut m = windowed_maui();
+            let id = s.qsub(rigid("seg", 0, 8, 3_600), t(0)).unwrap();
+            cycle(&mut s, &mut m, t(0));
+            s.job_finished(id, close).unwrap();
+            if cycle_at_close {
+                cycle(&mut s, &mut m, close);
+            }
+            cycle(&mut s, &mut m, t(61 * 60));
+            m
+        };
+        let (eager, late) = (run(true), run(false));
+        assert_eq!(late.fairshare().charged(UserId(0)), (8 * 59 * 60) as f64);
+        assert_eq!(late.fairshare(), eager.fairshare(), "late vs eager drain");
+    }
+
+    /// A scheduler that is handed something other than the next log of the
+    /// server it follows — a plain snapshot in between, a log of another
+    /// server, the log after one that was dropped — rebuilds instead of
+    /// applying it, and decides what the reference decides.
+    #[test]
+    fn a_dropped_or_foreign_log_takes_the_gap_path() {
+        use dynbatch_sched::reference::iterate_naive;
+        let mut servers = [server(), server()];
+        for k in 0..4 {
+            servers[0].qsub(rigid("J", k, 32, 600), t(0)).unwrap();
+            servers[1].qsub(rigid("O", k, 48, 600), t(0)).unwrap();
+        }
+        let (mut m, mut naive) = (windowed_maui(), windowed_maui());
+        // (which server, drain its log?, is it a gap?), 100 s apart. A
+        // plain snapshot drains nothing, so job 2's charge rides the log
+        // after it; a log drained and dropped (`None`) is lost.
+        let steps = [
+            (0, Some(true), true),
+            (0, Some(true), false),
+            (0, Some(false), true),
+            (0, Some(true), true),
+            (1, Some(true), true),
+            (1, Some(true), false),
+            (0, Some(true), true),
+            (0, None, true),
+            (0, Some(true), true),
+            (0, Some(true), false),
+        ];
+        let mut rebuilds = 0;
+        for (k, (which, drain, gap)) in steps.into_iter().enumerate() {
+            let (s, now) = (&mut servers[which], t(100 * k as u64));
+            if which == 0 && (1..=3).contains(&k) {
+                s.job_finished(JobId(k as u64), now).unwrap();
+            }
+            let snap = match drain {
+                Some(true) => s.snapshot_incremental(now),
+                Some(false) => s.snapshot(now),
+                None => {
+                    drop(s.snapshot_incremental(now));
+                    continue;
+                }
+            };
+            let outcome = m.iterate(&snap);
+            assert_eq!(outcome, iterate_naive(&mut naive, &snap), "step {k}");
+            assert_eq!(m.fairshare(), naive.fairshare());
+            rebuilds += gap as u64;
+            assert_eq!(m.timeline_stats().rebuilds, rebuilds, "step {k}");
+            drop(snap);
+            s.apply(&outcome, now);
+            if k == 3 {
+                assert_eq!(m.fairshare().charged(UserId(1)), (32 * 200) as f64);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,12 @@
 //!   equals a fresh `image()`; it was patched from the newest snapshot
 //!   the compaction discarded whenever the notes reach back that far,
 //!   and imaged from the whole table only when nothing was discarded or
-//!   a recovery or retention flip had cut the notes off.
+//!   a recovery or retention flip had cut the notes off;
+//! * cycles run on `kept`'s delta log, so the scheduler's timeline is
+//!   asserted against the rebuild through every command kind; after each
+//!   cycle every job with a DFS delay slate is queued (a `qdel` aims at a
+//!   delayed job half the time), and `flip`, which nobody drains, holds an
+//!   empty log.
 
 use crate::journal::Record;
 use crate::server::compaction_work::{self, Work};
@@ -117,6 +122,7 @@ struct Witness {
     rebuilt_after_retention_flip: Cell<u32>,
     retired_ids_patched: Cell<usize>,
     retired_ids_evicted: Cell<usize>,
+    delayed_jobs_deleted: Cell<u32>,
 }
 
 fn bump<T: Copy + std::ops::Add<Output = T>>(cell: &Cell<T>, by: T) {
@@ -299,6 +305,7 @@ impl<'w> Twin<'w> {
             self.terminal.iter().copied().collect::<BTreeSet<_>>()
         );
         assert_eq!(terminal_ids(&self.flip), self.flip_kept_terminal);
+        assert_eq!(self.flip.delta_log_len(), 0, "an undrained log grew");
     }
 
     /// A compacting snapshot is its predecessor patched in place: while it
@@ -385,22 +392,38 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                 }
                 5..=8 => {
                     // One scheduler cycle, not `run_cycle`: both servers
-                    // produce the same snapshot, so one outcome applies to
-                    // both.
-                    let outcome = twin.maui.iterate(&twin.kept.snapshot(now));
+                    // produce the same view, so one outcome — from `kept`'s
+                    // snapshot and delta log — applies to both.
+                    let outcome = twin.maui.iterate(&twin.kept.snapshot_incremental(now));
                     twin.agree(|s| s.apply(&outcome, now));
+                    for job in twin.maui.dfs().delayed_jobs() {
+                        let state = twin.kept.job(job).map(|j| j.state);
+                        assert_eq!(state, Ok(JobState::Queued), "{job} keeps a delay slate");
+                    }
                 }
                 9..=10 => {
                     if let Some(&id) = pick(rng, &twin.live_ids(JobState::is_active)) {
                         twin.agree(|s| s.job_finished(id, now)).unwrap();
-                        twin.maui.dfs_mut().job_left_queue(id);
                         twin.went_terminal(id);
                     }
                 }
                 11 => {
-                    if let Some(&id) = pick(rng, &twin.live_ids(|_| true)) {
+                    let mut victim = pick(rng, &twin.live_ids(|_| true)).copied();
+                    // Half the time a queued job some grant has delayed:
+                    // its slate has to go with it.
+                    let mut delayed: Vec<JobId> = twin
+                        .maui
+                        .dfs()
+                        .delayed_jobs()
+                        .filter(|&id| twin.kept.job(id).is_ok_and(|j| j.state == JobState::Queued))
+                        .collect();
+                    delayed.sort_unstable();
+                    if !delayed.is_empty() && side.chance(0.5) {
+                        victim = Some(*side.pick(&delayed));
+                    }
+                    if let Some(id) = victim {
+                        bump(&witness.delayed_jobs_deleted, delayed.contains(&id) as u32);
                         twin.agree(|s| s.qdel(id, now)).unwrap();
-                        twin.maui.dfs_mut().job_left_queue(id);
                         twin.went_terminal(id);
                     }
                 }
@@ -539,6 +562,10 @@ fn live_table_walks_match_full_scans_under_random_commands() {
     assert!(
         witness.retired_ids_evicted.get() > 0,
         "no retired job was dropped from an image"
+    );
+    assert!(
+        witness.delayed_jobs_deleted.get() > 0,
+        "no queued job with a delay slate was deleted"
     );
     // Equalities only: the seeds on which a grant to a job past its
     // walltime booked nothing, and a node failure under the guaranteeing

@@ -15,8 +15,7 @@
 use crate::event::Event;
 use dynbatch_cluster::Cluster;
 use dynbatch_core::{
-    ExecutionModel, FairshareMode, JobId, JobState, PhasedModel, SchedulerConfig, SimDuration,
-    SimTime,
+    ExecutionModel, JobId, JobState, PhasedModel, SchedulerConfig, SimDuration, SimTime,
 };
 use dynbatch_metrics::UtilizationRecorder;
 use dynbatch_sched::Maui;
@@ -201,7 +200,6 @@ impl BatchSim {
         let mut server = PbsServer::new(cluster, alloc);
         server.set_guarantee_evolving(guarantee);
         server.set_usage_half_life(config.fairshare.half_life);
-        server.set_publish_usage(config.fairshare.mode == FairshareMode::TimeAware);
         BatchSim {
             queue: EventQueue::new(),
             server,
@@ -237,8 +235,6 @@ impl BatchSim {
         self.server.reset(cluster, alloc);
         self.server.set_guarantee_evolving(guarantee);
         self.server.set_usage_half_life(config.fairshare.half_life);
-        self.server
-            .set_publish_usage(config.fairshare.mode == FairshareMode::TimeAware);
         self.maui = Maui::new(config);
         self.util.reset(capacity, SimTime::ZERO);
         self.window.clear();
@@ -426,12 +422,6 @@ impl BatchSim {
     /// The scheduler (for inspection).
     pub fn maui(&self) -> &Maui {
         &self.maui
-    }
-
-    /// Mutable access to the scheduler (for test/debug knobs such as
-    /// [`Maui::set_plan_cache_enabled`]).
-    pub fn maui_mut(&mut self) -> &mut Maui {
-        &mut self.maui
     }
 
     /// Every dynamic decision taken over the run, in iteration order with
@@ -638,14 +628,10 @@ impl BatchSim {
                     .take_journal()
                     .expect("server crash events require enable_journal");
                 self.server = PbsServer::recover(journal).expect("journal replays cleanly");
-                // Recovery rebuilds journalled state only; per-process
-                // flags are re-armed from the live config.
-                let fs = &self.maui.config().fairshare;
-                self.server
-                    .set_publish_usage(fs.mode == FairshareMode::TimeAware);
                 // The scheduler process dies with the server: reservation
-                // history, fairshare charges and negotiation-delay
-                // bookkeeping restart empty, as on a real restart.
+                // history and negotiation-delay bookkeeping restart empty,
+                // as on a real restart; the recovered server's first delta
+                // log brings the journalled usage totals back.
                 self.maui = Maui::new(self.maui.config().clone());
             }
         }
@@ -976,11 +962,9 @@ impl BatchSim {
     fn finish_job(&mut self, job: JobId, now: SimTime) {
         self.cancel_run_events(job);
         self.runs.remove(&job);
-        self.charge_fairshare(job, now);
         self.server
             .job_finished(job, now)
             .expect("active job finishes");
-        self.maui.dfs_mut().job_left_queue(job);
         self.last_completion = self.last_completion.max(now);
     }
 
@@ -988,26 +972,7 @@ impl BatchSim {
     fn kill_job(&mut self, job: JobId, now: SimTime) {
         self.cancel_run_events(job);
         self.runs.remove(&job);
-        // Fairshare is charged *before* the qdel: with job retention off
-        // the record is dropped at the qdel, and the charge reads nothing
-        // the qdel mutates, so the order is behaviour-neutral under
-        // retention.
-        self.charge_fairshare(job, now);
         self.server.qdel(job, now).expect("live job deletable");
-        self.maui.dfs_mut().job_left_queue(job);
-    }
-
-    fn charge_fairshare(&mut self, job: JobId, now: SimTime) {
-        if let Ok(j) = self.server.job(job) {
-            if let Some(start) = j.start_time {
-                let span = now.duration_since(start);
-                self.maui.fairshare_mut().charge_span(
-                    j.spec.user,
-                    j.cores_allocated.max(j.spec.cores),
-                    span,
-                );
-            }
-        }
     }
 
     fn cancel_run_events(&mut self, job: JobId) {

@@ -311,8 +311,18 @@ mod tests {
         // Dirty the simulator with a full dynamic run, then reuse it for
         // both configurations in both orders.
         let first = crate::experiment::run_experiment_on(&mut sim, &cfg_dyn, &dyn_wl);
+        let timeline = sim.maui().timeline_stats();
+        assert_eq!(timeline.rebuilds, 1, "only the first cycle may rebuild");
+        assert!(timeline.delta_batches > 0 && timeline.deltas_applied > 0);
         let reused_static = crate::experiment::run_experiment_on(&mut sim, &cfg_static, &static_wl);
         let reused_dyn = crate::experiment::run_experiment_on(&mut sim, &cfg_dyn, &dyn_wl);
+        // Reset starts from a clean epoch: one rebuild again, the same
+        // deltas.
+        assert_eq!(
+            sim.maui().timeline_stats(),
+            timeline,
+            "reset must not leak timeline state"
+        );
 
         let fresh_static = run_experiment(&cfg_static, &static_wl);
         let fresh_dyn = run_experiment(&cfg_dyn, &dyn_wl);
@@ -325,42 +335,6 @@ mod tests {
             assert_eq!(reused.outcomes, fresh.outcomes);
             assert_eq!(reused.stats, fresh.stats);
         }
-    }
-
-    #[test]
-    fn incremental_timeline_is_invisible_to_results() {
-        // The delta-maintained availability timeline (the simulator's
-        // default) must produce the same summary, outcomes and counters
-        // as full per-iteration rebuilds — including across a reset,
-        // which must not leak timeline state between runs.
-        let mut reg = CredRegistry::new();
-        let wl = generate_esp(&EspConfig::paper_dynamic(), &mut reg);
-        let cfg = ExperimentConfig::paper_cluster(
-            "Dyn-500",
-            sched(DfsConfig::uniform_target(500, SimDuration::from_hours(1))),
-        );
-
-        let incremental = run_experiment(&cfg, &wl);
-
-        let mut sim = crate::BatchSim::new(
-            Cluster::homogeneous(cfg.nodes, cfg.cores_per_node),
-            cfg.sched.clone(),
-        );
-        sim.maui_mut().set_incremental_enabled(false);
-        let rebuilt = run_loaded(&mut sim, &cfg, &wl);
-
-        assert_eq!(incremental.summary, rebuilt.summary);
-        assert_eq!(incremental.outcomes, rebuilt.outcomes);
-        assert_eq!(incremental.stats, rebuilt.stats);
-
-        // Reset brings back the default (incremental) path with a clean
-        // epoch; the recycled run must still match.
-        let recycled = crate::experiment::run_experiment_on(&mut sim, &cfg, &wl);
-        assert_eq!(recycled.outcomes, incremental.outcomes);
-        assert!(
-            recycled.stats == incremental.stats,
-            "reset must not leak timeline state"
-        );
     }
 
     #[test]

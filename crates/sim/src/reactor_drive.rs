@@ -178,7 +178,6 @@ impl World {
                 .min();
             let Some((end, id)) = due else { break };
             let _ = self.server.job_finished(id, end);
-            self.maui.dfs_mut().job_left_queue(id);
             self.cycle(end);
         }
         let _ = self.server.expire_dyn_requests(now);
@@ -453,5 +452,33 @@ mod tests {
         let clean = drive_serial(&script, Cluster::homogeneous(15, 8), hp_sched(), None);
         assert_eq!(serial.digest, clean.digest);
         assert_eq!(serial.accounting, clean.accounting);
+    }
+
+    #[test]
+    fn static_fairshare_is_fed_through_a_crash() {
+        // Fairshare at a weight that reorders the queue, under a DFS cap so
+        // grants are charged to slates; `qdel`s and `dynget`s come with the
+        // script, spread over 100 min so that jobs finish and a fairshare
+        // window turns. Debug builds of `run_cycle` check at every cycle,
+        // before and after the recovery, that the tracker holds the usage
+        // ledger and that no slate outlives its job.
+        let mut sched = SchedulerConfig::paper_eval();
+        sched.dfs = DfsConfig::uniform_target(500, SimDuration::from_hours(1));
+        sched.fairshare.enabled = true;
+        sched.priority.fairshare_weight = 600.0;
+        let mut items = small_workload(40);
+        for (i, item) in items.iter_mut().enumerate() {
+            item.at = SimTime::from_secs(150 * i as u64);
+        }
+        let script = script_from_workload(&items, 5);
+        let has = |word| script.steps.iter().any(|s| s.line.starts_with(word));
+        assert!(has("qdel") && has("dynget"));
+        let cluster = || Cluster::homogeneous(6, 8);
+        let clean = drive_serial(&script, cluster(), sched.clone(), None);
+        assert!(
+            clean.accounting.lines().count() > 15,
+            "jobs ran and finished"
+        );
+        drive_serial(&script, cluster(), sched, Some(script.steps.len() / 2));
     }
 }

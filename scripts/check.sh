@@ -13,77 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
+echo "==> cargo test (every suite of the workspace, once; EXPERIMENTS.md maps"
+echo "    each claim to the suite that pins it)"
 cargo test -q --workspace
 
-echo "==> chaos zero-fault smoke"
-cargo test -q --test chaos_daemon chaos_zero_fault
-
-echo "==> crash-recovery smoke (~5 sampled journal crash points)"
-cargo test -q --test crash_recovery crash_smoke_sampled_indices
-
-echo "==> parallel sweep smoke (serial == parallel)"
-cargo test -q --test sweep_engine
-
-echo "==> incremental timeline equivalence (delta path == rebuild path)"
-cargo test -q --test timeline_incremental
-
-echo "==> reactor smoke (serial apply vs reactor-batched apply, identical digest)"
-cargo test -q --test reactor_equivalence reactor_equivalence_at_1_8_64_clients
-cargo test -q --test reactor_chaos stalled_reader_blocks_nothing
-
-echo "==> dynamic-partition regressions (same-cycle re-expansion / shrink)"
-cargo test -q --test partition
-
-echo "==> streaming ingestion (streamed == materialized for every generator,"
-echo "    qdel-before-admission, window-bounded residency)"
-cargo test -q --test streaming_ingest
-
-echo "==> history-independent cycle (live-table walks == full scans under"
-echo "    random commands; queue peek/slot-table properties)"
-cargo test -q -p dynbatch-server --lib table_props
-cargo test -q -p dynbatch-simtime --test prop_queue
-
-echo "==> checkpoints that cost the live table (both table_props servers"
-echo "    journal under a trailing retain floor: patched snapshot == fresh"
-echo "    image after every command, patched whenever a valid predecessor is"
-echo "    discarded, every kind of compaction witnessed; entries and outcomes"
-echo "    copied per compaction counted against 5 000 retained jobs)"
-cargo test -q -p dynbatch-server --lib live_table_walks_match_full_scans_under_random_commands
-cargo test -q -p dynbatch-server --lib compaction_copies_the_live_table_not_the_history
-cargo test -q -p dynbatch-server --lib compacting_snapshot_rebuilt_in_old_buffers_equals_fresh_image
-cargo test -q -p dynbatch-server --lib compact_hands_back_the_newest_discarded_snapshot
-cargo test -q --test crash_recovery crash_sweep_survives_compaction
-
-echo "==> command line (usage errors exit 2; a workload wider than the"
-echo "    cluster is one of them)"
-cargo test -q --test cli
-
-echo "==> queue-depth-independent cycle (Maui::iterate == the visit-every-job"
-echo "    reference over random multi-cycle runs; remembered rank order =="
-echo "    rank_jobs while priorities cross; fits == min_idle >= cores; the"
-echo "    maintained scheduler view == the live-table walk, via table_props above)"
-cargo test -q -p dynbatch-sched --test prop_maui
-cargo test -q -p dynbatch-sched --test prop_timeline
-cargo test -q -p dynbatch-sched --lib priority
-cargo test -q -p dynbatch-server --lib view_
-
-echo "==> replication smoke (transport hardening, 50-seed leader-kill chaos"
-echo "    sweep, compaction handoff, daemon failover with live clients)"
-cargo test -q --test replication_chaos
-cargo test -q --test replication_failover
-cargo test -q -p dynbatch-server replication
-cargo test -q -p dynbatch-sim replica
-
-echo "==> time-aware fairness suite (static inertness, sweep-worker"
-echo "    determinism, demote-not-deny budgets)"
-cargo test -q --test fairness
-cargo test -q -p dynbatch-sched --lib usage_history
-cargo test -q -p dynbatch-sched --lib fairshare
-cargo test -q -p dynbatch-sched --lib dfs
-
-echo "==> perf_smoke --quick (runs the incremental path with the"
-echo "    rebuild-equivalence assert enabled on every tick)"
+echo "==> perf_smoke --quick (every comparison asserts identical decisions"
+echo "    against sched::reference::iterate_naive before it is timed)"
 cargo run --release -q -p dynbatch-bench --bin perf_smoke -- --quick \
   --out /tmp/BENCH_sched.quick.json
 
@@ -140,5 +75,14 @@ for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
       exit bad
     }' "$report"
 done
+
+echo "==> the scheduler is reached through the snapshot only: no switch, mutable"
+echo "    accessor or per-driver coupling duty came back"
+gone='set_plan_cache_enabled|set_incremental_enabled|set_incremental_check_enabled'
+gone="$gone|dfs_mut|fairshare_mut|maui_mut|set_publish_usage"
+gone="$gone|set_collect_usage_events|take_usage_events|sync_fairshare"
+if grep -rnE "$gone" crates src tests examples; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
 
 echo "check.sh: all gates passed"

@@ -12,204 +12,12 @@
 //! (`paper_eval` + `highest_priority`): a fresh scheduler mid-run makes
 //! identical decisions, so the comparison isolates the journal layer.
 
-use dynbatch_cluster::{Allocation, Cluster};
-use dynbatch_core::{
-    json, AllocPolicy, DfsConfig, ExecutionModel, GroupId, JobId, JobSpec, NodeId, SchedulerConfig,
-    SimDuration, SimTime, UserId,
-};
-use dynbatch_sched::{FairshareTracker, Maui};
+mod common;
+
+use common::*;
+use dynbatch_cluster::Cluster;
+use dynbatch_core::{AllocPolicy, DfsConfig, SchedulerConfig, SimDuration, UserId};
 use dynbatch_server::{Journal, PbsServer};
-
-fn t(s: u64) -> SimTime {
-    SimTime::from_secs(s)
-}
-
-fn rigid(name: &str, user: u32, cores: u32, secs: u64) -> JobSpec {
-    JobSpec::rigid(
-        name,
-        UserId(user),
-        GroupId(0),
-        cores,
-        SimDuration::from_secs(secs),
-    )
-}
-
-fn evolving(name: &str, user: u32, cores: u32) -> JobSpec {
-    JobSpec::evolving(
-        name,
-        UserId(user),
-        GroupId(0),
-        cores,
-        ExecutionModel::esp_evolving(1846, 1230, 4),
-    )
-}
-
-fn hp_maui() -> Maui {
-    let mut cfg = SchedulerConfig::paper_eval();
-    cfg.dfs = DfsConfig::highest_priority();
-    Maui::new(cfg)
-}
-
-/// One scripted input. Each op maps to at most one journal record, so a
-/// crash "after record k" is a crash at the op boundary that wrote it.
-enum Op {
-    Sub(JobSpec),
-    Cycle,
-    Finish(JobId),
-    DynGet {
-        job: JobId,
-        extra: u32,
-        deadline: Option<u64>,
-    },
-    DynFree {
-        job: JobId,
-        node: u32,
-        cores: u32,
-    },
-    Qdel(JobId),
-    Fail(u32),
-    Repair(u32),
-    Expire,
-}
-
-fn apply_op(s: &mut PbsServer, m: &mut Maui, op: &Op, now: SimTime) {
-    match op {
-        Op::Sub(spec) => {
-            let _ = s.qsub(spec.clone(), now);
-        }
-        Op::Cycle => {
-            s.run_cycle(m, now);
-        }
-        Op::Finish(job) => {
-            let _ = s.job_finished(*job, now);
-            m.dfs_mut().job_left_queue(*job);
-        }
-        Op::DynGet {
-            job,
-            extra,
-            deadline,
-        } => {
-            let _ = s.tm_dynget_negotiated(*job, *extra, deadline.map(t), now);
-        }
-        Op::DynFree { job, node, cores } => {
-            let released = Allocation::from_pairs([(NodeId(*node), *cores)]);
-            let _ = s.tm_dynfree(*job, &released, now);
-        }
-        Op::Qdel(job) => {
-            let _ = s.qdel(*job, now);
-        }
-        Op::Fail(node) => {
-            let _ = s.node_failed(NodeId(*node), now);
-        }
-        Op::Repair(node) => {
-            let _ = s.node_repaired(NodeId(*node));
-        }
-        Op::Expire => {
-            let _ = s.expire_dyn_requests(now);
-        }
-    }
-}
-
-/// A scenario touching every record kind the journal knows: submit,
-/// start, finish, qdel (of queued, running and DynQueued jobs), the
-/// dynget/dynfree negotiation phases, expiry, node fail/repair.
-/// Job ids are assigned sequentially by the server: A=1, B=2, EV=3,
-/// D=4, C=5, E=6.
-fn script() -> Vec<(u64, Op)> {
-    const A: JobId = JobId(1);
-    const B: JobId = JobId(2);
-    const EV: JobId = JobId(3);
-    const D: JobId = JobId(4);
-    const E: JobId = JobId(6);
-    vec![
-        (0, Op::Sub(rigid("A", 0, 16, 100))),
-        (0, Op::Cycle),
-        (1, Op::Sub(rigid("B", 1, 64, 500))),
-        (1, Op::Cycle),
-        (2, Op::Sub(evolving("EV", 2, 8))),
-        (2, Op::Cycle),
-        (3, Op::Sub(evolving("D", 3, 8))),
-        (3, Op::Cycle),
-        // EV asks for +4 within a negotiation window; grantable (24 idle).
-        (
-            5,
-            Op::DynGet {
-                job: EV,
-                extra: 4,
-                deadline: Some(60),
-            },
-        ),
-        (5, Op::Cycle),
-        // D asks for more than the machine can ever free within its
-        // window: stays DynQueued (deferred each cycle).
-        (
-            6,
-            Op::DynGet {
-                job: D,
-                extra: 100,
-                deadline: Some(400),
-            },
-        ),
-        (6, Op::Cycle),
-        // A 40-core job queues behind the running set.
-        (7, Op::Sub(rigid("C", 4, 40, 50))),
-        (7, Op::Cycle),
-        // qdel of the DynQueued job D: pending negotiation must die too.
-        (20, Op::Qdel(D)),
-        (20, Op::Cycle),
-        // EV gives back part of its grant.
-        (
-            30,
-            Op::DynFree {
-                job: EV,
-                node: 11,
-                cores: 2,
-            },
-        ),
-        (30, Op::Cycle),
-        // A node dies (whatever it hosts is requeued), later repaired.
-        (40, Op::Fail(2)),
-        (40, Op::Cycle),
-        (50, Op::Repair(2)),
-        (50, Op::Cycle),
-        (105, Op::Finish(A)),
-        (105, Op::Cycle),
-        (130, Op::Sub(rigid("E", 5, 8, 40))),
-        (130, Op::Cycle),
-        (170, Op::Finish(E)),
-        (170, Op::Cycle),
-        // Sweep any pending windows past their deadlines.
-        (450, Op::Expire),
-        (450, Op::Cycle),
-        (520, Op::Finish(B)),
-        (520, Op::Cycle),
-        (600, Op::Finish(EV)),
-        (600, Op::Cycle),
-    ]
-}
-
-fn accounting_text(s: &PbsServer) -> String {
-    s.accounting()
-        .outcomes()
-        .iter()
-        .map(|o| json::model::outcome_to_json(o).to_string_compact())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// The fairshare priorities a scheduler would derive from the server's
-/// journalled usage ledger, as a byte-comparable string: recharge each
-/// user's core-milliseconds into a fresh tracker (exactly what the daemon
-/// does after a crash-restart) and print the charged totals.
-fn fairshare_fingerprint(s: &PbsServer) -> String {
-    let mut fs = FairshareTracker::new(Default::default(), SimTime::ZERO);
-    for (user, ms) in s.usage() {
-        fs.charge(user, ms as f64 / 1000.0);
-    }
-    s.usage()
-        .map(|(user, _)| format!("{}:{:.6};", user.0, fs.charged(user)))
-        .collect()
-}
 
 /// Reference run: journal on, after every op capture the journal clone
 /// and the accounting text observed so far.
@@ -217,7 +25,6 @@ struct Reference {
     journals: Vec<Journal>,
     accounting_at: Vec<String>,
     usage_at: Vec<Vec<(UserId, u64)>>,
-    fairshare_at: Vec<String>,
     usage_hist_at: Vec<String>,
     final_digest: String,
     final_accounting: String,
@@ -230,7 +37,6 @@ fn run_reference(snapshot_every: usize) -> Reference {
     let mut journals = Vec::new();
     let mut accounting_at = Vec::new();
     let mut usage_at = Vec::new();
-    let mut fairshare_at = Vec::new();
     let mut usage_hist_at = Vec::new();
     let mut last_total = s.journal().unwrap().total_appended();
     for (secs, op) in &script() {
@@ -248,14 +54,12 @@ fn run_reference(snapshot_every: usize) -> Reference {
         journals.push(j.clone());
         accounting_at.push(accounting_text(&s));
         usage_at.push(s.usage().collect());
-        fairshare_at.push(fairshare_fingerprint(&s));
         usage_hist_at.push(s.usage_history().fingerprint());
     }
     Reference {
         journals,
         accounting_at,
         usage_at,
-        fairshare_at,
         usage_hist_at,
         final_digest: s.state_digest(),
         final_accounting: accounting_text(&s),
@@ -274,19 +78,16 @@ fn resume_from(reference: &Reference, i: usize) -> (String, String) {
         reference.accounting_at[i],
         "accounting after recovery at boundary {i} must match the live log"
     );
-    // The fairshare bugfix's gate: the per-user usage ledger — and the
-    // priorities a fresh scheduler derives from it — must survive the
-    // crash byte-identically at every crash point (pre-fix the charges
-    // lived only in daemon memory and recovered as zero).
+    // The fairshare bugfix's gate: the per-user usage ledger — which a
+    // recovered server's first delta log re-seeds a fresh scheduler's
+    // tracker from — must survive the crash byte-identically at every
+    // crash point (pre-fix the charges lived only in daemon memory and
+    // recovered as zero). Debug builds of `run_cycle` assert after every
+    // cycle below that the tracker holds this ledger.
     assert_eq!(
         s.usage().collect::<Vec<_>>(),
         reference.usage_at[i],
         "per-user usage diverged after recovery at boundary {i}"
-    );
-    assert_eq!(
-        fairshare_fingerprint(&s),
-        reference.fairshare_at[i],
-        "fairshare priorities diverged after recovery at boundary {i}"
     );
     // Time-aware fairness gate: the decayed resource-hour accounts ride
     // the snapshot image as bit-patterns, so recovery must reproduce the

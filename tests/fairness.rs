@@ -1,8 +1,8 @@
-//! Time-aware fairness: end-to-end pins.
+//! Fairshare usage accounting: end-to-end pins.
 //!
-//! Three properties the decayed resource-hour machinery must hold at the
-//! system level (the unit-level decay/attribution math lives in
-//! `dynbatch-sched`):
+//! Properties the decayed resource-hour machinery — and the feed both
+//! fairshare modes draw on — must hold at the system level (the
+//! unit-level decay/attribution math lives in `dynbatch-sched`):
 //!
 //! 1. **Static inertness** — with `FairshareMode::Static` (the default),
 //!    every new knob (half-life, budgets, targets) is inert: runs are
@@ -13,13 +13,25 @@
 //!    ledger, never from scheduling order noise.
 //! 3. **Demote, not deny** — an over-budget owner's job ranks behind
 //!    in-budget work but still runs when nothing else wants the cores.
+//! 4. **One feed, every driver** — the static tracker is charged from the
+//!    server's delta log and nowhere else, per constant-width segment: a
+//!    grown job's narrow and wide segments, a preempted job's, a
+//!    node-failure victim's — in the simulator and in a bare `run_cycle`
+//!    loop alike, and a crash + `recover` loses none of it. (Debug builds
+//!    of `run_cycle` assert after every cycle, in every driver, that the
+//!    tracker holds what the usage ledger held when the cycle began; which
+//!    window a segment lands in is `server::tests::a_late_drain…`'s.)
 
+use dynbatch::cluster::Cluster;
 use dynbatch::core::{
-    CredRegistry, DfsConfig, FairshareMode, JobId, QueueId, SchedulerConfig, SimDuration, SimTime,
-    UserId,
+    AllocPolicy, CredRegistry, DfsConfig, ExecutionModel, FairshareMode, GroupId, JobId, JobSpec,
+    NodeId, QueueId, SchedulerConfig, SimDuration, SimTime, UserId,
 };
 use dynbatch::sched::{Maui, QueuedJob, Snapshot, UsageHistory};
-use dynbatch::sim::{run_experiment_materialized, run_sweep, ExperimentConfig, IngestOptions};
+use dynbatch::server::PbsServer;
+use dynbatch::sim::{
+    run_experiment_materialized, run_sweep, BatchSim, ExperimentConfig, IngestOptions,
+};
 use dynbatch::workload::{stream_synthetic, SyntheticConfig, WorkloadItem};
 
 fn synth_cfg(seed: u64, jobs: usize) -> SyntheticConfig {
@@ -179,4 +191,159 @@ fn over_budget_user_is_demoted_not_denied() {
     let out = maui.iterate(&snap(vec![qjob(1, 0, 0)]));
     assert_eq!(out.starts.len(), 1);
     assert_eq!(out.starts[0].job, JobId(1), "demoted, never denied");
+}
+
+/// The one-feed scenario, on 4 x 8 cores under static fairshare at a
+/// weight that moves priorities: E (8 cores) and A (16) start, Z (32) is
+/// blocked behind them and S (8) backfills the hole. At 24 min — 16 % of
+/// its run — E asks for 8 more: nothing is idle, S is preempted. Node 1,
+/// half of A, fails at 50 min and is repaired; everything ends past the
+/// 1 h window boundary. Job ids are 1 E, 2 A, 3 Z, 4 S; users 0 to 3.
+fn one_feed_scenario() -> (SchedulerConfig, Vec<JobSpec>) {
+    let mut sched = SchedulerConfig::paper_eval();
+    sched.dfs = DfsConfig::highest_priority();
+    sched.preempt_backfilled_for_dyn = true;
+    sched.fairshare.enabled = true;
+    sched.priority.fairshare_weight = 600.0;
+    let rigid = |name: &str, user, cores, secs| {
+        JobSpec::rigid(
+            name,
+            UserId(user),
+            GroupId(0),
+            cores,
+            SimDuration::from_secs(secs),
+        )
+    };
+    let e = ExecutionModel::esp_evolving(9_000, 6_000, 8);
+    let jobs = vec![
+        JobSpec::evolving("E", UserId(0), GroupId(0), 8, e),
+        rigid("A", 1, 16, 4_000),
+        rigid("Z", 2, 32, 600),
+        rigid("S", 3, 8, 5_000),
+    ];
+    (sched, jobs)
+}
+
+/// Per user, what the ledger holds at the end of a run, in
+/// core-milliseconds — and the tracker holds the same.
+fn totals(server: &PbsServer, maui: &Maui) -> Vec<u64> {
+    let ledger = (0..4).map(|u| server.usage_core_millis(UserId(u)));
+    let totals: Vec<u64> = ledger.collect();
+    for (user, &core_ms) in totals.iter().enumerate() {
+        let charged = maui.fairshare().charged(UserId(user as u32));
+        assert!(
+            (charged - core_ms as f64 / 1000.0).abs() < 1e-6,
+            "user {user}: {charged}"
+        );
+    }
+    totals
+}
+
+/// A run with a crash + `recover` in it ends on the crash-free one's totals.
+fn assert_a_crash_loses_nothing(clean: &[u64], crashed: &[u64]) {
+    // S was preempted and A lost a node: both are charged for what they
+    // held until then — the simulator used to charge such a run nothing —
+    // and for their second runs.
+    assert!(clean[3] > 8 * 1_440 * 1_000 && clean[1] > 16 * 3_000 * 1_000);
+    assert_eq!(clean, crashed);
+}
+
+#[test]
+fn simulator_charges_static_fairshare_per_closed_segment() {
+    let run = |crash: Option<u64>| {
+        let (sched, jobs) = one_feed_scenario();
+        let mut sim = BatchSim::new(Cluster::homogeneous(4, 8), sched);
+        let at = SimTime::ZERO;
+        sim.load(
+            &jobs
+                .into_iter()
+                .map(|spec| WorkloadItem { at, spec })
+                .collect::<Vec<_>>(),
+        );
+        sim.inject_failure(SimTime::from_secs(3_000), NodeId(1));
+        sim.inject_repair(SimTime::from_secs(3_100), NodeId(1));
+        if let Some(at) = crash {
+            sim.enable_journal(8);
+            sim.inject_server_crash(SimTime::from_secs(at));
+        }
+        sim.run();
+        assert!(sim.server().is_drained());
+        assert!(sim.now() > SimTime::from_secs(3_600), "no window boundary");
+        assert_eq!((sim.stats().dyn_granted, sim.stats().preemptions), (1, 1));
+        // E held 8 cores until its grant and 16 from there on: less than
+        // its final width over the whole run, which is what the simulator
+        // used to charge, at the end.
+        let outcomes = sim.server().accounting().outcomes();
+        let e = outcomes.iter().find(|o| o.name == "E").expect("E ran");
+        let wide_s = e
+            .end_time
+            .duration_since(SimTime::from_secs(1_440))
+            .as_secs();
+        let e_ms = (8 * 1_440 + 16 * wide_s) * 1_000;
+        assert_eq!(sim.server().usage_core_millis(UserId(0)), e_ms);
+        totals(sim.server(), sim.maui())
+    };
+    assert_a_crash_loses_nothing(&run(None), &run(Some(2_000)));
+}
+
+#[test]
+fn a_bare_cycle_loop_charges_static_fairshare_per_closed_segment() {
+    enum Op {
+        /// Only the cycle every step ends with.
+        Idle,
+        DynGet,
+        Crash,
+        Fail,
+        Repair,
+        /// The oldest running job exits.
+        FinishOne,
+    }
+    use Op::*;
+    let early = [
+        (0, Idle),
+        (1_440, DynGet),
+        (2_000, Crash),
+        (3_000, Fail),
+        (3_100, Repair),
+    ];
+    let script: Vec<(u64, Op)> = early
+        .into_iter()
+        .chain((7..16).map(|k| (k * 1_000, FinishOne)))
+        .collect();
+    let run = |crash: bool| {
+        let (sched, jobs) = one_feed_scenario();
+        let mut server = PbsServer::new(Cluster::homogeneous(4, 8), AllocPolicy::Pack);
+        server.enable_journal(8);
+        for spec in jobs {
+            server.qsub(spec, SimTime::ZERO).expect("qsub");
+        }
+        let mut maui = Maui::new(sched.clone());
+        for (secs, op) in &script {
+            let now = SimTime::from_secs(*secs);
+            match op {
+                DynGet => server.tm_dynget(JobId(1), 8, now).expect("dynget"),
+                Fail => drop(server.node_failed(NodeId(1), now).expect("fail")),
+                Repair => server.node_repaired(NodeId(1)).expect("repair"),
+                Crash if crash => {
+                    let journal = server.take_journal().expect("journal on");
+                    server = PbsServer::recover(journal).expect("journal replays");
+                    maui = Maui::new(sched.clone());
+                }
+                FinishOne => {
+                    let oldest = server.live_jobs().find(|j| j.state.is_active());
+                    if let Some(id) = oldest.map(|j| j.id) {
+                        server.job_finished(id, now).expect("finish");
+                    }
+                }
+                Crash | Idle => {}
+            }
+            server.run_cycle(&mut maui, now);
+        }
+        assert!(server.is_drained());
+        // E: 8 cores to the grant at 24 min, 16 from there to its exit.
+        let e_ms = (8 * 1_440 + 16 * (7_000 - 1_440)) * 1_000;
+        assert_eq!(server.usage_core_millis(UserId(0)), e_ms);
+        totals(&server, &maui)
+    };
+    assert_a_crash_loses_nothing(&run(false), &run(true));
 }

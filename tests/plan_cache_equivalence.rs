@@ -1,12 +1,16 @@
 //! The scheduler's before-plan cache is a pure optimisation: over the full
-//! dynamic-ESP workload, a simulator run with the cache enabled takes
-//! byte-identical dynamic decisions (including every [`DelayCharge`]) and
-//! produces byte-identical job outcomes as a run with it disabled.
+//! dynamic-ESP workload it takes the dynamic decisions (including every
+//! [`DelayCharge`]) of a scheduler that replans for every request.
 //!
-//! This is the determinism gate for the cached what-if planning path in
-//! `dynbatch-sched`: any divergence between the cached and the recomputed
-//! "before" plan would surface here as a differing grant, delay charge, or
-//! completion record.
+//! That scheduler is `sched::reference::iterate_naive`, which caches
+//! nothing, and the comparison happens inside `Maui::iterate`: a debug
+//! build runs the reference beside every cycle, on a copy of the fairness
+//! statistics, and asserts the same outcome. These runs put the workloads
+//! whose grants mutate the base profile through that assert and check
+//! that they reached it; in a release build (where the assert is compiled
+//! out) `prop_maui` and `perf_smoke` carry the comparison.
+//!
+//! [`DelayCharge`]: dynbatch::sched::DelayCharge
 
 use dynbatch::cluster::Cluster;
 use dynbatch::core::{CredRegistry, DfsConfig, SchedulerConfig, SimDuration, SimTime};
@@ -14,31 +18,23 @@ use dynbatch::sched::DynDecision;
 use dynbatch::sim::BatchSim;
 use dynbatch::workload::{generate_esp, EspConfig};
 
-/// Runs the dynamic ESP workload and returns the full decision log plus
-/// the accounting ledger.
-fn run_esp(
-    cfg: SchedulerConfig,
-    cache: bool,
-    seed: u64,
-) -> (
-    Vec<(SimTime, DynDecision)>,
-    Vec<dynbatch::core::JobOutcome>,
-    SimTime,
-) {
+/// Runs the dynamic ESP workload to drain and returns the decision log.
+fn run_esp(cfg: SchedulerConfig, seed: u64) -> Vec<(SimTime, DynDecision)> {
     let mut reg = CredRegistry::new();
     let mut wl_cfg = EspConfig::paper_dynamic();
     wl_cfg.seed = seed;
     let wl = generate_esp(&wl_cfg, &mut reg);
     let mut sim = BatchSim::new(Cluster::homogeneous(15, 8), cfg);
-    sim.maui_mut().set_plan_cache_enabled(cache);
     sim.load(&wl);
     sim.run();
     assert!(sim.server().is_drained());
-    (
-        sim.dyn_decision_log().to_vec(),
-        sim.server().accounting().outcomes().to_vec(),
-        sim.last_completion(),
-    )
+    sim.dyn_decision_log().to_vec()
+}
+
+/// Cycles that decided two or more requests: the second one is where a
+/// cached "before" plan is served instead of recomputed.
+fn multi_request_cycles(log: &[(SimTime, DynDecision)]) -> usize {
+    log.windows(2).filter(|w| w[0].0 == w[1].0).count()
 }
 
 #[test]
@@ -57,19 +53,17 @@ fn cached_and_uncached_runs_are_byte_identical() {
         for seed in [1u64, 2014] {
             let mut cfg = SchedulerConfig::paper_eval();
             cfg.dfs = dfs.clone();
-            let (log_c, out_c, end_c) = run_esp(cfg.clone(), true, seed);
-            let (log_u, out_u, end_u) = run_esp(cfg, false, seed);
-
-            // The workload actually exercises the dynamic path.
+            let log = run_esp(cfg, seed);
+            // The workload actually exercises the dynamic path, and the
+            // cache: without both the per-cycle assert would be vacuous.
             assert!(
-                log_c.iter().any(|(_, d)| d.is_granted()),
-                "{label}/{seed}: no grants — the comparison would be vacuous"
+                log.iter().any(|(_, d)| d.is_granted()),
+                "{label}/{seed}: no grants"
             );
-            // Decision-by-decision equality, DelayCharges included
-            // (DynDecision::Granted embeds its `delays` vector).
-            assert_eq!(log_c, log_u, "{label}/{seed}: dynamic decisions diverged");
-            assert_eq!(out_c, out_u, "{label}/{seed}: job outcomes diverged");
-            assert_eq!(end_c, end_u, "{label}/{seed}: makespan diverged");
+            assert!(
+                multi_request_cycles(&log) > 0,
+                "{label}/{seed}: no cycle decided two requests"
+            );
         }
     }
 }
@@ -84,9 +78,12 @@ fn preemption_and_shrink_paths_are_cache_invariant() {
     cfg.preempt_backfilled_for_dyn = true;
     cfg.shrink_malleable_for_dyn = true;
     cfg.grow_malleable_on_idle = true;
-    let (log_c, out_c, end_c) = run_esp(cfg.clone(), true, 7);
-    let (log_u, out_u, end_u) = run_esp(cfg, false, 7);
-    assert_eq!(log_c, log_u);
-    assert_eq!(out_c, out_u);
-    assert_eq!(end_c, end_u);
+    let log = run_esp(cfg, 7);
+    assert!(
+        log.iter().any(|(_, d)| matches!(
+            d,
+            DynDecision::Granted { preempted, .. } if !preempted.is_empty()
+        )),
+        "no grant preempted a backfilled job"
+    );
 }

@@ -34,183 +34,15 @@
 //! correctly refuses; the seed then asserts the daemon's fallback — the
 //! dead leader's own journal recovers byte-identically.
 
-use dynbatch::cluster::{Allocation, Cluster};
-use dynbatch::core::{
-    json, AllocPolicy, DfsConfig, ExecutionModel, GroupId, JobId, JobSpec, NodeId, SchedulerConfig,
-    SimDuration, SimTime, UserId,
-};
-use dynbatch::sched::Maui;
+mod common;
+
+use common::*;
+use dynbatch::cluster::Cluster;
+use dynbatch::core::AllocPolicy;
 use dynbatch::server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch::server::{Journal, PbsServer};
 use dynbatch::simtime::SplitMix64;
 use std::time::Duration;
-
-fn t(s: u64) -> SimTime {
-    SimTime::from_secs(s)
-}
-
-fn rigid(name: &str, user: u32, cores: u32, secs: u64) -> JobSpec {
-    JobSpec::rigid(
-        name,
-        UserId(user),
-        GroupId(0),
-        cores,
-        SimDuration::from_secs(secs),
-    )
-}
-
-fn evolving(name: &str, user: u32, cores: u32) -> JobSpec {
-    JobSpec::evolving(
-        name,
-        UserId(user),
-        GroupId(0),
-        cores,
-        ExecutionModel::esp_evolving(1846, 1230, 4),
-    )
-}
-
-fn hp_maui() -> Maui {
-    let mut cfg = SchedulerConfig::paper_eval();
-    cfg.dfs = DfsConfig::highest_priority();
-    Maui::new(cfg)
-}
-
-/// One scripted input (subset of the crash-recovery sweep's op set; each
-/// op appends at most one journal record under `snapshot_every = 0`).
-enum Op {
-    Sub(JobSpec),
-    Cycle,
-    Finish(JobId),
-    DynGet {
-        job: JobId,
-        extra: u32,
-        deadline: Option<u64>,
-    },
-    DynFree {
-        job: JobId,
-        node: u32,
-        cores: u32,
-    },
-    Qdel(JobId),
-    Fail(u32),
-    Repair(u32),
-    Expire,
-}
-
-fn apply_op(s: &mut PbsServer, m: &mut Maui, op: &Op, now: SimTime) {
-    match op {
-        Op::Sub(spec) => {
-            let _ = s.qsub(spec.clone(), now);
-        }
-        Op::Cycle => {
-            s.run_cycle(m, now);
-        }
-        Op::Finish(job) => {
-            let _ = s.job_finished(*job, now);
-            m.dfs_mut().job_left_queue(*job);
-        }
-        Op::DynGet {
-            job,
-            extra,
-            deadline,
-        } => {
-            let _ = s.tm_dynget_negotiated(*job, *extra, deadline.map(t), now);
-        }
-        Op::DynFree { job, node, cores } => {
-            let released = Allocation::from_pairs([(NodeId(*node), *cores)]);
-            let _ = s.tm_dynfree(*job, &released, now);
-        }
-        Op::Qdel(job) => {
-            let _ = s.qdel(*job, now);
-        }
-        Op::Fail(node) => {
-            let _ = s.node_failed(NodeId(*node), now);
-        }
-        Op::Repair(node) => {
-            let _ = s.node_repaired(NodeId(*node));
-        }
-        Op::Expire => {
-            let _ = s.expire_dyn_requests(now);
-        }
-    }
-}
-
-/// The scripted scenario: submissions, negotiated growth, shrink, qdel,
-/// a node failure/repair, finishes. Job ids sequential: A=1, B=2, EV=3,
-/// D=4, C=5, E=6.
-fn script() -> Vec<(u64, Op)> {
-    const A: JobId = JobId(1);
-    const B: JobId = JobId(2);
-    const EV: JobId = JobId(3);
-    const D: JobId = JobId(4);
-    const E: JobId = JobId(6);
-    vec![
-        (0, Op::Sub(rigid("A", 0, 16, 100))),
-        (0, Op::Cycle),
-        (1, Op::Sub(rigid("B", 1, 64, 500))),
-        (1, Op::Cycle),
-        (2, Op::Sub(evolving("EV", 2, 8))),
-        (2, Op::Cycle),
-        (3, Op::Sub(evolving("D", 3, 8))),
-        (3, Op::Cycle),
-        (
-            5,
-            Op::DynGet {
-                job: EV,
-                extra: 4,
-                deadline: Some(60),
-            },
-        ),
-        (5, Op::Cycle),
-        (
-            6,
-            Op::DynGet {
-                job: D,
-                extra: 100,
-                deadline: Some(400),
-            },
-        ),
-        (6, Op::Cycle),
-        (7, Op::Sub(rigid("C", 4, 40, 50))),
-        (7, Op::Cycle),
-        (20, Op::Qdel(D)),
-        (20, Op::Cycle),
-        (
-            30,
-            Op::DynFree {
-                job: EV,
-                node: 11,
-                cores: 2,
-            },
-        ),
-        (30, Op::Cycle),
-        (40, Op::Fail(2)),
-        (40, Op::Cycle),
-        (50, Op::Repair(2)),
-        (50, Op::Cycle),
-        (105, Op::Finish(A)),
-        (105, Op::Cycle),
-        (130, Op::Sub(rigid("E", 5, 8, 40))),
-        (130, Op::Cycle),
-        (170, Op::Finish(E)),
-        (170, Op::Cycle),
-        (450, Op::Expire),
-        (450, Op::Cycle),
-        (520, Op::Finish(B)),
-        (520, Op::Cycle),
-        (600, Op::Finish(EV)),
-        (600, Op::Cycle),
-    ]
-}
-
-fn accounting_text(s: &PbsServer) -> String {
-    s.accounting()
-        .outcomes()
-        .iter()
-        .map(|o| json::model::outcome_to_json(o).to_string_compact())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 /// Reference run (no replication, no crash): per-op journal clones,
 /// digests, accounting prefixes and `total_appended` coordinates.

@@ -2,43 +2,38 @@
 //! timeline (`dynbatch::sched::incremental`).
 //!
 //! The delta-maintained base profile is a pure optimisation: a simulator
-//! run with it enabled (the default) must take byte-identical scheduling
-//! decisions — every grant, delay charge, start and outcome — as a run
-//! that rebuilds the profile from `Snapshot::running` each iteration.
-//! Variants cover preemption, malleable shrink/grow, the dynamic
-//! partition (including its re-expansion after over-freeing grants),
-//! the guaranteeing policy, negotiation deferrals, and node fail/repair
-//! (the capacity-change rebuild path). The explicit check flag keeps the
-//! per-iteration byte-equality guard on even under `--release`.
+//! run on it must take byte-identical scheduling decisions — every grant,
+//! delay charge, start and reservation — as a scheduler that rebuilds the
+//! profile from `Snapshot::running` each iteration. That scheduler is
+//! `sched::reference::iterate_naive`, and the comparison happens inside
+//! `Maui::iterate`: a debug build asserts the maintained profile
+//! byte-equal to the rebuild and the whole outcome equal to the
+//! reference's on every cycle. The runs here put each variant through
+//! those asserts — preemption, malleable shrink/grow, the dynamic
+//! partition (including its re-expansion after over-freeing grants), the
+//! guaranteeing policy, negotiation deferrals, and node fail/repair (the
+//! capacity-change rebuild path) — and check the delta path carried them.
+//! In a release build `prop_maui` and `perf_smoke` carry the comparison.
 
 use dynbatch::cluster::Cluster;
-use dynbatch::core::{
-    CredRegistry, DfsConfig, JobOutcome, NodeId, SchedulerConfig, SimDuration, SimTime,
-};
+use dynbatch::core::{CredRegistry, DfsConfig, NodeId, SchedulerConfig, SimDuration, SimTime};
 use dynbatch::sched::{DynDecision, TimelineStats};
 use dynbatch::sim::BatchSim;
 use dynbatch::workload::{generate_esp, EspConfig, WorkloadItem};
 
 struct RunResult {
     dyn_log: Vec<(SimTime, DynDecision)>,
-    outcomes: Vec<JobOutcome>,
-    end: SimTime,
     stats: TimelineStats,
 }
 
-/// Runs `wl` to drain with the incremental timeline on or off, optionally
-/// injecting node failures/repairs, and returns everything the two paths
-/// must agree on.
+/// Runs `wl` to drain, optionally injecting node failures/repairs.
 fn run(
     cfg: SchedulerConfig,
     wl: &[WorkloadItem],
-    incremental: bool,
     faults: &[(u64, u32)],
     repairs: &[(u64, u32)],
 ) -> RunResult {
     let mut sim = BatchSim::new(Cluster::homogeneous(15, 8), cfg);
-    sim.maui_mut().set_incremental_enabled(incremental);
-    sim.maui_mut().set_incremental_check_enabled(true);
     sim.load(wl);
     for &(at, node) in faults {
         sim.inject_failure(SimTime::from_secs(at), NodeId(node));
@@ -50,8 +45,6 @@ fn run(
     assert!(sim.server().is_drained());
     RunResult {
         dyn_log: sim.dyn_decision_log().to_vec(),
-        outcomes: sim.server().accounting().outcomes().to_vec(),
-        end: sim.last_completion(),
         stats: sim.maui().timeline_stats(),
     }
 }
@@ -72,16 +65,6 @@ fn esp_workload_partial(seed: u64) -> Vec<WorkloadItem> {
     wl
 }
 
-/// Asserts byte-equality of the two runs' observable behaviour.
-fn assert_equivalent(label: &str, inc: &RunResult, reb: &RunResult) {
-    assert_eq!(
-        inc.dyn_log, reb.dyn_log,
-        "{label}: dynamic decisions diverged"
-    );
-    assert_eq!(inc.outcomes, reb.outcomes, "{label}: job outcomes diverged");
-    assert_eq!(inc.end, reb.end, "{label}: makespan diverged");
-}
-
 #[test]
 fn incremental_and_rebuild_runs_are_byte_identical() {
     for (label, dfs) in [
@@ -94,23 +77,17 @@ fn incremental_and_rebuild_runs_are_byte_identical() {
         for seed in [1u64, 2014] {
             let mut cfg = SchedulerConfig::paper_eval();
             cfg.dfs = dfs.clone();
-            let wl = esp_workload(seed);
-            let inc = run(cfg.clone(), &wl, true, &[], &[]);
-            let reb = run(cfg, &wl, false, &[], &[]);
+            let inc = run(cfg, &esp_workload(seed), &[], &[]);
 
             assert!(
                 inc.dyn_log.iter().any(|(_, d)| d.is_granted()),
                 "{label}/{seed}: no grants — the comparison would be vacuous"
             );
-            assert_equivalent(&format!("{label}/{seed}"), &inc, &reb);
-
             // The fast path actually carried the run: exactly the first
             // iteration rebuilt (no capacity changes here), the rest
             // applied deltas.
             assert_eq!(inc.stats.rebuilds, 1, "{label}/{seed}: extra rebuilds");
             assert!(inc.stats.delta_batches > 0 && inc.stats.deltas_applied > 0);
-            // The disabled run never touched the incremental machinery.
-            assert_eq!(reb.stats, TimelineStats::default());
         }
     }
 }
@@ -136,11 +113,9 @@ fn feature_variants_are_equivalent() {
         let mut cfg = SchedulerConfig::paper_eval();
         cfg.dfs = DfsConfig::highest_priority();
         tweak(&mut cfg);
-        let wl = esp_workload(7);
-        let inc = run(cfg.clone(), &wl, true, &[], &[]);
-        let reb = run(cfg, &wl, false, &[], &[]);
-        assert_equivalent(label, &inc, &reb);
+        let inc = run(cfg, &esp_workload(7), &[], &[]);
         assert_eq!(inc.stats.rebuilds, 1, "{label}: extra rebuilds");
+        assert!(inc.stats.delta_batches > 0, "{label}: no delta batch");
     }
 }
 
@@ -153,11 +128,9 @@ fn dynamic_partition_variant_is_equivalent() {
     cfg.dfs = DfsConfig::highest_priority();
     cfg.dyn_partition_cores = 16;
     cfg.preempt_backfilled_for_dyn = true;
-    let wl = esp_workload_partial(7);
-    let inc = run(cfg.clone(), &wl, true, &[], &[]);
-    let reb = run(cfg, &wl, false, &[], &[]);
-    assert_equivalent("dyn-partition", &inc, &reb);
+    let inc = run(cfg, &esp_workload_partial(7), &[], &[]);
     assert_eq!(inc.stats.rebuilds, 1, "dyn-partition: extra rebuilds");
+    assert!(inc.dyn_log.iter().any(|(_, d)| d.is_granted()));
 }
 
 #[test]
@@ -173,9 +146,14 @@ fn negotiation_deferrals_are_equivalent() {
     }
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.dfs = DfsConfig::uniform_target(100, SimDuration::from_hours(1));
-    let inc = run(cfg.clone(), &wl, true, &[], &[]);
-    let reb = run(cfg, &wl, false, &[], &[]);
-    assert_equivalent("negotiation", &inc, &reb);
+    let inc = run(cfg, &wl, &[], &[]);
+    assert_eq!(inc.stats.rebuilds, 1, "negotiation: extra rebuilds");
+    assert!(
+        inc.dyn_log
+            .iter()
+            .any(|(_, d)| matches!(d, DynDecision::Deferred { .. })),
+        "no request was deferred"
+    );
 }
 
 #[test]
@@ -188,10 +166,7 @@ fn fault_injection_rebuild_path_is_equivalent() {
     let repairs = [(40_000u64, 3u32), (60_000, 7)];
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.dfs = DfsConfig::highest_priority();
-    let wl = esp_workload_partial(5);
-    let inc = run(cfg.clone(), &wl, true, &faults, &repairs);
-    let reb = run(cfg, &wl, false, &faults, &repairs);
-    assert_equivalent("faults", &inc, &reb);
+    let inc = run(cfg, &esp_workload_partial(5), &faults, &repairs);
     // Initial rebuild plus one per capacity-changing drain.
     assert!(
         inc.stats.rebuilds >= 3,
