@@ -63,7 +63,7 @@ fn measure(nodes: u32, with_workload: bool, reps: u32) -> f64 {
         cores_per_node: CORES_PER_NODE,
         sched,
         faults: None,
-        replication: None,
+        followers: 0,
     });
 
     // The evolving job: one statically allocated node.

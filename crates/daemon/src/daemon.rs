@@ -53,8 +53,12 @@ pub struct DaemonConfig {
     pub sched: SchedulerConfig,
     /// Optional fault-injection plan for the channel layer.
     pub faults: Option<FaultPlan>,
-    /// Optional journal-streaming replication (hot followers + failover).
-    pub replication: Option<ReplicationConfig>,
+    /// Hot follower servers fed from the leader's journal stream (0 =
+    /// no replication). With followers, every reactor ack waits until the
+    /// batch's records are on each live one, `qstat` lines are served from
+    /// a follower that has the asking connection's writes, and a leader
+    /// kill promotes the most advanced follower.
+    pub followers: u32,
 }
 
 impl Default for DaemonConfig {
@@ -64,43 +68,7 @@ impl Default for DaemonConfig {
             cores_per_node: 8,
             sched: SchedulerConfig::paper_eval(),
             faults: None,
-            replication: None,
-        }
-    }
-}
-
-/// Replication deployment parameters.
-#[derive(Debug, Clone)]
-pub struct ReplicationConfig {
-    /// Hot follower servers fed from the leader's journal stream.
-    pub followers: u32,
-    /// Gate group-commit reactor acks on replication: an ack is released
-    /// only once every live follower has applied the batch's records, so
-    /// no acked command can die with the leader. Off = ack-on-append
-    /// (crash-safe via the local journal, but a failover may lose acked
-    /// tail records — reported, not silent).
-    pub ack_after_replicate: bool,
-    /// Serve reactor `qstat` from followers (bounded staleness; replies
-    /// carry the serving follower's watermark).
-    pub read_offload: bool,
-    /// With read offload: a connection's reads only go to a follower
-    /// whose watermark covers the connection's last acked write.
-    pub read_your_writes: bool,
-    /// Rolling-digest frame interval (leader-record coordinates).
-    pub digest_every: u64,
-}
-
-impl ReplicationConfig {
-    /// `followers` hot replicas with the safe defaults: replication-gated
-    /// acks, read offload with read-your-writes routing, digests every 32
-    /// records.
-    pub fn new(followers: u32) -> Self {
-        ReplicationConfig {
-            followers,
-            ack_after_replicate: true,
-            read_offload: true,
-            read_your_writes: true,
-            digest_every: 32,
+            followers: 0,
         }
     }
 }
@@ -208,14 +176,28 @@ impl DaemonHandle {
         }
     }
 
-    /// Opens a multiplexed command connection to the server's reactor:
-    /// textual `qsub`/`qstat`/`qdel`/`dynget`/`dynfree` lines in, ordered
-    /// [`ReactorReply`]s out. Any number of connections may be open
-    /// concurrently; commands apply in ticket order regardless of thread
-    /// interleaving, and an ack is only delivered once the command's
-    /// journal record is appended.
+    /// Opens a multiplexed command connection to the server's reactor —
+    /// the one way a batch-system command reaches the server from a
+    /// client: `qsub`/`qstat`/`qdel`/`dynget`/`dynfree` as text lines or
+    /// parsed [`ReactorCommand`]s in, ordered [`ReactorReply`]s out. Any
+    /// number of connections may be open concurrently; commands apply in
+    /// ticket order regardless of thread interleaving, and an ack is only
+    /// delivered once the command's journal record is appended and, with
+    /// followers, replicated.
     pub fn connect(&self) -> ReactorClient {
         self.reactor.connect()
+    }
+
+    /// One command on a connection of its own: submit, await the ack the
+    /// reactor flushes after its group commit, hang up.
+    fn command(&self, cmd: ReactorCommand) -> Result<ReactorReply, String> {
+        let client = self.connect();
+        client.submit(cmd);
+        match client.recv() {
+            Some(ReactorReply::Denied(why)) => Err(why),
+            Some(reply) => Ok(reply),
+            None => Err("the server is gone".into()),
+        }
     }
 
     /// The ensemble's thread-name prefix; every thread this handle owns is
@@ -225,25 +207,19 @@ impl DaemonHandle {
         &self.tag
     }
 
-    /// Submits a job (blocking).
+    /// Submits a job (blocking) — the whole spec as given, which the
+    /// line grammar could not carry for a moldable, malleable or boosted
+    /// job.
     pub fn qsub(&self, spec: JobSpec) -> Result<JobId, String> {
-        let (tx, rx) = channel();
-        self.server_tx
-            .send(ServerCmd::Client(ClientReq::QSub {
-                spec: Box::new(spec),
-                reply: tx,
-            }))
-            .map_err(|e| e.to_string())?;
-        rx.recv().map_err(|e| e.to_string())?
+        match self.command(ReactorCommand::QSub(Box::new(spec)))? {
+            ReactorReply::Submitted(id) => Ok(id),
+            other => Err(format!("unexpected reply {other:?}")),
+        }
     }
 
     /// Deletes a job (blocking).
     pub fn qdel(&self, job: JobId) -> Result<(), String> {
-        let (tx, rx) = channel();
-        self.server_tx
-            .send(ServerCmd::Client(ClientReq::QDel { job, reply: tx }))
-            .map_err(|e| e.to_string())?;
-        rx.recv().map_err(|e| e.to_string())?
+        self.command(ReactorCommand::QDel(job)).map(|_| ())
     }
 
     /// Queries a job's state (blocking).
@@ -447,20 +423,24 @@ struct ServerDaemon {
     moms: Vec<MomLink>,
     ms_directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
     timers: TimerHandle<ServerCmd>,
-    /// The app-exit timer of each running job.
-    app_timers: HashMap<JobId, TimerId>,
+    /// The app-exit timer of each running job and the run generation it
+    /// was armed under: a firing that carries any other generation is
+    /// stale (the run it was armed for was preempted, deleted, finished or
+    /// lost in a restart) and is dropped. An entry lives exactly as long
+    /// as its run.
+    app_timers: HashMap<JobId, (TimerId, u64)>,
+    /// Source of run generations: never reset, so no generation is used
+    /// twice — not for a job that restarts, not across a server restart.
+    next_gen: u64,
     /// The negotiation-expiry timer of each pending dynamic request.
     dyn_timers: HashMap<JobId, TimerId>,
-    /// Run generation per job: bumped at every (re)start; app-exit firings
-    /// carrying an older generation are stale and dropped.
-    job_gen: HashMap<JobId, u64>,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
     /// rest of the daemon).
     reactor: Option<Reactor>,
     run_waiters: Vec<(JobId, Sender<bool>)>,
     drain_waiters: Vec<Sender<()>>,
-    /// The replication host, when configured.
+    /// The replication host, when the deployment has followers.
     repl: Option<ReplHost>,
     /// Outstanding leader-kill points from the fault plan, ascending, in
     /// journal-record coordinates (consumed only while `repl` is live).
@@ -473,12 +453,12 @@ struct ServerDaemon {
 struct ReplHost {
     hub: ReplicationHub,
     router: ReadRouter,
-    cfg: ReplicationConfig,
     /// Completed failovers.
     failovers: u64,
-    /// Watermark through which replication-gated acks were released.
+    /// Watermark through which acks were released.
     acked_watermark: u64,
-    /// Lost-tail accounting from the most recent failover.
+    /// Lost-tail accounting from the most recent failover; `acked_lost`
+    /// must read 0, every ack having waited for the followers.
     lost_records: u64,
     acked_lost: u64,
     /// Divergence errors surfaced by followers (sticky until queried).
@@ -549,24 +529,22 @@ impl ServerDaemon {
         // The replication hub and its follower threads live on the server
         // thread's side of the world: streaming is pumped at every command
         // boundary, so follower state only ever reflects journal prefixes.
-        let repl = config.replication.as_ref().map(|rc| {
+        let repl = (config.followers > 0).then(|| {
             let faults = config
                 .faults
                 .as_ref()
                 .and_then(|p| p.replication.clone())
                 .unwrap_or_else(|| ReplFaultPlan::none(0));
             let mut hub = ReplicationHub::new(HubConfig {
-                digest_every: rc.digest_every,
                 faults,
                 ..HubConfig::default()
             });
-            for i in 0..rc.followers {
+            for i in 0..config.followers {
                 hub.add_follower(&format!("{tag}rep{i}"));
             }
             ReplHost {
                 hub,
-                router: ReadRouter::new(rc.read_your_writes),
-                cfg: rc.clone(),
+                router: ReadRouter::default(),
                 failovers: 0,
                 acked_watermark: 0,
                 lost_records: 0,
@@ -590,8 +568,8 @@ impl ServerDaemon {
             ms_directory,
             timers,
             app_timers: HashMap::new(),
+            next_gen: 0,
             dyn_timers: HashMap::new(),
-            job_gen: HashMap::new(),
             reactor: Some(reactor),
             run_waiters: Vec::new(),
             drain_waiters: Vec::new(),
@@ -603,12 +581,15 @@ impl ServerDaemon {
     /// Processes one command; returns `false` on shutdown.
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
         let state_changed = match cmd {
-            ServerCmd::Client(req) => self.handle_client(req, t),
+            ServerCmd::Client(req) => {
+                self.handle_client(req);
+                false
+            }
             ServerCmd::FromMom(m) => self.handle_mom(m, t),
             ServerCmd::JobExited(job, gen) => {
                 // Stale firing (job preempted & restarted since this timer
                 // was armed): the generation no longer matches — drop it.
-                if self.job_gen.get(&job).copied() == Some(gen) {
+                if self.app_timers.get(&job).is_some_and(|&(_, g)| g == gen) {
                     self.finish_job(job, t)
                 } else {
                     false
@@ -628,79 +609,47 @@ impl ServerDaemon {
         true
     }
 
-    fn handle_client(&mut self, req: ClientReq, t: SimTime) -> bool {
+    /// Observation and waiting: nothing here changes server state.
+    fn handle_client(&mut self, req: ClientReq) {
         match req {
-            ClientReq::QSub { spec, reply } => {
-                let (res, mutated) = self.apply_command(&ReactorCommand::QSub(spec), t);
-                let _ = reply.send(match res {
-                    ReactorReply::Submitted(id) => Ok(id),
-                    other => Err(denial(other)),
-                });
-                mutated
-            }
-            ClientReq::QDel { job, reply } => {
-                let (res, mutated) = self.apply_command(&ReactorCommand::QDel(job), t);
-                let _ = reply.send(match res {
-                    ReactorReply::Ok => Ok(()),
-                    other => Err(denial(other)),
-                });
-                mutated
-            }
             ClientReq::QStat { job, reply } => {
                 let _ = reply.send(self.server.job(job).map(|j| j.state).ok());
-                false
             }
-            ClientReq::AwaitRunning { job, reply } => {
-                // Parked; resolved by flush_waiters after this command.
-                self.run_waiters.push((job, reply));
-                false
-            }
-            ClientReq::AwaitDrained { reply } => {
-                self.drain_waiters.push(reply);
-                false
-            }
+            // Parked; resolved by flush_waiters after this command.
+            ClientReq::AwaitRunning { job, reply } => self.run_waiters.push((job, reply)),
+            ClientReq::AwaitDrained { reply } => self.drain_waiters.push(reply),
             ClientReq::Outcomes { reply } => {
                 let _ = reply.send(self.server.accounting().outcomes().to_vec());
-                false
             }
             ClientReq::FairshareCharged { user, reply } => {
                 let _ = reply.send(self.maui.fairshare().charged(user));
-                false
             }
             ClientReq::ReplicationStatus { reply } => {
-                let status = self.replication_status();
-                let _ = reply.send(status);
-                false
+                let _ = reply.send(self.replication_status());
             }
         }
     }
 
+    /// The mom door: a TM call an application made at its mother superior
+    /// is the same command a reactor client could have sent. This door
+    /// acks nothing — the application's answer is the grant or rejection a
+    /// later cycle sends its mom — except that a request the server would
+    /// not queue is rejected straight back.
     fn handle_mom(&mut self, msg: MomToServer, t: SimTime) -> bool {
-        match msg {
+        let cmd = match msg {
+            // tm_dynget landed: DynQueued + immediate scheduling cycle
+            // (paper: "This triggers a new scheduling cycle").
             MomToServer::DynRequest {
                 job,
                 extra_cores,
                 timeout,
-            } => {
-                // tm_dynget landed: DynQueued + immediate scheduling cycle
-                // (paper: "This triggers a new scheduling cycle").
-                let cmd = ReactorCommand::DynGet {
-                    job,
-                    extra: extra_cores,
-                    timeout_ms: timeout.map(|w| w.as_millis()),
-                };
-                let (_, queued) = self.apply_command(&cmd, t);
-                if !queued {
-                    // Already pending or not running: deny straight back.
-                    self.send_to_ms(job, ServerToMom::DynReject { job });
-                }
-                queued
-            }
-            MomToServer::DynFree { job, released } => {
-                // The mom already shrank its hostlist: nothing to send back.
-                self.apply_command(&ReactorCommand::DynFree { job, released }, t)
-                    .1
-            }
+            } => ReactorCommand::DynGet {
+                job,
+                extra: extra_cores,
+                timeout_ms: timeout.map(|w| w.as_millis()),
+            },
+            // The mom already shrank its hostlist: nothing to send back.
+            MomToServer::DynFree { job, released } => ReactorCommand::DynFree { job, released },
             MomToServer::JobStarted {
                 job,
                 mother_superior,
@@ -709,10 +658,16 @@ impl ServerDaemon {
                     .lock()
                     .unwrap()
                     .insert(job, mother_superior);
-                false
+                return false;
             }
-            MomToServer::JobFinished { job } => self.finish_job(job, t),
+            MomToServer::JobFinished { job } => return self.finish_job(job, t),
+        };
+        let (_, mutated) = self.apply_command(&cmd, t);
+        if let (ReactorCommand::DynGet { job, .. }, false) = (&cmd, mutated) {
+            // Already pending or not running: deny straight back.
+            self.send_to_ms(*job, ServerToMom::DynReject { job: *job });
         }
+        mutated
     }
 
     /// A negotiation-expiry firing. A no-op unless the *exact* request it
@@ -795,8 +750,8 @@ impl ServerDaemon {
     /// by snapshot-load + replay. A leader kill (`failover`) loses the
     /// journal too, and the highest-watermark follower takes over — it is
     /// byte-identical to the dead leader at its watermark; records past it
-    /// are reconciled into the failover accounting as lost (and, under
-    /// `ack_after_replicate`, provably exclude anything acked). With every
+    /// are reconciled into the failover accounting as lost (and, every ack
+    /// having waited for the followers, exclude anything acked). With every
     /// follower dead or diverged the deployment degrades to recovery from
     /// the local journal (nothing is lost, availability was).
     ///
@@ -804,12 +759,13 @@ impl ServerDaemon {
     /// outstanding deadline from recovered state (not from wall-clock
     /// leftovers) and re-attaches the moms.
     fn restart(&mut self, failover: bool, t: SimTime) {
-        // All pre-crash timers die with the process. `job_gen` is
+        // All pre-crash timers die with the process. `next_gen` is
         // deliberately carried across — it is a monotonic nonce, not
-        // recoverable state: bumping it in `adopt_recovered` makes any
-        // pre-crash firing already sitting in the command queue stale on
-        // arrival.
-        for (_, id) in self.app_timers.drain().chain(self.dyn_timers.drain()) {
+        // recoverable state: `adopt_recovered` re-arms every run under a
+        // fresh generation, so any pre-crash firing already sitting in the
+        // command queue is stale on arrival.
+        let app = self.app_timers.drain().map(|(_, (id, _))| id);
+        for id in app.chain(self.dyn_timers.drain().map(|(_, id)| id)) {
             self.timers.cancel(id);
         }
         let promoted = failover.then(|| self.promote_follower()).flatten();
@@ -846,9 +802,11 @@ impl ServerDaemon {
                 repl.lost_records = report.lost_records;
                 repl.acked_lost = report.acked_lost;
                 // Acks released under the old term are all ≤ the promoted
-                // watermark (that is the point); the counter restarts in
-                // the new term's coordinates.
+                // watermark (that is the point); the counter — and the
+                // read router's write positions — restart in the new
+                // term's coordinates.
                 repl.acked_watermark = 0;
+                repl.router = ReadRouter::default();
                 Some(promoted)
             }
             Err(e) => {
@@ -964,9 +922,11 @@ impl ServerDaemon {
 
     /// Drains the command reactor: every admissible (contiguous-ticket)
     /// command applies to the single-writer server in ticket order, its
-    /// journal record landing before the reactor releases its ack — the
-    /// group-commit / ack-on-append contract. One scheduling cycle per
-    /// batch, not per command. Returns whether server state changed.
+    /// journal record landing — and, with followers, replicating — before
+    /// the reactor releases its ack: the one ack rule, for lines and for
+    /// [`DaemonHandle::qsub`] / [`DaemonHandle::qdel`] alike. One
+    /// scheduling cycle per batch, not per command. Returns whether server
+    /// state changed.
     fn reactor_poll(&mut self, t: SimTime) -> bool {
         let mut reactor = self.reactor.take().expect("reactor present");
         let mut changed = false;
@@ -979,9 +939,8 @@ impl ServerDaemon {
                 Some(reply)
             }
             BatchEvent::Commit => {
-                // Group-commit acks flush right after this returns; with
-                // `ack_after_replicate` they additionally wait for every
-                // live follower, making each ack replication-safe.
+                // Group-commit acks flush right after this returns: the
+                // gate holds them until every live follower has the batch.
                 self.commit_gate(batch_dirty);
                 batch_dirty = false;
                 None
@@ -991,10 +950,10 @@ impl ServerDaemon {
         changed
     }
 
-    /// The reactor door: [`ServerDaemon::apply_command`] plus qstat
-    /// offloading to staleness-eligible followers, read-your-writes
-    /// bookkeeping for mutating commands, and the disjoin a released
-    /// hostlist owes the mother superior.
+    /// The reactor door: [`ServerDaemon::apply_command`] plus what only a
+    /// client connection needs — qstat served by a follower that has the
+    /// connection's own writes, the bookkeeping that bound rests on, and
+    /// the disjoin a released hostlist owes the mother superior.
     fn reactor_apply_routed(
         &mut self,
         conn: u64,
@@ -1003,28 +962,26 @@ impl ServerDaemon {
     ) -> (ReactorReply, bool) {
         if let ReactorCommand::QStat(job) = cmd {
             if let Some(repl) = self.repl.as_mut() {
-                if repl.cfg.read_offload {
-                    let acked = repl.hub.acked_watermarks();
-                    if let Some(idx) = repl.router.pick(conn, &acked) {
-                        if let Some(read) = repl.hub.read_follower(idx, *job) {
-                            return match read.state {
-                                Some(state) => (
-                                    ReactorReply::StatusAt {
-                                        state,
-                                        watermark: read.watermark,
-                                    },
-                                    false,
-                                ),
-                                None => (
-                                    ReactorReply::Denied(format!("unknown job {}", job.0)),
-                                    false,
-                                ),
-                            };
-                        }
+                let acked = repl.hub.acked_watermarks();
+                if let Some(idx) = repl.router.pick(conn, &acked) {
+                    if let Some(read) = repl.hub.read_follower(idx, *job) {
+                        return match read.state {
+                            Some(state) => (
+                                ReactorReply::StatusAt {
+                                    state,
+                                    watermark: read.watermark,
+                                },
+                                false,
+                            ),
+                            None => (
+                                ReactorReply::Denied(format!("unknown job {}", job.0)),
+                                false,
+                            ),
+                        };
                     }
-                    // No eligible follower (all lagging the caller's last
-                    // write, or dead): fall through to the leader.
                 }
+                // No eligible follower (all lagging the caller's last
+                // write, or dead): fall through to the leader.
             }
         }
         let (reply, mutated) = self.apply_command(cmd, t);
@@ -1043,22 +1000,23 @@ impl ServerDaemon {
             }
             let watermark = self.appended();
             if let Some(repl) = self.repl.as_mut() {
-                repl.router.note_write(conn, watermark);
+                repl.router
+                    .note_write(conn, watermark, &repl.hub.acked_watermarks());
             }
         }
         (reply, mutated)
     }
 
-    /// The ack gate at a group-commit boundary: with `ack_after_replicate`
-    /// and a dirty batch, block until every live follower has applied the
-    /// batch's records — only then may the held acks flush. Otherwise just
-    /// keep the stream warm.
+    /// The ack gate at a group-commit boundary: after a batch that wrote,
+    /// block until every live follower has applied its records — only
+    /// then may the held acks flush, so no acked command can die with the
+    /// leader. A batch of reads just keeps the stream warm.
     fn commit_gate(&mut self, batch_dirty: bool) {
         let target = self.appended();
         let Some(repl) = self.repl.as_mut() else {
             return;
         };
-        if repl.cfg.ack_after_replicate && batch_dirty {
+        if batch_dirty {
             repl.hub.await_replicated(&self.server, target);
             repl.acked_watermark = repl.acked_watermark.max(target);
         } else {
@@ -1106,12 +1064,12 @@ impl ServerDaemon {
         })
     }
 
-    /// The one place a client command reaches the server, whichever door
-    /// it came through (typed client request, mom-forwarded TM call, reactor
-    /// line): [`apply_to_server`] plus the side effects only the daemon
-    /// owns. Returns the reply and whether server state changed — the ack
-    /// of a dynget means "queued, journalled"; the grant or rejection
-    /// itself arrives at the job's mom from a later cycle.
+    /// The one place a command reaches the server, through either door
+    /// (a reactor connection, a mom-forwarded TM call): [`apply_to_server`]
+    /// plus the side effects only the daemon owns. Returns the reply and
+    /// whether server state changed — the ack of a dynget means "queued,
+    /// journalled"; the grant or rejection itself arrives at the job's mom
+    /// from a later cycle.
     fn apply_command(&mut self, cmd: &ReactorCommand, t: SimTime) -> (ReactorReply, bool) {
         let was_running = matches!(cmd, ReactorCommand::QDel(job)
             if self.server.job(*job).is_ok_and(|j| j.state.is_active()));
@@ -1192,10 +1150,10 @@ impl ServerDaemon {
     /// job's remaining modelled runtime (1 SimTime ms == 1 wall ms here),
     /// tagged with a fresh run generation.
     fn arm_app_timer(&mut self, job: JobId, after: Duration) {
-        let gen = self.job_gen.entry(job).or_insert(0);
-        *gen += 1;
-        let id = self.timers.schedule(after, ServerCmd::JobExited(job, *gen));
-        if let Some(old) = self.app_timers.insert(job, id) {
+        self.next_gen += 1;
+        let gen = self.next_gen;
+        let id = self.timers.schedule(after, ServerCmd::JobExited(job, gen));
+        if let Some((old, _)) = self.app_timers.insert(job, (id, gen)) {
             self.timers.cancel(old);
         }
     }
@@ -1217,7 +1175,7 @@ impl ServerDaemon {
     }
 
     fn cancel_timers(&mut self, job: JobId) {
-        if let Some(id) = self.app_timers.remove(&job) {
+        if let Some((id, _)) = self.app_timers.remove(&job) {
             self.timers.cancel(id);
         }
         if let Some(id) = self.dyn_timers.remove(&job) {
@@ -1256,15 +1214,6 @@ impl ServerDaemon {
                 let _ = w.send(());
             }
         }
-    }
-}
-
-/// The error text of a command the server refused, as the typed client
-/// door reports it.
-fn denial(reply: ReactorReply) -> String {
-    match reply {
-        ReactorReply::Denied(why) => why,
-        other => format!("unexpected reply {other:?}"),
     }
 }
 
@@ -1591,7 +1540,7 @@ mod tests {
             cores_per_node: 8,
             sched,
             faults: None,
-            replication: None,
+            followers: 0,
         }
     }
 
@@ -1675,6 +1624,61 @@ mod tests {
         assert_eq!(d.qstat(doomed), Some(JobState::Cancelled));
         assert!(d.await_drained(Duration::from_secs(2)));
         d.shutdown();
+    }
+
+    /// The run-generation table follows the running set, not history:
+    /// 10 000 short jobs through a two-node machine, finished by their
+    /// app-exit firing or deleted while running, and never more entries
+    /// than running jobs. A firing that arrives after its run is over is
+    /// refused.
+    #[test]
+    fn run_generations_live_as_long_as_the_run() {
+        let timers = TimerService::start("soak-tmr", |_: ServerCmd| {});
+        let moms = (0..2).map(|i| MomLink::new(i, channel().0, None)).collect();
+        let reactor = Reactor::new();
+        let client = reactor.connect();
+        let mut d = ServerDaemon::new(
+            hp_config(2),
+            moms,
+            Arc::default(),
+            timers.handle(),
+            reactor,
+            "soak.",
+        );
+        let acked = |d: &mut ServerDaemon, cmd: ReactorCommand, t: SimTime| {
+            client.submit(cmd);
+            d.handle(ServerCmd::ReactorWake, t);
+            client.try_recv().expect("one reply per command")
+        };
+        let mut last_firing = None;
+        for i in 0..10_000u64 {
+            let t = SimTime::from_millis(i);
+            // The whole machine: the job starts in this command's cycle.
+            let submit = ReactorCommand::QSub(Box::new(spec("soak", 16, 10_000)));
+            let ReactorReply::Submitted(job) = acked(&mut d, submit, t) else {
+                panic!("job {i} refused");
+            };
+            let (_, gen) = d.app_timers[&job];
+            assert_eq!(d.app_timers.len(), 1, "job {i}");
+            if i % 10 == 0 {
+                assert_eq!(
+                    acked(&mut d, ReactorCommand::QDel(job), t),
+                    ReactorReply::Ok
+                );
+            } else {
+                d.handle(ServerCmd::JobExited(job, gen), t);
+            }
+            assert!(d.app_timers.is_empty(), "job {i} left its entry behind");
+            assert!(d.server.job(job).unwrap().state.is_terminal());
+            if let Some((old_job, old_gen)) = last_firing.replace((job, gen)) {
+                // A duplicate of the previous job's firing, late.
+                d.handle(ServerCmd::JobExited(old_job, old_gen), t);
+                assert!(d.app_timers.is_empty());
+            }
+        }
+        // Every job that was not deleted completed, once.
+        assert_eq!(d.server.accounting().outcomes().len(), 9_000);
+        timers.shutdown();
     }
 
     // ------------------------------------------------------------------
@@ -1892,10 +1896,9 @@ mod tests {
     // Command reactor, ensemble level.
     // ------------------------------------------------------------------
 
-    /// The reactor path end to end on a live ensemble: submit, stat, a
+    /// The line protocol end to end on a live ensemble: submit, stat, a
     /// malformed line and an out-of-order command all answer (denials,
-    /// never a daemon panic), and the workload drains through the same
-    /// scheduler the typed client path uses.
+    /// never a daemon panic), and the workload drains.
     #[test]
     fn reactor_commands_roundtrip_on_live_daemon() {
         let d = DaemonHandle::start(hp_config(2));

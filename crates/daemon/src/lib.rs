@@ -29,7 +29,7 @@ pub mod fault;
 pub mod timer;
 pub mod wire;
 
-pub use daemon::{DaemonConfig, DaemonHandle, ReplicationConfig};
+pub use daemon::{DaemonConfig, DaemonHandle};
 pub use fault::{FaultPlan, ServerCrash};
 pub use timer::{TimerHandle, TimerId, TimerService};
 pub use wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};

@@ -6,28 +6,18 @@
 //! negotiation expiries): the server drops firings whose tag no longer
 //! matches, so a stale timer can never act on a successor run or request.
 
-use dynbatch_core::{JobId, JobOutcome, JobSpec, JobState, NodeId, UserId};
+use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
 use dynbatch_server::{MomToServer, ServerToMom, TmResponse};
 use std::sync::mpsc::Sender;
 
-/// Client → server requests, each carrying its reply channel.
+/// What a client asks the server thread directly, each request carrying
+/// its reply channel: observation and waiting, never a batch-system
+/// command — `qsub`, `qdel`, `dynget` and `dynfree` go through the
+/// reactor ([`crate::DaemonHandle::connect`]), which owns ordering and
+/// the ack rule.
 #[derive(Debug, Clone)]
 pub enum ClientReq {
-    /// Submit a job; replies with the assigned id (or an error string).
-    QSub {
-        /// The job to submit.
-        spec: Box<JobSpec>,
-        /// Reply channel.
-        reply: Sender<Result<JobId, String>>,
-    },
-    /// Delete a job.
-    QDel {
-        /// The job.
-        job: JobId,
-        /// Reply channel.
-        reply: Sender<Result<(), String>>,
-    },
-    /// Query a job's state.
+    /// Query a job's state, answered from the leader.
     QStat {
         /// The job.
         job: JobId,
@@ -79,14 +69,16 @@ pub struct ReplicationStatus {
     pub follower_watermarks: Vec<u64>,
     /// The leader journal's `total_appended`.
     pub leader_appended: u64,
-    /// Watermark through which replication-gated acks were released.
+    /// Watermark through which acks were released (each after every live
+    /// follower had it).
     pub acked_watermark: u64,
     /// Completed failovers.
     pub failovers: u64,
     /// Records the last failover reported appended-but-unreplicated.
     pub lost_records: u64,
-    /// Of those, how many had been ack-gated (must stay 0 under
-    /// `ack_after_replicate`).
+    /// Of those, how many had been acked to a client — through either
+    /// client API. Must read 0: no ack leaves before its record is on
+    /// every live follower.
     pub acked_lost: u64,
     /// Divergence errors reported by followers (poisoned replicas).
     pub errors: Vec<String>,
@@ -95,7 +87,7 @@ pub struct ReplicationStatus {
 /// Everything the server thread receives.
 #[derive(Debug, Clone)]
 pub enum ServerCmd {
-    /// A client request.
+    /// A client's observation or wait (commands come through the reactor).
     Client(ClientReq),
     /// A mom notification.
     FromMom(MomToServer),

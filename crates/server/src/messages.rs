@@ -1,26 +1,16 @@
 //! Protocol messages of the (extended) Torque workflow.
 //!
-//! These enums encode the arrows of the paper's Figs 2–4: client → server
-//! (`qsub` etc.), server → mom (run, dyn-join, dyn-disjoin, kill), mom →
-//! server (job started/finished, forwarded dynamic requests), and the TM
-//! interface between an application process and its local mom. The threaded
-//! daemon ships these over channels; the simulator applies them
-//! synchronously. Either way the state machines that interpret them are
-//! identical.
+//! These enums encode the arrows of the paper's Figs 2–4 below the client:
+//! server → mom (run, dyn-join, dyn-disjoin, kill), mom → server (job
+//! started/finished, forwarded dynamic requests), and the TM interface
+//! between an application process and its local mom. (Client → server is
+//! [`crate::reactor::Command`].) The threaded daemon ships them over
+//! channels between its server thread and the [`crate::Mom`] state machine
+//! each mom thread runs; the simulator has no moms and calls the server's
+//! `tm_dynget` / `tm_dynfree` directly.
 
 use dynbatch_cluster::Allocation;
-use dynbatch_core::{JobId, JobSpec, NodeId};
-
-/// Client commands (the `qsub` / `qdel` / `qstat` family).
-#[derive(Debug, Clone)]
-pub enum ClientMsg {
-    /// Submit a job.
-    QSub(Box<JobSpec>),
-    /// Delete a job.
-    QDel(JobId),
-    /// Query a job's state.
-    QStat(JobId),
-}
+use dynbatch_core::{JobId, NodeId};
 
 /// Server → mom commands.
 #[derive(Debug, Clone)]

@@ -1,12 +1,13 @@
 //! The multi-tenant command reactor — the server's client front-end.
 //!
-//! Thousands of concurrent clients submit textual commands (`qsub`,
-//! `qstat`, `qdel`, `dynget`, `dynfree`); the reactor multiplexes them
-//! into the single-writer [`crate::PbsServer`] without giving up the
+//! Thousands of concurrent clients submit commands (`qsub`, `qstat`,
+//! `qdel`, `dynget`, `dynfree`) — as text lines ([`ReactorClient::send`])
+//! or already parsed ([`ReactorClient::submit`]); the reactor multiplexes
+//! them into the single-writer [`crate::PbsServer`] without giving up the
 //! byte-identical determinism contract:
 //!
 //! * **Ticket-stamped admission.** Every command draws a ticket from a
-//!   shared monotonic counter *at send time* ([`ReactorClient::send`]),
+//!   shared monotonic counter *at send time*, whichever way it came in,
 //!   fixing its application position before any thread race can occur.
 //!   The reactor holds out-of-order arrivals in a reorder buffer and
 //!   applies only the contiguous ticket prefix, so the command order —
@@ -105,8 +106,7 @@ pub enum BatchEvent<'a> {
         cmd: &'a Command,
     },
     /// The group-commit batch has fully applied and its held acks are
-    /// about to flush. Return `None`. Not fired for empty batches or in
-    /// ack-each mode (those acks already went out per command).
+    /// about to flush. Return `None`. Not fired for empty batches.
     Commit,
 }
 
@@ -117,15 +117,19 @@ enum Envelope {
         conn: u64,
         replies: SyncSender<Reply>,
     },
-    /// One command line, position fixed by `ticket`.
-    Command {
-        conn: u64,
-        ticket: u64,
-        line: String,
-    },
+    /// One command, position fixed by `ticket`.
+    Command { conn: u64, ticket: u64, body: Body },
     /// The client hung up; buffered commands still apply (their tickets
     /// must stay contiguous), but replies are discarded.
     Disconnect { conn: u64 },
+}
+
+/// A command as it travels: a line the reactor has yet to parse, or one a
+/// typed client built itself (boxed, so an envelope is no larger than a
+/// line's). Everything past the parse stage is the same for both.
+enum Body {
+    Line(String),
+    Parsed(Box<Command>),
 }
 
 /// Reactor-side per-connection state.
@@ -163,9 +167,9 @@ pub struct Reactor {
     /// Wake hook armed once; clients invoke it after every send so a
     /// hosting event loop can interrupt its blocking receive.
     wake: Arc<OnceLock<Box<dyn Fn() + Send + Sync>>>,
-    /// Reorder buffer: ticket → (conn, line). Only the contiguous prefix
-    /// starting at `next_apply` is admissible.
-    pending: BTreeMap<u64, (u64, String)>,
+    /// Reorder buffer: ticket → (conn, command). Only the contiguous
+    /// prefix starting at `next_apply` is admissible.
+    pending: BTreeMap<u64, (u64, Body)>,
     next_apply: u64,
     conns: HashMap<u64, Conn>,
     reply_capacity: usize,
@@ -266,9 +270,9 @@ impl Reactor {
     /// closure also sees the issuing connection id (for staleness-aware
     /// read routing) and a [`BatchEvent::Commit`] event fired after the
     /// whole group-commit batch has applied but *before* its held acks
-    /// flush — the hook where an `ack_after_replicate` host blocks until
-    /// the batch's journal records are on every live follower, making
-    /// every ack replication-safe, not just crash-safe.
+    /// flush — the hook where a replicating host blocks until the batch's
+    /// journal records are on every live follower, making every ack
+    /// replication-safe, not just crash-safe.
     pub fn poll_batch<F>(&mut self, limit: u64, mut f: F) -> usize
     where
         F: FnMut(BatchEvent<'_>) -> Option<Reply>,
@@ -276,11 +280,15 @@ impl Reactor {
         self.drain_mailbox();
         let mut held: Vec<(u64, Reply)> = Vec::new();
         while self.next_apply < limit {
-            let Some((conn, line)) = self.pending.remove(&self.next_apply) else {
+            let Some((conn, body)) = self.pending.remove(&self.next_apply) else {
                 break;
             };
             let ticket = self.next_apply;
-            let reply = match parse_command(&line) {
+            let parsed = match body {
+                Body::Line(line) => parse_command(&line),
+                Body::Parsed(cmd) => Ok(*cmd),
+            };
+            let reply = match parsed {
                 Ok(cmd) => f(BatchEvent::Apply {
                     ticket,
                     conn,
@@ -328,8 +336,8 @@ impl Reactor {
                         },
                     );
                 }
-                Envelope::Command { conn, ticket, line } => {
-                    self.pending.insert(ticket, (conn, line));
+                Envelope::Command { conn, ticket, body } => {
+                    self.pending.insert(ticket, (conn, body));
                 }
                 Envelope::Disconnect { conn } => {
                     self.conns.remove(&conn);
@@ -414,13 +422,12 @@ impl ReactorConnector {
     pub fn connect(&self) -> ReactorClient {
         let conn = self.conn_ids.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = sync_channel(self.reply_capacity);
+        // No wake: the reactor reads the mailbox in order, so the first
+        // command's wake brings this in ahead of it.
         let _ = self.tx.send(Envelope::Connect {
             conn,
             replies: reply_tx,
         });
-        if let Some(w) = self.wake.get() {
-            w();
-        }
         ReactorClient {
             conn,
             tx: self.tx.clone(),
@@ -432,9 +439,9 @@ impl ReactorConnector {
 }
 
 /// A client handle: `Send`, cheap to clone state from, usable from any
-/// thread. Dropping it without [`ReactorClient::disconnect`] leaves the
-/// reactor-side connection allocated until the reactor is dropped (the
-/// reply channel's hang-up is still detected on the next delivery).
+/// thread. Dropping it hangs up: commands already sent still apply (their
+/// tickets must stay contiguous), their replies are discarded, and the
+/// reactor forgets the connection at its next poll.
 pub struct ReactorClient {
     conn: u64,
     tx: Sender<Envelope>,
@@ -452,15 +459,33 @@ impl ReactorClient {
         ticket
     }
 
+    /// Sends a command the caller already holds in parsed form — the way
+    /// in for a [`JobSpec`] the line grammar cannot spell (a moldable
+    /// range, a malleable work pool, a priority boost). Same ticket
+    /// counter, ordering, group commit and reply path as
+    /// [`ReactorClient::send`]; only the parse is skipped. The parser's
+    /// spec validation is not lost with it: [`crate::PbsServer::qsub`]
+    /// validates every spec again and a refusal still earns
+    /// [`Reply::Denied`].
+    pub fn submit(&self, cmd: Command) -> u64 {
+        let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
+        self.post(ticket, Body::Parsed(Box::new(cmd)));
+        ticket
+    }
+
     /// Sends a command under a **caller-assigned** ticket. For harnesses
     /// that pre-assign the global order (e.g. ticket = index in a replay
     /// stream); do not mix with [`ReactorClient::send`] unless the caller
     /// guarantees the combined ticket space stays contiguous.
     pub fn send_ticketed(&self, ticket: u64, line: &str) {
+        self.post(ticket, Body::Line(line.to_owned()));
+    }
+
+    fn post(&self, ticket: u64, body: Body) {
         let _ = self.tx.send(Envelope::Command {
             conn: self.conn,
             ticket,
-            line: line.to_owned(),
+            body,
         });
         if let Some(w) = self.wake.get() {
             w();
@@ -482,13 +507,14 @@ impl ReactorClient {
         self.replies.try_recv().ok()
     }
 
-    /// Hangs up. Commands already sent still apply; their replies are
-    /// discarded.
-    pub fn disconnect(self) {
+    /// Hangs up — dropping the handle, spelled out.
+    pub fn disconnect(self) {}
+}
+
+impl Drop for ReactorClient {
+    fn drop(&mut self) {
+        // No wake: nothing waits on a hang-up, the next poll reads it.
         let _ = self.tx.send(Envelope::Disconnect { conn: self.conn });
-        if let Some(w) = self.wake.get() {
-            w();
-        }
     }
 }
 
@@ -808,13 +834,163 @@ mod tests {
         let mut r = Reactor::new();
         let c = r.connect();
         c.send("qstat 1");
-        c.disconnect();
+        drop(c);
         let mut applied = 0;
         r.poll_with(|_, _| {
             applied += 1;
             Reply::Ok
         });
         assert_eq!(applied, 1);
+    }
+
+    /// Specs `format_qsub` has no words for: a moldable range, a malleable
+    /// work pool, a priority boost.
+    fn specs_beyond_the_grammar() -> Vec<JobSpec> {
+        vec![
+            JobSpec::moldable("MOLD", UserId(1), GroupId(0), 8, 4, 16, 9_600),
+            JobSpec::malleable("MALL", UserId(2), GroupId(1), 8, 2, 24, 4_800),
+            JobSpec::rigid("Z", UserId(3), GroupId(0), 16, SimDuration::from_secs(90))
+                .with_priority_boost(1_000_000),
+        ]
+    }
+
+    #[test]
+    fn submitted_and_sent_commands_share_ticket_order_batch_and_reply_path() {
+        const PER_THREAD: u64 = 50;
+        let mut r = Reactor::new();
+        let clients: Vec<ReactorClient> = (0..4).map(|_| r.connect()).collect();
+        let start = std::sync::Barrier::new(clients.len());
+        // Each client keeps the tickets it drew, in the order it drew them.
+        let drawn: Vec<(ReactorClient, Vec<u64>)> = thread::scope(|scope| {
+            let handles: Vec<_> = clients
+                .into_iter()
+                .enumerate()
+                .map(|(t, c)| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let tickets = (0..PER_THREAD)
+                            .map(|i| {
+                                // Two typed clients, two line clients; every
+                                // command names its sender and sequence.
+                                let job = JobId(t as u64 * 1_000 + i);
+                                if t % 2 == 0 {
+                                    c.submit(Command::QStat(job))
+                                } else {
+                                    c.send(&format!("qstat {}", job.0))
+                                }
+                            })
+                            .collect();
+                        (c, tickets)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut applied = Vec::new();
+        let mut commits = 0;
+        let n = r.poll_batch(u64::MAX, |ev| match ev {
+            BatchEvent::Apply { ticket, cmd, .. } => {
+                let Command::QStat(job) = cmd else {
+                    panic!("{cmd:?}");
+                };
+                applied.push(ticket);
+                Some(Reply::Status(format!("{ticket}:{}", job.0)))
+            }
+            BatchEvent::Commit => {
+                commits += 1;
+                None
+            }
+        });
+        assert_eq!(n as u64, 4 * PER_THREAD);
+        assert_eq!(applied, (0..4 * PER_THREAD).collect::<Vec<_>>());
+        assert_eq!((commits, r.stats().batches), (1, 1));
+        assert_eq!(r.stats().denied_parse, 0);
+        // Per connection: one reply per command, in the order sent, each
+        // for the command that drew that ticket.
+        for (t, (c, tickets)) in drawn.iter().enumerate() {
+            for (i, ticket) in tickets.iter().enumerate() {
+                let want = format!("{ticket}:{}", t * 1_000 + i);
+                assert_eq!(c.try_recv(), Some(Reply::Status(want)));
+            }
+            assert_eq!(c.try_recv(), None);
+        }
+    }
+
+    #[test]
+    fn a_submitted_spec_the_grammar_cannot_spell_arrives_whole() {
+        let mut r = Reactor::new();
+        let c = r.connect();
+        let specs = specs_beyond_the_grammar();
+        for spec in &specs {
+            // The line form loses what makes the spec what it is.
+            assert_ne!(
+                parse_command(&format_qsub(spec)),
+                Ok(Command::QSub(Box::new(spec.clone())))
+            );
+            c.submit(Command::QSub(Box::new(spec.clone())));
+        }
+        let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        let mut seen = Vec::new();
+        r.poll_with(|_, cmd| {
+            seen.push(cmd.clone());
+            apply_to_server(&mut s, cmd, SimTime::ZERO)
+        });
+        for (i, spec) in specs.iter().enumerate() {
+            assert_eq!(seen[i], Command::QSub(Box::new(spec.clone())));
+            let Some(Reply::Submitted(id)) = c.try_recv() else {
+                panic!("spec {i} was not admitted");
+            };
+            assert_eq!(&s.job(id).unwrap().spec, spec);
+        }
+    }
+
+    #[test]
+    fn a_submitted_command_is_denied_by_the_server_not_the_parser() {
+        let mut r = Reactor::new();
+        let c = r.connect();
+        let mut zero_cores = JobSpec::rigid("bad", UserId(0), GroupId(0), 4, SimDuration::ZERO);
+        zero_cores.cores = 0;
+        c.submit(Command::QSub(Box::new(zero_cores)));
+        c.submit(Command::QDel(JobId(404)));
+        c.send("qdel banana");
+        let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        let mut reached_apply = 0;
+        r.poll_with(|_, cmd| {
+            reached_apply += 1;
+            apply_to_server(&mut s, cmd, SimTime::ZERO)
+        });
+        assert_eq!(reached_apply, 2, "both submitted commands reach the server");
+        assert_eq!(r.stats().denied_parse, 1, "only the line can fail to parse");
+        for _ in 0..3 {
+            assert!(matches!(c.try_recv(), Some(Reply::Denied(_))));
+        }
+    }
+
+    /// A client that is dropped is forgotten: the reactor's connection
+    /// table holds what is connected, not everyone who ever was.
+    #[test]
+    fn dropped_clients_do_not_accumulate() {
+        let mut r = Reactor::new();
+        let keeper = r.connect();
+        for i in 0..10_000u64 {
+            let c = r.connect();
+            c.submit(Command::QStat(JobId(i)));
+            if i % 2 == 0 {
+                // Half hang up with the command still in the mailbox.
+                drop(c);
+                r.poll_with(echo_reply);
+            } else {
+                r.poll_with(echo_reply);
+                assert_eq!(c.try_recv(), Some(Reply::Status(format!("t{i}"))));
+            }
+            assert!(r.conns.len() <= 2, "{} connections at {i}", r.conns.len());
+        }
+        keeper.send("qstat 1");
+        r.poll_with(echo_reply);
+        assert_eq!(r.conns.len(), 1);
+        assert_eq!(keeper.try_recv(), Some(Reply::Status("t10000".into())));
+        assert_eq!(r.stats().applied, 10_001);
     }
 
     #[test]

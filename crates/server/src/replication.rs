@@ -597,29 +597,20 @@ impl Follower {
         self.drain_buffer()
     }
 
+    /// Applies the next contiguous record. A snapshot never arrives this
+    /// way — the stream carries one as [`Frame::Snapshot`] or crosses it
+    /// with [`Frame::Mark`] — so a `Record::Snapshot` here is corrupt or
+    /// hostile input: `apply_record` refuses it and the follower poisons,
+    /// instead of installing an image nobody vouched for.
     fn apply_one(&mut self, pos: u64, record: Record) -> Result<(), String> {
-        match record {
-            // A snapshot record travelling as a plain record (framed
-            // journal feeds): same boundary semantics as Frame::Snapshot.
-            Record::Snapshot(img) => {
-                if self.server.is_some() {
-                    self.verify_image(pos, &img)?;
-                    self.applied = pos;
-                } else {
-                    return self.install(self.term, pos, &img);
-                }
-            }
-            other => {
-                let server = self
-                    .server
-                    .as_mut()
-                    .ok_or_else(|| format!("record {pos} before any snapshot"))?;
-                server
-                    .apply_record(&other)
-                    .map_err(|e| format!("apply of record {pos} failed: {e}"))?;
-                self.applied = pos;
-            }
-        }
+        let server = self
+            .server
+            .as_mut()
+            .ok_or_else(|| format!("record {pos} before any snapshot"))?;
+        server
+            .apply_record(&record)
+            .map_err(|e| format!("apply of record {pos} failed: {e}"))?;
+        self.applied = pos;
         self.check_digests()
     }
 
@@ -1040,7 +1031,8 @@ pub struct FailoverReport {
     /// explicitly reported lost.
     pub lost_records: u64,
     /// Of the lost tail, how many had been *acked* to clients. Zero by
-    /// construction when acks gate on replication (`ack_after_replicate`).
+    /// construction for a host that releases acks only after
+    /// [`ReplicationHub::await_replicated`], as the daemon does.
     pub acked_lost: u64,
 }
 
@@ -1357,8 +1349,8 @@ impl ReplicationHub {
         }
     }
 
-    /// Pumps until every live follower has acked `through` (the
-    /// `ack_after_replicate` gate). Faults only delay convergence, so
+    /// Pumps until every live follower has acked `through` (the gate a
+    /// host holds its acks behind). Faults only delay convergence, so
     /// this terminates; the iteration bound is a wedge guard.
     pub fn await_replicated(&mut self, leader: &PbsServer, through: u64) -> bool {
         for _ in 0..100_000 {
@@ -1455,48 +1447,47 @@ impl ReplicationHub {
 // Read routing with the read-your-writes staleness bound.
 
 /// Routes qstat-style reads to followers under the bounded-staleness
-/// contract. With `read_your_writes` on, a connection's reads only go to
-/// a follower whose acked watermark covers the connection's last acked
-/// write — otherwise the read falls back to the leader, so an acked
-/// write can never be un-observed.
+/// contract: a connection's reads only go to a follower whose acked
+/// watermark covers the connection's last write — otherwise the read
+/// falls back to the leader, so an acked write can never be un-observed.
+///
+/// Only writes some follower has yet to ack are remembered. Once every
+/// serving follower has acked position `p`, no write at or below `p`
+/// constrains a pick, so those entries are dropped and `p` becomes the
+/// `floor` every connection without an entry is held to: a follower that
+/// later falls back below it (crashed and re-seeding) serves nobody until
+/// it has caught up again. Positions are one term's coordinates — the
+/// host starts a fresh router when a failover opens a new term.
 #[derive(Debug, Default)]
 pub struct ReadRouter {
-    read_your_writes: bool,
     last_write: HashMap<u64, u64>,
+    floor: u64,
     rr: usize,
 }
 
 impl ReadRouter {
-    /// A router; `read_your_writes` arms the per-connection bound.
-    pub fn new(read_your_writes: bool) -> Self {
-        ReadRouter {
-            read_your_writes,
-            ..ReadRouter::default()
+    /// Notes that `conn` wrote at journal position `watermark`; `acked`
+    /// is each follower's acked watermark, as for [`ReadRouter::pick`].
+    pub fn note_write(&mut self, conn: u64, watermark: u64, acked: &[u64]) {
+        self.raise_floor(acked);
+        if watermark > self.floor {
+            let w = self.last_write.entry(conn).or_insert(0);
+            *w = (*w).max(watermark);
         }
     }
 
-    /// Notes that `conn`'s write was acked at `watermark`.
-    pub fn note_write(&mut self, conn: u64, watermark: u64) {
-        let w = self.last_write.entry(conn).or_insert(0);
-        *w = (*w).max(watermark);
-    }
-
-    /// The watermark a follower must have acked to serve `conn` (0 when
-    /// read-your-writes is off or the connection never wrote).
+    /// The watermark a follower must have acked to serve `conn`.
     pub fn required_watermark(&self, conn: u64) -> u64 {
-        if !self.read_your_writes {
-            return 0;
-        }
-        self.last_write.get(&conn).copied().unwrap_or(0)
+        self.last_write.get(&conn).copied().unwrap_or(self.floor)
     }
 
     /// Picks a follower (round-robin among those satisfying the bound)
     /// for `conn`'s read; `None` means serve from the leader.
     pub fn pick(&mut self, conn: u64, acked: &[u64]) -> Option<usize> {
-        if acked.is_empty() {
-            return None;
-        }
-        let need = self.required_watermark(conn);
+        self.raise_floor(acked);
+        // Watermark 0 is a dead or unseeded follower: it has no state to
+        // answer from, whatever the connection needs.
+        let need = self.required_watermark(conn).max(1);
         let n = acked.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
@@ -1506,6 +1497,16 @@ impl ReadRouter {
             }
         }
         None
+    }
+
+    /// Lifts the floor to the lowest watermark among followers that can
+    /// serve at all, and forgets the writes it now covers.
+    fn raise_floor(&mut self, acked: &[u64]) {
+        let serving = acked.iter().copied().filter(|&a| a > 0).min();
+        if let Some(min) = serving.filter(|&min| min > self.floor) {
+            self.floor = min;
+            self.last_write.retain(|_, w| *w > min);
+        }
     }
 }
 
@@ -1851,21 +1852,87 @@ mod tests {
 
     #[test]
     fn read_router_respects_read_your_writes() {
-        let mut r = ReadRouter::new(true);
-        // No writes yet: any follower may serve.
-        assert!(r.pick(1, &[0, 0]).is_some());
-        r.note_write(1, 10);
+        let mut r = ReadRouter::default();
+        // No writes yet: any seeded follower may serve, an unseeded one
+        // (watermark 0) never.
+        assert_eq!(r.pick(1, &[0, 0]), None);
+        assert_eq!(r.pick(1, &[0, 1]), Some(1));
+        r.note_write(1, 10, &[5, 9]);
         assert_eq!(r.required_watermark(1), 10);
         // Neither follower has caught up: leader fallback.
         assert_eq!(r.pick(1, &[5, 9]), None);
         // Exactly one qualifies.
         assert_eq!(r.pick(1, &[5, 10]), Some(1));
-        // Another connection never wrote: unconstrained.
+        // Another connection never wrote: any follower at the floor serves.
         assert!(r.pick(2, &[5, 9]).is_some());
-        // With read-your-writes off the bound is never applied.
-        let mut loose = ReadRouter::new(false);
-        loose.note_write(1, 10);
-        assert_eq!(loose.required_watermark(1), 0);
-        assert!(loose.pick(1, &[0, 0]).is_some());
+    }
+
+    /// Every write comes from a connection of its own, as the daemon's
+    /// typed `qsub` does: what the router remembers is bounded by the
+    /// writes still ahead of the slowest follower, and dropping an entry
+    /// never lets a follower that fell behind serve its connection.
+    #[test]
+    fn read_router_forgets_writes_every_follower_has_acked() {
+        let mut r = ReadRouter::default();
+        for pos in 2..10_002u64 {
+            // Followers trail the leader by one and three records.
+            let acked = [pos - 1, pos.saturating_sub(3).max(1)];
+            r.note_write(pos, pos, &acked);
+            assert!(r.last_write.len() <= 3, "{} entries", r.last_write.len());
+            assert_eq!(r.pick(pos, &acked), None, "own write not yet acked");
+            assert_eq!(r.pick(pos, &[pos, pos - 1]), Some(0));
+        }
+        // Connection 5 000's entry is long gone. Follower 0 crashes and
+        // re-seeds from an old snapshot: it must not serve that connection
+        // (or anyone) until it is back at the floor.
+        assert!(r.last_write.len() <= 3);
+        let floor = r.required_watermark(5_000);
+        assert!(floor >= 9_998);
+        assert_eq!(r.pick(5_000, &[0, floor]), Some(1));
+        assert_eq!(r.pick(5_000, &[4_000, floor]), Some(1));
+        assert_eq!(r.pick(5_000, &[4_000, 0]), None);
+        assert_eq!(r.pick(5_000, &[floor, 0]), Some(0));
+    }
+
+    /// A snapshot record in a record frame is not something the leader
+    /// sends: an unseeded follower must not install it, a seeded one must
+    /// not take it for a boundary.
+    #[test]
+    fn snapshot_travelling_as_a_record_poisons_the_follower() {
+        let leader = scripted_leader(0);
+        let journal = leader.journal().unwrap();
+        let image = Box::new(leader.image());
+        let hostile = |pos| Frame::Record {
+            term: 1,
+            pos,
+            record: Record::Snapshot(image.clone()),
+        };
+
+        let mut unseeded = Follower::new();
+        let err = unseeded.apply_frame(hostile(1)).unwrap_err();
+        assert!(err.contains("before any snapshot"), "{err}");
+        assert!(unseeded.server().is_none(), "the image was installed");
+        assert!(unseeded.error().is_some());
+
+        let mut seeded = Follower::new();
+        for f in tail_frames(journal, 1, 1) {
+            seeded.apply_frame(f).unwrap();
+        }
+        let top = journal.total_appended();
+        // Through the wire codec, as a corrupt stream would deliver it.
+        let err = seeded
+            .apply_bytes(&encode_frame(&hostile(top + 1)))
+            .unwrap_err();
+        assert!(
+            err.contains("snapshot record after the recovery point"),
+            "{err}"
+        );
+        assert_eq!(seeded.watermark(), top);
+        assert!(seeded
+            .apply_frame(Frame::Mark {
+                term: 1,
+                pos: top + 1
+            })
+            .is_err());
     }
 }

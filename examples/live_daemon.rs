@@ -47,7 +47,7 @@ fn main() {
         cores_per_node: 8,
         sched,
         faults: None,
-        replication: None,
+        followers: 0,
     });
     println!("booted: 1 pbs_server + 8 pbs_mom daemons (8 cores each)\n");
 

@@ -85,4 +85,13 @@ if grep -rnE "$gone" crates src tests examples; then
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 
+echo "==> one client front door, one ack rule, one replication configuration: no"
+echo "    switch, dead spelling or typed write request came back (field syntax for"
+echo "    the two names that live on in prose and in a test's name)"
+gone='ReplicationConfig|read_offload|ack_after_replicate *:|read_your_writes *:'
+gone="$gone|ClientMsg|ClientReq::QSub|ClientReq::QDel"
+if grep -rnE "$gone" crates src tests examples; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+
 echo "check.sh: all gates passed"

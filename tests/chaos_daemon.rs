@@ -20,6 +20,9 @@
 //! (`sim::sweep::parallel_tasks`): every seed's ensemble is independent,
 //! so the per-seed final states are identical at any worker count.
 
+mod common;
+
+use common::assert_no_tagged_threads;
 use dynbatch::core::{
     DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, JobState, SchedulerConfig, SimDuration,
     UserId,
@@ -48,38 +51,6 @@ fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
     }
 }
 
-/// Daemon threads still alive that carry `tag` (ensemble thread prefix).
-fn tagged_threads(tag: &str) -> Vec<String> {
-    let mut live = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
-        return live; // not Linux: skip the leak check
-    };
-    for e in entries.flatten() {
-        if let Ok(name) = std::fs::read_to_string(e.path().join("comm")) {
-            let name = name.trim_end().to_string();
-            if name.starts_with(tag) {
-                live.push(name);
-            }
-        }
-    }
-    live
-}
-
-fn assert_no_tagged_threads(tag: &str) {
-    // A joined thread's /proc entry disappears promptly, but give the
-    // kernel a moment before declaring a leak.
-    for _ in 0..250 {
-        if tagged_threads(tag).is_empty() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    panic!(
-        "daemon threads leaked past shutdown: {:?}",
-        tagged_threads(tag)
-    );
-}
-
 /// Runs the canonical workload under `plan` and returns each job's final
 /// state in submission order. Asserts drain and clean shutdown.
 fn run_workload(plan: FaultPlan) -> Vec<Option<JobState>> {
@@ -92,7 +63,7 @@ fn run_workload(plan: FaultPlan) -> Vec<Option<JobState>> {
         cores_per_node: 8,
         sched,
         faults: Some(plan),
-        replication: None,
+        followers: 0,
     });
     let tag = d.thread_tag().to_string();
 

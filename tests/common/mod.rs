@@ -1,5 +1,10 @@
-//! The scripted scenario the crash-recovery sweep and the replication
-//! chaos sweep both drive, op by op, against a `PbsServer` + `Maui`.
+//! What the integration suites share: the scripted scenario the
+//! crash-recovery sweep and the replication chaos sweep both drive, op by
+//! op, against a `PbsServer` + `Maui`, and the thread-leak check every
+//! suite that starts an ensemble ends with.
+
+// Each suite is its own crate and uses its own part of this module.
+#![allow(dead_code, unused_imports)]
 
 use dynbatch::cluster::Allocation;
 use dynbatch::core::{
@@ -9,6 +14,7 @@ use dynbatch::core::{
 use dynbatch::sched::Maui;
 use dynbatch::server::PbsServer;
 pub use dynbatch::sim::reactor_drive::accounting_text;
+use std::time::Duration;
 
 pub fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -175,4 +181,34 @@ pub fn script() -> Vec<(u64, Op)> {
         (600, Op::Finish(EV)),
         (600, Op::Cycle),
     ]
+}
+
+/// Threads of this process still alive whose name starts with `tag` (an
+/// ensemble's thread prefix).
+pub fn tagged_threads(tag: &str) -> Vec<String> {
+    let mut live = Vec::new();
+    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
+        return live; // not Linux: skip the leak check
+    };
+    for e in entries.flatten() {
+        if let Ok(name) = std::fs::read_to_string(e.path().join("comm")) {
+            let name = name.trim_end().to_string();
+            if name.starts_with(tag) {
+                live.push(name);
+            }
+        }
+    }
+    live
+}
+
+pub fn assert_no_tagged_threads(tag: &str) {
+    // A joined thread's /proc entry disappears promptly, but give the
+    // kernel a moment before declaring a leak.
+    for _ in 0..250 {
+        if tagged_threads(tag).is_empty() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    panic!("threads leaked past shutdown: {:?}", tagged_threads(tag));
 }

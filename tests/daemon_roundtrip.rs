@@ -41,7 +41,7 @@ fn daemon(nodes: u32) -> DaemonHandle {
         cores_per_node: 8,
         sched,
         faults: None,
-        replication: None,
+        followers: 0,
     })
 }
 
@@ -191,7 +191,7 @@ fn stale_app_timer_cannot_kill_restarted_job() {
         cores_per_node: 8,
         sched,
         faults: None,
-        replication: None,
+        followers: 0,
     });
 
     // 16 cores. The grower holds 8; "blocked" (16 cores) queues behind it

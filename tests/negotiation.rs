@@ -177,7 +177,7 @@ fn daemon_negotiated_roundtrip() {
         cores_per_node: 8,
         sched: hp_sched(),
         faults: None,
-        replication: None,
+        followers: 0,
     });
     let mk = |name: &str, user: u32, cores: u32, ms: u64| JobSpec {
         name: name.into(),

@@ -26,41 +26,14 @@
 //! stalled reader that never drains its replies must not block the
 //! scheduler cycle or any other client's acks.
 
+mod common;
+
+use common::assert_no_tagged_threads;
 use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
 use dynbatch::server::Reply;
 use dynbatch::simtime::SplitMix64;
 use std::time::Duration;
-
-/// Daemon threads still alive that carry `tag` (ensemble thread prefix).
-fn tagged_threads(tag: &str) -> Vec<String> {
-    let mut live = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
-        return live; // not Linux: skip the leak check
-    };
-    for e in entries.flatten() {
-        if let Ok(name) = std::fs::read_to_string(e.path().join("comm")) {
-            let name = name.trim_end().to_string();
-            if name.starts_with(tag) {
-                live.push(name);
-            }
-        }
-    }
-    live
-}
-
-fn assert_no_tagged_threads(tag: &str) {
-    for _ in 0..250 {
-        if tagged_threads(tag).is_empty() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    panic!(
-        "daemon threads leaked past shutdown: {:?}",
-        tagged_threads(tag)
-    );
-}
 
 fn sched() -> SchedulerConfig {
     let mut s = SchedulerConfig::paper_eval();
@@ -89,7 +62,7 @@ fn churn_run(seed: u64) {
         cores_per_node: 8,
         sched: sched(),
         faults: Some(plan_with_crash(seed)),
-        replication: None,
+        followers: 0,
     });
     let tag = d.thread_tag().to_string();
 
@@ -200,7 +173,7 @@ fn stalled_reader_blocks_nothing() {
         cores_per_node: 8,
         sched: sched(),
         faults: None,
-        replication: None,
+        followers: 0,
     });
     let tag = d.thread_tag().to_string();
 

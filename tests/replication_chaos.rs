@@ -15,9 +15,9 @@
 //!    byte-identical to the reference run at the op boundary its
 //!    watermark maps to (every record is an op boundary here:
 //!    `snapshot_every = 0`, one mutation record per op).
-//! 2. **No acked command lost under `ack_after_replicate`** — ops the
-//!    seed marks "gated" block on `await_replicated` before acking, and
-//!    the failover report's `acked_lost` stays zero; the unreplicated
+//! 2. **No acked command lost** — ops the seed marks "gated" block on
+//!    `await_replicated` before acking, as the daemon does for every
+//!    ack, and the failover report's `acked_lost` stays zero; the unreplicated
 //!    tail is explicitly reported via `lost_records`, never silently
 //!    dropped.
 //! 3. **The promoted leader continues correctly** — the remaining script
@@ -42,7 +42,6 @@ use dynbatch::core::AllocPolicy;
 use dynbatch::server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch::server::{Journal, PbsServer};
 use dynbatch::simtime::SplitMix64;
-use std::time::Duration;
 
 /// Reference run (no replication, no crash): per-op journal clones,
 /// digests, accounting prefixes and `total_appended` coordinates.
@@ -101,36 +100,6 @@ fn boundary_of(reference: &Reference, w: u64) -> Option<usize> {
         }
     }
     Some(found.expect("watermark lands on an op boundary"))
-}
-
-/// Daemon threads still alive that carry `tag`.
-fn tagged_threads(tag: &str) -> Vec<String> {
-    let mut live = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
-        return live; // not Linux: skip the leak check
-    };
-    for e in entries.flatten() {
-        if let Ok(name) = std::fs::read_to_string(e.path().join("comm")) {
-            let name = name.trim_end().to_string();
-            if name.starts_with(tag) {
-                live.push(name);
-            }
-        }
-    }
-    live
-}
-
-fn assert_no_tagged_threads(tag: &str) {
-    for _ in 0..250 {
-        if tagged_threads(tag).is_empty() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    panic!(
-        "follower threads leaked past shutdown: {:?}",
-        tagged_threads(tag)
-    );
 }
 
 /// Drives the remaining script (`from` onward) on `s` with a fresh

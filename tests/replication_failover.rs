@@ -7,53 +7,27 @@
 //! * **Failover re-attach** — a leader kill mid-run promotes a follower;
 //!   running jobs keep their (idempotently re-sent) `RunJob`s, app-exit
 //!   deadlines are re-armed for remaining runtime, and the ensemble
-//!   drains with every acked submission completed. Submissions go
-//!   through the reactor so the group-commit ack gate
-//!   (`ack_after_replicate`) is what released them — the status query
-//!   then pins `acked_lost == 0`.
+//!   drains with every acked submission completed. Every ack — of a
+//!   line or of a `DaemonHandle::qsub` / `qdel`, which are reactor
+//!   clients too — was released by the group-commit gate only once the
+//!   followers had the record; the status query pins `acked_lost == 0`.
 //! * **Parked negotiations survive** — a `tm_dynget` whose request
 //!   record replicated before the kill is answered by the *promoted*
 //!   leader (grant or window expiry), never left hanging; the
 //!   reconcile sweep only denies callers whose records died unreplicated.
-//! * **Follower-read staleness (satellite 2)** — with `read_offload` +
-//!   `read_your_writes`, a qstat routed after an acked write never
-//!   observes pre-write state, even with the stream maximally delayed;
+//! * **Follower-read staleness (satellite 2)** — qstat lines are served
+//!   by followers, and one routed after an acked write never observes
+//!   pre-write state, even with the stream maximally delayed;
 //!   follower-served replies echo the applied-record watermark.
 
-use dynbatch::core::{DfsConfig, JobState, SchedulerConfig};
-use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ReplicationConfig, ServerCrash};
+mod common;
+
+use common::assert_no_tagged_threads;
+use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
 use dynbatch::server::replication::ReplFaultPlan;
 use dynbatch::server::{Reply, TmResponse};
 use std::time::Duration;
-
-fn tagged_threads(tag: &str) -> Vec<String> {
-    let mut live = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc/self/task") else {
-        return live; // not Linux: skip the leak check
-    };
-    for e in entries.flatten() {
-        if let Ok(name) = std::fs::read_to_string(e.path().join("comm")) {
-            let name = name.trim_end().to_string();
-            if name.starts_with(tag) {
-                live.push(name);
-            }
-        }
-    }
-    live
-}
-
-fn assert_no_tagged_threads(tag: &str) {
-    for _ in 0..250 {
-        if tagged_threads(tag).is_empty() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    panic!(
-        "daemon threads leaked past shutdown: {:?}",
-        tagged_threads(tag)
-    );
-}
 
 fn sched() -> SchedulerConfig {
     let mut s = SchedulerConfig::paper_eval();
@@ -82,7 +56,7 @@ fn replicated_config(kill_after: Option<u64>, repl_faults: Option<ReplFaultPlan>
         cores_per_node: 8,
         sched: sched(),
         faults: Some(faults),
-        replication: Some(ReplicationConfig::new(2)),
+        followers: 2,
     }
 }
 
@@ -126,7 +100,7 @@ fn failover_drains_and_loses_no_acked_job() {
     assert!(status.term >= 2, "promotion bumps the term");
     assert_eq!(
         status.acked_lost, 0,
-        "ack_after_replicate must make acked loss impossible"
+        "an ack waits for the followers: acked loss is impossible"
     );
     assert!(
         status.errors.is_empty(),
@@ -186,6 +160,80 @@ fn parked_negotiation_survives_failover() {
     assert!(
         status.failovers >= 1,
         "nudge traffic must have crossed the kill coordinate"
+    );
+    d.shutdown();
+    assert_no_tagged_threads(&tag);
+}
+
+/// The ack rule holds for the typed client API as it does for lines: the
+/// leader dies on the very record a `DaemonHandle::qsub` appended (genesis
+/// snapshot = record 1, that `Submit` = record 2), at the first command
+/// boundary after it. The id that call returned must name the same job on
+/// the promoted leader — the followers had the record before the caller
+/// had the id — and so must every id and every deletion either API acks
+/// from then on, typed calls and line clients racing.
+#[test]
+fn typed_door_acks_are_replication_gated() {
+    let d = DaemonHandle::start(replicated_config(Some(2), None));
+    let tag = d.thread_tag().to_string();
+
+    let first = d.qsub(spec("typed0", 0, 8, 80)).expect("first typed qsub");
+    let (mut typed, lines) = std::thread::scope(|scope| {
+        let line_client = scope.spawn(|| {
+            let client = d.connect();
+            (0..10u32)
+                .map(|i| {
+                    client.send(&format!(
+                        "qsub name=line{i} user=1 group=0 cores={} wall_ms={}",
+                        4 + 4 * (i % 2),
+                        40 + 10 * u64::from(i)
+                    ));
+                    match client.recv_timeout(Duration::from_secs(10)) {
+                        Some(Reply::Submitted(id)) => id,
+                        other => panic!("line qsub {i} answered {other:?}"),
+                    }
+                })
+                .collect::<Vec<JobId>>()
+        });
+        // (id, whether a qdel of it was acked)
+        let mut typed = vec![(first, false)];
+        for i in 1..10u32 {
+            let id = d
+                .qsub(spec(&format!("typed{i}"), 2, 8, 60 + 10 * u64::from(i)))
+                .expect("typed qsub");
+            // Every third job is deleted at once — queued or running if the
+            // machine (24 cores) got to it, denied if it already finished.
+            typed.push((id, i % 3 == 0 && d.qdel(id).is_ok()));
+        }
+        (typed, line_client.join().expect("line client"))
+    });
+    assert!(
+        d.await_drained(Duration::from_secs(20)),
+        "replicated ensemble must drain through the leader kill"
+    );
+
+    typed.extend(lines.into_iter().map(|id| (id, false)));
+    let mut ids: Vec<JobId> = typed.iter().map(|&(id, _)| id).collect();
+    ids.sort();
+    ids.dedup();
+    // A leader that forgot an acked submission hands its id out again.
+    assert_eq!(ids.len(), typed.len(), "an acked job id was issued twice");
+    assert!(typed.iter().any(|&(_, deleted)| deleted));
+    for &(id, deleted) in &typed {
+        let want = if deleted {
+            JobState::Cancelled
+        } else {
+            JobState::Completed
+        };
+        assert_eq!(d.qstat(id), Some(want), "ack for {id:?} lost in failover");
+    }
+    let status = d.replication_status().expect("replication is on");
+    assert_eq!(status.failovers, 1, "the kill point must have fired");
+    assert_eq!(status.acked_lost, 0);
+    assert!(
+        status.errors.is_empty(),
+        "no divergence expected: {:?}",
+        status.errors
     );
     d.shutdown();
     assert_no_tagged_threads(&tag);
