@@ -185,9 +185,7 @@ impl CredRegistry {
     /// the name→ID indices and validating the user→group binding.
     pub fn from_json(v: &crate::json::Json) -> Result<Self, String> {
         let str_list = |key: &str| -> Result<Vec<String>, String> {
-            v.req(key)?
-                .as_arr()
-                .ok_or_else(|| format!("`{key}` is not an array"))?
+            v.req_arr(key)?
                 .iter()
                 .map(|s| {
                     s.as_str()
@@ -199,9 +197,7 @@ impl CredRegistry {
         let users = str_list("users")?;
         let groups = str_list("groups")?;
         let user_group = v
-            .req("user_group")?
-            .as_arr()
-            .ok_or("`user_group` is not an array")?
+            .req_arr("user_group")?
             .iter()
             .map(|g| {
                 let gid = g.as_u64().ok_or("`user_group` contains a non-integer")?;

@@ -9,6 +9,7 @@
 //! two-space pretty style `serde_json::to_string_pretty` did, keeping
 //! existing trace files readable and diffs small.
 
+use crate::time::SimTime;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -50,6 +51,52 @@ impl Json {
     pub fn req(&self, key: &str) -> Result<&Json, String> {
         self.get(key)
             .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// A field that must be a non-negative integer.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req(key)?
+            .as_u64()
+            .ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
+    }
+
+    /// A field that must be a non-negative integer that fits a `u32`.
+    pub fn req_u32(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.req_u64(key)?).map_err(|_| format!("field `{key}` exceeds u32"))
+    }
+
+    /// A field that must be a bool.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.req(key)?
+            .as_bool()
+            .ok_or_else(|| format!("field `{key}` is not a bool"))
+    }
+
+    /// A field that must be a string.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.req(key)?
+            .as_str()
+            .ok_or_else(|| format!("field `{key}` is not a string"))
+    }
+
+    /// A field that must be an array.
+    pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.req(key)?
+            .as_arr()
+            .ok_or_else(|| format!("field `{key}` is not an array"))
+    }
+
+    /// A field holding an instant, in milliseconds.
+    pub fn req_time(&self, key: &str) -> Result<SimTime, String> {
+        Ok(SimTime::from_millis(self.req_u64(key)?))
+    }
+
+    /// An optional instant, in milliseconds: absent or `null` is `None`.
+    pub fn opt_time(&self, key: &str) -> Result<Option<SimTime>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(_) => self.req_time(key).map(Some),
+        }
     }
 
     /// This value as a `u64`, if it is a non-negative integer.
@@ -539,26 +586,6 @@ pub mod model {
     use crate::job::{Job, JobClass, JobOutcome, JobSpec, JobState, MalleableRange};
     use crate::time::{SimDuration, SimTime};
 
-    fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-        v.req(key)?
-            .as_u64()
-            .ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
-    }
-
-    fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
-        u32::try_from(u64_field(v, key)?).map_err(|_| format!("field `{key}` exceeds u32"))
-    }
-
-    fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-        v.req(key)?
-            .as_str()
-            .ok_or_else(|| format!("field `{key}` is not a string"))
-    }
-
-    fn duration_field(v: &Json, key: &str) -> Result<SimDuration, String> {
-        Ok(SimDuration::from_millis(u64_field(v, key)?))
-    }
-
     fn class_name(class: JobClass) -> &'static str {
         match class {
             JobClass::Rigid => "rigid",
@@ -587,8 +614,8 @@ pub mod model {
 
     fn range_from_json(v: &Json) -> Result<MalleableRange, String> {
         Ok(MalleableRange {
-            min_cores: u32_field(v, "min_cores")?,
-            max_cores: u32_field(v, "max_cores")?,
+            min_cores: v.req_u32("min_cores")?,
+            max_cores: v.req_u32("max_cores")?,
         })
     }
 
@@ -661,44 +688,40 @@ pub mod model {
 
     /// Parses an execution model written by [`exec_to_json`].
     pub fn exec_from_json(v: &Json) -> Result<ExecutionModel, String> {
-        match str_field(v, "type")? {
+        match v.req_str("type")? {
             "fixed" => Ok(ExecutionModel::Fixed {
-                duration: duration_field(v, "duration_ms")?,
+                duration: SimDuration::from_millis(v.req_u64("duration_ms")?),
             }),
             "evolving" => {
                 let points = v
-                    .req("request_points")?
-                    .as_arr()
-                    .ok_or("`request_points` is not an array")?
+                    .req_arr("request_points")?
                     .iter()
                     .map(|p| {
                         p.as_f64()
                             .ok_or_else(|| "non-numeric request point".to_string())
                     })
                     .collect::<Result<Vec<f64>, String>>()?;
-                let speedup = match str_field(v, "speedup")? {
+                let speedup = match v.req_str("speedup")? {
                     "interpolate" => SpeedupModel::Interpolate,
                     "full_det" => SpeedupModel::FullDet,
                     other => return Err(format!("unknown speedup model `{other}`")),
                 };
                 Ok(ExecutionModel::Evolving {
-                    set: duration_field(v, "set_ms")?,
-                    det: duration_field(v, "det_ms")?,
-                    extra_cores: u32_field(v, "extra_cores")?,
+                    set: SimDuration::from_millis(v.req_u64("set_ms")?),
+                    det: SimDuration::from_millis(v.req_u64("det_ms")?),
+                    extra_cores: v.req_u32("extra_cores")?,
                     request_points: points,
                     speedup,
                 })
             }
             "phased" => {
                 let phases = v
-                    .req("phases")?
-                    .as_arr()
-                    .ok_or("`phases` is not an array")?
+                    .req_arr("phases")?
                     .iter()
                     .map(|ph| {
                         Ok(Phase {
-                            cells: u64_field(ph, "cells")?,
-                            cost_milli: u64_field(ph, "cost_milli")?,
+                            cells: ph.req_u64("cells")?,
+                            cost_milli: ph.req_u64("cost_milli")?,
                         })
                     })
                     .collect::<Result<Vec<Phase>, String>>()?;
@@ -708,13 +731,13 @@ pub mod model {
                         .req("millis_per_cell_core")?
                         .as_f64()
                         .ok_or("`millis_per_cell_core` is not a number")?,
-                    threshold_cells_per_proc: u64_field(v, "threshold_cells_per_proc")?,
-                    saturation_cells_per_proc: u64_field(v, "saturation_cells_per_proc")?,
-                    extra_cores: u32_field(v, "extra_cores")?,
+                    threshold_cells_per_proc: v.req_u64("threshold_cells_per_proc")?,
+                    saturation_cells_per_proc: v.req_u64("saturation_cells_per_proc")?,
+                    extra_cores: v.req_u32("extra_cores")?,
                 }))
             }
             "work_pool" => Ok(ExecutionModel::WorkPool {
-                work_core_millis: u64_field(v, "work_core_millis")?,
+                work_core_millis: v.req_u64("work_core_millis")?,
             }),
             other => Err(format!("unknown execution model `{other}`")),
         }
@@ -783,21 +806,18 @@ pub mod model {
             )),
         };
         Ok(JobSpec {
-            name: str_field(v, "name")?.to_owned(),
-            user: UserId(u32_field(v, "user")?),
-            group: GroupId(u32_field(v, "group")?),
-            class: class_from_name(str_field(v, "class")?)?,
-            cores: u32_field(v, "cores")?,
-            walltime: duration_field(v, "walltime_ms")?,
+            name: v.req_str("name")?.to_owned(),
+            user: UserId(v.req_u32("user")?),
+            group: GroupId(v.req_u32("group")?),
+            class: class_from_name(v.req_str("class")?)?,
+            cores: v.req_u32("cores")?,
+            walltime: SimDuration::from_millis(v.req_u64("walltime_ms")?),
             exec: exec_from_json(v.req("exec")?)?,
             priority_boost: v
                 .req("priority_boost")?
                 .as_i64()
                 .ok_or("`priority_boost` is not an integer")?,
-            suppress_backfill_while_queued: v
-                .req("suppress_backfill_while_queued")?
-                .as_bool()
-                .ok_or("`suppress_backfill_while_queued` is not a bool")?,
+            suppress_backfill_while_queued: v.req_bool("suppress_backfill_while_queued")?,
             malleable: opt_range("malleable")?,
             moldable: opt_range("moldable")?,
             dyn_timeout,
@@ -830,27 +850,6 @@ pub mod model {
         t.map(|t| Json::UInt(t.as_millis())).unwrap_or(Json::Null)
     }
 
-    fn opt_time_from_json(v: &Json, key: &str) -> Result<Option<SimTime>, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(t) => {
-                Ok(Some(SimTime::from_millis(t.as_u64().ok_or_else(|| {
-                    format!("field `{key}` is not an integer")
-                })?)))
-            }
-        }
-    }
-
-    fn time_field(v: &Json, key: &str) -> Result<SimTime, String> {
-        Ok(SimTime::from_millis(u64_field(v, key)?))
-    }
-
-    fn bool_field(v: &Json, key: &str) -> Result<bool, String> {
-        v.req(key)?
-            .as_bool()
-            .ok_or_else(|| format!("field `{key}` is not a bool"))
-    }
-
     /// Serialises a server-side job record (spec + lifecycle bookkeeping) —
     /// the unit the write-ahead journal's snapshots are made of.
     pub fn job_to_json(job: &Job) -> Json {
@@ -872,17 +871,17 @@ pub mod model {
     /// Parses a job written by [`job_to_json`].
     pub fn job_from_json(v: &Json) -> Result<Job, String> {
         Ok(Job {
-            id: JobId(u64_field(v, "id")?),
+            id: JobId(v.req_u64("id")?),
             spec: spec_from_json(v.req("spec")?)?,
-            state: state_from_name(str_field(v, "state")?)?,
-            submit_time: time_field(v, "submit_ms")?,
-            start_time: opt_time_from_json(v, "start_ms")?,
-            end_time: opt_time_from_json(v, "end_ms")?,
-            cores_allocated: u32_field(v, "cores_allocated")?,
-            dyn_requests: u32_field(v, "dyn_requests")?,
-            dyn_grants: u32_field(v, "dyn_grants")?,
-            backfilled: bool_field(v, "backfilled")?,
-            reserved_extra: u32_field(v, "reserved_extra")?,
+            state: state_from_name(v.req_str("state")?)?,
+            submit_time: v.req_time("submit_ms")?,
+            start_time: v.opt_time("start_ms")?,
+            end_time: v.opt_time("end_ms")?,
+            cores_allocated: v.req_u32("cores_allocated")?,
+            dyn_requests: v.req_u32("dyn_requests")?,
+            dyn_grants: v.req_u32("dyn_grants")?,
+            backfilled: v.req_bool("backfilled")?,
+            reserved_extra: v.req_u32("reserved_extra")?,
         })
     }
 
@@ -908,18 +907,18 @@ pub mod model {
     /// Parses an outcome written by [`outcome_to_json`].
     pub fn outcome_from_json(v: &Json) -> Result<JobOutcome, String> {
         Ok(JobOutcome {
-            id: JobId(u64_field(v, "id")?),
-            name: str_field(v, "name")?.to_owned(),
-            user: UserId(u32_field(v, "user")?),
-            class: class_from_name(str_field(v, "class")?)?,
-            cores_requested: u32_field(v, "cores_requested")?,
-            cores_final: u32_field(v, "cores_final")?,
-            submit_time: time_field(v, "submit_ms")?,
-            start_time: time_field(v, "start_ms")?,
-            end_time: time_field(v, "end_ms")?,
-            dyn_requests: u32_field(v, "dyn_requests")?,
-            dyn_grants: u32_field(v, "dyn_grants")?,
-            backfilled: bool_field(v, "backfilled")?,
+            id: JobId(v.req_u64("id")?),
+            name: v.req_str("name")?.to_owned(),
+            user: UserId(v.req_u32("user")?),
+            class: class_from_name(v.req_str("class")?)?,
+            cores_requested: v.req_u32("cores_requested")?,
+            cores_final: v.req_u32("cores_final")?,
+            submit_time: v.req_time("submit_ms")?,
+            start_time: v.req_time("start_ms")?,
+            end_time: v.req_time("end_ms")?,
+            dyn_requests: v.req_u32("dyn_requests")?,
+            dyn_grants: v.req_u32("dyn_grants")?,
+            backfilled: v.req_bool("backfilled")?,
         })
     }
 

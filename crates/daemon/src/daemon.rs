@@ -31,8 +31,8 @@ use dynbatch_server::reactor::{
 };
 use dynbatch_server::replication::{HubConfig, ReadRouter, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
-    Applied, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient, ReactorConnector,
-    ServerToMom, TmRequest, TmResponse,
+    Applied, Effect, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient,
+    ReactorConnector, Record, ServerToMom, TmRequest, TmResponse,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -637,19 +637,10 @@ impl ServerDaemon {
     /// not queue is rejected straight back.
     fn handle_mom(&mut self, msg: MomToServer, t: SimTime) -> bool {
         let cmd = match msg {
-            // tm_dynget landed: DynQueued + immediate scheduling cycle
-            // (paper: "This triggers a new scheduling cycle").
-            MomToServer::DynRequest {
-                job,
-                extra_cores,
-                timeout,
-            } => ReactorCommand::DynGet {
-                job,
-                extra: extra_cores,
-                timeout_ms: timeout.map(|w| w.as_millis()),
-            },
-            // The mom already shrank its hostlist: nothing to send back.
-            MomToServer::DynFree { job, released } => ReactorCommand::DynFree { job, released },
+            // A tm_dynget that lands queues and triggers a scheduling
+            // cycle (paper: "This triggers a new scheduling cycle"); the
+            // mom already shrank its hostlist for a tm_dynfree.
+            MomToServer::Forwarded(cmd) => cmd,
             MomToServer::JobStarted {
                 job,
                 mother_superior,
@@ -674,7 +665,8 @@ impl ServerDaemon {
     /// was armed for (`seq`) is still pending and past its deadline — a
     /// grant, rejection or supersession in the meantime wins the race.
     fn handle_expiry(&mut self, job: JobId, seq: u64, t: SimTime) -> bool {
-        if self.server.expire_dyn_request(job, seq, t) {
+        let expiry = Record::ExpireOne { job, seq, now: t };
+        if matches!(self.server.execute(expiry), Ok(Effect::Expired(_))) {
             self.dyn_timers.remove(&job);
             self.send_to_ms(job, ServerToMom::DynReject { job });
             true
@@ -904,7 +896,7 @@ impl ServerDaemon {
             return false;
         }
         self.server
-            .job_finished(job, t)
+            .execute(Record::Finish { job, now: t })
             .expect("active job finishes");
         self.kill_app(job);
         true

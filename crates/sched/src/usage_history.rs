@@ -278,15 +278,8 @@ impl UsageHistory {
     /// Parses a history written by [`UsageHistory::to_json`], restoring
     /// the exact accumulator bit patterns.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let u64_field = |key: &str| -> Result<u64, String> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| format!("`{key}` is not an integer"))
-        };
         let accounts = |key: &str| -> Result<Vec<(u64, DecayedAccount)>, String> {
-            v.req(key)?
-                .as_arr()
-                .ok_or_else(|| format!("`{key}` is not an array"))?
+            v.req_arr(key)?
                 .iter()
                 .map(|e| {
                     let t = e.as_arr().ok_or("usage account is not an array")?;
@@ -305,8 +298,8 @@ impl UsageHistory {
                 .collect()
         };
         Ok(UsageHistory {
-            half_life: SimDuration::from_millis(u64_field("half_life_ms")?),
-            capacity_cores: u64_field("capacity_cores")?,
+            half_life: SimDuration::from_millis(v.req_u64("half_life_ms")?),
+            capacity_cores: v.req_u64("capacity_cores")?,
             users: accounts("users")?
                 .into_iter()
                 .map(|(id, a)| (UserId(id as u32), a))
@@ -316,8 +309,8 @@ impl UsageHistory {
                 .map(|(id, a)| (QueueId(id as u32), a))
                 .collect(),
             total: DecayedAccount {
-                acc_ms: f64::from_bits(u64_field("total_bits")?),
-                last: SimTime::from_millis(u64_field("total_last_ms")?),
+                acc_ms: f64::from_bits(v.req_u64("total_bits")?),
+                last: v.req_time("total_last_ms")?,
             },
         })
     }

@@ -397,43 +397,6 @@ fn opt_time(t: Option<SimTime>) -> Json {
     t.map(time).unwrap_or(Json::Null)
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    v.req(key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
-}
-
-fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(u64_field(v, key)?).map_err(|_| format!("field `{key}` exceeds u32"))
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, String> {
-    v.req(key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-fn time_field(v: &Json, key: &str) -> Result<SimTime, String> {
-    Ok(SimTime::from_millis(u64_field(v, key)?))
-}
-
-fn opt_time_field(v: &Json, key: &str) -> Result<Option<SimTime>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(t) => {
-            Ok(Some(SimTime::from_millis(t.as_u64().ok_or_else(|| {
-                format!("field `{key}` is not an integer")
-            })?)))
-        }
-    }
-}
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.req(key)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
 /// `[[node, cores], …]` — `Allocation` iterates in node order, so the form
 /// is canonical.
 pub fn alloc_to_json(alloc: &Allocation) -> Json {
@@ -525,25 +488,25 @@ fn reject_to_json(r: &DfsReject) -> Json {
 fn reject_from_json(v: &Json) -> Result<DfsReject, String> {
     use dynbatch_core::{GroupId, SimDuration, UserId};
     let dur = |key: &str| -> Result<SimDuration, String> {
-        Ok(SimDuration::from_millis(u64_field(v, key)?))
+        Ok(SimDuration::from_millis(v.req_u64(key)?))
     };
-    match v.req("why")?.as_str().ok_or("`why` is not a string")? {
+    match v.req_str("why")? {
         "no_resources" => Ok(DfsReject::NoResources),
         "perm_denied" => Ok(DfsReject::PermDenied {
-            user: UserId(u32_field(v, "user")?),
+            user: UserId(v.req_u32("user")?),
         }),
         "single_exceeded" => Ok(DfsReject::SingleExceeded {
-            job: JobId(u64_field(v, "job")?),
+            job: JobId(v.req_u64("job")?),
             would_be: dur("would_be_ms")?,
             limit: dur("limit_ms")?,
         }),
         "user_target_exceeded" => Ok(DfsReject::UserTargetExceeded {
-            user: UserId(u32_field(v, "user")?),
+            user: UserId(v.req_u32("user")?),
             would_be: dur("would_be_ms")?,
             limit: dur("limit_ms")?,
         }),
         "group_target_exceeded" => Ok(DfsReject::GroupTargetExceeded {
-            group: GroupId(u32_field(v, "group")?),
+            group: GroupId(v.req_u32("group")?),
             would_be: dur("would_be_ms")?,
             limit: dur("limit_ms")?,
         }),
@@ -561,9 +524,9 @@ fn resize_to_json(r: &ResizeDecision) -> Json {
 
 fn resize_from_json(v: &Json) -> Result<ResizeDecision, String> {
     Ok(ResizeDecision {
-        job: JobId(u64_field(v, "job")?),
-        from_cores: u32_field(v, "from")?,
-        to_cores: u32_field(v, "to")?,
+        job: JobId(v.req_u64("job")?),
+        from_cores: v.req_u32("from")?,
+        to_cores: v.req_u32("to")?,
     })
 }
 
@@ -607,14 +570,15 @@ fn dyn_decision_to_json(d: &DynDecision) -> Json {
 }
 
 fn dyn_decision_from_json(v: &Json) -> Result<DynDecision, String> {
-    match v.req("kind")?.as_str().ok_or("`kind` is not a string")? {
+    match v.req_str("kind")? {
         "grant" => Ok(DynDecision::Granted {
-            job: JobId(u64_field(v, "job")?),
-            extra_cores: u32_field(v, "extra")?,
+            job: JobId(v.req_u64("job")?),
+            extra_cores: v.req_u32("extra")?,
             // DFS delay charges are scheduler soft state; `apply` ignores
             // them, so the journal does not carry them.
             delays: Vec::new(),
-            preempted: arr_field(v, "preempted")?
+            preempted: v
+                .req_arr("preempted")?
                 .iter()
                 .map(|j| {
                     j.as_u64()
@@ -622,19 +586,20 @@ fn dyn_decision_from_json(v: &Json) -> Result<DynDecision, String> {
                         .ok_or_else(|| "preempted id is not an integer".to_owned())
                 })
                 .collect::<Result<_, _>>()?,
-            shrunk: arr_field(v, "shrunk")?
+            shrunk: v
+                .req_arr("shrunk")?
                 .iter()
                 .map(resize_from_json)
                 .collect::<Result<_, _>>()?,
         }),
         "reject" => Ok(DynDecision::Rejected {
-            job: JobId(u64_field(v, "job")?),
+            job: JobId(v.req_u64("job")?),
             reason: reject_from_json(v.req("reason")?)?,
         }),
         "defer" => Ok(DynDecision::Deferred {
-            job: JobId(u64_field(v, "job")?),
+            job: JobId(v.req_u64("job")?),
             reason: reject_from_json(v.req("reason")?)?,
-            available_hint: opt_time_field(v, "hint_ms")?,
+            available_hint: v.opt_time("hint_ms")?,
         }),
         other => Err(format!("unknown dyn decision kind `{other}`")),
     }
@@ -660,8 +625,8 @@ fn start_from_json(v: &Json) -> Result<StartDecision, String> {
         ),
     };
     Ok(StartDecision {
-        job: JobId(u64_field(v, "job")?),
-        backfilled: bool_field(v, "backfilled")?,
+        job: JobId(v.req_u64("job")?),
+        backfilled: v.req_bool("backfilled")?,
         cores,
     })
 }
@@ -724,17 +689,20 @@ fn outcome_to_json(outcome: &IterationOutcome) -> Json {
 
 fn outcome_from_json(v: &Json) -> Result<IterationOutcome, String> {
     Ok(IterationOutcome {
-        starts: arr_field(v, "starts")?
+        starts: v
+            .req_arr("starts")?
             .iter()
             .map(start_from_json)
             .collect::<Result<_, _>>()?,
         reservations: Vec::new(),
-        dyn_decisions: arr_field(v, "dyn")?
+        dyn_decisions: v
+            .req_arr("dyn")?
             .iter()
             .map(dyn_decision_from_json)
             .collect::<Result<_, _>>()?,
         baseline_plan: Vec::new(),
-        grows: arr_field(v, "grows")?
+        grows: v
+            .req_arr("grows")?
             .iter()
             .map(resize_from_json)
             .collect::<Result<_, _>>()?,
@@ -835,15 +803,12 @@ pub fn image_from_json(v: &Json) -> Result<ServerImage, String> {
         ))
     };
     Ok(ServerImage {
-        next_job_id: u64_field(v, "next_job_id")?,
-        next_dyn_seq: u64_field(v, "next_dyn_seq")?,
-        alloc_policy: policy_from_name(
-            v.req("policy")?
-                .as_str()
-                .ok_or("`policy` is not a string")?,
-        )?,
-        guarantee_evolving: bool_field(v, "guarantee")?,
-        node_cores: arr_field(v, "node_cores")?
+        next_job_id: v.req_u64("next_job_id")?,
+        next_dyn_seq: v.req_u64("next_dyn_seq")?,
+        alloc_policy: policy_from_name(v.req_str("policy")?)?,
+        guarantee_evolving: v.req_bool("guarantee")?,
+        node_cores: v
+            .req_arr("node_cores")?
             .iter()
             .map(|c| {
                 c.as_u64()
@@ -851,11 +816,13 @@ pub fn image_from_json(v: &Json) -> Result<ServerImage, String> {
                     .ok_or_else(|| "node core count is not a u32".to_owned())
             })
             .collect::<Result<_, _>>()?,
-        down_nodes: arr_field(v, "down_nodes")?
+        down_nodes: v
+            .req_arr("down_nodes")?
             .iter()
             .map(node_id)
             .collect::<Result<_, _>>()?,
-        jobs: arr_field(v, "jobs")?
+        jobs: v
+            .req_arr("jobs")?
             .iter()
             .map(|entry| {
                 let job = model::job_from_json(entry.req("job")?)?;
@@ -866,22 +833,25 @@ pub fn image_from_json(v: &Json) -> Result<ServerImage, String> {
                 Ok((job, alloc))
             })
             .collect::<Result<_, String>>()?,
-        dyn_pending: arr_field(v, "dyn_pending")?
+        dyn_pending: v
+            .req_arr("dyn_pending")?
             .iter()
             .map(|p| {
                 Ok(PendingDynImage {
-                    job: JobId(u64_field(p, "job")?),
-                    extra_cores: u32_field(p, "extra")?,
-                    seq: u64_field(p, "seq")?,
-                    deadline: opt_time_field(p, "deadline_ms")?,
+                    job: JobId(p.req_u64("job")?),
+                    extra_cores: p.req_u32("extra")?,
+                    seq: p.req_u64("seq")?,
+                    deadline: p.opt_time("deadline_ms")?,
                 })
             })
             .collect::<Result<_, String>>()?,
-        outcomes: arr_field(v, "outcomes")?
+        outcomes: v
+            .req_arr("outcomes")?
             .iter()
             .map(model::outcome_from_json)
             .collect::<Result<_, _>>()?,
-        usage: arr_field(v, "usage")?
+        usage: v
+            .req_arr("usage")?
             .iter()
             .map(|p| {
                 let pair = p.as_arr().ok_or("usage entry is not a pair")?;
@@ -896,7 +866,8 @@ pub fn image_from_json(v: &Json) -> Result<ServerImage, String> {
                 Ok((UserId(user), ms))
             })
             .collect::<Result<_, String>>()?,
-        usage_since: arr_field(v, "usage_since")?
+        usage_since: v
+            .req_arr("usage_since")?
             .iter()
             .map(|p| {
                 let pair = p.as_arr().ok_or("usage_since entry is not a pair")?;
@@ -981,54 +952,54 @@ pub fn record_to_json(record: &Record) -> Json {
 
 /// Parses a record written by [`record_to_json`].
 pub fn record_from_json(v: &Json) -> Result<Record, String> {
-    let job = |v: &Json| -> Result<JobId, String> { Ok(JobId(u64_field(v, "job")?)) };
-    let node = |v: &Json| -> Result<NodeId, String> { Ok(NodeId(u32_field(v, "node")?)) };
-    match v.req("rec")?.as_str().ok_or("`rec` is not a string")? {
+    let job = |v: &Json| -> Result<JobId, String> { Ok(JobId(v.req_u64("job")?)) };
+    let node = |v: &Json| -> Result<NodeId, String> { Ok(NodeId(v.req_u32("node")?)) };
+    match v.req_str("rec")? {
         "snapshot" => Ok(Record::Snapshot(Box::new(image_from_json(
             v.req("state")?,
         )?))),
         "submit" => Ok(Record::Submit {
             spec: model::spec_from_json(v.req("spec")?)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "qdel" => Ok(Record::Qdel {
             job: job(v)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "dynget" => Ok(Record::DynGet {
             job: job(v)?,
-            extra_cores: u32_field(v, "extra")?,
-            deadline: opt_time_field(v, "deadline_ms")?,
-            now: time_field(v, "now")?,
+            extra_cores: v.req_u32("extra")?,
+            deadline: v.opt_time("deadline_ms")?,
+            now: v.req_time("now")?,
         }),
         "dynfree" => Ok(Record::DynFree {
             job: job(v)?,
             released: alloc_from_json(v.req("released")?)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "finish" => Ok(Record::Finish {
             job: job(v)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "outcome" => Ok(Record::Outcome {
             outcome: outcome_from_json(v.req("outcome")?)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "expire_one" => Ok(Record::ExpireOne {
             job: job(v)?,
-            seq: u64_field(v, "seq")?,
-            now: time_field(v, "now")?,
+            seq: v.req_u64("seq")?,
+            now: v.req_time("now")?,
         }),
         "expire_sweep" => Ok(Record::ExpireSweep {
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "node_failed" => Ok(Record::NodeFailed {
             node: node(v)?,
-            now: time_field(v, "now")?,
+            now: v.req_time("now")?,
         }),
         "node_repaired" => Ok(Record::NodeRepaired { node: node(v)? }),
         "guarantee" => Ok(Record::Guarantee {
-            on: bool_field(v, "on")?,
+            on: v.req_bool("on")?,
         }),
         other => Err(format!("unknown record tag `{other}`")),
     }

@@ -47,4 +47,4 @@ pub use replication::{
     FailoverReport, Follower, FollowerHandle, FollowerRead, FollowerReader, HubConfig, HubStats,
     PumpReport, ReadRouter, ReplFaultPlan, ReplicationHub,
 };
-pub use server::{Applied, PbsServer};
+pub use server::{Applied, Effect, PbsServer};

@@ -4,11 +4,13 @@
 //! server → mom (run, dyn-join, dyn-disjoin, kill), mom → server (job
 //! started/finished, forwarded dynamic requests), and the TM interface
 //! between an application process and its local mom. (Client → server is
-//! [`crate::reactor::Command`].) The threaded daemon ships them over
-//! channels between its server thread and the [`crate::Mom`] state machine
-//! each mom thread runs; the simulator has no moms and calls the server's
-//! `tm_dynget` / `tm_dynfree` directly.
+//! [`crate::reactor::Command`], which is also what a mom forwards.) The
+//! threaded daemon ships them over channels between its server thread and
+//! the [`crate::Mom`] state machine each mom thread runs; the simulator
+//! has no moms and hands the server its `DynGet` / `DynFree` records
+//! directly.
 
+use crate::reactor::Command;
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId};
 
@@ -67,23 +69,11 @@ pub enum MomToServer {
         /// The job.
         job: JobId,
     },
-    /// A `tm_dynget()` forwarded by the mother superior (paper Fig 3
-    /// step 2). At most one may be outstanding per job.
-    DynRequest {
-        /// The job.
-        job: JobId,
-        /// Extra cores requested.
-        extra_cores: u32,
-        /// Negotiation window; `None` = answer immediately.
-        timeout: Option<dynbatch_core::SimDuration>,
-    },
-    /// A `tm_dynfree()` release, after local *dyn_disjoin* completed.
-    DynFree {
-        /// The job.
-        job: JobId,
-        /// Hosts released.
-        released: Allocation,
-    },
+    /// A TM call the mother superior forwards, spelled as the client
+    /// command it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3
+    /// step 2; at most one outstanding per job), a `tm_dynfree()` as
+    /// [`Command::DynFree`] once the local *dyn_disjoin* completed.
+    Forwarded(Command),
 }
 
 /// The extended TM (task-management) API an application process calls on

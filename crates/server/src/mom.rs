@@ -12,6 +12,7 @@
 //! tests drive it directly.
 
 use crate::messages::{MomToServer, ServerToMom, TmRequest, TmResponse};
+use crate::reactor::Command;
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId};
 use std::collections::BTreeMap;
@@ -169,11 +170,13 @@ impl Mom {
                     return vec![MomOutput::ToApp(job, TmResponse::DynDenied)];
                 }
                 local.dyn_in_flight = true;
-                vec![MomOutput::ToServer(MomToServer::DynRequest {
-                    job,
-                    extra_cores,
-                    timeout,
-                })]
+                vec![MomOutput::ToServer(MomToServer::Forwarded(
+                    Command::DynGet {
+                        job,
+                        extra: extra_cores,
+                        timeout_ms: timeout.map(|w| w.as_millis()),
+                    },
+                ))]
             }
             TmRequest::DynFree { released } => {
                 // dyn_disjoin locally, then inform the server (paper Fig 4).
@@ -181,7 +184,7 @@ impl Mom {
                     local.hostlist.remove(node, cores);
                 }
                 vec![
-                    MomOutput::ToServer(MomToServer::DynFree { job, released }),
+                    MomOutput::ToServer(MomToServer::Forwarded(Command::DynFree { job, released })),
                     MomOutput::ToApp(job, TmResponse::Freed),
                 ]
             }
@@ -239,11 +242,11 @@ mod tests {
         );
         assert!(matches!(
             out[0],
-            MomOutput::ToServer(MomToServer::DynRequest {
+            MomOutput::ToServer(MomToServer::Forwarded(Command::DynGet {
                 job: JobId(1),
-                extra_cores: 4,
-                timeout: None
-            })
+                extra: 4,
+                timeout_ms: None
+            }))
         ));
         // Second concurrent request denied locally.
         let out2 = mom.handle_tm(
@@ -336,7 +339,7 @@ mod tests {
         );
         assert!(matches!(
             out[0],
-            MomOutput::ToServer(MomToServer::DynFree { .. })
+            MomOutput::ToServer(MomToServer::Forwarded(Command::DynFree { .. }))
         ));
         assert!(matches!(out[1], MomOutput::ToApp(_, TmResponse::Freed)));
         assert_eq!(mom.hostlist(JobId(1)).unwrap().total_cores(), 8);

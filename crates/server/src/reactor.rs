@@ -16,7 +16,7 @@
 //! * **Ack-on-append (group commit).** A command's reply is delivered
 //!   only after the *whole batch* it was applied in has returned from the
 //!   server — by which point every mutation's journal record has been
-//!   appended ([`crate::PbsServer`] logs before returning). An acked
+//!   appended ([`crate::PbsServer::execute`] logs before returning). An acked
 //!   command therefore always survives crash recovery, and the acks of a
 //!   batch amortise into one flush.
 //! * **Backpressure without blocking.** Replies go out through bounded
@@ -31,10 +31,13 @@
 //! command consumes its ticket and earns [`Reply::Denied`] — parse
 //! failures are deterministic, so they too replay identically.
 
+use crate::journal::Record;
+use crate::server::Effect;
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{
     ExecutionModel, GroupId, JobId, JobSpec, NodeId, SimDuration, SimTime, UserId,
 };
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -464,8 +467,8 @@ impl ReactorClient {
     /// range, a malleable work pool, a priority boost). Same ticket
     /// counter, ordering, group commit and reply path as
     /// [`ReactorClient::send`]; only the parse is skipped. The parser's
-    /// spec validation is not lost with it: [`crate::PbsServer::qsub`]
-    /// validates every spec again and a refusal still earns
+    /// spec validation is not lost with it: [`crate::PbsServer::execute`]
+    /// validates every submitted spec again and a refusal still earns
     /// [`Reply::Denied`].
     pub fn submit(&self, cmd: Command) -> u64 {
         let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
@@ -534,7 +537,10 @@ impl Drop for ReactorClient {
 /// ```
 ///
 /// Errors are strings destined for [`Reply::Denied`]; parsing is pure, so
-/// a malformed line denies identically on every replay.
+/// a malformed line denies identically on every replay. Input the grammar
+/// does not read — a trailing token, a field the job's class has no use
+/// for — is denied too, naming it, rather than dropped; that check runs
+/// after the known parts parsed, so a line they deny keeps its message.
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let mut it = line.split_whitespace();
     let verb = it.next().ok_or_else(|| "empty command".to_owned())?;
@@ -543,6 +549,10 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             .parse::<u64>()
             .map(JobId)
             .map_err(|_| format!("{verb}: job id is not an integer"))
+    };
+    let no_more = |rest: &mut std::str::SplitWhitespace<'_>| match rest.next() {
+        None => Ok(()),
+        Some(tok) => Err(format!("{verb}: unexpected `{tok}`")),
     };
     match verb {
         "qsub" => {
@@ -555,11 +565,12 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     return Err(format!("qsub: duplicate field `{k}`"));
                 }
             }
+            // A field is taken out as it is read: any left over is one
+            // the grammar does not read.
+            let fields = RefCell::new(fields);
+            let take = |key: &str| fields.borrow_mut().remove(key);
             let req = |key: &str| -> Result<&str, String> {
-                fields
-                    .get(key)
-                    .copied()
-                    .ok_or_else(|| format!("qsub: missing `{key}`"))
+                take(key).ok_or_else(|| format!("qsub: missing `{key}`"))
             };
             let num = |key: &str| -> Result<u64, String> {
                 req(key)?
@@ -573,7 +584,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             let user = UserId(num32("user")?);
             let group = GroupId(num32("group")?);
             let cores = num32("cores")?;
-            let spec = match fields.get("class").copied() {
+            let spec = match take("class") {
                 None | Some("rigid") => JobSpec::rigid(
                     name,
                     user,
@@ -589,7 +600,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         cores,
                         ExecutionModel::esp_evolving(num("set_s")?, num("det_s")?, num32("extra")?),
                     );
-                    if fields.contains_key("timeout_ms") {
+                    if fields.borrow().contains_key("timeout_ms") {
                         spec.dyn_timeout = Some(SimDuration::from_millis(num("timeout_ms")?));
                     }
                     spec
@@ -597,10 +608,21 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 Some(other) => return Err(format!("qsub: unknown class `{other}`")),
             };
             spec.validate().map_err(|e| format!("qsub: {e}"))?;
+            if let Some(k) = fields.borrow().keys().min() {
+                return Err(format!("qsub: unexpected field `{k}`"));
+            }
             Ok(Command::QSub(Box::new(spec)))
         }
-        "qstat" => Ok(Command::QStat(parse_job(it.next())?)),
-        "qdel" => Ok(Command::QDel(parse_job(it.next())?)),
+        "qstat" => {
+            let job = parse_job(it.next())?;
+            no_more(&mut it)?;
+            Ok(Command::QStat(job))
+        }
+        "qdel" => {
+            let job = parse_job(it.next())?;
+            no_more(&mut it)?;
+            Ok(Command::QDel(job))
+        }
         "dynget" => {
             let job = parse_job(it.next())?;
             let extra = it
@@ -615,6 +637,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         .map_err(|_| "dynget: timeout is not an integer".to_owned())?,
                 ),
             };
+            no_more(&mut it)?;
             Ok(Command::DynGet {
                 job,
                 extra,
@@ -639,6 +662,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 }
                 released.add(NodeId(node), cores);
             }
+            no_more(&mut it)?;
             Ok(Command::DynFree { job, released })
         }
         other => Err(format!("unknown command `{other}`")),
@@ -675,37 +699,43 @@ pub fn format_qsub(spec: &JobSpec) -> String {
 /// Applies one parsed command to a bare [`crate::PbsServer`] — the serial
 /// reference semantics: the daemon calls it behind every door (adding its
 /// timer/mom side effects) and the equivalence harness uses it directly.
-/// Every mutation's journal record is appended before this returns, which
-/// is what makes the reactor's ack-on-append contract hold.
+/// A `qstat` is a read; every other command is the journal record it
+/// becomes at `now`, handed to [`crate::PbsServer::execute`], which has
+/// appended the record by the time this returns — what makes the
+/// reactor's ack-on-append contract hold.
 pub fn apply_to_server(server: &mut crate::PbsServer, cmd: &Command, now: SimTime) -> Reply {
-    match cmd {
-        Command::QSub(spec) => match server.qsub((**spec).clone(), now) {
-            Ok(id) => Reply::Submitted(id),
-            Err(e) => Reply::Denied(e.to_string()),
+    let record = match cmd {
+        Command::QStat(job) => {
+            return match server.job(*job) {
+                Ok(j) => Reply::Status(format!("{:?}", j.state)),
+                Err(e) => Reply::Denied(e.to_string()),
+            }
+        }
+        Command::QSub(spec) => Record::Submit {
+            spec: (**spec).clone(),
+            now,
         },
-        Command::QStat(job) => match server.job(*job) {
-            Ok(j) => Reply::Status(format!("{:?}", j.state)),
-            Err(e) => Reply::Denied(e.to_string()),
-        },
-        Command::QDel(job) => match server.qdel(*job, now) {
-            Ok(()) => Reply::Ok,
-            Err(e) => Reply::Denied(e.to_string()),
-        },
+        Command::QDel(job) => Record::Qdel { job: *job, now },
         Command::DynGet {
             job,
             extra,
             timeout_ms,
-        } => {
-            let deadline = timeout_ms.map(|w| now + SimDuration::from_millis(w));
-            match server.tm_dynget_negotiated(*job, *extra, deadline, now) {
-                Ok(()) => Reply::Ok,
-                Err(e) => Reply::Denied(e.to_string()),
-            }
-        }
-        Command::DynFree { job, released } => match server.tm_dynfree(*job, released, now) {
-            Ok(()) => Reply::Ok,
-            Err(e) => Reply::Denied(e.to_string()),
+        } => Record::DynGet {
+            job: *job,
+            extra_cores: *extra,
+            deadline: timeout_ms.map(|w| now + SimDuration::from_millis(w)),
+            now,
         },
+        Command::DynFree { job, released } => Record::DynFree {
+            job: *job,
+            released: released.clone(),
+            now,
+        },
+    };
+    match server.execute(record) {
+        Ok(Effect::Submitted(id)) => Reply::Submitted(id),
+        Ok(_) => Reply::Ok,
+        Err(e) => Reply::Denied(e.to_string()),
     }
 }
 
@@ -1049,6 +1079,33 @@ mod tests {
         ] {
             assert!(parse_command(bad).is_err(), "accepted {bad:?}");
         }
+        // Input the grammar does not read is denied by name, not dropped.
+        let rigid = "qsub name=X user=1 group=0 cores=4 wall_ms=10";
+        let evolving = "qsub name=X user=1 group=0 cores=4 class=evolving set_s=9 det_s=6 extra=2";
+        for (extra, token) in [
+            (format!("{rigid} foo=1"), "foo"),
+            (format!("{rigid} zz=2 aa=1"), "aa"),
+            (format!("{evolving} wall_ms=10"), "wall_ms"),
+            (format!("{rigid} timeout_ms=10"), "timeout_ms"),
+            ("qdel 5 6".to_owned(), "6"),
+            ("qstat 5 x".to_owned(), "x"),
+            ("dynget 5 4 1000 x".to_owned(), "x"),
+            ("dynfree 5 0:4 x".to_owned(), "x"),
+        ] {
+            let denied = parse_command(&extra).expect_err(&extra);
+            assert!(denied.ends_with(&format!("`{token}`")), "{extra}: {denied}");
+        }
+        // ... but only once the known parts parsed: a line they deny keeps
+        // the words it was denied with.
+        assert_eq!(
+            parse_command("qsub name=X user=1 group=0 cores=0 wall_ms=10 foo=1"),
+            parse_command("qsub name=X user=1 group=0 cores=0 wall_ms=10")
+        );
+        assert_eq!(
+            parse_command("qdel xyz 6"),
+            Err("qdel: job id is not an integer".to_owned())
+        );
+        assert!(parse_command(&format!("{evolving} timeout_ms=10")).is_ok());
     }
 
     #[test]

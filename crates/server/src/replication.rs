@@ -5,9 +5,9 @@
 //! pure observer of its write-ahead journal. A [`ReplicationHub`] streams
 //! every appended [`Record`] (plus [`ServerImage`] snapshots for catch-up
 //! and compaction handoff) to N follower threads over in-process
-//! channels. Followers rebuild state through the *ordinary* mutation
-//! paths ([`PbsServer::apply_record`]), so leader and follower execute
-//! the identical deterministic code — divergence is detectable by
+//! channels. Followers rebuild state through the leader's own apply step
+//! ([`PbsServer::execute`]), so leader and follower execute the
+//! identical deterministic code — divergence is detectable by
 //! construction and checked at every snapshot boundary plus periodic
 //! rolling-digest frames.
 //!
@@ -244,9 +244,9 @@ pub fn frame_to_json(f: &Frame) -> Json {
 
 /// Parses a frame serialised by [`frame_to_json`].
 pub fn frame_from_json(v: &Json) -> Result<Frame, String> {
-    let kind = v.req("f")?.as_str().ok_or("frame kind must be a string")?;
-    let term = v.req("term")?.as_u64().ok_or("term must be u64")?;
-    let pos = v.req("pos")?.as_u64().ok_or("pos must be u64")?;
+    let kind = v.req_str("f")?;
+    let term = v.req_u64("term")?;
+    let pos = v.req_u64("pos")?;
     match kind {
         "rec" => Ok(Frame::Record {
             term,
@@ -262,7 +262,7 @@ pub fn frame_from_json(v: &Json) -> Result<Frame, String> {
         "dig" => Ok(Frame::Digest {
             term,
             pos,
-            digest: v.req("d")?.as_u64().ok_or("digest must be u64")?,
+            digest: v.req_u64("d")?,
         }),
         other => Err(format!("unknown frame kind {other:?}")),
     }
@@ -597,18 +597,20 @@ impl Follower {
         self.drain_buffer()
     }
 
-    /// Applies the next contiguous record. A snapshot never arrives this
-    /// way — the stream carries one as [`Frame::Snapshot`] or crosses it
-    /// with [`Frame::Mark`] — so a `Record::Snapshot` here is corrupt or
-    /// hostile input: `apply_record` refuses it and the follower poisons,
-    /// instead of installing an image nobody vouched for.
+    /// Applies the next contiguous record through the leader's own
+    /// [`PbsServer::execute`]; the replica has no journal, so nothing is
+    /// appended. A snapshot never arrives this way — the stream carries
+    /// one as [`Frame::Snapshot`] or crosses it with [`Frame::Mark`] — so
+    /// a `Record::Snapshot` here is corrupt or hostile input: `execute`
+    /// refuses it and the follower poisons, instead of installing an image
+    /// nobody vouched for.
     fn apply_one(&mut self, pos: u64, record: Record) -> Result<(), String> {
         let server = self
             .server
             .as_mut()
             .ok_or_else(|| format!("record {pos} before any snapshot"))?;
         server
-            .apply_record(&record)
+            .execute(record)
             .map_err(|e| format!("apply of record {pos} failed: {e}"))?;
         self.applied = pos;
         self.check_digests()
@@ -1513,6 +1515,7 @@ impl ReadRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::submit;
     use dynbatch_cluster::Cluster;
     use dynbatch_core::{
         AllocPolicy, DfsConfig, GroupId, JobSpec, SchedulerConfig, SimDuration, SimTime, UserId,
@@ -1551,16 +1554,31 @@ mod tests {
         let mut m = hp_maui();
         let mut ids = Vec::new();
         for k in 0..6u64 {
-            let id = s
-                .qsub(rigid(&format!("J{k}"), (k % 3) as u32, 8, 50 + k), t(k))
-                .unwrap();
+            let id = submit(
+                &mut s,
+                rigid(&format!("J{k}"), (k % 3) as u32, 8, 50 + k),
+                t(k),
+            )
+            .unwrap();
             ids.push(id);
             cycle(&mut s, &mut m, t(k));
         }
-        s.job_finished(ids[0], t(20)).unwrap();
-        s.qdel(ids[5], t(21)).unwrap();
+        s.execute(Record::Finish {
+            job: ids[0],
+            now: t(20),
+        })
+        .unwrap();
+        s.execute(Record::Qdel {
+            job: ids[5],
+            now: t(21),
+        })
+        .unwrap();
         cycle(&mut s, &mut m, t(22));
-        s.job_finished(ids[1], t(30)).unwrap();
+        s.execute(Record::Finish {
+            job: ids[1],
+            now: t(30),
+        })
+        .unwrap();
         cycle(&mut s, &mut m, t(31));
         s
     }
@@ -1582,14 +1600,13 @@ mod tests {
         // and finish records (and 5 000 submissions).
         let mut live = std::collections::VecDeque::new();
         for k in 0..5_000u64 {
-            live.push_back(
-                leader
-                    .qsub(rigid("J", (k % 7) as u32, 8, 100), t(k))
-                    .unwrap(),
-            );
+            live.push_back(submit(&mut leader, rigid("J", (k % 7) as u32, 8, 100), t(k)).unwrap());
             if live.len() == 15 {
                 leader
-                    .job_finished(live.pop_front().unwrap(), t(k))
+                    .execute(Record::Finish {
+                        job: live.pop_front().unwrap(),
+                        now: t(k),
+                    })
                     .unwrap();
             }
             cycle(&mut leader, &mut m, t(k));
@@ -1597,10 +1614,10 @@ mod tests {
         // A backlog for the promoted server's first cycle to decide on.
         let now = t(5_000);
         for job in live.drain(..5) {
-            leader.job_finished(job, now).unwrap();
+            leader.execute(Record::Finish { job, now }).unwrap();
         }
         for k in 0..8 {
-            leader.qsub(rigid("Q", k, 8 + k, 100), now).unwrap();
+            submit(&mut leader, rigid("Q", k, 8 + k, 100), now).unwrap();
         }
 
         let journal = leader.journal().unwrap();
@@ -1778,9 +1795,7 @@ mod tests {
         leader.enable_journal(0);
         let mut m = hp_maui();
         for k in 0..5u64 {
-            leader
-                .qsub(rigid(&format!("H{k}"), 0, 8, 30), t(k))
-                .unwrap();
+            submit(&mut leader, rigid(&format!("H{k}"), 0, 8, 30), t(k)).unwrap();
             cycle(&mut leader, &mut m, t(k));
             hub.pump(&leader);
         }
@@ -1805,7 +1820,7 @@ mod tests {
         // The survivor re-seeds under the new term and converges again.
         let mut leader = promoted;
         leader.enable_journal(0);
-        leader.qsub(rigid("after", 1, 4, 10), t(50)).unwrap();
+        submit(&mut leader, rigid("after", 1, 4, 10), t(50)).unwrap();
         let top2 = leader.journal().unwrap().total_appended();
         assert!(hub.await_replicated(&leader, top2));
         assert_eq!(hub.follower_digest(0).unwrap(), leader.state_digest());
@@ -1835,9 +1850,12 @@ mod tests {
         leader.enable_journal(5);
         let mut m = hp_maui();
         for k in 0..8u64 {
-            leader
-                .qsub(rigid(&format!("F{k}"), (k % 2) as u32, 8, 20), t(k))
-                .unwrap();
+            submit(
+                &mut leader,
+                rigid(&format!("F{k}"), (k % 2) as u32, 8, 20),
+                t(k),
+            )
+            .unwrap();
             cycle(&mut leader, &mut m, t(k));
             hub.pump(&leader);
         }

@@ -1,6 +1,9 @@
 //! The `pbs_server` state machine, extended for dynamic allocation.
 //!
-//! The server owns the cluster and the job table. It:
+//! The server owns the cluster and the job table. Every input that changes
+//! them is a journal [`Record`], applied — and, on a journaling server,
+//! appended — by [`PbsServer::execute`]: live, in recovery and on a
+//! replication follower alike. Through it the server:
 //!
 //! * queues submissions (`qsub`) and deletions (`qdel`);
 //! * accepts forwarded `tm_dynget()` requests, moving the job into the
@@ -8,10 +11,13 @@
 //!   dynamic request per job;
 //! * accepts `tm_dynfree()` releases immediately (paper: "a release
 //!   operation is rarely unsuccessful");
-//! * builds the [`Snapshot`] each scheduler iteration starts from;
-//! * applies an [`IterationOutcome`] to real cluster state, reporting the
-//!   concrete effects ([`Applied`]) so the driver (simulator or daemon)
-//!   can deliver hostlists and schedule completions.
+//! * records job exits, negotiation expiries and node failures/repairs.
+//!
+//! It also builds the [`Snapshot`] each scheduler iteration starts from,
+//! and [`PbsServer::apply`] applies the [`IterationOutcome`] to real
+//! cluster state, reporting the concrete effects ([`Applied`]) so the
+//! driver (simulator or daemon) can deliver hostlists and schedule
+//! completions.
 
 use crate::accounting::AccountingLog;
 use crate::journal::{self, Journal, PendingDynImage, Record, ServerImage};
@@ -34,6 +40,13 @@ struct PendingDyn {
     seq: u64,
     /// Negotiation deadline; `None` = reject-immediately protocol.
     deadline: Option<SimTime>,
+}
+
+impl PendingDyn {
+    /// Whether a negotiated request's deadline has passed at `now`.
+    fn is_due(&self, now: SimTime) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
 }
 
 /// A concrete effect of applying a scheduling outcome.
@@ -89,6 +102,24 @@ pub enum Applied {
         /// The hosts added (grow) or removed (shrink).
         changed: Allocation,
     },
+}
+
+/// What [`PbsServer::execute`] did with a record: only what some caller
+/// reads back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Effect {
+    /// A `Submit` queued its job under this id.
+    Submitted(JobId),
+    /// A `NodeFailed` took the node down and requeued these jobs — perhaps
+    /// none.
+    Requeued(Vec<JobId>),
+    /// An expiry timed out these jobs' pending requests.
+    Expired(Vec<JobId>),
+    /// Any other record took effect.
+    Done,
+    /// The record changed nothing, so nothing was journalled: an expiry
+    /// with nothing due, or an outcome that decides nothing.
+    Unchanged,
 }
 
 /// A statistic bumped from `&self` paths. Atomic rather than `Cell` so the
@@ -363,16 +394,6 @@ impl PbsServer {
         self.invariant_breaches = Counter::default();
     }
 
-    /// Enables the *guaranteeing* site policy (paper §II-B): evolving jobs
-    /// pre-reserve their maximum dynamic demand at start and every dynamic
-    /// request is served from that reserve.
-    pub fn set_guarantee_evolving(&mut self, on: bool) {
-        self.set_guarantee(on);
-        if self.journal.is_some() {
-            self.log(Record::Guarantee { on });
-        }
-    }
-
     /// Turns on write-ahead journaling: a genesis snapshot is written, and
     /// every subsequent mutation appends a record. `snapshot_every` sets
     /// the compaction interval — once that many records accumulate after
@@ -422,9 +443,10 @@ impl PbsServer {
         self.deltas.len()
     }
 
-    /// Appends a record and compacts when the interval is reached. Only
-    /// called after the corresponding mutation succeeded, so a compacting
-    /// snapshot always captures a state consistent with the log tail.
+    /// Appends a record and compacts when the interval is reached. Called
+    /// from two places, [`PbsServer::execute`] and [`PbsServer::apply`],
+    /// each only after its mutation took effect, so a compacting snapshot
+    /// always captures a state consistent with the log tail.
     fn log(&mut self, record: Record) {
         let journal = self.journal.as_mut().expect("journal enabled");
         journal.append(record);
@@ -699,10 +721,10 @@ impl PbsServer {
     }
 
     /// Crash recovery: rebuilds the server a journal describes by loading
-    /// its latest snapshot record and replaying every record after it
-    /// through the ordinary (deterministic) mutation paths. The journal is
-    /// then re-installed, so the recovered server keeps journaling where
-    /// the crashed one stopped.
+    /// its latest snapshot record and executing every record after it —
+    /// with the journal detached, so nothing is appended twice. The
+    /// journal is then re-installed, so the recovered server keeps
+    /// journaling where the crashed one stopped.
     ///
     /// Invariant (pinned by the crash-at-every-record sweep): recovered
     /// state ≡ crash-free state, byte-for-byte.
@@ -718,68 +740,12 @@ impl PbsServer {
             };
             let mut server = Self::restore(img)?;
             for record in &records[last_snap + 1..] {
-                server.replay(record)?;
+                server.execute(record.clone())?;
             }
             server
         };
         server.journal = Some(journal);
         Ok(server)
-    }
-
-    /// Applies one journalled mutation through the ordinary deterministic
-    /// paths — the replication follower's apply step. Requires journaling
-    /// off (a follower never re-appends what it mirrors); snapshot records
-    /// are handled by the follower itself (install or boundary-verify),
-    /// never through this path.
-    pub fn apply_record(&mut self, record: &Record) -> Result<()> {
-        if self.journal.is_some() {
-            return Err(Error::BadConfig(
-                "apply_record requires journaling off (followers never re-append)".into(),
-            ));
-        }
-        self.replay(record)
-    }
-
-    /// Replays one journalled mutation. Journaling is off while recovering
-    /// (`self.journal` is `None`), so replay never re-appends.
-    fn replay(&mut self, record: &Record) -> Result<()> {
-        debug_assert!(self.journal.is_none(), "journaling must be off in replay");
-        match record {
-            Record::Snapshot(_) => {
-                return Err(Error::BadConfig(
-                    "snapshot record after the recovery point".into(),
-                ))
-            }
-            Record::Submit { spec, now } => {
-                self.qsub(spec.clone(), *now)?;
-            }
-            Record::Qdel { job, now } => self.qdel(*job, *now)?,
-            Record::DynGet {
-                job,
-                extra_cores,
-                deadline,
-                now,
-            } => self.tm_dynget_negotiated(*job, *extra_cores, *deadline, *now)?,
-            Record::DynFree { job, released, now } => self.tm_dynfree(*job, released, *now)?,
-            Record::Finish { job, now } => {
-                self.job_finished(*job, *now)?;
-            }
-            Record::Outcome { outcome, now } => {
-                self.apply(outcome, *now);
-            }
-            Record::ExpireOne { job, seq, now } => {
-                self.expire_dyn_request(*job, *seq, *now);
-            }
-            Record::ExpireSweep { now } => {
-                self.expire_dyn_requests(*now);
-            }
-            Record::NodeFailed { node, now } => {
-                self.node_failed(*node, *now)?;
-            }
-            Record::NodeRepaired { node } => self.node_repaired(*node)?,
-            Record::Guarantee { on } => self.set_guarantee(*on),
-        }
-        Ok(())
     }
 
     /// Every pending dynamic request, in job-id order — the daemon re-arms
@@ -842,9 +808,10 @@ impl PbsServer {
 
     /// Moves a job that just turned terminal out of the live table — into
     /// the retained-terminal table, or nowhere with retention off. Runs
-    /// last in `qdel`/`job_finished`: after the usage segment closed and
-    /// the journal record (and any compacting snapshot it triggered) was
-    /// written with the job still in place.
+    /// last when [`PbsServer::execute`] applies a `Qdel` or a `Finish`:
+    /// after the usage segment closed and the journal record (and any
+    /// compacting snapshot it triggered) was written with the job still
+    /// in place.
     fn retire(&mut self, id: JobId) {
         let job = self.jobs.remove(&id).expect("retiring job is live");
         debug_assert!(job.state.is_terminal());
@@ -989,8 +956,123 @@ impl PbsServer {
         self.queued.is_empty() && self.running.is_empty()
     }
 
-    /// `qsub`: validates and queues a job.
-    pub fn qsub(&mut self, spec: JobSpec, now: SimTime) -> Result<JobId> {
+    /// Applies one state change and, when this server journals and the
+    /// record changed something, appends *that same record* — the one way
+    /// a client command, a mom report, a timer, crash recovery and a
+    /// replication follower reach durable state (recovery detaches the
+    /// journal and a follower has none, so neither appends again). A
+    /// refused record changes nothing and earns the error; so does a
+    /// snapshot record, which only ever arrives as a recovery point.
+    ///
+    /// What counts as a change, and so what is appended, is decided here
+    /// once: a `Guarantee` and a `NodeFailed` (even one that requeues
+    /// nothing) always count; an expiry counts only when a request timed
+    /// out, and an `Outcome` only when it decides something.
+    pub fn execute(&mut self, record: Record) -> Result<Effect> {
+        let (effect, record) = match record {
+            Record::Snapshot(_) => {
+                return Err(Error::BadConfig(
+                    "snapshot record after the recovery point".into(),
+                ))
+            }
+            // The spec moves into its job: a journaling server keeps a copy
+            // for the record.
+            Record::Submit { spec, now } => {
+                self.admit(&spec)?;
+                let record = self.journal.is_some().then(|| Record::Submit {
+                    spec: spec.clone(),
+                    now,
+                });
+                (Effect::Submitted(self.submit(spec, now)), record)
+            }
+            record @ Record::Qdel { job, now } => {
+                self.qdel(job, now)?;
+                (Effect::Done, Some(record))
+            }
+            record @ Record::DynGet {
+                job,
+                extra_cores,
+                deadline,
+                ..
+            } => {
+                self.dynget(job, extra_cores, deadline)?;
+                (Effect::Done, Some(record))
+            }
+            Record::DynFree { job, released, now } => {
+                self.dynfree(job, &released, now)?;
+                (Effect::Done, Some(Record::DynFree { job, released, now }))
+            }
+            record @ Record::Finish { job, now } => {
+                self.finish(job, now)?;
+                (Effect::Done, Some(record))
+            }
+            Record::Outcome { outcome, now } => {
+                self.apply_outcome(&outcome, now);
+                let effect = if decides_nothing(&outcome) {
+                    Effect::Unchanged
+                } else {
+                    Effect::Done
+                };
+                (effect, Some(Record::Outcome { outcome, now }))
+            }
+            // A request that was granted, rejected or superseded (another
+            // `seq`) since the timer was armed is not due: a stale expiry
+            // can never revoke a grant nor kill a successor request.
+            record @ Record::ExpireOne { job, seq, now } => {
+                let due = self
+                    .dyn_pending
+                    .get(&job)
+                    .is_some_and(|p| p.seq == seq && p.is_due(now));
+                (
+                    self.expire(if due { vec![job] } else { Vec::new() }),
+                    Some(record),
+                )
+            }
+            record @ Record::ExpireSweep { now } => {
+                let due = self.dyn_pending.iter().filter(|(_, p)| p.is_due(now));
+                let due: Vec<JobId> = due.map(|(&job, _)| job).collect();
+                (self.expire(due), Some(record))
+            }
+            record @ Record::NodeFailed { node, now } => {
+                let victims = self.node_failed(node, now)?;
+                (Effect::Requeued(victims), Some(record))
+            }
+            record @ Record::NodeRepaired { node } => {
+                self.cluster.repair_node(node)?;
+                self.note(ProfileDelta::CapacityChanged);
+                (Effect::Done, Some(record))
+            }
+            // The guaranteeing site policy (paper §II-B): queued jobs'
+            // pre-reserves follow it.
+            record @ Record::Guarantee { on } => {
+                if self.guarantee_evolving != on {
+                    self.guarantee_evolving = on;
+                    self.rebuild_view();
+                }
+                (Effect::Done, Some(record))
+            }
+        };
+        // A deleted or finished job stays in the live table until its
+        // record — and any compacting snapshot the append triggers — is
+        // written: the snapshot images it in place, and its retirement
+        // note carries the record's position.
+        let retiring = match &record {
+            Some(Record::Qdel { job, .. } | Record::Finish { job, .. }) => Some(*job),
+            _ => None,
+        };
+        if let Some(record) =
+            record.filter(|_| self.journal.is_some() && effect != Effect::Unchanged)
+        {
+            self.log(record);
+        }
+        if let Some(id) = retiring {
+            self.retire(id);
+        }
+        Ok(effect)
+    }
+
+    /// `qsub`'s checks: a valid spec the machine could ever run.
+    fn admit(&self, spec: &JobSpec) -> Result<()> {
         spec.validate().map_err(Error::BadSpec)?;
         if spec.cores > self.cluster.total_cores() {
             return Err(Error::RequestExceedsSystem {
@@ -998,26 +1080,22 @@ impl PbsServer {
                 capacity: self.cluster.total_cores(),
             });
         }
+        Ok(())
+    }
+
+    /// `qsub`: queues an admitted job under the next id. The id is implied
+    /// by replay order; only the inputs are journalled.
+    fn submit(&mut self, spec: JobSpec, now: SimTime) -> JobId {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
-        // The assigned id is implied by replay order; only the inputs are
-        // journalled. The record is built first (the spec moves into the
-        // job) but appended only after the insert, like every other hook.
-        let record = self.journal.is_some().then(|| Record::Submit {
-            spec: spec.clone(),
-            now,
-        });
         let job = Job::new(id, spec, now);
         self.queued.push(self.queued_entry(&job));
         self.jobs.insert(id, job);
-        if let Some(record) = record {
-            self.log(record);
-        }
-        Ok(id)
+        id
     }
 
     /// `qdel`: cancels a job, releasing resources if it was active.
-    pub fn qdel(&mut self, id: JobId, now: SimTime) -> Result<()> {
+    fn qdel(&mut self, id: JobId, now: SimTime) -> Result<()> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return Err(self.not_live(id, "qdel", "terminal"));
         };
@@ -1032,33 +1110,18 @@ impl PbsServer {
             self.queued.remove(id);
             self.note(ProfileDelta::LeftQueue { job: id });
         }
-        if self.journal.is_some() {
-            self.log(Record::Qdel { job: id, now });
-        }
-        self.retire(id);
         Ok(())
     }
 
     /// The mother superior forwarded a `tm_dynget()` — queue it and move
     /// the job to `DynQueued` (paper Fig 3, steps 2–3). Rejects a second
-    /// pending request for the same job.
-    pub fn tm_dynget(&mut self, id: JobId, extra_cores: u32, now: SimTime) -> Result<()> {
-        self.tm_dynget_negotiated(id, extra_cores, None, now)
-    }
-
-    /// The negotiation extension (paper §III-C future work): like
-    /// [`PbsServer::tm_dynget`], but an unservable request stays queued at
-    /// the server until `deadline` — the scheduler reconsiders it every
-    /// iteration and reports availability estimates — instead of failing
-    /// straight back. Call [`PbsServer::expire_dyn_requests`] as time
-    /// passes to time out stale requests.
-    pub fn tm_dynget_negotiated(
-        &mut self,
-        id: JobId,
-        extra_cores: u32,
-        deadline: Option<SimTime>,
-        now: SimTime,
-    ) -> Result<()> {
+    /// pending request for the same job. With a `deadline` the request is
+    /// negotiated (paper §III-C future work): an unservable request stays
+    /// queued at the server until then — the scheduler reconsiders it
+    /// every iteration and reports availability estimates — instead of
+    /// failing straight back; a `Record::ExpireOne` or `ExpireSweep`
+    /// times it out.
+    fn dynget(&mut self, id: JobId, extra_cores: u32, deadline: Option<SimTime>) -> Result<()> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return Err(self.not_live(id, "tm_dynget", "not running"));
         };
@@ -1089,19 +1152,11 @@ impl PbsServer {
                 deadline,
             },
         );
-        if self.journal.is_some() {
-            self.log(Record::DynGet {
-                job: id,
-                extra_cores,
-                deadline,
-                now,
-            });
-        }
         Ok(())
     }
 
     /// A `tm_dynfree()` release: takes effect immediately (paper Fig 4).
-    pub fn tm_dynfree(&mut self, id: JobId, released: &Allocation, now: SimTime) -> Result<()> {
+    fn dynfree(&mut self, id: JobId, released: &Allocation, now: SimTime) -> Result<()> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return Err(self.not_live(id, "tm_dynfree", "not active"));
         };
@@ -1123,18 +1178,11 @@ impl PbsServer {
         let job = self.jobs.get_mut(&id).expect("checked above");
         job.cores_allocated -= total;
         self.resized(id);
-        if self.journal.is_some() {
-            self.log(Record::DynFree {
-                job: id,
-                released: released.clone(),
-                now,
-            });
-        }
         Ok(())
     }
 
     /// The application exited: release everything and record the outcome.
-    pub fn job_finished(&mut self, id: JobId, now: SimTime) -> Result<JobOutcome> {
+    fn finish(&mut self, id: JobId, now: SimTime) -> Result<()> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return Err(self.not_live(id, "finish", "not active"));
         };
@@ -1154,7 +1202,7 @@ impl PbsServer {
         self.usage_close(id, now);
         self.left_machine(id, was);
         let job = &self.jobs[&id];
-        let outcome = JobOutcome {
+        self.accounting.record(JobOutcome {
             id,
             name: job.spec.name.clone(),
             user: job.spec.user,
@@ -1167,13 +1215,8 @@ impl PbsServer {
             dyn_requests: job.dyn_requests,
             dyn_grants: job.dyn_grants,
             backfilled: job.backfilled,
-        };
-        self.accounting.record(outcome.clone());
-        if self.journal.is_some() {
-            self.log(Record::Finish { job: id, now });
-        }
-        self.retire(id);
-        Ok(outcome)
+        });
+        Ok(())
     }
 
     /// The scheduler's view of the current state (paper Algorithm 2, steps
@@ -1346,14 +1389,6 @@ impl PbsServer {
         self.queued = queued.into();
     }
 
-    /// Sets the guaranteeing policy; queued jobs' pre-reserves follow it.
-    fn set_guarantee(&mut self, on: bool) {
-        if self.guarantee_evolving != on {
-            self.guarantee_evolving = on;
-            self.rebuild_view();
-        }
-    }
-
     /// Appends to the delta log — once somebody drains it. Until the
     /// first [`PbsServer::snapshot_incremental`] the log stays empty: that
     /// snapshot's log is self-contained, so nothing before it is owed.
@@ -1473,20 +1508,28 @@ impl PbsServer {
     }
 
     /// Applies a scheduler outcome to real state, in the scheduler's
-    /// decision order: preemptions and grants first, then starts.
+    /// decision order: preemptions and grants first, then starts. A
+    /// journaling server then appends the outcome reduced to what this
+    /// reads — the one append outside [`PbsServer::execute`], whose
+    /// `Outcome` arm (recovery, followers) runs the same body.
     ///
     /// # Panics
     /// If the scheduler's plan cannot be realised (it planned against the
     /// snapshot this server produced, so failure is a bookkeeping bug).
     pub fn apply(&mut self, outcome: &IterationOutcome, now: SimTime) -> Vec<Applied> {
-        let mut applied = Vec::new();
-        // Journal the decision set up front (reduced to what `apply` reads);
-        // an outcome with no decisions mutates nothing and is not logged.
-        let journal_outcome = self.journal.is_some()
-            && !(outcome.starts.is_empty()
-                && outcome.dyn_decisions.is_empty()
-                && outcome.grows.is_empty());
+        let applied = self.apply_outcome(outcome, now);
+        if self.journal.is_some() && !decides_nothing(outcome) {
+            self.log(Record::Outcome {
+                outcome: journal::reduce_outcome(outcome),
+                now,
+            });
+        }
+        applied
+    }
 
+    /// [`PbsServer::apply`] without the append.
+    fn apply_outcome(&mut self, outcome: &IterationOutcome, now: SimTime) -> Vec<Applied> {
+        let mut applied = Vec::new();
         for decision in &outcome.dyn_decisions {
             match decision {
                 DynDecision::Granted {
@@ -1588,13 +1631,6 @@ impl PbsServer {
             });
         }
 
-        if journal_outcome {
-            self.log(Record::Outcome {
-                outcome: journal::reduce_outcome(outcome),
-                now,
-            });
-        }
-
         applied
     }
 
@@ -1602,7 +1638,7 @@ impl PbsServer {
     /// job is requeued (progress lost). The returned list names the
     /// victims — the fault-tolerance hook the paper's introduction
     /// motivates (spare nodes can be dynamically allocated to them).
-    pub fn node_failed(&mut self, node: dynbatch_core::NodeId, now: SimTime) -> Result<Vec<JobId>> {
+    fn node_failed(&mut self, node: dynbatch_core::NodeId, now: SimTime) -> Result<Vec<JobId>> {
         let victims = self.cluster.fail_node(node)?;
         for &v in &victims {
             // Release whatever the job still holds on surviving nodes.
@@ -1621,9 +1657,6 @@ impl PbsServer {
         }
         self.shed_reserves();
         self.note(ProfileDelta::CapacityChanged);
-        if self.journal.is_some() {
-            self.log(Record::NodeFailed { node, now });
-        }
         Ok(victims)
     }
 
@@ -1658,16 +1691,6 @@ impl PbsServer {
             over -= shed;
             self.resized(id);
         }
-    }
-
-    /// A failed node returned to service.
-    pub fn node_repaired(&mut self, node: dynbatch_core::NodeId) -> Result<()> {
-        self.cluster.repair_node(node)?;
-        self.note(ProfileDelta::CapacityChanged);
-        if self.journal.is_some() {
-            self.log(Record::NodeRepaired { node });
-        }
-        Ok(())
     }
 
     /// Applies a scheduler-initiated malleable resize.
@@ -1723,54 +1746,24 @@ impl PbsServer {
 
     /// The FIFO sequence number of `id`'s pending dynamic request, if one
     /// is queued. Expiry timers capture this so a firing can be matched
-    /// against the *exact* request it was armed for (see
-    /// [`PbsServer::expire_dyn_request`]).
+    /// against the *exact* request it was armed for (a `Record::ExpireOne`
+    /// carries it).
     pub fn pending_dyn_seq(&self, id: JobId) -> Option<u64> {
         self.dyn_pending.get(&id).map(|p| p.seq)
     }
 
-    /// Times out one negotiated dynamic request, identified by `(id, seq)`.
-    ///
-    /// Returns `true` only when that exact request is still pending and its
-    /// deadline has passed — the job then returns to `Running` and the
-    /// caller must relay the denial. A request that was already granted,
-    /// rejected, or superseded by a newer request (different `seq`) makes
-    /// this a **no-op**: a stale expiry timer can never revoke a grant nor
-    /// kill a successor request (the grant-then-expiry race).
-    pub fn expire_dyn_request(&mut self, id: JobId, seq: u64, now: SimTime) -> bool {
-        let due = self
-            .dyn_pending
-            .get(&id)
-            .is_some_and(|p| p.seq == seq && p.deadline.is_some_and(|d| now >= d));
-        if !due {
-            return false;
+    /// Times out the pending requests of `due`: each job returns to
+    /// `Running`, and the driver tells its application the request failed
+    /// (it may retry). Nothing due is no change at all.
+    fn expire(&mut self, due: Vec<JobId>) -> Effect {
+        if due.is_empty() {
+            return Effect::Unchanged;
         }
-        self.dyn_pending.remove(&id);
-        self.request_settled(id);
-        if self.journal.is_some() {
-            self.log(Record::ExpireOne { job: id, seq, now });
-        }
-        true
-    }
-
-    /// Times out negotiated dynamic requests whose deadline has passed:
-    /// each expired job returns to `Running` and its application is told
-    /// the request failed (it may retry). Returns the expired jobs.
-    pub fn expire_dyn_requests(&mut self, now: SimTime) -> Vec<JobId> {
-        let expired: Vec<JobId> = self
-            .dyn_pending
-            .iter()
-            .filter(|(_, p)| p.deadline.is_some_and(|d| now >= d))
-            .map(|(&j, _)| j)
-            .collect();
-        for &id in &expired {
+        for &id in &due {
             self.dyn_pending.remove(&id);
             self.request_settled(id);
         }
-        if self.journal.is_some() && !expired.is_empty() {
-            self.log(Record::ExpireSweep { now });
-        }
-        expired
+        Effect::Expired(due)
     }
 
     /// Requeues a running backfilled job (preempted for a dynamic request).
@@ -1795,6 +1788,21 @@ impl PbsServer {
         self.left_machine(id, was);
         self.requeued(id);
         Ok(())
+    }
+}
+
+/// An outcome with no start, dynamic decision or grow mutates nothing, and
+/// is never journalled.
+fn decides_nothing(outcome: &IterationOutcome) -> bool {
+    outcome.starts.is_empty() && outcome.dyn_decisions.is_empty() && outcome.grows.is_empty()
+}
+
+/// Test shorthand: executes a `Submit` and hands back the id it assigned.
+#[cfg(test)]
+pub(crate) fn submit(s: &mut PbsServer, spec: JobSpec, now: SimTime) -> Result<JobId> {
+    match s.execute(Record::Submit { spec, now })? {
+        Effect::Submitted(id) => Ok(id),
+        other => unreachable!("a submit has no {other:?}"),
     }
 }
 
@@ -1860,6 +1868,16 @@ mod tests {
         Maui::new(cfg)
     }
 
+    /// A `tm_dynget` without a negotiation window.
+    fn dynget(job: JobId, extra_cores: u32, now: SimTime) -> Record {
+        Record::DynGet {
+            job,
+            extra_cores,
+            deadline: None,
+            now,
+        }
+    }
+
     /// Drives one scheduler iteration against the server.
     fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) -> Vec<Applied> {
         server.run_cycle(maui, now).1
@@ -1869,7 +1887,7 @@ mod tests {
     fn qsub_then_start() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s.qsub(rigid("A", 0, 16, 100), t(0)).unwrap();
+        let id = submit(&mut s, rigid("A", 0, 16, 100), t(0)).unwrap();
         assert_eq!(s.queued_count(), 1);
         let applied = cycle(&mut s, &mut m, t(0));
         assert!(matches!(&applied[0], Applied::Started { job, .. } if *job == id));
@@ -1882,53 +1900,59 @@ mod tests {
     fn invalid_qsub_rejected() {
         let mut s = server();
         assert!(matches!(
-            s.qsub(rigid("X", 0, 500, 100), t(0)),
+            submit(&mut s, rigid("X", 0, 500, 100), t(0)),
             Err(Error::RequestExceedsSystem { .. })
         ));
         let mut bad = rigid("X", 0, 4, 100);
         bad.cores = 0;
-        assert!(matches!(s.qsub(bad, t(0)), Err(Error::BadSpec(_))));
+        assert!(matches!(submit(&mut s, bad, t(0)), Err(Error::BadSpec(_))));
     }
 
     #[test]
     fn finish_records_outcome() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s.qsub(rigid("A", 0, 16, 100), t(5)).unwrap();
+        let id = submit(&mut s, rigid("A", 0, 16, 100), t(5)).unwrap();
         cycle(&mut s, &mut m, t(10));
-        let outcome = s.job_finished(id, t(110)).unwrap();
+        let finish = Record::Finish {
+            job: id,
+            now: t(110),
+        };
+        assert_eq!(s.execute(finish), Ok(Effect::Done));
+        let [outcome] = s.accounting().outcomes() else {
+            panic!("one outcome: {:?}", s.accounting().outcomes());
+        };
         assert_eq!(outcome.wait(), SimDuration::from_secs(5));
         assert_eq!(outcome.runtime(), SimDuration::from_secs(100));
         assert_eq!(s.cluster().idle_cores(), 120);
         assert!(s.is_drained());
-        assert_eq!(s.accounting().outcomes().len(), 1);
     }
 
     #[test]
     fn dynget_roundtrip_success() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.job(id).unwrap().state, JobState::Running);
 
         // Application hits its threshold and calls tm_dynget.
-        s.tm_dynget(id, 4, t(295)).unwrap();
+        s.execute(dynget(id, 4, t(295))).unwrap();
         assert_eq!(s.job(id).unwrap().state, JobState::DynQueued);
         // A second request while one is pending is refused.
         assert!(matches!(
-            s.tm_dynget(id, 4, t(296)),
+            s.execute(dynget(id, 4, t(296))),
             Err(Error::DynRequestPending(_))
         ));
 
@@ -1949,24 +1973,24 @@ mod tests {
     fn dynget_rejected_when_full() {
         let mut s = server();
         let mut m = hp_maui();
-        let evolving = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
-        let filler = s.qsub(rigid("big", 1, 112, 2000), t(0)).unwrap();
+        let evolving = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
+        let filler = submit(&mut s, rigid("big", 1, 112, 2000), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.cluster().idle_cores(), 0);
         let _ = filler;
 
-        s.tm_dynget(evolving, 4, t(295)).unwrap();
+        s.execute(dynget(evolving, 4, t(295))).unwrap();
         let applied = cycle(&mut s, &mut m, t(295));
         assert!(applied.iter().any(|a| matches!(
             a,
@@ -1974,7 +1998,7 @@ mod tests {
         )));
         // Back to Running; the application may retry.
         assert_eq!(s.job(evolving).unwrap().state, JobState::Running);
-        s.tm_dynget(evolving, 4, t(460)).unwrap();
+        s.execute(dynget(evolving, 4, t(460))).unwrap();
         assert_eq!(s.job(evolving).unwrap().dyn_requests, 2);
     }
 
@@ -1982,18 +2006,29 @@ mod tests {
     fn dynfree_releases_subset() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s.qsub(rigid("A", 0, 16, 1000), t(0)).unwrap();
+        let id = submit(&mut s, rigid("A", 0, 16, 1000), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
         let alloc = s.cluster().allocation_of(id).unwrap().clone();
         let mut part = Allocation::empty();
         let (node, _) = alloc.entries().next().unwrap();
         part.add(node, 4);
-        s.tm_dynfree(id, &part, t(100)).unwrap();
+        s.execute(Record::DynFree {
+            job: id,
+            released: part,
+            now: t(100),
+        })
+        .unwrap();
         assert_eq!(s.job(id).unwrap().cores_allocated, 12);
         assert_eq!(s.cluster().idle_cores(), 108);
         // Releasing the entire allocation through tm_dynfree is refused.
         let all = s.cluster().allocation_of(id).unwrap().clone();
-        assert!(s.tm_dynfree(id, &all, t(101)).is_err());
+        assert!(s
+            .execute(Record::DynFree {
+                job: id,
+                released: all,
+                now: t(101)
+            })
+            .is_err());
         s.cluster().check_invariants().unwrap();
     }
 
@@ -2001,24 +2036,24 @@ mod tests {
     fn qdel_queued_and_running() {
         let mut s = server();
         let mut m = hp_maui();
-        let a = s.qsub(rigid("A", 0, 8, 100), t(0)).unwrap();
-        let b = s.qsub(rigid("B", 0, 8, 100), t(0)).unwrap();
+        let a = submit(&mut s, rigid("A", 0, 8, 100), t(0)).unwrap();
+        let b = submit(&mut s, rigid("B", 0, 8, 100), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
-        s.qdel(a, t(10)).unwrap();
+        s.execute(Record::Qdel { job: a, now: t(10) }).unwrap();
         assert_eq!(s.job(a).unwrap().state, JobState::Cancelled);
         assert_eq!(s.cluster().cores_of(a), 0);
-        s.qdel(b, t(10)).unwrap();
+        s.execute(Record::Qdel { job: b, now: t(10) }).unwrap();
         assert!(s.is_drained());
         // Double delete fails.
-        assert!(s.qdel(a, t(11)).is_err());
+        assert!(s.execute(Record::Qdel { job: a, now: t(11) }).is_err());
     }
 
     #[test]
     fn snapshot_reflects_state() {
         let mut s = server();
         let mut m = hp_maui();
-        let a = s.qsub(rigid("A", 0, 100, 500), t(0)).unwrap();
-        let b = s.qsub(rigid("B", 1, 100, 500), t(1)).unwrap();
+        let a = submit(&mut s, rigid("A", 0, 100, 500), t(0)).unwrap();
+        let b = submit(&mut s, rigid("B", 1, 100, 500), t(1)).unwrap();
         cycle(&mut s, &mut m, t(1));
         let snap = s.snapshot(t(2));
         assert_eq!(snap.running.len(), 1);
@@ -2068,11 +2103,11 @@ mod tests {
             8,
             ExecutionModel::esp_evolving(1846, 1230, 4),
         );
-        let f = s.qsub(evolving.clone(), t(0)).unwrap();
-        let _wide = s.qsub(rigid("wide", 1, 100, 500), t(0)).unwrap();
+        let f = submit(&mut s, evolving.clone(), t(0)).unwrap();
+        let _wide = submit(&mut s, rigid("wide", 1, 100, 500), t(0)).unwrap();
         // `blocked` gets a reservation; `small` is backfilled around it.
-        let blocked = s.qsub(rigid("blocked", 2, 120, 500), t(1)).unwrap();
-        let small = s.qsub(rigid("small", 3, 12, 100), t(2)).unwrap();
+        let blocked = submit(&mut s, rigid("blocked", 2, 120, 500), t(1)).unwrap();
+        let small = submit(&mut s, rigid("small", 3, 12, 100), t(2)).unwrap();
         let mut z = rigid("Z", 4, 8, 100);
         z.suppress_backfill_while_queued = true;
         cycle(&mut s, &mut m, t(2));
@@ -2084,8 +2119,8 @@ mod tests {
 
         // The machine is full: the request preempts the backfilled job,
         // which re-enters the queue *between* older and newer ids.
-        let late = s.qsub(rigid("late", 5, 120, 50), t(3)).unwrap();
-        s.tm_dynget(f, 4, t(295)).unwrap();
+        let late = submit(&mut s, rigid("late", 5, 120, 50), t(3)).unwrap();
+        s.execute(dynget(f, 4, t(295))).unwrap();
         assert_view_is_the_walk(&s, t(295));
         let applied = cycle(&mut s, &mut m, t(295));
         assert!(applied.contains(&Applied::Preempted { job: small }));
@@ -2097,14 +2132,18 @@ mod tests {
 
         // A Z job comes and goes; a queued evolving job's pre-reserve
         // follows the guaranteeing policy when it flips.
-        let z = s.qsub(z, t(300)).unwrap();
+        let z = submit(&mut s, z, t(300)).unwrap();
         assert!(s.snapshot(t(300)).backfill_suppressed());
-        let g = s.qsub(evolving, t(301)).unwrap();
-        s.set_guarantee_evolving(true);
+        let g = submit(&mut s, evolving, t(301)).unwrap();
+        s.execute(Record::Guarantee { on: true }).unwrap();
         assert_eq!(s.snapshot(t(302)).queued.get(g).unwrap().reserve_extra, 4);
         assert_view_is_the_walk(&s, t(302));
-        s.set_guarantee_evolving(false);
-        s.qdel(z, t(303)).unwrap();
+        s.execute(Record::Guarantee { on: false }).unwrap();
+        s.execute(Record::Qdel {
+            job: z,
+            now: t(303),
+        })
+        .unwrap();
         assert!(!s.snapshot(t(303)).backfill_suppressed());
         assert_view_is_the_walk(&s, t(303));
 
@@ -2117,7 +2156,8 @@ mod tests {
             .next()
             .unwrap()
             .0;
-        assert!(s.node_failed(node, t(310)).unwrap().contains(&f));
+        let failed = s.execute(Record::NodeFailed { node, now: t(310) });
+        assert!(matches!(failed, Ok(Effect::Requeued(victims)) if victims.contains(&f)));
         assert_view_is_the_walk(&s, t(310));
         assert_newest_snapshot_is_fresh(&s);
     }
@@ -2128,12 +2168,12 @@ mod tests {
         // it copies, so what the scheduler was handed stays what it was.
         let mut s = server();
         let mut m = hp_maui();
-        let a = s.qsub(rigid("A", 0, 100, 500), t(0)).unwrap();
-        let b = s.qsub(rigid("B", 1, 100, 500), t(1)).unwrap();
+        let a = submit(&mut s, rigid("A", 0, 100, 500), t(0)).unwrap();
+        let b = submit(&mut s, rigid("B", 1, 100, 500), t(1)).unwrap();
         let before = s.snapshot(t(1));
         let outcome = m.iterate(&before);
         s.apply(&outcome, t(1));
-        s.qdel(b, t(2)).unwrap();
+        s.execute(Record::Qdel { job: b, now: t(2) }).unwrap();
         let ids = |snap: &Snapshot| -> (Vec<JobId>, Vec<JobId>) {
             (
                 snap.running.iter().map(|r| r.id).collect(),
@@ -2151,20 +2191,20 @@ mod tests {
         // produce it, so the state comes from a doctored image.
         let mut s = server();
         let mut m = hp_maui();
-        let id = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(0));
-        s.tm_dynget(id, 4, t(295)).unwrap();
+        s.execute(dynget(id, 4, t(295))).unwrap();
         assert_eq!(s.snapshot(t(295)).dyn_requests.len(), 1);
         assert_eq!(s.invariant_breaches(), 0);
 
@@ -2205,23 +2245,31 @@ mod tests {
                 4,
                 SimDuration::from_secs(100 + u64::from(i)),
             );
-            ids.push(s.qsub(spec, t(u64::from(i))).unwrap());
+            ids.push(submit(&mut s, spec, t(u64::from(i))).unwrap());
             assert_eq!(newest(&s), s.image());
         }
         for &id in &ids[..6] {
-            s.qdel(id, t(20)).unwrap();
+            s.execute(Record::Qdel {
+                job: id,
+                now: t(20),
+            })
+            .unwrap();
             assert_eq!(newest(&s), s.image());
         }
         assert_eq!(newest(&s).jobs.len(), 12);
         s.set_job_retention(false);
-        s.qsub(rigid("late", 1, 4, 50), t(21)).unwrap();
+        submit(&mut s, rigid("late", 1, 4, 50), t(21)).unwrap();
         assert_eq!(newest(&s).jobs.len(), 7, "swept jobs leave the image");
         assert_eq!(newest(&s), s.image());
         // With retention off a deleted job is in the snapshot its own
         // record triggers and gone from the next one.
-        s.qdel(ids[6], t(22)).unwrap();
+        s.execute(Record::Qdel {
+            job: ids[6],
+            now: t(22),
+        })
+        .unwrap();
         assert_eq!(newest(&s).jobs.len(), 7);
-        s.qsub(rigid("later", 1, 4, 50), t(23)).unwrap();
+        submit(&mut s, rigid("later", 1, 4, 50), t(23)).unwrap();
         assert_eq!(newest(&s).jobs.len(), 7, "dropped job leaves the image");
         assert_eq!(newest(&s), s.image());
         let recovered = PbsServer::recover(s.journal().unwrap().clone()).unwrap();
@@ -2239,11 +2287,15 @@ mod tests {
             let mut m = hp_maui();
             for round in 0..50 {
                 let ids: Vec<JobId> = (0..100)
-                    .map(|i| s.qsub(rigid("old", i % 7, 1, 10), t(round)).unwrap())
+                    .map(|i| submit(&mut s, rigid("old", i % 7, 1, 10), t(round)).unwrap())
                     .collect();
                 cycle(&mut s, &mut m, t(round));
                 for id in ids {
-                    s.job_finished(id, t(round)).unwrap();
+                    s.execute(Record::Finish {
+                        job: id,
+                        now: t(round),
+                    })
+                    .unwrap();
                 }
             }
             assert_eq!(s.jobs().count(), 5_000);
@@ -2266,13 +2318,21 @@ mod tests {
                 s.journal_retain_from((stamp + 1).saturating_sub(64 * lag_intervals));
                 let mut retires = false;
                 match step % 8 {
-                    0..=3 => queued.push(s.qsub(rigid("new", 1, 2, 500), now).unwrap()),
+                    0..=3 => queued.push(submit(&mut s, rigid("new", 1, 2, 500), now).unwrap()),
                     4 if !queued.is_empty() => {
-                        s.qdel(queued.remove(0), now).unwrap();
+                        s.execute(Record::Qdel {
+                            job: queued.remove(0),
+                            now,
+                        })
+                        .unwrap();
                         retires = true;
                     }
                     5 if !running.is_empty() => {
-                        s.job_finished(running.remove(0), now).unwrap();
+                        s.execute(Record::Finish {
+                            job: running.remove(0),
+                            now,
+                        })
+                        .unwrap();
                         retires = true;
                         finished.push(stamp);
                     }
@@ -2326,25 +2386,30 @@ mod tests {
     fn negotiated_request_survives_apply_and_expires() {
         let mut s = server();
         let mut m = hp_maui();
-        let evolving = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1000, 700, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
-        let _filler = s.qsub(rigid("big", 1, 112, 2000), t(0)).unwrap();
+        let evolving = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1000, 700, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
+        let _filler = submit(&mut s, rigid("big", 1, 112, 2000), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.cluster().idle_cores(), 0);
 
         // Negotiated request with a deadline at t=500.
-        s.tm_dynget_negotiated(evolving, 4, Some(t(500)), t(100))
-            .unwrap();
+        s.execute(Record::DynGet {
+            job: evolving,
+            extra_cores: 4,
+            deadline: Some(t(500)),
+            now: t(100),
+        })
+        .unwrap();
         let applied = cycle(&mut s, &mut m, t(100));
         assert!(applied
             .iter()
@@ -2352,11 +2417,11 @@ mod tests {
         // Still pending: the job stays DynQueued across the iteration.
         assert_eq!(s.job(evolving).unwrap().state, JobState::DynQueued);
         // Before the deadline nothing expires.
-        assert!(s.expire_dyn_requests(t(400)).is_empty());
+        let sweep = |at| Record::ExpireSweep { now: t(at) };
+        assert_eq!(s.execute(sweep(400)), Ok(Effect::Unchanged));
         assert_eq!(s.job(evolving).unwrap().state, JobState::DynQueued);
         // At the deadline it expires and the job resumes Running.
-        let expired = s.expire_dyn_requests(t(500));
-        assert_eq!(expired, vec![evolving]);
+        assert_eq!(s.execute(sweep(500)), Ok(Effect::Expired(vec![evolving])));
         assert_eq!(s.job(evolving).unwrap().state, JobState::Running);
         // The snapshot carries no stale request afterwards.
         assert!(s.snapshot(t(501)).dyn_requests.is_empty());
@@ -2370,75 +2435,98 @@ mod tests {
         // makes the stale firing a no-op.
         let mut s = server();
         let mut m = hp_maui();
-        let id = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(0));
 
         // First negotiated request: granted on the idle machine.
-        s.tm_dynget_negotiated(id, 4, Some(t(500)), t(100)).unwrap();
+        s.execute(Record::DynGet {
+            job: id,
+            extra_cores: 4,
+            deadline: Some(t(500)),
+            now: t(100),
+        })
+        .unwrap();
         let seq1 = s.pending_dyn_seq(id).expect("pending");
         let applied = cycle(&mut s, &mut m, t(100));
         assert!(applied
             .iter()
             .any(|a| matches!(a, Applied::DynGranted { .. })));
         // Its expiry timer fires after the grant: must be a no-op.
-        assert!(!s.expire_dyn_request(id, seq1, t(600)));
+        let expire = |seq, at| Record::ExpireOne {
+            job: id,
+            seq,
+            now: t(at),
+        };
+        assert_eq!(s.execute(expire(seq1, 600)), Ok(Effect::Unchanged));
         assert_eq!(s.job(id).unwrap().state, JobState::Running);
 
         // A successor request must not be killable by the stale seq.
-        s.tm_dynget_negotiated(id, 4, Some(t(900)), t(700)).unwrap();
+        s.execute(Record::DynGet {
+            job: id,
+            extra_cores: 4,
+            deadline: Some(t(900)),
+            now: t(700),
+        })
+        .unwrap();
         let seq2 = s.pending_dyn_seq(id).expect("pending again");
         assert_ne!(seq1, seq2);
-        assert!(!s.expire_dyn_request(id, seq1, t(950)), "stale seq no-ops");
+        let stale = s.execute(expire(seq1, 950));
+        assert_eq!(stale, Ok(Effect::Unchanged), "stale seq no-ops");
         assert_eq!(s.job(id).unwrap().state, JobState::DynQueued);
         // The matching (seq, past-deadline) firing does expire it.
-        assert!(s.expire_dyn_request(id, seq2, t(950)));
+        assert_eq!(s.execute(expire(seq2, 950)), Ok(Effect::Expired(vec![id])));
         assert_eq!(s.job(id).unwrap().state, JobState::Running);
         // And before its deadline, even the matching seq does nothing.
-        s.tm_dynget_negotiated(id, 4, Some(t(2000)), t(960))
-            .unwrap();
+        s.execute(Record::DynGet {
+            job: id,
+            extra_cores: 4,
+            deadline: Some(t(2000)),
+            now: t(960),
+        })
+        .unwrap();
         let seq3 = s.pending_dyn_seq(id).unwrap();
-        assert!(!s.expire_dyn_request(id, seq3, t(1000)));
+        assert_eq!(s.execute(expire(seq3, 1000)), Ok(Effect::Unchanged));
         assert_eq!(s.job(id).unwrap().state, JobState::DynQueued);
     }
 
     #[test]
     fn guarantee_reserve_tracked_and_consumed() {
         let mut s = server();
-        s.set_guarantee_evolving(true);
+        s.execute(Record::Guarantee { on: true }).unwrap();
         let mut m = {
             let mut cfg = SchedulerConfig::paper_eval();
             cfg.dfs = DfsConfig::highest_priority();
             cfg.guarantee_evolving = true;
             Maui::new(cfg)
         };
-        let id = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1000, 700, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1000, 700, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.job(id).unwrap().reserved_extra, 4);
         assert_eq!(s.reserved_unused_cores(), 4);
         // The grant consumes the reserve.
-        s.tm_dynget(id, 4, t(160)).unwrap();
+        s.execute(dynget(id, 4, t(160))).unwrap();
         cycle(&mut s, &mut m, t(160));
         let job = s.job(id).unwrap();
         assert_eq!(job.dyn_grants, 1);
@@ -2461,15 +2549,15 @@ mod tests {
         };
         let mut s = server();
         let mut m = hp_maui();
-        let late = s.qsub(evolving("late", 56, 100), t(0)).unwrap();
-        let other = s.qsub(evolving("other", 55, 1000), t(0)).unwrap();
+        let late = submit(&mut s, evolving("late", 56, 100), t(0)).unwrap();
+        let other = submit(&mut s, evolving("other", 55, 1000), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.cluster().idle_cores(), 9);
         // `late` is 50 s past its walltime when it asks: its remaining
         // walltime is zero. Both requests fit the 9 idle cores alone,
         // together they do not.
-        s.tm_dynget(late, 6, t(150)).unwrap();
-        s.tm_dynget(other, 7, t(150)).unwrap();
+        s.execute(dynget(late, 6, t(150))).unwrap();
+        s.execute(dynget(other, 7, t(150))).unwrap();
         let applied = cycle(&mut s, &mut m, t(150));
         assert!(applied
             .iter()
@@ -2485,7 +2573,7 @@ mod tests {
     #[test]
     fn node_failure_sheds_pre_reserves_the_machine_cannot_honour() {
         let mut s = PbsServer::new(Cluster::homogeneous(3, 8), AllocPolicy::Pack);
-        s.set_guarantee_evolving(true);
+        s.execute(Record::Guarantee { on: true }).unwrap();
         s.enable_journal(0);
         let mut m = {
             let mut cfg = SchedulerConfig::paper_eval();
@@ -2502,13 +2590,16 @@ mod tests {
                 ExecutionModel::esp_evolving(1000, 700, extra),
             )
         };
-        let old = s.qsub(evolving("old", 8, 6), t(0)).unwrap();
-        let young = s.qsub(evolving("young", 4, 4), t(0)).unwrap();
+        let old = submit(&mut s, evolving("old", 8, 6), t(0)).unwrap();
+        let young = submit(&mut s, evolving("young", 4, 4), t(0)).unwrap();
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.reserved_unused_cores(), 10);
         // 22 of 24 cores held; the idle third node fails and 16 are left.
-        let victims = s.node_failed(dynbatch_core::NodeId(2), t(10)).unwrap();
-        assert!(victims.is_empty());
+        let fail = Record::NodeFailed {
+            node: dynbatch_core::NodeId(2),
+            now: t(10),
+        };
+        assert_eq!(s.execute(fail), Ok(Effect::Requeued(Vec::new())));
         assert_eq!(s.job(young).unwrap().reserved_extra, 0);
         assert_eq!(s.job(old).unwrap().reserved_extra, 4);
         assert_view_is_the_walk(&s, t(10));
@@ -2529,12 +2620,12 @@ mod tests {
             cfg.grow_malleable_on_idle = true;
             Maui::new(cfg)
         };
-        let id = s
-            .qsub(
-                JobSpec::malleable("pool", UserId(0), GroupId(0), 16, 8, 64, 16_000),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::malleable("pool", UserId(0), GroupId(0), 16, 8, 64, 16_000),
+            t(0),
+        )
+        .unwrap();
         // First cycle starts it; second grows it onto the idle machine.
         cycle(&mut s, &mut m, t(0));
         assert_eq!(s.job(id).unwrap().cores_allocated, 16);
@@ -2556,12 +2647,12 @@ mod tests {
     fn moldable_start_uses_chosen_width() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s
-            .qsub(
-                JobSpec::moldable("mold", UserId(0), GroupId(0), 8, 8, 48, 9_600),
-                t(0),
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::moldable("mold", UserId(0), GroupId(0), 8, 8, 48, 9_600),
+            t(0),
+        )
+        .unwrap();
         let applied = cycle(&mut s, &mut m, t(0));
         assert!(applied.iter().any(|a| matches!(
             a,
@@ -2589,10 +2680,14 @@ mod tests {
         let mut s = server();
         let mut m = hp_maui();
         // Plain snapshots drain nothing, so nothing is kept for them.
-        let id = s.qsub(rigid("J", 0, 8, 100), t(0)).unwrap();
+        let id = submit(&mut s, rigid("J", 0, 8, 100), t(0)).unwrap();
         let outcome = m.iterate(&s.snapshot(t(0)));
         s.apply(&outcome, t(0));
-        s.job_finished(id, t(10)).unwrap();
+        s.execute(Record::Finish {
+            job: id,
+            now: t(10),
+        })
+        .unwrap();
         assert!(s.deltas.is_empty() && s.deltas.capacity() == 0);
         // The first drained log stands for all of that: totals, no history.
         let charged = |core_ms, at| ProfileDelta::Charged {
@@ -2605,11 +2700,19 @@ mod tests {
         let first = snap.deltas.unwrap();
         assert_eq!((first.base_epoch, first.epoch), (0, 1));
         assert_eq!(first.deltas, [charged(80_000, t(60))]);
-        let id = s.qsub(rigid("J", 0, 8, 100), t(60)).unwrap();
+        let id = submit(&mut s, rigid("J", 0, 8, 100), t(60)).unwrap();
         cycle(&mut s, &mut m, t(60));
-        s.job_finished(id, t(70)).unwrap();
-        let queued = s.qsub(rigid("Q", 1, 8, 100), t(70)).unwrap();
-        s.qdel(queued, t(71)).unwrap();
+        s.execute(Record::Finish {
+            job: id,
+            now: t(70),
+        })
+        .unwrap();
+        let queued = submit(&mut s, rigid("Q", 1, 8, 100), t(70)).unwrap();
+        s.execute(Record::Qdel {
+            job: queued,
+            now: t(71),
+        })
+        .unwrap();
         assert!(matches!(s.deltas[0], ProfileDelta::Started { job, .. } if job == id));
         let (finished, left) = (
             ProfileDelta::Finished { job: id },
@@ -2622,7 +2725,7 @@ mod tests {
         let recovered = PbsServer::recover(s.take_journal().unwrap()).unwrap();
         s.reset(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
         for (mut s, core_s) in [(s, 0.0), (recovered, 160.0), (loaded, 160.0)] {
-            s.qsub(rigid("J", 0, 8, 100), t(80)).unwrap();
+            submit(&mut s, rigid("J", 0, 8, 100), t(80)).unwrap();
             let outcome = m.iterate(&s.snapshot(t(80)));
             s.apply(&outcome, t(80));
             assert!(s.deltas.is_empty());
@@ -2647,9 +2750,13 @@ mod tests {
         let run = |cycle_at_close: bool| {
             let mut s = PbsServer::new(Cluster::homogeneous(1, 8), AllocPolicy::Pack);
             let mut m = windowed_maui();
-            let id = s.qsub(rigid("seg", 0, 8, 3_600), t(0)).unwrap();
+            let id = submit(&mut s, rigid("seg", 0, 8, 3_600), t(0)).unwrap();
             cycle(&mut s, &mut m, t(0));
-            s.job_finished(id, close).unwrap();
+            s.execute(Record::Finish {
+                job: id,
+                now: close,
+            })
+            .unwrap();
             if cycle_at_close {
                 cycle(&mut s, &mut m, close);
             }
@@ -2670,8 +2777,8 @@ mod tests {
         use dynbatch_sched::reference::iterate_naive;
         let mut servers = [server(), server()];
         for k in 0..4 {
-            servers[0].qsub(rigid("J", k, 32, 600), t(0)).unwrap();
-            servers[1].qsub(rigid("O", k, 48, 600), t(0)).unwrap();
+            submit(&mut servers[0], rigid("J", k, 32, 600), t(0)).unwrap();
+            submit(&mut servers[1], rigid("O", k, 48, 600), t(0)).unwrap();
         }
         let (mut m, mut naive) = (windowed_maui(), windowed_maui());
         // (which server, drain its log?, is it a gap?), 100 s apart. A
@@ -2693,7 +2800,11 @@ mod tests {
         for (k, (which, drain, gap)) in steps.into_iter().enumerate() {
             let (s, now) = (&mut servers[which], t(100 * k as u64));
             if which == 0 && (1..=3).contains(&k) {
-                s.job_finished(JobId(k as u64), now).unwrap();
+                s.execute(Record::Finish {
+                    job: JobId(k as u64),
+                    now,
+                })
+                .unwrap();
             }
             let snap = match drain {
                 Some(true) => s.snapshot_incremental(now),
@@ -2723,23 +2834,27 @@ mod tests {
         // final-width × runtime (the old daemon-side bug) would say 4800.
         let mut s = server();
         let mut m = hp_maui();
-        let id = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(7),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 8),
-                ),
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let id = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(7),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 8),
+            ),
+            SimTime::ZERO,
+        )
+        .unwrap();
         cycle(&mut s, &mut m, SimTime::ZERO);
-        s.tm_dynget(id, 8, SimTime::from_millis(150)).unwrap();
+        s.execute(dynget(id, 8, SimTime::from_millis(150))).unwrap();
         cycle(&mut s, &mut m, SimTime::from_millis(150));
         assert_eq!(s.job(id).unwrap().cores_allocated, 16);
-        s.job_finished(id, SimTime::from_millis(300)).unwrap();
+        s.execute(Record::Finish {
+            job: id,
+            now: SimTime::from_millis(300),
+        })
+        .unwrap();
         assert_eq!(s.usage_core_millis(UserId(7)), 3600);
         assert_eq!(s.usage().collect::<Vec<_>>(), vec![(UserId(7), 3600)]);
     }
@@ -2752,16 +2867,24 @@ mod tests {
         let mut s = server();
         s.enable_journal(0);
         let mut m = hp_maui();
-        let a = s.qsub(rigid("A", 1, 8, 100), SimTime::ZERO).unwrap();
-        let b = s.qsub(rigid("B", 2, 4, 100), SimTime::ZERO).unwrap();
+        let a = submit(&mut s, rigid("A", 1, 8, 100), SimTime::ZERO).unwrap();
+        let b = submit(&mut s, rigid("B", 2, 4, 100), SimTime::ZERO).unwrap();
         cycle(&mut s, &mut m, SimTime::ZERO);
-        s.job_finished(a, SimTime::from_millis(500)).unwrap();
+        s.execute(Record::Finish {
+            job: a,
+            now: SimTime::from_millis(500),
+        })
+        .unwrap();
         let digest = s.state_digest();
         let mut r = PbsServer::recover(s.take_journal().unwrap()).unwrap();
         assert_eq!(r.state_digest(), digest);
         assert_eq!(r.usage_core_millis(UserId(1)), 8 * 500);
         assert_eq!(r.usage_core_millis(UserId(2)), 0, "open segment uncharged");
-        r.job_finished(b, SimTime::from_millis(900)).unwrap();
+        r.execute(Record::Finish {
+            job: b,
+            now: SimTime::from_millis(900),
+        })
+        .unwrap();
         assert_eq!(r.usage_core_millis(UserId(2)), 4 * 900);
     }
 
@@ -2769,14 +2892,28 @@ mod tests {
     fn out_of_order_finish_denies_instead_of_panicking() {
         let mut s = server();
         let mut m = hp_maui();
-        let id = s.qsub(rigid("A", 0, 8, 100), t(0)).unwrap();
+        let id = submit(&mut s, rigid("A", 0, 8, 100), t(0)).unwrap();
         // Finish before start: the job is queued, not active.
-        assert!(s.job_finished(id, t(1)).is_err());
+        assert!(s.execute(Record::Finish { job: id, now: t(1) }).is_err());
         cycle(&mut s, &mut m, t(1));
-        s.job_finished(id, t(50)).unwrap();
+        s.execute(Record::Finish {
+            job: id,
+            now: t(50),
+        })
+        .unwrap();
         // Duplicate finish (double-delivered exit) denies too.
-        assert!(s.job_finished(id, t(51)).is_err());
-        assert!(s.job_finished(JobId(99), t(51)).is_err());
+        assert!(s
+            .execute(Record::Finish {
+                job: id,
+                now: t(51)
+            })
+            .is_err());
+        assert!(s
+            .execute(Record::Finish {
+                job: JobId(99),
+                now: t(51)
+            })
+            .is_err());
     }
 
     #[test]
@@ -2784,26 +2921,40 @@ mod tests {
         let mut s = server();
         s.enable_journal(0);
         let mut m = hp_maui();
-        let a = s.qsub(rigid("A", 0, 16, 100), t(0)).unwrap();
-        let b = s.qsub(rigid("B", 1, 64, 500), t(0)).unwrap();
-        let ev = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(6),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1846, 1230, 4),
-                ),
-                t(1),
-            )
-            .unwrap();
+        let a = submit(&mut s, rigid("A", 0, 16, 100), t(0)).unwrap();
+        let b = submit(&mut s, rigid("B", 1, 64, 500), t(0)).unwrap();
+        let ev = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(6),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1846, 1230, 4),
+            ),
+            t(1),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(1));
-        s.job_finished(a, t(100)).unwrap();
+        s.execute(Record::Finish {
+            job: a,
+            now: t(100),
+        })
+        .unwrap();
         cycle(&mut s, &mut m, t(100));
-        s.tm_dynget_negotiated(ev, 4, Some(t(900)), t(200)).unwrap();
+        s.execute(Record::DynGet {
+            job: ev,
+            extra_cores: 4,
+            deadline: Some(t(900)),
+            now: t(200),
+        })
+        .unwrap();
         cycle(&mut s, &mut m, t(200));
-        s.qdel(b, t(300)).unwrap();
+        s.execute(Record::Qdel {
+            job: b,
+            now: t(300),
+        })
+        .unwrap();
         let _ = b;
 
         let digest = s.state_digest();
@@ -2821,9 +2972,13 @@ mod tests {
         s.enable_journal(4);
         let mut m = hp_maui();
         for i in 0..6 {
-            let id = s.qsub(rigid("J", i, 8, 50), t(i as u64)).unwrap();
+            let id = submit(&mut s, rigid("J", i, 8, 50), t(i as u64)).unwrap();
             cycle(&mut s, &mut m, t(i as u64));
-            s.job_finished(id, t(100 + i as u64)).unwrap();
+            s.execute(Record::Finish {
+                job: id,
+                now: t(100 + i as u64),
+            })
+            .unwrap();
         }
         let journal = s.journal().unwrap();
         assert!(
@@ -2840,33 +2995,33 @@ mod tests {
     fn dyn_requests_carry_fifo_seq() {
         let mut s = server();
         let mut m = hp_maui();
-        let a = s
-            .qsub(
-                JobSpec::evolving(
-                    "F",
-                    UserId(1),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1000, 700, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
-        let b = s
-            .qsub(
-                JobSpec::evolving(
-                    "G",
-                    UserId(2),
-                    GroupId(0),
-                    8,
-                    ExecutionModel::esp_evolving(1000, 700, 4),
-                ),
-                t(0),
-            )
-            .unwrap();
+        let a = submit(
+            &mut s,
+            JobSpec::evolving(
+                "F",
+                UserId(1),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1000, 700, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
+        let b = submit(
+            &mut s,
+            JobSpec::evolving(
+                "G",
+                UserId(2),
+                GroupId(0),
+                8,
+                ExecutionModel::esp_evolving(1000, 700, 4),
+            ),
+            t(0),
+        )
+        .unwrap();
         cycle(&mut s, &mut m, t(0));
-        s.tm_dynget(b, 4, t(100)).unwrap();
-        s.tm_dynget(a, 4, t(160)).unwrap();
+        s.execute(dynget(b, 4, t(100))).unwrap();
+        s.execute(dynget(a, 4, t(160))).unwrap();
         let snap = s.snapshot(t(161));
         let seq_of = |j: JobId| snap.dyn_requests.iter().find(|r| r.job == j).unwrap().seq;
         assert!(seq_of(b) < seq_of(a), "b asked first");

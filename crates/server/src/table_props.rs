@@ -21,6 +21,9 @@
 //!   the counters and `is_drained` agree with a scan of it;
 //! * a command naming a terminal job fails with `InvalidState` where the
 //!   job is retained and `UnknownJob` where it was evicted;
+//! * every record executed grows the journal by exactly itself when
+//!   `execute` reports a change (plus the compacting snapshot its append
+//!   may trigger), and a denied or no-op record by nothing;
 //! * a compacting snapshot, patched in place (live jobs and the jobs
 //!   noted as retired since its predecessor copied again),
 //!   equals a fresh `image()`; it was patched from the newest snapshot
@@ -35,12 +38,12 @@
 
 use crate::journal::Record;
 use crate::server::compaction_work::{self, Work};
-use crate::PbsServer;
+use crate::{Effect, PbsServer};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::testkit::{check, TestRng};
 use dynbatch_core::{
     AllocPolicy, DfsConfig, Error, ExecutionModel, GroupId, JobId, JobSpec, JobState, NodeId,
-    SchedulerConfig, SimDuration, SimTime, UserId,
+    Result, SchedulerConfig, SimDuration, SimTime, UserId,
 };
 use dynbatch_sched::{Maui, Snapshot};
 use std::cell::Cell;
@@ -191,8 +194,12 @@ impl<'w> Twin<'w> {
 
     /// Per-process settings, as after construction or `reset`.
     fn arm(&mut self) {
-        self.kept.set_guarantee_evolving(self.guarantee);
-        self.flip.set_guarantee_evolving(self.guarantee);
+        self.kept
+            .execute(Record::Guarantee { on: self.guarantee })
+            .unwrap();
+        self.flip
+            .execute(Record::Guarantee { on: self.guarantee })
+            .unwrap();
         self.kept.enable_journal(SNAPSHOT_EVERY);
         self.flip.enable_journal(SNAPSHOT_EVERY);
         self.tracked = Default::default();
@@ -232,6 +239,11 @@ impl<'w> Twin<'w> {
         let (a, b) = self.both(f);
         assert_eq!(a, b, "retained and evicted servers answered differently");
         a
+    }
+
+    /// Executes a record that names only live jobs on both servers.
+    fn execute(&mut self, record: Record) -> Result<Effect> {
+        self.agree(|s| execute_and_check(s, record.clone()))
     }
 
     fn went_terminal(&mut self, id: JobId) {
@@ -339,12 +351,22 @@ impl<'w> Twin<'w> {
         let mut part = Allocation::empty();
         part.add(NodeId(0), 1);
         let which = rng.below(4);
-        let (kept, flip) = self.both(|s| match which {
-            0 => s.qdel(id, now),
-            1 => s.tm_dynget(id, 2, now),
-            2 => s.tm_dynfree(id, &part, now),
-            _ => s.job_finished(id, now).map(|_| ()),
-        });
+        let record = match which {
+            0 => Record::Qdel { job: id, now },
+            1 => Record::DynGet {
+                job: id,
+                extra_cores: 2,
+                deadline: None,
+                now,
+            },
+            2 => Record::DynFree {
+                job: id,
+                released: part,
+                now,
+            },
+            _ => Record::Finish { job: id, now },
+        };
+        let (kept, flip) = self.both(|s| execute_and_check(s, record.clone()));
         assert!(
             matches!(kept, Err(Error::InvalidState { job, .. }) if job == id),
             "retained terminal job: {kept:?}"
@@ -388,7 +410,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                 0..=4 => {
                     let spec = random_spec(rng);
                     // Denied when failed nodes left less than it asks for.
-                    let _ = twin.agree(|s| s.qsub(spec.clone(), now));
+                    let _ = twin.execute(Record::Submit { spec, now });
                 }
                 5..=8 => {
                     // One scheduler cycle, not `run_cycle`: both servers
@@ -403,7 +425,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                 }
                 9..=10 => {
                     if let Some(&id) = pick(rng, &twin.live_ids(JobState::is_active)) {
-                        twin.agree(|s| s.job_finished(id, now)).unwrap();
+                        twin.execute(Record::Finish { job: id, now }).unwrap();
                         twin.went_terminal(id);
                     }
                 }
@@ -423,7 +445,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     }
                     if let Some(id) = victim {
                         bump(&witness.delayed_jobs_deleted, delayed.contains(&id) as u32);
-                        twin.agree(|s| s.qdel(id, now)).unwrap();
+                        twin.execute(Record::Qdel { job: id, now }).unwrap();
                         twin.went_terminal(id);
                     }
                 }
@@ -436,24 +458,34 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                         let deadline = rng
                             .chance(0.5)
                             .then(|| now + SimDuration::from_secs(rng.range(5, 120)));
-                        let _ = twin.agree(|s| s.tm_dynget_negotiated(id, extra, deadline, now));
+                        let _ = twin.execute(Record::DynGet {
+                            job: id,
+                            extra_cores: extra,
+                            deadline,
+                            now,
+                        });
                     }
                 }
                 13 => {
                     if let Some(&id) = pick(rng, &twin.live_ids(JobState::is_active)) {
                         let mut alloc = twin.kept.cluster().allocation_of(id).unwrap().clone();
                         let part = alloc.take(rng.range_u32(1, 5));
-                        let _ = twin.agree(|s| s.tm_dynfree(id, &part, now));
+                        let _ = twin.execute(Record::DynFree {
+                            job: id,
+                            released: part,
+                            now,
+                        });
                     }
                 }
                 14 => {
                     if rng.chance(0.5) {
-                        twin.agree(|s| s.expire_dyn_requests(now));
+                        twin.execute(Record::ExpireSweep { now }).unwrap();
                     } else if let Some(&id) =
                         pick(rng, &twin.live_ids(|s| s == JobState::DynQueued))
                     {
                         let seq = twin.kept.pending_dyn_seq(id).expect("DynQueued has a seq");
-                        twin.agree(|s| s.expire_dyn_request(id, seq, now));
+                        twin.execute(Record::ExpireOne { job: id, seq, now })
+                            .unwrap();
                     }
                 }
                 15 => {
@@ -464,9 +496,9 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                         .nodes()
                         .any(|n| n.id() == node && n.is_up());
                     if up {
-                        twin.agree(|s| s.node_failed(node, now)).unwrap();
+                        twin.execute(Record::NodeFailed { node, now }).unwrap();
                     } else {
-                        twin.agree(|s| s.node_repaired(node)).unwrap();
+                        twin.execute(Record::NodeRepaired { node }).unwrap();
                     }
                 }
                 16 => {
@@ -638,6 +670,31 @@ impl Discardable {
             }
         }
     }
+}
+
+/// Executes `record`, holding the journal to the one-record rule: it grows
+/// by exactly that record when `execute` reports a change — plus the
+/// compacting snapshot the append may trigger — and by nothing for a
+/// denied or no-op record. (A logged no-op replays to the same state, so
+/// no crash or digest comparison would notice one.)
+fn execute_and_check(server: &mut PbsServer, record: Record) -> Result<Effect> {
+    let positions = |s: &PbsServer| {
+        let journal = s.journal().expect("journal on");
+        let newest_snapshot = journal.latest_snapshot().expect("genesis at least").0;
+        (journal.total_appended(), newest_snapshot)
+    };
+    let (before, _) = positions(server);
+    let effect = server.execute(record);
+    let (after, newest_snapshot) = positions(server);
+    let changed = matches!(effect, Ok(ref e) if *e != Effect::Unchanged);
+    let compacted = newest_snapshot > before;
+    assert!(changed || !compacted, "{effect:?} compacted");
+    assert_eq!(
+        after - before,
+        u64::from(changed) + u64::from(compacted),
+        "{effect:?}"
+    );
+    effect
 }
 
 fn pick<'a, T>(rng: &mut TestRng, items: &'a [T]) -> Option<&'a T> {

@@ -19,7 +19,7 @@ use dynbatch_core::{
 };
 use dynbatch_metrics::UtilizationRecorder;
 use dynbatch_sched::Maui;
-use dynbatch_server::{Applied, PbsServer};
+use dynbatch_server::{Applied, Effect, PbsServer, Record};
 use dynbatch_simtime::{EventQueue, ScheduledEvent, Token};
 use dynbatch_workload::WorkloadItem;
 use std::collections::{HashMap, VecDeque};
@@ -198,7 +198,7 @@ impl BatchSim {
         let alloc = config.alloc;
         let guarantee = config.guarantee_evolving;
         let mut server = PbsServer::new(cluster, alloc);
-        server.set_guarantee_evolving(guarantee);
+        let _ = server.execute(Record::Guarantee { on: guarantee });
         server.set_usage_half_life(config.fairshare.half_life);
         BatchSim {
             queue: EventQueue::new(),
@@ -233,7 +233,7 @@ impl BatchSim {
         let guarantee = config.guarantee_evolving;
         self.queue.reset();
         self.server.reset(cluster, alloc);
-        self.server.set_guarantee_evolving(guarantee);
+        let _ = self.server.execute(Record::Guarantee { on: guarantee });
         self.server.set_usage_half_life(config.fairshare.half_life);
         self.maui = Maui::new(config);
         self.util.reset(capacity, SimTime::ZERO);
@@ -503,7 +503,10 @@ impl BatchSim {
                     .window
                     .take(idx)
                     .expect("admitted item is submitted exactly once");
-                let job = self.server.qsub(spec, now).expect("workload spec is valid");
+                let submitted = self.server.execute(Record::Submit { spec, now });
+                let Ok(Effect::Submitted(job)) = submitted else {
+                    panic!("workload spec is valid: {submitted:?}");
+                };
                 if let Some(phase) = self.qdel_targets.get_mut(&idx) {
                     if *phase == QdelPhase::Armed {
                         *phase = QdelPhase::Submitted(job);
@@ -576,31 +579,29 @@ impl BatchSim {
                     (spec.exec.extra_cores(), spec.dyn_timeout)
                 };
                 let _ = attempt;
-                match timeout {
-                    None => {
-                        // A pending request (unlikely here) is a no-op.
-                        let _ = self.server.tm_dynget(job, extra, now);
-                    }
-                    Some(t) => {
-                        // Negotiation: the request may outlive this cycle;
-                        // an expiry event times it out.
-                        let deadline = now + t;
-                        if self
-                            .server
-                            .tm_dynget_negotiated(job, extra, Some(deadline), now)
-                            .is_ok()
-                        {
-                            self.queue.schedule(deadline, Event::DynExpire { job, gen });
-                        }
-                    }
+                // Negotiated with a timeout: the request may outlive this
+                // cycle, and an expiry event times it out. A pending
+                // request (unlikely here) makes this a no-op.
+                let deadline = timeout.map(|t| now + t);
+                let request = Record::DynGet {
+                    job,
+                    extra_cores: extra,
+                    deadline,
+                    now,
+                };
+                if let (Ok(_), Some(deadline)) = (self.server.execute(request), deadline) {
+                    self.queue.schedule(deadline, Event::DynExpire { job, gen });
                 }
             }
             Event::DynExpire { job, gen } => {
                 if !self.is_current(job, gen) {
                     return;
                 }
-                let expired = self.server.expire_dyn_requests(now);
-                self.stats.dyn_expired += expired.len() as u64;
+                if let Ok(Effect::Expired(expired)) =
+                    self.server.execute(Record::ExpireSweep { now })
+                {
+                    self.stats.dyn_expired += expired.len() as u64;
+                }
             }
             Event::PhaseEnd { job, gen, phase } => {
                 if !self.is_current(job, gen) {
@@ -610,7 +611,10 @@ impl BatchSim {
             }
             Event::Wake => {}
             Event::FailNode(node) => {
-                let victims = self.server.node_failed(node, now).expect("known node");
+                let failed = self.server.execute(Record::NodeFailed { node, now });
+                let Ok(Effect::Requeued(victims)) = failed else {
+                    panic!("known node: {failed:?}");
+                };
                 for v in victims {
                     self.cancel_run_events(v);
                     self.runs.remove(&v);
@@ -620,7 +624,9 @@ impl BatchSim {
                 }
             }
             Event::RepairNode(node) => {
-                self.server.node_repaired(node).expect("known node");
+                self.server
+                    .execute(Record::NodeRepaired { node })
+                    .expect("known node");
             }
             Event::ServerCrash => {
                 let journal = self
@@ -941,7 +947,12 @@ impl BatchSim {
                 .map(|j| j.state == JobState::Running)
                 .unwrap_or(false)
         {
-            let _ = self.server.tm_dynget(job, model.extra_cores, now);
+            let _ = self.server.execute(Record::DynGet {
+                job,
+                extra_cores: model.extra_cores,
+                deadline: None,
+                now,
+            });
         }
         let dur = model.phase_duration(next, cores);
         let token = self.queue.schedule(
@@ -963,7 +974,7 @@ impl BatchSim {
         self.cancel_run_events(job);
         self.runs.remove(&job);
         self.server
-            .job_finished(job, now)
+            .execute(Record::Finish { job, now })
             .expect("active job finishes");
         self.last_completion = self.last_completion.max(now);
     }
@@ -972,7 +983,9 @@ impl BatchSim {
     fn kill_job(&mut self, job: JobId, now: SimTime) {
         self.cancel_run_events(job);
         self.runs.remove(&job);
-        self.server.qdel(job, now).expect("live job deletable");
+        self.server
+            .execute(Record::Qdel { job, now })
+            .expect("live job deletable");
     }
 
     fn cancel_run_events(&mut self, job: JobId) {

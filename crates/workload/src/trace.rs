@@ -6,7 +6,7 @@
 
 use crate::esp::WorkloadItem;
 use dynbatch_core::json::{model, parse, Json};
-use dynbatch_core::{CredRegistry, SimTime};
+use dynbatch_core::CredRegistry;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -64,31 +64,18 @@ impl Trace {
     /// Parses from JSON.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let v = parse(json)?;
-        let version = v
-            .req("version")?
-            .as_u64()
-            .ok_or("`version` is not an integer")?;
+        let version = v.req_u64("version")?;
         if version != 1 {
             return Err(format!("unsupported trace version {version}"));
         }
-        let description = v
-            .req("description")?
-            .as_str()
-            .ok_or("`description` is not a string")?
-            .to_owned();
+        let description = v.req_str("description")?.to_owned();
         let registry = CredRegistry::from_json(v.req("registry")?)?;
         let items = v
-            .req("items")?
-            .as_arr()
-            .ok_or("`items` is not an array")?
+            .req_arr("items")?
             .iter()
             .map(|item| {
                 Ok(WorkloadItem {
-                    at: SimTime::from_millis(
-                        item.req("at_ms")?
-                            .as_u64()
-                            .ok_or("`at_ms` is not an integer")?,
-                    ),
+                    at: item.req_time("at_ms")?,
                     spec: model::spec_from_json(item.req("spec")?)?,
                 })
             })

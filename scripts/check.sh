@@ -94,4 +94,21 @@ if grep -rnE "$gone" crates src tests examples; then
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 
+echo "==> one door into durable state: PbsServer::execute applies and journals every"
+echo "    input record, PbsServer::apply every scheduler outcome — two append sites,"
+echo "    no public mutator (DaemonHandle's client calls of the same names live in"
+echo "    crates/daemon), no second dispatch over Record, no test-side spelling"
+logs=$(grep -c 'self\.log(' crates/server/src/server.rs)
+if [ "$logs" -gt 2 ]; then
+  echo "crates/server/src/server.rs appends to the journal at $logs sites (at most 2)"
+  exit 1
+fi
+mutators='qsub|qdel|tm_dynget|tm_dynget_negotiated|tm_dynfree|job_finished|node_failed'
+mutators="$mutators|node_repaired|expire_dyn_request|expire_dyn_requests|set_guarantee_evolving"
+if grep -rnE 'fn replay\b|apply_record' crates src tests examples \
+    || grep -nE 'enum Op\b' tests/common/mod.rs \
+    || grep -rnE "pub fn ($mutators)\b" crates/server; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+
 echo "check.sh: all gates passed"

@@ -1,6 +1,7 @@
 //! What the integration suites share: the scripted scenario the
-//! crash-recovery sweep and the replication chaos sweep both drive, op by
-//! op, against a `PbsServer` + `Maui`, and the thread-leak check every
+//! crash-recovery sweep and the replication chaos sweep both drive, step
+//! by step, against a `PbsServer` + `Maui` — journal records and
+//! scheduler cycles — and the thread-leak check every
 //! suite that starts an ensemble ends with.
 
 // Each suite is its own crate and uses its own part of this module.
@@ -12,7 +13,7 @@ use dynbatch::core::{
     SimTime, UserId,
 };
 use dynbatch::sched::Maui;
-use dynbatch::server::PbsServer;
+use dynbatch::server::{PbsServer, Record};
 pub use dynbatch::sim::reactor_drive::accounting_text;
 use std::time::Duration;
 
@@ -46,61 +47,19 @@ pub fn hp_maui() -> Maui {
     Maui::new(cfg)
 }
 
-/// One scripted input. Each op maps to at most one journal record, so a
-/// crash "after record k" is a crash at the op boundary that wrote it.
-pub enum Op {
-    Sub(JobSpec),
-    Cycle,
-    Finish(JobId),
-    DynGet {
-        job: JobId,
-        extra: u32,
-        deadline: Option<u64>,
-    },
-    DynFree {
-        job: JobId,
-        node: u32,
-        cores: u32,
-    },
-    Qdel(JobId),
-    Fail(u32),
-    Repair(u32),
-    Expire,
-}
+/// One scripted step at `t(secs)`: a record for the server to execute, or
+/// (`None`) a scheduler cycle. Each step writes at most one journal record,
+/// so a crash "after record k" is a crash at the step boundary that wrote
+/// it.
+pub type Step = (u64, Option<Record>);
 
-pub fn apply_op(s: &mut PbsServer, m: &mut Maui, op: &Op, now: SimTime) {
-    match op {
-        Op::Sub(spec) => {
-            let _ = s.qsub(spec.clone(), now);
+pub fn apply_step(s: &mut PbsServer, m: &mut Maui, step: &Option<Record>, now: SimTime) {
+    match step {
+        Some(record) => {
+            let _ = s.execute(record.clone());
         }
-        Op::Cycle => {
+        None => {
             s.run_cycle(m, now);
-        }
-        Op::Finish(job) => {
-            let _ = s.job_finished(*job, now);
-        }
-        Op::DynGet {
-            job,
-            extra,
-            deadline,
-        } => {
-            let _ = s.tm_dynget_negotiated(*job, *extra, deadline.map(t), now);
-        }
-        Op::DynFree { job, node, cores } => {
-            let released = Allocation::from_pairs([(NodeId(*node), *cores)]);
-            let _ = s.tm_dynfree(*job, &released, now);
-        }
-        Op::Qdel(job) => {
-            let _ = s.qdel(*job, now);
-        }
-        Op::Fail(node) => {
-            let _ = s.node_failed(NodeId(*node), now);
-        }
-        Op::Repair(node) => {
-            let _ = s.node_repaired(NodeId(*node));
-        }
-        Op::Expire => {
-            let _ = s.expire_dyn_requests(now);
         }
     }
 }
@@ -110,76 +69,82 @@ pub fn apply_op(s: &mut PbsServer, m: &mut Maui, op: &Op, now: SimTime) {
 /// dynget/dynfree negotiation phases, expiry, node fail/repair.
 /// Job ids are assigned sequentially by the server: A=1, B=2, EV=3,
 /// D=4, C=5, E=6.
-pub fn script() -> Vec<(u64, Op)> {
+pub fn script() -> Vec<Step> {
     const A: JobId = JobId(1);
     const B: JobId = JobId(2);
     const EV: JobId = JobId(3);
     const D: JobId = JobId(4);
     const E: JobId = JobId(6);
+    let cycle = |secs| (secs, None);
+    let submit = |secs, spec| (secs, Some(Record::Submit { spec, now: t(secs) }));
+    let finish = |secs, job| (secs, Some(Record::Finish { job, now: t(secs) }));
+    let dynget = |secs, job, extra_cores, deadline| {
+        let now = t(secs);
+        let deadline = Some(t(deadline));
+        let record = Record::DynGet {
+            job,
+            extra_cores,
+            deadline,
+            now,
+        };
+        (secs, Some(record))
+    };
     vec![
-        (0, Op::Sub(rigid("A", 0, 16, 100))),
-        (0, Op::Cycle),
-        (1, Op::Sub(rigid("B", 1, 64, 500))),
-        (1, Op::Cycle),
-        (2, Op::Sub(evolving("EV", 2, 8))),
-        (2, Op::Cycle),
-        (3, Op::Sub(evolving("D", 3, 8))),
-        (3, Op::Cycle),
+        submit(0, rigid("A", 0, 16, 100)),
+        cycle(0),
+        submit(1, rigid("B", 1, 64, 500)),
+        cycle(1),
+        submit(2, evolving("EV", 2, 8)),
+        cycle(2),
+        submit(3, evolving("D", 3, 8)),
+        cycle(3),
         // EV asks for +4 within a negotiation window; grantable (24 idle).
-        (
-            5,
-            Op::DynGet {
-                job: EV,
-                extra: 4,
-                deadline: Some(60),
-            },
-        ),
-        (5, Op::Cycle),
+        dynget(5, EV, 4, 60),
+        cycle(5),
         // D asks for more than the machine can ever free within its
         // window: stays DynQueued (deferred each cycle).
-        (
-            6,
-            Op::DynGet {
-                job: D,
-                extra: 100,
-                deadline: Some(400),
-            },
-        ),
-        (6, Op::Cycle),
+        dynget(6, D, 100, 400),
+        cycle(6),
         // A 40-core job queues behind the running set.
-        (7, Op::Sub(rigid("C", 4, 40, 50))),
-        (7, Op::Cycle),
+        submit(7, rigid("C", 4, 40, 50)),
+        cycle(7),
         // qdel of the DynQueued job D: pending negotiation must die too.
-        (20, Op::Qdel(D)),
-        (20, Op::Cycle),
+        (20, Some(Record::Qdel { job: D, now: t(20) })),
+        cycle(20),
         // EV gives back part of its grant.
         (
             30,
-            Op::DynFree {
+            Some(Record::DynFree {
                 job: EV,
-                node: 11,
-                cores: 2,
-            },
+                released: Allocation::from_pairs([(NodeId(11), 2)]),
+                now: t(30),
+            }),
         ),
-        (30, Op::Cycle),
+        cycle(30),
         // A node dies (whatever it hosts is requeued), later repaired.
-        (40, Op::Fail(2)),
-        (40, Op::Cycle),
-        (50, Op::Repair(2)),
-        (50, Op::Cycle),
-        (105, Op::Finish(A)),
-        (105, Op::Cycle),
-        (130, Op::Sub(rigid("E", 5, 8, 40))),
-        (130, Op::Cycle),
-        (170, Op::Finish(E)),
-        (170, Op::Cycle),
+        (
+            40,
+            Some(Record::NodeFailed {
+                node: NodeId(2),
+                now: t(40),
+            }),
+        ),
+        cycle(40),
+        (50, Some(Record::NodeRepaired { node: NodeId(2) })),
+        cycle(50),
+        finish(105, A),
+        cycle(105),
+        submit(130, rigid("E", 5, 8, 40)),
+        cycle(130),
+        finish(170, E),
+        cycle(170),
         // Sweep any pending windows past their deadlines.
-        (450, Op::Expire),
-        (450, Op::Cycle),
-        (520, Op::Finish(B)),
-        (520, Op::Cycle),
-        (600, Op::Finish(EV)),
-        (600, Op::Cycle),
+        (450, Some(Record::ExpireSweep { now: t(450) })),
+        cycle(450),
+        finish(520, B),
+        cycle(520),
+        finish(600, EV),
+        cycle(600),
     ]
 }
 

@@ -28,7 +28,7 @@ use dynbatch::core::{
     NodeId, QueueId, SchedulerConfig, SimDuration, SimTime, UserId,
 };
 use dynbatch::sched::{Maui, QueuedJob, Snapshot, UsageHistory};
-use dynbatch::server::PbsServer;
+use dynbatch::server::{PbsServer, Record};
 use dynbatch::sim::{
     run_experiment_materialized, run_sweep, BatchSim, ExperimentConfig, IngestOptions,
 };
@@ -288,25 +288,38 @@ fn simulator_charges_static_fairshare_per_closed_segment() {
 
 #[test]
 fn a_bare_cycle_loop_charges_static_fairshare_per_closed_segment() {
-    enum Op {
-        /// Only the cycle every step ends with.
+    /// What happens before the cycle every step ends with.
+    enum Step {
         Idle,
-        DynGet,
+        Execute(Record),
         Crash,
-        Fail,
-        Repair,
         /// The oldest running job exits.
         FinishOne,
     }
-    use Op::*;
+    use Step::*;
+    let at = SimTime::from_secs;
     let early = [
         (0, Idle),
-        (1_440, DynGet),
+        (
+            1_440,
+            Execute(Record::DynGet {
+                job: JobId(1),
+                extra_cores: 8,
+                deadline: None,
+                now: at(1_440),
+            }),
+        ),
         (2_000, Crash),
-        (3_000, Fail),
-        (3_100, Repair),
+        (
+            3_000,
+            Execute(Record::NodeFailed {
+                node: NodeId(1),
+                now: at(3_000),
+            }),
+        ),
+        (3_100, Execute(Record::NodeRepaired { node: NodeId(1) })),
     ];
-    let script: Vec<(u64, Op)> = early
+    let script: Vec<(u64, Step)> = early
         .into_iter()
         .chain((7..16).map(|k| (k * 1_000, FinishOne)))
         .collect();
@@ -315,15 +328,14 @@ fn a_bare_cycle_loop_charges_static_fairshare_per_closed_segment() {
         let mut server = PbsServer::new(Cluster::homogeneous(4, 8), AllocPolicy::Pack);
         server.enable_journal(8);
         for spec in jobs {
-            server.qsub(spec, SimTime::ZERO).expect("qsub");
+            let now = SimTime::ZERO;
+            server.execute(Record::Submit { spec, now }).expect("qsub");
         }
         let mut maui = Maui::new(sched.clone());
-        for (secs, op) in &script {
-            let now = SimTime::from_secs(*secs);
-            match op {
-                DynGet => server.tm_dynget(JobId(1), 8, now).expect("dynget"),
-                Fail => drop(server.node_failed(NodeId(1), now).expect("fail")),
-                Repair => server.node_repaired(NodeId(1)).expect("repair"),
+        for (secs, step) in &script {
+            let now = at(*secs);
+            match step {
+                Execute(record) => drop(server.execute(record.clone()).expect("executes")),
                 Crash if crash => {
                     let journal = server.take_journal().expect("journal on");
                     server = PbsServer::recover(journal).expect("journal replays");
@@ -331,8 +343,9 @@ fn a_bare_cycle_loop_charges_static_fairshare_per_closed_segment() {
                 }
                 FinishOne => {
                     let oldest = server.live_jobs().find(|j| j.state.is_active());
-                    if let Some(id) = oldest.map(|j| j.id) {
-                        server.job_finished(id, now).expect("finish");
+                    if let Some(job) = oldest.map(|j| j.id) {
+                        let finish = Record::Finish { job, now };
+                        server.execute(finish).expect("finish");
                     }
                 }
                 Crash | Idle => {}

@@ -1,7 +1,8 @@
 //! The reactor equivalence gate: an SWF-replay command stream delivered
 //! through N concurrent client connections must be **byte-identical** to
-//! serial single-client application — state digest, accounting log and
-//! every individual reply — at N ∈ {1, 8, 64}, and across 50 chaos seeds
+//! serial single-client application — state digest, accounting log,
+//! every individual reply and the number of journal records — at
+//! N ∈ {1, 8, 64}, and across 50 chaos seeds
 //! whose runs include a mid-stream server crash (recovery from the
 //! journal with a fresh scheduler; every acked command survives, by the
 //! ack-on-append contract).
@@ -83,6 +84,10 @@ fn reactor_equivalence_at_1_8_64_clients() {
             "accounting diverged at {n} clients"
         );
         assert_eq!(r.replies, serial.replies, "replies diverged at {n} clients");
+        assert_eq!(
+            r.appended, serial.appended,
+            "journal diverged at {n} clients"
+        );
     }
 }
 
@@ -117,6 +122,10 @@ fn reactor_chaos_50_seeds_with_server_crash() {
         assert_eq!(
             reactor.replies, serial.replies,
             "seed {seed}: replies diverged"
+        );
+        assert_eq!(
+            reactor.appended, serial.appended,
+            "seed {seed}: journal length diverged"
         );
         let clean = drive_serial(&script, Cluster::homogeneous(15, 8), hp_sched(), None);
         assert_eq!(

@@ -65,8 +65,8 @@ fn run_reference() -> Reference {
     let mut digest_at = Vec::new();
     let mut accounting_at = Vec::new();
     let mut appended_at = Vec::new();
-    for (secs, op) in &script() {
-        apply_op(&mut s, &mut m, op, t(*secs));
+    for (secs, step) in &script() {
+        apply_step(&mut s, &mut m, step, t(*secs));
         journals.push(s.journal().unwrap().clone());
         digest_at.push(s.state_digest());
         accounting_at.push(accounting_text(&s));
@@ -106,8 +106,8 @@ fn boundary_of(reference: &Reference, w: u64) -> Option<usize> {
 /// scheduler; returns final digest + accounting.
 fn drive_rest(mut s: PbsServer, from: usize) -> (String, String) {
     let mut m = hp_maui();
-    for (secs, op) in script().iter().skip(from) {
-        apply_op(&mut s, &mut m, op, t(*secs));
+    for (secs, step) in script().iter().skip(from) {
+        apply_step(&mut s, &mut m, step, t(*secs));
     }
     (s.state_digest(), accounting_text(&s))
 }
@@ -136,8 +136,8 @@ fn chaos_run(seed: u64, reference: &Reference) {
 
     let mut acked_through = 0u64;
     let mut killed_after_op: Option<usize> = None;
-    for (i, (secs, op)) in script().iter().enumerate() {
-        apply_op(&mut s, &mut m, op, t(*secs));
+    for (i, (secs, step)) in script().iter().enumerate() {
+        apply_step(&mut s, &mut m, step, t(*secs));
         let appended = s.journal().unwrap().total_appended();
         if appended >= kill_at {
             // Leader dies at this boundary: nothing more is streamed.
@@ -206,8 +206,8 @@ fn chaos_run(seed: u64, reference: &Reference) {
             let (ref_final, ref_final_acct) = drive_rest(ref_server, resume_at);
 
             let mut m2 = hp_maui();
-            for (secs, op) in script().iter().skip(resume_at) {
-                apply_op(&mut promoted, &mut m2, op, t(*secs));
+            for (secs, step) in script().iter().skip(resume_at) {
+                apply_step(&mut promoted, &mut m2, step, t(*secs));
                 hub.pump(&promoted);
             }
             assert_eq!(
@@ -308,8 +308,8 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
 
     let all = script();
     let half = all.len() / 2;
-    for (secs, op) in &all[..half] {
-        apply_op(&mut s, &mut m, op, t(*secs));
+    for (secs, step) in &all[..half] {
+        apply_step(&mut s, &mut m, step, t(*secs));
         hub.pump(&s);
     }
     // The early records must actually be gone (compaction happened), yet
@@ -320,8 +320,8 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
 
     // Late follower: snapshot transfer is its only way in.
     hub.add_follower("rcomp1");
-    for (secs, op) in &all[half..] {
-        apply_op(&mut s, &mut m, op, t(*secs));
+    for (secs, step) in &all[half..] {
+        apply_step(&mut s, &mut m, step, t(*secs));
         hub.pump(&s);
     }
     let target = s.journal().unwrap().total_appended();
