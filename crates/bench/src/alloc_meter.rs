@@ -36,12 +36,23 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// The system allocator plus live/peak byte counters.
 pub struct CountingAlloc;
 
+/// Lifts the high-water mark to `live`. The peak rarely moves, so a plain
+/// load settles almost every call: an unconditional `fetch_max` is a
+/// read-modify-write on every allocation, and with two threads allocating
+/// that cache-line ping-pong held the sweep's two-worker speed-up to
+/// ~1.3× (1.7× once only the rare raise writes).
+fn raise_peak(live: usize) {
+    if live > PEAK.load(Ordering::Relaxed) {
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
+            raise_peak(live);
         }
         p
     }
@@ -57,7 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
             let old = layout.size();
             if new_size >= old {
                 let live = LIVE.fetch_add(new_size - old, Ordering::Relaxed) + (new_size - old);
-                PEAK.fetch_max(live, Ordering::Relaxed);
+                raise_peak(live);
             } else {
                 LIVE.fetch_sub(old - new_size, Ordering::Relaxed);
             }

@@ -6,7 +6,7 @@
 //! 1. **`scaled_iteration`** — a first `Maui::iterate` on a 10×-ESP-scale
 //!    snapshot (150 nodes / 1200 cores, 2300 jobs) against the executable
 //!    spec, `sched::reference::iterate_naive` (every pass visits every
-//!    job, no plan cached): median and p95 of 30 alternating runs.
+//!    job, profile rebuilt): median and p95 of 30 alternating runs.
 //! 2. **`incremental_timeline`** — a multi-tick snapshot sequence (jobs
 //!    finishing, starting and resizing between scheduler cycles, each
 //!    tick carrying the server's [`DeltaLog`]). Profile maintenance alone
@@ -37,7 +37,11 @@
 //!    full run gates the peak-allocation ratio at ≥ 10×.
 //! 7. **`fairness`** — a skewed synthetic campaign under static and
 //!    time-aware fairshare: per-user p95 wait spread and Jain's index over
-//!    a seed ensemble.
+//!    a seed ensemble. The campaign runs through the sweep worker pool at
+//!    one worker and at `available_parallelism()` workers, cell results
+//!    asserted identical, the speed-up the median of [`SWEEP_PAIRS`]
+//!    alternating pairs; the full run gates it at ≥
+//!    [`SWEEP_SPEEDUP_FLOOR`]× on a machine with two or more cores.
 //!
 //! `--quick` (or `DYNBATCH_QUICK=1`) shrinks the workload and the seed or
 //! repetition counts for CI; the full run is the one whose numbers are
@@ -57,7 +61,7 @@ use dynbatch_sched::{
     AvailabilityProfile, DeltaLog, DynRequest, IncrementalTimeline, IterationOutcome, Maui,
     ProfileDelta, QueuedJob, RunningJob, Snapshot,
 };
-use dynbatch_sim::{run_sweep, BatchSim, ExperimentConfig};
+use dynbatch_sim::{run_sweep, sweep::worker_count, BatchSim, ExperimentConfig};
 use dynbatch_simtime::SplitMix64;
 use dynbatch_workload::{generate_esp, stream_synthetic, EspConfig, SyntheticConfig};
 use std::collections::HashMap;
@@ -79,6 +83,12 @@ static ALLOC: alloc_meter::TallyingAlloc = alloc_meter::TallyingAlloc;
 /// in four.
 const JOURNAL_PAIRS: usize = 15;
 const JOURNAL_OVERHEAD_BOUND_PCT: f64 = 14.0;
+
+/// Fairness section: alternating one-worker / all-worker runs of the sweep
+/// campaign, and the floor on the median speed-up. The 256-seed campaign
+/// read 1.56–1.77× from one to two workers on the reference box.
+const SWEEP_PAIRS: usize = 5;
+const SWEEP_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// A saturated snapshot scaled from the paper's testbed: `nodes` 8-core
 /// nodes, `jobs` total jobs split into running / queued, with dynamic
@@ -630,14 +640,14 @@ fn main() {
     let reps = 30;
     // Deep-lookahead stress configuration for the scaled measurements: at
     // 10× the paper's testbed the site would plan correspondingly deeper,
-    // and depth is exactly what the cached what-if planning amortises.
+    // and depth is what every what-if plan pays for.
     // Identical on both sides of every comparison.
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.reservation_depth = 20;
     cfg.reservation_delay_depth = 20;
 
     // 1. A first Maui::iterate on the scaled snapshot against the
-    // visit-every-job, cache-nothing reference.
+    // visit-every-job reference.
     eprintln!("perf_smoke: scaled iteration ({nodes} nodes, {jobs} jobs, {reps} reps)");
     let snap = scaled_snapshot(nodes, jobs, 42);
     let (reference, out_r, iterate, out_i) = time_pair(
@@ -930,7 +940,41 @@ fn main() {
         ExperimentConfig::paper_cluster("static", fairness_sched(FairshareMode::Static)),
         ExperimentConfig::paper_cluster("time-aware", fairness_sched(FairshareMode::TimeAware)),
     ];
-    let fair_cells = run_sweep(&fair_cfgs, &fair_seeds, 0, fairness_workload);
+    // Alternating one-worker / all-worker pairs, the speed-up taken per
+    // pair and the median pair reported, as in the journal section.
+    let sweep_workers = worker_count(0);
+    let sweep =
+        |workers| timed_ms(|| run_sweep(&fair_cfgs, &fair_seeds, workers, fairness_workload));
+    let (mut serial_all, mut parallel_all, mut speedup_all) = (Vec::new(), Vec::new(), Vec::new());
+    let mut fair_cells = Vec::new();
+    for _ in 0..SWEEP_PAIRS {
+        let (serial_ms, serial_cells) = sweep(1);
+        let (parallel_ms, cells) = sweep(sweep_workers);
+        for (s, p) in serial_cells.iter().zip(&cells) {
+            assert_eq!((s.config, s.seed), (p.config, p.seed));
+            assert_eq!(
+                s.result.summary, p.result.summary,
+                "sweep: worker count changed a run"
+            );
+            assert_eq!(s.result.outcomes, p.result.outcomes);
+            assert_eq!(s.result.stats, p.result.stats);
+        }
+        fair_cells = cells;
+        serial_all.push(serial_ms);
+        parallel_all.push(parallel_ms);
+        speedup_all.push(serial_ms / parallel_ms);
+    }
+    for all in [&mut serial_all, &mut parallel_all, &mut speedup_all] {
+        all.sort_by(f64::total_cmp);
+    }
+    let (serial_sweep_ms, parallel_sweep_ms) =
+        (quantile(&serial_all, 0.5), quantile(&parallel_all, 0.5));
+    let parallel_speedup = quantile(&speedup_all, 0.5);
+    eprintln!(
+        "  sweep 1 worker {serial_sweep_ms:.1} ms  {sweep_workers} workers \
+         {parallel_sweep_ms:.1} ms  ({parallel_speedup:.2}x, median of {SWEEP_PAIRS} \
+         alternating pairs)"
+    );
     let fairness_modes: Vec<Json> = fair_cfgs
         .iter()
         .enumerate()
@@ -965,6 +1009,11 @@ fn main() {
             Json::Str("per-user p95 wait spread, seconds".into()),
         ),
         ("modes", Json::Arr(fairness_modes)),
+        ("workers", Json::UInt(sweep_workers as u64)),
+        ("pairs", Json::UInt(SWEEP_PAIRS as u64)),
+        ("serial_ms", Json::Float(serial_sweep_ms)),
+        ("parallel_ms", Json::Float(parallel_sweep_ms)),
+        ("parallel_speedup", Json::Float(parallel_speedup)),
     ]);
 
     let report = Json::obj(vec![
@@ -1070,5 +1119,12 @@ fn main() {
             "a cycle at queue depth 4000 costs {deep_queue_over_reference:.2}x the \
              visit-every-job reference (bound 0.25)"
         );
+        if sweep_workers >= 2 {
+            assert!(
+                parallel_speedup >= SWEEP_SPEEDUP_FLOOR,
+                "the sweep worker pool ran {parallel_speedup:.2}x faster on {sweep_workers} \
+                 workers than on one (floor {SWEEP_SPEEDUP_FLOOR}x)"
+            );
+        }
     }
 }

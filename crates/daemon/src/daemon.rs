@@ -29,7 +29,7 @@ use dynbatch_sched::Maui;
 use dynbatch_server::reactor::{
     apply_to_server, BatchEvent, Command as ReactorCommand, Reply as ReactorReply,
 };
-use dynbatch_server::replication::{HubConfig, ReadRouter, ReplFaultPlan, ReplicationHub};
+use dynbatch_server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
     Applied, Effect, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient,
     ReactorConnector, Record, ServerToMom, TmRequest, TmResponse,
@@ -448,11 +448,10 @@ struct ServerDaemon {
 }
 
 /// Everything the server daemon keeps for replication: the streaming hub
-/// (owning the follower threads), staleness-aware read routing, and the
-/// accounting the availability story is judged by.
+/// (owning the follower threads) and the accounting the availability story
+/// is judged by.
 struct ReplHost {
     hub: ReplicationHub,
-    router: ReadRouter,
     /// Completed failovers.
     failovers: u64,
     /// Watermark through which acks were released.
@@ -544,7 +543,6 @@ impl ServerDaemon {
             }
             ReplHost {
                 hub,
-                router: ReadRouter::default(),
                 failovers: 0,
                 acked_watermark: 0,
                 lost_records: 0,
@@ -794,11 +792,9 @@ impl ServerDaemon {
                 repl.lost_records = report.lost_records;
                 repl.acked_lost = report.acked_lost;
                 // Acks released under the old term are all ≤ the promoted
-                // watermark (that is the point); the counter — and the
-                // read router's write positions — restart in the new
-                // term's coordinates.
+                // watermark (that is the point); the counter restarts in
+                // the new term's coordinates.
                 repl.acked_watermark = 0;
-                repl.router = ReadRouter::default();
                 Some(promoted)
             }
             Err(e) => {
@@ -924,8 +920,8 @@ impl ServerDaemon {
         let mut changed = false;
         let mut batch_dirty = false;
         reactor.poll_batch(u64::MAX, |ev| match ev {
-            BatchEvent::Apply { conn, cmd, .. } => {
-                let (reply, mutated) = self.reactor_apply_routed(conn, cmd, t);
+            BatchEvent::Apply { cmd, .. } => {
+                let (reply, mutated) = self.reactor_apply(cmd, t);
                 changed |= mutated;
                 batch_dirty |= mutated;
                 Some(reply)
@@ -942,40 +938,10 @@ impl ServerDaemon {
         changed
     }
 
-    /// The reactor door: [`ServerDaemon::apply_command`] plus what only a
-    /// client connection needs — qstat served by a follower that has the
-    /// connection's own writes, the bookkeeping that bound rests on, and
-    /// the disjoin a released hostlist owes the mother superior.
-    fn reactor_apply_routed(
-        &mut self,
-        conn: u64,
-        cmd: &ReactorCommand,
-        t: SimTime,
-    ) -> (ReactorReply, bool) {
-        if let ReactorCommand::QStat(job) = cmd {
-            if let Some(repl) = self.repl.as_mut() {
-                let acked = repl.hub.acked_watermarks();
-                if let Some(idx) = repl.router.pick(conn, &acked) {
-                    if let Some(read) = repl.hub.read_follower(idx, *job) {
-                        return match read.state {
-                            Some(state) => (
-                                ReactorReply::StatusAt {
-                                    state,
-                                    watermark: read.watermark,
-                                },
-                                false,
-                            ),
-                            None => (
-                                ReactorReply::Denied(format!("unknown job {}", job.0)),
-                                false,
-                            ),
-                        };
-                    }
-                }
-                // No eligible follower (all lagging the caller's last
-                // write, or dead): fall through to the leader.
-            }
-        }
+    /// The reactor door: [`ServerDaemon::apply_command`] plus the disjoin
+    /// a released hostlist owes the mother superior. Every `qstat` is
+    /// answered here, by the leader.
+    fn reactor_apply(&mut self, cmd: &ReactorCommand, t: SimTime) -> (ReactorReply, bool) {
         let (reply, mutated) = self.apply_command(cmd, t);
         if mutated {
             if let ReactorCommand::DynFree { job, released } = cmd {
@@ -989,11 +955,6 @@ impl ServerDaemon {
                         released: released.clone(),
                     },
                 );
-            }
-            let watermark = self.appended();
-            if let Some(repl) = self.repl.as_mut() {
-                repl.router
-                    .note_write(conn, watermark, &repl.hub.acked_watermarks());
             }
         }
         (reply, mutated)

@@ -36,20 +36,6 @@ impl UtilizationRecorder {
         }
     }
 
-    /// Rewinds to a just-constructed recorder for `capacity` cores at
-    /// `start`, retaining the sample buffer's storage (run recycling).
-    /// Sample retention is re-enabled: it is a per-run choice.
-    pub fn reset(&mut self, capacity: u32, start: SimTime) {
-        self.capacity = capacity;
-        self.start = start;
-        self.last_change = start;
-        self.busy_now = 0;
-        self.core_millis = 0;
-        self.samples.clear();
-        self.samples.push((start, 0));
-        self.samples_enabled = true;
-    }
-
     /// Enables or disables time-series sample retention. With samples off
     /// the recorder runs in O(1) memory; `core_seconds`/`utilization`
     /// stay exact (they read the integral, not the series). Disabling

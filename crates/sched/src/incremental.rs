@@ -25,8 +25,8 @@
 //!   window covering the close instant. Beside the snapshot's own sets,
 //!   the log is the only way a fact reaches the scheduler.
 //! * **Recording rule** — nothing is recorded until a first log has been
-//!   drained since the resource manager was built, reset, recovered or
-//!   loaded from an image: a server nobody drains holds an empty log.
+//!   drained since the resource manager was built, recovered or loaded
+//!   from an image: a server nobody drains holds an empty log.
 //! * **Gap rule** — the first log after any of those (`base_epoch == 0`)
 //!   is self-contained: it carries the per-user usage totals as `Charged`
 //!   entries at `now`, and the scheduler drops what it knew — the

@@ -170,16 +170,6 @@ impl Default for PlanScratch {
     }
 }
 
-/// The delay-measurement "before" plan, tagged with the base-profile
-/// revision it was computed against. A grant (or any other base mutation)
-/// bumps the revision, so a stale cached plan self-invalidates instead of
-/// relying on callers remembering every mutation site.
-#[derive(Debug)]
-struct CachedPlan {
-    base_rev: u64,
-    plan: Vec<PlannedStart>,
-}
-
 /// The extended Maui scheduler.
 ///
 /// Built once and then only [`iterate`](Maui::iterate)d: everything the
@@ -469,15 +459,12 @@ struct DynCtx<'a> {
 }
 
 /// The mutable world the dynamic loop threads through requests. Only a
-/// grant in [`dynamic_request`] mutates it; `rev` counts base-profile
-/// mutations, which is what the cached "before" plan is keyed on.
+/// grant in [`dynamic_request`] mutates it.
 struct DynWorld {
     /// The base profile (dynamic partition held).
     base: AvailabilityProfile,
     /// Cores of the dynamic partition still held in `base`.
     partition: u32,
-    /// Revision counter; bumped by every grant-side mutation.
-    rev: u64,
     /// Jobs preempted earlier in this iteration (a handful at most).
     preempted: Vec<JobId>,
     /// Running jobs whose core count changed in this iteration, with the
@@ -485,8 +472,6 @@ struct DynWorld {
     /// later dynamic requests and to the grow pass. Everyone else still
     /// holds what the snapshot says ([`cores_now`]).
     resized: Vec<(JobId, u32)>,
-    /// The cached "before" plan of the delay measurement.
-    before: Option<CachedPlan>,
 }
 
 impl DynWorld {
@@ -494,10 +479,8 @@ impl DynWorld {
         DynWorld {
             base,
             partition,
-            rev: 0,
             preempted: Vec::new(),
             resized: Vec::new(),
-            before: None,
         }
     }
 
@@ -696,23 +679,15 @@ fn dynamic_request(
     // Measure delays: plan the top ReservationDelayDepth jobs in the
     // current world (`base`, partition held) and in the post-grant world
     // (paper §III-D). Partition-only grants therefore measure zero delay
-    // — static jobs never had those cores. The "before" plan is a pure
-    // function of `base`, reused across requests while its revision tag
-    // matches and recomputed into the cache when stale.
+    // — static jobs never had those cores.
     let depth = ctx.config.reservation_delay_depth;
-    if w.before.as_ref().is_none_or(|c| c.base_rev != w.rev) {
-        scratch.plan.assign_from(&w.base);
-        w.before = Some(CachedPlan {
-            base_rev: w.rev,
-            plan: plan_starts(&mut scratch.plan, ctx.head, depth, now),
-        });
-    }
-    let before = &w.before.as_ref().expect("just ensured").plan;
+    scratch.plan.assign_from(&w.base);
+    let before = plan_starts(&mut scratch.plan, ctx.head, depth, now);
     scratch.plan.assign_from(&scratch.expanded);
     let after = plan_starts(&mut scratch.plan, ctx.head, depth, now);
 
     let mut delays = Vec::new();
-    for b in before {
+    for b in &before {
         // Match by job id: a plan may skip a job the other fits (e.g. a
         // full-machine job that only fits once the partition is in use).
         // A job plannable before but not after is pushed past the horizon
@@ -741,7 +716,6 @@ fn dynamic_request(
     // The expanded world becomes the base; the old base stays behind in
     // the scratch buffer, which the next request refills before reading.
     std::mem::swap(&mut w.base, &mut scratch.expanded);
-    w.rev += 1;
     w.partition = unused_partition;
     // Re-expand the partition toward its configured width: shrinks and
     // preemptions can leave cores durably free (a preempted job frees its
@@ -753,16 +727,7 @@ fn dynamic_request(
     if regrow > 0 {
         w.base.hold(now, SimTime::MAX, regrow);
         w.partition += regrow;
-        w.rev += 1;
     }
-    // The new base *is* the expanded world — unless the partition just
-    // re-grew, the plan computed against it becomes the next request's
-    // "before". (A re-grow holds cores `after` was planned without, so
-    // the cache is dropped and the next request replans.)
-    w.before = (regrow == 0).then_some(CachedPlan {
-        base_rev: w.rev,
-        plan: after,
-    });
     w.preempted.extend(to_preempt.iter().copied());
     for r in &to_shrink {
         w.set_cores(r.job, r.to_cores);

@@ -1,9 +1,8 @@
 //! Naive reference implementations — the executable specification.
 //!
 //! [`iterate_naive`] is the scheduling iteration with every pass visiting
-//! every queued job, the base profile rebuilt from the running set and no
-//! plan cached, as it ran before the cycle became independent of queue
-//! depth and history. Debug builds of [`Maui::iterate`] run it beside
+//! every queued job and the base profile rebuilt from the running set, as
+//! it ran before the cycle became independent of queue depth and history. Debug builds of [`Maui::iterate`] run it beside
 //! every cycle and assert the same outcome and the same fairness
 //! statistics; `tests/prop_maui.rs` drives the two over random
 //! multi-cycle runs in any build, and `perf_smoke` times it as the

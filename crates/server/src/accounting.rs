@@ -65,16 +65,6 @@ impl AccountingLog {
         }
     }
 
-    /// Empties the ledger, retaining its storage (run-recycling path) and
-    /// restoring outcome retention — it is a per-run choice.
-    pub fn clear(&mut self) {
-        self.outcomes.clear();
-        self.retain = true;
-        self.recorded = 0;
-        self.totals = OutcomeTotals::default();
-        self.digest = FNV_OFFSET;
-    }
-
     /// Enables or disables per-job outcome retention. With retention off
     /// the log runs in O(1) memory: [`AccountingLog::totals`] and
     /// [`AccountingLog::digest`] keep working; [`AccountingLog::outcomes`]
@@ -250,11 +240,6 @@ mod tests {
                 }
                 assert_ne!(swapped.digest(), keep.digest());
             }
-            // clear() restores retention and resets the derivatives.
-            drop.clear();
-            assert_eq!(drop.digest(), AccountingLog::new().digest());
-            drop.record(outcome(99, 0, 1, 0, 1, 2, 0));
-            assert_eq!(drop.outcomes().len(), 1);
         });
     }
 

@@ -44,7 +44,7 @@ pub use reactor::{
     BatchEvent, Command, Reactor, ReactorClient, ReactorConnector, ReactorStats, Reply,
 };
 pub use replication::{
-    FailoverReport, Follower, FollowerHandle, FollowerRead, FollowerReader, HubConfig, HubStats,
-    PumpReport, ReadRouter, ReplFaultPlan, ReplicationHub,
+    FailoverReport, Follower, FollowerHandle, HubConfig, HubStats, PumpReport, ReplFaultPlan,
+    ReplicationHub,
 };
 pub use server::{Applied, Effect, PbsServer};

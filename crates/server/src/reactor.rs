@@ -81,14 +81,14 @@ pub enum Reply {
     Ok,
     /// `qstat` answer: the job's current state.
     Status(String),
-    /// `qstat` answer served from a replication follower under the
-    /// bounded-staleness contract: the state plus the follower's
-    /// applied-record watermark (every journal record through that
-    /// position is reflected in the answer).
+    /// Dead: no door produces it — every `qstat` is answered by the
+    /// leader as [`Reply::Status`]. It stays only because the frozen
+    /// benchmark harness's reply match names it (`benchmark/src/client.rs`);
+    /// once that arm is dropped the variant goes.
     StatusAt {
         /// The job's state, as [`Reply::Status`] would report it.
         state: String,
-        /// The serving follower's applied-record watermark.
+        /// An applied-record watermark.
         watermark: u64,
     },
     /// The command was refused — malformed, unknown job, out of order.
@@ -102,9 +102,6 @@ pub enum BatchEvent<'a> {
     Apply {
         /// The command's application position.
         ticket: u64,
-        /// The issuing connection — staleness-aware read routing keys
-        /// read-your-writes bounds on it.
-        conn: u64,
         /// The parsed command.
         cmd: &'a Command,
     },
@@ -264,14 +261,13 @@ impl Reactor {
         F: FnMut(u64, &Command) -> Reply,
     {
         self.poll_batch(limit, |ev| match ev {
-            BatchEvent::Apply { ticket, cmd, .. } => Some(apply(ticket, cmd)),
+            BatchEvent::Apply { ticket, cmd } => Some(apply(ticket, cmd)),
             BatchEvent::Commit => None,
         })
     }
 
     /// The full-control drive: like [`Reactor::poll_bounded`], but the
-    /// closure also sees the issuing connection id (for staleness-aware
-    /// read routing) and a [`BatchEvent::Commit`] event fired after the
+    /// closure also sees a [`BatchEvent::Commit`] event fired after the
     /// whole group-commit batch has applied but *before* its held acks
     /// flush — the hook where a replicating host blocks until the batch's
     /// journal records are on every live follower, making every ack
@@ -292,12 +288,8 @@ impl Reactor {
                 Body::Parsed(cmd) => Ok(*cmd),
             };
             let reply = match parsed {
-                Ok(cmd) => f(BatchEvent::Apply {
-                    ticket,
-                    conn,
-                    cmd: &cmd,
-                })
-                .unwrap_or_else(|| Reply::Denied("apply produced no reply".into())),
+                Ok(cmd) => f(BatchEvent::Apply { ticket, cmd: &cmd })
+                    .unwrap_or_else(|| Reply::Denied("apply produced no reply".into())),
                 Err(e) => {
                     self.stats.denied_parse += 1;
                     Reply::Denied(e)
@@ -920,7 +912,7 @@ mod tests {
         let mut applied = Vec::new();
         let mut commits = 0;
         let n = r.poll_batch(u64::MAX, |ev| match ev {
-            BatchEvent::Apply { ticket, cmd, .. } => {
+            BatchEvent::Apply { ticket, cmd } => {
                 let Command::QStat(job) = cmd else {
                     panic!("{cmd:?}");
                 };

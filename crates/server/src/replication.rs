@@ -1,5 +1,5 @@
-//! Journal-streaming replication: leader → follower record streaming,
-//! follower reads with a bounded-staleness contract, and leader failover.
+//! Journal-streaming replication: leader → follower record streaming and
+//! leader failover.
 //!
 //! The leader is an ordinary journaled [`PbsServer`]; replication is a
 //! pure observer of its write-ahead journal. A [`ReplicationHub`] streams
@@ -33,13 +33,12 @@
 //! its `term`, and surviving followers re-seed from the new leader's
 //! genesis snapshot — a frame from an older term is simply ignored.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use dynbatch_core::json::{self, Json};
-use dynbatch_core::JobId;
 use dynbatch_simtime::SplitMix64;
 
 use crate::journal::{
@@ -379,19 +378,6 @@ pub fn tail_frames(journal: &Journal, term: u64, from: u64) -> Vec<Frame> {
 // ---------------------------------------------------------------------------
 // Follower: the synchronous apply state machine.
 
-/// A follower read, stamped with the bounded-staleness contract: the
-/// state answer plus the applied-record watermark it reflects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FollowerRead {
-    /// The job's state (`{:?}` of `JobState`, matching the leader's
-    /// qstat), or `None` when the follower does not know the job.
-    pub state: Option<String>,
-    /// Every record through this position is reflected in the answer.
-    pub watermark: u64,
-    /// The leader term the watermark counts under.
-    pub term: u64,
-}
-
 /// A follower `PbsServer`: applies the replicated stream through the
 /// ordinary mutation paths and tracks the contiguous-prefix watermark.
 ///
@@ -449,18 +435,6 @@ impl Follower {
     /// The replica's canonical state digest, once seeded.
     pub fn state_digest(&self) -> Option<String> {
         self.server.as_ref().map(|s| s.state_digest())
-    }
-
-    /// Serves a qstat-style read with the staleness stamp.
-    pub fn read(&self, job: JobId) -> FollowerRead {
-        FollowerRead {
-            state: self
-                .server
-                .as_ref()
-                .and_then(|s| s.job(job).ok().map(|j| format!("{:?}", j.state))),
-            watermark: self.applied,
-            term: self.term,
-        }
     }
 
     /// Surrenders the replica for promotion, with the watermark it is
@@ -650,13 +624,11 @@ impl Follower {
     }
 
     fn verify_digest(&self, pos: u64, digest: u64) -> Result<(), String> {
-        let own = digest64(
-            self.server
-                .as_ref()
-                .expect("digest check requires a seeded replica")
-                .state_digest()
-                .as_bytes(),
-        );
+        let server = self
+            .server
+            .as_ref()
+            .ok_or_else(|| format!("digest {pos} before any snapshot"))?;
+        let own = digest64(server.state_digest().as_bytes());
         if own == digest {
             Ok(())
         } else {
@@ -707,13 +679,6 @@ pub enum FollowerMsg {
     Frames(Vec<u8>),
     /// Report term/watermark/health.
     Watermark(Sender<WatermarkReply>),
-    /// Serve a watermark-stamped read.
-    Read {
-        /// The queried job.
-        job: JobId,
-        /// Where the answer goes.
-        reply: Sender<FollowerRead>,
-    },
     /// Report the replica's state digest (`None` before seeding).
     DigestQuery(Sender<Option<String>>),
     /// Surrender the replica for promotion; the thread exits after
@@ -726,28 +691,11 @@ pub enum FollowerMsg {
     Shutdown,
 }
 
-/// A handle to a follower thread: the hub's streaming/ack endpoint plus
-/// cloneable read ports for offloaded queries.
+/// A handle to a follower thread: the hub's streaming/ack endpoint.
 pub struct FollowerHandle {
     name: String,
     tx: Sender<FollowerMsg>,
     join: Option<JoinHandle<()>>,
-}
-
-/// A cloneable read-only port onto a follower thread — what qstat
-/// offloading hands out to reader clients.
-#[derive(Clone)]
-pub struct FollowerReader {
-    tx: Sender<FollowerMsg>,
-}
-
-impl FollowerReader {
-    /// A watermark-stamped read; `None` when the follower is gone.
-    pub fn read(&self, job: JobId) -> Option<FollowerRead> {
-        let (tx, rx) = channel();
-        self.tx.send(FollowerMsg::Read { job, reply: tx }).ok()?;
-        rx.recv_timeout(Duration::from_secs(10)).ok()
-    }
 }
 
 impl FollowerHandle {
@@ -769,13 +717,6 @@ impl FollowerHandle {
     /// The follower's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// A cloneable read port.
-    pub fn reader(&self) -> FollowerReader {
-        FollowerReader {
-            tx: self.tx.clone(),
-        }
     }
 
     /// Sends a message; `false` when the thread is gone.
@@ -845,9 +786,6 @@ fn follower_main(rx: Receiver<FollowerMsg>) {
                     error: f.error().map(str::to_owned),
                     torn_frames: f.torn_frames(),
                 });
-            }
-            FollowerMsg::Read { job, reply } => {
-                let _ = reply.send(f.read(job));
             }
             FollowerMsg::DigestQuery(reply) => {
                 let _ = reply.send(f.state_digest());
@@ -1114,7 +1052,7 @@ impl ReplicationHub {
 
     /// Cached acked watermark per follower (0 for dead followers or
     /// followers still on another term) — conservative, refreshed each
-    /// pump, exactly what staleness routing needs.
+    /// pump.
     pub fn acked_watermarks(&self) -> Vec<u64> {
         self.links
             .iter()
@@ -1134,16 +1072,6 @@ impl ReplicationHub {
             .iter()
             .map(|l| l.handle.name().to_owned())
             .collect()
-    }
-
-    /// A read port onto follower `idx`.
-    pub fn reader(&self, idx: usize) -> Option<FollowerReader> {
-        self.links.get(idx).map(|l| l.handle.reader())
-    }
-
-    /// A watermark-stamped read from follower `idx` (synchronous).
-    pub fn read_follower(&self, idx: usize, job: JobId) -> Option<FollowerRead> {
-        self.links.get(idx)?.handle.reader().read(job)
     }
 
     /// Follower `idx`'s state digest (synchronous; drains its stream
@@ -1445,73 +1373,6 @@ impl ReplicationHub {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Read routing with the read-your-writes staleness bound.
-
-/// Routes qstat-style reads to followers under the bounded-staleness
-/// contract: a connection's reads only go to a follower whose acked
-/// watermark covers the connection's last write — otherwise the read
-/// falls back to the leader, so an acked write can never be un-observed.
-///
-/// Only writes some follower has yet to ack are remembered. Once every
-/// serving follower has acked position `p`, no write at or below `p`
-/// constrains a pick, so those entries are dropped and `p` becomes the
-/// `floor` every connection without an entry is held to: a follower that
-/// later falls back below it (crashed and re-seeding) serves nobody until
-/// it has caught up again. Positions are one term's coordinates — the
-/// host starts a fresh router when a failover opens a new term.
-#[derive(Debug, Default)]
-pub struct ReadRouter {
-    last_write: HashMap<u64, u64>,
-    floor: u64,
-    rr: usize,
-}
-
-impl ReadRouter {
-    /// Notes that `conn` wrote at journal position `watermark`; `acked`
-    /// is each follower's acked watermark, as for [`ReadRouter::pick`].
-    pub fn note_write(&mut self, conn: u64, watermark: u64, acked: &[u64]) {
-        self.raise_floor(acked);
-        if watermark > self.floor {
-            let w = self.last_write.entry(conn).or_insert(0);
-            *w = (*w).max(watermark);
-        }
-    }
-
-    /// The watermark a follower must have acked to serve `conn`.
-    pub fn required_watermark(&self, conn: u64) -> u64 {
-        self.last_write.get(&conn).copied().unwrap_or(self.floor)
-    }
-
-    /// Picks a follower (round-robin among those satisfying the bound)
-    /// for `conn`'s read; `None` means serve from the leader.
-    pub fn pick(&mut self, conn: u64, acked: &[u64]) -> Option<usize> {
-        self.raise_floor(acked);
-        // Watermark 0 is a dead or unseeded follower: it has no state to
-        // answer from, whatever the connection needs.
-        let need = self.required_watermark(conn).max(1);
-        let n = acked.len();
-        for k in 0..n {
-            let i = (self.rr + k) % n;
-            if acked[i] >= need {
-                self.rr = (i + 1) % n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Lifts the floor to the lowest watermark among followers that can
-    /// serve at all, and forgets the writes it now covers.
-    fn raise_floor(&mut self, acked: &[u64]) {
-        let serving = acked.iter().copied().filter(|&a| a > 0).min();
-        if let Some(min) = serving.filter(|&min| min > self.floor) {
-            self.floor = min;
-            self.last_write.retain(|_, w| *w > min);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1551,17 +1412,17 @@ mod tests {
     fn scripted_leader(snapshot_every: usize) -> PbsServer {
         let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
         s.enable_journal(snapshot_every);
+        run_script(&mut s);
+        s
+    }
+
+    fn run_script(s: &mut PbsServer) {
         let mut m = hp_maui();
         let mut ids = Vec::new();
         for k in 0..6u64 {
-            let id = submit(
-                &mut s,
-                rigid(&format!("J{k}"), (k % 3) as u32, 8, 50 + k),
-                t(k),
-            )
-            .unwrap();
+            let id = submit(s, rigid(&format!("J{k}"), (k % 3) as u32, 8, 50 + k), t(k)).unwrap();
             ids.push(id);
-            cycle(&mut s, &mut m, t(k));
+            cycle(s, &mut m, t(k));
         }
         s.execute(Record::Finish {
             job: ids[0],
@@ -1573,14 +1434,13 @@ mod tests {
             now: t(21),
         })
         .unwrap();
-        cycle(&mut s, &mut m, t(22));
+        cycle(s, &mut m, t(22));
         s.execute(Record::Finish {
             job: ids[1],
             now: t(30),
         })
         .unwrap();
-        cycle(&mut s, &mut m, t(31));
-        s
+        cycle(s, &mut m, t(31));
     }
 
     /// Nobody drains a follower's delta log, so it must record nothing (it
@@ -1805,10 +1665,6 @@ mod tests {
         for i in 0..2 {
             assert_eq!(hub.follower_digest(i).unwrap(), leader.state_digest());
         }
-        // Watermark-stamped follower read.
-        let read = hub.read_follower(0, dynbatch_core::JobId(1)).unwrap();
-        assert_eq!(read.watermark, top);
-        assert!(read.state.is_some());
         // Leader dies; highest-watermark follower promotes byte-identically.
         let expect = leader.state_digest();
         let (promoted, report) = hub.fail_over(top, top).unwrap();
@@ -1868,50 +1724,6 @@ mod tests {
         hub.shutdown();
     }
 
-    #[test]
-    fn read_router_respects_read_your_writes() {
-        let mut r = ReadRouter::default();
-        // No writes yet: any seeded follower may serve, an unseeded one
-        // (watermark 0) never.
-        assert_eq!(r.pick(1, &[0, 0]), None);
-        assert_eq!(r.pick(1, &[0, 1]), Some(1));
-        r.note_write(1, 10, &[5, 9]);
-        assert_eq!(r.required_watermark(1), 10);
-        // Neither follower has caught up: leader fallback.
-        assert_eq!(r.pick(1, &[5, 9]), None);
-        // Exactly one qualifies.
-        assert_eq!(r.pick(1, &[5, 10]), Some(1));
-        // Another connection never wrote: any follower at the floor serves.
-        assert!(r.pick(2, &[5, 9]).is_some());
-    }
-
-    /// Every write comes from a connection of its own, as the daemon's
-    /// typed `qsub` does: what the router remembers is bounded by the
-    /// writes still ahead of the slowest follower, and dropping an entry
-    /// never lets a follower that fell behind serve its connection.
-    #[test]
-    fn read_router_forgets_writes_every_follower_has_acked() {
-        let mut r = ReadRouter::default();
-        for pos in 2..10_002u64 {
-            // Followers trail the leader by one and three records.
-            let acked = [pos - 1, pos.saturating_sub(3).max(1)];
-            r.note_write(pos, pos, &acked);
-            assert!(r.last_write.len() <= 3, "{} entries", r.last_write.len());
-            assert_eq!(r.pick(pos, &acked), None, "own write not yet acked");
-            assert_eq!(r.pick(pos, &[pos, pos - 1]), Some(0));
-        }
-        // Connection 5 000's entry is long gone. Follower 0 crashes and
-        // re-seeds from an old snapshot: it must not serve that connection
-        // (or anyone) until it is back at the floor.
-        assert!(r.last_write.len() <= 3);
-        let floor = r.required_watermark(5_000);
-        assert!(floor >= 9_998);
-        assert_eq!(r.pick(5_000, &[0, floor]), Some(1));
-        assert_eq!(r.pick(5_000, &[4_000, floor]), Some(1));
-        assert_eq!(r.pick(5_000, &[4_000, 0]), None);
-        assert_eq!(r.pick(5_000, &[floor, 0]), Some(0));
-    }
-
     /// A snapshot record in a record frame is not something the leader
     /// sends: an unseeded follower must not install it, a seeded one must
     /// not take it for a boundary.
@@ -1952,5 +1764,129 @@ mod tests {
                 pos: top + 1
             })
             .is_err());
+    }
+
+    /// A digest check for position 0 reaches a follower no snapshot has
+    /// seeded yet (its watermark is 0 too): it poisons the follower — and,
+    /// in a follower thread, reaches the watermark report — instead of
+    /// panicking on the missing replica.
+    #[test]
+    fn digest_before_any_snapshot_poisons_instead_of_panicking() {
+        let digest = Frame::Digest {
+            term: 1,
+            pos: 0,
+            digest: 0,
+        };
+        let mut f = Follower::new();
+        let err = f.apply_bytes(&encode_frame(&digest)).unwrap_err();
+        assert!(err.contains("before any snapshot"), "{err}");
+        assert_eq!(f.error(), Some(err.as_str()));
+        assert_eq!(f.apply_frame(digest.clone()), Err(err));
+
+        let thread = FollowerHandle::spawn("tst-repl-digest0");
+        assert!(thread.send(FollowerMsg::Frames(encode_frame(&digest))));
+        let report = thread.watermark().expect("the follower thread is alive");
+        assert!(report.error.unwrap().contains("before any snapshot"));
+        thread.shutdown();
+    }
+
+    /// Property: whatever a faulty transport does to a leader's true tail
+    /// — drop, duplicate, reorder and re-term its frames, interleave digest
+    /// checks for arbitrary positions with arbitrary digests — the
+    /// follower never panics, its first error is the answer to every later
+    /// frame, and within one term its watermark never decreases.
+    #[test]
+    fn prop_follower_never_panics_on_a_shuffled_stream() {
+        // The true tail: every position carries its own record, a snapshot
+        // position travels as its image or as a mark (compactions every
+        // three records, none of the history discarded).
+        let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        leader.enable_journal(3);
+        leader.journal_retain_from(1);
+        run_script(&mut leader);
+        let journal = leader.journal().unwrap();
+        let records = journal.records_from(1).expect("no history discarded");
+        assert!(records.len() > 20);
+        let marks = records
+            .iter()
+            .filter(|r| matches!(r, Record::Snapshot(_)))
+            .count();
+        assert!(marks > 3, "the script crosses snapshot positions");
+
+        dynbatch_core::testkit::check(96, 0x0F01_10E4, |rng| {
+            let mut frames = Vec::new();
+            for (i, record) in records.iter().enumerate() {
+                let pos = i as u64 + 1;
+                let term = if rng.chance(0.8) { 1 } else { rng.below(4) };
+                let frame = match record {
+                    Record::Snapshot(image) if rng.chance(0.5) => Frame::Snapshot {
+                        term,
+                        pos,
+                        image: image.clone(),
+                    },
+                    Record::Snapshot(_) => Frame::Mark { term, pos },
+                    other => Frame::Record {
+                        term,
+                        pos,
+                        record: other.clone(),
+                    },
+                };
+                if rng.chance(0.1) {
+                    continue; // dropped
+                }
+                if rng.chance(0.15) {
+                    frames.push(frame.clone()); // duplicated
+                }
+                frames.push(frame);
+                if rng.chance(0.3) {
+                    // Low positions half the time: the ones an unseeded or
+                    // freshly seeded follower is at.
+                    let top = if rng.chance(0.5) { 4 } else { 65 };
+                    frames.push(Frame::Digest {
+                        term: rng.below(4),
+                        pos: rng.below(top),
+                        digest: if rng.chance(0.5) { 0 } else { rng.next_u64() },
+                    });
+                }
+            }
+            // Reorder: a whole-stream shuffle in some cases, else a few
+            // long-range swaps; local jitter on top.
+            if rng.chance(0.2) {
+                for i in (1..frames.len()).rev() {
+                    frames.swap(i, rng.range_usize(0, i + 1));
+                }
+            }
+            for _ in 0..rng.range_usize(0, 6) {
+                let (a, b) = (
+                    rng.below(frames.len() as u64),
+                    rng.below(frames.len() as u64),
+                );
+                frames.swap(a as usize, b as usize);
+            }
+            for i in 1..frames.len() {
+                if rng.chance(0.3) {
+                    frames.swap(i - 1, i);
+                }
+            }
+
+            let mut f = Follower::new();
+            let mut first_err: Option<String> = None;
+            let (mut term, mut watermark) = (f.term(), f.watermark());
+            for frame in frames {
+                let result = f.apply_frame(frame);
+                match &first_err {
+                    Some(e) => assert_eq!(result.as_ref(), Err(e), "the error is sticky"),
+                    None => first_err = result.err(),
+                }
+                if f.term() == term {
+                    assert!(
+                        f.watermark() >= watermark,
+                        "term {term}: watermark {watermark} fell to {}",
+                        f.watermark()
+                    );
+                }
+                (term, watermark) = (f.term(), f.watermark());
+            }
+        });
     }
 }

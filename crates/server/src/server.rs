@@ -329,7 +329,7 @@ pub struct PbsServer {
     retain_terminal_jobs: bool,
     /// Snapshots that met a `DynQueued` job with no pending-request entry
     /// (see [`PbsServer::invariant_breaches`]). Process-local, like the
-    /// other soft state: not journalled, zeroed by `reset`.
+    /// other soft state: not journalled.
     invariant_breaches: Counter,
 }
 
@@ -360,38 +360,6 @@ impl PbsServer {
             retain_terminal_jobs: true,
             invariant_breaches: Counter::default(),
         }
-    }
-
-    /// Rewinds the server to the just-constructed state over a fresh
-    /// `cluster`, **retaining** the accounting ledger's storage. Sweep
-    /// workers recycle one server across hundreds of runs this way
-    /// instead of reallocating per run; the result is indistinguishable
-    /// from [`PbsServer::new`].
-    pub fn reset(&mut self, cluster: Cluster, alloc_policy: AllocPolicy) {
-        self.cluster = cluster;
-        self.jobs.clear();
-        self.terminal.clear();
-        self.dyn_pending.clear();
-        self.running = RunningSet::default();
-        self.queued = QueuedSet::default();
-        self.dyn_queued = 0;
-        self.next_job_id = 1;
-        self.next_dyn_seq = 0;
-        self.alloc_policy = alloc_policy;
-        self.accounting.clear();
-        self.guarantee_evolving = false;
-        self.deltas.clear();
-        self.snapshot_epoch = 0;
-        self.journal = None;
-        self.retired.invalidate();
-        self.usage.clear();
-        self.usage_since.clear();
-        self.usage_hist = UsageHistory::new(
-            self.usage_hist.half_life(),
-            self.cluster.total_cores() as u64,
-        );
-        self.retain_terminal_jobs = true;
-        self.invariant_breaches = Counter::default();
     }
 
     /// Turns on write-ahead journaling: a genesis snapshot is written, and
@@ -776,8 +744,8 @@ impl PbsServer {
     }
 
     /// Enables or disables per-job outcome retention in the accounting
-    /// log (see [`AccountingLog::set_retain`]). `reset` restores the
-    /// default (retained) — low-memory is a per-run choice. Note that
+    /// log (see [`AccountingLog::set_retain`]). A new server retains —
+    /// low-memory is a per-run choice. Note that
     /// [`PbsServer::image`] embeds the retained outcome log, so snapshots
     /// and state digests taken with retention off only cover live state
     /// plus the O(1) accounting derivatives.
@@ -795,8 +763,7 @@ impl PbsServer {
     /// replays run in bounded memory. Turning retention off also sweeps
     /// jobs that are already terminal. Retention changes memory only:
     /// terminal jobs never sit in the table the scheduler cycle walks, so
-    /// a retained run's cycles cost what an evicted run's do. Restored by
-    /// [`PbsServer::reset`].
+    /// a retained run's cycles cost what an evicted run's do.
     pub fn set_job_retention(&mut self, retain: bool) {
         self.retain_terminal_jobs = retain;
         if !retain {
@@ -2719,12 +2686,12 @@ mod tests {
             ProfileDelta::LeftQueue { job: queued },
         );
         assert_eq!(s.deltas[1..], [charged(80_000, t(70)), finished, left]);
-        // `reset`, `recover` and an image load all start over.
+        // A new server, `recover` and an image load all start over.
         s.enable_journal(0);
         let loaded = PbsServer::from_image(&s.image()).unwrap();
         let recovered = PbsServer::recover(s.take_journal().unwrap()).unwrap();
-        s.reset(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
-        for (mut s, core_s) in [(s, 0.0), (recovered, 160.0), (loaded, 160.0)] {
+        let fresh = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+        for (mut s, core_s) in [(fresh, 0.0), (recovered, 160.0), (loaded, 160.0)] {
             submit(&mut s, rigid("J", 0, 8, 100), t(80)).unwrap();
             let outcome = m.iterate(&s.snapshot(t(80)));
             s.apply(&outcome, t(80));

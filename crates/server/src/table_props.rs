@@ -8,7 +8,7 @@
 //! accounting retention toggled at random. After **every** operation
 //! (submissions, cycles, finishes, deletes, requests and their expiry,
 //! releases, node failures and repairs, recovery, image round trips,
-//! `reset`, retention flips; preemption and a policy flip with jobs
+//! starting over on new servers, retention flips; preemption and a policy flip with jobs
 //! queued are driven directly in `server::tests`):
 //!
 //! * `snapshot()` (the view maintained at the mutation sites) equals the
@@ -192,7 +192,7 @@ impl<'w> Twin<'w> {
         twin
     }
 
-    /// Per-process settings, as after construction or `reset`.
+    /// Per-process settings, as after construction.
     fn arm(&mut self) {
         self.kept
             .execute(Record::Guarantee { on: self.guarantee })
@@ -547,10 +547,8 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                 }
                 _ => {
                     if rng.chance(0.25) {
-                        twin.kept
-                            .reset(fresh_server().cluster().clone(), AllocPolicy::Pack);
-                        twin.flip
-                            .reset(fresh_server().cluster().clone(), AllocPolicy::Pack);
+                        twin.kept = fresh_server();
+                        twin.flip = fresh_server();
                         twin.flip_retains = true;
                         twin.flip_retains_outcomes = true;
                         twin.flip_kept_terminal.clear();

@@ -161,13 +161,6 @@ impl ItemWindow {
             self.base += 1;
         }
     }
-
-    fn clear(&mut self) {
-        self.base = 0;
-        self.slots.clear();
-        self.resident = 0;
-        self.peak_resident = 0;
-    }
 }
 
 /// The simulator.
@@ -217,36 +210,6 @@ impl BatchSim {
             dyn_log_enabled: true,
             batch: Vec::new(),
         }
-    }
-
-    /// Rewinds this simulator to the state [`BatchSim::new`]`(cluster,
-    /// config)` would construct, **reusing** the event-queue storage, the
-    /// utilization sample buffer, the accounting ledger, the run/
-    /// generation maps and the event-batch scratch. Behaviour after a
-    /// reset is bit-identical to a fresh simulator (the sweep engine's
-    /// equality tests pin this); only the allocator traffic differs —
-    /// which is the point: a sweep worker recycles one `BatchSim` across
-    /// hundreds of runs.
-    pub fn reset(&mut self, cluster: Cluster, config: SchedulerConfig) {
-        let capacity = cluster.total_cores();
-        let alloc = config.alloc;
-        let guarantee = config.guarantee_evolving;
-        self.queue.reset();
-        self.server.reset(cluster, alloc);
-        let _ = self.server.execute(Record::Guarantee { on: guarantee });
-        self.server.set_usage_half_life(config.fairshare.half_life);
-        self.maui = Maui::new(config);
-        self.util.reset(capacity, SimTime::ZERO);
-        self.window.clear();
-        self.qdel_targets.clear();
-        self.stream_last_at = None;
-        self.runs.clear();
-        self.gens.clear();
-        self.stats = SimStats::default();
-        self.first_submit = None;
-        self.last_completion = SimTime::ZERO;
-        self.dyn_log.clear();
-        self.dyn_log_enabled = true;
     }
 
     /// Loads a workload eagerly; every submission becomes an event at
@@ -341,8 +304,7 @@ impl BatchSim {
     }
 
     /// Turns on the server's write-ahead journal (a prerequisite for
-    /// [`BatchSim::inject_server_crash`]). Cleared by [`BatchSim::reset`],
-    /// like the rest of the server state.
+    /// [`BatchSim::inject_server_crash`]).
     pub fn enable_journal(&mut self, snapshot_every: usize) {
         self.server.enable_journal(snapshot_every);
     }
@@ -440,7 +402,7 @@ impl BatchSim {
     /// Whether dynamic decisions are appended to the decision log
     /// (default: yes). Disabled by long replays that only need the
     /// accounting digest; the counters in [`SimStats`] accumulate either
-    /// way. Restored by [`BatchSim::reset`].
+    /// way.
     pub fn set_dyn_log_enabled(&mut self, enabled: bool) {
         self.dyn_log_enabled = enabled;
         if !enabled {
@@ -452,8 +414,7 @@ impl BatchSim {
     /// (or back): per-job accounting outcomes, utilization samples and
     /// the dynamic-decision log stop retaining history. All O(1)
     /// derivatives — accounting totals and digest, utilization integral,
-    /// [`SimStats`] — keep accumulating identically. Restored to full
-    /// retention by [`BatchSim::reset`].
+    /// [`SimStats`] — keep accumulating identically.
     pub fn set_low_memory(&mut self, on: bool) {
         self.server.set_accounting_retention(!on);
         self.server.set_job_retention(!on);

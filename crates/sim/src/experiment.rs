@@ -96,23 +96,9 @@ pub struct ExperimentResult {
 pub fn run_experiment(cfg: &ExperimentConfig, workload: &[WorkloadItem]) -> ExperimentResult {
     let cluster = Cluster::homogeneous(cfg.nodes, cfg.cores_per_node);
     let mut sim = BatchSim::new(cluster, cfg.sched.clone());
-    run_loaded(&mut sim, cfg, workload)
-}
-
-/// Like [`run_experiment`], but recycles an existing simulator via
-/// [`BatchSim::reset`] instead of constructing a fresh one — the sweep
-/// engine's per-worker fast path. Results are bit-identical to
-/// [`run_experiment`] (the `reset_reuse_matches_fresh` test pins it).
-pub fn run_experiment_on(
-    sim: &mut BatchSim,
-    cfg: &ExperimentConfig,
-    workload: &[WorkloadItem],
-) -> ExperimentResult {
-    sim.reset(
-        Cluster::homogeneous(cfg.nodes, cfg.cores_per_node),
-        cfg.sched.clone(),
-    );
-    run_loaded(sim, cfg, workload)
+    sim.load(workload);
+    sim.run();
+    finish(&mut sim, cfg, &IngestOptions::default())
 }
 
 /// Like [`run_experiment`], but ingests the workload through a stream
@@ -129,27 +115,9 @@ where
 {
     let cluster = Cluster::homogeneous(cfg.nodes, cfg.cores_per_node);
     let mut sim = BatchSim::new(cluster, cfg.sched.clone());
-    run_experiment_streamed_on(&mut sim, cfg, stream, opts)
-}
-
-/// [`run_experiment_streamed`] over a recycled simulator — the sweep
-/// engine's per-worker fast path in streaming form.
-pub fn run_experiment_streamed_on<S>(
-    sim: &mut BatchSim,
-    cfg: &ExperimentConfig,
-    stream: S,
-    opts: &IngestOptions,
-) -> ExperimentResult
-where
-    S: Iterator<Item = WorkloadItem>,
-{
-    sim.reset(
-        Cluster::homogeneous(cfg.nodes, cfg.cores_per_node),
-        cfg.sched.clone(),
-    );
     sim.set_low_memory(opts.low_memory);
     sim.run_streamed(stream, opts.window);
-    finish(sim, cfg, opts)
+    finish(&mut sim, cfg, opts)
 }
 
 /// The eager counterpart of [`run_experiment_streamed`]: materialized
@@ -166,18 +134,6 @@ pub fn run_experiment_materialized(
     sim.load(workload);
     sim.run();
     finish(&mut sim, cfg, opts)
-}
-
-/// The shared tail of both entry points: `sim` must be in the fresh (or
-/// just-reset) state for `cfg`.
-fn run_loaded(
-    sim: &mut BatchSim,
-    cfg: &ExperimentConfig,
-    workload: &[WorkloadItem],
-) -> ExperimentResult {
-    sim.load(workload);
-    sim.run();
-    finish(sim, cfg, &IngestOptions::default())
 }
 
 /// Aggregates a completed run. The summary is computed from the
@@ -287,54 +243,6 @@ mod tests {
             st.summary.makespan
         );
         assert!(hp.summary.throughput_jobs_per_min > st.summary.throughput_jobs_per_min);
-    }
-
-    #[test]
-    fn reset_reuse_matches_fresh() {
-        // One simulator recycled across *different* configurations and
-        // workloads must reproduce fresh-simulator results bit for bit —
-        // the property the sweep engine's allocation recycling rests on.
-        let mut reg = CredRegistry::new();
-        let static_wl = generate_esp(&EspConfig::paper_static(), &mut reg);
-        let dyn_wl = generate_esp(&EspConfig::paper_dynamic(), &mut reg);
-        let cfg_static =
-            ExperimentConfig::paper_cluster("Static", sched(DfsConfig::highest_priority()));
-        let cfg_dyn = ExperimentConfig::paper_cluster(
-            "Dyn-500",
-            sched(DfsConfig::uniform_target(500, SimDuration::from_hours(1))),
-        );
-
-        let mut sim = crate::BatchSim::new(
-            Cluster::homogeneous(cfg_dyn.nodes, cfg_dyn.cores_per_node),
-            cfg_dyn.sched.clone(),
-        );
-        // Dirty the simulator with a full dynamic run, then reuse it for
-        // both configurations in both orders.
-        let first = crate::experiment::run_experiment_on(&mut sim, &cfg_dyn, &dyn_wl);
-        let timeline = sim.maui().timeline_stats();
-        assert_eq!(timeline.rebuilds, 1, "only the first cycle may rebuild");
-        assert!(timeline.delta_batches > 0 && timeline.deltas_applied > 0);
-        let reused_static = crate::experiment::run_experiment_on(&mut sim, &cfg_static, &static_wl);
-        let reused_dyn = crate::experiment::run_experiment_on(&mut sim, &cfg_dyn, &dyn_wl);
-        // Reset starts from a clean epoch: one rebuild again, the same
-        // deltas.
-        assert_eq!(
-            sim.maui().timeline_stats(),
-            timeline,
-            "reset must not leak timeline state"
-        );
-
-        let fresh_static = run_experiment(&cfg_static, &static_wl);
-        let fresh_dyn = run_experiment(&cfg_dyn, &dyn_wl);
-        for (reused, fresh) in [
-            (&first, &fresh_dyn),
-            (&reused_static, &fresh_static),
-            (&reused_dyn, &fresh_dyn),
-        ] {
-            assert_eq!(reused.summary, fresh.summary);
-            assert_eq!(reused.outcomes, fresh.outcomes);
-            assert_eq!(reused.stats, fresh.stats);
-        }
     }
 
     #[test]

@@ -21,12 +21,12 @@ pub mod sweep;
 pub use batch_sim::{BatchSim, SimStats, DEFAULT_LOOKAHEAD};
 pub use event::Event;
 pub use experiment::{
-    run_experiment, run_experiment_materialized, run_experiment_on, run_experiment_streamed,
-    run_experiment_streamed_on, ExperimentConfig, ExperimentResult, IngestOptions, RunFingerprint,
+    run_experiment, run_experiment_materialized, run_experiment_streamed, ExperimentConfig,
+    ExperimentResult, IngestOptions, RunFingerprint,
 };
 pub use reactor_drive::{
     drive_reactor, drive_serial, script_from_stream, script_from_workload, CommandScript,
     DriveResult, ScriptStep,
 };
 pub use replica_drive::{ReplicaStats, ReplicatedSim};
-pub use sweep::{parallel_tasks, parallel_tasks_with, run_sweep, task_rng, SweepResult};
+pub use sweep::{parallel_tasks, run_sweep, task_rng, SweepResult};

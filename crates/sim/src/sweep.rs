@@ -19,17 +19,19 @@
 //! * **Shared atomic cursor.** Workers pull the next task id from one
 //!   `AtomicUsize`; the *assignment* of tasks to workers is racy and
 //!   irrelevant, the *computation* of each task is pure.
-//! * **Per-worker allocation recycling.** Each worker owns one
-//!   [`BatchSim`] and rewinds it with [`BatchSim::reset`] between runs,
-//!   reusing the event-queue, utilization-sample and accounting buffers
-//!   instead of reallocating them hundreds of times per sweep.
+//! * **A fresh simulator per cell.** Every task builds its own
+//!   [`crate::BatchSim`]; no state outlives a cell.
+//!
+//! The pool earns its lines with a measured speed-up: `perf_smoke`'s
+//! fairness section times its 512-cell campaign at one worker and at
+//! `available_parallelism()`, and the full run fails below 1.3× on a
+//! machine with two or more cores.
 //!
 //! Plain `std::thread::scope` threads — no external runtime — keep the
 //! workspace fully offline-buildable.
 
-use crate::batch_sim::BatchSim;
 use crate::experiment::{
-    run_experiment_streamed_on, ExperimentConfig, ExperimentResult, IngestOptions,
+    run_experiment_streamed, ExperimentConfig, ExperimentResult, IngestOptions,
 };
 use dynbatch_simtime::SplitMix64;
 use dynbatch_workload::WorkloadItem;
@@ -58,33 +60,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_tasks_with(tasks, workers, || (), |(), idx| run(idx))
-}
-
-/// [`parallel_tasks`] with per-worker mutable state: `init` runs once on
-/// each worker thread and the resulting state is threaded through every
-/// task that worker executes — the hook that lets a sweep recycle one
-/// simulator per worker. Determinism contract: `run`'s *result* must
-/// depend only on the task index, never on the state's history (state is
-/// a cache, not an input).
-pub fn parallel_tasks_with<S, T, I, F>(tasks: usize, workers: usize, init: I, run: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let workers = worker_count(workers).min(tasks.max(1));
     let cursor = AtomicUsize::new(0);
     let worker_loop = || {
-        let mut state = init();
         let mut out: Vec<(usize, T)> = Vec::new();
         loop {
             let idx = cursor.fetch_add(1, Ordering::Relaxed);
             if idx >= tasks {
                 break;
             }
-            out.push((idx, run(&mut state, idx)));
+            out.push((idx, run(idx)));
         }
         out
     };
@@ -164,31 +149,16 @@ where
     }
     let tasks = configs.len() * seeds.len();
     let opts = IngestOptions::default();
-    parallel_tasks_with(
-        tasks,
-        workers,
-        || None::<BatchSim>,
-        |sim_slot, idx| {
-            let config = idx / seeds.len();
-            let seed = seeds[idx % seeds.len()];
-            let cfg = &configs[config];
-            let workload = generate(cfg, seed);
-            // Recycled path: rewind the worker's simulator in place. The
-            // first task on a worker builds the simulator the recycled
-            // path will reuse; routing both arms through the runner's
-            // `reset` keeps them on the identical code path.
-            let sim = sim_slot.get_or_insert_with(|| {
-                let cluster = dynbatch_cluster::Cluster::homogeneous(cfg.nodes, cfg.cores_per_node);
-                BatchSim::new(cluster, cfg.sched.clone())
-            });
-            let result = run_experiment_streamed_on(sim, cfg, workload, &opts);
-            SweepResult {
-                config,
-                seed,
-                result,
-            }
-        },
-    )
+    parallel_tasks(tasks, workers, |idx| {
+        let config = idx / seeds.len();
+        let seed = seeds[idx % seeds.len()];
+        let cfg = &configs[config];
+        SweepResult {
+            config,
+            seed,
+            result: run_experiment_streamed(cfg, generate(cfg, seed), &opts),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@ use std::collections::BinaryHeap;
 ///
 /// Names a slot of the queue's pending-event table plus the generation
 /// the slot had when the event was scheduled. Slots are recycled; a token
-/// whose event already fired, was cancelled, or predates a
-/// [`EventQueue::reset`] carries a stale generation and cancels nothing.
+/// whose event already fired or was cancelled carries a stale generation
+/// and cancels nothing.
 /// (Generations are 32-bit and wrap: a stale token could only alias after
 /// exactly 2³² reuses of its one slot.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,7 +117,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Size of the slot table: the peak number of concurrently pending
-    /// events since construction (it never shrinks, and `reset` keeps it).
+    /// events since construction (it never shrinks).
     pub fn slot_capacity(&self) -> usize {
         self.gens.len()
     }
@@ -218,22 +218,6 @@ impl<E> EventQueue<E> {
         while self.peek_time().is_some_and(|at| at <= limit) {
             out.extend(self.pop());
         }
-    }
-
-    /// Empties the queue and rewinds the clock to zero, **retaining** the
-    /// heap and slot-table storage. A sweep worker recycling one
-    /// simulator across hundreds of runs calls this instead of allocating
-    /// a fresh queue per run. Every slot's generation moves on, so tokens
-    /// issued before the reset stay dead however the slots are reused.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        for gen in &mut self.gens {
-            *gen = gen.wrapping_add(1);
-        }
-        self.free.clear();
-        self.free.extend((0..self.gens.len() as u32).rev());
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
     }
 
     /// The time of the next live event without popping it.
@@ -378,24 +362,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.drain_until(t(3), &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn reset_rewinds_clock_and_clears_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(4), "a");
-        q.schedule(t(6), "b");
-        q.pop();
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert!(!q.cancel(a), "stale tokens are dead after reset");
-        // Scheduling "into the past" relative to the pre-reset clock is
-        // legal again, and sequence numbering restarts.
-        q.schedule(t(1), "x");
-        q.schedule(t(1), "y");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["x", "y"]);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! table rest on: cancellation-heavy schedules (most events cancelled,
 //! the top cancelled on purpose, tokens cancelled after their event
 //! fired) never leave a cancelled entry visible at the top; a stale
-//! token cannot cancel the event that reuses its slot, not even across
-//! `reset`; and the slot table is bounded by the peak number of
+//! token cannot cancel the event that reuses its slot; and the slot table
+//! is bounded by the peak number of
 //! concurrently pending events, not by the number ever scheduled.
 
 use dynbatch_core::testkit::{check, TestRng};
@@ -190,29 +190,6 @@ fn queue_matches_sorted_vec_model() {
 }
 
 #[test]
-fn reset_preserves_semantics() {
-    // After reset, a recycled queue must behave exactly like a fresh one:
-    // sequence numbers restart at zero and the clock rewinds.
-    check(16, 2014, |rng: &mut TestRng| {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        for i in 0..rng.range_usize(1, 20) {
-            q.schedule(SimTime::from_secs(rng.below(50)), i);
-        }
-        for _ in 0..rng.range_usize(0, 10) {
-            q.pop();
-        }
-        q.reset();
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), None);
-        let tok = q.schedule(SimTime::from_secs(3), 7);
-        let e = q.pop().expect("just scheduled");
-        assert_eq!((e.at, e.seq, e.payload), (SimTime::from_secs(3), 0, 7));
-        assert!(!q.cancel(tok), "already popped");
-    });
-}
-
-#[test]
 fn cancellation_heavy_schedules_keep_peek_exact() {
     check(48, 0xCA_9CE1, |rng: &mut TestRng| {
         let mut q: EventQueue<usize> = EventQueue::new();
@@ -273,21 +250,21 @@ fn cancellation_heavy_schedules_keep_peek_exact() {
 
 #[test]
 fn stale_token_cannot_cancel_the_slot_s_next_tenant() {
-    // The pinned case first: one slot, three tenants, a reset in between.
+    // The pinned case first: one slot, four tenants.
     let at = SimTime::from_secs(1);
     let mut q: EventQueue<&str> = EventQueue::new();
     let popped = q.schedule(at, "popped");
     q.pop();
     let cancelled = q.schedule(at, "cancelled");
     assert!(q.cancel(cancelled));
-    let before_reset = q.schedule(at, "before reset");
+    let third = q.schedule(at, "third");
     assert_eq!(q.slot_capacity(), 1, "all three shared one slot");
     assert!(!q.cancel(popped) && !q.cancel(cancelled));
     assert_eq!(q.len(), 1);
-    q.reset();
+    assert_eq!(q.pop().map(|e| e.payload), Some("third"));
     let survivor = q.schedule(at, "survivor");
     assert_eq!(q.slot_capacity(), 1);
-    for stale in [popped, cancelled, before_reset] {
+    for stale in [popped, cancelled, third] {
         assert!(!q.cancel(stale), "stale token cancelled its successor");
     }
     assert_eq!(q.pop().map(|e| e.payload), Some("survivor"));
@@ -300,7 +277,7 @@ fn stale_token_cannot_cancel_the_slot_s_next_tenant() {
         // (token, its event still pending), indexed by payload.
         let mut issued: Vec<(Token, bool)> = Vec::new();
         for _ in 0..400 {
-            match rng.below(8) {
+            match rng.below(7) {
                 0..=2 => {
                     let at = q.now() + dynbatch_core::SimDuration::from_secs(rng.below(5));
                     issued.push((q.schedule(at, issued.len()), true));
@@ -311,17 +288,11 @@ fn stale_token_cannot_cancel_the_slot_s_next_tenant() {
                         issued[e.payload].1 = false;
                     }
                 }
-                5..=6 => {
+                _ => {
                     if !issued.is_empty() {
                         let i = rng.range_usize(0, issued.len());
                         assert_eq!(q.cancel(issued[i].0), issued[i].1);
                         issued[i].1 = false;
-                    }
-                }
-                _ => {
-                    if rng.chance(0.2) {
-                        q.reset();
-                        issued.iter_mut().for_each(|(_, pending)| *pending = false);
                     }
                 }
             }

@@ -33,7 +33,7 @@ echo "    rests on, and none of the sections the repo benchmark superseded"
 for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
   for key in scaled_iteration incremental_timeline deep_queue \
       depth4000_over_reference esp_table2 journal overhead_bound_pct ingest \
-      peak_reduction identical_results fairness; do
+      peak_reduction identical_results fairness parallel_speedup; do
     grep -q "\"$key\"" "$report" \
       || { echo "$report lacks \"$key\" — regenerate with: cargo run \
 --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
@@ -91,6 +91,16 @@ echo "    the two names that live on in prose and in a test's name)"
 gone='ReplicationConfig|read_offload|ack_after_replicate *:|read_your_writes *:'
 gone="$gone|ClientMsg|ClientReq::QSub|ClientReq::QDel"
 if grep -rnE "$gone" crates src tests examples; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+
+echo "==> every thin mechanism got its verdict: follower read routing, the"
+echo "    before-plan cache and per-worker simulator recycling (and every reset"
+echo "    that served it) are gone"
+gone='ReadRouter|FollowerReader|read_follower|FollowerMsg::Read|CachedPlan'
+gone="$gone|run_experiment_on|run_experiment_streamed_on|parallel_tasks_with"
+if grep -rnE "$gone" crates src tests examples \
+    || grep -rnE 'pub fn reset\(' crates/server crates/sim crates/simtime crates/metrics; then
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 

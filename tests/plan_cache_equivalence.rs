@@ -1,14 +1,17 @@
-//! The scheduler's before-plan cache is a pure optimisation: over the full
-//! dynamic-ESP workload it takes the dynamic decisions (including every
-//! [`DelayCharge`]) of a scheduler that replans for every request.
+//! Multi-request cycles decide as the reference: over the full
+//! dynamic-ESP workload, a cycle that decides several requests — each
+//! grant mutating the base profile the next request is measured against —
+//! takes the dynamic decisions (including every [`DelayCharge`]) of
+//! `sched::reference::iterate_naive`.
 //!
-//! That scheduler is `sched::reference::iterate_naive`, which caches
-//! nothing, and the comparison happens inside `Maui::iterate`: a debug
-//! build runs the reference beside every cycle, on a copy of the fairness
+//! `Maui::iterate` plans each request's "before" world afresh, as the
+//! reference does, and the comparison happens inside it: a debug build
+//! runs the reference beside every cycle, on a copy of the fairness
 //! statistics, and asserts the same outcome. These runs put the workloads
 //! whose grants mutate the base profile through that assert and check
 //! that they reached it; in a release build (where the assert is compiled
-//! out) `prop_maui` and `perf_smoke` carry the comparison.
+//! out) `prop_maui` and `perf_smoke` carry the comparison. (The file and
+//! test names date from a before-plan cache the scheduler no longer has.)
 //!
 //! [`DelayCharge`]: dynbatch::sched::DelayCharge
 
@@ -31,8 +34,8 @@ fn run_esp(cfg: SchedulerConfig, seed: u64) -> Vec<(SimTime, DynDecision)> {
     sim.dyn_decision_log().to_vec()
 }
 
-/// Cycles that decided two or more requests: the second one is where a
-/// cached "before" plan is served instead of recomputed.
+/// Cycles that decided two or more requests: the second one is measured
+/// against a base profile the first may have changed.
 fn multi_request_cycles(log: &[(SimTime, DynDecision)]) -> usize {
     log.windows(2).filter(|w| w[0].0 == w[1].0).count()
 }
@@ -54,8 +57,9 @@ fn cached_and_uncached_runs_are_byte_identical() {
             let mut cfg = SchedulerConfig::paper_eval();
             cfg.dfs = dfs.clone();
             let log = run_esp(cfg, seed);
-            // The workload actually exercises the dynamic path, and the
-            // cache: without both the per-cycle assert would be vacuous.
+            // The workload actually exercises the dynamic path, and cycles
+            // with several requests: without both the per-cycle assert
+            // would be vacuous.
             assert!(
                 log.iter().any(|(_, d)| d.is_granted()),
                 "{label}/{seed}: no grants"
@@ -71,8 +75,8 @@ fn cached_and_uncached_runs_are_byte_identical() {
 #[test]
 fn preemption_and_shrink_paths_are_cache_invariant() {
     // The grant path that preempts backfilled jobs or shrinks malleable
-    // ones mutates the base profile too — the cache must be invalidated
-    // there exactly as in the plain-grant path.
+    // ones mutates the base profile too: the requests after it must be
+    // measured against that world, exactly as in the plain-grant path.
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.dfs = DfsConfig::highest_priority();
     cfg.preempt_backfilled_for_dyn = true;

@@ -3,8 +3,8 @@
 //! byte-identical — end-state fingerprint, summary, per-job outcomes,
 //! simulator counters — to the eager materialize-everything path, at
 //! every lookahead window. Plus the interaction corners the pipeline
-//! introduces: qdel of a not-yet-streamed submission, simulator
-//! recycling across streamed runs, and the bounded-residency guarantee
+//! introduces: qdel of a not-yet-streamed submission, low-memory
+//! retention against full retention, and the bounded-residency guarantee
 //! itself.
 
 use dynbatch::cluster::Cluster;
@@ -12,8 +12,7 @@ use dynbatch::core::{
     CredRegistry, DfsConfig, FairshareMode, SchedulerConfig, SimDuration, SimTime,
 };
 use dynbatch::sim::{
-    run_experiment_materialized, run_experiment_streamed, run_experiment_streamed_on, BatchSim,
-    ExperimentConfig, IngestOptions,
+    run_experiment_materialized, run_experiment_streamed, BatchSim, ExperimentConfig, IngestOptions,
 };
 use dynbatch::workload::{
     stream_esp, stream_quadflow, stream_synthetic, EspConfig, QuadflowConfig, SwfConfig, SwfSource,
@@ -251,52 +250,37 @@ fn qdel_of_unstreamed_submission_cancels_cleanly() {
     );
 }
 
-/// A recycled simulator must reproduce fresh-simulator streamed results
-/// bit for bit — the property the sweep engine's streaming fast path
-/// rests on (including across different workloads and low-memory mode).
+/// Low-memory mode drops the O(trace) side buffers and nothing else: on
+/// fresh simulators, a low-memory streamed run keeps no outcomes but
+/// reports the accounting digest, summary and counters of the
+/// full-retention run over the same stream, for two different workloads.
 #[test]
-fn streamed_reset_recycling_matches_fresh() {
+fn streamed_low_memory_matches_full_retention() {
     let cfg = config();
-    let opts = IngestOptions {
+    let full = IngestOptions {
         fingerprint: true,
         ..Default::default()
+    };
+    let low_memory = IngestOptions {
+        low_memory: true,
+        ..full.clone()
     };
     let make = |seed: u64| {
         let mut reg = CredRegistry::new();
         stream_synthetic(&synth_cfg(seed, 50), &mut reg)
     };
-    let fresh_a = run_experiment_streamed(&cfg, make(4), &opts);
-    let fresh_b = run_experiment_streamed(&cfg, make(5), &opts);
-
-    let mut sim = BatchSim::new(Cluster::homogeneous(15, 8), cfg.sched.clone());
-    // Dirty the simulator with a low-memory run first: reset must restore
-    // full retention for the recycled runs that follow.
-    let low = run_experiment_streamed_on(
-        &mut sim,
-        &cfg,
-        make(4),
-        &IngestOptions {
-            low_memory: true,
-            fingerprint: true,
-            ..Default::default()
-        },
-    );
-    assert!(low.outcomes.is_empty(), "low-memory retains no outcomes");
-    assert_eq!(
-        low.fingerprint.as_ref().unwrap().accounting_digest,
-        fresh_a.fingerprint.as_ref().unwrap().accounting_digest,
-        "the accounting digest is retention-mode independent"
-    );
-    assert_eq!(low.summary, fresh_a.summary);
-    assert_eq!(low.stats, fresh_a.stats);
-
-    let recycled_a = run_experiment_streamed_on(&mut sim, &cfg, make(4), &opts);
-    let recycled_b = run_experiment_streamed_on(&mut sim, &cfg, make(5), &opts);
-    for (recycled, fresh) in [(&recycled_a, &fresh_a), (&recycled_b, &fresh_b)] {
-        assert_eq!(recycled.fingerprint, fresh.fingerprint);
-        assert_eq!(recycled.summary, fresh.summary);
-        assert_eq!(recycled.outcomes, fresh.outcomes);
-        assert_eq!(recycled.stats, fresh.stats);
+    for seed in [4, 5] {
+        let kept = run_experiment_streamed(&cfg, make(seed), &full);
+        let low = run_experiment_streamed(&cfg, make(seed), &low_memory);
+        assert!(!kept.outcomes.is_empty());
+        assert!(low.outcomes.is_empty(), "low-memory retains no outcomes");
+        assert_eq!(
+            low.fingerprint.as_ref().unwrap().accounting_digest,
+            kept.fingerprint.as_ref().unwrap().accounting_digest,
+            "the accounting digest is retention-mode independent"
+        );
+        assert_eq!(low.summary, kept.summary);
+        assert_eq!(low.stats, kept.stats);
     }
 }
 
