@@ -108,9 +108,9 @@ echo "==> one door into durable state: PbsServer::execute applies and journals e
 echo "    input record, PbsServer::apply every scheduler outcome — two append sites,"
 echo "    no public mutator (DaemonHandle's client calls of the same names live in"
 echo "    crates/daemon), no second dispatch over Record, no test-side spelling"
-logs=$(grep -c 'self\.log(' crates/server/src/server.rs)
+logs=$(cat crates/server/src/server/*.rs | grep -c 'self\.log(')
 if [ "$logs" -gt 2 ]; then
-  echo "crates/server/src/server.rs appends to the journal at $logs sites (at most 2)"
+  echo "crates/server/src/server/ appends to the journal at $logs sites (at most 2)"
   exit 1
 fi
 mutators='qsub|qdel|tm_dynget|tm_dynget_negotiated|tm_dynfree|job_finished|node_failed'
