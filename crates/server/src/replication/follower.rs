@@ -12,7 +12,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use super::framing::{decode_frames, digest64, Frame};
-use crate::journal::{image_to_json, Record, ServerImage};
+use crate::journal::{image_to_json, Journal, Record, ServerImage};
 use crate::server::PbsServer;
 
 // ---------------------------------------------------------------------------
@@ -81,6 +81,33 @@ impl Follower {
     /// exact at. The follower is spent afterwards.
     pub fn take_promoted(&mut self) -> Option<(PbsServer, u64)> {
         self.server.take().map(|s| (s, self.applied))
+    }
+
+    /// The server `journal` describes, caught up the way a follower
+    /// catches up on a leader: its latest snapshot installs — in place,
+    /// not copied — and every later record arrives as the
+    /// [`Frame::Record`] a leader would stream, under the same ordering,
+    /// apply and digest checks. This is crash recovery
+    /// ([`PbsServer::recover`]); the server comes back without a journal.
+    pub(crate) fn catch_up(journal: &Journal) -> Result<PbsServer, String> {
+        // No leader: any term the frames agree on will do.
+        const TERM: u64 = 1;
+        let (pos, image) = journal
+            .latest_snapshot()
+            .ok_or("journal has no snapshot record")?;
+        let mut follower = Follower::new();
+        follower.install(TERM, pos, image)?;
+        let tail = journal
+            .records_from(pos + 1)
+            .expect("tail of a retained snapshot");
+        for (record, pos) in tail.iter().zip(pos + 1..) {
+            follower.apply_frame(Frame::Record {
+                term: TERM,
+                pos,
+                record: record.clone(),
+            })?;
+        }
+        Ok(follower.server.expect("installed above"))
     }
 
     /// Applies a wire run of frames. Torn trailing frames are truncated
@@ -194,7 +221,7 @@ impl Follower {
     /// Installs a catch-up image: state jumps to `pos`. Buffered records
     /// the image already covers are dropped; later ones stay applicable.
     fn install(&mut self, term: u64, pos: u64, image: &ServerImage) -> Result<(), String> {
-        let server = PbsServer::from_image(image).map_err(|e| e.to_string())?;
+        let server = PbsServer::restore(image).map_err(|e| e.to_string())?;
         if term != self.term {
             self.buffer.clear();
             self.pending_digests.clear();
@@ -295,6 +322,15 @@ impl Follower {
         }
         Ok(())
     }
+}
+
+/// Test shorthand: a server loaded from `image` the one way an image
+/// loads, a follower's install.
+#[cfg(test)]
+pub(crate) fn installed(image: &ServerImage) -> PbsServer {
+    let mut follower = Follower::new();
+    follower.install(1, 1, image).expect("the image installs");
+    follower.server.expect("installed above")
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ mod hub;
 #[cfg(test)]
 mod tests;
 
+#[cfg(test)]
+pub(crate) use follower::installed;
 pub use follower::{Follower, FollowerHandle, FollowerMsg, WatermarkReply};
 pub use framing::{
     crc32, decode_frames, deframe, digest64, encode_frame, frame, frame_from_json, frame_to_json,

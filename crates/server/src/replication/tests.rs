@@ -1,5 +1,5 @@
 use super::*;
-use crate::journal::Record;
+use crate::journal::{Journal, Record};
 use crate::server::submit;
 use crate::server::PbsServer;
 use dynbatch_cluster::Cluster;
@@ -513,4 +513,30 @@ fn prop_follower_never_panics_on_a_shuffled_stream() {
             (term, watermark) = (f.term(), f.watermark());
         }
     });
+}
+
+/// A journal read back from text that holds records but no snapshot —
+/// reachable through `Journal::from_text` — carries no tail from below
+/// its first position, and recovers to an error, not a panic; so does an
+/// empty journal.
+#[test]
+fn a_journal_without_a_snapshot_yields_no_frames_and_does_not_recover() {
+    let leader = scripted_leader(0);
+    let text = leader.journal().unwrap().to_text();
+    let (genesis, records_only) = text.split_once('\n').unwrap();
+    assert!(genesis.contains("snap"), "{genesis}");
+    let journal = Journal::from_text(records_only).unwrap();
+    assert!(journal.latest_snapshot().is_none());
+    assert!(journal.first_pos() > 0);
+
+    assert!(tail_frames(&journal, 1, 0).is_empty());
+    assert_eq!(
+        tail_frames(&journal, 1, 1).len(),
+        journal.records().len(),
+        "a retained start still streams"
+    );
+    for journal in [journal, Journal::new()] {
+        let err = PbsServer::recover(journal).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("no snapshot record"), "{err}");
+    }
 }

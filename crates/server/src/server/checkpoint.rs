@@ -13,6 +13,7 @@ use super::tables::Counter;
 use super::PbsServer;
 use crate::accounting::AccountingLog;
 use crate::journal::{self, Journal, Record, ServerImage};
+use crate::replication::Follower;
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{Error, Job, JobId, JobOutcome, Result};
 use dynbatch_sched::{QueuedSet, RunningSet};
@@ -312,17 +313,12 @@ impl PbsServer {
         journal::image_to_json(&self.image()).to_string_compact()
     }
 
-    /// Rebuilds a server from a snapshot image — the public face of the
-    /// recovery loader, used by replication followers installing a
-    /// catch-up snapshot. Journaling is off on the rebuilt server.
-    pub fn from_image(img: &ServerImage) -> Result<PbsServer> {
-        Self::restore(img)
-    }
-
     /// Rebuilds a server from a snapshot image: cluster shape, node
     /// up/down state, exact per-job allocations, job table, pending
-    /// negotiations and the accounting log.
-    fn restore(img: &ServerImage) -> Result<PbsServer> {
+    /// negotiations and the accounting log. Journaling is off on the
+    /// rebuilt server. The one caller is a follower installing an image —
+    /// which is also how [`PbsServer::recover`] starts.
+    pub(crate) fn restore(img: &ServerImage) -> Result<PbsServer> {
         let mut cluster = Cluster::from_core_counts(&img.node_cores);
         for &n in &img.down_nodes {
             cluster.fail_node(n)?;
@@ -396,30 +392,19 @@ impl PbsServer {
         Ok(server)
     }
 
-    /// Crash recovery: rebuilds the server a journal describes by loading
-    /// its latest snapshot record and executing every record after it —
-    /// with the journal detached, so nothing is appended twice. The
-    /// journal is then re-installed, so the recovered server keeps
-    /// journaling where the crashed one stopped.
+    /// Crash recovery, which is follower catch-up with the journal as the
+    /// stream ([`Follower::catch_up`]): the latest snapshot installs and
+    /// every later record is applied under the follower's ordering and
+    /// checks, on a server with no journal, so nothing is appended twice.
+    /// The journal is then re-installed, so the recovered server keeps
+    /// journaling where the crashed one stopped. A journal without a
+    /// snapshot, or a record the server refuses, is an error naming the
+    /// record's journal position.
     ///
     /// Invariant (pinned by the crash-at-every-record sweep): recovered
     /// state ≡ crash-free state, byte-for-byte.
     pub fn recover(journal: Journal) -> Result<PbsServer> {
-        let mut server = {
-            let records = journal.records();
-            let last_snap = records
-                .iter()
-                .rposition(|r| matches!(r, Record::Snapshot(_)))
-                .ok_or_else(|| Error::BadConfig("journal has no snapshot record".into()))?;
-            let Record::Snapshot(img) = &records[last_snap] else {
-                unreachable!("rposition matched a snapshot");
-            };
-            let mut server = Self::restore(img)?;
-            for record in &records[last_snap + 1..] {
-                server.execute(record.clone())?;
-            }
-            server
-        };
+        let mut server = Follower::catch_up(&journal).map_err(Error::BadConfig)?;
         server.journal = Some(journal);
         Ok(server)
     }

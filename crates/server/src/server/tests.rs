@@ -1,5 +1,6 @@
 use super::*;
 use crate::journal::Record;
+use crate::replication::installed;
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{AllocPolicy, Error, JobId, JobSpec, JobState, SimTime};
 use dynbatch_core::{DfsConfig, ExecutionModel, GroupId, SchedulerConfig, SimDuration, UserId};
@@ -372,7 +373,7 @@ fn dynqueued_without_pending_entry_is_counted_not_silent() {
 
     let mut img = s.image();
     img.dyn_pending.clear();
-    let broken = PbsServer::from_image(&img).unwrap();
+    let broken = installed(&img);
     assert_eq!(broken.job(id).unwrap().state, JobState::DynQueued);
     let snap = std::panic::catch_unwind(|| {
         let snap = broken.snapshot(t(296));
@@ -883,7 +884,7 @@ fn the_log_records_only_once_somebody_drains_it() {
     assert_eq!(s.deltas[1..], [charged(80_000, t(70)), finished, left]);
     // A new server, `recover` and an image load all start over.
     s.enable_journal(0);
-    let loaded = PbsServer::from_image(&s.image()).unwrap();
+    let loaded = installed(&s.image());
     let recovered = PbsServer::recover(s.take_journal().unwrap()).unwrap();
     let fresh = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     for (mut s, core_s) in [(fresh, 0.0), (recovered, 160.0), (loaded, 160.0)] {
@@ -1187,4 +1188,65 @@ fn dyn_requests_carry_fifo_seq() {
     let snap = s.snapshot(t(161));
     let seq_of = |j: JobId| snap.dyn_requests.iter().find(|r| r.job == j).unwrap().seq;
     assert!(seq_of(b) < seq_of(a), "b asked first");
+}
+
+/// Recovery runs the follower's checks: a record spliced into the tail
+/// after the latest snapshot that the server refuses — a `Finish` for a
+/// job nobody submitted — fails recovery at that record, and the error
+/// names the record's journal position as a follower reports it.
+#[test]
+fn a_spliced_record_fails_recovery_at_its_position() {
+    let mut s = server();
+    let mut m = hp_maui();
+    s.enable_journal(8);
+    for k in 0..6 {
+        let id = submit(&mut s, rigid("J", k % 2, 8, 100), t(k as u64)).unwrap();
+        cycle(&mut s, &mut m, t(k as u64));
+        if k % 2 == 1 {
+            s.execute(Record::Finish {
+                job: id,
+                now: t(k as u64 + 1),
+            })
+            .unwrap();
+        }
+    }
+    let journal = s.take_journal().unwrap();
+    let records = journal.records();
+    let last_snapshot = records
+        .iter()
+        .rposition(|r| matches!(r, Record::Snapshot(_)))
+        .unwrap();
+    assert!(journal.first_pos() > 1, "the script compacts");
+    assert!(
+        records.len() - last_snapshot > 2,
+        "a tail follows the snapshot: {} records from {last_snapshot}",
+        records.len()
+    );
+
+    let alien = Record::Finish {
+        job: JobId(999),
+        now: t(50),
+    };
+    let mut lines: Vec<String> = journal.to_text().lines().map(str::to_owned).collect();
+    let at = last_snapshot + 2;
+    lines.insert(
+        at,
+        crate::journal::record_to_json(&alien).to_string_compact(),
+    );
+    let spliced = crate::journal::Journal::from_text(&lines.join("\n")).unwrap();
+    // The text journal counts from 1: the alien record is at `at + 1`.
+    assert!(matches!(
+        spliced.records_from(at as u64 + 1).unwrap()[0],
+        Record::Finish {
+            job: JobId(999),
+            ..
+        }
+    ));
+
+    let err = PbsServer::recover(spliced).map(|_| ()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("apply of record {} failed", at + 1)),
+        "{err}"
+    );
 }

@@ -37,6 +37,7 @@
 //!   empty log.
 
 use crate::journal::Record;
+use crate::replication::installed;
 use crate::server::compaction_work::{self, Work};
 use crate::{Effect, PbsServer};
 use dynbatch_cluster::{Allocation, Cluster};
@@ -523,7 +524,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                         twin.kept = PbsServer::recover(journal).unwrap();
                         twin.tracked[0].cut = Some(Cut::Recovery);
                     } else {
-                        twin.kept = PbsServer::from_image(&twin.kept.image()).unwrap();
+                        twin.kept = installed(&twin.kept.image());
                         twin.kept.enable_journal(SNAPSHOT_EVERY);
                         twin.tracked[0] = Tracked::default();
                     }
@@ -536,7 +537,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     // any other flip.
                     let log = twin.flip.accounting();
                     if log.outcomes().len() as u64 == log.recorded() {
-                        twin.flip = PbsServer::from_image(&twin.flip.image()).unwrap();
+                        twin.flip = installed(&twin.flip.image());
                         twin.flip.enable_journal(SNAPSHOT_EVERY);
                         twin.flip.set_job_retention(twin.flip_retains);
                         twin.flip

@@ -399,17 +399,6 @@ impl BatchSim {
         self.stats
     }
 
-    /// Whether dynamic decisions are appended to the decision log
-    /// (default: yes). Disabled by long replays that only need the
-    /// accounting digest; the counters in [`SimStats`] accumulate either
-    /// way.
-    pub fn set_dyn_log_enabled(&mut self, enabled: bool) {
-        self.dyn_log_enabled = enabled;
-        if !enabled {
-            self.dyn_log.clear();
-        }
-    }
-
     /// Puts every O(trace)-growth side buffer into bounded-memory mode
     /// (or back): per-job accounting outcomes, utilization samples and
     /// the dynamic-decision log stop retaining history. All O(1)
@@ -419,7 +408,10 @@ impl BatchSim {
         self.server.set_accounting_retention(!on);
         self.server.set_job_retention(!on);
         self.util.set_samples_enabled(!on);
-        self.set_dyn_log_enabled(!on);
+        self.dyn_log_enabled = !on;
+        if on {
+            self.dyn_log.clear();
+        }
     }
 
     /// Peak number of simultaneously resident admitted-but-unsubmitted

@@ -121,4 +121,16 @@ if grep -rnE 'fn replay\b|apply_record' crates src tests examples \
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 
+echo "==> one catch-up path: crash recovery is a follower fed the journal, so the"
+echo "    image loader has no public face and one call site, the follower's install"
+if grep -rnE 'from_image|set_dyn_log_enabled' crates src tests examples; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+restores=$(grep -rnE '(PbsServer|Self)::restore\(' crates src tests examples || true)
+if [ "$(printf '%s' "$restores" | grep -c '')" -ne 1 ] \
+    || [[ "$restores" != crates/server/src/replication/follower.rs:* ]]; then
+  echo "PbsServer::restore must have exactly one call site, in the follower's install:"
+  echo "${restores:-  (none)}"; exit 1
+fi
+
 echo "check.sh: all gates passed"
