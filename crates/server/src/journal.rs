@@ -20,10 +20,13 @@
 //!   ([`Journal::compact`]), so a compaction costs the live jobs, not
 //!   the terminal history.
 //!
-//! Recovery ([`crate::PbsServer::recover`]) loads the latest snapshot and
-//! replays every record after it. Scheduler soft state (DFS accumulators,
-//! plan caches, the incremental timeline) is *not* journalled: it is
-//! derived state, rebuilt by the fresh scheduler after restart.
+//! Recovery ([`crate::PbsServer::recover`]) is replication catch-up with
+//! the journal as the stream: a [`crate::Follower`] installs the latest
+//! snapshot and applies every record after it, under the same ordering
+//! and checks as on a live follower. Scheduler soft state (DFS
+//! accumulators, plan caches, the incremental timeline) is *not*
+//! journalled: it is derived state, rebuilt by the fresh scheduler after
+//! restart.
 
 use dynbatch_cluster::Allocation;
 use dynbatch_core::json::{model, Json};

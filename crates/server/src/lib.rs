@@ -2,7 +2,7 @@
 //!
 //! The Torque-like resource manager, extended for dynamic allocation.
 //!
-//! Three layers:
+//! Its modules:
 //!
 //! * [`messages`] — the protocol vocabulary of the paper's Figs 2–4
 //!   (client ↔ server ↔ mom, plus the extended TM API with
@@ -14,7 +14,10 @@
 //!   hostlist tracking, `dyn_join` / `dyn_disjoin`;
 //! * [`journal`] — the write-ahead state journal (the `server_priv/`
 //!   analogue): append-only mutation records plus compacting snapshots,
-//!   consumed by [`server::PbsServer::recover`] for crash recovery;
+//!   which [`server::PbsServer::recover`] feeds to a follower for crash
+//!   recovery;
+//! * [`replication`] — journal streaming to follower replicas, and
+//!   leader failover; recovery runs its follower;
 //! * [`reactor`] — the multi-tenant command front-end: ticket-ordered
 //!   admission of concurrent client commands with group-commit acks
 //!   released only once the batch's journal records are appended.

@@ -83,26 +83,22 @@ impl Follower {
         self.server.take().map(|s| (s, self.applied))
     }
 
-    /// The server `journal` describes, caught up the way a follower
-    /// catches up on a leader: its latest snapshot installs — in place,
-    /// not copied — and every later record arrives as the
-    /// [`Frame::Record`] a leader would stream, under the same ordering,
-    /// apply and digest checks. This is crash recovery
-    /// ([`PbsServer::recover`]); the server comes back without a journal.
+    /// Crash recovery ([`PbsServer::recover`]) as follower catch-up: the
+    /// journal's latest snapshot installs in place, and every later record
+    /// arrives as the [`Frame::Record`] a leader would stream at its
+    /// journal position, under the same ordering, apply and digest checks.
     pub(crate) fn catch_up(journal: &Journal) -> Result<PbsServer, String> {
-        // No leader: any term the frames agree on will do.
-        const TERM: u64 = 1;
         let (pos, image) = journal
             .latest_snapshot()
             .ok_or("journal has no snapshot record")?;
         let mut follower = Follower::new();
-        follower.install(TERM, pos, image)?;
+        follower.install(1, pos, image)?; // no leader: any one term will do
         let tail = journal
             .records_from(pos + 1)
             .expect("tail of a retained snapshot");
         for (record, pos) in tail.iter().zip(pos + 1..) {
             follower.apply_frame(Frame::Record {
-                term: TERM,
+                term: 1,
                 pos,
                 record: record.clone(),
             })?;
@@ -322,15 +318,6 @@ impl Follower {
         }
         Ok(())
     }
-}
-
-/// Test shorthand: a server loaded from `image` the one way an image
-/// loads, a follower's install.
-#[cfg(test)]
-pub(crate) fn installed(image: &ServerImage) -> PbsServer {
-    let mut follower = Follower::new();
-    follower.install(1, 1, image).expect("the image installs");
-    follower.server.expect("installed above")
 }
 
 // ---------------------------------------------------------------------------

@@ -311,8 +311,8 @@ pub fn decode_frames(bytes: &[u8]) -> Result<(Vec<Frame>, bool), String> {
 /// position `from` onward: snapshot records become [`Frame::Snapshot`],
 /// everything else [`Frame::Record`]. When compaction already discarded
 /// `from`, the transfer restarts from the latest retained snapshot — the
-/// compaction-handoff path a lagging follower catches up through. None
-/// when there is no such snapshot either (a journal read back from
+/// compaction-handoff path a lagging follower catches up through. No
+/// frames when there is no such snapshot either (a journal read back from
 /// records-only text): nothing retained can bring a receiver to `from`.
 pub fn tail_frames(journal: &Journal, term: u64, from: u64) -> Vec<Frame> {
     let (start, records) = match journal.records_from(from) {

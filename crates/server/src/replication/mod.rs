@@ -44,8 +44,6 @@ mod hub;
 #[cfg(test)]
 mod tests;
 
-#[cfg(test)]
-pub(crate) use follower::installed;
 pub use follower::{Follower, FollowerHandle, FollowerMsg, WatermarkReply};
 pub use framing::{
     crc32, decode_frames, deframe, digest64, encode_frame, frame, frame_from_json, frame_to_json,
@@ -54,3 +52,5 @@ pub use framing::{
 pub use hub::{
     FailoverReport, FollowerCrash, HubConfig, HubStats, PumpReport, ReplFaultPlan, ReplicationHub,
 };
+#[cfg(test)]
+pub(crate) use tests::installed;

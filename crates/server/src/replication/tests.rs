@@ -1,5 +1,5 @@
 use super::*;
-use crate::journal::{Journal, Record};
+use crate::journal::{Journal, Record, ServerImage};
 use crate::server::submit;
 use crate::server::PbsServer;
 use dynbatch_cluster::Cluster;
@@ -26,6 +26,19 @@ fn hp_maui() -> Maui {
     let mut cfg = SchedulerConfig::paper_eval();
     cfg.dfs = DfsConfig::highest_priority();
     Maui::new(cfg)
+}
+
+/// Test shorthand: a server loaded from `image` the one way an image
+/// loads, a follower's install.
+pub(crate) fn installed(image: &ServerImage) -> PbsServer {
+    let mut follower = Follower::new();
+    let seed = Frame::Snapshot {
+        term: 1,
+        pos: 1,
+        image: Box::new(image.clone()),
+    };
+    follower.apply_frame(seed).expect("the image installs");
+    follower.take_promoted().expect("installed above").0
 }
 
 fn cycle(server: &mut PbsServer, maui: &mut Maui, now: SimTime) {

@@ -315,9 +315,8 @@ impl PbsServer {
 
     /// Rebuilds a server from a snapshot image: cluster shape, node
     /// up/down state, exact per-job allocations, job table, pending
-    /// negotiations and the accounting log. Journaling is off on the
-    /// rebuilt server. The one caller is a follower installing an image —
-    /// which is also how [`PbsServer::recover`] starts.
+    /// negotiations and the accounting log; journaling off. Called only
+    /// by a follower's install.
     pub(crate) fn restore(img: &ServerImage) -> Result<PbsServer> {
         let mut cluster = Cluster::from_core_counts(&img.node_cores);
         for &n in &img.down_nodes {
@@ -392,14 +391,11 @@ impl PbsServer {
         Ok(server)
     }
 
-    /// Crash recovery, which is follower catch-up with the journal as the
-    /// stream ([`Follower::catch_up`]): the latest snapshot installs and
-    /// every later record is applied under the follower's ordering and
-    /// checks, on a server with no journal, so nothing is appended twice.
-    /// The journal is then re-installed, so the recovered server keeps
-    /// journaling where the crashed one stopped. A journal without a
-    /// snapshot, or a record the server refuses, is an error naming the
-    /// record's journal position.
+    /// Crash recovery: a follower catches up on the journal
+    /// ([`Follower::catch_up`]) — with no journal of its own, so nothing
+    /// is appended twice — and the journal is re-installed on the server
+    /// it hands over, which keeps journaling where the crashed one
+    /// stopped. A refused record fails it, naming the record's position.
     ///
     /// Invariant (pinned by the crash-at-every-record sweep): recovered
     /// state ≡ crash-free state, byte-for-byte.

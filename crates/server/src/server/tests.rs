@@ -1,5 +1,5 @@
 use super::*;
-use crate::journal::Record;
+use crate::journal::{record_to_json, Journal, Record};
 use crate::replication::installed;
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{AllocPolicy, Error, JobId, JobSpec, JobState, SimTime};
@@ -1199,15 +1199,15 @@ fn a_spliced_record_fails_recovery_at_its_position() {
     let mut s = server();
     let mut m = hp_maui();
     s.enable_journal(8);
-    for k in 0..6 {
-        let id = submit(&mut s, rigid("J", k % 2, 8, 100), t(k as u64)).unwrap();
-        cycle(&mut s, &mut m, t(k as u64));
+    for k in 0..6u64 {
+        let id = submit(&mut s, rigid("J", (k % 2) as u32, 8, 100), t(k)).unwrap();
+        cycle(&mut s, &mut m, t(k));
         if k % 2 == 1 {
-            s.execute(Record::Finish {
+            let finish = Record::Finish {
                 job: id,
-                now: t(k as u64 + 1),
-            })
-            .unwrap();
+                now: t(k + 1),
+            };
+            s.execute(finish).unwrap();
         }
     }
     let journal = s.take_journal().unwrap();
@@ -1229,11 +1229,8 @@ fn a_spliced_record_fails_recovery_at_its_position() {
     };
     let mut lines: Vec<String> = journal.to_text().lines().map(str::to_owned).collect();
     let at = last_snapshot + 2;
-    lines.insert(
-        at,
-        crate::journal::record_to_json(&alien).to_string_compact(),
-    );
-    let spliced = crate::journal::Journal::from_text(&lines.join("\n")).unwrap();
+    lines.insert(at, record_to_json(&alien).to_string_compact());
+    let spliced = Journal::from_text(&lines.join("\n")).unwrap();
     // The text journal counts from 1: the alien record is at `at + 1`.
     assert!(matches!(
         spliced.records_from(at as u64 + 1).unwrap()[0],
