@@ -55,9 +55,8 @@ pub struct DaemonConfig {
     pub faults: Option<FaultPlan>,
     /// Hot follower servers fed from the leader's journal stream (0 =
     /// no replication). With followers, every reactor ack waits until the
-    /// batch's records are on each live one, `qstat` lines are served from
-    /// a follower that has the asking connection's writes, and a leader
-    /// kill promotes the most advanced follower.
+    /// batch's records are on each live one, and a leader kill promotes
+    /// the most advanced follower. Every `qstat` is answered by the leader.
     pub followers: u32,
 }
 
@@ -649,7 +648,6 @@ impl ServerDaemon {
                     .insert(job, mother_superior);
                 return false;
             }
-            MomToServer::JobFinished { job } => return self.finish_job(job, t),
         };
         let (_, mutated) = self.apply_command(&cmd, t);
         if let (ReactorCommand::DynGet { job, .. }, false) = (&cmd, mutated) {
@@ -970,8 +968,9 @@ impl ServerDaemon {
             return;
         };
         if batch_dirty {
-            repl.hub.await_replicated(&self.server, target);
-            repl.acked_watermark = repl.acked_watermark.max(target);
+            if repl.hub.await_replicated(&self.server, target) {
+                repl.acked_watermark = repl.acked_watermark.max(target);
+            }
         } else {
             let report = repl.hub.pump(&self.server);
             repl.errors.extend(report.errors);

@@ -19,8 +19,8 @@
 //! message with no retry path would model a failure the real protocol
 //! handles at the TCP layer. Sturdy duplicates are survivable because the
 //! receiving state machines are idempotent: the server drops stale
-//! `JobExited`/`ExpireDyn` by tag and ignores `JobFinished` for inactive
-//! jobs, and moms ignore acks from completed rounds. Client↔server,
+//! `JobExited`/`ExpireDyn` by tag, and moms ignore acks from completed
+//! rounds. Client↔server,
 //! app↔mom (TM calls) and timer→server channels are never faulted — they
 //! model in-process or node-local calls, not network hops.
 //!

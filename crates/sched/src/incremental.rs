@@ -167,9 +167,6 @@ pub struct IncrementalTimeline {
     /// Epoch of the snapshot last advanced to (`None` until the first
     /// advance, and after a snapshot without a log).
     epoch: Option<u64>,
-    /// Bumped on every advance; consumers caching plans derived from the
-    /// profile can tag them with this to self-invalidate.
-    revision: u64,
     stats: TimelineStats,
 }
 
@@ -188,7 +185,6 @@ impl IncrementalTimeline {
             held: HashMap::new(),
             ends: BTreeSet::new(),
             epoch: None,
-            revision: 0,
             stats: TimelineStats::default(),
         }
     }
@@ -201,11 +197,6 @@ impl IncrementalTimeline {
     /// Maintenance counters.
     pub fn stats(&self) -> TimelineStats {
         self.stats
-    }
-
-    /// Monotone counter distinguishing profile states across advances.
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// Brings the profile up to `snap`: the delta fast path when the
@@ -237,7 +228,6 @@ impl IncrementalTimeline {
             self.stats.rebuilds += 1;
         }
         self.epoch = snap.deltas.as_ref().map(|log| log.epoch);
-        self.revision += 1;
         &self.profile
     }
 

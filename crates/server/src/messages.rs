@@ -2,7 +2,8 @@
 //!
 //! These enums encode the arrows of the paper's Figs 2–4 below the client:
 //! server → mom (run, dyn-join, dyn-disjoin, kill), mom → server (job
-//! started/finished, forwarded dynamic requests), and the TM interface
+//! started, forwarded dynamic requests; an application's exit reaches the
+//! server on its own timer), and the TM interface
 //! between an application process and its local mom. (Client → server is
 //! [`crate::reactor::Command`], which is also what a mom forwards.) The
 //! threaded daemon ships them over channels between its server thread and
@@ -63,11 +64,6 @@ pub enum MomToServer {
         job: JobId,
         /// The reporting mother superior.
         mother_superior: NodeId,
-    },
-    /// The application exited.
-    JobFinished {
-        /// The job.
-        job: JobId,
     },
     /// A TM call the mother superior forwards, spelled as the client
     /// command it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3

@@ -190,15 +190,6 @@ impl Mom {
             }
         }
     }
-
-    /// The application under this mom exited.
-    pub fn job_exited(&mut self, job: JobId) -> Vec<MomOutput> {
-        if self.jobs.remove(&job).is_some() {
-            vec![MomOutput::ToServer(MomToServer::JobFinished { job })]
-        } else {
-            vec![]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,22 +367,6 @@ mod tests {
             },
         );
         assert!(matches!(out[0], MomOutput::ToApp(_, TmResponse::DynDenied)));
-    }
-
-    #[test]
-    fn exit_reports_finished() {
-        let mut mom = Mom::new(NodeId(0));
-        mom.handle_server(ServerToMom::RunJob {
-            job: JobId(1),
-            alloc: alloc(&[(0, 8)]),
-        });
-        let out = mom.job_exited(JobId(1));
-        assert!(matches!(
-            out[0],
-            MomOutput::ToServer(MomToServer::JobFinished { job: JobId(1) })
-        ));
-        assert_eq!(mom.job_count(), 0);
-        assert!(mom.job_exited(JobId(1)).is_empty());
     }
 
     #[test]

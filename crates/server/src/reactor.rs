@@ -25,9 +25,11 @@
 //!   connection is dropped. The reactor — and the scheduler cycle it runs
 //!   beside — **never blocks on a slow client**.
 //!
-//! The reactor is driver-agnostic: [`Reactor::poll_with`] hands each
-//! parsed command to a closure (the daemon applies it to its `PbsServer`
-//! between scheduler cycles; tests apply to a bare server). A malformed
+//! The reactor is driver-agnostic: [`Reactor::poll_bounded`] (and
+//! [`Reactor::poll_batch`], which adds the group-commit hook) hands each
+//! parsed command to a closure — the daemon applies it to its
+//! `PbsServer` between scheduler cycles, the equivalence harness to a
+//! simulator, tests to a bare server. A malformed
 //! command consumes its ticket and earns [`Reply::Denied`] — parse
 //! failures are deterministic, so they too replay identically.
 
@@ -240,22 +242,14 @@ impl Reactor {
         }
     }
 
-    /// Drains the mailbox and applies every admissible command:
-    /// the contiguous ticket prefix, in ticket order. `apply` receives
-    /// `(ticket, command)` and returns the reply; parse failures never
-    /// reach it (they deny deterministically and consume the ticket).
-    /// Returns the number of commands consumed.
-    pub fn poll_with<F>(&mut self, apply: F) -> usize
-    where
-        F: FnMut(u64, &Command) -> Reply,
-    {
-        self.poll_bounded(u64::MAX, apply)
-    }
-
-    /// Like [`Reactor::poll_with`], but admits only tickets below
-    /// `limit` — the equivalence harness uses this to interleave
-    /// deterministic world-advance between command prefixes while all
-    /// commands race in flight from real client threads.
+    /// Drains the mailbox and applies every admissible command below
+    /// `limit` (`u64::MAX`: all of them): the contiguous ticket prefix, in
+    /// ticket order. `apply` receives `(ticket, command)` and returns the
+    /// reply; parse failures never reach it (they deny deterministically
+    /// and consume the ticket). Returns the number of commands consumed.
+    /// The equivalence harness bounds it to advance the world between
+    /// command prefixes while all commands race in flight from real
+    /// client threads.
     pub fn poll_bounded<F>(&mut self, limit: u64, mut apply: F) -> usize
     where
         F: FnMut(u64, &Command) -> Reply,
@@ -755,7 +749,7 @@ mod tests {
         b.send_ticketed(tb, "qstat 2");
         a.send_ticketed(ta, "qstat 1");
         let mut order = Vec::new();
-        r.poll_with(|ticket, cmd| {
+        r.poll_bounded(u64::MAX, |ticket, cmd| {
             order.push((ticket, cmd.clone()));
             Reply::Ok
         });
@@ -770,10 +764,10 @@ mod tests {
         let mut r = Reactor::new();
         let c = r.connect();
         c.send_ticketed(1, "qstat 2"); // gap: ticket 0 missing
-        assert_eq!(r.poll_with(echo_reply), 0);
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 0);
         assert_eq!(r.reorder_backlog(), 1);
         c.send_ticketed(0, "qstat 1");
-        assert_eq!(r.poll_with(echo_reply), 2);
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 2);
         assert_eq!(r.reorder_backlog(), 0);
         assert_eq!(c.try_recv(), Some(Reply::Status("t0".into())));
         assert_eq!(c.try_recv(), Some(Reply::Status("t1".into())));
@@ -788,7 +782,7 @@ mod tests {
         }
         assert_eq!(r.poll_bounded(2, echo_reply), 2);
         assert_eq!(r.reorder_backlog(), 2);
-        assert_eq!(r.poll_with(echo_reply), 2);
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 2);
     }
 
     #[test]
@@ -798,7 +792,7 @@ mod tests {
         c.send("qstat 1");
         c.send("qstat 2");
         let mut seen_during_batch = Vec::new();
-        r.poll_with(|t, _| {
+        r.poll_bounded(u64::MAX, |t, _| {
             // During the batch no reply may have been delivered yet.
             seen_during_batch.push(c.try_recv());
             Reply::Status(format!("t{t}"))
@@ -817,7 +811,7 @@ mod tests {
         c.send("dynget 5");
         c.send("qstat 1"); // must still apply after the denials
         let mut applied = 0;
-        r.poll_with(|_, _| {
+        r.poll_bounded(u64::MAX, |_, _| {
             applied += 1;
             Reply::Ok
         });
@@ -843,7 +837,7 @@ mod tests {
             c.send(&format!("qstat {i}"));
         }
         fast.send("qstat 99");
-        r.poll_with(echo_reply);
+        r.poll_bounded(u64::MAX, echo_reply);
         assert_eq!(r.stats().dropped_slow, 1);
         // The fast client is unaffected.
         assert_eq!(fast.try_recv(), Some(Reply::Status("t10".into())));
@@ -858,7 +852,7 @@ mod tests {
         c.send("qstat 1");
         drop(c);
         let mut applied = 0;
-        r.poll_with(|_, _| {
+        r.poll_bounded(u64::MAX, |_, _| {
             applied += 1;
             Reply::Ok
         });
@@ -954,7 +948,7 @@ mod tests {
         }
         let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
         let mut seen = Vec::new();
-        r.poll_with(|_, cmd| {
+        r.poll_bounded(u64::MAX, |_, cmd| {
             seen.push(cmd.clone());
             apply_to_server(&mut s, cmd, SimTime::ZERO)
         });
@@ -978,7 +972,7 @@ mod tests {
         c.send("qdel banana");
         let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
         let mut reached_apply = 0;
-        r.poll_with(|_, cmd| {
+        r.poll_bounded(u64::MAX, |_, cmd| {
             reached_apply += 1;
             apply_to_server(&mut s, cmd, SimTime::ZERO)
         });
@@ -1001,15 +995,15 @@ mod tests {
             if i % 2 == 0 {
                 // Half hang up with the command still in the mailbox.
                 drop(c);
-                r.poll_with(echo_reply);
+                r.poll_bounded(u64::MAX, echo_reply);
             } else {
-                r.poll_with(echo_reply);
+                r.poll_bounded(u64::MAX, echo_reply);
                 assert_eq!(c.try_recv(), Some(Reply::Status(format!("t{i}"))));
             }
             assert!(r.conns.len() <= 2, "{} connections at {i}", r.conns.len());
         }
         keeper.send("qstat 1");
-        r.poll_with(echo_reply);
+        r.poll_bounded(u64::MAX, echo_reply);
         assert_eq!(r.conns.len(), 1);
         assert_eq!(keeper.try_recv(), Some(Reply::Status("t10000".into())));
         assert_eq!(r.stats().applied, 10_001);
@@ -1146,7 +1140,9 @@ mod tests {
             let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
             s.enable_journal(0);
             while r.next_apply() < lines.len() as u64 {
-                r.poll_with(|_, cmd| apply_to_server(&mut s, cmd, SimTime::ZERO));
+                r.poll_bounded(u64::MAX, |_, cmd| {
+                    apply_to_server(&mut s, cmd, SimTime::ZERO)
+                });
             }
             assert_eq!(s.state_digest(), serial_digest);
         }

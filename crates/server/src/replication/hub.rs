@@ -462,7 +462,11 @@ impl ReplicationHub {
             return;
         };
         if let Some(e) = reply.error {
+            // A poisoned replica never advances again: it leaves the
+            // watermark and the stream as a dead one does, reported once.
             errors.push(format!("{}: {e}", link.handle.name()));
+            link.alive = false;
+            return;
         }
         link.acked_term = reply.term;
         link.acked = if reply.term == term { reply.applied } else { 0 };
@@ -500,7 +504,9 @@ impl ReplicationHub {
                 Some(w) if w >= through => return true,
                 _ => {}
             }
-            self.pump(leader);
+            // The next pump's report carries what this one heard.
+            let report = self.pump(leader);
+            self.deferred_errors.extend(report.errors);
             if self.ack_every > 1 {
                 // Batched-ack configs only poll watermarks every few pumps;
                 // the gate needs fresh visibility *now*.
@@ -574,6 +580,13 @@ impl ReplicationHub {
             acked_lost: acked_through.saturating_sub(watermark),
         };
         Ok((server, report))
+    }
+
+    /// Sends raw bytes down follower `idx`'s link (a corrupt frame, in
+    /// tests).
+    #[cfg(test)]
+    pub(super) fn send_raw(&self, idx: usize, bytes: Vec<u8>) -> bool {
+        self.links[idx].handle.send(FollowerMsg::Frames(bytes))
     }
 
     /// Shuts down every follower thread and joins it.

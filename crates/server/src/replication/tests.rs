@@ -362,6 +362,56 @@ fn hub_converges_under_stream_faults() {
     hub.shutdown();
 }
 
+/// A follower poisoned by a corrupt frame leaves the ensemble as a dead
+/// one would: the watermark follows the healthy follower, so the retain
+/// floor a host pins to it lets the journal compact, `await_replicated`
+/// returns at once, and the error is reported once.
+#[test]
+fn a_poisoned_follower_leaves_the_watermark_and_is_reported_once() {
+    let mut hub = ReplicationHub::new(HubConfig::default());
+    hub.add_follower("tst-repl-poison-a");
+    hub.add_follower("tst-repl-poison-b");
+    let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+    leader.enable_journal(16);
+    let mut errors = Vec::new();
+    for k in 0..150u64 {
+        let id = submit(&mut leader, rigid("P", 0, 8, 60), t(k)).unwrap();
+        leader.execute(Record::Qdel { job: id, now: t(k) }).unwrap();
+        if k == 5 {
+            let mut corrupt = encode_frame(&Frame::Digest {
+                term: 1,
+                pos: 1,
+                digest: 0,
+            });
+            let n = corrupt.len();
+            corrupt[n - 1] ^= 0x40;
+            assert!(hub.send_raw(1, corrupt));
+        }
+        // What the daemon does at every command boundary.
+        if let Some(w) = hub.replicated_watermark() {
+            leader.journal_retain_from(w + 1);
+        }
+        errors.extend(hub.pump(&leader).errors);
+    }
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].starts_with("tst-repl-poison-b: "), "{errors:?}");
+    assert!(errors[0].contains("CRC mismatch"), "{errors:?}");
+    let journal = leader.journal().unwrap();
+    assert!(
+        journal.len() < 64,
+        "journal holds {} records",
+        journal.len()
+    );
+    let top = journal.total_appended();
+    let pumps = hub.stats().pumps;
+    assert!(hub.await_replicated(&leader, top));
+    assert!(hub.stats().pumps - pumps <= 2, "await_replicated wedged");
+    assert_eq!(hub.replicated_watermark(), Some(top));
+    assert_eq!(hub.acked_watermarks(), vec![top, 0]);
+    assert!(hub.pump(&leader).errors.is_empty(), "reported once");
+    hub.shutdown();
+}
+
 /// A snapshot record in a record frame is not something the leader
 /// sends: an unseeded follower must not install it, a seeded one must
 /// not take it for a boundary.

@@ -19,6 +19,7 @@ use dynbatch_core::{
 };
 use dynbatch_metrics::UtilizationRecorder;
 use dynbatch_sched::Maui;
+use dynbatch_server::reactor::{apply_to_server, Command, Reply};
 use dynbatch_server::{Applied, Effect, PbsServer, Record};
 use dynbatch_simtime::{EventQueue, ScheduledEvent, Token};
 use dynbatch_workload::WorkloadItem;
@@ -341,6 +342,48 @@ impl BatchSim {
         while self.step() {}
     }
 
+    /// Runs every event due at or before `t`, each timestamp group
+    /// followed by its scheduler cycle (see [`BatchSim::step`]).
+    pub fn run_until(&mut self, t: SimTime) {
+        while self.queue.peek_time().is_some_and(|next| next <= t) {
+            self.step();
+        }
+    }
+
+    /// The one command door: `cmd` applied at `now` through
+    /// [`apply_to_server`], plus the run bookkeeping the command owes — a
+    /// `qdel` cancels the job's pending finish and phase events, a
+    /// negotiated `dynget` arms its expiry — and a scheduler cycle at
+    /// `now` (an [`Event::Wake`], which joins the timestamp group in
+    /// flight when the command comes from inside one). The simulator's
+    /// own spellings — the walltime reaper, a workload item's `qdel`, an
+    /// ESP request point, a phase's growth — come through here too.
+    pub fn apply_command(&mut self, cmd: &Command, now: SimTime) -> Reply {
+        let reply = apply_to_server(&mut self.server, cmd, now);
+        if matches!(reply, Reply::Submitted(_) | Reply::Ok) {
+            match *cmd {
+                Command::QDel(job) => {
+                    self.cancel_run_events(job);
+                    self.runs.remove(&job);
+                }
+                Command::DynGet {
+                    job,
+                    timeout_ms: Some(ms),
+                    ..
+                } => {
+                    let gen = self.gen_of(job);
+                    self.queue.schedule(
+                        now + SimDuration::from_millis(ms),
+                        Event::DynExpire { job, gen },
+                    );
+                }
+                _ => {}
+            }
+        }
+        self.queue.schedule(now, Event::Wake);
+        reply
+    }
+
     /// Processes one timestamp group (all simultaneous events plus the
     /// scheduler iteration that follows). Returns `false` when drained.
     pub fn step(&mut self) -> bool {
@@ -533,18 +576,14 @@ impl BatchSim {
                 };
                 let _ = attempt;
                 // Negotiated with a timeout: the request may outlive this
-                // cycle, and an expiry event times it out. A pending
-                // request (unlikely here) makes this a no-op.
-                let deadline = timeout.map(|t| now + t);
-                let request = Record::DynGet {
+                // cycle, and the door arms the expiry event that times it
+                // out. A pending request (unlikely here) makes this a no-op.
+                let request = Command::DynGet {
                     job,
-                    extra_cores: extra,
-                    deadline,
-                    now,
+                    extra,
+                    timeout_ms: timeout.map(SimDuration::as_millis),
                 };
-                if let (Ok(_), Some(deadline)) = (self.server.execute(request), deadline) {
-                    self.queue.schedule(deadline, Event::DynExpire { job, gen });
-                }
+                self.apply_command(&request, now);
             }
             Event::DynExpire { job, gen } => {
                 if !self.is_current(job, gen) {
@@ -900,12 +939,12 @@ impl BatchSim {
                 .map(|j| j.state == JobState::Running)
                 .unwrap_or(false)
         {
-            let _ = self.server.execute(Record::DynGet {
+            let request = Command::DynGet {
                 job,
-                extra_cores: model.extra_cores,
-                deadline: None,
-                now,
-            });
+                extra: model.extra_cores,
+                timeout_ms: None,
+            };
+            self.apply_command(&request, now);
         }
         let dur = model.phase_duration(next, cores);
         let token = self.queue.schedule(
@@ -934,11 +973,8 @@ impl BatchSim {
 
     /// `qdel` of a live job: an operator deletion or the walltime reaper.
     fn kill_job(&mut self, job: JobId, now: SimTime) {
-        self.cancel_run_events(job);
-        self.runs.remove(&job);
-        self.server
-            .execute(Record::Qdel { job, now })
-            .expect("live job deletable");
+        let reply = self.apply_command(&Command::QDel(job), now);
+        assert_eq!(reply, Reply::Ok, "live job deletable");
     }
 
     fn cancel_run_events(&mut self, job: JobId) {

@@ -25,8 +25,7 @@ pub use experiment::{
     ExperimentResult, IngestOptions, RunFingerprint,
 };
 pub use reactor_drive::{
-    drive_reactor, drive_serial, script_from_stream, script_from_workload, CommandScript,
-    DriveResult, ScriptStep,
+    drive_reactor, drive_serial, script_from_workload, CommandScript, DriveResult, ScriptStep,
 };
 pub use replica_drive::{ReplicaStats, ReplicatedSim};
 pub use sweep::{parallel_tasks, run_sweep, task_rng, SweepResult};

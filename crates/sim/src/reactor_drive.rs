@@ -3,27 +3,29 @@
 //!
 //! A [`CommandScript`] is a timestamped list of textual commands (built
 //! from an SWF-style workload plus seeded dynamic/cancel/malformed ops).
-//! [`drive_serial`] applies it directly to a `PbsServer` — the reference
-//! semantics. [`drive_reactor`] delivers the same stream through N real
-//! client threads racing into a [`Reactor`], tickets pre-assigned to the
-//! stream order, while the host loop interleaves the identical
-//! world-advance rule between admissions. The gate: state digest,
-//! accounting log, every reply and the number of journal records
-//! identical to serial, at any client count, with or without a
-//! mid-stream server crash (recovery from the journal, fresh scheduler) —
-//! acked commands always survive.
+//! Both drives feed it to one [`BatchSim`] — the world every experiment
+//! runs, with its execution models, walltime reaper and negotiation
+//! expiries — through its one command door, [`BatchSim::apply_command`].
+//! [`drive_serial`] calls the door directly, one command at a time — the
+//! reference semantics. [`drive_reactor`] delivers the same stream through
+//! N real client threads racing into a [`Reactor`], tickets pre-assigned
+//! to the stream order, and calls the door from the reactor's apply
+//! closure. That is the only difference between the two.
 //!
-//! The world-advance rule between steps at time `now`: finish every
-//! active job whose planned end (`start + walltime`) has passed, oldest
-//! end first, cycling the scheduler at each finish instant; then expire
-//! overdue negotiation windows; then apply the command and cycle. Both
-//! paths run this exact loop, so any divergence is the reactor's fault.
+//! Before each step the simulator runs every event due by the step's
+//! instant ([`BatchSim::run_until`]); the command then gets its own cycle
+//! at that instant. A mid-stream crash is the simulator's own server
+//! crash at the step's instant (recovery from the journal, fresh
+//! scheduler), and after the last step the world runs until it is
+//! drained. The gate: state digest, accounting log, every reply and the
+//! number of journal records identical to serial, at any client count,
+//! with or without the crash.
 
+use crate::BatchSim;
 use dynbatch_cluster::Cluster;
-use dynbatch_core::{json, AllocPolicy, JobId, SchedulerConfig, SimTime};
-use dynbatch_sched::Maui;
-use dynbatch_server::reactor::{apply_to_server, parse_command, Reply};
-use dynbatch_server::{PbsServer, Reactor, ReactorClient, Record};
+use dynbatch_core::{json, SchedulerConfig, SimTime};
+use dynbatch_server::reactor::{parse_command, Reply};
+use dynbatch_server::{PbsServer, Reactor, ReactorClient};
 use dynbatch_simtime::SplitMix64;
 use dynbatch_workload::WorkloadItem;
 use std::thread;
@@ -43,18 +45,6 @@ pub struct ScriptStep {
 pub struct CommandScript {
     /// The steps, non-decreasing in `at`.
     pub steps: Vec<ScriptStep>,
-}
-
-/// [`script_from_workload`] over a workload stream. Script derivation is
-/// inherently whole-trace (follow-up traffic draws on the total item
-/// count), so the stream is materialized first; the bytes are identical
-/// to calling [`script_from_workload`] on the materialized items.
-pub fn script_from_stream<S>(stream: S, seed: u64) -> CommandScript
-where
-    S: Iterator<Item = WorkloadItem>,
-{
-    let items: Vec<WorkloadItem> = stream.collect();
-    script_from_workload(&items, seed)
 }
 
 /// Builds a command script from a workload: one `qsub` per item at its
@@ -145,123 +135,68 @@ pub struct DriveResult {
     pub appended: u64,
 }
 
-/// The shared world: server (journal on) + scheduler, advanced under the
-/// module-documented rule.
-struct World {
-    server: PbsServer,
-    maui: Maui,
+/// The loop both drives share: a journaling [`BatchSim`] (64 records per
+/// snapshot) advanced to each step's instant, `deliver` bringing the
+/// step's command to [`BatchSim::apply_command`], the crash after step
+/// `crash_after` as the simulator's own server crash, and the world
+/// drained after the last step.
+fn drive(
+    script: &CommandScript,
+    cluster: Cluster,
     sched: SchedulerConfig,
+    crash_after: Option<usize>,
+    mut deliver: impl FnMut(&mut BatchSim, usize, &ScriptStep),
+) -> BatchSim {
+    let mut sim = BatchSim::new(cluster, sched);
+    sim.enable_journal(64);
+    for (i, step) in script.steps.iter().enumerate() {
+        sim.run_until(step.at);
+        deliver(&mut sim, i, step);
+        if crash_after == Some(i) {
+            sim.inject_server_crash(step.at);
+        }
+    }
+    sim.run();
+    assert!(sim.server().is_drained(), "every drive ends drained");
+    sim
 }
 
-impl World {
-    fn new(cluster: Cluster, sched: SchedulerConfig) -> Self {
-        let mut server = PbsServer::new(cluster, AllocPolicy::Pack);
-        server.enable_journal(64);
-        World {
-            maui: Maui::new(sched.clone()),
-            sched,
-            server,
-        }
-    }
-
-    fn cycle(&mut self, now: SimTime) {
-        self.server.run_cycle(&mut self.maui, now);
-    }
-
-    /// What the run produced, as this world ends it.
-    fn result(&self, replies: Vec<Reply>) -> DriveResult {
-        DriveResult {
-            replies,
-            digest: self.server.state_digest(),
-            accounting: accounting_text(&self.server),
-            appended: self.server.journal().expect("journal on").total_appended(),
-        }
-    }
-
-    /// Finishes due jobs (oldest planned end first, cycling at each
-    /// finish instant) and expires overdue negotiation windows.
-    fn advance_to(&mut self, now: SimTime) {
-        loop {
-            let due = self
-                .server
-                .live_jobs()
-                .filter(|j| j.state.is_active())
-                .filter_map(|j| j.start_time.map(|s| (s + j.spec.walltime, j.id)))
-                .filter(|(end, _)| *end <= now)
-                .min();
-            let Some((end, id)) = due else { break };
-            let _ = self.server.execute(Record::Finish { job: id, now: end });
-            self.cycle(end);
-        }
-        let _ = self.server.execute(Record::ExpireSweep { now });
-    }
-
-    /// One step: advance, apply (parse failures deny without touching the
-    /// server — same bytes the reactor's parse stage produces), cycle.
-    fn apply_line(&mut self, line: &str, now: SimTime) -> Reply {
-        let reply = match parse_command(line) {
-            Ok(cmd) => apply_to_server(&mut self.server, &cmd, now),
-            Err(e) => Reply::Denied(e),
-        };
-        self.cycle(now);
-        reply
-    }
-
-    /// The server "process" dies at a step boundary and recovers from its
-    /// journal; scheduler soft state is rebuilt fresh. Every job whose
-    /// submission was acked must still exist — ack-on-append means an
-    /// acked command is in the journal by definition.
-    fn crash_recover(&mut self, acked_jobs: &[JobId], now: SimTime) {
-        let journal = self.server.take_journal().expect("journal enabled");
-        self.server = PbsServer::recover(journal).expect("journal replays");
-        self.maui = Maui::new(self.sched.clone());
-        for &id in acked_jobs {
-            assert!(
-                self.server.job(id).is_ok(),
-                "acked submission {id:?} lost in the crash"
-            );
-        }
-        self.cycle(now);
+/// What the drained world and the collected replies say.
+fn drive_result(sim: &BatchSim, replies: Vec<Reply>) -> DriveResult {
+    let server = sim.server();
+    DriveResult {
+        replies,
+        digest: server.state_digest(),
+        accounting: accounting_text(server),
+        appended: server.journal().expect("journal on").total_appended(),
     }
 }
 
-/// Extracts the jobs whose submission was acked so far (for the
-/// acked-commands-survive assertion at a crash point).
-fn acked_jobs(replies: &[Reply]) -> Vec<JobId> {
-    replies
-        .iter()
-        .filter_map(|r| match r {
-            Reply::Submitted(id) => Some(*id),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Serial reference: the script applied directly, one command at a time.
-/// `crash_after`: crash + recover at that step boundary (after the step's
-/// command applied and was acked).
+/// Serial reference: the script applied directly, one command at a time
+/// (a line that does not parse is denied without reaching the world —
+/// the bytes the reactor's parse stage produces). `crash_after`: the
+/// server crashes and recovers at that step's instant, after the step's
+/// command applied and was acked.
 pub fn drive_serial(
     script: &CommandScript,
     cluster: Cluster,
     sched: SchedulerConfig,
     crash_after: Option<usize>,
 ) -> DriveResult {
-    let mut world = World::new(cluster, sched);
     let mut replies = Vec::with_capacity(script.steps.len());
-    for (i, step) in script.steps.iter().enumerate() {
-        world.advance_to(step.at);
-        replies.push(world.apply_line(&step.line, step.at));
-        if crash_after == Some(i) {
-            world.crash_recover(&acked_jobs(&replies), step.at);
-        }
-    }
-    world.result(replies)
+    let sim = drive(script, cluster, sched, crash_after, |sim, _, step| {
+        replies.push(match parse_command(&step.line) {
+            Ok(cmd) => sim.apply_command(&cmd, step.at),
+            Err(e) => Reply::Denied(e),
+        });
+    });
+    drive_result(&sim, replies)
 }
 
 /// The reactor path: the same script, delivered by `n_clients` real
 /// threads racing into one [`Reactor`] (step index pre-assigned as the
-/// ticket, commands round-robined over connections), the host applying
-/// admissible commands between the same world-advances as serial.
+/// ticket, commands round-robined over connections); the host admits
+/// exactly one ticket per step into the same loop as serial.
 pub fn drive_reactor(
     script: &CommandScript,
     cluster: Cluster,
@@ -275,10 +210,9 @@ pub fn drive_reactor(
     // clients pipeline every command before reading anything back.
     reactor.set_reply_capacity(script.steps.len() + 1);
     let clients: Vec<ReactorClient> = (0..n_clients).map(|_| reactor.connect()).collect();
-    let mut world = World::new(cluster, sched);
     let mut replies: Vec<Option<Reply>> = vec![None; script.steps.len()];
 
-    thread::scope(|scope| {
+    let sim = thread::scope(|scope| {
         let mut handles = Vec::new();
         for (c, client) in clients.into_iter().enumerate() {
             let steps = &script.steps;
@@ -301,64 +235,33 @@ pub fn drive_reactor(
             }));
         }
 
-        // Host loop: admit exactly one ticket per step, running the
-        // world-advance at the step's timestamp first — identical to the
-        // serial loop even though arrival order is a thread race.
-        for (i, step) in script.steps.iter().enumerate() {
-            world.advance_to(step.at);
+        // Ticket `i` is admitted at step `i` — whatever order the threads'
+        // sends arrived in — and acked by the batch's group commit.
+        let sim = drive(script, cluster, sched, crash_after, |sim, i, step| {
             while reactor.next_apply() <= i as u64 {
-                let polled = reactor.poll_bounded(i as u64 + 1, |_, cmd| {
-                    apply_to_server(&mut world.server, cmd, step.at)
-                });
+                let polled =
+                    reactor.poll_bounded(i as u64 + 1, |_, cmd| sim.apply_command(cmd, step.at));
                 if polled == 0 {
                     thread::yield_now();
                 }
             }
-            world.cycle(step.at);
-            if crash_after == Some(i) {
-                // All tickets ≤ i are applied AND acked (group commit
-                // flushed inside poll); the crash must lose none of them.
-                let acked: Vec<JobId> = script.steps[..=i]
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, s)| match parse_command(&s.line) {
-                        Ok(dynbatch_server::reactor::Command::QSub(_)) => {
-                            Some(JobId(count_qsubs(&script.steps[..t]) as u64 + 1))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                world.crash_recover(&acked, step.at);
-            }
-        }
+        });
 
         for h in handles {
             for (t, r) in h.join().expect("client thread") {
                 replies[t as usize] = Some(r);
             }
         }
+        sim
     });
 
-    world.result(
+    drive_result(
+        &sim,
         replies
             .into_iter()
             .map(|r| r.expect("every ticket must be answered"))
             .collect(),
     )
-}
-
-/// Well-formed `qsub` lines in a prefix — the count determines the next
-/// assigned job id (parse is pure, so this is exact).
-fn count_qsubs(steps: &[ScriptStep]) -> usize {
-    steps
-        .iter()
-        .filter(|s| {
-            matches!(
-                parse_command(&s.line),
-                Ok(dynbatch_server::reactor::Command::QSub(_))
-            )
-        })
-        .count()
 }
 
 /// Accounting log as compact-JSON lines (shared digest format).
@@ -422,20 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn script_from_stream_matches_materialized() {
-        let items = small_workload(12);
-        let streamed = script_from_stream(items.iter().cloned(), 7);
-        let eager = script_from_workload(&items, 7);
-        let lines = |s: &CommandScript| {
-            s.steps
-                .iter()
-                .map(|x| (x.at, x.line.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(lines(&streamed), lines(&eager));
-    }
-
-    #[test]
     fn reactor_path_matches_serial_small() {
         let items = small_workload(10);
         let script = script_from_workload(&items, 3);
@@ -448,13 +337,16 @@ mod tests {
 
     /// How many records the serial path journals for a fixed script,
     /// pinned: every command that changed state logs once, a denied or
-    /// no-op one not at all, and a crash-recovery continues the count.
+    /// no-op one not at all, and a crash-recovery continues the count. The
+    /// drained world journals every finish the script's jobs reach, the
+    /// simulator's own request points and a walltime kill, not just the
+    /// finishes due before the last step.
     #[test]
     fn serial_drive_appends_a_pinned_number_of_records() {
         let script = script_from_workload(&small_workload(10), 3);
         for crash in [None, Some(script.steps.len() / 2)] {
             let serial = drive_serial(&script, Cluster::homogeneous(15, 8), hp_sched(), crash);
-            assert_eq!(serial.appended, 27, "crash after {crash:?}");
+            assert_eq!(serial.appended, 37, "crash after {crash:?}");
         }
     }
 

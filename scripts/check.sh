@@ -133,4 +133,14 @@ if [ "$(printf '%s' "$restores" | grep -c '')" -ne 1 ] \
   echo "${restores:-  (none)}"; exit 1
 fi
 
+echo "==> one world-advance loop: the reactor gate drives BatchSim through its one"
+echo "    command door; the second world and the leftovers nothing called are gone"
+gone='script_from_stream|poll_with|job_exited|JobFinished|fn revision'
+if grep -rnE "$gone" crates src tests examples \
+    || grep -rnE 'struct World' crates/sim src tests examples \
+    || grep -nE 'PbsServer::(new|recover)|Maui::new' crates/sim/src/reactor_drive.rs; then
+  echo "a deleted name reappeared, or reactor_drive builds a world of its own (see above)"
+  exit 1
+fi
+
 echo "check.sh: all gates passed"
