@@ -1,6 +1,7 @@
 //! Allocations: per-node core assignments (the "hostlist" of the TM
 //! protocol).
 
+use dynbatch_core::codec::{put_u64, Reader, Wire};
 use dynbatch_core::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -121,6 +122,28 @@ impl fmt::Display for Allocation {
             f.write_str("(empty)")?;
         }
         Ok(())
+    }
+}
+
+/// `(node, cores)` pairs in node order. Canonical: nodes strictly
+/// ascending, every core count positive — the only allocations `add`
+/// can build.
+impl Wire for Allocation {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.cores.len() as u64);
+        for (node, cores) in &self.cores {
+            node.encode(out);
+            cores.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let pairs: Vec<(NodeId, u32)> = r.ascending(|&(node, _)| node)?;
+        if pairs.iter().any(|&(_, cores)| cores == 0) {
+            return Err("allocation entry holds zero cores".into());
+        }
+        Ok(Allocation {
+            cores: pairs.into_iter().collect(),
+        })
     }
 }
 

@@ -10,6 +10,9 @@
 //!
 //! The RNG is SplitMix64, the same generator `dynbatch-simtime` uses for
 //! workloads (duplicated here because `simtime` depends on this crate).
+//!
+//! [`check_decoder`] is the shared harness for decoders: round trip,
+//! truncation, trailing bytes and bit flips, with no panic allowed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -103,6 +106,59 @@ pub fn check(cases: u32, seed: u64, body: impl Fn(&mut TestRng)) {
     }
 }
 
+/// Decoder properties of a canonical binary encoding, checked on one
+/// valid `payload`:
+///
+/// * it decodes, and re-encodes to exactly `payload`;
+/// * every strict prefix is `Err` (a decoder never guesses a tail);
+/// * `payload` plus any trailing byte is `Err`;
+/// * every single-bit flip is `Err` or decodes to a value that
+///   re-encodes to exactly the flipped bytes — canonical: no two byte
+///   strings decode to the same value;
+/// * no decode panics.
+///
+/// A failure names the mutation that broke it.
+pub fn check_decoder<T>(
+    payload: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let run = |what: &str, bytes: &[u8]| -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(|| decode(bytes)))
+            .unwrap_or_else(|_| panic!("decoding {what} panicked"))
+    };
+    let value = run("the payload", payload).expect("the payload decodes");
+    assert_eq!(encode(&value), payload, "the payload re-encodes to itself");
+    for cut in 0..payload.len() {
+        assert!(
+            run(&format!("the {cut}-byte prefix"), &payload[..cut]).is_err(),
+            "the {cut}-byte prefix of a {}-byte payload decodes",
+            payload.len()
+        );
+    }
+    let mut longer = payload.to_vec();
+    for extra in [0x00, 0x01, 0x80, 0xff] {
+        longer.push(extra);
+        assert!(
+            run("a trailing byte", &longer).is_err(),
+            "a trailing {extra:#04x} is accepted"
+        );
+        longer.pop();
+    }
+    let mut flipped = payload.to_vec();
+    for bit in 0..payload.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(other) = run(&format!("bit flip {bit}"), &flipped) {
+            assert_eq!(
+                encode(&other),
+                flipped,
+                "bit flip {bit} decodes to a value with another encoding"
+            );
+        }
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +194,17 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 16);
+    }
+
+    /// A decoder that ignores what follows its value is caught.
+    #[test]
+    #[should_panic(expected = "a trailing 0x00 is accepted")]
+    fn check_decoder_catches_ignored_trailing_bytes() {
+        check_decoder(
+            &[7],
+            |b: &[u8]| b.first().copied().ok_or_else(|| "empty".to_owned()),
+            |v: &u8| vec![*v],
+        );
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * [`dfs`] — the dynamic-fairness engine (paper §III-D);
 //! * [`maui`] — the extended scheduling iteration (paper Algorithm 2);
 //! * [`snapshot`] / [`reservation`] — the value types crossing the
-//!   scheduler boundary.
+//!   scheduler boundary;
+//! * `wire` — the binary encoding of an applied outcome.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,6 +42,7 @@ pub mod reservation;
 pub mod snapshot;
 pub mod timeline;
 pub mod usage_history;
+mod wire;
 
 pub use dfs::{DelayCharge, DfsEngine, DfsReject, DfsVerdict};
 pub use fairshare::FairshareTracker;

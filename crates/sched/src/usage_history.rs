@@ -32,10 +32,12 @@
 //!
 //! Crash durability: the accumulators are `f64`s mutated by a replayable
 //! sequence of charges. The server snapshots them bit-exactly
-//! ([`UsageHistory::to_json`] stores `f64::to_bits`), and journal replay
+//! ([`UsageHistory::to_json`] and its binary encoding both store
+//! `f64::to_bits`), and journal replay
 //! re-issues the identical charge sequence, so recovered state is
 //! byte-identical to the uncrashed run.
 
+use dynbatch_core::codec::{put_len, Reader, Wire};
 use dynbatch_core::json::Json;
 use dynbatch_core::{QueueId, SimDuration, SimTime, UserId};
 use std::collections::BTreeMap;
@@ -312,6 +314,54 @@ impl UsageHistory {
                 acc_ms: f64::from_bits(v.req_u64("total_bits")?),
                 last: v.req_time("total_last_ms")?,
             },
+        })
+    }
+}
+
+impl Wire for DecayedAccount {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.acc_ms.encode(out);
+        self.last.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(DecayedAccount {
+            acc_ms: Wire::decode(r)?,
+            last: Wire::decode(r)?,
+        })
+    }
+}
+
+/// The same fields as [`UsageHistory::to_json`], accumulators by their
+/// bits; the two account maps travel in key order.
+impl Wire for UsageHistory {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.half_life.encode(out);
+        self.capacity_cores.encode(out);
+        put_len(out, self.users.len());
+        for (user, account) in &self.users {
+            user.encode(out);
+            account.encode(out);
+        }
+        put_len(out, self.queues.len());
+        for (queue, account) in &self.queues {
+            queue.encode(out);
+            account.encode(out);
+        }
+        self.total.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(UsageHistory {
+            half_life: Wire::decode(r)?,
+            capacity_cores: r.u64()?,
+            users: r
+                .ascending(|&(user, _): &(UserId, DecayedAccount)| user)?
+                .into_iter()
+                .collect(),
+            queues: r
+                .ascending(|&(queue, _): &(QueueId, DecayedAccount)| queue)?
+                .into_iter()
+                .collect(),
+            total: Wire::decode(r)?,
         })
     }
 }

@@ -3,7 +3,11 @@
 //! Real Torque persists every job under `server_priv/` so a `pbs_server`
 //! crash does not lose the queue; this module is the equivalent for
 //! [`crate::PbsServer`]. The journal is an **append-only** sequence of
-//! newline-delimited compact-JSON records. Two kinds of record exist:
+//! records, kept structured in memory. Each record has two spellings: a
+//! compact-JSON text form for people and for the pinned digests
+//! ([`Journal::to_text`], [`record_to_json`], [`image_to_json`]), and the
+//! canonical binary form the replication wire carries
+//! ([`crate::codec`]). Two kinds of record exist:
 //!
 //! * **Command records** — the *inputs* of every state mutation (`qsub`,
 //!   `qdel`, `tm_dynget`/`tm_dynfree`, job completion, the applied
@@ -313,7 +317,7 @@ impl Journal {
         }
     }
 
-    /// The durable text form: newline-delimited compact JSON.
+    /// The text form, for people and pins: newline-delimited compact JSON.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for record in &self.entries {

@@ -16,6 +16,8 @@
 //!   analogue): append-only mutation records plus compacting snapshots,
 //!   which [`server::PbsServer::recover`] feeds to a follower for crash
 //!   recovery;
+//! * [`codec`] — the binary encoding of records, images and replication
+//!   frames: the wire's one spelling, and the bytes replicas compare;
 //! * [`replication`] — journal streaming to follower replicas, and
 //!   leader failover; recovery runs its follower;
 //! * [`reactor`] — the multi-tenant command front-end: ticket-ordered
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod accounting;
+pub mod codec;
 pub mod journal;
 pub mod messages;
 pub mod mom;

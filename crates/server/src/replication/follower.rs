@@ -11,8 +11,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use dynbatch_core::codec::to_bytes;
+
 use super::framing::{decode_frames, digest64, Frame};
-use crate::journal::{image_to_json, Journal, Record, ServerImage};
+use crate::journal::{Journal, Record, ServerImage};
 use crate::server::PbsServer;
 
 // ---------------------------------------------------------------------------
@@ -72,9 +74,10 @@ impl Follower {
         self.torn_frames
     }
 
-    /// The replica's canonical state digest, once seeded.
-    pub fn state_digest(&self) -> Option<String> {
-        self.server.as_ref().map(|s| s.state_digest())
+    /// The replica's encoded image ([`crate::codec`]), once
+    /// seeded — the bytes replica-equality checks compare.
+    pub fn image_bytes(&self) -> Option<Vec<u8>> {
+        self.server.as_ref().map(|s| to_bytes(&s.image()))
     }
 
     /// Surrenders the replica for promotion, with the watermark it is
@@ -267,31 +270,29 @@ impl Follower {
         }
     }
 
+    /// The seeded replica's encoded image.
+    fn own_image(&self, what: &str, pos: u64) -> Result<Vec<u8>, String> {
+        self.image_bytes()
+            .ok_or_else(|| format!("{what} {pos} before any snapshot"))
+    }
+
     fn verify_image(&self, pos: u64, image: &ServerImage) -> Result<(), String> {
-        let own = self
-            .server
-            .as_ref()
-            .expect("verify requires a seeded replica")
-            .state_digest();
-        let theirs = image_to_json(image).to_string_compact();
+        let own = self.own_image("snapshot boundary", pos)?;
+        let theirs = to_bytes(image);
         if own == theirs {
             Ok(())
         } else {
             Err(format!(
                 "replica diverged at snapshot boundary {pos}: \
                  follower {:#018x} vs leader {:#018x}",
-                digest64(own.as_bytes()),
-                digest64(theirs.as_bytes())
+                digest64(&own),
+                digest64(&theirs)
             ))
         }
     }
 
     fn verify_digest(&self, pos: u64, digest: u64) -> Result<(), String> {
-        let server = self
-            .server
-            .as_ref()
-            .ok_or_else(|| format!("digest {pos} before any snapshot"))?;
-        let own = digest64(server.state_digest().as_bytes());
+        let own = digest64(&self.own_image("digest", pos)?);
         if own == digest {
             Ok(())
         } else {
@@ -342,8 +343,8 @@ pub enum FollowerMsg {
     Frames(Vec<u8>),
     /// Report term/watermark/health.
     Watermark(Sender<WatermarkReply>),
-    /// Report the replica's state digest (`None` before seeding).
-    DigestQuery(Sender<Option<String>>),
+    /// Report the replica's encoded image (`None` before seeding).
+    ImageQuery(Sender<Option<Vec<u8>>>),
     /// Surrender the replica for promotion; the thread exits after
     /// replying.
     Promote(Sender<Option<(Box<PbsServer>, u64)>>),
@@ -395,10 +396,10 @@ impl FollowerHandle {
         rx.recv_timeout(Duration::from_secs(30)).ok()
     }
 
-    /// Synchronous state-digest query.
-    pub fn digest(&self) -> Option<String> {
+    /// Synchronous encoded-image query.
+    pub fn image_bytes(&self) -> Option<Vec<u8>> {
         let (tx, rx) = channel();
-        self.tx.send(FollowerMsg::DigestQuery(tx)).ok()?;
+        self.tx.send(FollowerMsg::ImageQuery(tx)).ok()?;
         rx.recv_timeout(Duration::from_secs(30)).ok()?
     }
 
@@ -450,8 +451,8 @@ fn follower_main(rx: Receiver<FollowerMsg>) {
                     torn_frames: f.torn_frames(),
                 });
             }
-            FollowerMsg::DigestQuery(reply) => {
-                let _ = reply.send(f.state_digest());
+            FollowerMsg::ImageQuery(reply) => {
+                let _ = reply.send(f.image_bytes());
             }
             FollowerMsg::Promote(reply) => {
                 let _ = reply.send(

@@ -8,10 +8,12 @@
 
 use std::collections::VecDeque;
 
+use dynbatch_core::codec::to_bytes;
 use dynbatch_simtime::SplitMix64;
 
 use super::follower::{FollowerHandle, FollowerMsg};
-use super::framing::{digest64, encode_frame, encode_stream_tail, frame_kind, tail_frames, Frame};
+use super::framing::{digest64, encode_stream_tail, encode_tail_frames, EncodedRun, Frame};
+use crate::codec::{DIGEST_FRAME, RECORD_FRAME, SNAPSHOT_FRAME};
 use crate::server::PbsServer;
 
 // ---------------------------------------------------------------------------
@@ -128,6 +130,8 @@ pub struct HubStats {
     pub marks_sent: u64,
     /// Digest frames sent.
     pub digests_sent: u64,
+    /// Wire bytes of every frame counted above, envelope included.
+    pub bytes_sent: u64,
     /// Frames dropped by fault injection.
     pub frames_dropped: u64,
     /// Go-back-N resend episodes (stalled watermark).
@@ -285,10 +289,11 @@ impl ReplicationHub {
             .collect()
     }
 
-    /// Follower `idx`'s state digest (synchronous; drains its stream
-    /// backlog first by channel order).
-    pub fn follower_digest(&self, idx: usize) -> Option<String> {
-        self.links.get(idx)?.handle.digest()
+    /// Follower `idx`'s encoded image ([`super::Follower::image_bytes`];
+    /// synchronous, drains its stream backlog first by channel order).
+    /// `None` for a dead or unseeded follower.
+    pub fn follower_image(&self, idx: usize) -> Option<Vec<u8>> {
+        self.links.get(idx)?.handle.image_bytes()
     }
 
     /// Min live-follower acked watermark this term — the replicated
@@ -329,7 +334,7 @@ impl ReplicationHub {
             Some(Frame::Digest {
                 term: self.term,
                 pos: target,
-                digest: digest64(leader.state_digest().as_bytes()),
+                digest: digest64(&to_bytes(&leader.image())),
             })
         } else {
             None
@@ -371,9 +376,9 @@ impl ReplicationHub {
             }
         }
         report.errors.append(&mut self.deferred_errors);
-        // Shared encode cache: every contiguously-streaming link needs the
-        // same tail modulo its start position, so serialize each record
-        // once per pump and hand each link a byte-clone of its suffix.
+        // Shared encode: every contiguously-streaming link needs the same
+        // tail modulo its start position, so the pump encodes it once into
+        // one buffer and each link reads its suffix from there.
         // Snapshot records cross as Mark frames — valid only for a
         // follower that already holds the boundary state. A link that has
         // never acked (fresh, or reset after a crash) has a stateless
@@ -386,60 +391,52 @@ impl ReplicationHub {
             .filter(|l| l.alive && l.sent_through < target && !needs_seed(l))
             .map(|l| l.sent_through + 1)
             .min();
-        let shared: Option<Vec<(u64, u8, Vec<u8>)>> =
-            min_from.and_then(|from| encode_stream_tail(journal, term, from));
-        let digest_encoded = digest_frame
-            .as_ref()
-            .map(|d| (d.pos(), frame_kind(d), encode_frame(d)));
+        let shared = min_from.and_then(|from| encode_stream_tail(journal, term, from));
+        let digest_run = digest_frame.as_ref().map(EncodedRun::single);
         for link in &mut self.links {
             if !link.alive {
                 continue;
             }
-            if link.sent_through >= target && digest_encoded.is_none() {
+            if link.sent_through >= target && digest_run.is_none() {
                 continue;
             }
             let from = link.sent_through + 1;
-            let seed = needs_seed(link);
-            let mut frames: Vec<(u64, u8, Vec<u8>)> = if link.sent_through >= target {
-                Vec::new()
-            } else if let Some(cache) = (!seed).then_some(shared.as_ref()).flatten() {
-                cache
-                    .iter()
-                    .filter(|(pos, _, _)| *pos >= from)
-                    .cloned()
-                    .collect()
+            let seed_run;
+            let run = if link.sent_through >= target {
+                None
+            } else if let Some(shared) = shared.as_ref().filter(|_| !needs_seed(link)) {
+                Some(shared)
             } else {
                 // Seed / heal: a stateless follower, or a start the
                 // compactor already discarded — restart the link with a
                 // snapshot image it can install, then plain records.
-                tail_frames(journal, term, from)
-                    .iter()
-                    .map(|f| (f.pos(), frame_kind(f), encode_frame(f)))
-                    .collect()
+                seed_run = encode_tail_frames(journal, term, from);
+                Some(&seed_run)
             };
-            if let Some(d) = &digest_encoded {
-                frames.push(d.clone());
-            }
+            let mut frames: Vec<(u8, &[u8])> =
+                run.into_iter().flat_map(|r| r.suffix(from)).collect();
+            frames.extend(digest_run.iter().flat_map(|d| d.suffix(0)));
             if frames.len() >= 2 && self.rng.chance_permille(self.faults.reorder_permille) {
                 self.rng.shuffle(&mut frames);
             }
             let mut out: Vec<u8> = Vec::new();
-            for (_, kind, bytes) in frames {
+            for (kind, bytes) in frames {
                 match kind {
-                    0 => self.stats.records_sent += 1,
-                    1 => self.stats.snapshots_sent += 1,
-                    2 => self.stats.digests_sent += 1,
+                    RECORD_FRAME => self.stats.records_sent += 1,
+                    SNAPSHOT_FRAME => self.stats.snapshots_sent += 1,
+                    DIGEST_FRAME => self.stats.digests_sent += 1,
                     _ => self.stats.marks_sent += 1,
                 }
+                self.stats.bytes_sent += bytes.len() as u64;
                 if self.rng.chance_permille(self.faults.drop_permille) {
                     self.stats.frames_dropped += 1;
                     continue;
                 }
                 if self.rng.chance_permille(self.faults.delay_permille) {
-                    link.delayed.push_back(bytes);
+                    link.delayed.push_back(bytes.to_vec());
                     continue;
                 }
-                out.extend_from_slice(&bytes);
+                out.extend_from_slice(bytes);
             }
             // One channel send per link per pump: every surviving frame
             // rides a single concatenated run, so the follower thread is

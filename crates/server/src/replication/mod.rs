@@ -11,7 +11,9 @@
 //! ([`PbsServer::execute`](crate::server::PbsServer::execute)), so leader
 //! and follower execute the identical deterministic code — divergence is
 //! detectable by construction and checked at every snapshot boundary plus
-//! periodic rolling-digest frames.
+//! periodic rolling-digest frames. Both checks compare the canonical
+//! binary image encoding ([`crate::codec`]) byte for byte —
+//! the digest frame carries a hash of those bytes — never a JSON render.
 //!
 //! Positions are `Journal::total_appended` coordinates: 1-based,
 //! monotonic and stable across compaction, so a follower watermark ("I
@@ -21,7 +23,12 @@
 //! The transport is hardened the way an on-the-wire journal must be:
 //! each frame is length-delimited and CRC-32 protected; a torn trailing
 //! frame (the partial-write crash artifact) is truncated and counted,
-//! while a CRC mismatch (bit corruption) is a hard error.
+//! while a CRC mismatch (bit corruption) is a hard error. A payload is
+//! one frame in the binary encoding of [`crate::codec`] (varints, tag
+//! bytes, length-prefixed strings and vectors); the decoder accepts only
+//! canonical bytes, so a payload that is not exactly one frame is a hard
+//! error too. Per pump the hub encodes the tail once into one buffer and
+//! hands every link its suffix; [`HubStats::bytes_sent`] counts the bytes.
 //!
 //! Delivery is at-least-once and unordered: the hub go-back-N resends
 //! from the follower's acked watermark when progress stalls, and the
@@ -46,8 +53,7 @@ mod tests;
 
 pub use follower::{Follower, FollowerHandle, FollowerMsg, WatermarkReply};
 pub use framing::{
-    crc32, decode_frames, deframe, digest64, encode_frame, frame, frame_from_json, frame_to_json,
-    tail_frames, Deframed, Frame,
+    crc32, decode_frames, deframe, digest64, encode_frame, frame, tail_frames, Deframed, Frame,
 };
 pub use hub::{
     FailoverReport, FollowerCrash, HubConfig, HubStats, PumpReport, ReplFaultPlan, ReplicationHub,

@@ -1,8 +1,9 @@
 use super::*;
-use crate::journal::{Journal, Record, ServerImage};
+use crate::journal::{record_to_json, Journal, Record, ServerImage};
 use crate::server::submit;
 use crate::server::PbsServer;
 use dynbatch_cluster::Cluster;
+use dynbatch_core::codec::to_bytes;
 use dynbatch_core::{
     AllocPolicy, DfsConfig, GroupId, JobSpec, SchedulerConfig, SimDuration, SimTime, UserId,
 };
@@ -153,7 +154,7 @@ fn crc_framing_roundtrip() {
     let payloads: Vec<&[u8]> = vec![b"hello", b"", b"{\"k\":1}"];
     let mut wire = Vec::new();
     for p in &payloads {
-        wire.extend_from_slice(&frame(p));
+        wire.extend_from_slice(&frame(p).unwrap());
     }
     let got = deframe(&wire).unwrap();
     assert!(!got.torn);
@@ -162,8 +163,8 @@ fn crc_framing_roundtrip() {
 
 #[test]
 fn bit_flip_is_hard_error_truncation_is_torn() {
-    let mut wire = frame(b"abcdef");
-    wire.extend_from_slice(&frame(b"ghijkl"));
+    let mut wire = frame(b"abcdef").unwrap();
+    wire.extend_from_slice(&frame(b"ghijkl").unwrap());
     // Bit-flip inside the second payload: CRC catches it.
     let mut flipped = wire.clone();
     let n = flipped.len();
@@ -174,32 +175,77 @@ fn bit_flip_is_hard_error_truncation_is_torn() {
     for cut in 1..8 + 6 {
         let got = deframe(&wire[..wire.len() - cut]).unwrap();
         assert!(got.torn, "cut {cut} should be torn");
-        assert_eq!(got.payloads, vec![b"abcdef".to_vec()]);
+        assert_eq!(got.payloads, vec![&b"abcdef"[..]]);
     }
 }
 
+/// The frame length field is never wrapped: a payload past `u32::MAX`
+/// bytes is refused (checked on the length alone — such a payload does
+/// not fit a test's memory).
 #[test]
-fn frame_json_roundtrip() {
+fn a_payload_past_the_u32_length_field_is_refused() {
+    assert_eq!(framing::frame_len(u32::MAX as usize), Ok(u32::MAX));
+    let err = framing::frame_len(u32::MAX as usize + 1).unwrap_err();
+    assert!(err.contains("outgrows the u32 length field"), "{err}");
+}
+
+#[test]
+fn frame_wire_roundtrip() {
     let leader = scripted_leader(0);
-    let frames = tail_frames(leader.journal().unwrap(), 3, 1);
-    assert!(!frames.is_empty());
-    for f in &frames {
-        let back = frame_from_json(&frame_to_json(f)).unwrap();
-        assert_eq!(
-            frame_to_json(&back).to_string_compact(),
-            frame_to_json(f).to_string_compact()
-        );
-    }
-    let d = Frame::Digest {
+    let mut frames = tail_frames(leader.journal().unwrap(), 3, 1);
+    frames.push(Frame::Digest {
         term: 7,
         pos: 42,
         digest: 0xdead_beef_dead_beef,
-    };
-    let back = frame_from_json(&frame_to_json(&d)).unwrap();
-    assert_eq!(
-        frame_to_json(&back).to_string_compact(),
-        frame_to_json(&d).to_string_compact()
+    });
+    frames.push(Frame::Mark { term: 7, pos: 43 });
+    let wire: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+    let (back, torn) = decode_frames(&wire).unwrap();
+    assert!(!torn);
+    assert_eq!(back.len(), frames.len());
+    for (f, b) in frames.iter().zip(&back) {
+        assert_eq!(encode_frame(b), encode_frame(f));
+        if let (Frame::Record { record: r, .. }, Frame::Record { record: s, .. }) = (f, b) {
+            assert_eq!(
+                record_to_json(s).to_string_compact(),
+                record_to_json(r).to_string_compact()
+            );
+        }
+    }
+}
+
+/// `HubStats::bytes_sent` makes bytes per replicated record a product
+/// count: on the scripted leader a record frame costs at most a third of
+/// the record's compact JSON text.
+#[test]
+fn record_frames_cost_a_third_of_the_records_json() {
+    let mut hub = ReplicationHub::new(HubConfig {
+        digest_every: 0,
+        ..HubConfig::default()
+    });
+    hub.add_follower("tst-repl-bytes");
+    let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+    leader.enable_journal(0);
+    hub.pump(&leader); // the genesis snapshot seeds the follower
+    let seeded = hub.stats();
+    assert_eq!((seeded.snapshots_sent, seeded.records_sent), (1, 0));
+    run_script(&mut leader);
+    let top = leader.journal().unwrap().total_appended();
+    assert!(hub.await_replicated(&leader, top));
+    let stats = hub.stats();
+    let records = stats.records_sent;
+    assert_eq!(records, top - 1, "every record shipped once, as a record");
+    let frame_bytes = (stats.bytes_sent - seeded.bytes_sent) as f64 / records as f64;
+    let json = leader.journal().unwrap().records()[1..]
+        .iter()
+        .map(|r| record_to_json(r).to_string_compact().len())
+        .sum::<usize>() as f64
+        / records as f64;
+    assert!(
+        frame_bytes * 3.0 <= json,
+        "{frame_bytes:.1} B per record frame vs {json:.1} B of JSON"
     );
+    hub.shutdown();
 }
 
 #[test]
@@ -210,7 +256,7 @@ fn follower_reaches_leader_digest_in_order() {
         f.apply_frame(frame).unwrap();
     }
     assert_eq!(f.watermark(), leader.journal().unwrap().total_appended());
-    assert_eq!(f.state_digest().unwrap(), leader.state_digest());
+    assert_eq!(f.image_bytes().unwrap(), to_bytes(&leader.image()));
     assert!(f.error().is_none());
 }
 
@@ -222,7 +268,7 @@ fn follower_tolerates_reorder_dup_and_checks_digests() {
     frames.push(Frame::Digest {
         term: 1,
         pos: top,
-        digest: digest64(leader.state_digest().as_bytes()),
+        digest: digest64(&to_bytes(&leader.image())),
     });
     // Deliver in reverse with every frame duplicated: the reorder
     // buffer + dup suppression must still converge byte-identically.
@@ -232,7 +278,7 @@ fn follower_tolerates_reorder_dup_and_checks_digests() {
         f.apply_frame(frame.clone()).unwrap();
     }
     assert_eq!(f.watermark(), top);
-    assert_eq!(f.state_digest().unwrap(), leader.state_digest());
+    assert_eq!(f.image_bytes().unwrap(), to_bytes(&leader.image()));
     // A wrong digest frame must poison.
     let mut bad = Follower::new();
     for frame in tail_frames(leader.journal().unwrap(), 1, 1) {
@@ -257,7 +303,7 @@ fn follower_snapshot_boundary_verifies() {
     for frame in tail_frames(leader.journal().unwrap(), 1, 1) {
         f.apply_frame(frame).unwrap();
     }
-    assert_eq!(f.state_digest().unwrap(), leader.state_digest());
+    assert_eq!(f.image_bytes().unwrap(), to_bytes(&leader.image()));
 }
 
 #[test]
@@ -277,7 +323,7 @@ fn catchup_via_snapshot_after_compaction() {
         f.apply_frame(frame).unwrap();
     }
     assert_eq!(f.watermark(), journal.total_appended());
-    assert_eq!(f.state_digest().unwrap(), leader.state_digest());
+    assert_eq!(f.image_bytes().unwrap(), to_bytes(&leader.image()));
 }
 
 #[test]
@@ -301,7 +347,7 @@ fn hub_streams_and_fails_over() {
     assert!(hub.await_replicated(&leader, top));
     assert_eq!(hub.replicated_watermark(), Some(top));
     for i in 0..2 {
-        assert_eq!(hub.follower_digest(i).unwrap(), leader.state_digest());
+        assert_eq!(hub.follower_image(i).unwrap(), to_bytes(&leader.image()));
     }
     // Leader dies; highest-watermark follower promotes byte-identically.
     let expect = leader.state_digest();
@@ -317,7 +363,7 @@ fn hub_streams_and_fails_over() {
     submit(&mut leader, rigid("after", 1, 4, 10), t(50)).unwrap();
     let top2 = leader.journal().unwrap().total_appended();
     assert!(hub.await_replicated(&leader, top2));
-    assert_eq!(hub.follower_digest(0).unwrap(), leader.state_digest());
+    assert_eq!(hub.follower_image(0).unwrap(), to_bytes(&leader.image()));
     hub.shutdown();
 }
 
@@ -356,7 +402,7 @@ fn hub_converges_under_stream_faults() {
     let top = leader.journal().unwrap().total_appended();
     assert!(hub.await_replicated(&leader, top));
     for i in 0..2 {
-        assert_eq!(hub.follower_digest(i).unwrap(), leader.state_digest());
+        assert_eq!(hub.follower_image(i).unwrap(), to_bytes(&leader.image()));
     }
     assert!(hub.stats().follower_crashes >= 1);
     hub.shutdown();

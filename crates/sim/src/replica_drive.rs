@@ -7,11 +7,12 @@
 //! fault plan withholds). It tracks the worst observed append→apply lag
 //! and can force convergence ([`ReplicatedSim::converge`]) to check the
 //! replica-equivalence invariant: once a follower's watermark reaches
-//! the leader's `total_appended`, its state digest must be byte-equal to
+//! the leader's `total_appended`, its encoded image must be byte-equal to
 //! the leader's — same contract the server-side chaos suite pins, here
 //! exercised against month-scale workload replay.
 
 use crate::batch_sim::BatchSim;
+use dynbatch_core::codec::to_bytes;
 use dynbatch_server::replication::{HubConfig, ReplicationHub};
 
 /// Summary counters of a replicated run.
@@ -111,7 +112,7 @@ impl ReplicatedSim {
     }
 
     /// Pumps until every live follower has applied the full journal, then
-    /// verifies each follower's state digest is byte-identical to the
+    /// verifies each follower's encoded image is byte-identical to the
     /// leader's. Errors on divergence, a dead ensemble, or a wedged
     /// stream.
     pub fn converge(&mut self) -> Result<(), String> {
@@ -136,10 +137,10 @@ impl ReplicatedSim {
                 Some(_) => {}
             }
         }
-        let leader = self.sim.server().state_digest();
+        let leader = to_bytes(&self.sim.server().image());
         for (idx, name) in self.hub.follower_names().iter().enumerate() {
-            match self.hub.follower_digest(idx) {
-                Some(d) if d == leader => {}
+            match self.hub.follower_image(idx) {
+                Some(image) if image == leader => {}
                 Some(_) => return Err(format!("follower {name} diverged from leader")),
                 None => {} // dead or crashed by the fault plan — not a divergence
             }
@@ -194,7 +195,8 @@ mod tests {
     fn replicated_run_converges_clean() {
         let mut rs = ReplicatedSim::new(seeded_sim(40), 2, HubConfig::default());
         rs.run();
-        rs.converge().expect("followers converge to leader digest");
+        rs.converge()
+            .expect("followers converge to the leader image");
         let stats = rs.stats();
         assert!(stats.leader_appended > 40, "journal grew past submissions");
         rs.shutdown();

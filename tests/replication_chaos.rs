@@ -38,6 +38,7 @@ mod common;
 
 use common::*;
 use dynbatch::cluster::Cluster;
+use dynbatch::core::codec::to_bytes;
 use dynbatch::core::AllocPolicy;
 use dynbatch::server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch::server::{Journal, PbsServer};
@@ -222,17 +223,17 @@ fn chaos_run(seed: u64, reference: &Reference) {
             );
 
             // Invariant 4: the surviving follower converges to the new
-            // leader's digest under the bumped term.
+            // leader's encoded image under the bumped term.
             let target = promoted.journal().unwrap().total_appended();
             assert!(
                 hub.await_replicated(&promoted, target),
                 "seed {seed}: survivor never converged under term 2"
             );
-            let leader_digest = promoted.state_digest();
+            let leader_image = to_bytes(&promoted.image());
             for idx in 0..hub.follower_names().len() {
-                if let Some(d) = hub.follower_digest(idx) {
-                    assert_eq!(
-                        d, leader_digest,
+                if let Some(image) = hub.follower_image(idx) {
+                    assert!(
+                        image == leader_image,
                         "seed {seed}: survivor {idx} diverged under term 2"
                     );
                 }
@@ -327,11 +328,10 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
     let target = s.journal().unwrap().total_appended();
     assert!(target > mid_appended);
     assert!(hub.await_replicated(&s, target), "catch-up wedged");
-    let leader = s.state_digest();
+    let leader = to_bytes(&s.image());
     for idx in 0..2 {
-        assert_eq!(
-            hub.follower_digest(idx).expect("live follower"),
-            leader,
+        assert!(
+            hub.follower_image(idx).expect("live follower") == leader,
             "follower {idx} diverged across the compaction handoff"
         );
     }
