@@ -156,6 +156,8 @@ struct PlanScratch {
     expanded: AvailabilityProfile,
     /// Consumed by `plan_starts` when measuring before/after starts.
     plan: AvailabilityProfile,
+    /// The backfill pass's [`AvailabilityProfile::idle_horizon`].
+    horizon: Vec<SimTime>,
 }
 
 impl Default for PlanScratch {
@@ -166,6 +168,7 @@ impl Default for PlanScratch {
             trial: empty(),
             expanded: empty(),
             plan: empty(),
+            horizon: Vec::new(),
         }
     }
 }
@@ -256,7 +259,9 @@ impl Maui {
         let ranked = self
             .rank
             .rank(&snap.queued, now, &self.config.priority, fairness);
-        let head: Vec<&QueuedJob> = ranked.iter().take(self.config.lookahead_depth()).collect();
+        let depth = self.config.lookahead_depth().min(snap.queued.len());
+        let mut head: Vec<&QueuedJob> = Vec::with_capacity(depth);
+        head.extend(ranked.iter().take(depth));
 
         // The base profile carries running jobs' remaining walltimes; all
         // planning happens on top of clones of it. It comes from the
@@ -318,14 +323,28 @@ impl Maui {
         let mut profile = base;
         let taken = static_pass(&self.config, &ranked, &mut profile, &mut outcome, now);
 
-        // Step 26: backfill.
+        // Step 26: backfill. A candidate is probed only if it fits under
+        // the horizon of its width, which is exactly when `mold_fit` can
+        // place it. The horizon is worked out when a candidate first needs
+        // it, and again after each start, which shrinks what is idle.
         if self.config.backfill != BackfillPolicy::None && !snap.backfill_suppressed() {
+            let horizon = &mut scratch.horizon;
+            let mut current = false;
             for i in backfill_candidates(&ranked, &taken, profile.idle_at(now)) {
                 // Backfill only ever takes cores away from "now".
                 if profile.idle_at(now) == 0 {
                     break;
                 }
-                backfill_one(&mut profile, ranked.job(i), &mut outcome, now);
+                if !current {
+                    profile.idle_horizon(now, horizon);
+                    current = true;
+                }
+                let fits = horizon
+                    .get(ranked.need[i] as usize)
+                    .is_some_and(|&until| now.saturating_add(ranked.walltime(i)) <= until);
+                if fits && backfill_one(&mut profile, ranked.job(i), &mut outcome, now) {
+                    current = false;
+                }
             }
         }
 
@@ -745,10 +764,11 @@ fn dynamic_request(
 }
 
 /// Step 25: schedule static jobs (with starts) and create reservations
-/// against the post-grant profile. Returns, per job of the visited prefix
-/// of `ranked`, whether it was started or given a reservation — the jobs
-/// the backfill pass must skip. The pass ends as soon as it is blocked and
-/// out of reservations: nothing further down the queue can change.
+/// against the post-grant profile. Returns, per entry of `ranked` up to
+/// the last one visited, whether its job was started or given a
+/// reservation — the jobs the backfill pass must skip. The pass ends as
+/// soon as it is blocked and out of reservations: nothing further down the
+/// queue can change.
 fn static_pass(
     config: &SchedulerConfig,
     ranked: &Ranked<'_>,
@@ -762,7 +782,10 @@ fn static_pass(
         BackfillPolicy::Conservative => usize::MAX,
         _ => config.reservation_depth,
     };
-    for job in ranked.iter() {
+    for i in ranked.entries() {
+        let job = ranked.job(i);
+        // Departed entries in between are not taken.
+        taken.resize(i, false);
         if !blocked {
             if let Some(width) = mold_fit(profile, job, now) {
                 profile.hold_for(now, job.walltime, width + job.reserve_extra);
@@ -800,12 +823,12 @@ fn static_pass(
     taken
 }
 
-/// Step 26's candidates, as indices into `ranked`: every job the static
+/// Step 26's candidates, as entries of `ranked`: every job the static
 /// pass neither started nor reserved whose narrowest start fits into the
 /// `idle` cores free right now. Backfill only ever lowers that number, so
 /// a job filtered here could not have started later in the pass either —
 /// and with nothing idle there are no candidates at all (a queued job
-/// needs at least one core).
+/// needs at least one core; a departed entry's `need` is `u32::MAX`).
 fn backfill_candidates<'a>(
     ranked: &'a Ranked<'_>,
     taken: &'a [bool],
@@ -818,21 +841,24 @@ fn backfill_candidates<'a>(
         .map(|(i, _)| i)
 }
 
-/// Starts `job` by backfill if it fits `profile` right now.
+/// Starts `job` by backfill if it fits `profile` right now; returns
+/// whether it did.
 fn backfill_one(
     profile: &mut AvailabilityProfile,
     job: &QueuedJob,
     outcome: &mut IterationOutcome,
     now: SimTime,
-) {
-    if let Some(width) = mold_fit(profile, job, now) {
-        profile.hold_for(now, job.walltime, width + job.reserve_extra);
-        outcome.starts.push(StartDecision {
-            job: job.id,
-            backfilled: true,
-            cores: (width != job.cores).then_some(width),
-        });
-    }
+) -> bool {
+    let Some(width) = mold_fit(profile, job, now) else {
+        return false;
+    };
+    profile.hold_for(now, job.walltime, width + job.reserve_extra);
+    outcome.starts.push(StartDecision {
+        job: job.id,
+        backfilled: true,
+        cores: (width != job.cores).then_some(width),
+    });
+    true
 }
 
 /// Malleability: pour leftover idle capacity into running malleable jobs

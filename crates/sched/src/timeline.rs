@@ -139,6 +139,30 @@ impl AvailabilityProfile {
         Some(min)
     }
 
+    /// For every width `w` up to the cores idle at `from`, the first
+    /// breakpoint after `from` at which fewer than `w` cores are idle
+    /// ([`SimTime::MAX`] if there is none), written to `out[w]`; `out`
+    /// gets one entry per width from 0 to the idle count. So
+    /// `fits(from, to, w)` holds iff `w < out.len()` and `to <= out[w]`.
+    /// One pass over the breakpoints after `from`.
+    pub fn idle_horizon(&self, from: SimTime, out: &mut Vec<SimTime>) {
+        assert!(from >= self.origin, "query before profile origin");
+        let lo = self.segment_index(from);
+        let mut floor = self.steps[lo].1;
+        out.clear();
+        out.resize(floor as usize + 1, SimTime::MAX);
+        for &(s, idle) in &self.steps[lo + 1..] {
+            if idle < floor {
+                // The widths above `idle` first lack room here.
+                out[idle as usize + 1..=floor as usize].fill(s);
+                floor = idle;
+                if floor == 0 {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Index of the segment whose span contains `t` (requires
     /// `t >= origin`).
     fn segment_index(&self, t: SimTime) -> usize {

@@ -84,3 +84,76 @@ fn mold_fit_matches_brute_force_oracle() {
         );
     });
 }
+
+/// The backfill pass probes a candidate only if `now + walltime` is within
+/// the horizon of its narrowest start (`AvailabilityProfile::idle_horizon`).
+/// That filter must be exact: on random profiles, for every width up to
+/// the cores idle now and walltimes from 0 to past the last breakpoint, it
+/// rejects exactly the rigid and moldable jobs `mold_fit` finds no width
+/// for.
+#[test]
+fn the_idle_horizon_rejects_exactly_what_mold_fit_cannot_place() {
+    check(256, 0x0B12, |rng| {
+        const CAPACITY: u32 = 48;
+        let (fast, _) = build(rng, CAPACITY);
+        let now = SimTime::from_secs(rng.below(3000));
+        let mut horizon = vec![SimTime::ZERO; 3];
+        fast.idle_horizon(now, &mut horizon);
+        let idle = fast.idle_at(now);
+        assert_eq!(horizon.len(), idle as usize + 1);
+        let last = fast.steps().last().expect("a profile has a step").0;
+        let past_last = last.duration_since(now) + SimDuration::from_secs(1);
+        for need in 1..=idle + 2 {
+            let reserve_extra = rng.range_u32(0, need.min(4));
+            let mut walltimes = vec![
+                SimDuration::ZERO,
+                SimDuration::from_millis(1),
+                SimDuration::from_secs(rng.range(1, 4000)),
+                past_last,
+                SimDuration::MAX,
+            ];
+            // Ending exactly at the width's horizon, and just past it.
+            if let Some(&until) = horizon.get(need as usize).filter(|&&t| t != SimTime::MAX) {
+                let exact = until.duration_since(now);
+                walltimes.extend([exact, exact + SimDuration::from_millis(1)]);
+            }
+            for walltime in walltimes {
+                let min_cores = need - reserve_extra;
+                let rigid = QueuedJob {
+                    id: JobId(1),
+                    user: UserId(0),
+                    group: GroupId(0),
+                    queue: QueueId(0),
+                    cores: min_cores,
+                    walltime,
+                    submit_time: SimTime::ZERO,
+                    priority_boost: 0,
+                    suppress_backfill_while_queued: false,
+                    reserve_extra,
+                    moldable: None,
+                };
+                let moldable = QueuedJob {
+                    cores: min_cores + rng.range_u32(0, 8),
+                    moldable: Some(MalleableRange {
+                        min_cores,
+                        max_cores: min_cores + rng.range_u32(0, CAPACITY),
+                    }),
+                    ..rigid.clone()
+                };
+                for job in [rigid, moldable] {
+                    assert_eq!(job.min_start_width(), need);
+                    let within = horizon
+                        .get(need as usize)
+                        .is_some_and(|&until| now.saturating_add(walltime) <= until);
+                    assert_eq!(
+                        within,
+                        mold_fit(&fast, &job, now).is_some(),
+                        "width {need} for {walltime:?} at {now}: horizon {horizon:?}, \
+                         steps {:?}",
+                        fast.steps()
+                    );
+                }
+            }
+        }
+    });
+}

@@ -231,7 +231,8 @@ fn dfs_cap_bounds_committed_delay() {
 /// each outcome the way the server does (preempt → shrink → grant → grow
 /// → start), lets time pass, retires and admits jobs, and keeps the
 /// queue in one long-lived [`QueuedSet`] so slots empty, get swept and
-/// get refilled by requeues under the scheduler's remembered order. What
+/// get refilled or inserted mid-vector by requeues under the scheduler's
+/// remembered order; now and then it rebuilds the set from its jobs. What
 /// it does between two snapshots it records in a delta log, under the
 /// server's rules: nothing before the first drain, and a first log that
 /// carries the usage totals.
@@ -498,6 +499,11 @@ impl World {
         for _ in 0..arrivals {
             self.admit(rng);
         }
+        if rng.chance(0.03) {
+            // The same jobs in a set of their own, as an image load
+            // rebuilds the view: other slots, no change log.
+            self.queued = self.queued.iter().cloned().collect();
+        }
     }
 }
 
@@ -552,6 +558,9 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
         let mut fast = Maui::new(cfg.clone());
         let mut naive = Maui::new(cfg);
         let mut world = World::new();
+        // A copy of the world's queue held across cycles: the world's
+        // next mutation forks its storage.
+        let mut fork: Option<QueuedSet> = None;
         // Some runs open on a deep queue, the rest grow one.
         for _ in 0..if rng.chance(0.3) { 150 } else { 5 } {
             world.admit(rng);
@@ -606,6 +615,30 @@ fn iterate_equals_the_naive_reference_over_random_cycles() {
             }
             world.apply(&a, rng);
             world.advance(rng);
+            match fork.take() {
+                None if rng.chance(0.1) => fork = Some(world.queued.clone()),
+                Some(mut stale) if rng.chance(0.3) => {
+                    // The copy goes its own way (a job leaves it) and is
+                    // fed to both schedulers cycles late, out of order
+                    // and without a log; its outcome is not applied.
+                    let gone = stale.iter().map(|q| q.id).nth(rng.range_usize(0, 3));
+                    if let Some(id) = gone {
+                        stale.remove(id);
+                    }
+                    let snap = Snapshot {
+                        now: world.now,
+                        total_cores: CAPACITY,
+                        running: world.running.clone().into(),
+                        queued: stale,
+                        dyn_requests: Vec::new(),
+                        usage: time_aware.then(|| world.usage.snapshot(world.now)),
+                        deltas: None,
+                    };
+                    let a = fast.iterate(&snap);
+                    assert_eq!(a, iterate_naive(&mut naive, &snap), "cycle {cycle}: a fork");
+                }
+                held => fork = held,
+            }
         }
         delta_fed_cycles.set(delta_fed_cycles.get() + fast.timeline_stats().delta_batches);
     });

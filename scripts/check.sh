@@ -45,14 +45,16 @@ for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
   done
 done
 
-echo "==> deep_queue in exact counts (its queue is single-class FIFO): no priority"
-echo "    score computed and no sort at any depth; bytes allocated per cycle at"
-echo "    depth 4000 within 2x those at depth 250"
+echo "==> deep_queue in exact counts (its queue is single-class FIFO and does not"
+echo "    change between its cycles): no rank entry walked, no priority score"
+echo "    computed and no sort at any depth; bytes allocated per cycle at depth 4000"
+echo "    within 2x those at depth 250"
 for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
   awk -v report="$report" '
     function value(field) { gsub(/,/, "", field); return field + 0 }
     /"queue_depth"/ { depth = value($2) }
-    /"priority_evaluations_per_cycle"/ || /"rank_sorts"/ {
+    /"rank_entries_walked_per_cycle"/ || /"priority_evaluations_per_cycle"/ \
+        || /"rank_sorts"/ {
       if (value($2) != 0) {
         print report ": deep_queue depth " depth " reports " $1 " " $2 " (must be 0)"
         bad = 1
@@ -61,7 +63,7 @@ for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
     }
     /"alloc_bytes_per_iterate"/ { bytes[depth] = value($2) }
     END {
-      for (d in seen) rows += (seen[d] == 2)
+      for (d in seen) rows += (seen[d] == 3)
       if (rows != 3 || !(250 in bytes) || !(4000 in bytes)) {
         print report ": deep_queue lacks its work counters — regenerate with: " \
           "cargo run --release -p dynbatch-bench --bin perf_smoke"
