@@ -22,8 +22,7 @@
 
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{
-    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, JobState, SchedulerConfig, SimDuration,
-    UserId,
+    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, SchedulerConfig, SimDuration, UserId,
 };
 use dynbatch_daemon::{DaemonConfig, DaemonHandle};
 use dynbatch_server::TmResponse;
@@ -70,7 +69,7 @@ fn measure(nodes: u32, with_workload: bool, reps: u32) -> f64 {
     let job = daemon
         .qsub(spec("grower", 0, CORES_PER_NODE, 120_000))
         .expect("qsub grower");
-    assert!(daemon.wait_for_state(job, JobState::Running, Duration::from_secs(5)));
+    assert!(daemon.await_running(job, Duration::from_secs(5)));
 
     if with_workload {
         // A rigid backlog that keeps the queue non-empty (each job wants

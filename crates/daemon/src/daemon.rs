@@ -2,38 +2,39 @@
 //!
 //! ## Threading model
 //!
-//! An ensemble runs exactly `nodes + 2` threads (+1 with fault injection):
-//! one server, one mom per node, the server's [`TimerService`] worker, and
-//! — when a [`FaultPlan`] is configured — the chaos postman. Every thread
-//! is named with the ensemble's [`DaemonHandle::thread_tag`] prefix and is
-//! joined by [`DaemonHandle::shutdown`]; a drained-and-shut-down ensemble
-//! leaves zero live threads (the chaos suite asserts this by scanning
+//! An ensemble runs exactly `nodes + 1` threads (+1 with fault injection,
+//! +1 per follower): one server, one mom per node, and — when a
+//! [`FaultPlan`] is configured — the chaos postman; a replicated ensemble
+//! adds its follower threads. Every thread is named with the ensemble's
+//! [`DaemonHandle::thread_tag`] prefix and is joined by
+//! [`DaemonHandle::shutdown`]; a drained-and-shut-down ensemble leaves
+//! zero live threads (the chaos suite asserts this by scanning
 //! `/proc/self/task`).
 //!
-//! All deadlines — app exits (the "application" is a timer running the
-//! job's modelled duration) and negotiation expiries — live in the one
-//! timer service and are cancellable. Firings carry the generation (app
-//! timers) or request sequence number (expiry timers) they were armed
-//! against, and the server drops firings whose tag no longer matches, so
-//! a stale timer can never kill a restarted job or reject a granted
-//! request.
+//! The server thread drives the simulator's [`EventCore`] on the wall
+//! clock (1 wall ms == 1 `SimTime` ms since boot): every deadline — an
+//! application's exit, its walltime kill, its own request points and
+//! phase ends, a negotiation's expiry — is an event in the core's queue,
+//! armed, re-paced and cancelled by the same code the simulator runs. The
+//! thread waits on its channel until the next event is due; on every wake
+//! it first applies the events due by now, then the command, then the
+//! cycle the command woke. An event carries the nonce of the run that
+//! armed it, so a stale one can never act on a successor run.
 
 use crate::fault::{Chaos, ChaosCore, FaultPlan, MomLink, ServerLink};
-use crate::timer::{TimerHandle, TimerId, TimerService};
 use crate::wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
     JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimTime, UserId,
 };
-use dynbatch_sched::Maui;
-use dynbatch_server::reactor::{
-    apply_to_server, BatchEvent, Command as ReactorCommand, Reply as ReactorReply,
-};
+use dynbatch_sched::DynDecision;
+use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
 use dynbatch_server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
-    Applied, Effect, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient,
-    ReactorConnector, Record, ServerToMom, TmRequest, TmResponse,
+    Applied, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient, ReactorConnector,
+    ServerToMom, TmRequest, TmResponse,
 };
+use dynbatch_sim::{EventCore, Hook, RunEnd};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -150,16 +151,15 @@ impl DaemonHandle {
         }
         // Server thread.
         {
-            let moms = mom_links.clone();
-            let ms_dir = Arc::clone(&ms_directory);
-            let self_tx = server_tx.clone();
+            let moms = Moms {
+                links: mom_links.clone(),
+                directory: Arc::clone(&ms_directory),
+            };
             let tag = tag.clone();
             threads.push(
                 thread::Builder::new()
                     .name(format!("{tag}srv"))
-                    .spawn(move || {
-                        server_main(config, server_rx, self_tx, moms, ms_dir, reactor, tag)
-                    })
+                    .spawn(move || server_main(config, server_rx, moms, reactor, tag))
                     .expect("spawn server"),
             );
         }
@@ -245,20 +245,6 @@ impl DaemonHandle {
             return false;
         }
         rx.recv_timeout(timeout).unwrap_or(false)
-    }
-
-    /// Polls until `job` reaches `state` or `timeout` elapses. Prefer
-    /// [`DaemonHandle::await_running`] / [`DaemonHandle::await_drained`]
-    /// where they fit — this exists for states they cannot express.
-    pub fn wait_for_state(&self, job: JobId, state: JobState, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.qstat(job) == Some(state) {
-                return true;
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-        false
     }
 
     /// Calls `tm_dynget()` from the job's mother superior, blocking until
@@ -388,8 +374,8 @@ impl DaemonHandle {
         rx.recv().unwrap_or(0.0)
     }
 
-    /// Stops all daemons and joins their threads (server, moms, timer
-    /// worker, chaos postman) — nothing outlives the handle.
+    /// Stops all daemons and joins their threads (server, moms, followers,
+    /// chaos postman) — nothing outlives the handle.
     pub fn shutdown(self) {
         // Control messages go down the raw channels: shutdown must work
         // even under a message-dropping fault plan.
@@ -411,28 +397,16 @@ impl DaemonHandle {
 /// record replaces the history every this-many mutation records.
 const JOURNAL_SNAPSHOT_EVERY: usize = 64;
 
-/// The server daemon's state: `pbs_server` + Maui + the timer bookkeeping
-/// that makes firings cancellable and stale-proof.
+/// The server daemon: the [`EventCore`] — `pbs_server`, Maui, the run
+/// ledger and every deadline — on the wall clock, plus what only a
+/// threaded deployment has: the moms, the command reactor, the waiters
+/// and the replication host.
 struct ServerDaemon {
-    server: PbsServer,
-    maui: Maui,
+    core: EventCore,
     /// Outstanding server-crash points from the fault plan, ascending, in
     /// journal-record coordinates.
     crash_points: VecDeque<u64>,
-    moms: Vec<MomLink>,
-    ms_directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
-    timers: TimerHandle<ServerCmd>,
-    /// The app-exit timer of each running job and the run generation it
-    /// was armed under: a firing that carries any other generation is
-    /// stale (the run it was armed for was preempted, deleted, finished or
-    /// lost in a restart) and is dropped. An entry lives exactly as long
-    /// as its run.
-    app_timers: HashMap<JobId, (TimerId, u64)>,
-    /// Source of run generations: never reset, so no generation is used
-    /// twice — not for a job that restarts, not across a server restart.
-    next_gen: u64,
-    /// The negotiation-expiry timer of each pending dynamic request.
-    dyn_timers: HashMap<JobId, TimerId>,
+    moms: Moms,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
     /// rest of the daemon).
@@ -463,57 +437,170 @@ struct ReplHost {
     errors: Vec<String>,
 }
 
-/// The server daemon: owns `pbs_server` and the Maui scheduler; every
-/// state change triggers a scheduling cycle, exactly like the simulator.
+/// The moms, as the core's [`Hook`]: what the core decided becomes
+/// `RunJob`, `DynJoin`, `DynReject`, `DynDisjoin` and `KillJob` messages
+/// to each job's mother superior, and the directory of mother superiors
+/// (shared with [`DaemonHandle`]'s TM calls) follows the running set.
+struct Moms {
+    links: Vec<MomLink>,
+    directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
+}
+
+impl Moms {
+    fn send_to_ms(&self, job: JobId, msg: ServerToMom) {
+        if let Some(&ms) = self.directory.lock().unwrap().get(&job) {
+            self.links[ms.0 as usize].send(MomMsg::FromServer(msg));
+        }
+    }
+
+    /// Sends `RunJob` to the mother superior — the first node of the
+    /// allocation unless the directory already names one.
+    fn run_job(&self, job: JobId, alloc: Allocation) {
+        let ms = *self
+            .directory
+            .lock()
+            .unwrap()
+            .entry(job)
+            .or_insert_with(|| alloc.entries().next().expect("non-empty allocation").0);
+        self.links[ms.0 as usize].send(MomMsg::FromServer(ServerToMom::RunJob { job, alloc }));
+    }
+
+    /// Replays the placement of every active job — or of those `only`
+    /// mothers — to its mother superior: a mom that lost its state
+    /// re-registers the job, one that kept it keeps its hostlist and any
+    /// parked TM caller.
+    fn reattach(&self, server: &PbsServer, only: Option<NodeId>) {
+        for j in server.live_jobs().filter(|j| j.state.is_active()) {
+            let mothered = || self.directory.lock().unwrap().get(&j.id).copied();
+            if only.is_some_and(|node| mothered() != Some(node)) {
+                continue;
+            }
+            if let Some(alloc) = server.cluster().allocation_of(j.id) {
+                self.run_job(j.id, alloc.clone());
+            }
+        }
+    }
+}
+
+impl Hook for Moms {
+    fn cycle(
+        &mut self,
+        _server: &PbsServer,
+        _now: SimTime,
+        _decisions: Vec<DynDecision>,
+        applied: Vec<Applied>,
+    ) {
+        for action in applied {
+            match action {
+                // A fresh run is mothered by its allocation's first node.
+                Applied::Started { job, alloc, .. } => {
+                    self.directory.lock().unwrap().remove(&job);
+                    self.run_job(job, alloc);
+                }
+                Applied::DynGranted { job, added } => {
+                    self.send_to_ms(job, ServerToMom::DynJoin { job, added });
+                }
+                Applied::DynRejected { job, .. } => {
+                    self.send_to_ms(job, ServerToMom::DynReject { job });
+                }
+                // Negotiation: the application keeps waiting on its TM
+                // reply channel until a later cycle grants the request or
+                // its expiry fires. A preempted run ends through
+                // `run_ended`.
+                Applied::DynDeferred { .. } | Applied::Preempted { .. } => {}
+                Applied::Resized {
+                    job,
+                    from_cores,
+                    to_cores,
+                    changed,
+                } => {
+                    let msg = if to_cores > from_cores {
+                        ServerToMom::DynJoin {
+                            job,
+                            added: changed,
+                        }
+                    } else {
+                        ServerToMom::DynDisjoin {
+                            job,
+                            released: changed,
+                        }
+                    };
+                    self.send_to_ms(job, msg);
+                }
+            }
+        }
+    }
+
+    /// The run stopped (exited, deleted, preempted, lost): its mom kills
+    /// what is left of the application.
+    fn run_ended(&mut self, job: JobId, _end: RunEnd, _now: SimTime) {
+        let ms = self.directory.lock().unwrap().remove(&job);
+        if let Some(ms) = ms {
+            self.links[ms.0 as usize].send(MomMsg::FromServer(ServerToMom::KillJob { job }));
+        }
+    }
+
+    fn expired(&mut self, jobs: &[JobId]) {
+        for &job in jobs {
+            self.send_to_ms(job, ServerToMom::DynReject { job });
+        }
+    }
+}
+
+/// The server daemon's thread: every wake — a command, or the next due
+/// event's instant — first applies the events due by now, then the
+/// command, then its cycle.
 fn server_main(
     config: DaemonConfig,
     rx: Receiver<ServerCmd>,
-    self_tx: Sender<ServerCmd>,
-    moms: Vec<MomLink>,
-    ms_directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
+    moms: Moms,
     reactor: Reactor,
     tag: String,
 ) {
-    // Timer firings are delivered into the server's own queue on the raw
-    // sender: deadlines are trusted infrastructure, never faulted.
-    let timers = TimerService::start(&format!("{tag}tmr"), move |cmd| {
-        let _ = self_tx.send(cmd);
-    });
-    let mut d = ServerDaemon::new(config, moms, ms_directory, timers.handle(), reactor, &tag);
+    let mut d = ServerDaemon::new(config, moms, reactor, &tag);
     d.pump_replication(); // seed followers with the genesis snapshot
     let epoch = Instant::now();
-    while let Ok(cmd) = rx.recv() {
-        let t = SimTime::from_millis(epoch.elapsed().as_millis() as u64);
-        if !d.handle(cmd, t) {
-            break;
+    let clock = || SimTime::from_millis(epoch.elapsed().as_millis() as u64);
+    loop {
+        let cmd = match d.core.next_due() {
+            Some(at) => {
+                let due = epoch + Duration::from_millis(at.as_millis());
+                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                    Ok(cmd) => Some(cmd),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            None => match rx.recv() {
+                Ok(cmd) => Some(cmd),
+                Err(_) => break,
+            },
+        };
+        let t = clock();
+        d.advance(t);
+        if let Some(cmd) = cmd {
+            if !d.handle(cmd, t) {
+                break;
+            }
+            d.advance(t);
         }
         d.maybe_crash(t);
         d.pump_replication();
         d.flush_waiters();
     }
-    // Follower threads are joined before the timer worker: nothing owned
-    // by the ensemble outlives the server thread.
+    // Follower threads are joined before the server thread exits: nothing
+    // owned by the ensemble outlives it.
     if let Some(mut repl) = d.repl.take() {
         repl.hub.shutdown();
     }
-    // Joins the worker; pending app/dyn deadlines die with it.
-    timers.shutdown();
 }
 
 impl ServerDaemon {
-    /// Boots the server side of an ensemble: a journaling `pbs_server`, a
-    /// fresh Maui, the fault plan's crash schedule and the replication hub
-    /// with its follower threads (named `{tag}rep{i}`).
-    fn new(
-        config: DaemonConfig,
-        moms: Vec<MomLink>,
-        ms_directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
-        timers: TimerHandle<ServerCmd>,
-        reactor: Reactor,
-        tag: &str,
-    ) -> Self {
+    /// Boots the server side of an ensemble: the event core with a
+    /// journaling `pbs_server`, the fault plan's crash schedule and the
+    /// replication hub with its follower threads (named `{tag}rep{i}`).
+    fn new(config: DaemonConfig, moms: Moms, reactor: Reactor, tag: &str) -> Self {
         let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
-        let alloc_policy = config.sched.alloc;
         let crash_points: VecDeque<u64> = config
             .faults
             .as_ref()
@@ -552,21 +639,12 @@ impl ServerDaemon {
         // The daemon always journals: crash recovery (scheduled by the fault
         // plan or exercised by the chaos suite) depends on it, and the append
         // cost is measured and bounded (`perf_smoke`'s `journal` section).
-        let mut server = PbsServer::new(cluster, alloc_policy);
-        // Half-life before `enable_journal` so the genesis image already
-        // carries it.
-        server.set_usage_half_life(config.sched.fairshare.half_life);
-        server.enable_journal(JOURNAL_SNAPSHOT_EVERY);
+        let mut core = EventCore::new(cluster, config.sched);
+        core.enable_journal(JOURNAL_SNAPSHOT_EVERY);
         ServerDaemon {
-            server,
-            maui: Maui::new(config.sched),
+            core,
             crash_points,
             moms,
-            ms_directory,
-            timers,
-            app_timers: HashMap::new(),
-            next_gen: 0,
-            dyn_timers: HashMap::new(),
             reactor: Some(reactor),
             run_waiters: Vec::new(),
             drain_waiters: Vec::new(),
@@ -575,33 +653,24 @@ impl ServerDaemon {
         }
     }
 
-    /// Processes one command; returns `false` on shutdown.
+    /// Applies every event due by `t`, each group with its cycle.
+    fn advance(&mut self, t: SimTime) {
+        self.core.run_until(t, &mut self.moms);
+    }
+
+    /// Processes one command; returns `false` on shutdown. A command that
+    /// reaches the core wakes a cycle at `t`, which the caller's next
+    /// [`ServerDaemon::advance`] runs.
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
-        let state_changed = match cmd {
-            ServerCmd::Client(req) => {
-                self.handle_client(req);
-                false
-            }
+        match cmd {
+            ServerCmd::Client(req) => self.handle_client(req),
             ServerCmd::FromMom(m) => self.handle_mom(m, t),
-            ServerCmd::JobExited(job, gen) => {
-                // Stale firing (job preempted & restarted since this timer
-                // was armed): the generation no longer matches — drop it.
-                if self.app_timers.get(&job).is_some_and(|&(_, g)| g == gen) {
-                    self.finish_job(job, t)
-                } else {
-                    false
-                }
-            }
-            ServerCmd::ExpireDyn { job, seq } => self.handle_expiry(job, seq, t),
-            ServerCmd::MomRestarted(node) => {
-                self.handle_mom_restart(node);
-                false
-            }
+            // A mom lost its state and restarted: it rebuilds its
+            // hostlists from the jobs it mothers. (Their applications live
+            // on in the event core, so this is pure state repair.)
+            ServerCmd::MomRestarted(node) => self.moms.reattach(self.core.server(), Some(node)),
             ServerCmd::ReactorWake => self.reactor_poll(t),
             ServerCmd::Shutdown => return false,
-        };
-        if state_changed {
-            self.cycle(t);
         }
         true
     }
@@ -610,16 +679,16 @@ impl ServerDaemon {
     fn handle_client(&mut self, req: ClientReq) {
         match req {
             ClientReq::QStat { job, reply } => {
-                let _ = reply.send(self.server.job(job).map(|j| j.state).ok());
+                let _ = reply.send(self.core.server().job(job).map(|j| j.state).ok());
             }
             // Parked; resolved by flush_waiters after this command.
             ClientReq::AwaitRunning { job, reply } => self.run_waiters.push((job, reply)),
             ClientReq::AwaitDrained { reply } => self.drain_waiters.push(reply),
             ClientReq::Outcomes { reply } => {
-                let _ = reply.send(self.server.accounting().outcomes().to_vec());
+                let _ = reply.send(self.core.server().accounting().outcomes().to_vec());
             }
             ClientReq::FairshareCharged { user, reply } => {
-                let _ = reply.send(self.maui.fairshare().charged(user));
+                let _ = reply.send(self.core.maui().fairshare().charged(user));
             }
             ClientReq::ReplicationStatus { reply } => {
                 let _ = reply.send(self.replication_status());
@@ -632,7 +701,7 @@ impl ServerDaemon {
     /// acks nothing — the application's answer is the grant or rejection a
     /// later cycle sends its mom — except that a request the server would
     /// not queue is rejected straight back.
-    fn handle_mom(&mut self, msg: MomToServer, t: SimTime) -> bool {
+    fn handle_mom(&mut self, msg: MomToServer, t: SimTime) {
         let cmd = match msg {
             // A tm_dynget that lands queues and triggers a scheduling
             // cycle (paper: "This triggers a new scheduling cycle"); the
@@ -642,71 +711,19 @@ impl ServerDaemon {
                 job,
                 mother_superior,
             } => {
-                self.ms_directory
+                self.moms
+                    .directory
                     .lock()
                     .unwrap()
                     .insert(job, mother_superior);
-                return false;
+                return;
             }
         };
         let (_, mutated) = self.apply_command(&cmd, t);
         if let (ReactorCommand::DynGet { job, .. }, false) = (&cmd, mutated) {
             // Already pending or not running: deny straight back.
-            self.send_to_ms(*job, ServerToMom::DynReject { job: *job });
-        }
-        mutated
-    }
-
-    /// A negotiation-expiry firing. A no-op unless the *exact* request it
-    /// was armed for (`seq`) is still pending and past its deadline — a
-    /// grant, rejection or supersession in the meantime wins the race.
-    fn handle_expiry(&mut self, job: JobId, seq: u64, t: SimTime) -> bool {
-        let expiry = Record::ExpireOne { job, seq, now: t };
-        if matches!(self.server.execute(expiry), Ok(Effect::Expired(_))) {
-            self.dyn_timers.remove(&job);
-            self.send_to_ms(job, ServerToMom::DynReject { job });
-            true
-        } else if self.server.pending_dyn_seq(job) == Some(seq) {
-            // Fired a hair before the deadline (SimTime truncates to whole
-            // milliseconds): re-arm rather than leak a pending request.
-            let id = self
-                .timers
-                .schedule(Duration::from_millis(2), ServerCmd::ExpireDyn { job, seq });
-            self.dyn_timers.insert(job, id);
-            false
-        } else {
-            false
-        }
-    }
-
-    /// A mom lost its state and restarted: re-send `RunJob` for every
-    /// active job it mothers so it can rebuild its hostlists. (App
-    /// processes survive the mom's restart — their deadlines live in the
-    /// server's timer service — so this is pure state repair.)
-    fn handle_mom_restart(&mut self, node: NodeId) {
-        let mothered: Vec<JobId> = self
-            .ms_directory
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|&(_, &ms)| ms == node)
-            .map(|(&job, _)| job)
-            .collect();
-        for job in mothered {
-            let active = self
-                .server
-                .job(job)
-                .map(|j| j.state.is_active())
-                .unwrap_or(false);
-            if !active {
-                continue;
-            }
-            if let Some(alloc) = self.server.cluster().allocation_of(job) {
-                self.moms[node.0 as usize].send(MomMsg::FromServer(ServerToMom::RunJob {
-                    job,
-                    alloc: alloc.clone(),
-                }));
-            }
+            self.moms
+                .send_to_ms(*job, ServerToMom::DynReject { job: *job });
         }
     }
 
@@ -715,7 +732,7 @@ impl ServerDaemon {
     /// record count, the server "process" dies at this command boundary.
     fn maybe_crash(&mut self, t: SimTime) {
         loop {
-            let Some(appended) = self.server.journal().map(|j| j.total_appended()) else {
+            let Some(appended) = self.core.server().journal().map(|j| j.total_appended()) else {
                 return;
             };
             let due = |points: &VecDeque<u64>| points.front().is_some_and(|&k| appended >= k);
@@ -731,8 +748,9 @@ impl ServerDaemon {
         }
     }
 
-    /// The server dies and comes back: scheduler soft state, armed
-    /// deadlines and the fairshare ledger's open segments are lost.
+    /// The server dies and comes back: scheduler soft state and the
+    /// fairshare ledger's open segments are lost, the applications and
+    /// their deadlines are not.
     ///
     /// A crash-restart keeps the write-ahead journal: the server is rebuilt
     /// by snapshot-load + replay. A leader kill (`failover`) loses the
@@ -743,34 +761,31 @@ impl ServerDaemon {
     /// follower dead or diverged the deployment degrades to recovery from
     /// the local journal (nothing is lost, availability was).
     ///
-    /// Either way [`ServerDaemon::adopt_recovered`] then re-arms every
-    /// outstanding deadline from recovered state (not from wall-clock
-    /// leftovers) and re-attaches the moms.
+    /// Either way [`EventCore::restart`] reconciles the run ledger with
+    /// the adopted state; the daemon then replays every active job's
+    /// placement to its mother superior (an unknown job re-registers; a
+    /// known one keeps its hostlist and any parked TM caller) and runs the
+    /// cycle the restart woke.
     fn restart(&mut self, failover: bool, t: SimTime) {
-        // All pre-crash timers die with the process. `next_gen` is
-        // deliberately carried across — it is a monotonic nonce, not
-        // recoverable state: `adopt_recovered` re-arms every run under a
-        // fresh generation, so any pre-crash firing already sitting in the
-        // command queue is stale on arrival.
-        let app = self.app_timers.drain().map(|(_, (id, _))| id);
-        for id in app.chain(self.dyn_timers.drain().map(|(_, id)| id)) {
-            self.timers.cancel(id);
-        }
-        let promoted = failover.then(|| self.promote_follower()).flatten();
-        self.server = promoted.unwrap_or_else(|| {
-            let journal = self
-                .server
-                .take_journal()
-                .expect("daemon servers always journal");
-            PbsServer::recover(journal).expect("journal replays cleanly")
-        });
-        self.adopt_recovered(t);
+        let promoted = if failover {
+            self.promote_follower()
+        } else {
+            None
+        };
+        self.core.restart(t, promoted, &mut self.moms);
+        self.moms.reattach(self.core.server(), None);
+        self.core.run_until(t, &mut self.moms);
         if failover {
             // Deny parked tm_dynget callers whose request records died
             // with the old leader; surviving negotiations stay parked and
             // will be answered by this (new) leader's scheduling cycles.
-            let live: Vec<JobId> = self.server.pending_dyn_requests().map(|p| p.job).collect();
-            for mom in &self.moms {
+            let live: Vec<JobId> = self
+                .core
+                .server()
+                .pending_dyn_requests()
+                .map(|p| p.job)
+                .collect();
+            for mom in &self.moms.links {
                 mom.send(MomMsg::ReconcileDyn { live: live.clone() });
             }
             // Re-seed the surviving followers under the new term right away.
@@ -802,125 +817,18 @@ impl ServerDaemon {
         }
     }
 
-    /// The shared adoption path for a server that just materialised from
-    /// recovery (crash-restart) or promotion (failover): rebuild scheduler
-    /// soft state, re-arm the journal, revive app deadlines, re-attach
-    /// moms, and re-arm negotiation expiries.
-    fn adopt_recovered(&mut self, t: SimTime) {
-        // Boot order: half-life before `enable_journal` below so a fresh
-        // genesis image already carries it. (The decayed usage accounts
-        // themselves come back bit-exact from the image, half-life
-        // included, so the setter is a no-op unless they are empty.)
-        self.server
-            .set_usage_half_life(self.maui.config().fairshare.half_life);
-        if self.server.journal().is_none() {
-            // A promoted follower arrives journal-less: journaling is a
-            // per-process concern. The genesis snapshot this appends opens
-            // the new term's record coordinates.
-            self.server.enable_journal(JOURNAL_SNAPSHOT_EVERY);
-        }
-        // Scheduler soft state (reservation history, negotiation-delay
-        // bookkeeping) is not journalled: a fresh Maui restarts from the
-        // recovered server state, exactly as a real scheduler restart
-        // would. Fairshare charges, however, DO survive: they live in the
-        // server's journalled usage ledger, and the first delta log of a
-        // recovered or promoted server carries the totals.
-        self.maui = Maui::new(self.maui.config().clone());
-        struct Revive {
-            job: JobId,
-            remaining: Duration,
-            alloc: Allocation,
-        }
-        let revive: Vec<Revive> = self
-            .server
-            .live_jobs()
-            .filter(|j| j.state.is_active() && j.start_time.is_some())
-            .filter_map(|j| {
-                let alloc = self.server.cluster().allocation_of(j.id)?.clone();
-                let ends_at = j.start_time.expect("filtered")
-                    + j.spec.exec.static_duration(j.cores_allocated);
-                Revive {
-                    job: j.id,
-                    remaining: Duration::from_millis(ends_at.duration_since(t).as_millis()),
-                    alloc,
-                }
-                .into()
-            })
-            .collect();
-        for r in revive {
-            // The application outlived the server: re-arm its exit
-            // deadline for the *remaining* modelled runtime under a fresh
-            // generation, and replay its placement to the mother superior
-            // so the mom can reconcile (an unknown job re-registers; a
-            // known one keeps its hostlist and any parked TM caller). Its
-            // open usage segment needs no action — `usage_since` was
-            // recovered from the journal image along with the rest.
-            self.arm_app_timer(r.job, r.remaining);
-            let ms = {
-                let mut dir = self.ms_directory.lock().unwrap();
-                *dir.entry(r.job)
-                    .or_insert_with(|| r.alloc.entries().next().expect("non-empty allocation").0)
-            };
-            self.moms[ms.0 as usize].send(MomMsg::FromServer(ServerToMom::RunJob {
-                job: r.job,
-                alloc: r.alloc,
-            }));
-        }
-        // Outstanding negotiation windows continue from their *recovered*
-        // deadlines; a window that elapsed while the server was down
-        // expires on the next firing rather than silently leaking.
-        let pending: Vec<JobId> = self.server.pending_dyn_requests().map(|p| p.job).collect();
-        for job in pending {
-            self.arm_dyn_timer(job, t);
-        }
-        // The world may have moved while the server was down: run a cycle
-        // against recovered state immediately.
-        self.cycle(t);
-    }
-
-    /// Shared completion path (mom report or app-exit timer): settle the
-    /// ledger, finish at the server, disarm timers, kill the app remnant.
-    fn finish_job(&mut self, job: JobId, t: SimTime) -> bool {
-        let active = self
-            .server
-            .job(job)
-            .map(|j| j.state.is_active())
-            .unwrap_or(false);
-        if !active {
-            return false;
-        }
-        self.server
-            .execute(Record::Finish { job, now: t })
-            .expect("active job finishes");
-        self.kill_app(job);
-        true
-    }
-
-    /// A job stopped running (finished, deleted, preempted): its timers
-    /// are disarmed and its mom told to kill what is left of the app.
-    fn kill_app(&mut self, job: JobId) {
-        self.cancel_timers(job);
-        let ms = self.ms_directory.lock().unwrap().remove(&job);
-        if let Some(ms) = ms {
-            self.moms[ms.0 as usize].send(MomMsg::FromServer(ServerToMom::KillJob { job }));
-        }
-    }
-
     /// Drains the command reactor: every admissible (contiguous-ticket)
     /// command applies to the single-writer server in ticket order, its
     /// journal record landing — and, with followers, replicating — before
     /// the reactor releases its ack: the one ack rule, for lines and for
-    /// [`DaemonHandle::qsub`] / [`DaemonHandle::qdel`] alike. One
-    /// scheduling cycle per batch, not per command. Returns whether server
-    /// state changed.
-    fn reactor_poll(&mut self, t: SimTime) -> bool {
+    /// [`DaemonHandle::qsub`] / [`DaemonHandle::qdel`] alike. The batch's
+    /// commands share one scheduling cycle, run after the poll.
+    fn reactor_poll(&mut self, t: SimTime) {
         let mut reactor = self.reactor.take().expect("reactor present");
-        let mut changed = false;
         let mut batch_dirty = false;
         reactor.poll_batch(u64::MAX, |ev| match ev {
             BatchEvent::Apply { cmd, .. } => {
                 let (reply, mutated) = self.reactor_apply(cmd, t);
-                changed |= mutated;
                 batch_dirty |= mutated;
                 Some(reply)
             }
@@ -933,7 +841,6 @@ impl ServerDaemon {
             }
         });
         self.reactor = Some(reactor);
-        changed
     }
 
     /// The reactor door: [`ServerDaemon::apply_command`] plus the disjoin
@@ -946,7 +853,7 @@ impl ServerDaemon {
                 // Unlike the mom-originated TM path (where the mom already
                 // shrank its hostlist), a reactor dynfree must tell the
                 // mother superior to disjoin.
-                self.send_to_ms(
+                self.moms.send_to_ms(
                     *job,
                     ServerToMom::DynDisjoin {
                         job: *job,
@@ -968,11 +875,11 @@ impl ServerDaemon {
             return;
         };
         if batch_dirty {
-            if repl.hub.await_replicated(&self.server, target) {
+            if repl.hub.await_replicated(self.core.server(), target) {
                 repl.acked_watermark = repl.acked_watermark.max(target);
             }
         } else {
-            let report = repl.hub.pump(&self.server);
+            let report = repl.hub.pump(self.core.server());
             repl.errors.extend(report.errors);
         }
     }
@@ -983,21 +890,16 @@ impl ServerDaemon {
         let Some(repl) = self.repl.as_mut() else {
             return;
         };
-        if self.server.journal().is_none() {
-            return;
-        }
-        // Keep compaction behind the replicated watermark so followers
-        // stream plain records across snapshot boundaries.
-        if let Some(w) = repl.hub.replicated_watermark() {
-            self.server.journal_retain_from(w + 1);
-        }
-        let report = repl.hub.pump(&self.server);
+        let report = self.core.stream_to(&mut repl.hub);
         repl.errors.extend(report.errors);
     }
 
     /// Records the journal has appended this term.
     fn appended(&self) -> u64 {
-        self.server.journal().map_or(0, |j| j.total_appended())
+        self.core
+            .server()
+            .journal()
+            .map_or(0, |j| j.total_appended())
     }
 
     /// Answers [`ClientReq::ReplicationStatus`].
@@ -1017,134 +919,21 @@ impl ServerDaemon {
     }
 
     /// The one place a command reaches the server, through either door
-    /// (a reactor connection, a mom-forwarded TM call): [`apply_to_server`]
-    /// plus the side effects only the daemon owns. Returns the reply and
-    /// whether server state changed — the ack of a dynget means "queued,
-    /// journalled"; the grant or rejection itself arrives at the job's mom
-    /// from a later cycle.
+    /// (a reactor connection, a mom-forwarded TM call): the core's
+    /// [`EventCore::apply_command`], with the moms as its hook. Returns
+    /// the reply and whether server state changed — the ack of a dynget
+    /// means "queued, journalled"; the grant or rejection itself arrives
+    /// at the job's mom from a later cycle.
     fn apply_command(&mut self, cmd: &ReactorCommand, t: SimTime) -> (ReactorReply, bool) {
-        let was_running = matches!(cmd, ReactorCommand::QDel(job)
-            if self.server.job(*job).is_ok_and(|j| j.state.is_active()));
-        let reply = apply_to_server(&mut self.server, cmd, t);
+        let reply = self.core.apply_command(cmd, t, &mut self.moms);
         let mutated = matches!(reply, ReactorReply::Submitted(_) | ReactorReply::Ok);
-        match cmd {
-            // The server settled its usage charges inside `qdel`.
-            ReactorCommand::QDel(job) if mutated && was_running => self.kill_app(*job),
-            ReactorCommand::DynGet { job, .. } if mutated => self.arm_dyn_timer(*job, t),
-            _ => {}
-        }
         (reply, mutated)
-    }
-
-    /// One scheduling cycle: snapshot → Maui iteration → apply, then fan
-    /// the applied actions out to the moms.
-    fn cycle(&mut self, now: SimTime) {
-        let (_, applied) = self.server.run_cycle(&mut self.maui, now);
-        for action in applied {
-            match action {
-                Applied::Started { job, alloc, .. } => {
-                    let ms = alloc.entries().next().expect("non-empty allocation").0;
-                    self.ms_directory.lock().unwrap().insert(job, ms);
-                    let dur = {
-                        let j = self.server.job(job).expect("started job exists");
-                        j.spec.exec.static_duration(j.cores_allocated)
-                    };
-                    self.moms[ms.0 as usize]
-                        .send(MomMsg::FromServer(ServerToMom::RunJob { job, alloc }));
-                    self.arm_app_timer(job, Duration::from_millis(dur.as_millis()));
-                }
-                Applied::DynGranted { job, added } => {
-                    if let Some(id) = self.dyn_timers.remove(&job) {
-                        self.timers.cancel(id);
-                    }
-                    self.send_to_ms(job, ServerToMom::DynJoin { job, added });
-                }
-                Applied::DynRejected { job, .. } => {
-                    if let Some(id) = self.dyn_timers.remove(&job) {
-                        self.timers.cancel(id);
-                    }
-                    self.send_to_ms(job, ServerToMom::DynReject { job });
-                }
-                Applied::DynDeferred { .. } => {
-                    // Negotiation: the request stays pending at the server;
-                    // the application keeps waiting on its TM reply channel
-                    // until a later cycle grants it or the expiry fires.
-                }
-                Applied::Preempted { job } => self.kill_app(job),
-                Applied::Resized {
-                    job,
-                    from_cores,
-                    to_cores,
-                    changed,
-                } => {
-                    // Keep the mother superior's hostlist current. Note the
-                    // daemon's app timers are not re-paced by resizes (the
-                    // virtual-time simulator models work-pool speedups;
-                    // here a job runs its submitted duration).
-                    let msg = if to_cores > from_cores {
-                        ServerToMom::DynJoin {
-                            job,
-                            added: changed,
-                        }
-                    } else {
-                        ServerToMom::DynDisjoin {
-                            job,
-                            released: changed,
-                        }
-                    };
-                    self.send_to_ms(job, msg);
-                }
-            }
-        }
-    }
-
-    /// The "application": a cancellable deadline that exits `after` the
-    /// job's remaining modelled runtime (1 SimTime ms == 1 wall ms here),
-    /// tagged with a fresh run generation.
-    fn arm_app_timer(&mut self, job: JobId, after: Duration) {
-        self.next_gen += 1;
-        let gen = self.next_gen;
-        let id = self.timers.schedule(after, ServerCmd::JobExited(job, gen));
-        if let Some((old, _)) = self.app_timers.insert(job, (id, gen)) {
-            self.timers.cancel(old);
-        }
-    }
-
-    /// Arms the expiry of `job`'s pending request, if it negotiates.
-    fn arm_dyn_timer(&mut self, job: JobId, now: SimTime) {
-        let pending = self.server.pending_dyn_requests().find(|p| p.job == job);
-        let Some((seq, deadline)) = pending.and_then(|p| Some((p.seq, p.deadline?))) else {
-            return;
-        };
-        // +1 ms guards the SimTime floor: never fire before the deadline.
-        let wait = Duration::from_millis(deadline.duration_since(now).as_millis() + 1);
-        let id = self
-            .timers
-            .schedule(wait, ServerCmd::ExpireDyn { job, seq });
-        if let Some(old) = self.dyn_timers.insert(job, id) {
-            self.timers.cancel(old);
-        }
-    }
-
-    fn cancel_timers(&mut self, job: JobId) {
-        if let Some((id, _)) = self.app_timers.remove(&job) {
-            self.timers.cancel(id);
-        }
-        if let Some(id) = self.dyn_timers.remove(&job) {
-            self.timers.cancel(id);
-        }
-    }
-
-    fn send_to_ms(&self, job: JobId, msg: ServerToMom) {
-        if let Some(&ms) = self.ms_directory.lock().unwrap().get(&job) {
-            self.moms[ms.0 as usize].send(MomMsg::FromServer(msg));
-        }
     }
 
     /// Resolves parked `AwaitRunning` / `AwaitDrained` calls against the
     /// current server state.
     fn flush_waiters(&mut self) {
-        let server = &self.server;
+        let server = self.core.server();
         self.run_waiters
             .retain(|(job, reply)| match server.job(*job) {
                 Ok(j) if j.start_time.is_some() => {
@@ -1576,61 +1365,6 @@ mod tests {
         assert_eq!(d.qstat(doomed), Some(JobState::Cancelled));
         assert!(d.await_drained(Duration::from_secs(2)));
         d.shutdown();
-    }
-
-    /// The run-generation table follows the running set, not history:
-    /// 10 000 short jobs through a two-node machine, finished by their
-    /// app-exit firing or deleted while running, and never more entries
-    /// than running jobs. A firing that arrives after its run is over is
-    /// refused.
-    #[test]
-    fn run_generations_live_as_long_as_the_run() {
-        let timers = TimerService::start("soak-tmr", |_: ServerCmd| {});
-        let moms = (0..2).map(|i| MomLink::new(i, channel().0, None)).collect();
-        let reactor = Reactor::new();
-        let client = reactor.connect();
-        let mut d = ServerDaemon::new(
-            hp_config(2),
-            moms,
-            Arc::default(),
-            timers.handle(),
-            reactor,
-            "soak.",
-        );
-        let acked = |d: &mut ServerDaemon, cmd: ReactorCommand, t: SimTime| {
-            client.submit(cmd);
-            d.handle(ServerCmd::ReactorWake, t);
-            client.try_recv().expect("one reply per command")
-        };
-        let mut last_firing = None;
-        for i in 0..10_000u64 {
-            let t = SimTime::from_millis(i);
-            // The whole machine: the job starts in this command's cycle.
-            let submit = ReactorCommand::QSub(Box::new(spec("soak", 16, 10_000)));
-            let ReactorReply::Submitted(job) = acked(&mut d, submit, t) else {
-                panic!("job {i} refused");
-            };
-            let (_, gen) = d.app_timers[&job];
-            assert_eq!(d.app_timers.len(), 1, "job {i}");
-            if i % 10 == 0 {
-                assert_eq!(
-                    acked(&mut d, ReactorCommand::QDel(job), t),
-                    ReactorReply::Ok
-                );
-            } else {
-                d.handle(ServerCmd::JobExited(job, gen), t);
-            }
-            assert!(d.app_timers.is_empty(), "job {i} left its entry behind");
-            assert!(d.server.job(job).unwrap().state.is_terminal());
-            if let Some((old_job, old_gen)) = last_firing.replace((job, gen)) {
-                // A duplicate of the previous job's firing, late.
-                d.handle(ServerCmd::JobExited(old_job, old_gen), t);
-                assert!(d.app_timers.is_empty());
-            }
-        }
-        // Every job that was not deleted completed, once.
-        assert_eq!(d.server.accounting().outcomes().len(), 9_000);
-        timers.shutdown();
     }
 
     // ------------------------------------------------------------------

@@ -18,11 +18,11 @@
 //! retransmission (exponential-backoff retries in `mom_main`); dropping a
 //! message with no retry path would model a failure the real protocol
 //! handles at the TCP layer. Sturdy duplicates are survivable because the
-//! receiving state machines are idempotent: the server drops stale
-//! `JobExited`/`ExpireDyn` by tag, and moms ignore acks from completed
-//! rounds. Client↔server,
-//! app↔mom (TM calls) and timer→server channels are never faulted — they
-//! model in-process or node-local calls, not network hops.
+//! receiving state machines are idempotent: the server refuses a
+//! duplicated command that no longer applies, and moms ignore acks from
+//! completed rounds. Client↔server and app↔mom (TM calls) channels are
+//! never faulted — they model in-process or node-local calls, not network
+//! hops.
 //!
 //! Determinism: all randomness comes from streams derived from the plan's
 //! seed. Thread interleaving still varies between runs, so a seed pins the
@@ -362,7 +362,7 @@ mod tests {
             link.send(MomMsg::FromServer(dynbatch_server::ServerToMom::KillJob {
                 job: dynbatch_core::JobId(i),
             }));
-            slink.send(ServerCmd::JobExited(dynbatch_core::JobId(i), 0));
+            slink.send(ServerCmd::MomRestarted(dynbatch_core::NodeId(i as u32)));
         }
         for i in 0..50u64 {
             match mom_rx.try_recv().expect("synchronous delivery") {
@@ -372,7 +372,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
             match server_rx.try_recv().expect("synchronous delivery") {
-                ServerCmd::JobExited(job, 0) => assert_eq!(job.0, i),
+                ServerCmd::MomRestarted(node) => assert_eq!(u64::from(node.0), i),
                 other => panic!("{other:?}"),
             }
         }
@@ -393,7 +393,7 @@ mod tests {
             round: 0,
             from: dynbatch_core::NodeId(2),
         }));
-        slink.send(ServerCmd::JobExited(dynbatch_core::JobId(1), 0));
+        slink.send(ServerCmd::MomRestarted(dynbatch_core::NodeId(1)));
         assert!(mom_rx.try_recv().is_err(), "peer message dropped");
         assert!(server_rx.try_recv().is_ok(), "sturdy message survived");
         chaos.shutdown();

@@ -1,20 +1,18 @@
 //! A cancellable deadline service: one worker thread, a binary heap of
 //! deadlines, generation-tagged payloads.
 //!
-//! The daemon previously spawned one **detached** sleep thread per app
-//! exit and per negotiation expiry — unjoinable, uncancellable, and alive
-//! past `shutdown()`. The [`TimerService`] replaces all of them: owners
-//! schedule a payload for a deadline and get a [`TimerId`] back; firings
-//! are delivered in deadline order (ties broken by schedule order) to a
-//! single sink; cancelled entries never fire; the one worker thread is
-//! joined on shutdown (or on drop), so an ensemble leaves zero live
-//! threads behind.
+//! The fault postman ([`crate::fault`]) delivers its delayed and
+//! duplicated messages through it: owners schedule a payload for a
+//! deadline and get a [`TimerId`] back; firings are delivered in deadline
+//! order (ties broken by schedule order) to a single sink; cancelled
+//! entries never fire; the one worker thread is joined on shutdown (or on
+//! drop), so an ensemble leaves zero live threads behind. (The server's
+//! own deadlines are not here: they are events of its event core.)
 //!
 //! Determinism contract: for a fixed set of `schedule` calls, the firing
 //! *order* is a pure function of (deadline, schedule sequence). Wall-clock
 //! jitter can shift *when* a payload fires, never *whether* or in what
-//! order relative to other due payloads — which is why payloads carry
-//! generation/sequence tags and receivers drop stale ones.
+//! order relative to other due payloads.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};

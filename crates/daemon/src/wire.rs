@@ -1,10 +1,8 @@
 //! Channel message types for the threaded deployment.
 //!
 //! Every enum is `Clone` so the fault-injection harness ([`crate::fault`])
-//! can duplicate deliveries. Timer-originated commands carry the tag of
-//! the state they were armed against (`gen` for app-exit timers, `seq` for
-//! negotiation expiries): the server drops firings whose tag no longer
-//! matches, so a stale timer can never act on a successor run or request.
+//! can duplicate deliveries. No deadline travels here: the server's
+//! deadlines are events of its own event core.
 
 use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
 use dynbatch_server::{MomToServer, ServerToMom, TmResponse};
@@ -91,20 +89,6 @@ pub enum ServerCmd {
     Client(ClientReq),
     /// A mom notification.
     FromMom(MomToServer),
-    /// An application exited (sent by the job's app-exit timer). `gen` is
-    /// the run generation the timer was armed for; a firing whose `gen`
-    /// does not match the job's current generation is stale (the job was
-    /// preempted and restarted since) and is dropped.
-    JobExited(JobId, u64),
-    /// A negotiated dynamic request's expiry timer fired. `seq` identifies
-    /// the exact request the timer was armed for; expiry is a no-op once
-    /// that request left the pending set (granted, rejected, superseded).
-    ExpireDyn {
-        /// The job.
-        job: JobId,
-        /// The pending request's FIFO sequence number.
-        seq: u64,
-    },
     /// A mom lost its state and restarted (fault injection); the server
     /// re-sends `RunJob` for every active job mothered there.
     MomRestarted(NodeId),

@@ -107,12 +107,6 @@ impl Wire for Record {
                 outcome.encode(out);
                 now.encode(out);
             }
-            Record::ExpireOne { job, seq, now } => {
-                put_tag(out, 7);
-                job.encode(out);
-                seq.encode(out);
-                now.encode(out);
-            }
             Record::ExpireSweep { now } => {
                 put_tag(out, 8);
                 now.encode(out);
@@ -162,11 +156,9 @@ impl Wire for Record {
                 outcome: Wire::decode(r)?,
                 now: Wire::decode(r)?,
             },
-            7 => Record::ExpireOne {
-                job: Wire::decode(r)?,
-                seq: r.u64()?,
-                now: Wire::decode(r)?,
-            },
+            // Once the single-request expiry; retired, so other tags keep
+            // their numbers.
+            7 => return Err("retired record tag 7".into()),
             8 => Record::ExpireSweep {
                 now: Wire::decode(r)?,
             },

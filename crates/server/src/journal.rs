@@ -144,15 +144,6 @@ pub enum Record {
         /// Application instant.
         now: SimTime,
     },
-    /// A single seq-matched negotiation expiry that fired.
-    ExpireOne {
-        /// The evolving job.
-        job: JobId,
-        /// The expired request's seq.
-        seq: u64,
-        /// Expiry instant.
-        now: SimTime,
-    },
     /// A deadline sweep that expired at least one request.
     ExpireSweep {
         /// Sweep instant.
@@ -214,6 +205,11 @@ impl Journal {
     /// Sets the compaction interval (`0` disables compaction).
     pub fn set_snapshot_every(&mut self, every: usize) {
         self.snapshot_every = every;
+    }
+
+    /// The compaction interval (`0`: never compacts).
+    pub fn snapshot_every(&self) -> usize {
+        self.snapshot_every
     }
 
     /// Number of records.
@@ -937,14 +933,6 @@ pub fn record_to_json(record: &Record) -> Json {
             "outcome",
             vec![("outcome", outcome_to_json(outcome)), ("now", time(*now))],
         ),
-        Record::ExpireOne { job, seq, now } => tagged(
-            "expire_one",
-            vec![
-                ("job", Json::UInt(job.0)),
-                ("seq", Json::UInt(*seq)),
-                ("now", time(*now)),
-            ],
-        ),
         Record::ExpireSweep { now } => tagged("expire_sweep", vec![("now", time(*now))]),
         Record::NodeFailed { node, now } => tagged(
             "node_failed",
@@ -990,11 +978,6 @@ pub fn record_from_json(v: &Json) -> Result<Record, String> {
         }),
         "outcome" => Ok(Record::Outcome {
             outcome: outcome_from_json(v.req("outcome")?)?,
-            now: v.req_time("now")?,
-        }),
-        "expire_one" => Ok(Record::ExpireOne {
-            job: job(v)?,
-            seq: v.req_u64("seq")?,
             now: v.req_time("now")?,
         }),
         "expire_sweep" => Ok(Record::ExpireSweep {
@@ -1139,11 +1122,6 @@ mod tests {
             Record::Outcome {
                 outcome,
                 now: SimTime::from_secs(6),
-            },
-            Record::ExpireOne {
-                job: JobId(1),
-                seq: 3,
-                now: SimTime::from_secs(7),
             },
             Record::ExpireSweep {
                 now: SimTime::from_secs(8),

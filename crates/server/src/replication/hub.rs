@@ -313,6 +313,17 @@ impl ReplicationHub {
             .min()
     }
 
+    /// One replication step of a leader that keeps streaming: compaction
+    /// is held behind the replicated watermark, so followers stream plain
+    /// records across snapshot boundaries instead of taking a snapshot
+    /// transfer, then one [`ReplicationHub::pump`].
+    pub fn stream(&mut self, leader: &mut PbsServer) -> PumpReport {
+        if let Some(w) = self.replicated_watermark() {
+            leader.journal_retain_from(w + 1);
+        }
+        self.pump(leader)
+    }
+
     /// One streaming round: refresh each live follower's watermark,
     /// inject due faults, and ship the journal tail (go-back-N from the
     /// acked watermark on stall; snapshot transfer when the tail was

@@ -434,10 +434,7 @@ fn a_poisoned_follower_leaves_the_watermark_and_is_reported_once() {
             assert!(hub.send_raw(1, corrupt));
         }
         // What the daemon does at every command boundary.
-        if let Some(w) = hub.replicated_watermark() {
-            leader.journal_retain_from(w + 1);
-        }
-        errors.extend(hub.pump(&leader).errors);
+        errors.extend(hub.stream(&mut leader).errors);
     }
     assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(errors[0].starts_with("tst-repl-poison-b: "), "{errors:?}");

@@ -51,8 +51,8 @@ impl PbsServer {
     /// negotiated (paper §III-C future work): an unservable request stays
     /// queued at the server until then — the scheduler reconsiders it
     /// every iteration and reports availability estimates — instead of
-    /// failing straight back; a `Record::ExpireOne` or `ExpireSweep`
-    /// times it out.
+    /// failing straight back; a `Record::ExpireSweep` at or past the
+    /// deadline times it out.
     pub(super) fn dynget(
         &mut self,
         id: JobId,
@@ -137,13 +137,5 @@ impl PbsServer {
         } else {
             0
         }
-    }
-
-    /// The FIFO sequence number of `id`'s pending dynamic request, if one
-    /// is queued. Expiry timers capture this so a firing can be matched
-    /// against the *exact* request it was armed for (a `Record::ExpireOne`
-    /// carries it).
-    pub fn pending_dyn_seq(&self, id: JobId) -> Option<u64> {
-        self.dyn_pending.get(&id).map(|p| p.seq)
     }
 }

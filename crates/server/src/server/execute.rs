@@ -90,19 +90,6 @@ impl PbsServer {
                 };
                 (effect, Some(Record::Outcome { outcome, now }))
             }
-            // A request that was granted, rejected or superseded (another
-            // `seq`) since the timer was armed is not due: a stale expiry
-            // can never revoke a grant nor kill a successor request.
-            record @ Record::ExpireOne { job, seq, now } => {
-                let due = self
-                    .dyn_pending
-                    .get(&job)
-                    .is_some_and(|p| p.seq == seq && p.is_due(now));
-                (
-                    self.expire(if due { vec![job] } else { Vec::new() }),
-                    Some(record),
-                )
-            }
             record @ Record::ExpireSweep { now } => {
                 let due = self.dyn_pending.iter().filter(|(_, p)| p.is_due(now));
                 let due: Vec<JobId> = due.map(|(&job, _)| job).collect();

@@ -591,79 +591,6 @@ fn negotiated_request_survives_apply_and_expires() {
 }
 
 #[test]
-fn stale_expiry_never_revokes_a_grant_or_kills_a_successor() {
-    // Regression: the expiry path used to sweep *every* due request
-    // when any timer fired, so a stale timer could expire a request
-    // that had since been granted and replaced. Seq-matched expiry
-    // makes the stale firing a no-op.
-    let mut s = server();
-    let mut m = hp_maui();
-    let id = submit(
-        &mut s,
-        JobSpec::evolving(
-            "F",
-            UserId(6),
-            GroupId(0),
-            8,
-            ExecutionModel::esp_evolving(1846, 1230, 4),
-        ),
-        t(0),
-    )
-    .unwrap();
-    cycle(&mut s, &mut m, t(0));
-
-    // First negotiated request: granted on the idle machine.
-    s.execute(Record::DynGet {
-        job: id,
-        extra_cores: 4,
-        deadline: Some(t(500)),
-        now: t(100),
-    })
-    .unwrap();
-    let seq1 = s.pending_dyn_seq(id).expect("pending");
-    let applied = cycle(&mut s, &mut m, t(100));
-    assert!(applied
-        .iter()
-        .any(|a| matches!(a, Applied::DynGranted { .. })));
-    // Its expiry timer fires after the grant: must be a no-op.
-    let expire = |seq, at| Record::ExpireOne {
-        job: id,
-        seq,
-        now: t(at),
-    };
-    assert_eq!(s.execute(expire(seq1, 600)), Ok(Effect::Unchanged));
-    assert_eq!(s.job(id).unwrap().state, JobState::Running);
-
-    // A successor request must not be killable by the stale seq.
-    s.execute(Record::DynGet {
-        job: id,
-        extra_cores: 4,
-        deadline: Some(t(900)),
-        now: t(700),
-    })
-    .unwrap();
-    let seq2 = s.pending_dyn_seq(id).expect("pending again");
-    assert_ne!(seq1, seq2);
-    let stale = s.execute(expire(seq1, 950));
-    assert_eq!(stale, Ok(Effect::Unchanged), "stale seq no-ops");
-    assert_eq!(s.job(id).unwrap().state, JobState::DynQueued);
-    // The matching (seq, past-deadline) firing does expire it.
-    assert_eq!(s.execute(expire(seq2, 950)), Ok(Effect::Expired(vec![id])));
-    assert_eq!(s.job(id).unwrap().state, JobState::Running);
-    // And before its deadline, even the matching seq does nothing.
-    s.execute(Record::DynGet {
-        job: id,
-        extra_cores: 4,
-        deadline: Some(t(2000)),
-        now: t(960),
-    })
-    .unwrap();
-    let seq3 = s.pending_dyn_seq(id).unwrap();
-    assert_eq!(s.execute(expire(seq3, 1000)), Ok(Effect::Unchanged));
-    assert_eq!(s.job(id).unwrap().state, JobState::DynQueued);
-}
-
-#[test]
 fn guarantee_reserve_tracked_and_consumed() {
     let mut s = server();
     s.execute(Record::Guarantee { on: true }).unwrap();

@@ -479,15 +479,7 @@ fn live_table_walks_match_full_scans_under_random_commands() {
                     }
                 }
                 14 => {
-                    if rng.chance(0.5) {
-                        twin.execute(Record::ExpireSweep { now }).unwrap();
-                    } else if let Some(&id) =
-                        pick(rng, &twin.live_ids(|s| s == JobState::DynQueued))
-                    {
-                        let seq = twin.kept.pending_dyn_seq(id).expect("DynQueued has a seq");
-                        twin.execute(Record::ExpireOne { job: id, seq, now })
-                            .unwrap();
-                    }
+                    twin.execute(Record::ExpireSweep { now }).unwrap();
                 }
                 15 => {
                     let node = NodeId(rng.range_u32(0, NODES));

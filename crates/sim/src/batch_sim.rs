@@ -3,8 +3,11 @@
 //! [`BatchSim`] couples the Torque-like server, the extended Maui scheduler
 //! and the cluster substrate over a deterministic event queue. It stands in
 //! for the paper's physical 15-node testbed: the decision code (scheduler,
-//! server state machine, DFS accounting) is the same code the threaded
-//! daemon runs; only the passage of time is virtual.
+//! server state machine, DFS accounting) and the applications' run model
+//! are the [`EventCore`] the threaded daemon runs; only the passage of
+//! time is virtual. What is the simulator's own — the workload's
+//! admission window, `qdel` targets, statistics, utilization and decision
+//! log — is its shell, the core's [`Hook`].
 //!
 //! Scheduling cadence follows Maui's triggers: an iteration runs after
 //! every batch of simultaneous events that changes job or resource state
@@ -13,15 +16,15 @@
 //! change occurs".
 
 use crate::event::Event;
+use crate::event_core::{EventCore, Hook, RunEnd};
 use dynbatch_cluster::Cluster;
-use dynbatch_core::{
-    ExecutionModel, JobId, JobState, PhasedModel, SchedulerConfig, SimDuration, SimTime,
-};
+use dynbatch_core::{JobId, SchedulerConfig, SimDuration, SimTime};
 use dynbatch_metrics::UtilizationRecorder;
-use dynbatch_sched::Maui;
-use dynbatch_server::reactor::{apply_to_server, Command, Reply};
+use dynbatch_sched::{DynDecision, Maui};
+use dynbatch_server::reactor::{Command, Reply};
+use dynbatch_server::replication::{PumpReport, ReplicationHub};
 use dynbatch_server::{Applied, Effect, PbsServer, Record};
-use dynbatch_simtime::{EventQueue, ScheduledEvent, Token};
+use dynbatch_simtime::Token;
 use dynbatch_workload::WorkloadItem;
 use std::collections::{HashMap, VecDeque};
 
@@ -30,36 +33,6 @@ use std::collections::{HashMap, VecDeque};
 /// earliest pending event. One hour comfortably covers scheduler
 /// reservation horizons while keeping resident admissions O(window).
 pub const DEFAULT_LOOKAHEAD: SimDuration = SimDuration::from_hours(1);
-
-/// Per-execution runtime bookkeeping for an active job.
-#[derive(Debug)]
-struct RunState {
-    gen: u64,
-    start: SimTime,
-    finish_token: Option<Token>,
-    kind: RunKind,
-}
-
-#[derive(Debug)]
-enum RunKind {
-    Fixed,
-    Evolving {
-        granted: bool,
-    },
-    Phased {
-        model: Box<PhasedModel>,
-        phase: usize,
-        phase_start: SimTime,
-        phase_token: Option<Token>,
-    },
-    /// A malleable work pool: remaining work drains at `cores` per
-    /// millisecond; resizes rebase the drain rate.
-    WorkPool {
-        remaining_core_millis: u64,
-        rate_cores: u32,
-        last_update: SimTime,
-    },
-}
 
 /// Counters the experiments report beyond per-job outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,52 +137,46 @@ impl ItemWindow {
     }
 }
 
-/// The simulator.
+/// The simulator: the event core plus the experiment shell that feeds it
+/// a workload and keeps what the experiments report.
 pub struct BatchSim {
-    queue: EventQueue<Event>,
-    server: PbsServer,
-    maui: Maui,
+    core: EventCore,
+    shell: Shell,
+}
+
+/// What the simulator keeps beyond the core: the workload's admission
+/// window and `qdel` targets, and the run's statistics, utilization,
+/// decision log and first-submit / last-completion instants. The core
+/// reports to it as its [`Hook`].
+struct Shell {
     util: UtilizationRecorder,
     window: ItemWindow,
     qdel_targets: HashMap<u32, QdelPhase>,
     stream_last_at: Option<SimTime>,
-    runs: HashMap<JobId, RunState>,
-    gens: HashMap<JobId, u64>,
     stats: SimStats,
     first_submit: Option<SimTime>,
     last_completion: SimTime,
-    dyn_log: Vec<(SimTime, dynbatch_sched::DynDecision)>,
+    dyn_log: Vec<(SimTime, DynDecision)>,
     dyn_log_enabled: bool,
-    /// Reusable buffer for [`EventQueue::pop_group_into`]: one timestamp
-    /// group of simultaneous events per [`BatchSim::step`].
-    batch: Vec<ScheduledEvent<Event>>,
 }
 
 impl BatchSim {
     /// A simulator over `cluster` with scheduler configuration `config`.
     pub fn new(cluster: Cluster, config: SchedulerConfig) -> Self {
         let capacity = cluster.total_cores();
-        let alloc = config.alloc;
-        let guarantee = config.guarantee_evolving;
-        let mut server = PbsServer::new(cluster, alloc);
-        let _ = server.execute(Record::Guarantee { on: guarantee });
-        server.set_usage_half_life(config.fairshare.half_life);
         BatchSim {
-            queue: EventQueue::new(),
-            server,
-            maui: Maui::new(config),
-            util: UtilizationRecorder::new(capacity, SimTime::ZERO),
-            window: ItemWindow::default(),
-            qdel_targets: HashMap::new(),
-            stream_last_at: None,
-            runs: HashMap::new(),
-            gens: HashMap::new(),
-            stats: SimStats::default(),
-            first_submit: None,
-            last_completion: SimTime::ZERO,
-            dyn_log: Vec::new(),
-            dyn_log_enabled: true,
-            batch: Vec::new(),
+            core: EventCore::new(cluster, config),
+            shell: Shell {
+                util: UtilizationRecorder::new(capacity, SimTime::ZERO),
+                window: ItemWindow::default(),
+                qdel_targets: HashMap::new(),
+                stream_last_at: None,
+                stats: SimStats::default(),
+                first_submit: None,
+                last_completion: SimTime::ZERO,
+                dyn_log: Vec::new(),
+                dyn_log_enabled: true,
+            },
         }
     }
 
@@ -219,26 +186,8 @@ impl BatchSim {
     /// O(window) resident items instead.
     pub fn load(&mut self, items: &[WorkloadItem]) {
         for item in items {
-            self.admit(item.clone());
+            self.shell.admit(&mut self.core, item.clone());
         }
-    }
-
-    /// Admits one workload item: its Submit event enters the queue and
-    /// its spec parks in the admission window until the event fires —
-    /// unless a qdel already cancelled this index, in which case the item
-    /// is dropped on the floor (and still occupies its index).
-    fn admit(&mut self, item: WorkloadItem) {
-        self.first_submit = Some(
-            self.first_submit
-                .map_or(item.at, |f: SimTime| f.min(item.at)),
-        );
-        let idx = self.window.next_index();
-        if self.qdel_targets.get(&idx) == Some(&QdelPhase::Cancelled) {
-            self.window.push_cancelled();
-            return;
-        }
-        let token = self.queue.schedule(item.at, Event::Submit(idx));
-        self.window.push(item.spec, token);
     }
 
     /// Runs a streamed workload to completion: items are admitted lazily,
@@ -255,11 +204,165 @@ impl BatchSim {
     {
         let mut pending: Option<WorkloadItem> = None;
         loop {
-            self.feed(&mut stream, &mut pending, window);
+            self.shell
+                .feed(&mut self.core, &mut stream, &mut pending, window);
             if !self.step() {
                 break;
             }
         }
+    }
+
+    /// Injects a node failure at `at`.
+    pub fn inject_failure(&mut self, at: SimTime, node: dynbatch_core::NodeId) {
+        self.core.queue.schedule(at, Event::FailNode(node));
+    }
+
+    /// Injects a node repair at `at`.
+    pub fn inject_repair(&mut self, at: SimTime, node: dynbatch_core::NodeId) {
+        self.core.queue.schedule(at, Event::RepairNode(node));
+    }
+
+    /// Turns on the server's write-ahead journal (a prerequisite for
+    /// [`BatchSim::inject_server_crash`]).
+    pub fn enable_journal(&mut self, snapshot_every: usize) {
+        self.core.enable_journal(snapshot_every);
+    }
+
+    /// One replication round over the journal, for the replicated driver.
+    pub(crate) fn stream_to(&mut self, hub: &mut ReplicationHub) -> PumpReport {
+        self.core.stream_to(hub)
+    }
+
+    /// Schedules a server crash + journal recovery at `at`. The server is
+    /// rebuilt by snapshot-load + replay and the scheduler restarts with
+    /// empty soft state; applications (their finish/phase/request events)
+    /// are unaffected — [`EventCore::restart`], the same restart the
+    /// threaded daemon's crashes run.
+    pub fn inject_server_crash(&mut self, at: SimTime) {
+        self.core.queue.schedule(at, Event::ServerCrash);
+    }
+
+    /// Schedules an operator `qdel` of workload item `item` (0-based
+    /// submission index) at `at`. Works in both ingestion modes: if the
+    /// item is running or queued it is killed like a walltime kill; if it
+    /// is admitted but not yet submitted its pending Submit is cancelled;
+    /// if it has not even been streamed in yet (lazy ingestion) the index
+    /// is marked so admission drops it instead of resurrecting it.
+    pub fn inject_qdel(&mut self, at: SimTime, item: u32) {
+        self.shell
+            .qdel_targets
+            .entry(item)
+            .or_insert(QdelPhase::Armed);
+        self.core.queue.schedule(at, Event::QDelItem(item));
+    }
+
+    /// Runs to completion (event queue drained).
+    pub fn run(&mut self) {
+        while self.step() {}
+    }
+
+    /// Runs every event due at or before `t`, each timestamp group
+    /// followed by its scheduler cycle (see [`BatchSim::step`]).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.core.run_until(t, &mut self.shell);
+    }
+
+    /// The one command door, [`EventCore::apply_command`]: `cmd` applied
+    /// at `now` with the run bookkeeping it owes and a scheduler cycle at
+    /// `now`.
+    pub fn apply_command(&mut self, cmd: &Command, now: SimTime) -> Reply {
+        self.core.apply_command(cmd, now, &mut self.shell)
+    }
+
+    /// Processes one timestamp group (all simultaneous events plus the
+    /// scheduler iteration that follows). Returns `false` when drained.
+    pub fn step(&mut self) -> bool {
+        self.core.step(&mut self.shell)
+    }
+
+    /// The server (for inspection).
+    pub fn server(&self) -> &PbsServer {
+        self.core.server()
+    }
+
+    /// The scheduler (for inspection).
+    pub fn maui(&self) -> &Maui {
+        self.core.maui()
+    }
+
+    /// Every dynamic decision taken over the run, in iteration order with
+    /// the instant it was taken. Grants carry their exact
+    /// [`dynbatch_sched::DelayCharge`]s, so two runs can be compared
+    /// decision-by-decision.
+    pub fn dyn_decision_log(&self) -> &[(SimTime, DynDecision)] {
+        &self.shell.dyn_log
+    }
+
+    /// Simulation statistics.
+    pub fn stats(&self) -> SimStats {
+        self.shell.stats
+    }
+
+    /// Puts every O(trace)-growth side buffer into bounded-memory mode
+    /// (or back): per-job accounting outcomes, utilization samples and
+    /// the dynamic-decision log stop retaining history. All O(1)
+    /// derivatives — accounting totals and digest, utilization integral,
+    /// [`SimStats`] — keep accumulating identically.
+    pub fn set_low_memory(&mut self, on: bool) {
+        self.core.server.set_accounting_retention(!on);
+        self.core.server.set_job_retention(!on);
+        self.shell.util.set_samples_enabled(!on);
+        self.shell.dyn_log_enabled = !on;
+        if on {
+            self.shell.dyn_log.clear();
+        }
+    }
+
+    /// Peak number of simultaneously resident admitted-but-unsubmitted
+    /// items over the run so far: O(trace) under [`BatchSim::load`],
+    /// O(lookahead window) under [`BatchSim::run_streamed`].
+    pub fn admission_peak(&self) -> usize {
+        self.shell.window.peak_resident
+    }
+
+    /// The utilization recorder.
+    pub fn utilization(&self) -> &UtilizationRecorder {
+        &self.shell.util
+    }
+
+    /// First submission instant (once a workload is loaded).
+    pub fn first_submit(&self) -> SimTime {
+        self.shell.first_submit.unwrap_or(SimTime::ZERO)
+    }
+
+    /// Last completion instant seen so far.
+    pub fn last_completion(&self) -> SimTime {
+        self.shell.last_completion
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.core.queue.now()
+    }
+}
+
+impl Shell {
+    /// Admits one workload item: its Submit event enters the queue and
+    /// its spec parks in the admission window until the event fires —
+    /// unless a qdel already cancelled this index, in which case the item
+    /// is dropped on the floor (and still occupies its index).
+    fn admit(&mut self, core: &mut EventCore, item: WorkloadItem) {
+        self.first_submit = Some(
+            self.first_submit
+                .map_or(item.at, |f: SimTime| f.min(item.at)),
+        );
+        let idx = self.window.next_index();
+        if self.qdel_targets.get(&idx) == Some(&QdelPhase::Cancelled) {
+            self.window.push_cancelled();
+            return;
+        }
+        let token = core.queue.schedule(item.at, Event::Submit(idx));
+        self.window.push(item.spec, token);
     }
 
     /// Admits items from `stream` while they fall within `window` of the
@@ -267,8 +370,13 @@ impl BatchSim {
     /// sets the horizon, so progress is guaranteed. Causality: any item
     /// left unadmitted lies strictly beyond every queued event, so the
     /// simulation clock can never pass an unadmitted submission time.
-    fn feed<S>(&mut self, stream: &mut S, pending: &mut Option<WorkloadItem>, window: SimDuration)
-    where
+    fn feed<S>(
+        &mut self,
+        core: &mut EventCore,
+        stream: &mut S,
+        pending: &mut Option<WorkloadItem>,
+        window: SimDuration,
+    ) where
         S: Iterator<Item = WorkloadItem>,
     {
         loop {
@@ -278,7 +386,7 @@ impl BatchSim {
             let Some(item) = pending.as_ref() else {
                 return;
             };
-            let horizon = self.queue.peek_time().unwrap_or(item.at);
+            let horizon = core.next_due().unwrap_or(item.at);
             if item.at > horizon.saturating_add(window) {
                 return;
             }
@@ -290,216 +398,20 @@ impl BatchSim {
                 );
             }
             self.stream_last_at = Some(item.at);
-            self.admit(item);
+            self.admit(core, item);
         }
     }
+}
 
-    /// Injects a node failure at `at`.
-    pub fn inject_failure(&mut self, at: SimTime, node: dynbatch_core::NodeId) {
-        self.queue.schedule(at, Event::FailNode(node));
-    }
-
-    /// Injects a node repair at `at`.
-    pub fn inject_repair(&mut self, at: SimTime, node: dynbatch_core::NodeId) {
-        self.queue.schedule(at, Event::RepairNode(node));
-    }
-
-    /// Turns on the server's write-ahead journal (a prerequisite for
-    /// [`BatchSim::inject_server_crash`]).
-    pub fn enable_journal(&mut self, snapshot_every: usize) {
-        self.server.enable_journal(snapshot_every);
-    }
-
-    /// Raises the journal's compaction retain floor (see
-    /// [`dynbatch_server::PbsServer::journal_retain_from`]) — replication
-    /// drivers keep it at their replicated watermark so compaction never
-    /// truncates the stream out from under a follower.
-    pub fn journal_retain_from(&mut self, pos: u64) {
-        self.server.journal_retain_from(pos);
-    }
-
-    /// Schedules a server crash + journal recovery at `at`. The server is
-    /// rebuilt by snapshot-load + replay and the scheduler restarts with
-    /// empty soft state; applications (their finish/phase/request events)
-    /// are unaffected, exactly as in the threaded daemon's crash model.
-    pub fn inject_server_crash(&mut self, at: SimTime) {
-        self.queue.schedule(at, Event::ServerCrash);
-    }
-
-    /// Schedules an operator `qdel` of workload item `item` (0-based
-    /// submission index) at `at`. Works in both ingestion modes: if the
-    /// item is running or queued it is killed like a walltime kill; if it
-    /// is admitted but not yet submitted its pending Submit is cancelled;
-    /// if it has not even been streamed in yet (lazy ingestion) the index
-    /// is marked so admission drops it instead of resurrecting it.
-    pub fn inject_qdel(&mut self, at: SimTime, item: u32) {
-        self.qdel_targets.entry(item).or_insert(QdelPhase::Armed);
-        self.queue.schedule(at, Event::QDelItem(item));
-    }
-
-    /// Runs to completion (event queue drained).
-    pub fn run(&mut self) {
-        while self.step() {}
-    }
-
-    /// Runs every event due at or before `t`, each timestamp group
-    /// followed by its scheduler cycle (see [`BatchSim::step`]).
-    pub fn run_until(&mut self, t: SimTime) {
-        while self.queue.peek_time().is_some_and(|next| next <= t) {
-            self.step();
-        }
-    }
-
-    /// The one command door: `cmd` applied at `now` through
-    /// [`apply_to_server`], plus the run bookkeeping the command owes — a
-    /// `qdel` cancels the job's pending finish and phase events, a
-    /// negotiated `dynget` arms its expiry — and a scheduler cycle at
-    /// `now` (an [`Event::Wake`], which joins the timestamp group in
-    /// flight when the command comes from inside one). The simulator's
-    /// own spellings — the walltime reaper, a workload item's `qdel`, an
-    /// ESP request point, a phase's growth — come through here too.
-    pub fn apply_command(&mut self, cmd: &Command, now: SimTime) -> Reply {
-        let reply = apply_to_server(&mut self.server, cmd, now);
-        if matches!(reply, Reply::Submitted(_) | Reply::Ok) {
-            match *cmd {
-                Command::QDel(job) => {
-                    self.cancel_run_events(job);
-                    self.runs.remove(&job);
-                }
-                Command::DynGet {
-                    job,
-                    timeout_ms: Some(ms),
-                    ..
-                } => {
-                    let gen = self.gen_of(job);
-                    self.queue.schedule(
-                        now + SimDuration::from_millis(ms),
-                        Event::DynExpire { job, gen },
-                    );
-                }
-                _ => {}
-            }
-        }
-        self.queue.schedule(now, Event::Wake);
-        reply
-    }
-
-    /// Processes one timestamp group (all simultaneous events plus the
-    /// scheduler iteration that follows). Returns `false` when drained.
-    pub fn step(&mut self) -> bool {
-        // Batched pop: take the whole timestamp group in one call.
-        // Events scheduled *at* `now` while the group is applied —
-        // zero-delay wakes, immediate expiries — join the same timestamp
-        // group, exactly as a serial pop loop would process them.
-        let mut batch = std::mem::take(&mut self.batch);
-        let Some(now) = self.queue.pop_group_into(&mut batch) else {
-            self.batch = batch;
-            return false;
-        };
-        loop {
-            // Submissions first within a timestamp group. Eager loading
-            // hands Submits the lowest sequence numbers (everything else
-            // is scheduled later), so the queue already yields them
-            // first; lazy admission interleaves sequence numbers, so the
-            // order is restored here. The sort is stable: relative order
-            // among Submits and among non-Submits is untouched, making
-            // this a no-op for eager runs.
-            batch.sort_by_key(|ev| !matches!(ev.payload, Event::Submit(_)));
-            for ev in batch.drain(..) {
-                self.apply_event(ev.payload, now);
-            }
-            if self.queue.peek_time() != Some(now) {
-                break;
-            }
-            self.queue.pop_group_into(&mut batch);
-        }
-        self.batch = batch;
-        self.run_cycle(now);
-        self.util.record(now, self.server.cluster().busy_cores());
-        true
-    }
-
-    /// The server (for inspection).
-    pub fn server(&self) -> &PbsServer {
-        &self.server
-    }
-
-    /// The scheduler (for inspection).
-    pub fn maui(&self) -> &Maui {
-        &self.maui
-    }
-
-    /// Every dynamic decision taken over the run, in iteration order with
-    /// the instant it was taken. Grants carry their exact
-    /// [`dynbatch_sched::DelayCharge`]s, so two runs can be compared
-    /// decision-by-decision.
-    pub fn dyn_decision_log(&self) -> &[(SimTime, dynbatch_sched::DynDecision)] {
-        &self.dyn_log
-    }
-
-    /// Simulation statistics.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// Puts every O(trace)-growth side buffer into bounded-memory mode
-    /// (or back): per-job accounting outcomes, utilization samples and
-    /// the dynamic-decision log stop retaining history. All O(1)
-    /// derivatives — accounting totals and digest, utilization integral,
-    /// [`SimStats`] — keep accumulating identically.
-    pub fn set_low_memory(&mut self, on: bool) {
-        self.server.set_accounting_retention(!on);
-        self.server.set_job_retention(!on);
-        self.util.set_samples_enabled(!on);
-        self.dyn_log_enabled = !on;
-        if on {
-            self.dyn_log.clear();
-        }
-    }
-
-    /// Peak number of simultaneously resident admitted-but-unsubmitted
-    /// items over the run so far: O(trace) under [`BatchSim::load`],
-    /// O(lookahead window) under [`BatchSim::run_streamed`].
-    pub fn admission_peak(&self) -> usize {
-        self.window.peak_resident
-    }
-
-    /// The utilization recorder.
-    pub fn utilization(&self) -> &UtilizationRecorder {
-        &self.util
-    }
-
-    /// First submission instant (once a workload is loaded).
-    pub fn first_submit(&self) -> SimTime {
-        self.first_submit.unwrap_or(SimTime::ZERO)
-    }
-
-    /// Last completion instant seen so far.
-    pub fn last_completion(&self) -> SimTime {
-        self.last_completion
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    fn gen_of(&self, job: JobId) -> u64 {
-        self.gens.get(&job).copied().unwrap_or(0)
-    }
-
-    fn is_current(&self, job: JobId, gen: u64) -> bool {
-        self.gen_of(job) == gen && self.runs.contains_key(&job)
-    }
-
-    fn apply_event(&mut self, ev: Event, now: SimTime) {
+impl Hook for Shell {
+    fn driver_event(&mut self, core: &mut EventCore, ev: Event, now: SimTime) {
         match ev {
             Event::Submit(idx) => {
                 let spec = self
                     .window
                     .take(idx)
                     .expect("admitted item is submitted exactly once");
-                let submitted = self.server.execute(Record::Submit { spec, now });
+                let submitted = core.server.execute(Record::Submit { spec, now });
                 let Ok(Effect::Submitted(job)) = submitted else {
                     panic!("workload spec is valid: {submitted:?}");
                 };
@@ -509,139 +421,47 @@ impl BatchSim {
                     }
                 }
             }
-            Event::QDelItem(idx) => {
-                match self.qdel_targets.get(&idx).copied() {
-                    Some(QdelPhase::Submitted(job)) => {
-                        // The item became a job before the deletion fired:
-                        // kill it like a walltime kill if still alive.
-                        if self
-                            .server
-                            .job(job)
-                            .map(|j| !j.state.is_terminal())
-                            .unwrap_or(false)
-                        {
-                            self.kill_job(job, now);
-                            self.stats.qdels += 1;
-                        }
-                    }
-                    Some(QdelPhase::Armed) | None => {
-                        // Not yet submitted. If admitted, cancel the
-                        // pending Submit; either way mark the index so a
-                        // later lazy admission drops the item instead of
-                        // resurrecting it.
-                        if let Some(token) = self.window.cancel_slot(idx) {
-                            self.queue.cancel(token);
-                        }
-                        self.qdel_targets.insert(idx, QdelPhase::Cancelled);
+            Event::QDelItem(idx) => match self.qdel_targets.get(&idx).copied() {
+                Some(QdelPhase::Submitted(job)) => {
+                    // The item became a job before the deletion fired:
+                    // kill it like a walltime kill if still alive.
+                    if core.server().job(job).is_ok_and(|j| !j.state.is_terminal()) {
+                        let reply = core.apply_command(&Command::QDel(job), now, self);
+                        assert_eq!(reply, Reply::Ok, "live job deletable");
                         self.stats.qdels += 1;
                     }
-                    Some(QdelPhase::Cancelled) => {}
                 }
-            }
-            Event::Finish { job, gen } => {
-                if !self.is_current(job, gen) {
-                    return;
+                Some(QdelPhase::Armed) | None => {
+                    // Not yet submitted. If admitted, cancel the
+                    // pending Submit; either way mark the index so a
+                    // later lazy admission drops the item instead of
+                    // resurrecting it.
+                    if let Some(token) = self.window.cancel_slot(idx) {
+                        core.queue.cancel(token);
+                    }
+                    self.qdel_targets.insert(idx, QdelPhase::Cancelled);
+                    self.stats.qdels += 1;
                 }
-                self.finish_job(job, now);
-            }
-            Event::WallKill { job, gen } => {
-                if !self.is_current(job, gen) {
-                    return;
-                }
-                // Still active at the walltime limit: the server kills it.
-                if self
-                    .server
-                    .job(job)
-                    .map(|j| j.state.is_active())
-                    .unwrap_or(false)
-                {
-                    self.kill_job(job, now);
-                    self.stats.walltime_kills += 1;
-                }
-            }
-            Event::RequestPoint { job, gen, attempt } => {
-                if !self.is_current(job, gen) {
-                    return;
-                }
-                let granted = match &self.runs[&job].kind {
-                    RunKind::Evolving { granted } => *granted,
-                    _ => return,
-                };
-                if granted {
-                    return; // already expanded; later points are moot
-                }
-                let (extra, timeout) = {
-                    let spec = &self.server.job(job).expect("running job exists").spec;
-                    (spec.exec.extra_cores(), spec.dyn_timeout)
-                };
-                let _ = attempt;
-                // Negotiated with a timeout: the request may outlive this
-                // cycle, and the door arms the expiry event that times it
-                // out. A pending request (unlikely here) makes this a no-op.
-                let request = Command::DynGet {
-                    job,
-                    extra,
-                    timeout_ms: timeout.map(SimDuration::as_millis),
-                };
-                self.apply_command(&request, now);
-            }
-            Event::DynExpire { job, gen } => {
-                if !self.is_current(job, gen) {
-                    return;
-                }
-                if let Ok(Effect::Expired(expired)) =
-                    self.server.execute(Record::ExpireSweep { now })
-                {
-                    self.stats.dyn_expired += expired.len() as u64;
-                }
-            }
-            Event::PhaseEnd { job, gen, phase } => {
-                if !self.is_current(job, gen) {
-                    return;
-                }
-                self.phase_end(job, phase as usize, now);
-            }
-            Event::Wake => {}
-            Event::FailNode(node) => {
-                let failed = self.server.execute(Record::NodeFailed { node, now });
-                let Ok(Effect::Requeued(victims)) = failed else {
-                    panic!("known node: {failed:?}");
-                };
-                for v in victims {
-                    self.cancel_run_events(v);
-                    self.runs.remove(&v);
-                    // The job requeued; its next execution is a new
-                    // generation.
-                    *self.gens.entry(v).or_insert(0) += 1;
-                }
-            }
-            Event::RepairNode(node) => {
-                self.server
-                    .execute(Record::NodeRepaired { node })
-                    .expect("known node");
-            }
-            Event::ServerCrash => {
-                let journal = self
-                    .server
-                    .take_journal()
-                    .expect("server crash events require enable_journal");
-                self.server = PbsServer::recover(journal).expect("journal replays cleanly");
-                // The scheduler process dies with the server: reservation
-                // history and negotiation-delay bookkeeping restart empty,
-                // as on a real restart; the recovered server's first delta
-                // log brings the journalled usage totals back.
-                self.maui = Maui::new(self.maui.config().clone());
-            }
+                Some(QdelPhase::Cancelled) => {}
+            },
+            other => unreachable!("the core applies {other:?}"),
         }
-        self.util.record(now, self.server.cluster().busy_cores());
     }
 
-    /// One scheduler iteration plus application of its outcome.
-    fn run_cycle(&mut self, now: SimTime) {
+    fn event_applied(&mut self, server: &PbsServer, now: SimTime) {
+        self.util.record(now, server.cluster().busy_cores());
+    }
+
+    fn cycle(
+        &mut self,
+        server: &PbsServer,
+        now: SimTime,
+        decisions: Vec<DynDecision>,
+        applied: Vec<Applied>,
+    ) {
         self.stats.cycles += 1;
-        let (outcome, applied) = self.server.run_cycle(&mut self.maui, now);
-        for d in outcome.dyn_decisions {
-            if let dynbatch_sched::DynDecision::Granted { delays, .. } = &d {
+        for d in decisions {
+            if let DynDecision::Granted { delays, .. } = &d {
                 self.stats.delay_charged_ms +=
                     delays.iter().map(|c| c.delay.as_millis()).sum::<u64>();
             }
@@ -649,344 +469,34 @@ impl BatchSim {
                 self.dyn_log.push((now, d));
             }
         }
-        let mut wake = false;
         for action in applied {
-            match action {
-                Applied::Started { job, .. } => {
-                    // A malleable job that starts this instant is not in the
-                    // snapshot's running set yet; wake the scheduler again so
-                    // grow-on-idle can consider it immediately.
-                    if self.maui.config().grow_malleable_on_idle
-                        && self
-                            .server
-                            .job(job)
-                            .map(|j| j.spec.malleable.is_some())
-                            .unwrap_or(false)
-                    {
-                        wake = true;
-                    }
-                    self.on_started(job, now);
-                }
-                Applied::DynGranted { job, .. } => {
-                    self.stats.dyn_granted += 1;
-                    self.on_granted(job, now);
-                }
-                Applied::DynRejected { job: _, reason } => {
-                    self.stats.dyn_rejected += 1;
+            let counter = match action {
+                Applied::Started { .. } => continue,
+                Applied::DynGranted { .. } => &mut self.stats.dyn_granted,
+                Applied::DynRejected { reason, .. } => {
                     if reason != dynbatch_sched::DfsReject::NoResources {
                         self.stats.dyn_rejected_fairness += 1;
                     }
-                    // ESP-style jobs retry at their pre-scheduled points;
-                    // phased jobs retry at the next adaptation.
+                    &mut self.stats.dyn_rejected
                 }
-                Applied::DynDeferred { .. } => {
-                    self.stats.dyn_deferred += 1;
-                }
-                Applied::Resized { job, to_cores, .. } => {
-                    self.stats.malleable_resizes += 1;
-                    self.on_resized(job, to_cores, now);
-                }
-                Applied::Preempted { job } => {
-                    self.stats.preemptions += 1;
-                    self.cancel_run_events(job);
-                    self.runs.remove(&job);
-                    *self.gens.entry(job).or_insert(0) += 1;
-                }
-            }
-        }
-        if wake {
-            self.queue.schedule(now, Event::Wake);
-        }
-    }
-
-    fn on_started(&mut self, job: JobId, now: SimTime) {
-        let j = self.server.job(job).expect("started job exists");
-        let exec = j.spec.exec.clone();
-        let cores = j.cores_allocated;
-        let walltime = j.spec.walltime;
-        let gen = self.gen_of(job);
-
-        let mut run = RunState {
-            gen,
-            start: now,
-            finish_token: None,
-            kind: RunKind::Fixed,
-        };
-        match &exec {
-            ExecutionModel::Fixed { duration } => {
-                run.finish_token = Some(
-                    self.queue
-                        .schedule(now + *duration, Event::Finish { job, gen }),
-                );
-            }
-            ExecutionModel::Evolving { set, .. } => {
-                run.kind = RunKind::Evolving { granted: false };
-                run.finish_token =
-                    Some(self.queue.schedule(now + *set, Event::Finish { job, gen }));
-                for (i, offset) in exec.request_offsets().into_iter().enumerate() {
-                    self.queue.schedule(
-                        now + offset,
-                        Event::RequestPoint {
-                            job,
-                            gen,
-                            attempt: i as u32,
-                        },
-                    );
-                }
-            }
-            ExecutionModel::WorkPool { work_core_millis } => {
-                let dur = exec.static_duration(cores);
-                run.kind = RunKind::WorkPool {
-                    remaining_core_millis: *work_core_millis,
-                    rate_cores: cores,
-                    last_update: now,
-                };
-                run.finish_token = Some(self.queue.schedule(now + dur, Event::Finish { job, gen }));
-            }
-            ExecutionModel::Phased(model) => {
-                // Growth wanted already for phase 0 would mean the user
-                // under-sized the base allocation; request before computing
-                // the phase would race the start — model it as a request at
-                // the first boundary instead (finite phases guarantee one).
-                let dur = model.phase_duration(0, cores);
-                let token = self
-                    .queue
-                    .schedule(now + dur, Event::PhaseEnd { job, gen, phase: 0 });
-                run.kind = RunKind::Phased {
-                    model: Box::new(model.clone()),
-                    phase: 0,
-                    phase_start: now,
-                    phase_token: Some(token),
-                };
-            }
-        }
-        // The walltime kill guard (a no-op for well-behaved jobs). One
-        // grace millisecond lets a job whose runtime equals its walltime
-        // exactly — every job with an unpadded walltime — complete before
-        // the reaper looks at it, mirroring a real RMS's kill latency.
-        self.queue.schedule(
-            now + walltime + SimDuration::from_millis(1),
-            Event::WallKill { job, gen },
-        );
-        self.runs.insert(job, run);
-    }
-
-    /// Rebases a malleable job's work-pool drain after a resize and
-    /// reschedules its completion.
-    fn on_resized(&mut self, job: JobId, new_cores: u32, now: SimTime) {
-        let Some(run) = self.runs.get_mut(&job) else {
-            return;
-        };
-        let gen = run.gen;
-        let RunKind::WorkPool {
-            remaining_core_millis,
-            rate_cores,
-            last_update,
-        } = &mut run.kind
-        else {
-            return;
-        };
-        let drained =
-            (*rate_cores as u64).saturating_mul(now.duration_since(*last_update).as_millis());
-        *remaining_core_millis = remaining_core_millis.saturating_sub(drained);
-        *rate_cores = new_cores;
-        *last_update = now;
-        let finish_in =
-            SimDuration::from_millis(remaining_core_millis.div_ceil(new_cores.max(1) as u64));
-        let remaining = *remaining_core_millis;
-        if let Some(tok) = run.finish_token.take() {
-            self.queue.cancel(tok);
-        }
-        let token = self
-            .queue
-            .schedule(now + finish_in, Event::Finish { job, gen });
-        if let Some(run) = self.runs.get_mut(&job) {
-            run.finish_token = Some(token);
-        }
-        debug_assert!(remaining > 0 || finish_in.is_zero());
-    }
-
-    fn on_granted(&mut self, job: JobId, now: SimTime) {
-        if !self.runs.contains_key(&job) {
-            return;
-        }
-        let (start, gen) = {
-            let run = &self.runs[&job];
-            (run.start, run.gen)
-        };
-        let server_job = self.server.job(job).expect("granted job exists");
-        let exec = server_job.spec.exec.clone();
-        let cores = server_job.cores_allocated;
-
-        enum Plan {
-            None,
-            RescheduleFinish(SimTime),
-            ReschedulePhase { at: SimTime, phase: u32 },
-        }
-        let plan = match &self.runs[&job].kind {
-            RunKind::Fixed | RunKind::WorkPool { .. } => Plan::None,
-            RunKind::Evolving { .. } => {
-                let elapsed = now.duration_since(start);
-                let total = exec
-                    .evolved_total(elapsed)
-                    .expect("evolving job has an evolution model");
-                Plan::RescheduleFinish(start + total)
-            }
-            RunKind::Phased {
-                model,
-                phase,
-                phase_start,
-                ..
-            } => {
-                // Redistribute the remaining work of the current phase onto
-                // the expanded allocation.
-                let old_cores = cores - exec.extra_cores();
-                let old_dur = model.phase_duration(*phase, old_cores);
-                let elapsed = now.duration_since(*phase_start);
-                let remaining_frac = if old_dur.is_zero() {
-                    0.0
-                } else {
-                    1.0 - (elapsed.as_secs_f64() / old_dur.as_secs_f64()).min(1.0)
-                };
-                let new_remaining = model.phase_duration(*phase, cores).mul_f64(remaining_frac);
-                Plan::ReschedulePhase {
-                    at: now + new_remaining,
-                    phase: *phase as u32,
-                }
-            }
-        };
-
-        match plan {
-            Plan::None => {}
-            Plan::RescheduleFinish(at) => {
-                let run = self.runs.get_mut(&job).expect("run exists");
-                if let Some(tok) = run.finish_token.take() {
-                    self.queue.cancel(tok);
-                }
-                let token = self.queue.schedule(at, Event::Finish { job, gen });
-                let run = self.runs.get_mut(&job).expect("run exists");
-                run.finish_token = Some(token);
-                if let RunKind::Evolving { granted } = &mut run.kind {
-                    *granted = true;
-                }
-            }
-            Plan::ReschedulePhase { at, phase } => {
-                if let Some(run) = self.runs.get_mut(&job) {
-                    if let RunKind::Phased { phase_token, .. } = &mut run.kind {
-                        if let Some(tok) = phase_token.take() {
-                            self.queue.cancel(tok);
-                        }
-                    }
-                }
-                let token = self.queue.schedule(at, Event::PhaseEnd { job, gen, phase });
-                if let Some(run) = self.runs.get_mut(&job) {
-                    if let RunKind::Phased { phase_token, .. } = &mut run.kind {
-                        *phase_token = Some(token);
-                    }
-                }
-            }
-        }
-    }
-
-    fn phase_end(&mut self, job: JobId, phase: usize, now: SimTime) {
-        let (gen, model) = {
-            let Some(run) = self.runs.get_mut(&job) else {
-                return;
+                Applied::DynDeferred { .. } => &mut self.stats.dyn_deferred,
+                Applied::Resized { .. } => &mut self.stats.malleable_resizes,
+                Applied::Preempted { .. } => &mut self.stats.preemptions,
             };
-            let gen = run.gen;
-            let RunKind::Phased {
-                model,
-                phase: cur,
-                phase_token,
-                ..
-            } = &mut run.kind
-            else {
-                return;
-            };
-            debug_assert_eq!(*cur, phase);
-            *phase_token = None;
-            (gen, model.clone())
-        };
-        let next = phase + 1;
-        if next >= model.phases.len() {
-            self.finish_job(job, now);
-            return;
+            *counter += 1;
         }
-        if let Some(run) = self.runs.get_mut(&job) {
-            if let RunKind::Phased {
-                phase: cur,
-                phase_start,
-                ..
-            } = &mut run.kind
-            {
-                *cur = next;
-                *phase_start = now;
-            }
-        }
-        let cores = self
-            .server
-            .job(job)
-            .expect("running job exists")
-            .cores_allocated;
-        // Grid adaptation: if the next phase bursts the per-process
-        // threshold, ask for more resources (tm_dynget through the mother
-        // superior). The answer lands in this timestamp group's scheduler
-        // cycle; on grant the phase is rescheduled from its very start.
-        if model.wants_growth(next, cores)
-            && self
-                .server
-                .job(job)
-                .map(|j| j.state == JobState::Running)
-                .unwrap_or(false)
-        {
-            let request = Command::DynGet {
-                job,
-                extra: model.extra_cores,
-                timeout_ms: None,
-            };
-            self.apply_command(&request, now);
-        }
-        let dur = model.phase_duration(next, cores);
-        let token = self.queue.schedule(
-            now + dur,
-            Event::PhaseEnd {
-                job,
-                gen,
-                phase: next as u32,
-            },
-        );
-        if let Some(run) = self.runs.get_mut(&job) {
-            if let RunKind::Phased { phase_token, .. } = &mut run.kind {
-                *phase_token = Some(token);
-            }
+        self.util.record(now, server.cluster().busy_cores());
+    }
+
+    fn run_ended(&mut self, _job: JobId, end: RunEnd, now: SimTime) {
+        match end {
+            RunEnd::Finished => self.last_completion = self.last_completion.max(now),
+            RunEnd::WallTime => self.stats.walltime_kills += 1,
+            _ => {}
         }
     }
 
-    fn finish_job(&mut self, job: JobId, now: SimTime) {
-        self.cancel_run_events(job);
-        self.runs.remove(&job);
-        self.server
-            .execute(Record::Finish { job, now })
-            .expect("active job finishes");
-        self.last_completion = self.last_completion.max(now);
-    }
-
-    /// `qdel` of a live job: an operator deletion or the walltime reaper.
-    fn kill_job(&mut self, job: JobId, now: SimTime) {
-        let reply = self.apply_command(&Command::QDel(job), now);
-        assert_eq!(reply, Reply::Ok, "live job deletable");
-    }
-
-    fn cancel_run_events(&mut self, job: JobId) {
-        if let Some(run) = self.runs.get_mut(&job) {
-            if let Some(tok) = run.finish_token.take() {
-                self.queue.cancel(tok);
-            }
-            if let RunKind::Phased { phase_token, .. } = &mut run.kind {
-                if let Some(tok) = phase_token.take() {
-                    self.queue.cancel(tok);
-                }
-            }
-        }
+    fn expired(&mut self, jobs: &[JobId]) {
+        self.stats.dyn_expired += jobs.len() as u64;
     }
 }

@@ -4,10 +4,10 @@ use dynbatch_core::{JobId, NodeId};
 
 /// Everything that can happen in the simulated batch system.
 ///
-/// Events that concern a specific *execution* of a job carry the job's
-/// generation counter: when a job is preempted and restarted, its
-/// generation bumps and stale events from the earlier execution are
-/// ignored.
+/// Events that concern a specific *execution* of a job carry the nonce of
+/// the run that armed them (`gen`): every run draws a fresh one, so an
+/// event from a run that is over — finished, deleted, preempted, lost —
+/// is ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Submit workload item `idx`.
@@ -23,14 +23,14 @@ pub enum Event {
     Finish {
         /// The job.
         job: JobId,
-        /// Execution generation.
+        /// The nonce of the run that armed it.
         gen: u64,
     },
     /// `job`'s walltime expires; kill it if still active.
     WallKill {
         /// The job.
         job: JobId,
-        /// Execution generation.
+        /// The nonce of the run that armed it.
         gen: u64,
     },
     /// An ESP-style evolving job reaches a dynamic-request point
@@ -38,7 +38,7 @@ pub enum Event {
     RequestPoint {
         /// The job.
         job: JobId,
-        /// Execution generation.
+        /// The nonce of the run that armed it.
         gen: u64,
         /// Which request point (0 = first).
         attempt: u32,
@@ -48,14 +48,14 @@ pub enum Event {
     DynExpire {
         /// The job.
         job: JobId,
-        /// Execution generation.
+        /// The nonce of the run that armed it.
         gen: u64,
     },
     /// A phased (Quadflow-style) job finishes phase `phase`.
     PhaseEnd {
         /// The job.
         job: JobId,
-        /// Execution generation.
+        /// The nonce of the run that armed it.
         gen: u64,
         /// The phase that just completed.
         phase: u32,
@@ -73,4 +73,19 @@ pub enum Event {
     /// modelling a real server-process death (applications keep running —
     /// their events stay in the queue).
     ServerCrash,
+}
+
+impl Event {
+    /// The run this event was armed for, as `(job, gen)`; `None` for an
+    /// event that concerns no run.
+    pub fn run(&self) -> Option<(JobId, u64)> {
+        match *self {
+            Event::Finish { job, gen }
+            | Event::WallKill { job, gen }
+            | Event::RequestPoint { job, gen, .. }
+            | Event::DynExpire { job, gen }
+            | Event::PhaseEnd { job, gen, .. } => Some((job, gen)),
+            _ => None,
+        }
+    }
 }

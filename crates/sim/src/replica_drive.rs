@@ -88,14 +88,7 @@ impl ReplicatedSim {
     }
 
     fn pump(&mut self) {
-        // Pin compaction behind the replicated watermark: records the
-        // followers have not confirmed stay streamable as plain records,
-        // so a hot follower crosses compaction via a Mark frame instead
-        // of a full snapshot transfer.
-        if let Some(w) = self.hub.replicated_watermark() {
-            self.sim.journal_retain_from(w + 1);
-        }
-        self.hub.pump(self.sim.server());
+        self.sim.stream_to(&mut self.hub);
         let appended = self.appended();
         self.stats.leader_appended = appended;
         if let Some(w) = self.hub.replicated_watermark() {

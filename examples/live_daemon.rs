@@ -12,8 +12,7 @@
 //! ```
 
 use dynbatch::core::{
-    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, JobState, SchedulerConfig, SimDuration,
-    UserId,
+    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, SchedulerConfig, SimDuration, UserId,
 };
 use dynbatch::daemon::{DaemonConfig, DaemonHandle};
 use dynbatch::server::TmResponse;
@@ -55,7 +54,7 @@ fn main() {
     let weather = daemon
         .qsub(rigid("weather-main", 0, 24, 2_000))
         .expect("qsub weather");
-    assert!(daemon.wait_for_state(weather, JobState::Running, Duration::from_secs(2)));
+    assert!(daemon.await_running(weather, Duration::from_secs(2)));
     println!("weather-main running on 24 cores");
 
     // A storm appears: track it with a nested simulation on extra nodes,

@@ -145,6 +145,23 @@ if grep -rnE "$gone" crates src tests examples \
   exit 1
 fi
 
+echo "==> one event core under both drivers: the daemon keeps no second copy of the"
+echo "    run timers, app exits, expiries or crash re-arming, names no TimerService,"
+echo "    and the server is recovered from its journal in one place (the core's"
+echo "    restart)"
+gone='app_timers|dyn_timers|arm_app_timer|arm_dyn_timer|JobExited|ExpireDyn|ExpireOne'
+gone="$gone|expire_one|wait_for_state|fn gen_of"
+if grep -rnE "$gone" crates src tests examples \
+    || grep -n 'TimerService' crates/daemon/src/daemon.rs; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+recovers=$(grep -rn 'PbsServer::recover(' crates src examples \
+    --exclude=tests.rs --exclude=table_props.rs | grep -vE '^crates/[^/]+/tests/' || true)
+if [ "$(printf '%s' "$recovers" | grep -c '')" -gt 1 ]; then
+  echo "PbsServer::recover( has more than one non-test call site:"
+  echo "$recovers"; exit 1
+fi
+
 echo "==> one spelling on the replication wire: frames, images and every"
 echo "    replica-equality check are binary (crates/server/src/codec.rs); no JSON"
 echo "    frame codec or digest query came back, the wire modules read no JSON,"

@@ -3,7 +3,7 @@
 
 use dynbatch::core::{
     DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, JobState, SchedulerConfig, SimDuration,
-    UserId,
+    SpeedupModel, UserId,
 };
 use dynbatch::daemon::{DaemonConfig, DaemonHandle};
 use dynbatch::server::TmResponse;
@@ -256,5 +256,58 @@ fn fairshare_charges_segments_not_final_width() {
         charged > 3.0 && charged < 4.3,
         "expected ≈3.6 core·s of segmented usage, got {charged}"
     );
+    d.shutdown();
+}
+
+/// A granted evolving job finishes at its re-paced time, as in the
+/// simulator: SET 4 s, DET 1 s, and a `tm_dynget` granted right after the
+/// start puts the evolved total near DET. (Its own request point, at
+/// 90 % of SET, never comes.)
+#[test]
+fn granted_evolving_job_finishes_at_its_evolved_total() {
+    let d = daemon(4);
+    let exec = ExecutionModel::Evolving {
+        set: SimDuration::from_secs(4),
+        det: SimDuration::from_secs(1),
+        extra_cores: 8,
+        request_points: vec![0.9],
+        speedup: SpeedupModel::Interpolate,
+    };
+    let job = d
+        .qsub(JobSpec::evolving("grows", UserId(0), GroupId(0), 8, exec))
+        .unwrap();
+    assert!(d.await_running(job, ms(2_000)));
+    let TmResponse::DynGranted { added } = d.tm_dynget(job, 8) else {
+        panic!("24 free cores: grant expected");
+    };
+    assert_eq!(added.total_cores(), 8);
+    assert!(d.await_drained(Duration::from_secs(10)));
+    assert_eq!(d.qstat(job), Some(JobState::Completed));
+    let outcomes = d.outcomes();
+    let o = outcomes.iter().find(|o| o.id == job).expect("job finished");
+    assert_eq!(o.cores_final, 16);
+    assert!(
+        o.runtime() < SimDuration::from_secs(3),
+        "ran {:?}: the grant did not re-pace the exit (SET is 4 s)",
+        o.runtime()
+    );
+    d.shutdown();
+}
+
+/// Walltime is enforced, as in the simulator: a 5 s job that asked for
+/// 300 ms is deleted near 300 ms.
+#[test]
+fn walltime_kills_an_overrunning_job() {
+    let d = daemon(2);
+    let mut spec = rigid("overrun", 0, 8, 5_000);
+    spec.walltime = SimDuration::from_millis(300);
+    let t0 = std::time::Instant::now();
+    let job = d.qsub(spec).unwrap();
+    assert!(
+        d.await_drained(Duration::from_secs(3)),
+        "still running 3 s after submission, past its 300 ms walltime"
+    );
+    assert!(t0.elapsed() >= ms(300), "killed before its walltime");
+    assert_eq!(d.qstat(job), Some(JobState::Cancelled));
     d.shutdown();
 }
