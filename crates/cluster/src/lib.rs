@@ -20,11 +20,9 @@
 #![forbid(unsafe_code)]
 
 pub mod allocation;
-pub mod failure;
 pub mod node;
 
 pub use allocation::Allocation;
-pub use failure::FailureEvent;
 pub use node::{Node, NodeState};
 
 use dynbatch_core::{AllocPolicy, Error, JobId, NodeId, Result};

@@ -22,7 +22,7 @@
 //! armed it, so a stale one can never act on a successor run.
 
 use crate::fault::{Chaos, ChaosCore, FaultPlan, MomLink, ServerLink};
-use crate::wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
+use crate::wire::{recv_until, ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
     JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimTime, UserId,
@@ -31,13 +31,13 @@ use dynbatch_sched::DynDecision;
 use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
 use dynbatch_server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
-    Applied, Mom, MomOutput, MomToServer, PbsServer, Reactor, ReactorClient, ReactorConnector,
-    ServerToMom, TmRequest, TmResponse,
+    Applied, Mom, MomOutput, PbsServer, Reactor, ReactorClient, ReactorConnector, ServerToMom,
+    TmRequest, TmResponse,
 };
 use dynbatch_sim::{EventCore, Hook, RunEnd};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread::{self, JoinHandle};
@@ -439,8 +439,10 @@ struct ReplHost {
 
 /// The moms, as the core's [`Hook`]: what the core decided becomes
 /// `RunJob`, `DynJoin`, `DynReject`, `DynDisjoin` and `KillJob` messages
-/// to each job's mother superior, and the directory of mother superiors
-/// (shared with [`DaemonHandle`]'s TM calls) follows the running set.
+/// to each job's mother superior. The directory of mother superiors (read
+/// by [`DaemonHandle`]'s TM calls) has this one writer: an entry is set
+/// where `RunJob` is sent and cleared when the run ends, so it follows the
+/// running set.
 struct Moms {
     links: Vec<MomLink>,
     directory: Arc<Mutex<HashMap<JobId, NodeId>>>,
@@ -562,19 +564,12 @@ fn server_main(
     let epoch = Instant::now();
     let clock = || SimTime::from_millis(epoch.elapsed().as_millis() as u64);
     loop {
-        let cmd = match d.core.next_due() {
-            Some(at) => {
-                let due = epoch + Duration::from_millis(at.as_millis());
-                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            None => match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                Err(_) => break,
-            },
+        let due = d
+            .core
+            .next_due()
+            .map(|at| epoch + Duration::from_millis(at.as_millis()));
+        let Ok(cmd) = recv_until(&rx, due) else {
+            break;
         };
         let t = clock();
         d.advance(t);
@@ -664,7 +659,7 @@ impl ServerDaemon {
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
         match cmd {
             ServerCmd::Client(req) => self.handle_client(req),
-            ServerCmd::FromMom(m) => self.handle_mom(m, t),
+            ServerCmd::FromMom(cmd) => self.handle_mom(cmd, t),
             // A mom lost its state and restarted: it rebuilds its
             // hostlists from the jobs it mothers. (Their applications live
             // on in the event core, so this is pure state repair.)
@@ -701,24 +696,11 @@ impl ServerDaemon {
     /// acks nothing — the application's answer is the grant or rejection a
     /// later cycle sends its mom — except that a request the server would
     /// not queue is rejected straight back.
-    fn handle_mom(&mut self, msg: MomToServer, t: SimTime) {
-        let cmd = match msg {
-            // A tm_dynget that lands queues and triggers a scheduling
-            // cycle (paper: "This triggers a new scheduling cycle"); the
-            // mom already shrank its hostlist for a tm_dynfree.
-            MomToServer::Forwarded(cmd) => cmd,
-            MomToServer::JobStarted {
-                job,
-                mother_superior,
-            } => {
-                self.moms
-                    .directory
-                    .lock()
-                    .unwrap()
-                    .insert(job, mother_superior);
-                return;
-            }
-        };
+    ///
+    /// A tm_dynget that lands queues and triggers a scheduling cycle
+    /// (paper: "This triggers a new scheduling cycle"); the mom already
+    /// shrank its hostlist for a tm_dynfree.
+    fn handle_mom(&mut self, cmd: ReactorCommand, t: SimTime) {
         let (_, mutated) = self.apply_command(&cmd, t);
         if let (ReactorCommand::DynGet { job, .. }, false) = (&cmd, mutated) {
             // Already pending or not running: deny straight back.
@@ -958,107 +940,6 @@ impl ServerDaemon {
     }
 }
 
-/// Which pending TM call a response answers. `tm_dynget` and `tm_dynfree`
-/// replies are routed independently per job: a `tm_dynfree` issued while a
-/// negotiated `tm_dynget` is still pending must not steal (or clobber) the
-/// dynget's reply channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ReplyKind {
-    /// A `tm_dynget` (answered by `DynGranted` / `DynDenied`).
-    Get,
-    /// A `tm_dynfree` (answered by `Freed`).
-    Free,
-}
-
-impl ReplyKind {
-    fn of_request(req: &TmRequest) -> Self {
-        match req {
-            TmRequest::DynGet { .. } => ReplyKind::Get,
-            TmRequest::DynFree { .. } => ReplyKind::Free,
-        }
-    }
-
-    fn of_response(resp: &TmResponse) -> Self {
-        match resp {
-            TmResponse::DynGranted { .. } | TmResponse::DynDenied => ReplyKind::Get,
-            TmResponse::Freed => ReplyKind::Free,
-        }
-    }
-}
-
-/// Routes asynchronous TM responses back to the application calls that
-/// await them, keyed by `(job, kind)` with FIFO queues — replacing the
-/// single-slot `HashMap<JobId, Sender>` that let a later call overwrite
-/// an earlier call's pending reply channel.
-#[derive(Debug, Default)]
-struct ReplyRouter {
-    pending: HashMap<(JobId, ReplyKind), VecDeque<Sender<TmResponse>>>,
-}
-
-impl ReplyRouter {
-    /// Parks a caller until a response of the matching kind arrives.
-    fn register(&mut self, job: JobId, kind: ReplyKind, reply: Sender<TmResponse>) {
-        self.pending
-            .entry((job, kind))
-            .or_default()
-            .push_back(reply);
-    }
-
-    /// Delivers a response to the oldest caller awaiting its kind; a
-    /// response nobody awaits (e.g. a grant whose caller was failed over
-    /// a mom restart) is dropped.
-    fn deliver(&mut self, job: JobId, resp: TmResponse) {
-        let key = (job, ReplyKind::of_response(&resp));
-        if let Some(q) = self.pending.get_mut(&key) {
-            if let Some(reply) = q.pop_front() {
-                let _ = reply.send(resp);
-            }
-            if q.is_empty() {
-                self.pending.remove(&key);
-            }
-        }
-    }
-
-    /// Failover reconciliation: denies parked `dynget` callers whose
-    /// pending request did not survive on the promoted leader (its job is
-    /// absent from `live`). Surviving negotiations stay parked — the new
-    /// leader will grant or expire them through the ordinary paths.
-    fn fail_lost_gets(&mut self, live: &[JobId]) {
-        let lost: Vec<(JobId, ReplyKind)> = self
-            .pending
-            .keys()
-            .filter(|(job, kind)| *kind == ReplyKind::Get && !live.contains(job))
-            .copied()
-            .collect();
-        for key in lost {
-            if let Some(q) = self.pending.remove(&key) {
-                for reply in q {
-                    let _ = reply.send(TmResponse::DynDenied);
-                }
-            }
-        }
-    }
-
-    /// Fails every parked caller (mom crash): dynget callers are denied,
-    /// dynfree callers acked — the release already took effect locally.
-    fn fail_all(&mut self) {
-        for ((_, kind), q) in self.pending.drain() {
-            let resp = match kind {
-                ReplyKind::Get => TmResponse::DynDenied,
-                ReplyKind::Free => TmResponse::Freed,
-            };
-            for reply in q {
-                let _ = reply.send(resp.clone());
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn pending_count(&self) -> usize {
-        self.pending.values().map(|q| q.len()).sum()
-    }
-}
-
 /// Base retransmission interval of an unacked dyn_join ping.
 const JOIN_RETRY_BASE_MS: u64 = 8;
 /// Backoff ceiling: `8 ms << 5` = 256 ms between retries.
@@ -1086,7 +967,6 @@ struct PendingJoin {
 /// survives dropped peer messages.
 fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<MomLink>) {
     let mut mom = Mom::new(node);
-    let mut replies = ReplyRouter::default();
     let mut joins: HashMap<JobId, PendingJoin> = HashMap::new();
     let mut round: u64 = 0;
     loop {
@@ -1109,16 +989,10 @@ fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<M
             }
         }
         let next_retry = joins.values().map(|pj| pj.next_retry).min();
-        let msg = match next_retry {
-            Some(at) => match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            None => match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            },
+        let msg = match recv_until(&rx, next_retry) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => continue,
+            Err(_) => break,
         };
         match msg {
             MomMsg::FromServer(ServerToMom::DynJoin { job, added }) => {
@@ -1136,8 +1010,10 @@ fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<M
                     .filter(|&n| n != node)
                     .collect();
                 if others.is_empty() {
-                    let out = mom.handle_server(ServerToMom::DynJoin { job, added });
-                    route(out, &mut replies, &server);
+                    route(
+                        mom.handle_server(ServerToMom::DynJoin { job, added }),
+                        &server,
+                    );
                 } else {
                     round += 1;
                     for &peer in &others {
@@ -1159,10 +1035,7 @@ fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<M
                     );
                 }
             }
-            MomMsg::FromServer(other) => {
-                let out = mom.handle_server(other);
-                route(out, &mut replies, &server);
-            }
+            MomMsg::FromServer(other) => route(mom.handle_server(other), &server),
             MomMsg::Peer(PeerMsg::JoinPing {
                 job,
                 round: ping_round,
@@ -1194,43 +1067,17 @@ fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<M
                         job,
                         added: pj.added,
                     });
-                    route(out, &mut replies, &server);
+                    route(out, &server);
                 }
             }
-            MomMsg::Tm { job, req, reply } => {
-                let kind = ReplyKind::of_request(&req);
-                let outs = mom.handle_tm(job, req);
-                // Any response the mom emits synchronously for this job
-                // answers *this* call; only an unanswered caller is parked.
-                let mut direct = Some(reply);
-                for out in outs {
-                    match out {
-                        MomOutput::ToServer(m) => server.send(ServerCmd::FromMom(m)),
-                        MomOutput::ToApp(j, resp) => {
-                            if j == job {
-                                if let Some(tx) = direct.take() {
-                                    let _ = tx.send(resp);
-                                    continue;
-                                }
-                            }
-                            replies.deliver(j, resp);
-                        }
-                    }
-                }
-                if let Some(tx) = direct {
-                    replies.register(job, kind, tx);
-                }
-            }
-            MomMsg::ReconcileDyn { live } => {
-                replies.fail_lost_gets(&live);
-            }
+            MomMsg::Tm { job, req, reply } => route(mom.handle_tm(job, req, reply), &server),
+            MomMsg::ReconcileDyn { live } => route(mom.reconcile(&live), &server),
             MomMsg::Crash => {
-                // The mom "process" dies: every parked TM caller is failed
-                // back to its application, in-flight fan-outs are lost, and
-                // the fresh mom asks the server to replay its jobs.
-                replies.fail_all();
+                // The mom "process" dies: every parked TM caller is denied,
+                // in-flight fan-outs are lost, and the fresh mom asks the
+                // server to replay its jobs.
+                route(mom.crash(), &server);
                 joins.clear();
-                mom = Mom::new(node);
                 server.send(ServerCmd::MomRestarted(node));
             }
             MomMsg::Shutdown => break,
@@ -1238,11 +1085,15 @@ fn mom_main(node: NodeId, rx: Receiver<MomMsg>, server: ServerLink, peers: Vec<M
     }
 }
 
-fn route(outputs: Vec<MomOutput>, replies: &mut ReplyRouter, server: &ServerLink) {
+/// Sends a mom's outputs: forwarded commands to the server, answers to the
+/// application calls they belong to.
+fn route(outputs: Vec<MomOutput<Sender<TmResponse>>>, server: &ServerLink) {
     for out in outputs {
         match out {
-            MomOutput::ToServer(m) => server.send(ServerCmd::FromMom(m)),
-            MomOutput::ToApp(job, resp) => replies.deliver(job, resp),
+            MomOutput::ToServer(cmd) => server.send(ServerCmd::FromMom(cmd)),
+            MomOutput::ToApp(reply, resp) => {
+                let _ = reply.send(resp);
+            }
         }
     }
 }
@@ -1367,65 +1218,57 @@ mod tests {
         d.shutdown();
     }
 
-    // ------------------------------------------------------------------
-    // ReplyRouter: the reply-channel clobbering fix, unit level.
-    // ------------------------------------------------------------------
-
+    /// The directory has one writer, the server thread, so it follows the
+    /// running set even when every sturdy message is duplicated and
+    /// delayed. (While moms echoed each start back, a late echo
+    /// re-inserted the entry of a job that had already ended.)
     #[test]
-    fn reply_router_keys_get_and_free_independently() {
-        let mut r = ReplyRouter::default();
-        let job = JobId(1);
-        let (get_tx, get_rx) = channel();
-        let (free_tx, free_rx) = channel();
-        // A dynget parks first, then a dynfree parks for the same job —
-        // the pre-fix single-slot map would overwrite the dynget sender.
-        r.register(job, ReplyKind::Get, get_tx);
-        r.register(job, ReplyKind::Free, free_tx);
-        r.deliver(job, TmResponse::Freed);
-        assert!(matches!(free_rx.try_recv(), Ok(TmResponse::Freed)));
-        assert!(get_rx.try_recv().is_err(), "dynget reply still parked");
-        r.deliver(
-            job,
-            TmResponse::DynGranted {
-                added: Allocation::from_pairs([(NodeId(2), 4)]),
-            },
-        );
-        match get_rx.try_recv() {
-            Ok(TmResponse::DynGranted { added }) => assert_eq!(added.total_cores(), 4),
-            other => panic!("{other:?}"),
+    fn directory_follows_the_running_set_under_dup_and_delay() {
+        let mut config = hp_config(2);
+        let max_delay = Duration::from_millis(20);
+        config.faults = Some(FaultPlan {
+            dup_permille: 1000,
+            delay_permille: 1000,
+            max_delay,
+            ..FaultPlan::none(11)
+        });
+        let d = DaemonHandle::start(config);
+        for i in 0..8 {
+            d.qsub(spec(&format!("j{i}"), 4, 5)).expect("qsub");
         }
-        assert_eq!(r.pending_count(), 0);
+        assert!(d.await_drained(Duration::from_secs(5)));
+        // Every message still in flight lands within its delay.
+        thread::sleep(4 * max_delay);
+        let left = d.ms_directory.lock().unwrap().clone();
+        assert!(left.is_empty(), "directory kept ended jobs: {left:?}");
+        d.shutdown();
     }
 
+    /// A mom crash denies the `tm_dynget` caller parked there; the
+    /// restarted mom takes the job back.
     #[test]
-    fn reply_router_is_fifo_within_a_kind_and_drops_unaddressed() {
-        let mut r = ReplyRouter::default();
-        let job = JobId(3);
-        let (a_tx, a_rx) = channel();
-        let (b_tx, b_rx) = channel();
-        r.register(job, ReplyKind::Get, a_tx);
-        r.register(job, ReplyKind::Get, b_tx);
-        r.deliver(job, TmResponse::DynDenied);
-        assert!(matches!(a_rx.try_recv(), Ok(TmResponse::DynDenied)));
-        assert!(b_rx.try_recv().is_err());
-        // A response for a job with no parked caller is dropped silently.
-        r.deliver(JobId(99), TmResponse::DynDenied);
-        r.deliver(job, TmResponse::DynDenied);
-        assert!(matches!(b_rx.try_recv(), Ok(TmResponse::DynDenied)));
-        assert_eq!(r.pending_count(), 0);
-    }
-
-    #[test]
-    fn reply_router_fail_all_unblocks_every_caller() {
-        let mut r = ReplyRouter::default();
-        let (get_tx, get_rx) = channel();
-        let (free_tx, free_rx) = channel();
-        r.register(JobId(1), ReplyKind::Get, get_tx);
-        r.register(JobId(2), ReplyKind::Free, free_tx);
-        r.fail_all();
-        assert!(matches!(get_rx.try_recv(), Ok(TmResponse::DynDenied)));
-        assert!(matches!(free_rx.try_recv(), Ok(TmResponse::Freed)));
-        assert_eq!(r.pending_count(), 0);
+    fn mom_crash_denies_the_parked_caller() {
+        let crash_at = Duration::from_millis(500);
+        let mut config = hp_config(2);
+        config.faults = Some(FaultPlan {
+            mom_kills: vec![(crash_at, 0)],
+            ..FaultPlan::none(4)
+        });
+        let before_boot = Instant::now();
+        let d = DaemonHandle::start(config);
+        // Holds both nodes, so node 0 mothers it and +4 cannot be granted.
+        let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
+        assert!(d.await_running(id, Duration::from_secs(2)));
+        let resp = d.tm_dynget_negotiated(id, 4, Duration::from_secs(30));
+        assert!(matches!(resp, TmResponse::DynDenied), "{resp:?}");
+        let answered = before_boot.elapsed();
+        assert!(
+            answered >= crash_at && answered < Duration::from_secs(5),
+            "the crash, not the 30 s window, answers: {answered:?}"
+        );
+        d.qdel(id).expect("qdel");
+        assert!(d.await_drained(Duration::from_secs(2)));
+        d.shutdown();
     }
 
     /// The end-to-end clobbering regression: a `tm_dynfree` issued while a
@@ -1506,7 +1349,7 @@ mod tests {
     /// A negotiated `tm_dynget` parked at the moment the server dies must
     /// still be answered: recovery rebuilds the pending request from the
     /// journal, re-arms its expiry, replays the job's placement to the
-    /// mom (which keeps the in-flight flag), and a post-recovery free
+    /// mom (which keeps the parked caller), and a post-recovery free
     /// lets the next cycle grant it.
     #[test]
     fn negotiated_dynget_survives_server_crash() {

@@ -4,8 +4,13 @@
 //! channel in a link that can **drop**, **delay**, **duplicate**, and —
 //! via delays overtaking each other — **reorder** deliveries, plus
 //! schedule mom **crash/restart** events. Delayed and duplicated messages
-//! are carried by a postman [`TimerService`] thread that is joined on
-//! shutdown, so even a fault-ridden ensemble leaves zero live threads.
+//! are carried by a postman thread: one loop over a
+//! [`dynbatch_simtime::EventQueue`] of deliveries, keyed by milliseconds
+//! since the ensemble booted, that waits on its channel until the next
+//! delivery is due — the way the server thread waits for its next event.
+//! Deliveries leave in deadline order, ties in send order; the thread is
+//! joined on shutdown, so even a fault-ridden ensemble leaves zero live
+//! threads.
 //!
 //! ## Fault model (what may happen to which message)
 //!
@@ -30,12 +35,13 @@
 //! interleaving-independent invariants (drain, outcome equivalence, clean
 //! shutdown) across many seeds.
 
-use crate::timer::{TimerHandle, TimerService};
-use crate::wire::{MomMsg, ServerCmd};
-use dynbatch_simtime::SplitMix64;
-use std::sync::mpsc::Sender;
+use crate::wire::{recv_until, MomMsg, ServerCmd};
+use dynbatch_core::SimTime;
+use dynbatch_simtime::{EventQueue, SplitMix64};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A seeded fault schedule for one daemon ensemble.
 #[derive(Debug, Clone)]
@@ -149,10 +155,18 @@ pub(crate) enum Delivery {
     ToServer(ServerCmd),
 }
 
+/// What the postman's channel carries.
+enum Post {
+    /// Deliver after the delay, counted from when the postman reads it.
+    Later(Duration, Delivery),
+    /// Stop; pending deliveries are dropped.
+    Stop,
+}
+
 pub(crate) struct ChaosCore {
     plan: FaultPlan,
     rng: Mutex<SplitMix64>,
-    postman: TimerHandle<Delivery>,
+    postman: Sender<Post>,
 }
 
 impl ChaosCore {
@@ -168,9 +182,13 @@ impl ChaosCore {
         }))
     }
 
+    fn post(&self, after: Duration, delivery: Delivery) {
+        let _ = self.postman.send(Post::Later(after, delivery));
+    }
+
     /// Routes one message: returns `false` when the message was consumed
-    /// (dropped, or rescheduled onto the postman); `true` when the caller
-    /// should deliver it on the raw channel now.
+    /// (dropped, or handed to the postman); `true` when the caller should
+    /// deliver it on the raw channel now.
     fn route(&self, expendable: bool, make: impl Fn() -> Delivery) -> bool {
         let mut rng = self.rng.lock().unwrap();
         if expendable && rng.chance_permille(self.plan.drop_permille) {
@@ -180,10 +198,10 @@ impl ChaosCore {
             let extra = self
                 .draw_delay(&mut rng)
                 .unwrap_or(Duration::from_millis(1));
-            self.postman.schedule(extra, make());
+            self.post(extra, make());
         }
         if let Some(delay) = self.draw_delay(&mut rng) {
-            self.postman.schedule(delay, make());
+            self.post(delay, make());
             return false;
         }
         true
@@ -193,7 +211,7 @@ impl ChaosCore {
 /// The per-ensemble chaos engine: owns the postman thread.
 pub(crate) struct Chaos {
     core: Arc<ChaosCore>,
-    postman: TimerService<Delivery>,
+    postman: JoinHandle<()>,
 }
 
 impl Chaos {
@@ -204,26 +222,25 @@ impl Chaos {
         server_raw: Sender<ServerCmd>,
         mom_raw: Vec<Sender<MomMsg>>,
     ) -> Self {
-        let postman = TimerService::start(name, move |d: Delivery| match d {
-            Delivery::ToMom(idx, msg) => {
-                if let Some(tx) = mom_raw.get(idx) {
-                    let _ = tx.send(msg);
-                }
-            }
-            Delivery::ToServer(cmd) => {
-                let _ = server_raw.send(cmd);
-            }
-        });
-        let handle = postman.handle();
+        let mut queue = EventQueue::new();
         for &(at, node) in &plan.mom_kills {
-            handle.schedule(at, Delivery::ToMom(node as usize, MomMsg::Crash));
+            queue.schedule(
+                SimTime::from_millis(at.as_millis() as u64),
+                Delivery::ToMom(node as usize, MomMsg::Crash),
+            );
         }
+        let (tx, rx) = channel();
+        let epoch = Instant::now();
+        let postman = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || postman_main(rx, queue, epoch, server_raw, mom_raw))
+            .expect("spawn chaos postman");
         let rng = SplitMix64::new(plan.seed).derive(0xFA01);
         Chaos {
             core: Arc::new(ChaosCore {
                 plan,
                 rng: Mutex::new(rng),
-                postman: handle,
+                postman: tx,
             }),
             postman,
         }
@@ -235,7 +252,52 @@ impl Chaos {
 
     /// Stops and joins the postman; undelivered faults are discarded.
     pub(crate) fn shutdown(self) {
-        self.postman.shutdown();
+        let _ = self.core.postman.send(Post::Stop);
+        let _ = self.postman.join();
+    }
+}
+
+/// The postman's thread: hands every due delivery to its raw channel, then
+/// waits for the next post or the next deadline. A deadline is computed
+/// here, rounded up to whole milliseconds since `epoch` and clamped to the
+/// queue's `now()` — never earlier than the delay asked for, never in the
+/// queue's past.
+fn postman_main(
+    rx: Receiver<Post>,
+    mut queue: EventQueue<Delivery>,
+    epoch: Instant,
+    server_raw: Sender<ServerCmd>,
+    mom_raw: Vec<Sender<MomMsg>>,
+) {
+    let mut due = Vec::new();
+    loop {
+        queue.drain_until(
+            SimTime::from_millis(epoch.elapsed().as_millis() as u64),
+            &mut due,
+        );
+        for d in due.drain(..) {
+            match d.payload {
+                Delivery::ToMom(idx, msg) => {
+                    if let Some(tx) = mom_raw.get(idx) {
+                        let _ = tx.send(msg);
+                    }
+                }
+                Delivery::ToServer(cmd) => {
+                    let _ = server_raw.send(cmd);
+                }
+            }
+        }
+        let wake = queue
+            .peek_time()
+            .map(|at| epoch + Duration::from_millis(at.as_millis()));
+        match recv_until(&rx, wake) {
+            Ok(Some(Post::Later(after, delivery))) => {
+                let ms = (epoch.elapsed() + after).as_micros().div_ceil(1000) as u64;
+                queue.schedule(SimTime::from_millis(ms).max(queue.now()), delivery);
+            }
+            Ok(None) => {}
+            Ok(Some(Post::Stop)) | Err(_) => return,
+        }
     }
 }
 
@@ -377,6 +439,41 @@ mod tests {
             }
         }
         chaos.shutdown();
+    }
+
+    /// The postman delivers in deadline order, equal deadlines in send
+    /// order, and shutdown joins it at once while a far-future delivery is
+    /// still pending (that delivery is dropped).
+    #[test]
+    fn postman_keeps_deadline_then_send_order_and_joins_on_shutdown() {
+        let (server_tx, server_rx) = std::sync::mpsc::channel();
+        let chaos = Chaos::start(FaultPlan::none(1), "t.post", server_tx, Vec::new());
+        let core = chaos.core();
+        let post = |ms: u64, node: u32| {
+            core.post(
+                Duration::from_millis(ms),
+                Delivery::ToServer(ServerCmd::MomRestarted(dynbatch_core::NodeId(node))),
+            )
+        };
+        let next = || match server_rx.recv_timeout(Duration::from_secs(2)) {
+            Ok(ServerCmd::MomRestarted(node)) => node.0,
+            other => panic!("{other:?}"),
+        };
+        for (ms, node) in [(60, 3), (10, 1), (30, 2)] {
+            post(ms, node);
+        }
+        assert_eq!([next(), next(), next()], [1, 2, 3], "deadline order");
+        for node in 0..5 {
+            post(20, node);
+        }
+        let ties: Vec<u32> = (0..5).map(|_| next()).collect();
+        assert_eq!(ties, [0, 1, 2, 3, 4], "equal deadlines leave in send order");
+        post(600_000, 99);
+        let t0 = std::time::Instant::now();
+        drop(core);
+        chaos.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(server_rx.try_recv().is_err(), "a pending delivery leaked");
     }
 
     #[test]

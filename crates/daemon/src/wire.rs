@@ -1,12 +1,31 @@
-//! Channel message types for the threaded deployment.
+//! Channel message types for the threaded deployment, and the one way a
+//! daemon thread waits on its channel ([`recv_until`]).
 //!
 //! Every enum is `Clone` so the fault-injection harness ([`crate::fault`])
 //! can duplicate deliveries. No deadline travels here: the server's
 //! deadlines are events of its own event core.
 
 use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
-use dynbatch_server::{MomToServer, ServerToMom, TmResponse};
-use std::sync::mpsc::Sender;
+use dynbatch_server::{Command, ServerToMom, TmResponse};
+use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender};
+use std::time::Instant;
+
+/// Waits on `rx` for the next message, or until `due` passes (`Ok(None)`);
+/// `Err` once every sender has hung up. The server, each mom and the chaos
+/// postman all wait this way for their next deadline.
+pub(crate) fn recv_until<T>(
+    rx: &Receiver<T>,
+    due: Option<Instant>,
+) -> Result<Option<T>, RecvError> {
+    let Some(due) = due else {
+        return rx.recv().map(Some);
+    };
+    match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+        Ok(msg) => Ok(Some(msg)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+    }
+}
 
 /// What a client asks the server thread directly, each request carrying
 /// its reply channel: observation and waiting, never a batch-system
@@ -87,8 +106,11 @@ pub struct ReplicationStatus {
 pub enum ServerCmd {
     /// A client's observation or wait (commands come through the reactor).
     Client(ClientReq),
-    /// A mom notification.
-    FromMom(MomToServer),
+    /// A TM call a mother superior forwards, spelled as the client command
+    /// it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3 step 2;
+    /// at most one outstanding per job), a `tm_dynfree()` as
+    /// [`Command::DynFree`] once the local *dyn_disjoin* completed.
+    FromMom(Command),
     /// A mom lost its state and restarted (fault injection); the server
     /// re-sends `RunJob` for every active job mothered there.
     MomRestarted(NodeId),
@@ -148,17 +170,17 @@ pub enum MomMsg {
     /// Failover reconciliation from a freshly promoted leader: `live` is
     /// the set of jobs whose dynamic requests are still pending on the
     /// promoted state. A parked `tm_dynget` caller whose request record
-    /// was lost with the dead leader (its job is not in `live`) is denied
-    /// rather than left hanging; callers in `live` stay parked — their
-    /// negotiations survived the failover and the new leader will answer
-    /// them.
+    /// was lost with the dead leader (its job is not in `live`) is denied,
+    /// and the job's next `tm_dynget` is forwarded again; callers in
+    /// `live` stay parked — their negotiations survived the failover and
+    /// the new leader will answer them.
     ReconcileDyn {
         /// Jobs with a live pending dynamic request on the new leader.
         live: Vec<JobId>,
     },
     /// Fault injection: the mom "process" dies and restarts, losing all
-    /// in-memory state. Pending TM calls are failed back to their
-    /// applications, then the mom announces [`ServerCmd::MomRestarted`].
+    /// in-memory state. Every parked `tm_dynget` caller is denied, then the
+    /// mom announces [`ServerCmd::MomRestarted`].
     Crash,
     /// Stop the mom.
     Shutdown,

@@ -44,7 +44,7 @@ mod table_props;
 
 pub use accounting::AccountingLog;
 pub use journal::{Journal, PendingDynImage, Record, ServerImage};
-pub use messages::{MomToServer, ServerToMom, TmRequest, TmResponse};
+pub use messages::{ServerToMom, TmRequest, TmResponse};
 pub use mom::{Mom, MomOutput};
 pub use reactor::{
     BatchEvent, Command, Reactor, ReactorClient, ReactorConnector, ReactorStats, Reply,

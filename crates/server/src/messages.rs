@@ -1,19 +1,19 @@
 //! Protocol messages of the (extended) Torque workflow.
 //!
 //! These enums encode the arrows of the paper's Figs 2–4 below the client:
-//! server → mom (run, dyn-join, dyn-disjoin, kill), mom → server (job
-//! started, forwarded dynamic requests; an application's exit reaches the
-//! server on its own timer), and the TM interface
-//! between an application process and its local mom. (Client → server is
-//! [`crate::reactor::Command`], which is also what a mom forwards.) The
-//! threaded daemon ships them over channels between its server thread and
-//! the [`crate::Mom`] state machine each mom thread runs; the simulator
-//! has no moms and hands the server its `DynGet` / `DynFree` records
-//! directly.
+//! server → mom (run, dyn-join, dyn-disjoin, kill) and the TM interface
+//! between an application process and its local mom. The one mom → server
+//! arrow is a forwarded TM call, which travels as the client
+//! [`crate::reactor::Command`] it is (a `tm_dynget()` as `DynGet`, a
+//! `tm_dynfree()` as `DynFree`); the server learns nothing else from a
+//! mom — it sent the `RunJob` itself, and an application's exit reaches it
+//! on its own timer. The threaded daemon ships them over channels between
+//! its server thread and the [`crate::Mom`] state machine each mom thread
+//! runs; the simulator has no moms and hands the server its `DynGet` /
+//! `DynFree` records directly.
 
-use crate::reactor::Command;
 use dynbatch_cluster::Allocation;
-use dynbatch_core::{JobId, NodeId};
+use dynbatch_core::JobId;
 
 /// Server → mom commands.
 #[derive(Debug, Clone)]
@@ -53,23 +53,6 @@ pub enum ServerToMom {
         /// The job.
         job: JobId,
     },
-}
-
-/// Mom → server notifications.
-#[derive(Debug, Clone)]
-pub enum MomToServer {
-    /// All hosts joined; the application is executing.
-    JobStarted {
-        /// The job.
-        job: JobId,
-        /// The reporting mother superior.
-        mother_superior: NodeId,
-    },
-    /// A TM call the mother superior forwards, spelled as the client
-    /// command it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3
-    /// step 2; at most one outstanding per job), a `tm_dynfree()` as
-    /// [`Command::DynFree`] once the local *dyn_disjoin* completed.
-    Forwarded(Command),
 }
 
 /// The extended TM (task-management) API an application process calls on

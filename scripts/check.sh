@@ -146,13 +146,14 @@ if grep -rnE "$gone" crates src tests examples \
 fi
 
 echo "==> one event core under both drivers: the daemon keeps no second copy of the"
-echo "    run timers, app exits, expiries or crash re-arming, names no TimerService,"
-echo "    and the server is recovered from its journal in one place (the core's"
-echo "    restart)"
+echo "    run timers, app exits, expiries or crash re-arming, no second deadline"
+echo "    queue, no second record of a parked TM call or writer of the mother-"
+echo "    superior directory, and the server is recovered from its journal in one"
+echo "    place (the core's restart)"
 gone='app_timers|dyn_timers|arm_app_timer|arm_dyn_timer|JobExited|ExpireDyn|ExpireOne'
 gone="$gone|expire_one|wait_for_state|fn gen_of"
-if grep -rnE "$gone" crates src tests examples \
-    || grep -n 'TimerService' crates/daemon/src/daemon.rs; then
+gone="$gone|TimerService|TimerHandle|TimerId|ReplyRouter|ReplyKind|JobStarted"
+if grep -rnE "$gone" crates src tests examples; then
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 recovers=$(grep -rn 'PbsServer::recover(' crates src examples \

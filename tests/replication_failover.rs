@@ -14,7 +14,8 @@
 //! * **Parked negotiations survive** — a `tm_dynget` whose request
 //!   record replicated before the kill is answered by the *promoted*
 //!   leader (grant or window expiry), never left hanging; the
-//!   reconcile sweep only denies callers whose records died unreplicated.
+//!   reconcile sweep only denies callers whose records died unreplicated,
+//!   and a denied caller's job takes its next `tm_dynget` at once.
 //! * **Follower-read staleness (satellite 2)** — qstat lines are served
 //!   by followers, and one routed after an acked write never observes
 //!   pre-write state, even with the stream maximally delayed;
@@ -161,6 +162,48 @@ fn parked_negotiation_survives_failover() {
         status.failovers >= 1,
         "nudge traffic must have crossed the kill coordinate"
     );
+    d.shutdown();
+    assert_no_tagged_threads(&tag);
+}
+
+/// A negotiation lost with the leader does not wedge its mom. The leader
+/// dies on the journal record of a mom-forwarded negotiated `tm_dynget`
+/// (genesis snapshot = 1, the grower's `Submit` = 2 and start = 3, the
+/// filler's `Submit` = 4 and start = 5, the `DynGet` = 6). The crash check
+/// runs before the record is streamed, so it dies with the leader and the
+/// failover reconcile denies the caller. The mother superior must then
+/// forward the job's next `tm_dynget`, which the promoted leader grants
+/// once the filler is gone.
+#[test]
+fn lost_negotiation_does_not_wedge_its_mom() {
+    let d = DaemonHandle::start(replicated_config(Some(6), None));
+    let tag = d.thread_tag().to_string();
+
+    let grower = d.qsub(spec("grower", 0, 8, 30_000)).expect("grower");
+    assert!(d.await_running(grower, Duration::from_secs(5)));
+    // The rest of the machine (3×8 = 24 cores): +8 cannot be granted.
+    let filler = d.qsub(spec("filler", 1, 16, 30_000)).expect("filler");
+    assert!(d.await_running(filler, Duration::from_secs(5)));
+    let status = d.replication_status().expect("replication is on");
+    assert_eq!(
+        (status.leader_appended, status.failovers),
+        (5, 0),
+        "the kill must land on the DynGet's record"
+    );
+
+    let lost = d.tm_dynget_negotiated(grower, 8, Duration::from_secs(30));
+    assert!(matches!(lost, TmResponse::DynDenied), "{lost:?}");
+    let status = d.replication_status().expect("replication is on");
+    assert_eq!(status.failovers, 1, "the kill point must have fired");
+
+    d.qdel(filler).expect("qdel filler");
+    let next = d.tm_dynget(grower, 8);
+    assert!(
+        matches!(&next, TmResponse::DynGranted { added } if added.total_cores() == 8),
+        "the mom must forward the next tm_dynget, got {next:?}"
+    );
+    d.qdel(grower).expect("qdel grower");
+    assert!(d.await_drained(Duration::from_secs(10)));
     d.shutdown();
     assert_no_tagged_threads(&tag);
 }
