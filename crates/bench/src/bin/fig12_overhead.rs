@@ -21,9 +21,7 @@
 //! ```
 
 use dynbatch_cluster::Allocation;
-use dynbatch_core::{
-    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, SchedulerConfig, SimDuration, UserId,
-};
+use dynbatch_core::{DfsConfig, GroupId, JobSpec, SchedulerConfig, SimDuration, UserId};
 use dynbatch_daemon::{DaemonConfig, DaemonHandle};
 use dynbatch_server::TmResponse;
 use std::time::Duration;
@@ -31,23 +29,8 @@ use std::time::Duration;
 const CORES_PER_NODE: u32 = 8;
 
 fn spec(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
-    JobSpec {
-        name: name.into(),
-        user: UserId(user),
-        group: GroupId(0),
-        class: JobClass::Rigid,
-        cores,
-        walltime: SimDuration::from_millis(millis),
-        exec: ExecutionModel::Fixed {
-            duration: SimDuration::from_millis(millis),
-        },
-        priority_boost: 0,
-        suppress_backfill_while_queued: false,
-        malleable: None,
-        moldable: None,
-        dyn_timeout: None,
-        queue: None,
-    }
+    let runtime = SimDuration::from_millis(millis);
+    JobSpec::rigid(name, UserId(user), GroupId(0), cores, runtime)
 }
 
 /// Measures the dynamic allocation of `nodes` whole nodes, `reps` times,
@@ -61,8 +44,7 @@ fn measure(nodes: u32, with_workload: bool, reps: u32) -> f64 {
         nodes: 12,
         cores_per_node: CORES_PER_NODE,
         sched,
-        faults: None,
-        followers: 0,
+        ..DaemonConfig::default()
     });
 
     // The evolving job: one statically allocated node.

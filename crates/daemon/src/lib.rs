@@ -1,14 +1,13 @@
 //! # dynbatch-daemon
 //!
-//! A *real* (threaded, wall-clock) deployment of the dynamic batch system.
+//! The dynamic batch system as a deployment of daemons.
 //!
-//! Where `dynbatch-sim` drives the server/scheduler state machines in
-//! virtual time, this crate runs them as live daemons: one server thread
-//! (hosting `pbs_server` + the Maui scheduler on the simulator's event
-//! core), one `pbs_mom` thread per compute node, and client handles
-//! applications call into; a [`FaultPlan`] adds the chaos postman, which
-//! carries delayed and duplicated messages. Messages travel over std
-//! `mpsc` channels — the same hop structure as the paper's Fig 3:
+//! Where `dynbatch-sim` drives the server/scheduler state machines over a
+//! workload, this crate runs them as daemons that talk only by message:
+//! one server daemon (hosting `pbs_server` + the Maui scheduler on the
+//! simulator's event core), one `pbs_mom` daemon per compute node, and
+//! client handles applications call into. The hop structure is the
+//! paper's Fig 3:
 //!
 //! ```text
 //! app ── tm_dynget ──► mother-superior mom ──► server ──► scheduler
@@ -18,16 +17,26 @@
 //!                       └────┘ (one ping/ack per newly allocated node)
 //! ```
 //!
-//! The paper's Fig 12 measures exactly this round trip (sub-second for up
-//! to 10 nodes); the bench harness reproduces it with
-//! [`DaemonHandle::tm_dynget_timed`].
+//! Each daemon is a state machine stepped at an instant, and every
+//! daemon-to-daemon message goes through one seam ([`wire`]'s `Net`). Two
+//! drivers step the same daemons:
 //!
-//! Each fact lives in one place: a parked `tm_dynget` caller in its
-//! mother superior's job entry, the mother-superior directory in the
-//! server thread (written where `RunJob` is sent, cleared where the run
-//! ends), the server's deadlines in its event core's queue and the
-//! postman's deliveries in one `dynbatch_simtime::EventQueue` — there is no
-//! second deadline service.
+//! - [`DaemonHandle::start`]: one thread per daemon (`nodes + 1` threads,
+//!   plus replication followers) over `mpsc` channels, on the wall clock.
+//!   The paper's Fig 12 measures this round trip (sub-second for up to 10
+//!   nodes); the bench harness reproduces it with
+//!   [`DaemonHandle::tm_dynget_timed`].
+//! - [`DaemonHandle::simulate`]: every daemon on the caller's thread, in
+//!   virtual time, over one queue of deliveries. This is the only place
+//!   faults are injected ([`fault`]): a [`FaultPlan`] drops, delays,
+//!   duplicates and reorders deliveries and kills moms, and one seed is
+//!   one exact trace.
+//!
+//! Server crashes ([`ServerCrash`], in journal-record coordinates) work
+//! under both drivers. Each fact lives in one place: a parked `tm_dynget`
+//! caller in its mother superior's job entry, the mother-superior
+//! directory in the server daemon (written where `RunJob` is sent, cleared
+//! where the run ends), the server's deadlines in its event core's queue.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,6 +45,6 @@ pub mod daemon;
 pub mod fault;
 pub mod wire;
 
-pub use daemon::{DaemonConfig, DaemonHandle};
-pub use fault::{FaultPlan, ServerCrash};
+pub use daemon::{DaemonConfig, DaemonHandle, Driver, Replication, Threads};
+pub use fault::{FaultPlan, ServerCrash, Virtual};
 pub use wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};

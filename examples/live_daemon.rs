@@ -11,31 +11,14 @@
 //! cargo run --example live_daemon
 //! ```
 
-use dynbatch::core::{
-    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, SchedulerConfig, SimDuration, UserId,
-};
+use dynbatch::core::{DfsConfig, GroupId, JobSpec, SchedulerConfig, SimDuration, UserId};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle};
 use dynbatch::server::TmResponse;
 use std::time::Duration;
 
 fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
-    JobSpec {
-        name: name.into(),
-        user: UserId(user),
-        group: GroupId(0),
-        class: JobClass::Rigid,
-        cores,
-        walltime: SimDuration::from_millis(millis),
-        exec: ExecutionModel::Fixed {
-            duration: SimDuration::from_millis(millis),
-        },
-        priority_boost: 0,
-        suppress_backfill_while_queued: false,
-        malleable: None,
-        moldable: None,
-        dyn_timeout: None,
-        queue: None,
-    }
+    let runtime = SimDuration::from_millis(millis);
+    JobSpec::rigid(name, UserId(user), GroupId(0), cores, runtime)
 }
 
 fn main() {
@@ -45,8 +28,7 @@ fn main() {
         nodes: 8,
         cores_per_node: 8,
         sched,
-        faults: None,
-        followers: 0,
+        ..DaemonConfig::default()
     });
     println!("booted: 1 pbs_server + 8 pbs_mom daemons (8 cores each)\n");
 

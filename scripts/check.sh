@@ -17,6 +17,10 @@ echo "==> cargo test (every suite of the workspace, once; EXPERIMENTS.md maps"
 echo "    each claim to the suite that pins it)"
 cargo test -q --workspace
 
+echo "==> the virtual-time chaos sweep: 10 000 seeds of the daemon protocol path,"
+echo "    each run twice and required to replay as one trace (release build)"
+cargo test --release -q --test chaos_daemon -- --ignored
+
 echo "==> perf_smoke --quick (every comparison asserts identical decisions"
 echo "    against sched::reference::iterate_naive before it is timed)"
 cargo run --release -q -p dynbatch-bench --bin perf_smoke -- --quick \
@@ -161,6 +165,14 @@ recovers=$(grep -rn 'PbsServer::recover(' crates src examples \
 if [ "$(printf '%s' "$recovers" | grep -c '')" -gt 1 ]; then
   echo "PbsServer::recover( has more than one non-test call site:"
   echo "$recovers"; exit 1
+fi
+
+echo "==> faults live only in virtual time: no threaded chaos layer came back, and"
+echo "    neither the daemons nor the chaos suites wait on the wall clock"
+gone='ChaosCore|postman_main|Post::Later|raw_mom_txs'
+if grep -rnE "$gone" crates src tests examples \
+    || grep -rn 'thread::sleep' crates/daemon/src tests/chaos_daemon.rs tests/reactor_chaos.rs; then
+  echo "a deleted name or a sleep reappeared (see above)"; exit 1
 fi
 
 echo "==> one spelling on the replication wire: frames, images and every"

@@ -1,48 +1,47 @@
-//! Integration tests of the threaded (wall-clock) deployment: the same
-//! protocol the simulator drives, over real threads and channels.
+//! Integration tests of the deployment: the same protocol the simulator
+//! drives, between daemons that talk only by message. The threaded tests
+//! run it over real threads and channels on the wall clock; the tests
+//! that pin a time run the same daemons in virtual time
+//! (`DaemonHandle::simulate`), where every instant is exact.
 
+mod common;
+
+use common::assert_no_tagged_threads;
 use dynbatch::core::{
-    DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, JobState, SchedulerConfig, SimDuration,
+    DfsConfig, ExecutionModel, GroupId, JobSpec, JobState, SchedulerConfig, SimDuration, SimTime,
     SpeedupModel, UserId,
 };
-use dynbatch::daemon::{DaemonConfig, DaemonHandle};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, Virtual};
 use dynbatch::server::TmResponse;
 use std::time::Duration;
 
-fn ms(millis: u64) -> Duration {
-    Duration::from_millis(millis)
+fn ms(millis: u64) -> SimTime {
+    SimTime::from_millis(millis)
 }
 
 fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
-    JobSpec {
-        name: name.into(),
-        user: UserId(user),
-        group: GroupId(0),
-        class: JobClass::Rigid,
-        cores,
-        walltime: SimDuration::from_millis(millis),
-        exec: ExecutionModel::Fixed {
-            duration: SimDuration::from_millis(millis),
-        },
-        priority_boost: 0,
-        suppress_backfill_while_queued: false,
-        malleable: None,
-        moldable: None,
-        dyn_timeout: None,
-        queue: None,
+    let runtime = SimDuration::from_millis(millis);
+    JobSpec::rigid(name, UserId(user), GroupId(0), cores, runtime)
+}
+
+fn config(nodes: u32) -> DaemonConfig {
+    let mut sched = SchedulerConfig::paper_eval();
+    sched.dfs = DfsConfig::highest_priority();
+    DaemonConfig {
+        nodes,
+        cores_per_node: 8,
+        sched,
+        ..DaemonConfig::default()
     }
 }
 
 fn daemon(nodes: u32) -> DaemonHandle {
-    let mut sched = SchedulerConfig::paper_eval();
-    sched.dfs = DfsConfig::highest_priority();
-    DaemonHandle::start(DaemonConfig {
-        nodes,
-        cores_per_node: 8,
-        sched,
-        faults: None,
-        followers: 0,
-    })
+    DaemonHandle::start(config(nodes))
+}
+
+/// The same ensemble in virtual time, its net fault-free.
+fn simulated(config: DaemonConfig) -> DaemonHandle<Virtual> {
+    DaemonHandle::simulate(config, FaultPlan::none(0))
 }
 
 #[test]
@@ -60,9 +59,12 @@ fn fifo_queue_processes_in_order() {
     d.shutdown();
 }
 
+/// The mom door on real threads: grants and a partial free through the
+/// mother superior's thread, then a shutdown that leaves no thread behind.
 #[test]
 fn grow_then_shrink_then_finish() {
     let d = daemon(4);
+    let tag = d.thread_tag().to_string();
     let job = d.qsub(rigid("elastic", 0, 8, 3_000)).unwrap();
     assert!(d.await_running(job, Duration::from_secs(2)));
 
@@ -87,6 +89,7 @@ fn grow_then_shrink_then_finish() {
     let _ = d.qdel(job);
     assert!(d.await_drained(Duration::from_secs(5)));
     d.shutdown();
+    assert_no_tagged_threads(&tag);
 }
 
 #[test]
@@ -116,15 +119,21 @@ fn overhead_grows_but_stays_small() {
 #[test]
 fn queued_rigid_jobs_eventually_run_despite_grants() {
     // No starvation: an evolving job grabbing cores does not wedge the
-    // queue forever (its walltime bounds the grant).
-    let d = daemon(2);
+    // queue forever (its walltime bounds the grant): the waiter starts
+    // the instant the grower's 300 ms are up.
+    let d = simulated(config(2));
     let grower = d.qsub(rigid("grower", 0, 8, 300)).unwrap();
     assert!(d.await_running(grower, Duration::from_secs(2)));
     let _ = d.tm_dynget(grower, 8); // takes the rest of the machine
     let waiter = d.qsub(rigid("waiter", 1, 16, 50)).unwrap();
     assert!(d.await_drained(Duration::from_secs(5)));
     assert_eq!(d.qstat(waiter), Some(JobState::Completed));
-    d.shutdown();
+    let outcomes = d.outcomes();
+    let w = outcomes
+        .iter()
+        .find(|o| o.id == waiter)
+        .expect("waiter ran");
+    assert_eq!((w.start_time, w.end_time), (ms(300), ms(350)));
 }
 
 #[test]
@@ -183,37 +192,29 @@ fn concurrent_clients_hammer_the_daemon() {
 /// dropped (the cancelled timer never even fires).
 #[test]
 fn stale_app_timer_cannot_kill_restarted_job() {
-    let mut sched = SchedulerConfig::paper_eval();
-    sched.dfs = DfsConfig::highest_priority();
-    sched.preempt_backfilled_for_dyn = true;
-    let d = DaemonHandle::start(DaemonConfig {
-        nodes: 2,
-        cores_per_node: 8,
-        sched,
-        faults: None,
-        followers: 0,
-    });
+    let mut config = config(2);
+    config.sched.preempt_backfilled_for_dyn = true;
+    let d = simulated(config);
 
     // 16 cores. The grower holds 8; "blocked" (16 cores) queues behind it
     // with a reservation at the grower's end; the filler backfills into
     // the idle half.
     let grower = d.qsub(rigid("grower", 0, 8, 400)).unwrap();
-    assert!(d.await_running(grower, ms(2_000)));
+    assert!(d.await_running(grower, Duration::from_secs(2)));
     let blocked = d.qsub(rigid("blocked", 1, 16, 50)).unwrap();
     let filler = d.qsub(rigid("filler", 2, 8, 150)).unwrap();
-    assert!(d.await_running(filler, ms(2_000)));
+    assert!(d.await_running(filler, Duration::from_secs(2)));
 
-    // ~t=45: +8 can only come from preempting the backfilled filler. Its
-    // first run dies ~40 ms in; its (pre-fix detached) 150 ms exit timer
-    // is still due at ~t=155.
-    std::thread::sleep(ms(40));
+    // t = 40: +8 can only come from preempting the backfilled filler. Its
+    // first run dies 40 ms in; its stale 150 ms exit would be due at 150.
+    d.run_until(ms(40));
     let TmResponse::DynGranted { added } = d.tm_dynget(grower, 8) else {
         panic!("preemption feeds the grant");
     };
 
-    // ~t=125: release the grant; the filler backfills a second time and
-    // must now survive past the stale timer's ~t=155 firing.
-    std::thread::sleep(ms(80));
+    // t = 120: release the grant; the filler backfills a second time and
+    // must now run its full 150 ms, past the stale exit.
+    d.run_until(ms(120));
     assert!(matches!(d.tm_dynfree(grower, added), TmResponse::Freed));
 
     assert!(d.await_drained(Duration::from_secs(10)));
@@ -225,12 +226,11 @@ fn stale_app_timer_cannot_kill_restarted_job() {
         .iter()
         .find(|o| o.id == filler)
         .expect("filler ran");
-    assert!(
-        f.runtime() >= SimDuration::from_millis(140),
-        "restarted filler was cut short after {:?} — stale timer kill",
-        f.runtime()
+    assert_eq!(
+        (f.start_time, f.end_time),
+        (ms(120), ms(270)),
+        "the restarted filler runs its full 150 ms"
     );
-    d.shutdown();
 }
 
 /// Regression: fairshare must charge a resized job per constant-width
@@ -238,34 +238,35 @@ fn stale_app_timer_cannot_kill_restarted_job() {
 /// midpoint owes 1.5× its base usage — pre-fix it was billed 2×.
 #[test]
 fn fairshare_charges_segments_not_final_width() {
-    let d = daemon(4);
+    let d = simulated(config(4));
     let user = 7u32;
     let job = d.qsub(rigid("midgrow", user, 8, 300)).unwrap();
-    assert!(d.await_running(job, ms(2_000)));
-    std::thread::sleep(ms(150));
+    assert!(d.await_running(job, Duration::from_secs(2)));
+    d.run_until(ms(150));
     let TmResponse::DynGranted { added } = d.tm_dynget(job, 8) else {
         panic!("24 free cores: grant expected");
     };
     assert_eq!(added.total_cores(), 8);
     assert!(d.await_drained(Duration::from_secs(5)));
+    assert_eq!(d.now(), ms(300));
 
-    // 8 cores × ~0.15 s + 16 cores × ~0.15 s ≈ 3.6 core·s; the pre-fix
-    // final-width charge would be 16 × 0.3 = 4.8.
+    // 8 cores × 0.15 s + 16 cores × 0.15 s = 3.6 core·s; the final-width
+    // charge would be 16 × 0.3 = 4.8.
     let charged = d.fairshare_charged(UserId(user));
+    let segments = 8.0 * 0.15 + 16.0 * 0.15;
     assert!(
-        charged > 3.0 && charged < 4.3,
-        "expected ≈3.6 core·s of segmented usage, got {charged}"
+        (charged - segments).abs() < 1e-9,
+        "expected {segments} core·s of segmented usage, got {charged}"
     );
-    d.shutdown();
 }
 
 /// A granted evolving job finishes at its re-paced time, as in the
-/// simulator: SET 4 s, DET 1 s, and a `tm_dynget` granted right after the
-/// start puts the evolved total near DET. (Its own request point, at
-/// 90 % of SET, never comes.)
+/// simulator: SET 4 s, DET 1 s, and a `tm_dynget` granted at the start
+/// puts the evolved total at DET. (Its own request point, at 90 % of SET,
+/// never comes.)
 #[test]
 fn granted_evolving_job_finishes_at_its_evolved_total() {
-    let d = daemon(4);
+    let d = simulated(config(4));
     let exec = ExecutionModel::Evolving {
         set: SimDuration::from_secs(4),
         det: SimDuration::from_secs(1),
@@ -276,7 +277,7 @@ fn granted_evolving_job_finishes_at_its_evolved_total() {
     let job = d
         .qsub(JobSpec::evolving("grows", UserId(0), GroupId(0), 8, exec))
         .unwrap();
-    assert!(d.await_running(job, ms(2_000)));
+    assert!(d.await_running(job, Duration::from_secs(2)));
     let TmResponse::DynGranted { added } = d.tm_dynget(job, 8) else {
         panic!("24 free cores: grant expected");
     };
@@ -286,28 +287,25 @@ fn granted_evolving_job_finishes_at_its_evolved_total() {
     let outcomes = d.outcomes();
     let o = outcomes.iter().find(|o| o.id == job).expect("job finished");
     assert_eq!(o.cores_final, 16);
-    assert!(
-        o.runtime() < SimDuration::from_secs(3),
-        "ran {:?}: the grant did not re-pace the exit (SET is 4 s)",
-        o.runtime()
+    assert_eq!(
+        o.runtime(),
+        SimDuration::from_secs(1),
+        "the grant at the start re-paces the exit to DET (SET is 4 s)"
     );
-    d.shutdown();
 }
 
 /// Walltime is enforced, as in the simulator: a 5 s job that asked for
-/// 300 ms is deleted near 300 ms.
+/// 300 ms is deleted by the reaper, one grace millisecond past it.
 #[test]
 fn walltime_kills_an_overrunning_job() {
-    let d = daemon(2);
+    let d = simulated(config(2));
     let mut spec = rigid("overrun", 0, 8, 5_000);
     spec.walltime = SimDuration::from_millis(300);
-    let t0 = std::time::Instant::now();
     let job = d.qsub(spec).unwrap();
     assert!(
         d.await_drained(Duration::from_secs(3)),
         "still running 3 s after submission, past its 300 ms walltime"
     );
-    assert!(t0.elapsed() >= ms(300), "killed before its walltime");
+    assert_eq!(d.now(), ms(301), "killed at its walltime");
     assert_eq!(d.qstat(job), Some(JobState::Cancelled));
-    d.shutdown();
 }

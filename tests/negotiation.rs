@@ -5,10 +5,10 @@
 
 use dynbatch::cluster::Cluster;
 use dynbatch::core::{
-    CredRegistry, DfsConfig, ExecutionModel, JobClass, JobSpec, SchedulerConfig, SimDuration,
-    SimTime, SpeedupModel, UserId,
+    CredRegistry, DfsConfig, ExecutionModel, GroupId, JobClass, JobSpec, SchedulerConfig,
+    SimDuration, SimTime, SpeedupModel, UserId,
 };
-use dynbatch::daemon::{DaemonConfig, DaemonHandle};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan};
 use dynbatch::server::TmResponse;
 use dynbatch::sim::BatchSim;
 use dynbatch::workload::WorkloadItem;
@@ -170,65 +170,47 @@ fn negotiation_respects_fairness_once_resources_appear() {
     assert_eq!(w.start_time, SimTime::from_secs(300));
 }
 
+/// The same negotiation through the daemon's mom door, in virtual time:
+/// the parked `tm_dynget` is granted the instant the blocker exits, and a
+/// second one is denied the instant its window closes.
 #[test]
 fn daemon_negotiated_roundtrip() {
-    let d = DaemonHandle::start(DaemonConfig {
-        nodes: 2,
-        cores_per_node: 8,
-        sched: hp_sched(),
-        faults: None,
-        followers: 0,
-    });
-    let mk = |name: &str, user: u32, cores: u32, ms: u64| JobSpec {
-        name: name.into(),
-        user: UserId(user),
-        group: dynbatch::core::GroupId(0),
-        class: JobClass::Rigid,
-        cores,
-        walltime: SimDuration::from_millis(ms),
-        exec: ExecutionModel::Fixed {
-            duration: SimDuration::from_millis(ms),
+    let d = DaemonHandle::simulate(
+        DaemonConfig {
+            nodes: 2,
+            cores_per_node: 8,
+            sched: hp_sched(),
+            ..DaemonConfig::default()
         },
-        priority_boost: 0,
-        suppress_backfill_while_queued: false,
-        malleable: None,
-        moldable: None,
-        dyn_timeout: None,
-        queue: None,
+        FaultPlan::none(0),
+    );
+    let mk = |name: &str, user: u32, cores: u32, ms: u64| {
+        let runtime = SimDuration::from_millis(ms);
+        JobSpec::rigid(name, UserId(user), GroupId(0), cores, runtime)
     };
     let app = d.qsub(mk("app", 0, 8, 60_000)).expect("qsub");
     assert!(d.await_running(app, Duration::from_secs(2)));
-    // Fill the second node for ~200 ms.
+    // Fill the second node for 200 ms.
     let blocker = d.qsub(mk("blocker", 1, 8, 200)).expect("qsub blocker");
     assert!(d.await_running(blocker, Duration::from_secs(2)));
 
     // Non-negotiated request fails immediately.
     assert!(matches!(d.tm_dynget(app, 8), TmResponse::DynDenied));
+    assert_eq!(d.now(), SimTime::ZERO);
 
-    // Negotiated request (2 s window) blocks until the blocker exits,
-    // then is granted.
-    let t0 = std::time::Instant::now();
+    // Negotiated request (2 s window) waits until the blocker exits, then
+    // is granted.
     let resp = d.tm_dynget_negotiated(app, 8, Duration::from_secs(2));
-    let waited = t0.elapsed();
     match resp {
         TmResponse::DynGranted { added } => assert_eq!(added.total_cores(), 8),
         other => panic!("expected negotiated grant, got {other:?}"),
     }
-    assert!(
-        waited >= Duration::from_millis(100),
-        "actually waited: {waited:?}"
-    );
-    assert!(
-        waited < Duration::from_secs(2),
-        "granted before expiry: {waited:?}"
-    );
+    assert_eq!(d.now(), SimTime::from_millis(200), "granted at the exit");
 
     // A second negotiated request can only expire (machine is full now).
-    let t0 = std::time::Instant::now();
     let resp = d.tm_dynget_negotiated(app, 8, Duration::from_millis(150));
     assert!(matches!(resp, TmResponse::DynDenied), "{resp:?}");
-    assert!(t0.elapsed() >= Duration::from_millis(140));
+    assert_eq!(d.now(), SimTime::from_millis(350), "denied at the expiry");
 
     let _ = d.qdel(app);
-    d.shutdown();
 }

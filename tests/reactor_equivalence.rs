@@ -17,9 +17,12 @@
 
 use dynbatch::cluster::Cluster;
 use dynbatch::core::{CredRegistry, DfsConfig, SchedulerConfig};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan};
+use dynbatch::sim::reactor_drive::{accounting_text, DriveResult};
 use dynbatch::sim::{drive_reactor, drive_serial, script_from_workload, CommandScript};
 use dynbatch::workload::{parse_swf, SwfConfig};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Synthetic-but-valid SWF text (same conventions as `swf_replay.rs`).
 fn synthetic_swf(n: usize) -> String {
@@ -156,4 +159,45 @@ fn malformed_commands_deny_identically() {
     let r = drive_reactor(&script, Cluster::homogeneous(15, 8), hp_sched(), 8, None);
     assert_eq!(r.replies, serial.replies);
     assert_eq!(r.digest, serial.digest);
+}
+
+/// The daemon is the simulator, record for record: the same script fed
+/// line by line through the reactor door of the virtual daemon ensemble —
+/// advance to the step's instant, send the line, step until it is acked —
+/// gives the replies, digest, accounting and journal length of the serial
+/// reference. Crash-free: the daemon runs a command's cycle before a crash
+/// at that step, the simulator after it.
+#[test]
+fn daemon_matches_the_simulator_record_for_record() {
+    for seed in [1u64, 7, 23] {
+        let script = swf_script(30, seed);
+        let serial = drive_serial(&script, Cluster::homogeneous(15, 8), hp_sched(), None);
+        let config = DaemonConfig {
+            nodes: 15,
+            cores_per_node: 8,
+            sched: hp_sched(),
+            ..DaemonConfig::default()
+        };
+        let d = DaemonHandle::simulate(config, FaultPlan::none(seed));
+        let client = d.connect();
+        let replies = script
+            .steps
+            .iter()
+            .map(|step| {
+                d.run_until(step.at);
+                client.send(&step.line);
+                d.await_reply(&client, Duration::from_secs(1))
+                    .expect("acked at the step's instant")
+            })
+            .collect();
+        while d.step() {}
+        let server = d.server();
+        let daemon = DriveResult {
+            replies,
+            digest: server.state_digest(),
+            accounting: accounting_text(&server),
+            appended: server.journal().expect("journal on").total_appended(),
+        };
+        assert_eq!(daemon, serial, "seed {seed}: the daemon diverged");
+    }
 }

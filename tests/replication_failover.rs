@@ -25,7 +25,7 @@ mod common;
 
 use common::assert_no_tagged_threads;
 use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig};
-use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, Replication, ServerCrash};
 use dynbatch::server::replication::ReplFaultPlan;
 use dynbatch::server::{Reply, TmResponse};
 use std::time::Duration;
@@ -47,17 +47,17 @@ fn spec(name: &str, user: u32, cores: u32, ms: u64) -> dynbatch::core::JobSpec {
 }
 
 fn replicated_config(kill_after: Option<u64>, repl_faults: Option<ReplFaultPlan>) -> DaemonConfig {
-    let mut faults = FaultPlan::none(1);
-    if let Some(k) = kill_after {
-        faults.leader_kills.push(ServerCrash { after_record: k });
-    }
-    faults.replication = repl_faults;
+    let leader_kills = kill_after.map(|k| ServerCrash { after_record: k });
     DaemonConfig {
         nodes: 3,
         cores_per_node: 8,
         sched: sched(),
-        faults: Some(faults),
-        followers: 2,
+        replication: Some(Replication {
+            followers: 2,
+            leader_kills: leader_kills.into_iter().collect(),
+            faults: repl_faults.unwrap_or_else(|| ReplFaultPlan::none(0)),
+        }),
+        ..DaemonConfig::default()
     }
 }
 
