@@ -28,8 +28,10 @@
 //! that armed it, so a stale one can never act on a successor run.
 
 use crate::fault::ServerCrash;
+use crate::mom::MomDaemon;
 use crate::wire::{
-    recv_until, ClientReq, Delivery, MomMsg, Net, PeerMsg, ReplicationStatus, ServerCmd, Wires,
+    recv_until, ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
+    Wires,
 };
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
@@ -39,11 +41,11 @@ use dynbatch_sched::DynDecision;
 use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
 use dynbatch_server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
 use dynbatch_server::{
-    Applied, Mom, MomOutput, PbsServer, Reactor, ReactorClient, ReactorConnector, ServerToMom,
-    TmRequest, TmResponse,
+    Applied, PbsServer, Reactor, ReactorClient, ReactorConnector, ServerToMom, TmRequest,
+    TmResponse,
 };
 use dynbatch_sim::{EventCore, Hook, RunEnd};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -60,8 +62,11 @@ pub struct DaemonConfig {
     pub cores_per_node: u32,
     /// Scheduler configuration.
     pub sched: SchedulerConfig,
-    /// Server crash/recovery schedule, in journal-record coordinates: the
-    /// server restarts by snapshot-load + replay.
+    /// Server crash schedule, in journal-record coordinates. Without
+    /// followers the server restarts by snapshot-load + replay; with them
+    /// the leader dies for good and the highest-watermark follower is
+    /// promoted in its place (with none left, the server recovers from its
+    /// journal).
     pub server_crashes: Vec<ServerCrash>,
     /// Hot followers fed from the leader's journal stream (`None` = no
     /// replication).
@@ -75,11 +80,6 @@ pub struct DaemonConfig {
 pub struct Replication {
     /// Hot follower servers.
     pub followers: u32,
-    /// Leader kill/failover schedule, in journal-record coordinates: the
-    /// leader dies for good at the first command boundary past
-    /// `after_record` and the highest-watermark follower is promoted in
-    /// its place (with none left, the server recovers from its journal).
-    pub leader_kills: Vec<ServerCrash>,
     /// Faults on the replication stream itself (frame drop/delay/reorder,
     /// follower crashes).
     pub faults: ReplFaultPlan,
@@ -441,7 +441,7 @@ const JOURNAL_SNAPSHOT_EVERY: usize = 64;
 pub(crate) struct ServerDaemon<N> {
     pub(crate) core: EventCore,
     /// Outstanding server-crash points, ascending, in journal-record
-    /// coordinates.
+    /// coordinates (a leader kill, with followers).
     crash_points: VecDeque<u64>,
     moms: Moms<N>,
     /// The command reactor, parked in an `Option` so polling can split the
@@ -452,9 +452,6 @@ pub(crate) struct ServerDaemon<N> {
     drain_waiters: Vec<Sender<()>>,
     /// The replication host, when the deployment has followers.
     repl: Option<ReplHost>,
-    /// Outstanding leader-kill points, ascending, in journal-record
-    /// coordinates (only a replicated deployment has any).
-    leader_kill_points: VecDeque<u64>,
 }
 
 /// Everything the server daemon keeps for replication: the streaming hub
@@ -482,17 +479,16 @@ struct ReplHost {
 /// running set.
 struct Moms<N> {
     net: N,
-    nodes: u32,
     directory: Directory,
-    /// Messages sent so far: the last one's number.
-    sent: u64,
+    /// The server's end of its link to each mom.
+    links: Vec<Link<MomToServer>>,
 }
 
 impl<N: Net> Moms<N> {
+    /// Sends `msg` to the mom of `ms`, numbered on the server's link to it.
     fn send(&mut self, ms: NodeId, msg: ServerToMom) {
-        self.sent += 1;
-        self.net
-            .send(Delivery::Mom(ms, MomMsg::FromServer(self.sent, msg)));
+        let n = self.links[ms.0 as usize].number();
+        self.net.send(Delivery::Mom(ms, MomMsg::FromServer(n, msg)));
     }
 
     fn send_to_ms(&mut self, job: JobId, msg: ServerToMom) {
@@ -627,11 +623,7 @@ impl<N: Net> ServerDaemon<N> {
     /// genesis snapshot.
     fn new(config: DaemonConfig, net: N, reactor: Reactor, tag: &str) -> Self {
         let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
-        let points = |crashes: &[ServerCrash]| crashes.iter().map(|c| c.after_record).collect();
-        let leader_kill_points = config
-            .replication
-            .as_ref()
-            .map_or_else(VecDeque::new, |r| points(&r.leader_kills));
+        let crash_points = config.server_crashes.iter().map(|c| c.after_record);
         // The replication hub and its follower threads live on the server
         // daemon's side of the world: streaming is pumped at every command
         // boundary, so follower state only ever reflects journal prefixes.
@@ -659,18 +651,16 @@ impl<N: Net> ServerDaemon<N> {
         core.enable_journal(JOURNAL_SNAPSHOT_EVERY);
         let mut daemon = ServerDaemon {
             core,
-            crash_points: points(&config.server_crashes),
+            crash_points: crash_points.collect(),
             moms: Moms {
                 net,
-                nodes: config.nodes,
                 directory: Directory::default(),
-                sent: 0,
+                links: (0..config.nodes).map(|_| Link::default()).collect(),
             },
             reactor: Some(reactor),
             run_waiters: Vec::new(),
             drain_waiters: Vec::new(),
             repl,
-            leader_kill_points,
         };
         daemon.pump_replication();
         daemon
@@ -687,11 +677,12 @@ impl<N: Net> ServerDaemon<N> {
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
         match cmd {
             ServerCmd::Client(req) => self.handle_client(req),
-            ServerCmd::FromMom(cmd) => self.handle_mom(cmd, t),
-            // A mom lost its state and restarted: it rebuilds its
-            // hostlists from the jobs it mothers. (Their applications live
-            // on in the event core, so this is pure state repair.)
-            ServerCmd::MomRestarted(node) => self.moms.reattach(self.core.server(), Some(node)),
+            ServerCmd::FromMom(node, n, msg) => {
+                self.moms.links[node.0 as usize].receive(n, msg);
+                while let Some(msg) = self.moms.links[node.0 as usize].next() {
+                    self.handle_mom(node, msg, t);
+                }
+            }
             ServerCmd::ReactorWake => self.reactor_poll(t),
             ServerCmd::Shutdown => {
                 // Follower threads are joined before the server thread
@@ -726,16 +717,24 @@ impl<N: Net> ServerDaemon<N> {
         }
     }
 
-    /// The mom door: a TM call an application made at its mother superior
-    /// is the same command a reactor client could have sent. This door
-    /// acks nothing — the application's answer is the grant or rejection a
-    /// later cycle sends its mom — except that a request the server would
-    /// not queue is rejected straight back.
+    /// The mom door, one message of `node`'s mom in send order. A TM call
+    /// an application made at its mother superior is the same command a
+    /// reactor client could have sent. This door acks nothing — the
+    /// application's answer is the grant or rejection a later cycle sends
+    /// its mom — except that a request the server would not queue is
+    /// rejected straight back.
     ///
     /// A tm_dynget that lands queues and triggers a scheduling cycle
     /// (paper: "This triggers a new scheduling cycle"); the mom already
     /// shrank its hostlist for a tm_dynfree.
-    fn handle_mom(&mut self, cmd: ReactorCommand, t: SimTime) {
+    fn handle_mom(&mut self, node: NodeId, msg: MomToServer, t: SimTime) {
+        let cmd = match msg {
+            MomToServer::Tm(cmd) => cmd,
+            // A mom lost its state and restarted: it rebuilds its
+            // hostlists from the jobs it mothers. (Their applications live
+            // on in the event core, so this is pure state repair.)
+            MomToServer::Restarted => return self.moms.reattach(self.core.server(), Some(node)),
+        };
         let (_, mutated) = self.apply_command(&cmd, t);
         if let (ReactorCommand::DynGet { job, .. }, false) = (&cmd, mutated) {
             // Already pending or not running: deny straight back.
@@ -744,22 +743,17 @@ impl<N: Net> ServerDaemon<N> {
         }
     }
 
-    /// Honours the crash schedules: once the journal has appended
-    /// the next crash (or, with replication live, leader-kill) point's
-    /// record count, the server "process" dies at this command boundary.
+    /// Honours the crash schedule: once the journal has appended the next
+    /// crash point's record count, the server "process" dies at this
+    /// command boundary — for good, with followers to fail over to.
     fn maybe_crash(&mut self, t: SimTime) {
-        loop {
-            let appended = self.appended();
-            let due = |points: &VecDeque<u64>| points.front().is_some_and(|&k| appended >= k);
-            if due(&self.crash_points) {
-                self.crash_points.pop_front();
-                self.restart(false, t);
-            } else if due(&self.leader_kill_points) {
-                self.leader_kill_points.pop_front();
-                self.restart(true, t);
-            } else {
-                return;
-            }
+        while self
+            .crash_points
+            .front()
+            .is_some_and(|&k| self.appended() >= k)
+        {
+            self.crash_points.pop_front();
+            self.restart(self.repl.is_some(), t);
         }
     }
 
@@ -792,9 +786,10 @@ impl<N: Net> ServerDaemon<N> {
             // will be answered by this (new) leader's scheduling cycles.
             let server = self.core.server();
             let live: Vec<JobId> = server.pending_dyn_requests().map(|p| p.job).collect();
-            for node in 0..self.moms.nodes {
-                let msg = MomMsg::ReconcileDyn { live: live.clone() };
-                self.moms.net.send(Delivery::Mom(NodeId(node), msg));
+            for node in 0..self.moms.links.len() as u32 {
+                let live = live.clone();
+                self.moms
+                    .send(NodeId(node), ServerToMom::ReconcileDyn { live });
             }
             // Re-seed the surviving followers under the new term right away.
             self.pump_replication();
@@ -956,225 +951,6 @@ impl<N: Net> ServerDaemon<N> {
         if !self.drain_waiters.is_empty() && server.is_drained() {
             for w in self.drain_waiters.drain(..) {
                 let _ = w.send(());
-            }
-        }
-    }
-}
-
-/// Base retransmission interval of an unacked dyn_join ping.
-const JOIN_RETRY_BASE_MS: u64 = 8;
-/// Backoff ceiling: `8 ms << 5` = 256 ms between retries.
-const JOIN_RETRY_MAX_SHIFT: u32 = 5;
-
-/// One in-flight dyn_join fan-out at a mother superior.
-struct PendingJoin {
-    /// The fan-out round; acks from older rounds are ignored.
-    round: u64,
-    /// The allocation being joined (answered to the app when complete).
-    added: Allocation,
-    /// Nodes whose ack is still outstanding (set semantics: a duplicated
-    /// ack counts once).
-    unacked: BTreeSet<NodeId>,
-    /// Retries so far (drives exponential backoff).
-    attempt: u32,
-    /// When to retransmit next.
-    next_retry: SimTime,
-}
-
-/// One `pbs_mom` daemon: the pure [`Mom`] state machine plus the dyn_join
-/// fan-out (ping/ack every newly allocated node before answering the
-/// application — the real cost Fig 12 measures). Pings are retransmitted
-/// with exponential backoff until acked, so the fan-out survives dropped
-/// peer messages. A fan-out belongs to the run that asked for it: the end
-/// of the run (`KillJob`) or of the mom (a crash) drops it.
-///
-/// Server messages are numbered by the server's link to the moms, and a
-/// mom applies each at most once: a second delivery is dropped, and so is
-/// a `RunJob` or `KillJob` older than a message the mom has applied to the
-/// job since (it belongs to an earlier placement or an earlier run).
-pub(crate) struct MomDaemon<N> {
-    node: NodeId,
-    mom: Mom<Sender<TmResponse>>,
-    /// In-flight fan-outs, by job (ordered, so retransmissions leave in
-    /// the same order on every run).
-    joins: BTreeMap<JobId, PendingJoin>,
-    /// The numbers of the server messages applied to each job this mom
-    /// mothers.
-    applied: BTreeMap<JobId, BTreeSet<u64>>,
-    /// The last fan-out round this mom opened.
-    round: u64,
-    net: N,
-}
-
-impl<N: Net> MomDaemon<N> {
-    fn new(node: NodeId, net: N) -> Self {
-        MomDaemon {
-            node,
-            mom: Mom::new(node),
-            joins: BTreeMap::new(),
-            applied: BTreeMap::new(),
-            round: 0,
-            net,
-        }
-    }
-
-    /// Whether server message `id` is stale here (see [`MomDaemon`]);
-    /// records it otherwise, while the mom mothers its job (a `RunJob`
-    /// makes it mother the job).
-    fn stale(&mut self, id: u64, msg: &ServerToMom) -> bool {
-        let (ServerToMom::RunJob { job, .. }
-        | ServerToMom::DynJoin { job, .. }
-        | ServerToMom::DynReject { job }
-        | ServerToMom::DynDisjoin { job, .. }
-        | ServerToMom::KillJob { job }) = *msg;
-        let start = matches!(msg, ServerToMom::RunJob { .. });
-        if !start && self.mom.hostlist(job).is_none() {
-            return false;
-        }
-        let applied = self.applied.entry(job).or_default();
-        let edge = start || matches!(msg, ServerToMom::KillJob { .. });
-        let older = edge && applied.last().is_some_and(|&last| last > id);
-        !applied.insert(id) || older
-    }
-
-    /// Handles one message at `now`; `false` on shutdown.
-    fn handle(&mut self, msg: MomMsg, now: SimTime) -> bool {
-        let node = self.node;
-        match msg {
-            MomMsg::FromServer(id, msg) if self.stale(id, &msg) => {}
-            MomMsg::FromServer(_, ServerToMom::DynJoin { job, mut added }) => {
-                // dyn_join: every newly allocated host joins the group
-                // before the application gets its hostlist.
-                if let Some(stale) = self.joins.remove(&job) {
-                    // A second join while one is in flight (e.g. a resize
-                    // racing a grant): fan out the union under a new round.
-                    added.merge(&stale.added);
-                }
-                let unacked: BTreeSet<NodeId> = added
-                    .entries()
-                    .map(|(n, _)| n)
-                    .filter(|&n| n != node)
-                    .collect();
-                if unacked.is_empty() {
-                    let out = self.mom.handle_server(ServerToMom::DynJoin { job, added });
-                    route(&mut self.net, out);
-                    return true;
-                }
-                self.round += 1;
-                let round = self.round;
-                for &peer in &unacked {
-                    ping(&mut self.net, peer, job, round, node);
-                }
-                let next_retry = now + SimDuration::from_millis(JOIN_RETRY_BASE_MS);
-                let join = PendingJoin {
-                    round,
-                    added,
-                    unacked,
-                    attempt: 0,
-                    next_retry,
-                };
-                self.joins.insert(job, join);
-            }
-            MomMsg::FromServer(_, msg) => {
-                if let ServerToMom::KillJob { job } = msg {
-                    // The run is over: its fan-out must not complete into
-                    // the job's next run.
-                    self.joins.remove(&job);
-                    self.applied.remove(&job);
-                }
-                route(&mut self.net, self.mom.handle_server(msg));
-            }
-            MomMsg::Peer(PeerMsg::JoinPing {
-                job,
-                round,
-                reply_to,
-            }) => {
-                let ack = PeerMsg::JoinAck {
-                    job,
-                    round,
-                    from: node,
-                };
-                self.net.send(Delivery::Mom(reply_to, MomMsg::Peer(ack)));
-            }
-            MomMsg::Peer(PeerMsg::JoinAck { job, round, from }) => {
-                let complete = match self.joins.get_mut(&job) {
-                    Some(pj) if pj.round == round => {
-                        pj.unacked.remove(&from);
-                        pj.unacked.is_empty()
-                    }
-                    _ => false,
-                };
-                if complete {
-                    let added = self.joins.remove(&job).expect("present").added;
-                    let out = self.mom.handle_server(ServerToMom::DynJoin { job, added });
-                    route(&mut self.net, out);
-                }
-            }
-            MomMsg::Tm { job, req, reply } => {
-                route(&mut self.net, self.mom.handle_tm(job, req, reply));
-            }
-            MomMsg::ReconcileDyn { live } => route(&mut self.net, self.mom.reconcile(&live)),
-            MomMsg::Crash => {
-                // The mom "process" dies: every parked TM caller is denied,
-                // in-flight fan-outs are lost, and the fresh mom asks the
-                // server to replay its jobs.
-                route(&mut self.net, self.mom.crash());
-                self.joins.clear();
-                self.applied.clear();
-                self.net
-                    .send(Delivery::Server(ServerCmd::MomRestarted(node)));
-            }
-            MomMsg::Shutdown => return false,
-        }
-        true
-    }
-}
-
-impl<N: Net> Step for MomDaemon<N> {
-    type Msg = MomMsg;
-
-    /// Handles the message, then retransmits every overdue ping (ack
-    /// timeout + exponential backoff).
-    fn step(&mut self, msg: Option<MomMsg>, now: SimTime) -> bool {
-        if let Some(msg) = msg {
-            if !self.handle(msg, now) {
-                return false;
-            }
-        }
-        for (&job, pj) in self.joins.iter_mut().filter(|(_, pj)| pj.next_retry <= now) {
-            for &peer in &pj.unacked {
-                ping(&mut self.net, peer, job, pj.round, self.node);
-            }
-            pj.attempt += 1;
-            let backoff = JOIN_RETRY_BASE_MS << pj.attempt.min(JOIN_RETRY_MAX_SHIFT);
-            pj.next_retry = now + SimDuration::from_millis(backoff);
-        }
-        true
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        self.joins.values().map(|pj| pj.next_retry).min()
-    }
-}
-
-/// Asks `peer` to join `job`'s host group in fan-out `round`.
-fn ping(net: &mut impl Net, peer: NodeId, job: JobId, round: u64, reply_to: NodeId) {
-    let ping = PeerMsg::JoinPing {
-        job,
-        round,
-        reply_to,
-    };
-    net.send(Delivery::Mom(peer, MomMsg::Peer(ping)));
-}
-
-/// Sends a mom's outputs: forwarded commands to the server, answers to the
-/// application calls they belong to.
-fn route(net: &mut impl Net, outputs: Vec<MomOutput<Sender<TmResponse>>>) {
-    for out in outputs {
-        match out {
-            MomOutput::ToServer(cmd) => net.send(Delivery::Server(ServerCmd::FromMom(cmd))),
-            MomOutput::ToApp(reply, resp) => {
-                let _ = reply.send(resp);
             }
         }
     }
@@ -1532,155 +1308,81 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The mom daemon on its own.
+    // The server daemon's end of each mom's link.
     // ------------------------------------------------------------------
 
-    /// A test net: what a daemon sent, in order.
-    impl Net for Vec<Delivery> {
-        fn send(&mut self, delivery: Delivery) {
-            self.push(delivery);
+    /// A server daemon on `nodes` nodes, sending into a test net, with an
+    /// 8-core, 10 s job placed on node 0 at time zero.
+    fn serving(nodes: u32) -> (ServerDaemon<Vec<Delivery>>, JobId) {
+        let config = hp_config(nodes);
+        let mut server = ServerDaemon::new(config, Vec::new(), Reactor::new(), "");
+        let qsub = ReactorCommand::QSub(Box::new(spec("app", 8, 10_000)));
+        let (reply, _) = server.apply_command(&qsub, SimTime::ZERO);
+        let ReactorReply::Submitted(job) = reply else {
+            panic!("expected a submission, got {reply:?}");
+        };
+        server.step(None, SimTime::ZERO);
+        assert_eq!(server.held(job), alloc(&[(0, 8)]));
+        (server, job)
+    }
+
+    impl ServerDaemon<Vec<Delivery>> {
+        /// What the server holds for `job`.
+        fn held(&self, job: JobId) -> Allocation {
+            let cluster = self.core.server().cluster();
+            cluster.allocation_of(job).cloned().unwrap_or_default()
+        }
+
+        /// Message `n` from node 0's mom: a forwarded TM call.
+        fn hear_mom(&mut self, n: u64, cmd: ReactorCommand) {
+            let msg = ServerCmd::FromMom(NodeId(0), n, MomToServer::Tm(cmd));
+            self.step(Some(msg), SimTime::ZERO);
         }
     }
 
-    /// Server messages numbered the way the server's link numbers them.
-    fn numbered() -> impl Fn(ServerToMom) -> Option<MomMsg> {
-        let sent = std::cell::Cell::new(0);
-        move |msg| {
-            sent.set(sent.get() + 1);
-            Some(MomMsg::FromServer(sent.get(), msg))
-        }
-    }
-
-    /// A mom sent `job`'s placement on its own 8 cores, as message 1.
-    fn mothering(job: JobId) -> MomDaemon<Vec<Delivery>> {
-        let mut mom = MomDaemon::new(NodeId(0), Vec::new());
-        let run = ServerToMom::RunJob {
+    fn forwarded_dynget(job: JobId, extra: u32) -> ReactorCommand {
+        let timeout_ms = None;
+        ReactorCommand::DynGet {
             job,
-            alloc: alloc(&[(0, 8)]),
-        };
-        mom.step(Some(MomMsg::FromServer(1, run)), SimTime::ZERO);
-        mom
-    }
-
-    /// A duplicated `DynJoin` joins once: a second delivery while its
-    /// fan-out is in flight opens no round, and one after it completed
-    /// neither grows the hostlist nor answers the job's next caller.
-    #[test]
-    fn a_duplicated_grant_joins_once() {
-        let (job, t) = (JobId(1), SimTime::ZERO);
-        let mut mom = mothering(job);
-        let park = |mom: &mut MomDaemon<Vec<Delivery>>| {
-            let (reply, rx) = channel();
-            let req = dynget(8, None);
-            mom.step(Some(MomMsg::Tm { job, req, reply }), t);
-            rx
-        };
-        let first = park(&mut mom);
-        let join = || {
-            let added = alloc(&[(1, 8)]);
-            Some(MomMsg::FromServer(2, ServerToMom::DynJoin { job, added }))
-        };
-        mom.step(join(), t);
-        let sent = mom.net.len();
-        mom.step(join(), t);
-        assert_eq!(mom.net.len(), sent, "the duplicate pinged again");
-        let Some(Delivery::Mom(NodeId(1), MomMsg::Peer(PeerMsg::JoinPing { round, .. }))) =
-            mom.net.last().cloned()
-        else {
-            panic!("expected a ping to node 1, got {:?}", mom.net.last());
-        };
-        let ack = PeerMsg::JoinAck {
-            job,
-            round,
-            from: NodeId(1),
-        };
-        mom.step(Some(MomMsg::Peer(ack)), t);
-        match first.try_recv() {
-            Ok(TmResponse::DynGranted { added }) => assert_eq!(added, alloc(&[(1, 8)])),
-            other => panic!("expected the grant, got {other:?}"),
+            extra,
+            timeout_ms,
         }
-        let second = park(&mut mom);
-        mom.step(join(), t);
-        assert_eq!(mom.next_due(), None, "the duplicate opened a fan-out");
-        assert!(second.try_recv().is_err(), "a grant the server never made");
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 8), (1, 8)])));
     }
 
-    /// A `RunJob` older than a message the mom has applied to the job
-    /// since is a placement the job has moved past, and a `KillJob` older
-    /// than the job's current run ended an earlier run: both are dropped.
+    /// A duplicated forward of a `tm_dynget` that lands after its answer
+    /// is the same call again, not a fresh request: the server counts one
+    /// request and one grant, and sends nothing more.
     #[test]
-    fn an_older_placement_or_run_end_changes_nothing() {
-        let (job, t) = (JobId(1), SimTime::ZERO);
-        let mut mom = mothering(job);
-        let server = |id, msg| Some(MomMsg::FromServer(id, msg));
-        let placed = |alloc| ServerToMom::RunJob { job, alloc };
-        // A grant on the mother superior's own node (no fan-out), then a
-        // re-sent placement that was sent before it but arrives after.
-        let added = alloc(&[(0, 4)]);
-        mom.step(server(3, ServerToMom::DynJoin { job, added }), t);
-        mom.step(server(2, placed(alloc(&[(0, 8)]))), t);
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 12)])));
-        // The run ends; the job restarts here; the old end arrives again.
-        mom.step(server(4, ServerToMom::KillJob { job }), t);
-        assert_eq!(mom.mom.hostlist(job), None);
-        mom.step(server(6, placed(alloc(&[(0, 2)]))), t);
-        mom.step(server(4, ServerToMom::KillJob { job }), t);
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 2)])));
-        // A newer placement (a re-attach after a server restart) applies.
-        mom.step(server(7, placed(alloc(&[(0, 3)]))), t);
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 3)])));
+    fn a_duplicate_dynget_after_its_answer_changes_nothing_at_the_server() {
+        let (mut server, job) = serving(4);
+        server.hear_mom(1, forwarded_dynget(job, 8));
+        let held = server.held(job);
+        assert_eq!(held.total_cores(), 16, "the request is granted");
+        let sent = server.moms.net.len();
+        server.hear_mom(1, forwarded_dynget(job, 8));
+        assert_eq!(server.held(job), held);
+        assert_eq!(server.moms.net.len(), sent, "the duplicate was answered");
+        let record = server.core.server().job(job).expect("running");
+        assert_eq!((record.dyn_requests, record.dyn_grants), (1, 1));
     }
 
-    /// A killed run's dyn_join fan-out dies with it. The job is requeued
-    /// and restarts on the same mother superior; a late ack from the dead
-    /// run's round answers no one and joins nothing, and the new run's own
-    /// grant joins only the hosts it names.
+    /// A duplicated `tm_dynfree` that lands after a later grant on the
+    /// same node releases nothing more: the grant's cores stay held.
     #[test]
-    fn a_killed_runs_fan_out_does_not_complete_into_the_next_run() {
-        let job = JobId(1);
-        let t = SimTime::ZERO;
-        let mut mom = MomDaemon::new(NodeId(0), Vec::new());
-        let server = numbered();
-        let run = |mom: &mut MomDaemon<Vec<Delivery>>| {
-            let alloc = alloc(&[(0, 8)]);
-            mom.step(server(ServerToMom::RunJob { job, alloc }), t)
-        };
-        let park = |mom: &mut MomDaemon<Vec<Delivery>>| {
-            let (reply, rx) = channel();
-            let req = negotiated(8, 1_000);
-            mom.step(Some(MomMsg::Tm { job, req, reply }), t);
-            rx
-        };
-        run(&mut mom);
-        let first = park(&mut mom);
-        // The grant names a peer: the fan-out pings node 1.
-        let added = alloc(&[(1, 8)]);
-        mom.step(server(ServerToMom::DynJoin { job, added }), t);
-        let round = match mom.net.last() {
-            Some(Delivery::Mom(NodeId(1), MomMsg::Peer(PeerMsg::JoinPing { round, .. }))) => *round,
-            other => panic!("expected a ping to node 1, got {other:?}"),
-        };
-        mom.step(server(ServerToMom::KillJob { job }), t);
-        assert!(matches!(first.try_recv(), Ok(TmResponse::DynDenied)));
-        run(&mut mom);
-        let second = park(&mut mom);
-        assert_eq!(mom.next_due(), None, "no fan-out is left to retry");
-        let ack = PeerMsg::JoinAck {
+    fn a_duplicate_dynfree_after_a_later_grant_releases_nothing_more() {
+        let (mut server, job) = serving(2);
+        server.hear_mom(1, forwarded_dynget(job, 8));
+        assert_eq!(server.held(job), alloc(&[(0, 8), (1, 8)]));
+        let released = alloc(&[(1, 4)]);
+        let free = || ReactorCommand::DynFree {
             job,
-            round,
-            from: NodeId(1),
+            released: released.clone(),
         };
-        mom.step(Some(MomMsg::Peer(ack)), t);
-        assert!(second.try_recv().is_err(), "a grant the server never made");
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 8)])));
-        // The new run's grant, on the mother superior's own node.
-        let added = alloc(&[(0, 4)]);
-        mom.step(server(ServerToMom::DynJoin { job, added }), t);
-        match second.try_recv() {
-            Ok(TmResponse::DynGranted { added }) => assert_eq!(added, alloc(&[(0, 4)])),
-            other => panic!("expected the new run's grant, got {other:?}"),
-        }
-        assert_eq!(mom.mom.hostlist(job), Some(&alloc(&[(0, 12)])));
+        server.hear_mom(2, free());
+        assert_eq!(server.held(job), alloc(&[(0, 8), (1, 4)]));
+        server.hear_mom(3, forwarded_dynget(job, 4));
+        assert_eq!(server.held(job), alloc(&[(0, 8), (1, 8)]));
+        server.hear_mom(2, free());
+        assert_eq!(server.held(job), alloc(&[(0, 8), (1, 8)]));
     }
 }

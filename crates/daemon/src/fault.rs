@@ -28,14 +28,13 @@
 //! Only the dyn_join ping/ack traffic may be dropped: only it is
 //! retransmitted (exponential-backoff retries at the mother superior).
 //! Dropping any other message would model a loss with no retry path.
-//! Every message may arrive twice and out of order. An ack counts once
-//! per acker and round. A mom applies each numbered server message at
-//! most once, and ignores a placement or run end older than what it has
-//! applied since (`MomDaemon`). The server takes a forwarded TM call on
-//! its merits: a second `tm_dynget` is refused while the first is
-//! pending, and is a fresh request once the first was answered.
-//! Client↔server and app↔mom (TM call) channels are never faulted — they
-//! model in-process or node-local calls, not network hops.
+//! Every message may arrive twice and out of order. The receiving end
+//! absorbs that: an ack counts once per acker and round, and every sturdy
+//! message is numbered on its link and applied once, in send order (the
+//! link rule, `wire::Link`) — a mom and the server see what one FIFO
+//! channel would have delivered. Client↔server and app↔mom (TM call)
+//! channels are never faulted — they model in-process or node-local
+//! calls, not network hops.
 //!
 //! Determinism: each daemon is single-threaded and talks only by message,
 //! so the only thing threads could interleave is delivery order — and
@@ -44,11 +43,14 @@
 //! server image on every run.
 
 use crate::daemon::{DaemonConfig, DaemonHandle, Daemons, Driver, Step};
+use crate::mom::MomDaemon;
 use crate::wire::{Delivery, MomMsg, Net};
-use dynbatch_core::{NodeId, SimDuration, SimTime};
+use dynbatch_cluster::Allocation;
+use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
 use dynbatch_server::{PbsServer, ReactorClient, Reply};
 use dynbatch_simtime::{EventQueue, SplitMix64};
 use std::cell::{Ref, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
@@ -339,14 +341,26 @@ impl DaemonHandle<Virtual> {
         let ensemble = self.driver.0.borrow();
         Ref::map(ensemble, |ens| ens.daemons.server.core.server())
     }
+
+    /// What the moms hold, for inspection: by node, each job the mom
+    /// mothers with its hostlist. A job's parked caller and in-flight
+    /// fan-out live in the same entry, so a mom that lists no job holds
+    /// neither.
+    pub fn moms(&self) -> Vec<BTreeMap<JobId, Allocation>> {
+        let ens = self.driver.0.borrow();
+        ens.daemons.moms.iter().map(MomDaemon::hostlists).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ServerCmd;
-    use dynbatch_core::JobId;
+    use crate::wire::{MomToServer, ServerCmd};
     use dynbatch_server::ServerToMom;
+
+    fn restarted(node: u32) -> Delivery {
+        Delivery::Server(ServerCmd::FromMom(NodeId(node), 1, MomToServer::Restarted))
+    }
 
     fn pop_all(net: &VirtualNet) -> Vec<(SimTime, Delivery)> {
         let queue = &mut net.0.borrow_mut().queue;
@@ -406,7 +420,7 @@ mod tests {
                 job: JobId(i.into()),
             };
             net.send(Delivery::Mom(NodeId(0), MomMsg::FromServer(i.into(), kill)));
-            net.send(Delivery::Server(ServerCmd::MomRestarted(NodeId(i))));
+            net.send(restarted(i));
         }
         let got = pop_all(&net);
         assert_eq!(got.len(), 100);
@@ -419,7 +433,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
             match &pair[1].1 {
-                Delivery::Server(ServerCmd::MomRestarted(node)) => assert_eq!(node.0, i as u32),
+                Delivery::Server(ServerCmd::FromMom(node, ..)) => assert_eq!(node.0, i as u32),
                 other => panic!("{other:?}"),
             }
         }
@@ -434,7 +448,7 @@ mod tests {
         let mut net = VirtualNet::new(plan);
         let kill = ServerToMom::KillJob { job: JobId(1) };
         net.send(Delivery::Mom(NodeId(0), MomMsg::FromServer(1, kill)));
-        net.send(Delivery::Server(ServerCmd::MomRestarted(NodeId(1))));
+        net.send(restarted(1));
         let got = pop_all(&net);
         let kills = got.iter().filter(|(_, d)| matches!(d, Delivery::Mom(..)));
         assert_eq!((got.len(), kills.count()), (4, 2), "{got:?}");
@@ -451,10 +465,10 @@ mod tests {
             from: NodeId(2),
         };
         net.send(Delivery::Mom(NodeId(0), MomMsg::Peer(ack)));
-        net.send(Delivery::Server(ServerCmd::MomRestarted(NodeId(1))));
+        net.send(restarted(1));
         let got = pop_all(&net);
         assert!(
-            matches!(got[..], [(_, Delivery::Server(ServerCmd::MomRestarted(_)))]),
+            matches!(got[..], [(_, Delivery::Server(ServerCmd::FromMom(..)))]),
             "the peer message is dropped, the sturdy one survives: {got:?}"
         );
     }

@@ -33,18 +33,22 @@
 //!   one exact trace.
 //!
 //! Server crashes ([`ServerCrash`], in journal-record coordinates) work
-//! under both drivers. Each fact lives in one place: a parked `tm_dynget`
-//! caller in its mother superior's job entry, the mother-superior
-//! directory in the server daemon (written where `RunJob` is sent, cleared
-//! where the run ends), the server's deadlines in its event core's queue.
+//! under both drivers; with followers, each is a leader kill. Each fact
+//! lives in one place: a job's hostlist, parked `tm_dynget` caller and
+//! in-flight fan-out in its mother superior's one entry for it, the
+//! mother-superior directory in the server daemon (written where `RunJob`
+//! is sent, cleared where the run ends), the server's deadlines in its
+//! event core's queue. Every daemon message but a ping or ack is numbered
+//! on its link and applied once, in send order.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod daemon;
 pub mod fault;
+mod mom;
 pub mod wire;
 
 pub use daemon::{DaemonConfig, DaemonHandle, Driver, Replication, Threads};
 pub use fault::{FaultPlan, ServerCrash, Virtual};
-pub use wire::{ClientReq, MomMsg, PeerMsg, ReplicationStatus, ServerCmd};
+pub use wire::{ClientReq, MomMsg, MomToServer, PeerMsg, ReplicationStatus, ServerCmd};

@@ -1,17 +1,26 @@
 //! Channel message types, the one delivery seam between daemons
-//! (`Net`), and the one way a daemon thread waits (`recv_until`).
+//! (`Net`), the one link rule (`Link`), and the one way a daemon thread
+//! waits (`recv_until`).
 //!
 //! Every daemon-to-daemon message — server→mom, mom→server, mom→mom —
 //! leaves through a `Net` as a `Delivery`. Threaded, the net is
 //! `Wires`: the raw `mpsc` senders and nothing else. In virtual time it
 //! is the fault-injecting queue of [`crate::fault`]. Every enum is `Clone`
-//! so that queue can duplicate deliveries. Each server→mom message carries
-//! its number on the server's link, so a mom can tell a second delivery
-//! or an overtaken placement. No deadline travels here: the server's
-//! deadlines are events of its own event core.
+//! so that queue can duplicate deliveries.
+//!
+//! Every sturdy message — server→mom ([`MomMsg::FromServer`]) and
+//! mom→server ([`ServerCmd::FromMom`]) — carries its number on its link,
+//! one counter per sender–receiver pair, and the receiver applies each
+//! number once, in send order (`Link`). That is the delivery one FIFO
+//! channel per receiver gives the threaded driver anyway; in virtual time
+//! it absorbs the net's duplicates and reorderings. Pings and acks are
+//! unnumbered: they may be dropped, and the mother superior retries them.
+//! No deadline travels here: the server's deadlines are events of its own
+//! event core.
 
 use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
 use dynbatch_server::{Command, ServerToMom, TmResponse};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender};
 use std::time::Instant;
 
@@ -45,6 +54,49 @@ pub(crate) enum Delivery {
 pub(crate) trait Net {
     /// Sends one message on its way.
     fn send(&mut self, delivery: Delivery);
+}
+
+/// One daemon's end of its link to another: the number of the last
+/// message it sent there, and what it has received from there. Each
+/// received number is applied once and in send order — a second copy is
+/// dropped, an early arrival is held until the gap before it fills. The
+/// state outlives a crash of either end, as a transport's would.
+pub(crate) struct Link<T> {
+    sent: u64,
+    applied: u64,
+    held: BTreeMap<u64, T>,
+}
+
+impl<T> Default for Link<T> {
+    fn default() -> Self {
+        Link {
+            sent: 0,
+            applied: 0,
+            held: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Link<T> {
+    /// The number of the next message sent on the link.
+    pub(crate) fn number(&mut self) -> u64 {
+        self.sent += 1;
+        self.sent
+    }
+
+    /// Takes message `n` off the link; [`Link::next`] releases it in turn.
+    pub(crate) fn receive(&mut self, n: u64, msg: T) {
+        if n > self.applied {
+            self.held.entry(n).or_insert(msg);
+        }
+    }
+
+    /// The next message to apply, in send order.
+    pub(crate) fn next(&mut self) -> Option<T> {
+        let msg = self.held.remove(&(self.applied + 1))?;
+        self.applied += 1;
+        Some(msg)
+    }
 }
 
 /// The channels into an ensemble's daemons. Threaded, they are the net;
@@ -144,20 +196,29 @@ pub struct ReplicationStatus {
 pub enum ServerCmd {
     /// A client's observation or wait (commands come through the reactor).
     Client(ClientReq),
-    /// A TM call a mother superior forwards, spelled as the client command
-    /// it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3 step 2;
-    /// at most one outstanding per job), a `tm_dynfree()` as
-    /// [`Command::DynFree`] once the local *dyn_disjoin* completed.
-    FromMom(Command),
-    /// A mom lost its state and restarted (a virtual-time fault); the
-    /// server re-sends `RunJob` for every active job mothered there.
-    MomRestarted(NodeId),
+    /// A message from the mom of a node and its number on that mom's link
+    /// to the server (a duplicated delivery carries its original's
+    /// number).
+    FromMom(NodeId, u64, MomToServer),
     /// A reactor client sent something: poll the command reactor. Pure
     /// nudge — commands travel on the reactor's own channel; spurious
     /// wakes poll an empty mailbox and move on.
     ReactorWake,
     /// Stop the daemon.
     Shutdown,
+}
+
+/// What a mom tells the server.
+#[derive(Debug, Clone)]
+pub enum MomToServer {
+    /// A TM call the mother superior forwards, spelled as the client
+    /// command it is: a `tm_dynget()` as [`Command::DynGet`] (paper Fig 3
+    /// step 2; at most one outstanding per job), a `tm_dynfree()` as
+    /// [`Command::DynFree`] once the local *dyn_disjoin* completed.
+    Tm(Command),
+    /// The mom lost its state and restarted (a virtual-time fault); the
+    /// server re-sends `RunJob` for every active job mothered there.
+    Restarted,
 }
 
 /// Mom-to-mom messages (the dyn_join fan-out).
@@ -206,21 +267,19 @@ pub enum MomMsg {
         /// Where the TM response goes.
         reply: Sender<TmResponse>,
     },
-    /// Failover reconciliation from a freshly promoted leader: `live` is
-    /// the set of jobs whose dynamic requests are still pending on the
-    /// promoted state. A parked `tm_dynget` caller whose request record
-    /// was lost with the dead leader (its job is not in `live`) is denied,
-    /// and the job's next `tm_dynget` is forwarded again; callers in
-    /// `live` stay parked — their negotiations survived the failover and
-    /// the new leader will answer them.
-    ReconcileDyn {
-        /// Jobs with a live pending dynamic request on the new leader.
-        live: Vec<JobId>,
-    },
     /// A virtual-time fault: the mom "process" dies and restarts, losing
-    /// all in-memory state. Every parked `tm_dynget` caller is denied, then the
-    /// mom announces [`ServerCmd::MomRestarted`].
+    /// every job entry (its link to the server survives). Every parked
+    /// `tm_dynget` caller is denied, then the mom announces
+    /// [`MomToServer::Restarted`].
     Crash,
     /// Stop the mom.
     Shutdown,
+}
+
+/// A test net: what a daemon sent, in order.
+#[cfg(test)]
+impl Net for Vec<Delivery> {
+    fn send(&mut self, delivery: Delivery) {
+        self.push(delivery);
+    }
 }

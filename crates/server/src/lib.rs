@@ -6,12 +6,11 @@
 //!
 //! * [`messages`] — the protocol vocabulary of the paper's Figs 2–4
 //!   (client ↔ server ↔ mom, plus the extended TM API with
-//!   `tm_dynget()` / `tm_dynfree()`);
+//!   `tm_dynget()` / `tm_dynfree()`); the moms that speak it are daemons
+//!   of `dynbatch-daemon`;
 //! * [`server`] — the `pbs_server` state machine: job lifecycle, the
 //!   `DynQueued` state, snapshot production for the scheduler and outcome
 //!   application back onto the cluster;
-//! * [`mom`] — the per-node `pbs_mom` state machine: mother-superior
-//!   hostlist tracking, `dyn_join` / `dyn_disjoin`;
 //! * [`journal`] — the write-ahead state journal (the `server_priv/`
 //!   analogue): append-only mutation records plus compacting snapshots,
 //!   which [`server::PbsServer::recover`] feeds to a follower for crash
@@ -25,8 +24,8 @@
 //!   released only once the batch's journal records are appended.
 //!
 //! Everything is a pure state machine over message values so that the
-//! discrete-event simulator (`dynbatch-sim`) and the threaded daemon
-//! (`dynbatch-daemon`) execute the identical protocol code.
+//! discrete-event simulator (`dynbatch-sim`) and the daemon ensemble
+//! (`dynbatch-daemon`) execute the identical server code.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +34,6 @@ pub mod accounting;
 pub mod codec;
 pub mod journal;
 pub mod messages;
-pub mod mom;
 pub mod reactor;
 pub mod replication;
 pub mod server;
@@ -45,7 +43,6 @@ mod table_props;
 pub use accounting::AccountingLog;
 pub use journal::{Journal, PendingDynImage, Record, ServerImage};
 pub use messages::{ServerToMom, TmRequest, TmResponse};
-pub use mom::{Mom, MomOutput};
 pub use reactor::{
     BatchEvent, Command, Reactor, ReactorClient, ReactorConnector, ReactorStats, Reply,
 };

@@ -1,16 +1,16 @@
 //! Protocol messages of the (extended) Torque workflow.
 //!
 //! These enums encode the arrows of the paper's Figs 2–4 below the client:
-//! server → mom (run, dyn-join, dyn-disjoin, kill) and the TM interface
-//! between an application process and its local mom. The one mom → server
-//! arrow is a forwarded TM call, which travels as the client
-//! [`crate::reactor::Command`] it is (a `tm_dynget()` as `DynGet`, a
-//! `tm_dynfree()` as `DynFree`); the server learns nothing else from a
-//! mom — it sent the `RunJob` itself, and an application's exit reaches it
-//! on its own timer. The threaded daemon ships them over channels between
-//! its server thread and the [`crate::Mom`] state machine each mom thread
-//! runs; the simulator has no moms and hands the server its `DynGet` /
-//! `DynFree` records directly.
+//! server → mom (run, dyn-join, dyn-disjoin, kill, and a failover's
+//! reconcile) and the TM interface between an application process and its
+//! local mom. The mom → server arrow is a forwarded TM call, which travels
+//! as the client [`crate::reactor::Command`] it is (a `tm_dynget()` as
+//! `DynGet`, a `tm_dynfree()` as `DynFree`); the server learns nothing
+//! else of an application from a mom — it sent the `RunJob` itself, and an
+//! application's exit reaches it on its own timer. The moms live in the
+//! daemon crate (`dynbatch-daemon`), which numbers these messages on each
+//! server–mom link; the simulator has no moms and hands the server its
+//! `DynGet` / `DynFree` records directly.
 
 use dynbatch_cluster::Allocation;
 use dynbatch_core::JobId;
@@ -52,6 +52,16 @@ pub enum ServerToMom {
     KillJob {
         /// The job.
         job: JobId,
+    },
+    /// Failover reconciliation from a freshly promoted leader: `live` is
+    /// the set of jobs whose dynamic requests are still pending on the
+    /// promoted state. A parked `tm_dynget()` caller whose request record
+    /// was lost with the dead leader (its job is not in `live`) is denied,
+    /// and the job's next `tm_dynget()` is forwarded again; callers in
+    /// `live` stay parked — the new leader will answer them.
+    ReconcileDyn {
+        /// Jobs with a live pending dynamic request on the new leader.
+        live: Vec<JobId>,
     },
 }
 

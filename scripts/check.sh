@@ -17,9 +17,10 @@ echo "==> cargo test (every suite of the workspace, once; EXPERIMENTS.md maps"
 echo "    each claim to the suite that pins it)"
 cargo test -q --workspace
 
-echo "==> the virtual-time chaos sweep: 10 000 seeds of the daemon protocol path,"
-echo "    each run twice and required to replay as one trace (release build)"
-cargo test --release -q --test chaos_daemon -- --ignored
+echo "==> the virtual-time chaos sweeps: 10 000 seeds of the daemon protocol path"
+echo "    and 10 000 of reactor churn, each run twice and required to replay as one"
+echo "    trace (release build)"
+cargo test --release -q --test chaos_daemon --test reactor_chaos -- --ignored
 
 echo "==> perf_smoke --quick (every comparison asserts identical decisions"
 echo "    against sched::reference::iterate_naive before it is timed)"
@@ -173,6 +174,16 @@ gone='ChaosCore|postman_main|Post::Later|raw_mom_txs'
 if grep -rnE "$gone" crates src tests examples \
     || grep -rn 'thread::sleep' crates/daemon/src tests/chaos_daemon.rs tests/reactor_chaos.rs; then
   echo "a deleted name or a sleep reappeared (see above)"; exit 1
+fi
+
+echo "==> one mom and one link rule: the mom lives in the daemon crate as one entry"
+echo "    per job, every daemon message is applied once in send order by the link, and"
+echo "    a server crash is the one crash schedule (a leader kill with followers)"
+gone='MomOutput|leader_kills|leader_kill_points|MomRestarted|fn stale\('
+if grep -rnE "$gone" crates src tests examples \
+    || grep -rnE 'mod mom\b|pub use mom\b|\bMom\b' crates/server \
+    || grep -rnE '(BTree|Hash)Map<JobId, *(BTree|Hash)Set<u64>>' crates/daemon; then
+  echo "a deleted name reappeared (see above)"; exit 1
 fi
 
 echo "==> one spelling on the replication wire: frames, images and every"

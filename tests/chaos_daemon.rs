@@ -13,8 +13,13 @@
 //! 2. per-job **final states match the fault-free run** (everything
 //!    completes; the deliberately qdel'd job is cancelled);
 //! 3. every **grant** the caller receives names cores the job holds at
-//!    the server when it arrives;
-//! 4. the seed is **one trace**: a second run of it ends with the same
+//!    the server when it arrives, and then and after the next pause the
+//!    grower's mother superior holds no more of it than the server does;
+//! 4. each job's booked dynamic **requests and grants** are at most the
+//!    `tm_dynget` calls made for it;
+//! 5. once every delivery has landed, **no mom holds a job entry** (so no
+//!    parked caller and no fan-out);
+//! 6. the seed is **one trace**: a second run of it ends with the same
 //!    server image, journal length and delivery count.
 //!
 //! The run is single-threaded and sleeps nowhere, so a failing seed is a
@@ -25,7 +30,10 @@
 
 mod common;
 
-use common::{assert_grant_held, seeds_ending, trace};
+use common::{
+    assert_grant_held, assert_moms_empty, assert_moms_within_server, assert_requests_within_calls,
+    seeds_ending, trace,
+};
 use dynbatch::core::{DfsConfig, GroupId, JobSpec, JobState, SchedulerConfig, SimDuration, UserId};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
 use dynbatch::server::TmResponse;
@@ -37,7 +45,7 @@ fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
 }
 
 /// One run: each job's final state in submission order, and the trace
-/// fingerprint. Asserts drain and the grant invariant.
+/// fingerprint. Asserts drain and the grant and mom invariants.
 type Run = (Vec<Option<JobState>>, (Vec<u8>, u64, u64));
 
 /// Runs the canonical workload under `faults` and `server_crashes`.
@@ -80,11 +88,15 @@ fn run_workload(faults: FaultPlan, server_crashes: Vec<ServerCrash>) -> Run {
     let granted = match d.tm_dynget(grower, 8) {
         TmResponse::DynGranted { added } => {
             assert_grant_held(&d, grower, &added, seed);
+            assert_moms_within_server(&d, grower, seed);
             Some(added)
         }
         _ => None,
     };
     pause(80);
+    if granted.is_some() {
+        assert_moms_within_server(&d, grower, seed);
+    }
     if let Some(added) = granted {
         let _ = d.tm_dynfree(grower, added);
     }
@@ -100,6 +112,8 @@ fn run_workload(faults: FaultPlan, server_crashes: Vec<ServerCrash>) -> Run {
     );
     // Every delivery still in flight lands.
     while d.step() {}
+    assert_requests_within_calls(&d, &[grower], seed);
+    assert_moms_empty(&d, seed);
     let mut ids = vec![grower, blocked];
     ids.extend(fillers);
     ids.push(victim);

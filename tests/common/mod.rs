@@ -3,7 +3,9 @@
 //! by step, against a `PbsServer` + `Maui` — journal records and
 //! scheduler cycles —, the thread-leak check every suite that starts a
 //! threaded ensemble ends with, and what the virtual-time chaos suites
-//! check of every run: the grant invariant and the trace fingerprint.
+//! check of every run: the grant invariant, the mother superior against
+//! the server, the dynamic-request count against the calls made, the moms
+//! left empty, and the trace fingerprint.
 
 // Each suite is its own crate and uses its own part of this module.
 #![allow(dead_code, unused_imports)]
@@ -190,6 +192,51 @@ pub fn assert_grant_held(d: &DaemonHandle<Virtual>, job: JobId, added: &Allocati
     assert!(
         held.is_some_and(|h| added.entries().all(|(n, c)| h.cores_on(n) >= c)),
         "seed {seed}: {job:?} was granted {added:?} but holds {held:?}"
+    );
+}
+
+/// No mom holds more of `job` than the server does: while the server
+/// allocates the job, the hostlist a mom keeps for it has at most the
+/// cores the server allocates it on every node. (A run that has ended
+/// leaves its mom's entry until its `KillJob` lands; the drained check,
+/// [`assert_moms_empty`], catches one that stays.)
+pub fn assert_moms_within_server(d: &DaemonHandle<Virtual>, job: JobId, seed: u64) {
+    let Some(held) = d.server().cluster().allocation_of(job).cloned() else {
+        return;
+    };
+    for (node, mom) in d.moms().iter().enumerate() {
+        let hostlist = mom.get(&job).into_iter().flat_map(|h| h.entries());
+        for (n, c) in hostlist {
+            assert!(
+                c <= held.cores_on(n),
+                "seed {seed}: mom {node} holds {c} cores of {job:?} on {n}, the server {held:?}"
+            );
+        }
+    }
+}
+
+/// Each job's dynamic requests and grants, as its outcome books them, are
+/// at most the `tm_dynget` calls the workload made for it (`calls`).
+pub fn assert_requests_within_calls(d: &DaemonHandle<Virtual>, calls: &[JobId], seed: u64) {
+    for o in d.outcomes() {
+        let made = calls.iter().filter(|&&job| job == o.id).count() as u32;
+        assert!(
+            o.dyn_requests <= made && o.dyn_grants <= made,
+            "seed {seed}: {:?} made {made} tm_dynget calls but booked {} requests, {} grants",
+            o.id,
+            o.dyn_requests,
+            o.dyn_grants
+        );
+    }
+}
+
+/// Once everything has landed, no mom holds a job entry — and so no
+/// parked caller and no fan-out, which live in the entry.
+pub fn assert_moms_empty(d: &DaemonHandle<Virtual>, seed: u64) {
+    let moms = d.moms();
+    assert!(
+        moms.iter().all(|m| m.is_empty()),
+        "seed {seed}: moms hold entries after the drain: {moms:?}"
     );
 }
 

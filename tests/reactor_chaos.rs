@@ -23,11 +23,17 @@
 //!    the ack-on-append contract end to end;
 //! 3. every **grant** a caller receives names cores its job holds at the
 //!    server when it arrives;
-//! 4. the seed is **one trace**: a second run of it ends with the same
+//! 4. each job's booked dynamic **requests and grants** are at most the
+//!    `tm_dynget` calls made for it;
+//! 5. once every delivery has landed, **no mom holds a job entry** (so no
+//!    parked caller and no fan-out);
+//! 6. the seed is **one trace**: a second run of it ends with the same
 //!    server image, journal length and delivery count.
 //!
 //! `reactor_churn_seeds_00_09` … `_40_49` take the seeds below 1000
-//! whose last two digits fall in their range (500 in all). A separate,
+//! whose last two digits fall in their range (500 in all);
+//! `reactor_churn_10k_seeds` (ignored; `scripts/check.sh` runs it in
+//! release) sweeps 10 000. A separate,
 //! threaded test pins the backpressure policy at ensemble level — a
 //! stalled reader that never drains its replies must not block the
 //! scheduler cycle or any other client's acks — and is the reactor
@@ -35,7 +41,10 @@
 
 mod common;
 
-use common::{assert_grant_held, assert_no_tagged_threads, seeds_ending, trace};
+use common::{
+    assert_grant_held, assert_moms_empty, assert_no_tagged_threads, assert_requests_within_calls,
+    seeds_ending, trace,
+};
 use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig, SimDuration};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
 use dynbatch::server::{Reply, TmResponse};
@@ -77,6 +86,7 @@ fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
 
     let mut rng = SplitMix64::new(seed).derive(0xC4A0);
     let mut acked: Vec<JobId> = Vec::new();
+    let mut calls: Vec<JobId> = Vec::new();
     let waves = 2 + rng.next_below(3);
     for w in 0..waves {
         let n_clients = 1 + rng.next_below(3) as usize;
@@ -124,6 +134,7 @@ fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
         let extra = 1 + rng.next_below(4) as u32;
         let last = acked.last().copied();
         if let Some(job) = last.filter(|&job| d.qstat(job) == Some(JobState::Running)) {
+            calls.push(job);
             if let TmResponse::DynGranted { added } = d.tm_dynget(job, extra) {
                 assert_grant_held(&d, job, &added, seed);
             }
@@ -148,11 +159,12 @@ fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
     }
     assert!(!acked.is_empty(), "seed {seed}: no client ever read an ack");
     while d.step() {}
+    assert_requests_within_calls(&d, &calls, seed);
+    assert_moms_empty(&d, seed);
     trace(&d)
 }
 
-fn sweep(digits: std::ops::Range<u64>) {
-    let seeds = seeds_ending(digits);
+fn sweep(seeds: Vec<u64>) {
     let workers = dynbatch::sim::sweep::worker_count(0).div_ceil(4).min(4);
     dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
         let seed = seeds[i];
@@ -165,27 +177,35 @@ fn sweep(digits: std::ops::Range<u64>) {
 
 #[test]
 fn reactor_churn_seeds_00_09() {
-    sweep(0..10);
+    sweep(seeds_ending(0..10));
 }
 
 #[test]
 fn reactor_churn_seeds_10_19() {
-    sweep(10..20);
+    sweep(seeds_ending(10..20));
 }
 
 #[test]
 fn reactor_churn_seeds_20_29() {
-    sweep(20..30);
+    sweep(seeds_ending(20..30));
 }
 
 #[test]
 fn reactor_churn_seeds_30_39() {
-    sweep(30..40);
+    sweep(seeds_ending(30..40));
 }
 
 #[test]
 fn reactor_churn_seeds_40_49() {
-    sweep(40..50);
+    sweep(seeds_ending(40..50));
+}
+
+/// 10 000 seeds: `scripts/check.sh` runs this in release with
+/// `--ignored`.
+#[test]
+#[ignore = "release-build sweep; scripts/check.sh runs it"]
+fn reactor_churn_10k_seeds() {
+    sweep((0..10_000).collect());
 }
 
 /// Backpressure at ensemble level: a client that floods commands and

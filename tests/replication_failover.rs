@@ -46,18 +46,19 @@ fn spec(name: &str, user: u32, cores: u32, ms: u64) -> dynbatch::core::JobSpec {
     )
 }
 
+/// Three nodes, a leader and two followers; with followers, a scheduled
+/// server crash is a leader kill.
 fn replicated_config(kill_after: Option<u64>, repl_faults: Option<ReplFaultPlan>) -> DaemonConfig {
-    let leader_kills = kill_after.map(|k| ServerCrash { after_record: k });
+    let kill = kill_after.map(|k| ServerCrash { after_record: k });
     DaemonConfig {
         nodes: 3,
         cores_per_node: 8,
         sched: sched(),
+        server_crashes: kill.into_iter().collect(),
         replication: Some(Replication {
             followers: 2,
-            leader_kills: leader_kills.into_iter().collect(),
             faults: repl_faults.unwrap_or_else(|| ReplFaultPlan::none(0)),
         }),
-        ..DaemonConfig::default()
     }
 }
 
