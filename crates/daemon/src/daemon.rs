@@ -17,7 +17,9 @@
 //!   threads (the suites check `/proc/self/task`).
 //! - **virtual** ([`DaemonHandle::simulate`], in [`crate::fault`]): every
 //!   daemon on the caller's thread, in virtual time, the net being one
-//!   seeded, fault-injecting queue of deliveries.
+//!   seeded, fault-injecting queue of deliveries. Followers keep their
+//!   threads: each watermark read is a synchronous round trip queued
+//!   behind the frames, so a seed is still one trace.
 //!
 //! The server daemon drives the simulator's [`EventCore`]: every deadline
 //! — an application's exit, its walltime kill, its own request points and
@@ -27,7 +29,7 @@
 //! then the cycle the message woke. An event carries the nonce of the run
 //! that armed it, so a stale one can never act on a successor run.
 
-use crate::fault::ServerCrash;
+use crate::fault::FaultPlan;
 use crate::mom::MomDaemon;
 use crate::wire::{
     recv_until, ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
@@ -39,21 +41,22 @@ use dynbatch_core::{
 };
 use dynbatch_sched::DynDecision;
 use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
-use dynbatch_server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
+use dynbatch_server::replication::ReplicationHub;
 use dynbatch_server::{
     Applied, PbsServer, Reactor, ReactorClient, ReactorConnector, ServerToMom, TmRequest,
     TmResponse,
 };
 use dynbatch_sim::{EventCore, Hook, RunEnd};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Daemon deployment parameters. The threaded driver honours every field;
-/// the virtual one refuses `replication`.
+/// What is deployed — nothing that fails: faults are a [`FaultPlan`],
+/// which only [`DaemonHandle::simulate`] takes. Both drivers honour every
+/// field.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Compute nodes.
@@ -62,27 +65,11 @@ pub struct DaemonConfig {
     pub cores_per_node: u32,
     /// Scheduler configuration.
     pub sched: SchedulerConfig,
-    /// Server crash schedule, in journal-record coordinates. Without
-    /// followers the server restarts by snapshot-load + replay; with them
-    /// the leader dies for good and the highest-watermark follower is
-    /// promoted in its place (with none left, the server recovers from its
-    /// journal).
-    pub server_crashes: Vec<ServerCrash>,
-    /// Hot followers fed from the leader's journal stream (`None` = no
-    /// replication).
-    pub replication: Option<Replication>,
-}
-
-/// A replicated deployment. Every reactor ack waits until the batch's
-/// records are on each live follower; every `qstat` is answered by the
-/// leader.
-#[derive(Debug, Clone)]
-pub struct Replication {
-    /// Hot follower servers.
+    /// Hot followers fed from the leader's journal stream (0 = none).
+    /// Every reactor ack, and every grant a mom hears of, waits until its
+    /// records are on each live follower; every `qstat` is answered by the
+    /// leader.
     pub followers: u32,
-    /// Faults on the replication stream itself (frame drop/delay/reorder,
-    /// follower crashes).
-    pub faults: ReplFaultPlan,
 }
 
 impl Default for DaemonConfig {
@@ -91,8 +78,7 @@ impl Default for DaemonConfig {
             nodes: 15,
             cores_per_node: 8,
             sched: SchedulerConfig::paper_eval(),
-            server_crashes: Vec::new(),
-            replication: None,
+            followers: 0,
         }
     }
 }
@@ -163,10 +149,12 @@ pub struct DaemonHandle<D = Threads> {
 impl<D> DaemonHandle<D> {
     /// Boots an ensemble: the channels clients reach it by, and its
     /// daemons, each sending through the net `net` makes of those
-    /// channels. `drive` takes the daemons with their inboxes and returns
-    /// the driver that steps them.
+    /// channels, the server crashing where `faults` says. `drive` takes
+    /// the daemons with their inboxes and returns the driver that steps
+    /// them.
     pub(crate) fn boot<N: Net + Clone>(
         config: DaemonConfig,
+        faults: &FaultPlan,
         tag: &str,
         net: impl FnOnce(&Wires) -> N,
         drive: impl FnOnce(Daemons<N>) -> D,
@@ -186,7 +174,7 @@ impl<D> DaemonHandle<D> {
         reactor.set_wake(move || {
             let _ = wake.send(ServerCmd::ReactorWake);
         });
-        let server = ServerDaemon::new(config, net, reactor, tag);
+        let server = ServerDaemon::new(config, faults, net, reactor, tag);
         let directory = Arc::clone(&server.moms.directory);
         let daemons = Daemons {
             server,
@@ -235,11 +223,12 @@ where
 }
 
 impl DaemonHandle<Threads> {
-    /// Boots the ensemble on threads: one server thread plus one mom
-    /// thread per node (plus the followers' threads).
+    /// Boots the ensemble on threads, fault-free: one server thread plus
+    /// one mom thread per node (plus the followers' threads).
     pub fn start(config: DaemonConfig) -> Self {
         let tag = format!("pbs{}.", ENSEMBLE_SEQ.fetch_add(1, Ordering::Relaxed));
-        Self::boot(config, &tag.clone(), Wires::clone, |d| {
+        let faults = FaultPlan::none(0);
+        Self::boot(config, &faults, &tag.clone(), Wires::clone, |d| {
             let epoch = Instant::now();
             let moms = d.moms.into_iter().zip(d.mom_rxs).enumerate();
             let mut threads: Vec<JoinHandle<()>> = moms
@@ -440,9 +429,9 @@ const JOURNAL_SNAPSHOT_EVERY: usize = 64;
 /// the command reactor, the waiters and the replication host.
 pub(crate) struct ServerDaemon<N> {
     pub(crate) core: EventCore,
-    /// Outstanding server-crash points, ascending, in journal-record
-    /// coordinates (a leader kill, with followers).
-    crash_points: VecDeque<u64>,
+    /// Outstanding server-crash points, in journal-record coordinates (a
+    /// leader kill, with followers).
+    crash_points: Vec<u64>,
     moms: Moms<N>,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
@@ -459,16 +448,10 @@ pub(crate) struct ServerDaemon<N> {
 /// is judged by.
 struct ReplHost {
     hub: ReplicationHub,
-    /// Completed failovers.
-    failovers: u64,
-    /// Watermark through which acks were released.
-    acked_watermark: u64,
-    /// Lost-tail accounting from the most recent failover; `acked_lost`
-    /// must read 0, every ack having waited for the followers.
-    lost_records: u64,
-    acked_lost: u64,
-    /// Divergence errors surfaced by followers (sticky until queried).
-    errors: Vec<String>,
+    /// Failovers, the last one's lost tail, the acked watermark and the
+    /// follower errors not yet read; what the hub knows (term, watermarks)
+    /// and the leader's journal length are filled in when it is read.
+    status: ReplicationStatus,
 }
 
 /// The moms, as the core's [`Hook`]: what the core decided becomes
@@ -482,11 +465,28 @@ struct Moms<N> {
     directory: Directory,
     /// The server's end of its link to each mom.
     links: Vec<Link<MomToServer>>,
+    /// With followers, the grants (`DynJoin`) are held: they leave at the
+    /// step's end once every live follower has the journal
+    /// ([`ServerDaemon::pump_replication`]), and a killed leader takes
+    /// them along — no application hears of cores a promoted follower
+    /// could lack.
+    hold_grants: bool,
+    held: Vec<(NodeId, ServerToMom)>,
 }
 
 impl<N: Net> Moms<N> {
-    /// Sends `msg` to the mom of `ms`, numbered on the server's link to it.
+    /// Sends `msg` to the mom of `ms` (a held grant: at the step's end).
     fn send(&mut self, ms: NodeId, msg: ServerToMom) {
+        if self.hold_grants && matches!(msg, ServerToMom::DynJoin { .. }) {
+            self.held.push((ms, msg));
+        } else {
+            self.post(ms, msg);
+        }
+    }
+
+    /// Puts `msg` on the wire to the mom of `ms`, numbered on the server's
+    /// link to it.
+    fn post(&mut self, ms: NodeId, msg: ServerToMom) {
         let n = self.links[ms.0 as usize].number();
         self.net.send(Delivery::Mom(ms, MomMsg::FromServer(n, msg)));
     }
@@ -598,12 +598,12 @@ impl<N: Net> Step for ServerDaemon<N> {
     /// Every step — a message, or the next due event's instant — first
     /// applies the events due by now, then the message, then its cycle.
     fn step(&mut self, cmd: Option<ServerCmd>, t: SimTime) -> bool {
-        self.advance(t);
+        self.core.run_until(t, &mut self.moms);
         if let Some(cmd) = cmd {
             if !self.handle(cmd, t) {
                 return false;
             }
-            self.advance(t);
+            self.core.run_until(t, &mut self.moms);
         }
         self.maybe_crash(t);
         self.pump_replication();
@@ -618,37 +618,29 @@ impl<N: Net> Step for ServerDaemon<N> {
 
 impl<N: Net> ServerDaemon<N> {
     /// Boots the server side of an ensemble: the event core with a
-    /// journaling `pbs_server`, the crash schedules and the replication hub
-    /// with its follower threads (named `{tag}rep{i}`), seeded with the
+    /// journaling `pbs_server`, the crash points of `faults` and, with
+    /// followers, the replication hub with their threads (named
+    /// `{tag}rep{i}`), its stream faulted by `faults` and seeded with the
     /// genesis snapshot.
-    fn new(config: DaemonConfig, net: N, reactor: Reactor, tag: &str) -> Self {
+    fn new(config: DaemonConfig, faults: &FaultPlan, net: N, reactor: Reactor, tag: &str) -> Self {
         let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
-        let crash_points = config.server_crashes.iter().map(|c| c.after_record);
         // The replication hub and its follower threads live on the server
         // daemon's side of the world: streaming is pumped at every command
         // boundary, so follower state only ever reflects journal prefixes.
-        let repl = config.replication.map(|r| {
-            let mut hub = ReplicationHub::new(HubConfig {
-                faults: r.faults,
-                ..HubConfig::default()
-            });
-            for i in 0..r.followers {
+        let repl = (config.followers > 0).then(|| {
+            let mut hub = ReplicationHub::new(faults.stream());
+            for i in 0..config.followers {
                 hub.add_follower(&format!("{tag}rep{i}"));
             }
-            ReplHost {
-                hub,
-                failovers: 0,
-                acked_watermark: 0,
-                lost_records: 0,
-                acked_lost: 0,
-                errors: Vec::new(),
-            }
+            let status = ReplicationStatus::default();
+            ReplHost { hub, status }
         });
         // The daemon always journals: crash recovery (scheduled by the fault
         // plan or exercised by the chaos suite) depends on it, and the append
         // cost is measured and bounded (`perf_smoke`'s `journal` section).
         let mut core = EventCore::new(cluster, config.sched);
         core.enable_journal(JOURNAL_SNAPSHOT_EVERY);
+        let crash_points = faults.server_crashes.iter().map(|c| c.after_record);
         let mut daemon = ServerDaemon {
             core,
             crash_points: crash_points.collect(),
@@ -656,6 +648,8 @@ impl<N: Net> ServerDaemon<N> {
                 net,
                 directory: Directory::default(),
                 links: (0..config.nodes).map(|_| Link::default()).collect(),
+                hold_grants: config.followers > 0,
+                held: Vec::new(),
             },
             reactor: Some(reactor),
             run_waiters: Vec::new(),
@@ -666,14 +660,8 @@ impl<N: Net> ServerDaemon<N> {
         daemon
     }
 
-    /// Applies every event due by `t`, each group with its cycle.
-    fn advance(&mut self, t: SimTime) {
-        self.core.run_until(t, &mut self.moms);
-    }
-
     /// Processes one command; returns `false` on shutdown. A command that
-    /// reaches the core wakes a cycle at `t`, which the caller's next
-    /// [`ServerDaemon::advance`] runs.
+    /// reaches the core wakes a cycle at `t`, which the step runs next.
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
         match cmd {
             ServerCmd::Client(req) => self.handle_client(req),
@@ -684,14 +672,9 @@ impl<N: Net> ServerDaemon<N> {
                 }
             }
             ServerCmd::ReactorWake => self.reactor_poll(t),
-            ServerCmd::Shutdown => {
-                // Follower threads are joined before the server thread
-                // exits: nothing owned by the ensemble outlives it.
-                if let Some(mut repl) = self.repl.take() {
-                    repl.hub.shutdown();
-                }
-                return false;
-            }
+            // The daemon, and with it the hub, drops as the server thread
+            // exits: the follower threads are joined before it ends.
+            ServerCmd::Shutdown => return false,
         }
         true
     }
@@ -747,12 +730,8 @@ impl<N: Net> ServerDaemon<N> {
     /// crash point's record count, the server "process" dies at this
     /// command boundary — for good, with followers to fail over to.
     fn maybe_crash(&mut self, t: SimTime) {
-        while self
-            .crash_points
-            .front()
-            .is_some_and(|&k| self.appended() >= k)
-        {
-            self.crash_points.pop_front();
+        while let Some(i) = self.crash_points.iter().position(|&k| self.appended() >= k) {
+            self.crash_points.swap_remove(i);
             self.restart(self.repl.is_some(), t);
         }
     }
@@ -784,12 +763,11 @@ impl<N: Net> ServerDaemon<N> {
             // Deny parked tm_dynget callers whose request records died
             // with the old leader; surviving negotiations stay parked and
             // will be answered by this (new) leader's scheduling cycles.
-            let server = self.core.server();
-            let live: Vec<JobId> = server.pending_dyn_requests().map(|p| p.job).collect();
+            let pending = self.core.server().pending_dyn_requests();
+            let live: Vec<JobId> = pending.map(|p| p.job).collect();
             for node in 0..self.moms.links.len() as u32 {
-                let live = live.clone();
-                self.moms
-                    .send(NodeId(node), ServerToMom::ReconcileDyn { live });
+                let reconcile = ServerToMom::ReconcileDyn { live: live.clone() };
+                self.moms.send(NodeId(node), reconcile);
             }
             // Re-seed the surviving followers under the new term right away.
             self.pump_replication();
@@ -801,20 +779,25 @@ impl<N: Net> ServerDaemon<N> {
     /// follower can be promoted.
     fn promote_follower(&mut self) -> Option<PbsServer> {
         let old_appended = self.appended();
-        let repl = self.repl.as_mut().expect("failover requires replication");
-        match repl.hub.fail_over(old_appended, repl.acked_watermark) {
+        let ReplHost { hub, status } = self.repl.as_mut().expect("failover requires replication");
+        // The dead leader's host rejoins as a fresh follower, so the
+        // deployment keeps its followers. (Leaders die only in virtual
+        // time, where no thread name carries an ensemble tag.)
+        hub.add_follower(&format!("rejoin{}", status.failovers));
+        match hub.fail_over(old_appended, status.acked_watermark) {
             Ok((promoted, report)) => {
-                repl.failovers += 1;
-                repl.lost_records = report.lost_records;
-                repl.acked_lost = report.acked_lost;
+                status.failovers += 1;
+                status.lost_records = report.lost_records;
+                status.acked_lost = report.acked_lost;
                 // Acks released under the old term are all ≤ the promoted
                 // watermark (that is the point); the counter restarts in
                 // the new term's coordinates.
-                repl.acked_watermark = 0;
+                status.acked_watermark = 0;
+                self.moms.held.clear(); // the dead leader's grants die with it
                 Some(promoted)
             }
             Err(e) => {
-                repl.errors.push(format!("failover failed: {e}"));
+                status.errors.push(format!("failover failed: {e}"));
                 None
             }
         }
@@ -871,53 +854,57 @@ impl<N: Net> ServerDaemon<N> {
     /// The ack gate at a group-commit boundary: after a batch that wrote,
     /// block until every live follower has applied its records — only
     /// then may the held acks flush, so no acked command can die with the
-    /// leader. A batch of reads just keeps the stream warm.
+    /// leader.
     fn commit_gate(&mut self, batch_dirty: bool) {
+        let target = self.appended();
+        let Some(repl) = self.repl.as_mut().filter(|_| batch_dirty) else {
+            return;
+        };
+        if repl.hub.await_replicated(self.core.server(), target) {
+            repl.status.acked_watermark = repl.status.acked_watermark.max(target);
+        }
+    }
+
+    /// One streaming round (at every command boundary): ships the journal
+    /// tail to the followers. A follower that holds nothing — crashed, or
+    /// new to the term — is seeded before the step ends, so every live one
+    /// keeps every acked record. Then the held grants go to the moms, once
+    /// every live follower has the journal so far: the ack rule, at the
+    /// mom door.
+    fn pump_replication(&mut self) {
         let target = self.appended();
         let Some(repl) = self.repl.as_mut() else {
             return;
         };
-        if batch_dirty {
-            if repl.hub.await_replicated(self.core.server(), target) {
-                repl.acked_watermark = repl.acked_watermark.max(target);
-            }
-        } else {
-            let report = repl.hub.pump(self.core.server());
-            repl.errors.extend(report.errors);
-        }
-    }
-
-    /// One streaming round (called at every command boundary): ships the
-    /// journal tail to the followers and refreshes their watermarks.
-    fn pump_replication(&mut self) {
-        let Some(repl) = self.repl.as_mut() else {
-            return;
-        };
         let report = self.core.stream_to(&mut repl.hub);
-        repl.errors.extend(report.errors);
+        repl.status.errors.extend(report.errors);
+        let seeding = repl.hub.replicated_watermark() == Some(0);
+        if seeding || !self.moms.held.is_empty() {
+            repl.hub.await_replicated(self.core.server(), target);
+        }
+        for (ms, msg) in std::mem::take(&mut self.moms.held) {
+            self.moms.post(ms, msg);
+        }
     }
 
     /// Records the journal has appended this term.
     fn appended(&self) -> u64 {
-        self.core
-            .server()
-            .journal()
-            .map_or(0, |j| j.total_appended())
+        let journal = self.core.server().journal();
+        journal.map_or(0, |j| j.total_appended())
     }
 
-    /// Answers [`ClientReq::ReplicationStatus`].
+    /// Answers [`ClientReq::ReplicationStatus`], each watermark fresh
+    /// from its follower.
     fn replication_status(&mut self) -> Option<ReplicationStatus> {
         let leader_appended = self.appended();
         let repl = self.repl.as_mut()?;
+        repl.hub.refresh_acks();
         Some(ReplicationStatus {
             term: repl.hub.term(),
             follower_watermarks: repl.hub.acked_watermarks(),
             leader_appended,
-            acked_watermark: repl.acked_watermark,
-            failovers: repl.failovers,
-            lost_records: repl.lost_records,
-            acked_lost: repl.acked_lost,
-            errors: std::mem::take(&mut repl.errors),
+            errors: std::mem::take(&mut repl.status.errors),
+            ..repl.status.clone()
         })
     }
 
@@ -959,7 +946,7 @@ impl<N: Net> ServerDaemon<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, Virtual};
+    use crate::fault::{ServerCrash, Virtual};
     use dynbatch_core::{DfsConfig, GroupId};
 
     fn spec(name: &str, cores: u32, millis: u64) -> JobSpec {
@@ -978,9 +965,17 @@ mod tests {
         }
     }
 
-    /// The ensemble in virtual time, its net fault-free.
-    fn sim(config: DaemonConfig) -> DaemonHandle<Virtual> {
-        DaemonHandle::simulate(config, FaultPlan::none(0))
+    /// The ensemble in virtual time, its net fault-free, the server
+    /// crashing once its journal has appended each of `crashes` records.
+    fn sim(config: DaemonConfig, crashes: &[u64]) -> DaemonHandle<Virtual> {
+        let server_crashes = crashes
+            .iter()
+            .map(|&after_record| ServerCrash { after_record });
+        let faults = FaultPlan {
+            server_crashes: server_crashes.collect(),
+            ..FaultPlan::none(0)
+        };
+        DaemonHandle::simulate(config, faults)
     }
 
     fn ms(millis: u64) -> SimTime {
@@ -1027,7 +1022,7 @@ mod tests {
 
     #[test]
     fn dynget_denied_when_full() {
-        let d = sim(hp_config(2));
+        let d = sim(hp_config(2), &[]);
         let id = d.qsub(spec("big", 16, 5_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         let resp = d.tm_dynget(id, 4);
@@ -1038,7 +1033,7 @@ mod tests {
 
     #[test]
     fn dynfree_releases() {
-        let d = sim(hp_config(4));
+        let d = sim(hp_config(4), &[]);
         let id = d.qsub(spec("app", 16, 5_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         let TmResponse::DynGranted { added } = d.tm_dynget(id, 8) else {
@@ -1053,7 +1048,7 @@ mod tests {
     /// Six full-node 30 ms jobs on two nodes run in three waves.
     #[test]
     fn queue_drains() {
-        let d = sim(hp_config(2));
+        let d = sim(hp_config(2), &[]);
         for i in 0..6 {
             d.qsub(spec(&format!("j{i}"), 8, 30)).expect("qsub");
         }
@@ -1063,7 +1058,7 @@ mod tests {
 
     #[test]
     fn await_running_false_for_never_started() {
-        let d = sim(hp_config(1));
+        let d = sim(hp_config(1), &[]);
         let blocker = d.qsub(spec("blocker", 8, 400)).expect("qsub");
         assert!(d.await_running(blocker, Duration::from_secs(2)));
         // Queued behind the blocker, then deleted before it can start.
@@ -1124,7 +1119,7 @@ mod tests {
     /// cores make possible — at the instant of the free.
     #[test]
     fn dynfree_does_not_clobber_pending_negotiated_dynget() {
-        let d = sim(hp_config(2));
+        let d = sim(hp_config(2), &[]);
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         // Machine full: a negotiated +4 parks at the server.
@@ -1148,16 +1143,12 @@ mod tests {
     // Server crash / journal recovery, ensemble level.
     // ------------------------------------------------------------------
 
-    /// A workload drains to the same terminal states across two scheduled
-    /// server crashes: every job survives via snapshot-load + replay.
+    /// A workload drains to the same terminal states, at the crash-free
+    /// instant, across two scheduled server crashes: every job survives
+    /// via snapshot-load + replay.
     #[test]
     fn server_crash_recovery_drains_workload() {
-        let mut config = hp_config(2);
-        config.server_crashes = vec![
-            ServerCrash { after_record: 3 },
-            ServerCrash { after_record: 8 },
-        ];
-        let d = DaemonHandle::start(config);
+        let d = sim(hp_config(2), &[3, 8]);
         let mut ids = Vec::new();
         for i in 0..6 {
             ids.push(d.qsub(spec(&format!("j{i}"), 8, 30)).expect("qsub"));
@@ -1167,7 +1158,7 @@ mod tests {
             assert_eq!(d.qstat(id), Some(JobState::Completed));
         }
         assert_eq!(d.outcomes().len(), 6);
-        d.shutdown();
+        assert_eq!(d.now(), ms(90), "three waves, as without a crash");
     }
 
     /// A negotiated `tm_dynget` parked at the moment the server dies must
@@ -1177,12 +1168,10 @@ mod tests {
     /// lets the next cycle grant it.
     #[test]
     fn negotiated_dynget_survives_server_crash() {
-        let mut config = hp_config(2);
         // Records: genesis snapshot, submit, start outcome, then the
         // DynGet — the server dies at the first command boundary after
         // the request hits the journal.
-        config.server_crashes = vec![ServerCrash { after_record: 4 }];
-        let d = sim(config);
+        let d = sim(hp_config(2), &[4]);
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         let parked = d.tm_call(id, negotiated(4, 5_000)).expect("mothered");
@@ -1204,7 +1193,7 @@ mod tests {
     /// leaked at the mom).
     #[test]
     fn qdel_of_dyn_queued_job_denies_parked_caller() {
-        let d = sim(hp_config(2));
+        let d = sim(hp_config(2), &[]);
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         // Machine full and nothing will free cores: parks until answered.
@@ -1285,12 +1274,10 @@ mod tests {
     /// the process and the user's priority reset to uncharged).
     #[test]
     fn fairshare_charges_survive_server_crash() {
-        let mut config = hp_config(2);
         // Records: genesis snapshot, submit, start outcome, finish — the
         // server dies at the first command boundary after the billed
         // job's finish (and therefore its usage) hits the journal.
-        config.server_crashes = vec![ServerCrash { after_record: 4 }];
-        let d = DaemonHandle::start(config);
+        let d = sim(hp_config(2), &[4]);
         let mut billed = spec("billed", 8, 100);
         billed.user = UserId(7);
         let id = d.qsub(billed).expect("qsub");
@@ -1301,10 +1288,9 @@ mod tests {
         let id2 = d.qsub(spec("after", 8, 30)).expect("qsub");
         assert!(d.await_drained(Duration::from_secs(5)));
         assert_eq!(d.qstat(id2), Some(JobState::Completed));
-        // 8 cores × ≥0.1 s ≈ 0.8 core·s; pre-fix this read exactly 0.
+        // 8 cores × 0.1 s = 0.8 core·s; pre-fix this read exactly 0.
         let charged = d.fairshare_charged(UserId(7));
         assert!(charged > 0.5, "pre-crash usage forfeited: {charged}");
-        d.shutdown();
     }
 
     // ------------------------------------------------------------------
@@ -1315,7 +1301,8 @@ mod tests {
     /// 8-core, 10 s job placed on node 0 at time zero.
     fn serving(nodes: u32) -> (ServerDaemon<Vec<Delivery>>, JobId) {
         let config = hp_config(nodes);
-        let mut server = ServerDaemon::new(config, Vec::new(), Reactor::new(), "");
+        let faults = FaultPlan::none(0);
+        let mut server = ServerDaemon::new(config, &faults, Vec::new(), Reactor::new(), "");
         let qsub = ReactorCommand::QSub(Box::new(spec("app", 8, 10_000)));
         let (reply, _) = server.apply_command(&qsub, SimTime::ZERO);
         let ReactorReply::Submitted(job) = reply else {

@@ -8,26 +8,34 @@
 //! as to the threaded ensemble — reactor connections, TM calls with their
 //! reply `Sender`, observation requests — and the ensemble drains them at
 //! each step. A call on the handle steps the ensemble until its answer
-//! arrives, so the caller never sleeps. Replication is not modelled here:
-//! the ensemble runs without followers.
+//! arrives, so the caller never sleeps.
 //!
-//! Every daemon-to-daemon message goes through one queue of deliveries,
-//! where the [`FaultPlan`] (seeded by [`SplitMix64`]) may **drop**,
-//! **delay** and **duplicate** it. Delays overtake each other, which
-//! **reorders** deliveries; mom **crash/restart** events are deliveries
-//! too. A message with no fault arrives at its send instant, in send
-//! order.
+//! Every fault of the deployment is in one [`FaultPlan`], seeded by
+//! [`SplitMix64`]. Every daemon-to-daemon message goes through one queue
+//! of deliveries, where the plan may **drop**, **delay** and
+//! **duplicate** it. Delays overtake each other, which **reorders**
+//! deliveries; mom **crash/restart** events are deliveries too. A message
+//! with no fault arrives at its send instant, in send order. The server
+//! **crashes** at the plan's journal-record points — with followers each
+//! is a leader kill —, and the plan's rates and follower crashes fault
+//! the replication stream.
 //!
 //! ## Fault model (what may happen to which message)
 //!
 //! | class | messages | faults |
 //! |---|---|---|
 //! | *expendable* | `PeerMsg` ping/ack fan-out | drop, duplicate, delay |
-//! | *sturdy* | everything else | duplicate, delay |
+//! | *sturdy* | every other daemon message | duplicate, delay |
+//! | *replication* | journal frames, leader → follower | drop, delay one pump, reorder a pump's batch |
 //!
-//! Only the dyn_join ping/ack traffic may be dropped: only it is
-//! retransmitted (exponential-backoff retries at the mother superior).
+//! Only the dyn_join ping/ack traffic and the replication frames may be
+//! dropped: only they are retransmitted (exponential-backoff retries at
+//! the mother superior; go-back-N from the acked watermark at the hub).
 //! Dropping any other message would model a loss with no retry path.
+//! The frames take the plan's rates: `drop_permille` drops a frame,
+//! `delay_permille` defers one a pump and shuffles a pump's batch. The
+//! follower threads stay: each watermark read is a synchronous round trip
+//! queued behind the frames, so the stream is one trace per seed too.
 //! Every message may arrive twice and out of order. The receiving end
 //! absorbs that: an ack counts once per acker and round, and every sturdy
 //! message is numbered on its link and applied once, in send order (the
@@ -47,6 +55,7 @@ use crate::mom::MomDaemon;
 use crate::wire::{Delivery, MomMsg, Net};
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
+use dynbatch_server::replication::{FollowerCrash, HubConfig};
 use dynbatch_server::{PbsServer, ReactorClient, Reply};
 use dynbatch_simtime::{EventQueue, SplitMix64};
 use std::cell::{Ref, RefCell};
@@ -55,14 +64,16 @@ use std::rc::Rc;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
-/// A seeded fault schedule for the virtual net of one ensemble.
-#[derive(Debug, Clone)]
+/// Every fault of one virtual ensemble, seeded: the net's, the daemons'
+/// crashes and the replication stream's. The default is
+/// [`FaultPlan::none`]`(0)`.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Seed of every derived randomness stream.
     pub seed: u64,
-    /// Drop probability (‰) for expendable (retried) messages.
+    /// Drop probability (‰) for expendable (retried) messages and frames.
     pub drop_permille: u32,
-    /// Duplicate probability (‰), for every message.
+    /// Duplicate probability (‰), for every daemon message.
     pub dup_permille: u32,
     /// Delay probability (‰); a delayed message may overtake or be
     /// overtaken — this is also the reorder mechanism.
@@ -71,6 +82,15 @@ pub struct FaultPlan {
     pub max_delay: SimDuration,
     /// Mom crash/restart schedule: (instant, node index).
     pub mom_kills: Vec<(SimTime, u32)>,
+    /// Server crash points, in journal-record coordinates.
+    /// Without followers the server restarts by snapshot-load + replay;
+    /// with them the leader dies for good and the highest-watermark
+    /// follower is promoted in its place (with none left, the server
+    /// recovers from its journal).
+    pub server_crashes: Vec<ServerCrash>,
+    /// Follower crash points (state dropped, re-seeded by the hub), in
+    /// the leader's journal-record coordinates.
+    pub follower_crashes: Vec<FollowerCrash>,
 }
 
 /// One scheduled server crash, positioned by journal progress rather than
@@ -88,44 +108,71 @@ impl FaultPlan {
     pub fn none(seed: u64) -> Self {
         FaultPlan {
             seed,
-            drop_permille: 0,
-            dup_permille: 0,
-            delay_permille: 0,
-            max_delay: SimDuration::ZERO,
-            mom_kills: Vec::new(),
+            ..FaultPlan::default()
         }
     }
 
-    /// A randomized schedule derived entirely from `seed` for an ensemble
-    /// of `nodes` moms: up to two mom crashes inside the first `horizon`,
-    /// moderate drop/dup/delay pressure, and up to two server crash points
-    /// (for [`DaemonConfig::server_crashes`]).
-    pub fn from_seed(seed: u64, nodes: u32, horizon: SimDuration) -> (Self, Vec<ServerCrash>) {
+    /// A randomized schedule derived entirely from `seed` for `config`'s
+    /// deployment: up to two mom crashes inside the first `horizon`,
+    /// moderate drop/dup/delay pressure, up to two server crash points
+    /// and a possible crash of each follower. A new draw goes after all
+    /// existing ones, so a seed keeps the faults it had.
+    pub fn from_seed(seed: u64, config: &DaemonConfig, horizon: SimDuration) -> Self {
         let mut rng = SplitMix64::new(seed).derive(0x9A7);
         let kills = rng.next_below(3) as usize;
         let mom_kills = (0..kills)
             .map(|_| {
                 let at = SimTime::from_millis(rng.next_below(horizon.as_millis().max(1)));
-                (at, rng.next_below(nodes.max(1) as u64) as u32)
+                (at, rng.next_below(config.nodes.max(1) as u64) as u32)
             })
             .collect();
-        let plan = FaultPlan {
+        let mut plan = FaultPlan {
             seed,
             drop_permille: rng.next_below(301) as u32,
             dup_permille: rng.next_below(201) as u32,
             delay_permille: rng.next_below(251) as u32,
             max_delay: SimDuration::from_millis(5 + rng.next_below(36)),
             mom_kills,
+            ..FaultPlan::default()
         };
         let crashes = rng.next_below(3) as usize;
-        let mut server_crashes: Vec<ServerCrash> = (0..crashes)
+        plan.server_crashes = (0..crashes)
             .map(|_| ServerCrash {
                 after_record: 1 + rng.next_below(40),
             })
             .collect();
-        server_crashes.sort_by_key(|c| c.after_record);
-        server_crashes.dedup();
-        (plan, server_crashes)
+        plan.server_crashes.sort_by_key(|c| c.after_record);
+        plan.server_crashes.dedup();
+        for follower in 0..config.followers as usize {
+            if rng.chance_permille(300) {
+                let after_record = 1 + rng.next_below(40);
+                let crash = FollowerCrash {
+                    follower,
+                    after_record,
+                };
+                plan.follower_crashes.push(crash);
+            }
+        }
+        plan
+    }
+
+    /// The replication stream's configuration. Its frames are expendable,
+    /// so the plan's drop rate drops them, and its delay rate defers them
+    /// a pump and shuffles a pump's batch. A watermark is read only where
+    /// one is needed — an ack, a held grant, a follower that holds
+    /// nothing, a failover, a status query — each of which forces the
+    /// round trip itself.
+    pub(crate) fn stream(&self) -> HubConfig {
+        let mut hub = HubConfig {
+            ack_every: u64::MAX,
+            ..HubConfig::default()
+        };
+        hub.faults.seed = self.seed;
+        hub.faults.drop_permille = self.drop_permille;
+        hub.faults.delay_permille = self.delay_permille;
+        hub.faults.reorder_permille = self.delay_permille;
+        hub.faults.follower_crashes = self.follower_crashes.clone();
+        hub
     }
 }
 
@@ -295,20 +342,13 @@ fn drain_clients(d: &mut Daemons<VirtualNet>, now: SimTime) -> bool {
 }
 
 impl DaemonHandle<Virtual> {
-    /// Boots the ensemble in virtual time, its net faulted by `faults`.
+    /// Boots the ensemble in virtual time, every fault from `faults`.
     /// Time starts at zero and moves only as the ensemble steps.
-    ///
-    /// # Panics
-    /// With `config.replication` set: followers run only threaded.
     pub fn simulate(config: DaemonConfig, faults: FaultPlan) -> Self {
-        assert!(
-            config.replication.is_none(),
-            "the virtual ensemble runs without followers"
-        );
-        let net = VirtualNet::new(faults);
+        let net = VirtualNet::new(faults.clone());
         let sender = net.clone();
         let ensemble = |daemons| Virtual(RefCell::new(Ensemble { daemons, net }));
-        Self::boot(config, "", |_| sender, ensemble)
+        Self::boot(config, &faults, "", |_| sender, ensemble)
     }
 
     /// The ensemble's clock.
@@ -374,19 +414,47 @@ mod tests {
         assert_eq!(plan.dup_permille, 0);
         assert_eq!(plan.delay_permille, 0);
         assert!(plan.mom_kills.is_empty());
+        assert!(plan.server_crashes.is_empty() && plan.follower_crashes.is_empty());
+    }
+
+    fn deployment(nodes: u32, followers: u32) -> DaemonConfig {
+        DaemonConfig {
+            nodes,
+            followers,
+            ..DaemonConfig::default()
+        }
     }
 
     #[test]
     fn seeded_plans_are_reproducible_and_bounded() {
         let horizon = SimDuration::from_millis(300);
-        let (a, a_crashes) = FaultPlan::from_seed(42, 8, horizon);
-        let (b, b_crashes) = FaultPlan::from_seed(42, 8, horizon);
+        let a = FaultPlan::from_seed(42, &deployment(8, 2), horizon);
+        let b = FaultPlan::from_seed(42, &deployment(8, 2), horizon);
         assert_eq!(a.drop_permille, b.drop_permille);
         assert_eq!(a.mom_kills, b.mom_kills);
-        assert_eq!(a_crashes, b_crashes);
+        assert_eq!(a.server_crashes, b.server_crashes);
+        assert_eq!(a.follower_crashes, b.follower_crashes);
         let mut seeds_with_crashes = 0;
+        let mut seeds_with_follower_crashes = 0;
         for seed in 0..200 {
-            let (p, crashes) = FaultPlan::from_seed(seed, 4, horizon);
+            let p = FaultPlan::from_seed(seed, &deployment(4, 0), horizon);
+            let crashes = &p.server_crashes;
+            assert!(p.follower_crashes.is_empty());
+            // Followers add draws after every other one: the rest of the
+            // plan is the one drawn without them.
+            let replicated = FaultPlan::from_seed(seed, &deployment(4, 2), horizon);
+            assert_eq!(
+                (replicated.drop_permille, replicated.dup_permille),
+                (p.drop_permille, p.dup_permille)
+            );
+            assert_eq!(replicated.delay_permille, p.delay_permille);
+            assert_eq!(replicated.max_delay, p.max_delay);
+            assert_eq!(replicated.mom_kills, p.mom_kills);
+            assert_eq!(&replicated.server_crashes, crashes);
+            for c in &replicated.follower_crashes {
+                assert!(c.follower < 2 && (1..=40).contains(&c.after_record));
+            }
+            seeds_with_follower_crashes += usize::from(!replicated.follower_crashes.is_empty());
             assert!(p.drop_permille <= 300);
             assert!(p.dup_permille <= 200);
             assert!(p.delay_permille <= 250);
@@ -400,13 +468,32 @@ mod tests {
             assert!(crashes
                 .windows(2)
                 .all(|w| w[0].after_record < w[1].after_record));
-            for c in &crashes {
+            for c in crashes {
                 assert!((1..=40).contains(&c.after_record));
             }
             seeds_with_crashes += usize::from(!crashes.is_empty());
         }
-        // The stream really exercises server crashes across the seed space.
+        // The stream really exercises server and follower crashes across
+        // the seed space.
         assert!(seeds_with_crashes > 50, "{seeds_with_crashes}");
+        assert!(
+            seeds_with_follower_crashes > 50,
+            "{seeds_with_follower_crashes}"
+        );
+    }
+
+    /// The zero-fault plan faults no frame of the replication stream.
+    #[test]
+    fn zero_fault_plan_faults_no_frame() {
+        let faults = FaultPlan::none(9).stream().faults;
+        assert_eq!(faults.seed, 9);
+        let rates = (
+            faults.drop_permille,
+            faults.delay_permille,
+            faults.reorder_permille,
+        );
+        assert_eq!(rates, (0, 0, 0));
+        assert!(faults.follower_crashes.is_empty());
     }
 
     /// A delivery with no fault arrives at its send instant, in send order.

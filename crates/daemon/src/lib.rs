@@ -28,12 +28,14 @@
 //!   [`DaemonHandle::tm_dynget_timed`].
 //! - [`DaemonHandle::simulate`]: every daemon on the caller's thread, in
 //!   virtual time, over one queue of deliveries. This is the only place
-//!   faults are injected ([`fault`]): a [`FaultPlan`] drops, delays,
-//!   duplicates and reorders deliveries and kills moms, and one seed is
+//!   faults are injected ([`fault`]): one [`FaultPlan`] drops, delays,
+//!   duplicates and reorders deliveries, kills moms, crashes the server
+//!   ([`ServerCrash`], in journal-record coordinates; with followers each
+//!   is a leader kill) and faults the replication stream, and one seed is
 //!   one exact trace.
 //!
-//! Server crashes ([`ServerCrash`], in journal-record coordinates) work
-//! under both drivers; with followers, each is a leader kill. Each fact
+//! [`DaemonConfig`] is the deployment alone — nodes, cores, scheduler,
+//! followers — and both drivers honour all of it. Each fact
 //! lives in one place: a job's hostlist, parked `tm_dynget` caller and
 //! in-flight fan-out in its mother superior's one entry for it, the
 //! mother-superior directory in the server daemon (written where `RunJob`
@@ -49,6 +51,6 @@ pub mod fault;
 mod mom;
 pub mod wire;
 
-pub use daemon::{DaemonConfig, DaemonHandle, Driver, Replication, Threads};
+pub use daemon::{DaemonConfig, DaemonHandle, Driver, Threads};
 pub use fault::{FaultPlan, ServerCrash, Virtual};
 pub use wire::{ClientReq, MomMsg, MomToServer, PeerMsg, ReplicationStatus, ServerCmd};

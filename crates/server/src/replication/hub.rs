@@ -31,9 +31,9 @@ pub struct FollowerCrash {
 
 /// Seeded faults on the replication stream. Stream faults only delay
 /// convergence (the hub resends, followers reorder-buffer); follower
-/// crashes force snapshot re-seeding. Leader kills are scheduled by the
-/// daemon's `FaultPlan`, not here — killing the leader is not a stream
-/// fault.
+/// crashes force snapshot re-seeding. The daemon builds this plan from its
+/// one `FaultPlan`, whose server crashes are the leader kills — killing
+/// the leader is not a stream fault.
 #[derive(Debug, Clone, Default)]
 pub struct ReplFaultPlan {
     /// Seed for the per-frame fault draws.

@@ -284,7 +284,7 @@ impl EventCore {
         // journalled usage totals back.
         self.maui = Maui::new(self.maui.config().clone());
         let server = &self.server;
-        let lost: Vec<JobId> = self
+        let mut lost: Vec<JobId> = self
             .runs
             .iter()
             .filter(|(job, run)| {
@@ -294,6 +294,9 @@ impl EventCore {
             })
             .map(|(&job, _)| job)
             .collect();
+        // The ledger is hashed: end the lost runs in job order, so a
+        // failover sends the same kills in the same order on every run.
+        lost.sort_unstable();
         let orphans: Vec<(JobId, SimTime)> = server
             .live_jobs()
             .filter(|j| j.state.is_active() && !self.runs.contains_key(&j.id))

@@ -176,6 +176,18 @@ if grep -rnE "$gone" crates src tests examples \
   echo "a deleted name or a sleep reappeared (see above)"; exit 1
 fi
 
+echo "==> every fault in one plan: the replication stream's faults and the server's"
+echo "    crashes live in FaultPlan, DaemonConfig is the deployment alone, and the"
+echo "    failover suite waits on no wall clock"
+if grep -rn 'ReplFaultPlan' crates/daemon tests/replication_failover.rs tests/chaos_daemon.rs \
+      tests/reactor_chaos.rs \
+    || grep -rnE 'struct Replication\b' crates/daemon \
+    || awk '/pub struct DaemonConfig/,/^}/' crates/daemon/src/daemon.rs | grep -n 'server_crashes' \
+    || grep -n 'thread::sleep' tests/replication_failover.rs; then
+  echo "a second fault plan, a fault in the deployment or a sleep came back (see above)"
+  exit 1
+fi
+
 echo "==> one mom and one link rule: the mom lives in the daemon crate as one entry"
 echo "    per job, every daemon message is applied once in send order by the link, and"
 echo "    a server crash is the one crash schedule (a leader kill with followers)"

@@ -7,7 +7,10 @@
 //! deliveries between daemons and crash-restarts moms, and the **server**
 //! itself crash-restarts at seeded points in its write-ahead journal
 //! (recovery = snapshot-load + replay, then re-arming deadlines and
-//! re-attaching moms). The invariants asserted for every seed:
+//! re-attaching moms). A quarter of the seeds boot with two followers:
+//! there each server crash is a **leader kill** (a follower is promoted),
+//! and the same seed drops, defers and shuffles the replication stream's
+//! frames and crashes followers. The invariants asserted for every seed:
 //!
 //! 1. the ensemble **drains** — no lost message may wedge a job;
 //! 2. per-job **final states match the fault-free run** (everything
@@ -20,7 +23,9 @@
 //! 5. once every delivery has landed, **no mom holds a job entry** (so no
 //!    parked caller and no fan-out);
 //! 6. the seed is **one trace**: a second run of it ends with the same
-//!    server image, journal length and delivery count.
+//!    server image, journal length and delivery count;
+//! 7. with followers, **no acked record is lost** in a failover and no
+//!    follower diverges (`acked_lost == 0`, no replication error).
 //!
 //! The run is single-threaded and sleeps nowhere, so a failing seed is a
 //! one-line repro. `chaos_seeds_00_09` … `chaos_seeds_40_49` take the
@@ -31,11 +36,11 @@
 mod common;
 
 use common::{
-    assert_grant_held, assert_moms_empty, assert_moms_within_server, assert_requests_within_calls,
-    seeds_ending, trace,
+    assert_grant_held, assert_moms_empty, assert_moms_within_server, assert_replication_whole,
+    assert_requests_within_calls, deployment, seeds_ending, trace,
 };
 use dynbatch::core::{DfsConfig, GroupId, JobSpec, JobState, SchedulerConfig, SimDuration, UserId};
-use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan};
 use dynbatch::server::TmResponse;
 use std::time::Duration;
 
@@ -48,19 +53,18 @@ fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
 /// fingerprint. Asserts drain and the grant and mom invariants.
 type Run = (Vec<Option<JobState>>, (Vec<u8>, u64, u64));
 
-/// Runs the canonical workload under `faults` and `server_crashes`.
-fn run_workload(faults: FaultPlan, server_crashes: Vec<ServerCrash>) -> Run {
+/// Seed `seed`'s deployment: 4 nodes, with two followers on a quarter
+/// of the seeds.
+fn config(seed: u64) -> DaemonConfig {
     let mut sched = SchedulerConfig::paper_eval();
     sched.dfs = DfsConfig::highest_priority();
     sched.preempt_backfilled_for_dyn = true;
+    deployment(seed, 4, sched)
+}
+
+/// Runs the canonical workload on `config` under `faults`.
+fn run_workload(config: DaemonConfig, faults: FaultPlan) -> Run {
     let seed = faults.seed;
-    let config = DaemonConfig {
-        nodes: 4,
-        cores_per_node: 8,
-        sched,
-        server_crashes,
-        replication: None,
-    };
     let d = DaemonHandle::simulate(config, faults);
     let pause = |millis| d.run_until(d.now() + SimDuration::from_millis(millis));
 
@@ -114,6 +118,7 @@ fn run_workload(faults: FaultPlan, server_crashes: Vec<ServerCrash>) -> Run {
     while d.step() {}
     assert_requests_within_calls(&d, &[grower], seed);
     assert_moms_empty(&d, seed);
+    assert_replication_whole(&d, seed);
     let mut ids = vec![grower, blocked];
     ids.extend(fillers);
     ids.push(victim);
@@ -124,7 +129,7 @@ fn run_workload(faults: FaultPlan, server_crashes: Vec<ServerCrash>) -> Run {
 /// Fault-free reference, asserted against the scenario's intent so a
 /// silent workload drift cannot hollow out the sweep.
 fn baseline() -> Vec<Option<JobState>> {
-    let (states, _) = run_workload(FaultPlan::none(0), Vec::new());
+    let (states, _) = run_workload(config(0), FaultPlan::none(0));
     let mut expected = vec![Some(JobState::Completed); 5];
     expected.push(Some(JobState::Cancelled));
     assert_eq!(states, expected, "fault-free run must complete everything");
@@ -134,14 +139,14 @@ fn baseline() -> Vec<Option<JobState>> {
 /// One seed, twice: its final states must equal the fault-free run's, and
 /// its second run must replay the first exactly.
 fn chaos_seed(seed: u64, reference: &[Option<JobState>]) {
-    let horizon = SimDuration::from_millis(300);
-    let (faults, crashes) = FaultPlan::from_seed(seed, 4, horizon);
-    let (states, first) = run_workload(faults.clone(), crashes.clone());
+    let config = config(seed);
+    let faults = FaultPlan::from_seed(seed, &config, SimDuration::from_millis(300));
+    let (states, first) = run_workload(config.clone(), faults.clone());
     assert_eq!(
         states, reference,
         "seed {seed} diverged from fault-free run"
     );
-    let (_, second) = run_workload(faults, crashes);
+    let (_, second) = run_workload(config, faults);
     assert!(first == second, "seed {seed} is not one trace");
 }
 
@@ -158,8 +163,8 @@ fn sweep(seeds: Vec<u64>) {
 #[test]
 fn chaos_zero_fault_seed_matches_intent() {
     baseline();
-    let first = run_workload(FaultPlan::none(0), Vec::new());
-    assert!(first == run_workload(FaultPlan::none(0), Vec::new()));
+    let first = run_workload(config(0), FaultPlan::none(0));
+    assert!(first == run_workload(config(0), FaultPlan::none(0)));
 }
 
 #[test]

@@ -16,7 +16,7 @@ use dynbatch::core::{
     DfsConfig, ExecutionModel, GroupId, JobId, JobSpec, NodeId, SchedulerConfig, SimDuration,
     SimTime, UserId,
 };
-use dynbatch::daemon::{DaemonHandle, Virtual};
+use dynbatch::daemon::{DaemonConfig, DaemonHandle, Virtual};
 use dynbatch::sched::Maui;
 use dynbatch::server::{PbsServer, Record};
 pub use dynbatch::sim::reactor_drive::accounting_text;
@@ -171,6 +171,19 @@ pub fn tagged_threads(tag: &str) -> Vec<String> {
     live
 }
 
+/// The threads named `{tag}…` once at least `n` are up — a spawned
+/// thread names itself as it starts —, waiting half a second at most.
+pub fn tagged_threads_at_least(tag: &str, n: usize) -> Vec<String> {
+    for _ in 0..250 {
+        let live = tagged_threads(tag);
+        if live.len() >= n {
+            return live;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    tagged_threads(tag)
+}
+
 pub fn assert_no_tagged_threads(tag: &str) {
     // A joined thread's /proc entry disappears promptly, but give the
     // kernel a moment before declaring a leak.
@@ -238,6 +251,28 @@ pub fn assert_moms_empty(d: &DaemonHandle<Virtual>, seed: u64) {
         moms.iter().all(|m| m.is_empty()),
         "seed {seed}: moms hold entries after the drain: {moms:?}"
     );
+}
+
+/// Seed `seed`'s deployment in the virtual-time chaos suites: `nodes`
+/// 8-core nodes running `sched`, and two followers on every fourth seed,
+/// where a server crash is a leader kill.
+pub fn deployment(seed: u64, nodes: u32, sched: SchedulerConfig) -> DaemonConfig {
+    let followers = if seed % 4 == 3 { 2 } else { 0 };
+    DaemonConfig {
+        nodes,
+        cores_per_node: 8,
+        sched,
+        followers,
+    }
+}
+
+/// With followers, a drained run lost no acked record in its failovers
+/// and no follower diverged.
+pub fn assert_replication_whole(d: &DaemonHandle<Virtual>, seed: u64) {
+    if let Some(status) = d.replication_status() {
+        assert_eq!(status.acked_lost, 0, "seed {seed}: {status:?}");
+        assert!(status.errors.is_empty(), "seed {seed}: {status:?}");
+    }
 }
 
 /// The seeds below 1000 whose last two digits fall in `digits`: how the

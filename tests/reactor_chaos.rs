@@ -12,7 +12,9 @@
 //! drops, delays and duplicates mom traffic and kills moms, and the
 //! server crashes once its journal passes a seeded record count (every
 //! run here carries at least one server crash, so the burst always spans
-//! a recovery).
+//! a recovery). A quarter of the seeds boot with two followers: there
+//! each server crash is a **leader kill**, and the same seed faults the
+//! replication stream and crashes followers.
 //!
 //! Invariants per seed:
 //!
@@ -20,7 +22,8 @@
 //!    every submitted job runs to completion;
 //! 2. **no acked command is lost** — every `Submitted(id)` a client
 //!    actually received still names a (completed) job after the crashes,
-//!    the ack-on-append contract end to end;
+//!    the ack-on-append contract end to end, through failover too: with
+//!    followers `acked_lost` reads 0 and no follower diverged;
 //! 3. every **grant** a caller receives names cores its job holds at the
 //!    server when it arrives;
 //! 4. each job's booked dynamic **requests and grants** are at most the
@@ -42,8 +45,8 @@
 mod common;
 
 use common::{
-    assert_grant_held, assert_moms_empty, assert_no_tagged_threads, assert_requests_within_calls,
-    seeds_ending, trace,
+    assert_grant_held, assert_moms_empty, assert_no_tagged_threads, assert_replication_whole,
+    assert_requests_within_calls, deployment, seeds_ending, trace,
 };
 use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig, SimDuration};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
@@ -57,31 +60,25 @@ fn sched() -> SchedulerConfig {
     s
 }
 
-/// The seeded fault plan and server crash points, forced to include at
-/// least one mid-burst server crash so every seed exercises recovery
-/// under open connections.
-fn plan_with_crash(seed: u64) -> (FaultPlan, Vec<ServerCrash>) {
-    let (faults, mut crashes) = FaultPlan::from_seed(seed, 2, SimDuration::from_millis(300));
-    if crashes.is_empty() {
-        crashes.push(ServerCrash {
+/// The seeded fault plan for `config`, forced to include at least one
+/// mid-burst server crash so every seed exercises recovery under open
+/// connections.
+fn plan_with_crash(seed: u64, config: &DaemonConfig) -> FaultPlan {
+    let mut faults = FaultPlan::from_seed(seed, config, SimDuration::from_millis(300));
+    if faults.server_crashes.is_empty() {
+        faults.server_crashes.push(ServerCrash {
             after_record: 3 + seed % 10,
         });
     }
-    (faults, crashes)
+    faults
 }
 
 /// One chaos run: seed-derived waves of connect / submit / (read | churn)
 /// against a faulted 2-node ensemble. The invariants are asserted inside;
 /// returns the trace fingerprint.
 fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
-    let (faults, server_crashes) = plan_with_crash(seed);
-    let config = DaemonConfig {
-        nodes: 2,
-        cores_per_node: 8,
-        sched: sched(),
-        server_crashes,
-        replication: None,
-    };
+    let config = deployment(seed, 2, sched());
+    let faults = plan_with_crash(seed, &config);
     let d = DaemonHandle::simulate(config, faults);
 
     let mut rng = SplitMix64::new(seed).derive(0xC4A0);
@@ -161,6 +158,7 @@ fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
     while d.step() {}
     assert_requests_within_calls(&d, &calls, seed);
     assert_moms_empty(&d, seed);
+    assert_replication_whole(&d, seed);
     trace(&d)
 }
 

@@ -165,39 +165,50 @@ fn malformed_commands_deny_identically() {
 /// line by line through the reactor door of the virtual daemon ensemble —
 /// advance to the step's instant, send the line, step until it is acked —
 /// gives the replies, digest, accounting and journal length of the serial
-/// reference. Crash-free: the daemon runs a command's cycle before a crash
-/// at that step, the simulator after it.
+/// reference, with and without two followers; with them, every follower
+/// ends at the leader's journal length. Crash-free: the daemon runs a
+/// command's cycle before a crash at that step, the simulator after it.
 #[test]
 fn daemon_matches_the_simulator_record_for_record() {
     for seed in [1u64, 7, 23] {
         let script = swf_script(30, seed);
         let serial = drive_serial(&script, Cluster::homogeneous(15, 8), hp_sched(), None);
-        let config = DaemonConfig {
-            nodes: 15,
-            cores_per_node: 8,
-            sched: hp_sched(),
-            ..DaemonConfig::default()
-        };
-        let d = DaemonHandle::simulate(config, FaultPlan::none(seed));
-        let client = d.connect();
-        let replies = script
-            .steps
-            .iter()
-            .map(|step| {
-                d.run_until(step.at);
-                client.send(&step.line);
-                d.await_reply(&client, Duration::from_secs(1))
-                    .expect("acked at the step's instant")
-            })
-            .collect();
-        while d.step() {}
-        let server = d.server();
-        let daemon = DriveResult {
-            replies,
-            digest: server.state_digest(),
-            accounting: accounting_text(&server),
-            appended: server.journal().expect("journal on").total_appended(),
-        };
-        assert_eq!(daemon, serial, "seed {seed}: the daemon diverged");
+        for followers in [0, 2] {
+            let config = DaemonConfig {
+                nodes: 15,
+                cores_per_node: 8,
+                sched: hp_sched(),
+                followers,
+            };
+            let d = DaemonHandle::simulate(config, FaultPlan::none(seed));
+            let client = d.connect();
+            let replies = script
+                .steps
+                .iter()
+                .map(|step| {
+                    d.run_until(step.at);
+                    client.send(&step.line);
+                    d.await_reply(&client, Duration::from_secs(1))
+                        .expect("acked at the step's instant")
+                })
+                .collect();
+            while d.step() {}
+            let status = d.replication_status();
+            let server = d.server();
+            let appended = server.journal().expect("journal on").total_appended();
+            let daemon = DriveResult {
+                replies,
+                digest: server.state_digest(),
+                accounting: accounting_text(&server),
+                appended,
+            };
+            assert_eq!(
+                daemon, serial,
+                "seed {seed}, {followers} followers: diverged"
+            );
+            let watermarks = status.map(|s| s.follower_watermarks);
+            let want = (followers > 0).then(|| vec![appended; followers as usize]);
+            assert_eq!(watermarks, want, "seed {seed}: a follower fell behind");
+        }
     }
 }
