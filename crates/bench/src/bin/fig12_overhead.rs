@@ -1,6 +1,7 @@
 //! Regenerates the paper's **Fig 12**: the overhead of a dynamic
-//! allocation of 1–10 nodes, measured on the *threaded* deployment
-//! (real daemons, real channels, wall-clock time).
+//! allocation of 1–10 nodes, measured on the wall-clock deployment
+//! (`DaemonHandle::start`: the daemon ensemble paced on its own thread,
+//! each call crossing a channel into it, wall-clock time).
 //!
 //! Two scenarios, as in the paper:
 //!
@@ -11,10 +12,12 @@
 //! The measured round trip covers: application → mother-superior mom →
 //! server → scheduler iteration (with DFS delay what-ifs) → allocation →
 //! dyn_join fan-out (ping/ack per newly allocated node) → hostlist back to
-//! the application. The paper reports sub-second values on real hardware;
-//! in-process channels land in the microsecond range — the *shape*
-//! (growth with node count; loaded slower than idle) is the reproduction
-//! target.
+//! the application. Every daemon-to-daemon hop is a delivery on the
+//! ensemble's one thread. The paper reports sub-second values on real
+//! hardware; in-process, the round trip lands in the microsecond range —
+//! the *shape* (growth with node count; loaded slower than idle) is the
+//! reproduction target. With no thread hop per added node, the growth is
+//! small (EXPERIMENTS.md, Fig 12).
 //!
 //! ```text
 //! cargo run --release -p dynbatch-bench --bin fig12_overhead [-- --reps N]

@@ -2,22 +2,25 @@
 //!
 //! ## Daemons and drivers
 //!
-//! Each daemon is a state machine (`Step`): it handles a message at an
-//! instant, acts on what is due by then, and says when it is next due.
-//! The server is the `ServerDaemon`; each compute node runs a
-//! `MomDaemon`. A daemon reaches another only through its net (the
-//! [`wire`](crate::wire) seam), and two drivers step the same daemons:
+//! Each daemon is a state machine: it handles a message at an instant,
+//! acts on what is due by then, and says when it is next due. The server
+//! is the `ServerDaemon`; each compute node runs a `MomDaemon`. A daemon
+//! reaches another only through its net (the [`wire`](crate::wire) seam).
+//! An ensemble — the daemons, one queue of deliveries between them, and
+//! one inbox its clients write to ([`crate::fault`]) — is stepped by one
+//! loop under either of two clocks:
 //!
-//! - **threaded** ([`DaemonHandle::start`]): one thread per daemon, on the
-//!   wall clock (1 wall ms == 1 `SimTime` ms since boot), the net being
-//!   the raw channels. An ensemble runs exactly `nodes + 1` threads, plus
-//!   one per replication follower. Every thread is named with the
-//!   ensemble's [`DaemonHandle::thread_tag`] prefix and is joined by
+//! - **wall clock** ([`DaemonHandle::start`]): on one thread, named
+//!   `{tag}srv`, that sleeps on the inbox until the next deadline or
+//!   delivery is due (1 wall ms == 1 `SimTime` ms since boot), with no
+//!   fault. An ensemble runs exactly one thread, plus one per replication
+//!   follower. Every thread is named with the ensemble's
+//!   [`DaemonHandle::thread_tag`] prefix and is joined by
 //!   [`DaemonHandle::shutdown`]; a shut-down ensemble leaves zero live
 //!   threads (the suites check `/proc/self/task`).
-//! - **virtual** ([`DaemonHandle::simulate`], in [`crate::fault`]): every
-//!   daemon on the caller's thread, in virtual time, the net being one
-//!   seeded, fault-injecting queue of deliveries. Followers keep their
+//! - **virtual** ([`DaemonHandle::simulate`]): on the caller's thread, in
+//!   virtual time, every handle call stepping the ensemble until its
+//!   answer arrives; the queue may fault deliveries. Followers keep their
 //!   threads: each watermark read is a synchronous round trip queued
 //!   behind the frames, so a seed is still one trace.
 //!
@@ -29,11 +32,9 @@
 //! then the cycle the message woke. An event carries the nonce of the run
 //! that armed it, so a stale one can never act on a successor run.
 
-use crate::fault::FaultPlan;
-use crate::mom::MomDaemon;
+use crate::fault::{Ensemble, FaultPlan};
 use crate::wire::{
-    recv_until, ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
-    Wires,
+    ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
 };
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
@@ -93,17 +94,6 @@ type Directory = Arc<Mutex<HashMap<JobId, NodeId>>>;
 
 const POISONED: &str = "a daemon panicked holding the mother-superior directory";
 
-/// A daemon as a state machine, stepped by either driver.
-pub(crate) trait Step {
-    /// What the daemon receives.
-    type Msg;
-    /// Handles `msg` (if any) at `now`, then acts on what is due by `now`;
-    /// `false` once the daemon stops.
-    fn step(&mut self, msg: Option<Self::Msg>, now: SimTime) -> bool;
-    /// When the daemon next has something due.
-    fn next_due(&self) -> Option<SimTime>;
-}
-
 /// How a [`DaemonHandle`] waits for an answer: [`Threads`] block on the
 /// channel, [`Virtual`](crate::fault::Virtual) steps the ensemble until it
 /// arrives.
@@ -115,9 +105,9 @@ pub trait Driver {
     fn ack(&self, client: &ReactorClient, timeout: Option<Duration>) -> Option<ReactorReply>;
 }
 
-/// The threaded driver: one thread per daemon, on the wall clock.
+/// The wall-clock driver: the thread the ensemble runs on.
 pub struct Threads {
-    threads: Vec<JoinHandle<()>>,
+    thread: JoinHandle<()>,
     tag: String,
 }
 
@@ -131,112 +121,47 @@ impl Driver for Threads {
     }
 }
 
-/// Client handle to a daemon ensemble, threaded or virtual.
-///
-/// Under the threaded driver, wall-clock milliseconds map one-to-one onto
-/// [`SimTime`] milliseconds: a job whose execution model says "500 ms"
-/// really runs for 500 ms of wall time. The protocol path (client → mom →
-/// server → scheduler → mom fan-out → client) is identical to the
-/// simulator's, which is the point: the Fig 12 overhead study measures
-/// these real hops.
-pub struct DaemonHandle<D = Threads> {
-    pub(crate) wires: Wires,
+/// What clients reach an ensemble by: its inbox, the directory that names
+/// each running job's mother superior, and the command reactor.
+pub(crate) struct Door {
+    pub(crate) inbox: Sender<Delivery>,
     pub(crate) directory: Directory,
     pub(crate) reactor: ReactorConnector,
+}
+
+/// Client handle to a daemon ensemble, on the wall clock or virtual.
+///
+/// Under the wall-clock driver, wall-clock milliseconds map one-to-one
+/// onto [`SimTime`] milliseconds: a job whose execution model says
+/// "500 ms" really runs for 500 ms of wall time. The protocol path (client
+/// → mom → server → scheduler → mom fan-out → client) is identical to the
+/// simulator's, which is the point: the Fig 12 overhead study measures
+/// these hops.
+pub struct DaemonHandle<D = Threads> {
+    pub(crate) door: Door,
     pub(crate) driver: D,
 }
 
-impl<D> DaemonHandle<D> {
-    /// Boots an ensemble: the channels clients reach it by, and its
-    /// daemons, each sending through the net `net` makes of those
-    /// channels, the server crashing where `faults` says. `drive` takes
-    /// the daemons with their inboxes and returns the driver that steps
-    /// them.
-    pub(crate) fn boot<N: Net + Clone>(
-        config: DaemonConfig,
-        faults: &FaultPlan,
-        tag: &str,
-        net: impl FnOnce(&Wires) -> N,
-        drive: impl FnOnce(Daemons<N>) -> D,
-    ) -> Self {
-        let (server, server_rx) = channel();
-        let (moms, mom_rxs) = (0..config.nodes).map(|_| channel()).unzip();
-        let wires = Wires { server, moms };
-        let net = net(&wires);
-        let moms = (0..config.nodes)
-            .map(|i| MomDaemon::new(NodeId(i), net.clone()))
-            .collect();
-        // The command reactor rides the server daemon; a client's send
-        // nudges it down the server's channel.
-        let reactor = Reactor::new();
-        let connector = reactor.connector();
-        let wake = wires.server.clone();
-        reactor.set_wake(move || {
-            let _ = wake.send(ServerCmd::ReactorWake);
-        });
-        let server = ServerDaemon::new(config, faults, net, reactor, tag);
-        let directory = Arc::clone(&server.moms.directory);
-        let daemons = Daemons {
-            server,
-            moms,
-            server_rx,
-            mom_rxs,
-        };
-        DaemonHandle {
-            driver: drive(daemons),
-            wires,
-            directory,
-            reactor: connector,
-        }
-    }
-}
-
-/// An ensemble's daemons, each with the channel its clients write to.
-pub(crate) struct Daemons<N> {
-    pub(crate) server: ServerDaemon<N>,
-    pub(crate) moms: Vec<MomDaemon<N>>,
-    pub(crate) server_rx: Receiver<ServerCmd>,
-    pub(crate) mom_rxs: Vec<Receiver<MomMsg>>,
-}
-
-/// Spawns the thread of one daemon: wait on `rx` until the next message
-/// or the daemon's next deadline, then step — the one loop every daemon
-/// thread runs.
-fn spawn<D>(name: String, mut daemon: D, rx: Receiver<D::Msg>, epoch: Instant) -> JoinHandle<()>
-where
-    D: Step + Send + 'static,
-    D::Msg: Send + 'static,
-{
-    let body = move || {
-        let at = |t: SimTime| epoch + Duration::from_millis(t.as_millis());
-        while let Ok(msg) = recv_until(&rx, daemon.next_due().map(at)) {
-            let now = SimTime::from_millis(epoch.elapsed().as_millis() as u64);
-            if !daemon.step(msg, now) {
-                break;
-            }
-        }
-    };
-    thread::Builder::new()
-        .name(name)
-        .spawn(body)
-        .expect("spawn daemon thread")
-}
-
 impl DaemonHandle<Threads> {
-    /// Boots the ensemble on threads, fault-free: one server thread plus
-    /// one mom thread per node (plus the followers' threads).
+    /// Boots the ensemble on its own thread, fault-free, paced by the wall
+    /// clock (plus the followers' threads).
     pub fn start(config: DaemonConfig) -> Self {
         let tag = format!("pbs{}.", ENSEMBLE_SEQ.fetch_add(1, Ordering::Relaxed));
-        let faults = FaultPlan::none(0);
-        Self::boot(config, &faults, &tag.clone(), Wires::clone, |d| {
-            let epoch = Instant::now();
-            let moms = d.moms.into_iter().zip(d.mom_rxs).enumerate();
-            let mut threads: Vec<JoinHandle<()>> = moms
-                .map(|(i, (mom, rx))| spawn(format!("{tag}mom{i}"), mom, rx, epoch))
-                .collect();
-            threads.push(spawn(format!("{tag}srv"), d.server, d.server_rx, epoch));
-            Threads { threads, tag }
-        })
+        let (door_tx, door_rx) = channel();
+        let ensemble_tag = tag.clone();
+        // The net is `Rc`: the ensemble is built on the thread that steps it.
+        let body = move || {
+            let (ensemble, door) = Ensemble::boot(config, FaultPlan::none(0), &ensemble_tag);
+            let _ = door_tx.send(door);
+            ensemble.pace(Instant::now());
+        };
+        let thread = thread::Builder::new()
+            .name(format!("{tag}srv"))
+            .spawn(body)
+            .expect("spawn the ensemble thread");
+        let door = door_rx.recv().expect("the ensemble boots");
+        let driver = Threads { thread, tag };
+        DaemonHandle { door, driver }
     }
 
     /// The ensemble's thread-name prefix; every thread this handle owns is
@@ -246,16 +171,11 @@ impl DaemonHandle<Threads> {
         &self.driver.tag
     }
 
-    /// Stops all daemons and joins their threads (server, moms,
-    /// followers) — nothing outlives the handle.
+    /// Stops the ensemble and joins its thread, which joins the followers'
+    /// — nothing outlives the handle.
     pub fn shutdown(self) {
-        let _ = self.wires.server.send(ServerCmd::Shutdown);
-        for tx in &self.wires.moms {
-            let _ = tx.send(MomMsg::Shutdown);
-        }
-        for t in self.driver.threads {
-            let _ = t.join();
-        }
+        let _ = self.door.inbox.send(Delivery::Server(ServerCmd::Shutdown));
+        let _ = self.driver.thread.join();
     }
 }
 
@@ -269,7 +189,7 @@ impl<D: Driver> DaemonHandle<D> {
     /// delivered once the command's journal record is appended and, with
     /// followers, replicated.
     pub fn connect(&self) -> ReactorClient {
-        self.reactor.connect()
+        self.door.reactor.connect()
     }
 
     /// The next reply on `client`, waiting up to `timeout` (the virtual
@@ -298,18 +218,18 @@ impl<D: Driver> DaemonHandle<D> {
         timeout: Option<Duration>,
     ) -> Option<T> {
         let (tx, rx) = channel();
-        self.wires.server.send(ServerCmd::Client(req(tx))).ok()?;
+        let req = Delivery::Server(ServerCmd::Client(req(tx)));
+        self.door.inbox.send(req).ok()?;
         self.driver.wait(&rx, timeout)
     }
 
     /// Places a TM call at the job's mother superior; the answer comes on
     /// the returned channel (`None`: the job has no mother superior).
     fn tm_call(&self, job: JobId, req: TmRequest) -> Option<Receiver<TmResponse>> {
-        let ms = self.directory.lock().expect(POISONED).get(&job).copied()?;
+        let ms = *self.door.directory.lock().expect(POISONED).get(&job)?;
         let (reply, rx) = channel();
-        self.wires.moms[ms.0 as usize]
-            .send(MomMsg::Tm { job, req, reply })
-            .ok()?;
+        let call = Delivery::Mom(ms, MomMsg::Tm { job, req, reply });
+        self.door.inbox.send(call).ok()?;
         Some(rx)
     }
 
@@ -432,7 +352,7 @@ pub(crate) struct ServerDaemon<N> {
     /// Outstanding server-crash points, in journal-record coordinates (a
     /// leader kill, with followers).
     crash_points: Vec<u64>,
-    moms: Moms<N>,
+    pub(crate) moms: Moms<N>,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
     /// rest of the daemon).
@@ -460,9 +380,9 @@ struct ReplHost {
 /// by [`DaemonHandle`]'s TM calls) has this one writer: an entry is set
 /// where `RunJob` is sent and cleared when the run ends, so it follows the
 /// running set.
-struct Moms<N> {
+pub(crate) struct Moms<N> {
     net: N,
-    directory: Directory,
+    pub(crate) directory: Directory,
     /// The server's end of its link to each mom.
     links: Vec<Link<MomToServer>>,
     /// With followers, the grants (`DynJoin`) are held: they leave at the
@@ -592,37 +512,19 @@ impl<N: Net> Hook for Moms<N> {
     }
 }
 
-impl<N: Net> Step for ServerDaemon<N> {
-    type Msg = ServerCmd;
-
-    /// Every step — a message, or the next due event's instant — first
-    /// applies the events due by now, then the message, then its cycle.
-    fn step(&mut self, cmd: Option<ServerCmd>, t: SimTime) -> bool {
-        self.core.run_until(t, &mut self.moms);
-        if let Some(cmd) = cmd {
-            if !self.handle(cmd, t) {
-                return false;
-            }
-            self.core.run_until(t, &mut self.moms);
-        }
-        self.maybe_crash(t);
-        self.pump_replication();
-        self.flush_waiters();
-        true
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        self.core.next_due()
-    }
-}
-
 impl<N: Net> ServerDaemon<N> {
     /// Boots the server side of an ensemble: the event core with a
     /// journaling `pbs_server`, the crash points of `faults` and, with
     /// followers, the replication hub with their threads (named
     /// `{tag}rep{i}`), its stream faulted by `faults` and seeded with the
     /// genesis snapshot.
-    fn new(config: DaemonConfig, faults: &FaultPlan, net: N, reactor: Reactor, tag: &str) -> Self {
+    pub(crate) fn new(
+        config: DaemonConfig,
+        faults: &FaultPlan,
+        net: N,
+        reactor: Reactor,
+        tag: &str,
+    ) -> Self {
         let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
         // The replication hub and its follower threads live on the server
         // daemon's side of the world: streaming is pumped at every command
@@ -660,6 +562,28 @@ impl<N: Net> ServerDaemon<N> {
         daemon
     }
 
+    /// One step at `t` — a message, or the next due event's instant: first
+    /// the events due by now, then the message, then its cycle; `false`
+    /// once the message stops the ensemble.
+    pub(crate) fn step(&mut self, cmd: Option<ServerCmd>, t: SimTime) -> bool {
+        self.core.run_until(t, &mut self.moms);
+        if let Some(cmd) = cmd {
+            if !self.handle(cmd, t) {
+                return false;
+            }
+            self.core.run_until(t, &mut self.moms);
+        }
+        self.maybe_crash(t);
+        self.pump_replication();
+        self.flush_waiters();
+        true
+    }
+
+    /// When the next event of the core is due.
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
+        self.core.next_due()
+    }
+
     /// Processes one command; returns `false` on shutdown. A command that
     /// reaches the core wakes a cycle at `t`, which the step runs next.
     fn handle(&mut self, cmd: ServerCmd, t: SimTime) -> bool {
@@ -672,8 +596,8 @@ impl<N: Net> ServerDaemon<N> {
                 }
             }
             ServerCmd::ReactorWake => self.reactor_poll(t),
-            // The daemon, and with it the hub, drops as the server thread
-            // exits: the follower threads are joined before it ends.
+            // The ensemble, and with it the hub, drops as its thread exits:
+            // the follower threads are joined before it ends.
             ServerCmd::Shutdown => return false,
         }
         true
@@ -992,17 +916,16 @@ mod tests {
 
     #[test]
     fn submit_run_finish() {
-        let d = DaemonHandle::start(hp_config(4));
+        let d = sim(hp_config(4), &[]);
         let id = d.qsub(spec("demo", 8, 50)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         assert!(d.await_drained(Duration::from_secs(2)));
         assert_eq!(d.qstat(id), Some(JobState::Completed));
-        d.shutdown();
     }
 
     #[test]
     fn dynget_roundtrip_grants() {
-        let d = DaemonHandle::start(hp_config(4));
+        let d = sim(hp_config(4), &[]);
         // A long-running 8-core job on a 32-core system.
         let id = d.qsub(spec("app", 8, 5_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
@@ -1017,7 +940,6 @@ mod tests {
         );
         let _ = d.qdel(id);
         assert!(d.await_drained(Duration::from_secs(2)));
-        d.shutdown();
     }
 
     #[test]
@@ -1087,7 +1009,7 @@ mod tests {
         assert!(d.await_drained(Duration::from_secs(5)));
         // Every message still in flight lands.
         while d.step() {}
-        let left = d.directory.lock().unwrap().clone();
+        let left = d.door.directory.lock().unwrap().clone();
         assert!(left.is_empty(), "directory kept ended jobs: {left:?}");
     }
 

@@ -1,19 +1,29 @@
-//! Fault injection, in virtual time only: the daemon ensemble on one
-//! thread, with a seeded net between its daemons.
+//! The ensemble and its one loop, and fault injection, in virtual time
+//! only.
 //!
-//! [`DaemonHandle::simulate`] boots the same server and mom state machines
-//! the threaded driver runs, and steps them on the caller's thread: always
-//! the earlier of the next delivery and the next daemon deadline, a
-//! deadline first on a tie. Clients talk to it through the same channels
-//! as to the threaded ensemble — reactor connections, TM calls with their
-//! reply `Sender`, observation requests — and the ensemble drains them at
-//! each step. A call on the handle steps the ensemble until its answer
-//! arrives, so the caller never sleeps.
+//! An `Ensemble` is the server daemon, one mom daemon per node, one
+//! seeded net between them and one inbox. Every daemon-to-daemon message
+//! goes through the net's queue of deliveries. Clients — reactor
+//! connections, TM calls with their reply `Sender`, observation requests
+//! — write every input into the inbox, which the ensemble reads in send
+//! order. The ensemble always steps the earlier of the next delivery and
+//! the next daemon deadline, a deadline first on a tie, each at its
+//! instant. Two clocks drive it:
+//!
+//! - [`DaemonHandle::simulate`] steps it on the caller's thread, in
+//!   virtual time. It reads the inbox once nothing more is due at the
+//!   current instant, so an input lands after every message sent before
+//!   it. A call on the handle steps the ensemble until its answer
+//!   arrives, so the caller never sleeps.
+//! - [`DaemonHandle::start`] paces it against the wall clock on its own
+//!   thread (`Ensemble::pace`), with [`FaultPlan::none`]. The thread
+//!   sleeps on the inbox until the next deadline or delivery is due. It
+//!   steps each of those at its due instant and each client input at the
+//!   wall instant it is read.
 //!
 //! Every fault of the deployment is in one [`FaultPlan`], seeded by
-//! [`SplitMix64`]. Every daemon-to-daemon message goes through one queue
-//! of deliveries, where the plan may **drop**, **delay** and
-//! **duplicate** it. Delays overtake each other, which **reorders**
+//! [`SplitMix64`], which only `simulate` takes. In the net's queue the
+//! plan may **drop**, **delay** and **duplicate** a delivery. Delays overtake each other, which **reorders**
 //! deliveries; mom **crash/restart** events are deliveries too. A message
 //! with no fault arrives at its send instant, in send order. The server
 //! **crashes** at the plan's journal-record points — with followers each
@@ -50,19 +60,20 @@
 //! so one seed is one exact trace: the same deliveries, journal and final
 //! server image on every run.
 
-use crate::daemon::{DaemonConfig, DaemonHandle, Daemons, Driver, Step};
+use crate::daemon::{DaemonConfig, DaemonHandle, Door, Driver, ServerDaemon};
 use crate::mom::MomDaemon;
-use crate::wire::{Delivery, MomMsg, Net};
+use crate::wire::{recv_until, Delivery, MomMsg, Net, ServerCmd};
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
 use dynbatch_server::replication::{FollowerCrash, HubConfig};
-use dynbatch_server::{PbsServer, ReactorClient, Reply};
+use dynbatch_server::{PbsServer, Reactor, ReactorClient, Reply};
 use dynbatch_simtime::{EventQueue, SplitMix64};
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::mpsc::Receiver;
-use std::time::Duration;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Every fault of one virtual ensemble, seeded: the net's, the daemons'
 /// crashes and the replication stream's. The default is
@@ -238,42 +249,98 @@ impl Net for VirtualNet {
 /// The virtual driver: the whole ensemble, stepped on the caller's thread.
 pub struct Virtual(RefCell<Ensemble>);
 
+/// An ensemble: its daemons, the net between them, and the inbox every
+/// client input arrives on, in send order.
 pub(crate) struct Ensemble {
-    daemons: Daemons<VirtualNet>,
+    server: ServerDaemon<VirtualNet>,
+    moms: Vec<MomDaemon<VirtualNet>>,
     net: VirtualNet,
+    inbox: Receiver<Delivery>,
 }
 
 impl Ensemble {
+    /// Boots an ensemble on this thread, every fault from `faults`: its
+    /// daemons over one net, and the door its clients reach it by.
+    pub(crate) fn boot(config: DaemonConfig, faults: FaultPlan, tag: &str) -> (Self, Door) {
+        let (sender, inbox) = channel();
+        let net = VirtualNet::new(faults.clone());
+        let moms = (0..config.nodes)
+            .map(|i| MomDaemon::new(NodeId(i), net.clone()))
+            .collect();
+        // The command reactor rides the server daemon; a client's send
+        // nudges it through the inbox.
+        let reactor = Reactor::new();
+        let connector = reactor.connector();
+        let wake = sender.clone();
+        reactor.set_wake(move || {
+            let _ = wake.send(Delivery::Server(ServerCmd::ReactorWake));
+        });
+        let server = ServerDaemon::new(config, &faults, net.clone(), reactor, tag);
+        let door = Door {
+            inbox: sender,
+            directory: Arc::clone(&server.moms.directory),
+            reactor: connector,
+        };
+        let ensemble = Ensemble {
+            server,
+            moms,
+            net,
+            inbox,
+        };
+        (ensemble, door)
+    }
+
     fn now(&self) -> SimTime {
         self.net.0.borrow().now
     }
 
-    /// One step, no later than `limit`: whatever is due by now — a daemon
-    /// deadline, then a delivery — else the client inputs waiting on the
-    /// channels, else the earliest of the next deadline and the next
-    /// delivery. A client's input thus lands after every message sent
-    /// before it. `false` when nothing is pending by `limit`.
-    fn step(&mut self, limit: SimTime) -> bool {
-        let now = self.now();
-        let d = &mut self.daemons;
-        // (instant, who): 0 is the server, i > 0 is mom i - 1.
-        let moms = d.moms.iter().map(Step::next_due);
-        let deadline = (std::iter::once(d.server.next_due()).chain(moms))
+    /// The earliest daemon deadline and whose it is: 0 is the server,
+    /// i > 0 is mom i - 1.
+    fn deadline(&self) -> Option<(SimTime, usize)> {
+        let moms = self.moms.iter().map(MomDaemon::next_due);
+        (std::iter::once(self.server.next_due()).chain(moms))
             .enumerate()
             .filter_map(|(who, t)| Some((t?, who)))
-            .min();
+            .min()
+    }
+
+    /// When the next deadline or delivery is due.
+    fn next_due(&self) -> Option<SimTime> {
         let arrival = self.net.0.borrow().queue.peek_time();
-        let next = deadline.map(|(t, _)| t).into_iter().chain(arrival).min();
-        if next.is_none_or(|t| t > now) && drain_clients(d, now) {
+        self.deadline()
+            .map(|(t, _)| t)
+            .into_iter()
+            .chain(arrival)
+            .min()
+    }
+
+    /// One virtual step, no later than `limit`: whatever is due by now,
+    /// else the client inputs waiting in the inbox, else the earliest of
+    /// the next deadline and the next delivery. A client's input thus
+    /// lands after every message sent before it. `false` when nothing is
+    /// pending by `limit`.
+    fn step(&mut self, limit: SimTime) -> bool {
+        let now = self.now();
+        if self.next_due().is_none_or(|t| t > now) && self.drain_clients(now) {
             return true;
         }
+        self.step_due(limit)
+    }
+
+    /// Steps the earliest deadline or delivery, at its instant, if it is
+    /// due by `limit` — a deadline first on a tie; `false` if none is.
+    fn step_due(&mut self, limit: SimTime) -> bool {
+        let deadline = self.deadline();
+        let arrival = self.net.0.borrow().queue.peek_time();
         match (deadline, arrival) {
             (Some((t, who)), _) if t <= limit && arrival.is_none_or(|a| t <= a) => {
                 self.net.0.borrow_mut().now = t;
                 match who {
-                    0 => d.server.step(None, t),
-                    i => d.moms[i - 1].step(None, t),
-                };
+                    0 => {
+                        self.server.step(None, t);
+                    }
+                    i => self.moms[i - 1].step(None, t),
+                }
             }
             (_, Some(t)) if t <= limit => {
                 let delivery = {
@@ -282,14 +349,32 @@ impl Ensemble {
                     net.delivered += 1;
                     net.queue.pop().expect("peeked").payload
                 };
-                match delivery {
-                    Delivery::Server(cmd) => d.server.step(Some(cmd), t),
-                    Delivery::Mom(node, msg) => d.moms[node.0 as usize].step(Some(msg), t),
-                };
+                self.deliver(delivery, t);
             }
             _ => return false,
         }
         true
+    }
+
+    /// Hands `delivery` to its daemon at `t`; `false` once it stopped the
+    /// ensemble.
+    fn deliver(&mut self, delivery: Delivery, t: SimTime) -> bool {
+        match delivery {
+            Delivery::Server(cmd) => return self.server.step(Some(cmd), t),
+            Delivery::Mom(node, msg) => self.moms[node.0 as usize].step(Some(msg), t),
+        }
+        true
+    }
+
+    /// Hands every client input waiting in the inbox to its daemon at
+    /// `now`, in send order; `false` when there was none.
+    fn drain_clients(&mut self, now: SimTime) -> bool {
+        let mut any = false;
+        while let Ok(delivery) = self.inbox.try_recv() {
+            self.deliver(delivery, now);
+            any = true;
+        }
+        any
     }
 
     /// Steps until `poll` yields or nothing is pending within `timeout`
@@ -306,9 +391,32 @@ impl Ensemble {
             }
             if !self.step(limit.unwrap_or(SimTime::MAX)) {
                 if let Some(limit) = limit {
-                    self.net.0.borrow_mut().now = limit.max(self.now());
+                    self.advance(limit);
                 }
                 return poll();
+            }
+        }
+    }
+
+    /// Moves the clock to `t`, unless it stands later.
+    fn advance(&mut self, t: SimTime) {
+        let net = &mut *self.net.0.borrow_mut();
+        net.now = net.now.max(t);
+    }
+
+    /// The wall-clock loop of [`DaemonHandle::start`], 1 wall ms since
+    /// `epoch` being 1 `SimTime` ms: sleeps on the inbox until the next
+    /// deadline or delivery is due, steps each of those at its due instant
+    /// and each client input at the wall instant it is read. Returns once
+    /// the ensemble is told to stop.
+    pub(crate) fn pace(mut self, epoch: Instant) {
+        let at = |t: SimTime| epoch + Duration::from_millis(t.as_millis());
+        while let Ok(input) = recv_until(&self.inbox, self.next_due().map(at)) {
+            let now = SimTime::from_millis(epoch.elapsed().as_millis() as u64);
+            while self.step_due(now) {}
+            self.advance(now);
+            if input.is_some_and(|input| !self.deliver(input, now)) {
+                return;
             }
         }
     }
@@ -324,31 +432,13 @@ impl Driver for Virtual {
     }
 }
 
-/// Hands every client input waiting on the channels to its daemon at
-/// `now`; `false` when there was none.
-fn drain_clients(d: &mut Daemons<VirtualNet>, now: SimTime) -> bool {
-    let mut any = false;
-    while let Ok(cmd) = d.server_rx.try_recv() {
-        d.server.step(Some(cmd), now);
-        any = true;
-    }
-    for (mom, rx) in d.moms.iter_mut().zip(&d.mom_rxs) {
-        while let Ok(msg) = rx.try_recv() {
-            mom.step(Some(msg), now);
-            any = true;
-        }
-    }
-    any
-}
-
 impl DaemonHandle<Virtual> {
     /// Boots the ensemble in virtual time, every fault from `faults`.
     /// Time starts at zero and moves only as the ensemble steps.
     pub fn simulate(config: DaemonConfig, faults: FaultPlan) -> Self {
-        let net = VirtualNet::new(faults.clone());
-        let sender = net.clone();
-        let ensemble = |daemons| Virtual(RefCell::new(Ensemble { daemons, net }));
-        Self::boot(config, &faults, "", |_| sender, ensemble)
+        let (ensemble, door) = Ensemble::boot(config, faults, "");
+        let driver = Virtual(RefCell::new(ensemble));
+        DaemonHandle { door, driver }
     }
 
     /// The ensemble's clock.
@@ -366,8 +456,7 @@ impl DaemonHandle<Virtual> {
     pub fn run_until(&self, t: SimTime) {
         let mut ens = self.driver.0.borrow_mut();
         while ens.step(t) {}
-        let net = &mut *ens.net.0.borrow_mut();
-        net.now = net.now.max(t);
+        ens.advance(t);
     }
 
     /// Deliveries made so far (duplicates count, drops do not).
@@ -379,7 +468,7 @@ impl DaemonHandle<Virtual> {
     /// call on the handle).
     pub fn server(&self) -> Ref<'_, PbsServer> {
         let ensemble = self.driver.0.borrow();
-        Ref::map(ensemble, |ens| ens.daemons.server.core.server())
+        Ref::map(ensemble, |ens| ens.server.core.server())
     }
 
     /// What the moms hold, for inspection: by node, each job the mom
@@ -388,7 +477,7 @@ impl DaemonHandle<Virtual> {
     /// neither.
     pub fn moms(&self) -> Vec<BTreeMap<JobId, Allocation>> {
         let ens = self.driver.0.borrow();
-        ens.daemons.moms.iter().map(MomDaemon::hostlists).collect()
+        ens.moms.iter().map(MomDaemon::hostlists).collect()
     }
 }
 

@@ -18,21 +18,20 @@
 //! ```
 //!
 //! Each daemon is a state machine stepped at an instant, and every
-//! daemon-to-daemon message goes through one seam ([`wire`]'s `Net`). Two
-//! drivers step the same daemons:
+//! daemon-to-daemon message goes through one seam ([`wire`]'s `Net`): the
+//! queue of deliveries of one ensemble ([`fault`]). One loop steps the
+//! ensemble under either of two clocks:
 //!
-//! - [`DaemonHandle::start`]: one thread per daemon (`nodes + 1` threads,
-//!   plus replication followers) over `mpsc` channels, on the wall clock.
-//!   The paper's Fig 12 measures this round trip (sub-second for up to 10
-//!   nodes); the bench harness reproduces it with
-//!   [`DaemonHandle::tm_dynget_timed`].
-//! - [`DaemonHandle::simulate`]: every daemon on the caller's thread, in
-//!   virtual time, over one queue of deliveries. This is the only place
-//!   faults are injected ([`fault`]): one [`FaultPlan`] drops, delays,
-//!   duplicates and reorders deliveries, kills moms, crashes the server
-//!   ([`ServerCrash`], in journal-record coordinates; with followers each
-//!   is a leader kill) and faults the replication stream, and one seed is
-//!   one exact trace.
+//! - [`DaemonHandle::start`]: on one thread (plus one per replication
+//!   follower), paced by the wall clock, with no fault. The paper's Fig 12
+//!   measures this round trip (sub-second for up to 10 nodes); the bench
+//!   harness reproduces it with [`DaemonHandle::tm_dynget_timed`].
+//! - [`DaemonHandle::simulate`]: on the caller's thread, in virtual time.
+//!   This is the only place faults are injected: one [`FaultPlan`] drops,
+//!   delays, duplicates and reorders deliveries, kills moms, crashes the
+//!   server ([`ServerCrash`], in journal-record coordinates; with
+//!   followers each is a leader kill) and faults the replication stream,
+//!   and one seed is one exact trace.
 //!
 //! [`DaemonConfig`] is the deployment alone — nodes, cores, scheduler,
 //! followers — and both drivers honour all of it. Each fact

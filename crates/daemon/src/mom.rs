@@ -110,8 +110,8 @@ impl<N: Net> MomDaemon<N> {
         self.net.send(Delivery::Server(cmd));
     }
 
-    /// Handles one message at `now`; `false` on shutdown.
-    fn handle(&mut self, msg: MomMsg, now: SimTime) -> bool {
+    /// Handles one message at `now`.
+    fn handle(&mut self, msg: MomMsg, now: SimTime) {
         match msg {
             MomMsg::FromServer(n, msg) => {
                 self.server.receive(n, msg);
@@ -144,9 +144,7 @@ impl<N: Net> MomDaemon<N> {
                 }
                 self.tell_server(MomToServer::Restarted);
             }
-            MomMsg::Shutdown => return false,
         }
-        true
     }
 
     /// Applies one server message, in send order.
@@ -267,19 +265,14 @@ impl<N: Net> MomDaemon<N> {
         };
         self.tell_server(MomToServer::Tm(cmd));
     }
-}
 
-impl<N: Net> crate::daemon::Step for MomDaemon<N> {
-    type Msg = MomMsg;
-
-    /// Handles the message, then answers every fan-out that is complete
-    /// (every peer joined, or a placement ended it) and retransmits every
-    /// overdue ping (ack timeout + exponential backoff).
-    fn step(&mut self, msg: Option<MomMsg>, now: SimTime) -> bool {
+    /// One step at `now`: handles the message, if any, then answers every
+    /// fan-out that is complete (every peer joined, or a placement ended
+    /// it) and retransmits every overdue ping (ack timeout + exponential
+    /// backoff).
+    pub(crate) fn step(&mut self, msg: Option<MomMsg>, now: SimTime) {
         if let Some(msg) = msg {
-            if !self.handle(msg, now) {
-                return false;
-            }
+            self.handle(msg, now);
         }
         for (&job, entry) in &mut self.jobs {
             let Some(join) = entry.join.as_mut() else {
@@ -297,10 +290,10 @@ impl<N: Net> crate::daemon::Step for MomDaemon<N> {
                 join.next_retry = now + SimDuration::from_millis(backoff);
             }
         }
-        true
     }
 
-    fn next_due(&self) -> Option<SimTime> {
+    /// When the next ping retransmission is due.
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         let joins = self.jobs.values().filter_map(|e| e.join.as_ref());
         joins.map(|j| j.next_retry).min()
     }
@@ -319,7 +312,6 @@ fn ping(net: &mut impl Net, peer: NodeId, job: JobId, round: u64, reply_to: Node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::Step;
     use std::sync::mpsc::{channel, Receiver};
 
     type Mom = MomDaemon<Vec<Delivery>>;

@@ -1,22 +1,21 @@
 //! Channel message types, the one delivery seam between daemons
-//! (`Net`), the one link rule (`Link`), and the one way a daemon thread
-//! waits (`recv_until`).
+//! (`Net`), the one link rule (`Link`), and the one way the wall-clock
+//! ensemble waits (`recv_until`).
 //!
 //! Every daemon-to-daemon message — server→mom, mom→server, mom→mom —
-//! leaves through a `Net` as a `Delivery`. Threaded, the net is
-//! `Wires`: the raw `mpsc` senders and nothing else. In virtual time it
-//! is the fault-injecting queue of [`crate::fault`]. Every enum is `Clone`
-//! so that queue can duplicate deliveries.
+//! leaves through a `Net` as a `Delivery`; the ensemble's net is the
+//! queue of [`crate::fault`], under either driver. A client's input is a
+//! `Delivery` too, written into the ensemble's one inbox. Every enum is
+//! `Clone` so the queue can duplicate deliveries.
 //!
 //! Every sturdy message — server→mom ([`MomMsg::FromServer`]) and
 //! mom→server ([`ServerCmd::FromMom`]) — carries its number on its link,
 //! one counter per sender–receiver pair, and the receiver applies each
-//! number once, in send order (`Link`). That is the delivery one FIFO
-//! channel per receiver gives the threaded driver anyway; in virtual time
-//! it absorbs the net's duplicates and reorderings. Pings and acks are
-//! unnumbered: they may be dropped, and the mother superior retries them.
-//! No deadline travels here: the server's deadlines are events of its own
-//! event core.
+//! number once, in send order (`Link`): the delivery one FIFO channel per
+//! receiver would give, whatever the net duplicates or reorders. Pings
+//! and acks are unnumbered: they may be dropped, and the mother superior
+//! retries them. No deadline travels here: the server's deadlines are
+//! events of its own event core.
 
 use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
 use dynbatch_server::{Command, ServerToMom, TmResponse};
@@ -25,8 +24,8 @@ use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender};
 use std::time::Instant;
 
 /// Waits on `rx` for the next message, or until `due` passes (`Ok(None)`);
-/// `Err` once every sender has hung up. The server and each mom wait this
-/// way for their next deadline.
+/// `Err` once every sender has hung up. The wall-clock ensemble waits this
+/// way for its next deadline or delivery.
 pub(crate) fn recv_until<T>(
     rx: &Receiver<T>,
     due: Option<Instant>,
@@ -41,7 +40,7 @@ pub(crate) fn recv_until<T>(
     }
 }
 
-/// One message from one daemon to another.
+/// One message to a daemon, from another daemon or from a client.
 #[derive(Debug, Clone)]
 pub(crate) enum Delivery {
     /// To the server.
@@ -99,25 +98,7 @@ impl<T> Link<T> {
     }
 }
 
-/// The channels into an ensemble's daemons. Threaded, they are the net;
-/// in virtual time, only clients write to them.
-#[derive(Clone)]
-pub(crate) struct Wires {
-    pub(crate) server: Sender<ServerCmd>,
-    pub(crate) moms: Vec<Sender<MomMsg>>,
-}
-
-impl Net for Wires {
-    fn send(&mut self, delivery: Delivery) {
-        // A daemon that has stopped takes nothing more.
-        let _ = match delivery {
-            Delivery::Server(cmd) => self.server.send(cmd).is_ok(),
-            Delivery::Mom(node, msg) => self.moms[node.0 as usize].send(msg).is_ok(),
-        };
-    }
-}
-
-/// What a client asks the server thread directly, each request carrying
+/// What a client asks the server daemon directly, each request carrying
 /// its reply channel: observation and waiting, never a batch-system
 /// command — `qsub`, `qdel`, `dynget` and `dynfree` go through the
 /// reactor ([`crate::DaemonHandle::connect`]), which owns ordering and
@@ -191,7 +172,7 @@ pub struct ReplicationStatus {
     pub errors: Vec<String>,
 }
 
-/// Everything the server thread receives.
+/// Everything the server daemon receives.
 #[derive(Debug, Clone)]
 pub enum ServerCmd {
     /// A client's observation or wait (commands come through the reactor).
@@ -204,7 +185,7 @@ pub enum ServerCmd {
     /// nudge — commands travel on the reactor's own channel; spurious
     /// wakes poll an empty mailbox and move on.
     ReactorWake,
-    /// Stop the daemon.
+    /// Stop the ensemble.
     Shutdown,
 }
 
@@ -250,7 +231,7 @@ pub enum PeerMsg {
     },
 }
 
-/// Everything a mom thread receives.
+/// Everything a mom daemon receives.
 #[derive(Debug, Clone)]
 pub enum MomMsg {
     /// A server command and its number on the server's link to the moms
@@ -272,8 +253,6 @@ pub enum MomMsg {
     /// `tm_dynget` caller is denied, then the mom announces
     /// [`MomToServer::Restarted`].
     Crash,
-    /// Stop the mom.
-    Shutdown,
 }
 
 /// A test net: what a daemon sent, in order.

@@ -23,7 +23,7 @@ use crate::server::PbsServer;
 /// fires once the leader has appended `after_record` records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FollowerCrash {
-    /// Which follower (hub index).
+    /// Which follower, by the order the hub added it (0 = the first).
     pub follower: usize,
     /// Leader `total_appended` coordinate the crash fires at.
     pub after_record: u64,
@@ -207,6 +207,9 @@ pub struct ReplicationHub {
     faults: ReplFaultPlan,
     rng: SplitMix64,
     links: Vec<Link>,
+    /// Followers added so far: the number a crash point names the next
+    /// one by. `links.len()` would not do — failover removes a link.
+    added: usize,
     stats: HubStats,
 }
 
@@ -227,14 +230,17 @@ impl ReplicationHub {
             faults: cfg.faults,
             rng,
             links: Vec::new(),
+            added: 0,
             stats: HubStats::default(),
         }
     }
 
-    /// Spawns and attaches a follower thread named `name`. Crash faults
-    /// scheduled for this follower index bind to it.
+    /// Spawns and attaches a follower thread named `name`. The crash
+    /// points the plan names for the `n`-th follower added (counting from
+    /// 0, over the hub's life) bind to it.
     pub fn add_follower(&mut self, name: &str) {
-        let idx = self.links.len();
+        let idx = self.added;
+        self.added += 1;
         let mut crashes: Vec<u64> = self
             .faults
             .follower_crashes
@@ -525,7 +531,8 @@ impl ReplicationHub {
     }
 
     /// Leader failover: drains every live follower's stream, promotes
-    /// the highest-watermark one (ties break on hub order), bumps the
+    /// the highest-watermark one that holds a replica of the current term
+    /// (ties break on hub order), bumps the
     /// term, and resets the survivors to re-seed from the new leader's
     /// genesis snapshot on the next pump.
     ///
@@ -551,8 +558,8 @@ impl ReplicationHub {
                 link.alive = false;
                 continue;
             };
-            if reply.error.is_some() || reply.term != self.term {
-                continue; // never promote a diverged or stale-term replica
+            if reply.error.is_some() || reply.term != self.term || reply.applied == 0 {
+                continue; // never promote a diverged, stale-term or absent replica
             }
             if best.is_none_or(|(_, w)| reply.applied > w) {
                 best = Some((i, reply.applied));

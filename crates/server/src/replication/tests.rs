@@ -408,6 +408,79 @@ fn hub_converges_under_stream_faults() {
     hub.shutdown();
 }
 
+/// A crash point names a follower by the order it was added, over the
+/// hub's life: one added after a failover takes no crash drawn for a
+/// follower that survived it.
+#[test]
+fn a_follower_added_after_failover_takes_no_survivors_crash() {
+    const CRASH_AT: u64 = 40;
+    let faults = ReplFaultPlan {
+        follower_crashes: vec![FollowerCrash {
+            follower: 1,
+            after_record: CRASH_AT,
+        }],
+        ..ReplFaultPlan::none(3)
+    };
+    let mut hub = ReplicationHub::new(HubConfig {
+        faults,
+        ..HubConfig::default()
+    });
+    hub.add_follower("tst-repl-add-a");
+    hub.add_follower("tst-repl-add-b");
+    let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+    leader.enable_journal(0);
+    for k in 0..3u64 {
+        submit(&mut leader, rigid(&format!("A{k}"), 0, 8, 30), t(k)).unwrap();
+    }
+    let top = leader.journal().unwrap().total_appended();
+    assert!(top < CRASH_AT);
+    assert!(hub.await_replicated(&leader, top));
+    // The first follower is promoted; the second, which carries the
+    // crash, survives; a third joins.
+    let (mut leader, report) = hub.fail_over(top, top).unwrap();
+    assert_eq!(report.promoted, "tst-repl-add-a");
+    hub.add_follower("tst-repl-add-c");
+    leader.enable_journal(0);
+    let mut k = 0;
+    while leader.journal().unwrap().total_appended() <= CRASH_AT {
+        submit(&mut leader, rigid(&format!("B{k}"), 1, 8, 30), t(10 + k)).unwrap();
+        hub.pump(&leader);
+        k += 1;
+    }
+    let top = leader.journal().unwrap().total_appended();
+    assert!(hub.await_replicated(&leader, top));
+    assert_eq!(hub.stats().follower_crashes, 1, "only the survivor crashed");
+    hub.shutdown();
+}
+
+/// A follower that has heard only a record frame of the current term has
+/// adopted the term but holds no replica: failover never promotes it. A
+/// seeded peer is promoted instead; with none left, the follower stays
+/// attached and there is nobody to promote.
+#[test]
+fn failover_never_promotes_a_follower_without_a_replica() {
+    let leader = scripted_leader(0);
+    let top = leader.journal().unwrap().total_appended();
+    let mut hub = ReplicationHub::new(HubConfig::default());
+    hub.add_follower("tst-repl-seeded");
+    assert!(hub.await_replicated(&leader, top));
+    hub.add_follower("tst-repl-bare");
+    let (_, report) = hub.fail_over(top, top).unwrap();
+    assert_eq!(report.promoted, "tst-repl-seeded");
+    // The new term's first record reaches the bare follower before any
+    // snapshot does.
+    let record = Frame::Record {
+        term: report.new_term,
+        pos: 2,
+        record: Record::ExpireSweep { now: t(99) },
+    };
+    assert!(hub.send_raw(0, encode_frame(&record)));
+    let err = hub.fail_over(1, 1).unwrap_err();
+    assert_eq!(err, "no live follower to promote");
+    assert_eq!(hub.acked_watermarks().len(), 1, "the follower left the hub");
+    hub.shutdown();
+}
+
 /// A follower poisoned by a corrupt frame leaves the ensemble as a dead
 /// one would: the watermark follows the healthy follower, so the retain
 /// floor a host pins to it lets the journal compact, `await_replicated`

@@ -1,5 +1,5 @@
-//! A live run of the *threaded* batch system — real daemons, real
-//! channels, wall-clock time — modelling the paper's nested-weather-
+//! A live run of the batch system on the wall clock — the server and mom
+//! daemons paced on their own thread, wall-clock time — modelling the paper's nested-weather-
 //! simulation motivation: a main simulation that must spawn an auxiliary
 //! analysis alongside itself without disturbing its own allocation, then
 //! release the extra nodes when the phenomenon passes.

@@ -209,4 +209,11 @@ if grep -rnE 'frame_to_json|frame_from_json|DigestQuery' crates src tests exampl
   echo "the replication wire speaks JSON again (see above)"; exit 1
 fi
 
+echo "==> one ensemble loop: the wall clock paces the ensemble the virtual driver"
+echo "    steps, through the same net; no thread per daemon, raw-channel net, inbox"
+echo "    per mom or mom shutdown came back"
+if grep -rnE 'fn spawn<|impl Net for Wires|MomMsg::Shutdown|mom_rxs' crates/daemon; then
+  echo "a deleted name reappeared (see above)"; exit 1
+fi
+
 echo "check.sh: all gates passed"

@@ -2,7 +2,7 @@
 //! crash-recovery sweep and the replication chaos sweep both drive, step
 //! by step, against a `PbsServer` + `Maui` — journal records and
 //! scheduler cycles —, the thread-leak check every suite that starts a
-//! threaded ensemble ends with, and what the virtual-time chaos suites
+//! wall-clock ensemble ends with, and what the virtual-time chaos suites
 //! check of every run: the grant invariant, the mother superior against
 //! the server, the dynamic-request count against the calls made, the moms
 //! left empty, and the trace fingerprint.

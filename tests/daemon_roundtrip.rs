@@ -1,8 +1,9 @@
 //! Integration tests of the deployment: the same protocol the simulator
-//! drives, between daemons that talk only by message. The threaded tests
-//! run it over real threads and channels on the wall clock; the tests
-//! that pin a time run the same daemons in virtual time
-//! (`DaemonHandle::simulate`), where every instant is exact.
+//! drives, between daemons that talk only by message. The wall-clock
+//! tests run the ensemble on its own thread against the wall clock
+//! (`DaemonHandle::start`); the tests that pin a time step the same
+//! ensemble in virtual time (`DaemonHandle::simulate`), where every
+//! instant is exact.
 
 mod common;
 
@@ -59,8 +60,8 @@ fn fifo_queue_processes_in_order() {
     d.shutdown();
 }
 
-/// The mom door on real threads: grants and a partial free through the
-/// mother superior's thread, then a shutdown that leaves no thread behind.
+/// The mom door on the wall clock: grants and a partial free through the
+/// mother superior, then a shutdown that leaves no thread behind.
 #[test]
 fn grow_then_shrink_then_finish() {
     let d = daemon(4);

@@ -37,10 +37,10 @@
 //! whose last two digits fall in their range (500 in all);
 //! `reactor_churn_10k_seeds` (ignored; `scripts/check.sh` runs it in
 //! release) sweeps 10 000. A separate,
-//! threaded test pins the backpressure policy at ensemble level — a
+//! wall-clock test pins the backpressure policy at ensemble level — a
 //! stalled reader that never drains its replies must not block the
 //! scheduler cycle or any other client's acks — and is the reactor
-//! door's smoke test on real threads, with the thread-leak check.
+//! door's smoke test on the wall clock, with the thread-leak check.
 
 mod common;
 

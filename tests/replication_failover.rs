@@ -287,13 +287,14 @@ fn the_leader_answers_every_read_while_the_stream_lags() {
     assert_failovers(&d, 0);
 }
 
-/// The fault-free replicated ensemble on threads: `nodes + 1 + followers`
-/// threads, every follower at the leader's watermark once the workload
-/// drained, and not one thread left after `shutdown`.
+/// The fault-free replicated ensemble on the wall clock: `1 + followers`
+/// threads (the ensemble's and one per follower), every follower at the
+/// leader's watermark once the workload drained, and not one thread left
+/// after `shutdown`.
 #[test]
 fn threaded_followers_keep_up_and_leave_no_thread() {
     let config = replicated_config();
-    let threads = (config.nodes + 1 + config.followers) as usize;
+    let threads = (1 + config.followers) as usize;
     let d = DaemonHandle::start(config);
     let tag = d.thread_tag().to_string();
     assert_eq!(tagged_threads_at_least(&tag, threads).len(), threads);
