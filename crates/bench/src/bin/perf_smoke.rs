@@ -44,6 +44,14 @@
 //!    alternating pairs; the full run gates it at ≥
 //!    [`SWEEP_SPEEDUP_FLOOR`]× on a machine with two or more cores.
 //!
+//! 8. **`machine_size`** — one synthetic trace (6 000 jobs, Dyn-HP) run
+//!    through `BatchSim` on 150, 1 500 and 6 000 nodes × 8 cores: wall
+//!    time per scheduler cycle, the sizes timed interleaved. Cycle and
+//!    grant counts are asserted equal at every size, so only the machine
+//!    grows; the full run gates 6 000 nodes at ≤
+//!    [`MACHINE_SIZE_BOUND`]× 150 nodes. A wide-job variant, job sizes
+//!    scaled with the machine, is reported and not gated.
+//!
 //! `--quick` (or `DYNBATCH_QUICK=1`) shrinks the workload and the seed or
 //! repetition counts for CI; the full run is the one whose numbers are
 //! recorded in the committed JSON.
@@ -90,6 +98,12 @@ const JOURNAL_OVERHEAD_BOUND_PCT: f64 = 14.0;
 /// read 1.56–1.77× from one to two workers on the reference box.
 const SWEEP_PAIRS: usize = 5;
 const SWEEP_SPEEDUP_FLOOR: f64 = 1.3;
+
+/// Machine-size section: the bound on a cycle's cost on the largest
+/// machine over its cost on the smallest, and the interleaved repetitions
+/// per size.
+const MACHINE_SIZE_BOUND: f64 = 1.5;
+const MACHINE_SIZE_REPS: usize = 5;
 
 /// A saturated snapshot scaled from the paper's testbed: `nodes` 8-core
 /// nodes, `jobs` total jobs split into running / queued, with dynamic
@@ -473,6 +487,122 @@ fn deep_queue_section(reps: usize) -> (Json, f64, f64) {
         ("identical_decisions", Json::Bool(true)),
     ]);
     (section, ratio, over_reference)
+}
+
+/// The machine-size trace: `jobs` synthetic jobs (seed 11, 16 users,
+/// 60–1 800 s, a 99 s mean interarrival, 30 % evolving by +4 cores) of
+/// 2–`widest` cores.
+fn machine_size_workload(jobs: usize, widest: u32) -> Vec<dynbatch_workload::WorkloadItem> {
+    let mut reg = CredRegistry::new();
+    let cfg = SyntheticConfig {
+        seed: 11,
+        jobs,
+        users: 16,
+        total_cores: widest,
+        mean_interarrival: SimDuration::from_secs(99),
+        cores: (2, widest),
+        ..SyntheticConfig::default()
+    };
+    dynbatch_workload::generate_synthetic(&cfg, &mut reg)
+}
+
+/// One run of a machine-size trace on `nodes` × 8 cores under Dyn-HP:
+/// (µs per scheduler cycle, cycles, grants).
+fn machine_size_run(nodes: u32, wl: &[dynbatch_workload::WorkloadItem]) -> (f64, u64, u64) {
+    let mut sim = BatchSim::new(Cluster::homogeneous(nodes, 8), table2_sched(None));
+    let (ms, ()) = timed_ms(|| {
+        sim.load(wl);
+        sim.run();
+    });
+    assert!(sim.server().is_drained(), "machine size: run must drain");
+    let stats = sim.stats();
+    (
+        ms * 1e3 / stats.cycles as f64,
+        stats.cycles,
+        stats.dyn_granted,
+    )
+}
+
+/// The machine-size rows: what one scheduler cycle of the same trace
+/// costs as the machine grows. `wide` scales job sizes with the machine (2–40
+/// cores per 150 nodes), so its allocations touch more nodes and its
+/// cycle and grant counts may differ by size. Returns the rows and the
+/// largest size's median over the smallest's.
+fn machine_size_rows(sizes: &[u32], jobs: usize, reps: usize, wide: bool) -> (Vec<Json>, f64) {
+    let widest = |nodes: u32| if wide { 40 * nodes / 150 } else { 40 };
+    let workloads: Vec<_> = sizes
+        .iter()
+        .map(|&n| machine_size_workload(jobs, widest(n)))
+        .collect();
+    let mut us: Vec<Vec<f64>> = sizes.iter().map(|_| Vec::with_capacity(reps)).collect();
+    let mut counts = vec![(0, 0); sizes.len()];
+    for _ in 0..reps {
+        for (k, &nodes) in sizes.iter().enumerate() {
+            let (per_cycle, cycles, grants) = machine_size_run(nodes, &workloads[k]);
+            us[k].push(per_cycle);
+            counts[k] = (cycles, grants);
+        }
+    }
+    if !wide {
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "machine size: cycle and grant counts differ by size: {counts:?}"
+        );
+    }
+    let mut rows = Vec::new();
+    let mut medians = Vec::new();
+    for (k, &nodes) in sizes.iter().enumerate() {
+        us[k].sort_by(f64::total_cmp);
+        let median = quantile(&us[k], 0.5);
+        eprintln!(
+            "  {} {nodes:>5} nodes  {median:>7.1} us/cycle  ({} cycles, {} grants)",
+            if wide { "wide  " } else { "narrow" },
+            counts[k].0,
+            counts[k].1
+        );
+        medians.push(median);
+        rows.push(Json::obj(vec![
+            ("nodes", Json::UInt(nodes as u64)),
+            ("widest_job_cores", Json::UInt(widest(nodes) as u64)),
+            ("cycles", Json::UInt(counts[k].0)),
+            ("dyn_granted", Json::UInt(counts[k].1)),
+            ("us_per_cycle_median", Json::Float(median)),
+        ]));
+    }
+    (rows, medians[medians.len() - 1] / medians[0])
+}
+
+fn machine_size_section(quick: bool) -> (Json, f64) {
+    let (sizes, jobs, reps): (&[u32], usize, usize) = if quick {
+        (&[150, 300, 600], 1_500, 1)
+    } else {
+        (&[150, 1_500, 6_000], 6_000, MACHINE_SIZE_REPS)
+    };
+    let (rows, ratio) = machine_size_rows(sizes, jobs, reps, false);
+    let (wide_rows, wide_ratio) = machine_size_rows(sizes, jobs, reps, true);
+    eprintln!("  largest / smallest machine: {ratio:.2} (wide jobs {wide_ratio:.2}, not gated)");
+    let section = Json::obj(vec![
+        (
+            "workload",
+            Json::Str(format!(
+                "synthetic seed 11, {jobs} jobs, 16 users, 2-40 cores, Dyn-HP"
+            )),
+        ),
+        ("cores_per_node", Json::UInt(8)),
+        ("reps", Json::UInt(reps as u64)),
+        ("per_size", Json::Arr(rows)),
+        ("largest_over_smallest", Json::Float(ratio)),
+        ("wide_jobs", Json::Arr(wide_rows)),
+        ("wide_largest_over_smallest", Json::Float(wide_ratio)),
+        (
+            "gate",
+            Json::Str(format!(
+                "largest <= {MACHINE_SIZE_BOUND} x smallest per cycle (full runs; wide jobs \
+                 not gated); equal cycle and grant counts at every size (every run)"
+            )),
+        ),
+    ]);
+    (section, ratio)
 }
 
 fn timed_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -1026,6 +1156,10 @@ fn main() {
         ("parallel_speedup", Json::Float(parallel_speedup)),
     ]);
 
+    // 8. Machine size: the same trace on ever larger machines.
+    eprintln!("perf_smoke: machine size (one trace on growing machines)");
+    let (machine_size_json, machine_size_ratio) = machine_size_section(quick);
+
     let report = Json::obj(vec![
         ("version", Json::UInt(1)),
         ("quick", Json::Bool(quick)),
@@ -1115,6 +1249,7 @@ fn main() {
             ]),
         ),
         ("fairness", fairness_json),
+        ("machine_size", machine_size_json),
     ]);
     std::fs::write(&out_path, report.to_string_pretty()).expect("write report");
     eprintln!("perf_smoke: wrote {out_path}");
@@ -1133,6 +1268,11 @@ fn main() {
             deep_queue_ratio <= 2.0,
             "a cycle at queue depth 4000 costs {deep_queue_ratio:.2}x one at depth 250 \
              (bound 2)"
+        );
+        assert!(
+            machine_size_ratio <= MACHINE_SIZE_BOUND,
+            "a cycle on the largest machine costs {machine_size_ratio:.2}x one on the \
+             smallest (bound {MACHINE_SIZE_BOUND})"
         );
         if sweep_workers >= 2 {
             assert!(

@@ -14,7 +14,8 @@
 //!
 //! * a core is held by at most one job at any time;
 //! * per-node usage never exceeds the node's capacity;
-//! * the sum of all job allocations equals the cluster's busy-core count.
+//! * the sum of all job allocations equals the cluster's busy-core count;
+//! * the core counters and the placement index equal a walk of the nodes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,65 +27,64 @@ pub use allocation::Allocation;
 pub use node::{Node, NodeState};
 
 use dynbatch_core::{AllocPolicy, Error, JobId, NodeId, Result};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// The cluster: a fixed set of nodes plus allocation state.
+///
+/// Every cluster-wide count is a field and placement walks an index, so
+/// neither costs a walk over the nodes: `up_cores` and `busy_cores` are
+/// the sums of the up nodes' totals and used counts, `by_idle` holds every
+/// up node with an idle core keyed `(idle cores, id)`, and `empty` every
+/// up node with no core in use. [`Cluster::check_invariants`] checks all
+/// four against a walk.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<Node>,
     /// Per-job allocations, the authoritative inverse of the per-node maps.
     jobs: HashMap<JobId, Allocation>,
+    up_cores: u32,
+    busy_cores: u32,
+    by_idle: BTreeSet<(u32, NodeId)>,
+    empty: BTreeSet<NodeId>,
 }
 
 impl Cluster {
     /// A homogeneous cluster of `nodes` nodes with `cores_per_node` cores
     /// each — `Cluster::homogeneous(15, 8)` is the paper's testbed.
     pub fn homogeneous(nodes: u32, cores_per_node: u32) -> Self {
-        Cluster {
-            nodes: (0..nodes)
-                .map(|i| Node::new(NodeId(i), cores_per_node))
-                .collect(),
-            jobs: HashMap::new(),
-        }
+        Self::from_core_counts(&vec![cores_per_node; nodes as usize])
     }
 
     /// A heterogeneous cluster from explicit per-node core counts.
     pub fn from_core_counts(counts: &[u32]) -> Self {
+        let nodes: Vec<Node> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| Node::new(NodeId(i as u32), c))
+            .collect();
         Cluster {
-            nodes: counts
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| Node::new(NodeId(i as u32), c))
-                .collect(),
+            up_cores: counts.iter().sum(),
+            busy_cores: 0,
+            by_idle: nodes.iter().map(|n| (n.cores_total(), n.id())).collect(),
+            empty: nodes.iter().map(|n| n.id()).collect(),
+            nodes,
             jobs: HashMap::new(),
         }
     }
 
     /// Total cores across all *up* nodes.
     pub fn total_cores(&self) -> u32 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_up())
-            .map(|n| n.cores_total())
-            .sum()
+        self.up_cores
     }
 
     /// Idle cores across all up nodes.
     pub fn idle_cores(&self) -> u32 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_up())
-            .map(|n| n.cores_idle())
-            .sum()
+        self.up_cores - self.busy_cores
     }
 
     /// Busy cores across all up nodes.
     pub fn busy_cores(&self) -> u32 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_up())
-            .map(|n| n.cores_used())
-            .sum()
+        self.busy_cores
     }
 
     /// Number of nodes (up or not).
@@ -119,54 +119,67 @@ impl Cluster {
 
     /// Picks cores for a fresh allocation of `cores` cores under `policy`,
     /// without committing. Returns `None` if the request cannot be placed.
+    ///
+    /// `Pack` takes the most-loaded nodes first (fewest idle cores),
+    /// `Spread` the least-loaded, both breaking ties by node id;
+    /// `NodeExclusive` takes whole empty nodes in id order. The index walk
+    /// costs O(nodes taken), not O(nodes).
     pub fn plan(&self, cores: u32, policy: AllocPolicy) -> Option<Allocation> {
         if cores == 0 {
             return Some(Allocation::empty());
         }
-        let mut candidates: Vec<&Node> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_up() && n.cores_idle() > 0)
-            .collect();
-        match policy {
-            AllocPolicy::Pack => {
-                // Most-loaded first: minimises fragmentation.
-                candidates.sort_by_key(|n| (n.cores_idle(), n.id()));
-            }
-            AllocPolicy::Spread => {
-                candidates.sort_by_key(|n| (std::cmp::Reverse(n.cores_idle()), n.id()));
-            }
-            AllocPolicy::NodeExclusive => {
-                candidates.retain(|n| n.cores_used() == 0);
-                candidates.sort_by_key(|n| n.id());
-            }
+        if cores > self.idle_cores() {
+            return None;
         }
         let mut alloc = Allocation::empty();
         let mut remaining = cores;
-        for n in candidates {
-            if remaining == 0 {
-                break;
-            }
-            let take = match policy {
-                AllocPolicy::NodeExclusive => {
-                    if n.cores_total() <= remaining {
-                        n.cores_total()
-                    } else {
-                        // A node-exclusive tail allocation still consumes
-                        // the whole node; take it and stop.
-                        n.cores_total()
+        // Takes `offer` cores (all of them when node-exclusive) on `node`;
+        // true once the request is covered.
+        let mut take = |node: NodeId, offer: u32| {
+            let cores = match policy {
+                // A node-exclusive tail allocation still consumes the
+                // whole node.
+                AllocPolicy::NodeExclusive => offer,
+                _ => offer.min(remaining),
+            };
+            alloc.add(node, cores);
+            remaining = remaining.saturating_sub(cores);
+            remaining == 0
+        };
+        match policy {
+            AllocPolicy::Pack => {
+                for &(idle, node) in &self.by_idle {
+                    if take(node, idle) {
+                        break;
                     }
                 }
-                _ => n.cores_idle().min(remaining),
-            };
-            alloc.add(n.id(), take);
-            remaining = remaining.saturating_sub(take);
+            }
+            AllocPolicy::Spread => {
+                // Idle counts downward, each count's nodes in id order.
+                let mut level = self.by_idle.last().map(|&(idle, _)| idle);
+                'levels: while let Some(idle) = level {
+                    let bucket = (idle, NodeId(0))..=(idle, NodeId(u32::MAX));
+                    for &(_, node) in self.by_idle.range(bucket) {
+                        if take(node, idle) {
+                            break 'levels;
+                        }
+                    }
+                    level = self
+                        .by_idle
+                        .range(..(idle, NodeId(0)))
+                        .next_back()
+                        .map(|&(idle, _)| idle);
+                }
+            }
+            AllocPolicy::NodeExclusive => {
+                for &node in &self.empty {
+                    if take(node, self.nodes[node.0 as usize].cores_total()) {
+                        break;
+                    }
+                }
+            }
         }
-        if remaining == 0 {
-            Some(alloc)
-        } else {
-            None
-        }
+        (remaining == 0).then_some(alloc)
     }
 
     /// Allocates `cores` cores to `job` (which must hold nothing yet).
@@ -219,7 +232,9 @@ impl Cluster {
         }
         for (node, cores) in part.entries() {
             held.remove(node, cores);
-            self.nodes[node.0 as usize].release(job, cores);
+        }
+        for (node, cores) in part.entries() {
+            self.update(node, |n| n.release(job, cores));
         }
         if self.jobs[&job].total_cores() == 0 {
             self.jobs.remove(&job);
@@ -231,7 +246,7 @@ impl Cluster {
     pub fn release_all(&mut self, job: JobId) -> Result<Allocation> {
         let alloc = self.jobs.remove(&job).ok_or(Error::UnknownJob(job))?;
         for (node, cores) in alloc.entries() {
-            self.nodes[node.0 as usize].release(job, cores);
+            self.update(node, |n| n.release(job, cores));
         }
         Ok(alloc)
     }
@@ -240,11 +255,8 @@ impl Cluster {
     /// that lost cores (candidates for spare-node reallocation — the
     /// fault-tolerance use the paper's introduction motivates).
     pub fn fail_node(&mut self, id: NodeId) -> Result<Vec<JobId>> {
-        let node = self
-            .nodes
-            .get_mut(id.0 as usize)
-            .ok_or(Error::UnknownNode(id))?;
-        let victims = node.fail();
+        self.node(id)?;
+        let victims = self.update(id, Node::fail);
         for &(job, cores) in &victims {
             if let Some(a) = self.jobs.get_mut(&job) {
                 a.remove(id, cores);
@@ -258,10 +270,8 @@ impl Cluster {
 
     /// Brings a failed node back up (empty).
     pub fn repair_node(&mut self, id: NodeId) -> Result<()> {
-        self.nodes
-            .get_mut(id.0 as usize)
-            .ok_or(Error::UnknownNode(id))?
-            .repair();
+        self.node(id)?;
+        self.update(id, Node::repair);
         Ok(())
     }
 
@@ -299,7 +309,7 @@ impl Cluster {
             }
         }
         for (node, cores) in alloc.entries() {
-            self.nodes[node.0 as usize].acquire(job, cores);
+            self.update(node, |n| n.acquire(job, cores));
         }
         self.jobs
             .entry(job)
@@ -308,7 +318,43 @@ impl Cluster {
         Ok(())
     }
 
-    /// Debug invariant check: per-node books balance with per-job books.
+    /// Applies `change` to node `id` and moves the node's share of the
+    /// counters and its index entries from what it was to what it is. A
+    /// change that leaves the node as it was (a repeated fail or repair)
+    /// moves nothing.
+    fn update<R>(&mut self, id: NodeId, change: impl FnOnce(&mut Node) -> R) -> R {
+        let node = &mut self.nodes[id.0 as usize];
+        let (was_up, was_used, was_idle) = (node.is_up(), node.cores_used(), node.cores_idle());
+        let out = change(node);
+        let (up, used, idle) = (node.is_up(), node.cores_used(), node.cores_idle());
+        let total = node.cores_total();
+        if was_up {
+            self.up_cores -= total;
+            self.busy_cores -= was_used;
+        }
+        if up {
+            self.up_cores += total;
+            self.busy_cores += used;
+        }
+        if was_idle != idle {
+            if was_idle > 0 {
+                self.by_idle.remove(&(was_idle, id));
+            }
+            if idle > 0 {
+                self.by_idle.insert((idle, id));
+            }
+        }
+        let (was_empty, empty) = (was_up && was_used == 0, up && used == 0);
+        if was_empty && !empty {
+            self.empty.remove(&id);
+        } else if empty && !was_empty {
+            self.empty.insert(id);
+        }
+        out
+    }
+
+    /// Debug invariant check: per-node books balance with per-job books,
+    /// and the counters and the placement index match a walk of the nodes.
     pub fn check_invariants(&self) -> Result<()> {
         let mut per_node: HashMap<NodeId, u32> = HashMap::new();
         for (_, alloc) in self.allocated_jobs() {
@@ -318,6 +364,14 @@ impl Cluster {
         }
         for n in &self.nodes {
             let from_jobs = per_node.get(&n.id()).copied().unwrap_or(0);
+            let from_node: u32 = n.jobs().map(|(_, cores)| cores).sum();
+            if from_node != n.cores_used() {
+                return Err(Error::BadConfig(format!(
+                    "{}: allocations sum to {from_node}, used count says {}",
+                    n.id(),
+                    n.cores_used()
+                )));
+            }
             if n.is_up() {
                 if from_jobs != n.cores_used() {
                     return Err(Error::BadConfig(format!(
@@ -329,12 +383,41 @@ impl Cluster {
                 if n.cores_used() > n.cores_total() {
                     return Err(Error::BadConfig(format!("{} over-committed", n.id())));
                 }
-            } else if from_jobs != 0 {
+            } else if from_jobs != 0 || n.cores_used() != 0 {
                 return Err(Error::BadConfig(format!(
                     "{} is down but has allocations",
                     n.id()
                 )));
             }
+        }
+        let up = || self.nodes.iter().filter(|n| n.is_up());
+        let walked = (
+            up().map(|n| n.cores_total()).sum::<u32>(),
+            up().map(|n| n.cores_used()).sum::<u32>(),
+        );
+        if walked != (self.up_cores, self.busy_cores) {
+            return Err(Error::BadConfig(format!(
+                "counters say {} up / {} busy cores, a walk says {} / {}",
+                self.up_cores, self.busy_cores, walked.0, walked.1
+            )));
+        }
+        let by_idle: BTreeSet<(u32, NodeId)> = up()
+            .filter(|n| n.cores_idle() > 0)
+            .map(|n| (n.cores_idle(), n.id()))
+            .collect();
+        if by_idle != self.by_idle {
+            return Err(Error::BadConfig(
+                "idle-node index differs from a walk".into(),
+            ));
+        }
+        let empty: BTreeSet<NodeId> = up()
+            .filter(|n| n.cores_used() == 0)
+            .map(|n| n.id())
+            .collect();
+        if empty != self.empty {
+            return Err(Error::BadConfig(
+                "empty-node index differs from a walk".into(),
+            ));
         }
         Ok(())
     }

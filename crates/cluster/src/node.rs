@@ -10,9 +10,6 @@ pub enum NodeState {
     Up,
     /// Failed; holds no allocations and is not schedulable.
     Down,
-    /// Administratively drained; existing allocations finish but nothing
-    /// new is placed.
-    Offline,
 }
 
 /// A compute node: a core count plus the per-job allocation ledger
@@ -22,6 +19,8 @@ pub struct Node {
     id: NodeId,
     cores_total: u32,
     state: NodeState,
+    /// The sum of `allocations`, kept so every count is O(1).
+    used: u32,
     /// BTreeMap for deterministic iteration order.
     allocations: BTreeMap<JobId, u32>,
 }
@@ -34,6 +33,7 @@ impl Node {
             id,
             cores_total,
             state: NodeState::Up,
+            used: 0,
             allocations: BTreeMap::new(),
         }
     }
@@ -50,13 +50,13 @@ impl Node {
 
     /// Cores currently allocated to jobs.
     pub fn cores_used(&self) -> u32 {
-        self.allocations.values().sum()
+        self.used
     }
 
-    /// Cores currently free (zero when not schedulable).
+    /// Cores currently free (zero when down).
     pub fn cores_idle(&self) -> u32 {
-        if self.is_schedulable() {
-            self.cores_total - self.cores_used()
+        if self.is_up() {
+            self.cores_total - self.used
         } else {
             0
         }
@@ -67,13 +67,9 @@ impl Node {
         self.state
     }
 
-    /// True iff the node is up (running allocations are valid).
+    /// True iff the node is up: its allocations are valid and new ones
+    /// may be placed here.
     pub fn is_up(&self) -> bool {
-        self.state == NodeState::Up
-    }
-
-    /// True iff new allocations may be placed here.
-    pub fn is_schedulable(&self) -> bool {
         self.state == NodeState::Up
     }
 
@@ -90,18 +86,19 @@ impl Node {
     /// Gives `cores` cores to `job`.
     ///
     /// # Panics
-    /// On over-commit or if the node is not schedulable — callers validate
-    /// first; hitting this is a cluster-bookkeeping bug.
+    /// On over-commit or if the node is down — callers validate first;
+    /// hitting this is a cluster-bookkeeping bug.
     pub(crate) fn acquire(&mut self, job: JobId, cores: u32) {
-        assert!(self.is_schedulable(), "{} not schedulable", self.id);
+        assert!(self.is_up(), "{} is down", self.id);
         assert!(
-            self.cores_used() + cores <= self.cores_total,
+            self.used + cores <= self.cores_total,
             "{} over-committed: {} + {cores} > {}",
             self.id,
-            self.cores_used(),
+            self.used,
             self.cores_total
         );
         *self.allocations.entry(job).or_insert(0) += cores;
+        self.used += cores;
     }
 
     /// Takes `cores` cores back from `job`.
@@ -122,24 +119,19 @@ impl Node {
         if *held == 0 {
             self.allocations.remove(&job);
         }
+        self.used -= cores;
     }
 
     /// Fails the node: drops all allocations and returns them.
     pub(crate) fn fail(&mut self) -> Vec<(JobId, u32)> {
         self.state = NodeState::Down;
+        self.used = 0;
         std::mem::take(&mut self.allocations).into_iter().collect()
     }
 
-    /// Returns a failed/offline node to service.
+    /// Returns a failed node to service.
     pub(crate) fn repair(&mut self) {
         self.state = NodeState::Up;
-    }
-
-    /// Drains the node: existing work continues, nothing new lands.
-    pub fn set_offline(&mut self) {
-        if self.state == NodeState::Up {
-            self.state = NodeState::Offline;
-        }
     }
 }
 
@@ -205,17 +197,5 @@ mod tests {
         n.repair();
         assert!(n.is_up());
         assert_eq!(n.cores_idle(), 8);
-    }
-
-    #[test]
-    fn offline_blocks_new_work() {
-        let mut n = Node::new(NodeId(0), 8);
-        n.acquire(JobId(1), 2);
-        n.set_offline();
-        assert_eq!(n.state(), NodeState::Offline);
-        assert!(!n.is_schedulable());
-        assert_eq!(n.cores_idle(), 0, "offline nodes advertise no idle cores");
-        // Existing allocation persists.
-        assert_eq!(n.cores_of(JobId(1)), 2);
     }
 }

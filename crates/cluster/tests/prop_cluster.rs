@@ -1,8 +1,10 @@
 //! Property tests of the cluster substrate: no core is ever double-booked,
 //! books always balance, any interleaving of allocate / expand / partial
-//! release / full release / failure keeps the invariants.
+//! release / full release / failure / repair keeps the invariants, and the
+//! index-walking `Cluster::plan` places exactly as the sort over every
+//! node that it replaced.
 
-use dynbatch_cluster::{Allocation, Cluster};
+use dynbatch_cluster::{Allocation, Cluster, Node};
 use dynbatch_core::testkit::{check, TestRng};
 use dynbatch_core::{AllocPolicy, JobId, NodeId};
 
@@ -52,10 +54,78 @@ fn policy_of(p: u8) -> AllocPolicy {
     }
 }
 
-#[test]
-fn any_interleaving_preserves_invariants() {
-    check(96, 0xC1u64, |rng| {
-        let mut c = Cluster::homogeneous(15, 8);
+const POLICIES: [AllocPolicy; 3] = [
+    AllocPolicy::Pack,
+    AllocPolicy::Spread,
+    AllocPolicy::NodeExclusive,
+];
+
+/// Fifteen nodes of mixed widths, so index buckets hold nodes of
+/// different sizes and the empty nodes are not one bucket.
+const MIXED: [u32; 15] = [4, 8, 16, 8, 2, 12, 8, 6, 16, 1, 8, 4, 10, 8, 3];
+
+/// The executable spec of [`Cluster::plan`]: collect every up node with an
+/// idle core, sort by `(idle, id)` (`Pack`), `(Reverse(idle), id)`
+/// (`Spread`) or keep the empty ones in id order (`NodeExclusive`), and
+/// take from the front.
+fn reference_plan(c: &Cluster, cores: u32, policy: AllocPolicy) -> Option<Allocation> {
+    if cores == 0 {
+        return Some(Allocation::empty());
+    }
+    let mut candidates: Vec<&Node> = c
+        .nodes()
+        .filter(|n| n.is_up() && n.cores_idle() > 0)
+        .collect();
+    match policy {
+        AllocPolicy::Pack => candidates.sort_by_key(|n| (n.cores_idle(), n.id())),
+        AllocPolicy::Spread => {
+            candidates.sort_by_key(|n| (std::cmp::Reverse(n.cores_idle()), n.id()))
+        }
+        AllocPolicy::NodeExclusive => {
+            candidates.retain(|n| n.cores_used() == 0);
+            candidates.sort_by_key(|n| n.id());
+        }
+    }
+    let mut alloc = Allocation::empty();
+    let mut remaining = cores;
+    for n in candidates {
+        if remaining == 0 {
+            break;
+        }
+        let take = match policy {
+            // A node-exclusive tail allocation consumes the whole node.
+            AllocPolicy::NodeExclusive => n.cores_total(),
+            _ => n.cores_idle().min(remaining),
+        };
+        alloc.add(n.id(), take);
+        remaining = remaining.saturating_sub(take);
+    }
+    (remaining == 0).then_some(alloc)
+}
+
+/// Widths `plan` is compared at, beside the cluster's idle count and the
+/// counts one under and one past it.
+const WIDTHS: [u32; 8] = [0, 1, 3, 5, 8, 11, 17, 40];
+
+/// Asserts `plan` equals the reference for every policy at every width.
+fn plans_match_reference(c: &Cluster) {
+    let idle = c.idle_cores();
+    let around_idle = [idle.saturating_sub(1), idle, idle + 1];
+    for policy in POLICIES {
+        for cores in WIDTHS.into_iter().chain(around_idle) {
+            assert_eq!(
+                c.plan(cores, policy),
+                reference_plan(c, cores, policy),
+                "{cores} cores under {policy:?}"
+            );
+        }
+    }
+}
+
+fn interleaving_preserves_invariants(seed: u64, fresh: fn() -> Cluster) {
+    check(96, seed, |rng| {
+        let mut c = fresh();
+        plans_match_reference(&c);
         for op in ops(rng) {
             match op {
                 Op::Allocate { job, cores, policy } => {
@@ -102,8 +172,19 @@ fn any_interleaving_preserves_invariants() {
                 panic!("invariant violated: {e}");
             }
             assert!(c.busy_cores() + c.idle_cores() == c.total_cores());
+            plans_match_reference(&c);
         }
     });
+}
+
+#[test]
+fn any_interleaving_preserves_invariants() {
+    interleaving_preserves_invariants(0xC1, || Cluster::homogeneous(15, 8));
+}
+
+#[test]
+fn any_interleaving_on_mixed_nodes_preserves_invariants() {
+    interleaving_preserves_invariants(0xC2, || Cluster::from_core_counts(&MIXED));
 }
 
 #[test]

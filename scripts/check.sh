@@ -38,7 +38,8 @@ echo "    rests on, and none of the sections the repo benchmark superseded"
 for report in BENCH_sched.json /tmp/BENCH_sched.quick.json; do
   for key in scaled_iteration incremental_timeline deep_queue \
       depth4000_over_reference esp_table2 journal overhead_bound_pct ingest \
-      peak_reduction identical_results fairness parallel_speedup; do
+      peak_reduction identical_results fairness parallel_speedup machine_size \
+      largest_over_smallest; do
     grep -q "\"$key\"" "$report" \
       || { echo "$report lacks \"$key\" — regenerate with: cargo run \
 --release -p dynbatch-bench --bin perf_smoke"; exit 1; }

@@ -47,17 +47,23 @@ fn simulated(config: DaemonConfig) -> DaemonHandle<Virtual> {
 
 #[test]
 fn fifo_queue_processes_in_order() {
-    let d = daemon(2);
+    let d = simulated(config(2));
     // Three full-machine jobs: strictly sequential.
     let ids: Vec<_> = (0..3)
         .map(|i| d.qsub(rigid(&format!("j{i}"), i, 16, 40)).unwrap())
         .collect();
     assert!(d.await_drained(Duration::from_secs(5)));
     // All terminal; nothing lingers.
-    for id in ids {
+    for &id in &ids {
         assert_eq!(d.qstat(id), Some(JobState::Completed));
     }
-    d.shutdown();
+    // In submission order, each starting the instant the one before ends.
+    let outcomes = d.outcomes();
+    for (k, id) in ids.into_iter().enumerate() {
+        let o = outcomes.iter().find(|o| o.id == id).expect("job ran");
+        let start = 40 * k as u64;
+        assert_eq!((o.start_time, o.end_time), (ms(start), ms(start + 40)));
+    }
 }
 
 /// The mom door on the wall clock: grants and a partial free through the
