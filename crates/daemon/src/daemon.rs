@@ -13,16 +13,18 @@
 //! - **wall clock** ([`DaemonHandle::start`]): on one thread, named
 //!   `{tag}srv`, that sleeps on the inbox until the next deadline or
 //!   delivery is due (1 wall ms == 1 `SimTime` ms since boot), with no
-//!   fault. An ensemble runs exactly one thread, plus one per replication
-//!   follower. Every thread is named with the ensemble's
-//!   [`DaemonHandle::thread_tag`] prefix and is joined by
-//!   [`DaemonHandle::shutdown`]; a shut-down ensemble leaves zero live
-//!   threads (the suites check `/proc/self/task`).
+//!   fault. An ensemble runs exactly one thread, followers included: it
+//!   is named with the ensemble's [`DaemonHandle::thread_tag`] prefix and
+//!   is joined by [`DaemonHandle::shutdown`], so a shut-down ensemble
+//!   leaves zero live threads (the suites check `/proc/self/task`).
 //! - **virtual** ([`DaemonHandle::simulate`]): on the caller's thread, in
 //!   virtual time, every handle call stepping the ensemble until its
-//!   answer arrives; the queue may fault deliveries. Followers keep their
-//!   threads: each watermark read is a synchronous round trip queued
-//!   behind the frames, so a seed is still one trace.
+//!   answer arrives; the queue may fault deliveries. It starts no thread.
+//!
+//! Replication followers are hosted inline by the server daemon, one
+//! zero-latency hop each ([`crate::fault::Replicas`]): every watermark
+//! read resolves within the instant, so the ack gate never waits on
+//! another thread and a seed is one trace.
 //!
 //! The server daemon drives the simulator's [`EventCore`]: every deadline
 //! — an application's exit, its walltime kill, its own request points and
@@ -32,7 +34,7 @@
 //! then the cycle the message woke. An event carries the nonce of the run
 //! that armed it, so a stale one can never act on a successor run.
 
-use crate::fault::{Ensemble, FaultPlan};
+use crate::fault::{Ensemble, FaultPlan, Replicas};
 use crate::wire::{
     ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
 };
@@ -42,7 +44,6 @@ use dynbatch_core::{
 };
 use dynbatch_sched::DynDecision;
 use dynbatch_server::reactor::{BatchEvent, Command as ReactorCommand, Reply as ReactorReply};
-use dynbatch_server::replication::ReplicationHub;
 use dynbatch_server::{
     Applied, PbsServer, Reactor, ReactorClient, ReactorConnector, ServerToMom, TmRequest,
     TmResponse,
@@ -143,15 +144,14 @@ pub struct DaemonHandle<D = Threads> {
 }
 
 impl DaemonHandle<Threads> {
-    /// Boots the ensemble on its own thread, fault-free, paced by the wall
-    /// clock (plus the followers' threads).
+    /// Boots the ensemble on its own thread — its followers' too —,
+    /// fault-free, paced by the wall clock.
     pub fn start(config: DaemonConfig) -> Self {
         let tag = format!("pbs{}.", ENSEMBLE_SEQ.fetch_add(1, Ordering::Relaxed));
         let (door_tx, door_rx) = channel();
-        let ensemble_tag = tag.clone();
         // The net is `Rc`: the ensemble is built on the thread that steps it.
         let body = move || {
-            let (ensemble, door) = Ensemble::boot(config, FaultPlan::none(0), &ensemble_tag);
+            let (ensemble, door) = Ensemble::boot(config, FaultPlan::none(0));
             let _ = door_tx.send(door);
             ensemble.pace(Instant::now());
         };
@@ -171,8 +171,8 @@ impl DaemonHandle<Threads> {
         &self.driver.tag
     }
 
-    /// Stops the ensemble and joins its thread, which joins the followers'
-    /// — nothing outlives the handle.
+    /// Stops the ensemble and joins its thread — nothing outlives the
+    /// handle.
     pub fn shutdown(self) {
         let _ = self.door.inbox.send(Delivery::Server(ServerCmd::Shutdown));
         let _ = self.driver.thread.join();
@@ -359,19 +359,10 @@ pub(crate) struct ServerDaemon<N> {
     reactor: Option<Reactor>,
     run_waiters: Vec<(JobId, Sender<bool>)>,
     drain_waiters: Vec<Sender<()>>,
-    /// The replication host, when the deployment has followers.
-    repl: Option<ReplHost>,
-}
-
-/// Everything the server daemon keeps for replication: the streaming hub
-/// (owning the follower threads) and the accounting the availability story
-/// is judged by.
-struct ReplHost {
-    hub: ReplicationHub,
-    /// Failovers, the last one's lost tail, the acked watermark and the
-    /// follower errors not yet read; what the hub knows (term, watermarks)
-    /// and the leader's journal length are filled in when it is read.
-    status: ReplicationStatus,
+    /// The followers, inline, when the deployment has any. They are
+    /// streamed to at every command boundary, so follower state only ever
+    /// reflects journal prefixes.
+    repl: Option<Replicas>,
 }
 
 /// The moms, as the core's [`Hook`]: what the core decided becomes
@@ -514,29 +505,16 @@ impl<N: Net> Hook for Moms<N> {
 
 impl<N: Net> ServerDaemon<N> {
     /// Boots the server side of an ensemble: the event core with a
-    /// journaling `pbs_server`, the crash points of `faults` and, with
-    /// followers, the replication hub with their threads (named
-    /// `{tag}rep{i}`), its stream faulted by `faults` and seeded with the
-    /// genesis snapshot.
+    /// journaling `pbs_server`, the crash points of `faults` and the
+    /// deployment's followers (`repl`), seeded with the genesis snapshot.
     pub(crate) fn new(
         config: DaemonConfig,
         faults: &FaultPlan,
         net: N,
         reactor: Reactor,
-        tag: &str,
+        repl: Option<Replicas>,
     ) -> Self {
         let cluster = Cluster::homogeneous(config.nodes, config.cores_per_node);
-        // The replication hub and its follower threads live on the server
-        // daemon's side of the world: streaming is pumped at every command
-        // boundary, so follower state only ever reflects journal prefixes.
-        let repl = (config.followers > 0).then(|| {
-            let mut hub = ReplicationHub::new(faults.stream());
-            for i in 0..config.followers {
-                hub.add_follower(&format!("{tag}rep{i}"));
-            }
-            let status = ReplicationStatus::default();
-            ReplHost { hub, status }
-        });
         // The daemon always journals: crash recovery (scheduled by the fault
         // plan or exercised by the chaos suite) depends on it, and the append
         // cost is measured and bounded (`perf_smoke`'s `journal` section).
@@ -596,8 +574,6 @@ impl<N: Net> ServerDaemon<N> {
                 }
             }
             ServerCmd::ReactorWake => self.reactor_poll(t),
-            // The ensemble, and with it the hub, drops as its thread exits:
-            // the follower threads are joined before it ends.
             ServerCmd::Shutdown => return false,
         }
         true
@@ -703,12 +679,12 @@ impl<N: Net> ServerDaemon<N> {
     /// follower can be promoted.
     fn promote_follower(&mut self) -> Option<PbsServer> {
         let old_appended = self.appended();
-        let ReplHost { hub, status } = self.repl.as_mut().expect("failover requires replication");
+        let repl = self.repl.as_mut().expect("failover requires replication");
         // The dead leader's host rejoins as a fresh follower, so the
-        // deployment keeps its followers. (Leaders die only in virtual
-        // time, where no thread name carries an ensemble tag.)
-        hub.add_follower(&format!("rejoin{}", status.failovers));
-        match hub.fail_over(old_appended, status.acked_watermark) {
+        // deployment keeps its followers.
+        repl.add_follower(&format!("rejoin{}", repl.status.failovers));
+        let status = &mut repl.status;
+        match repl.hub.fail_over(old_appended, status.acked_watermark) {
             Ok((promoted, report)) => {
                 status.failovers += 1;
                 status.lost_records = report.lost_records;
@@ -789,7 +765,8 @@ impl<N: Net> ServerDaemon<N> {
         }
     }
 
-    /// One streaming round (at every command boundary): ships the journal
+    /// One streaming round (at every command boundary): fires the
+    /// follower crashes the journal has reached, then ships the journal
     /// tail to the followers. A follower that holds nothing — crashed, or
     /// new to the term — is seeded before the step ends, so every live one
     /// keeps every acked record. Then the held grants go to the moms, once
@@ -800,10 +777,10 @@ impl<N: Net> ServerDaemon<N> {
         let Some(repl) = self.repl.as_mut() else {
             return;
         };
-        let report = self.core.stream_to(&mut repl.hub);
-        repl.status.errors.extend(report.errors);
-        let seeding = repl.hub.replicated_watermark() == Some(0);
-        if seeding || !self.moms.held.is_empty() {
+        repl.fire_crashes(target);
+        let errors = self.core.stream_to(&mut repl.hub);
+        repl.status.errors.extend(errors);
+        if repl.hub.replicated_watermark() == Some(0) || !self.moms.held.is_empty() {
             repl.hub.await_replicated(self.core.server(), target);
         }
         for (ms, msg) in std::mem::take(&mut self.moms.held) {
@@ -822,12 +799,17 @@ impl<N: Net> ServerDaemon<N> {
     fn replication_status(&mut self) -> Option<ReplicationStatus> {
         let leader_appended = self.appended();
         let repl = self.repl.as_mut()?;
+        let [runs_dropped, runs_delayed, runs_duplicated, follower_crashes] = repl.faults();
         repl.hub.refresh_acks();
         Some(ReplicationStatus {
             term: repl.hub.term(),
             follower_watermarks: repl.hub.acked_watermarks(),
             leader_appended,
             errors: std::mem::take(&mut repl.status.errors),
+            runs_dropped,
+            runs_delayed,
+            runs_duplicated,
+            follower_crashes,
             ..repl.status.clone()
         })
     }
@@ -1224,7 +1206,7 @@ mod tests {
     fn serving(nodes: u32) -> (ServerDaemon<Vec<Delivery>>, JobId) {
         let config = hp_config(nodes);
         let faults = FaultPlan::none(0);
-        let mut server = ServerDaemon::new(config, &faults, Vec::new(), Reactor::new(), "");
+        let mut server = ServerDaemon::new(config, &faults, Vec::new(), Reactor::new(), None);
         let qsub = ReactorCommand::QSub(Box::new(spec("app", 8, 10_000)));
         let (reply, _) = server.apply_command(&qsub, SimTime::ZERO);
         let ReactorReply::Submitted(job) = reply else {

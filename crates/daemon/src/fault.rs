@@ -23,34 +23,32 @@
 //!
 //! Every fault of the deployment is in one [`FaultPlan`], seeded by
 //! [`SplitMix64`], which only `simulate` takes. In the net's queue the
-//! plan may **drop**, **delay** and **duplicate** a delivery. Delays overtake each other, which **reorders**
-//! deliveries; mom **crash/restart** events are deliveries too. A message
-//! with no fault arrives at its send instant, in send order. The server
-//! **crashes** at the plan's journal-record points — with followers each
-//! is a leader kill —, and the plan's rates and follower crashes fault
-//! the replication stream.
+//! plan may **drop**, **delay** and **duplicate** a delivery. Delays
+//! overtake each other, which **reorders** deliveries; mom
+//! **crash/restart** events are deliveries too. A message with no fault
+//! arrives at its send instant, in send order. The server **crashes** at
+//! the plan's journal-record points — with followers each is a leader
+//! kill —, and the followers **crash** at theirs ([`Replicas`]).
 //!
 //! ## Fault model (what may happen to which message)
 //!
 //! | class | messages | faults |
 //! |---|---|---|
-//! | *expendable* | `PeerMsg` ping/ack fan-out | drop, duplicate, delay |
+//! | *expendable* | `PeerMsg` ping/ack fan-out; runs of journal frames, leader → follower | drop, duplicate, delay |
 //! | *sturdy* | every other daemon message | duplicate, delay |
-//! | *replication* | journal frames, leader → follower | drop, delay one pump, reorder a pump's batch |
 //!
-//! Only the dyn_join ping/ack traffic and the replication frames may be
+//! Only the dyn_join ping/ack traffic and the replication runs may be
 //! dropped: only they are retransmitted (exponential-backoff retries at
 //! the mother superior; go-back-N from the acked watermark at the hub).
-//! Dropping any other message would model a loss with no retry path.
-//! The frames take the plan's rates: `drop_permille` drops a frame,
-//! `delay_permille` defers one a pump and shuffles a pump's batch. The
-//! follower threads stay: each watermark read is a synchronous round trip
-//! queued behind the frames, so the stream is one trace per seed too.
-//! Every message may arrive twice and out of order. The receiving end
-//! absorbs that: an ack counts once per acker and round, and every sturdy
-//! message is numbered on its link and applied once, in send order (the
-//! link rule, `wire::Link`) — a mom and the server see what one FIFO
-//! channel would have delivered. Client↔server and app↔mom (TM call)
+//! Dropping any other message would model a loss with no retry path. A
+//! follower is a zero-latency hop from its leader in virtual time
+//! ([`Hop`]), so a run's delay is not an instant but "at the next pump":
+//! it lands before the follower next answers the leader, as does a
+//! duplicate. Every message may arrive twice and out of order. The
+//! receiving end absorbs that: an ack counts once per acker and round,
+//! and every sturdy message is numbered on its link and applied once, in
+//! send order (the link rule, `wire::Link`) — a mom and the server see
+//! what one FIFO channel would have delivered. Client↔server and app↔mom (TM call)
 //! channels are never faulted — they model in-process or node-local
 //! calls, not network hops.
 //!
@@ -62,10 +60,12 @@
 
 use crate::daemon::{DaemonConfig, DaemonHandle, Door, Driver, ServerDaemon};
 use crate::mom::MomDaemon;
-use crate::wire::{recv_until, Delivery, MomMsg, Net, ServerCmd};
+use crate::wire::{recv_until, Delivery, MomMsg, Net, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
-use dynbatch_server::replication::{FollowerCrash, HubConfig};
+use dynbatch_server::replication::{
+    Follower, FollowerLink, HubConfig, ReplicationHub, WatermarkReply,
+};
 use dynbatch_server::{PbsServer, Reactor, ReactorClient, Reply};
 use dynbatch_simtime::{EventQueue, SplitMix64};
 use std::cell::{Ref, RefCell};
@@ -102,6 +102,16 @@ pub struct FaultPlan {
     /// Follower crash points (state dropped, re-seeded by the hub), in
     /// the leader's journal-record coordinates.
     pub follower_crashes: Vec<FollowerCrash>,
+}
+
+/// A scheduled follower "process death": its state is dropped once the
+/// leader has appended `after_record` records, and the hub re-seeds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FollowerCrash {
+    /// Which follower, by the order it was added (0 = the first).
+    pub follower: usize,
+    /// Leader `total_appended` coordinate the crash fires at.
+    pub after_record: u64,
 }
 
 /// One scheduled server crash, positioned by journal progress rather than
@@ -166,25 +176,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// The replication stream's configuration. Its frames are expendable,
-    /// so the plan's drop rate drops them, and its delay rate defers them
-    /// a pump and shuffles a pump's batch. A watermark is read only where
-    /// one is needed — an ack, a held grant, a follower that holds
-    /// nothing, a failover, a status query — each of which forces the
-    /// round trip itself.
-    pub(crate) fn stream(&self) -> HubConfig {
-        let mut hub = HubConfig {
-            ack_every: u64::MAX,
-            ..HubConfig::default()
-        };
-        hub.faults.seed = self.seed;
-        hub.faults.drop_permille = self.drop_permille;
-        hub.faults.delay_permille = self.delay_permille;
-        hub.faults.reorder_permille = self.delay_permille;
-        hub.faults.follower_crashes = self.follower_crashes.clone();
-        hub
-    }
 }
 
 /// What the virtual net holds: every delivery in flight, the fault plan
@@ -195,9 +186,27 @@ pub(crate) struct NetState {
     rng: SplitMix64,
     now: SimTime,
     delivered: u64,
+    /// Replication runs dropped, delayed and duplicated, and follower
+    /// crashes fired.
+    stream: [u64; 4],
 }
 
+/// One send's fate: its delay when the delay fault fired, and a late
+/// copy's delay when it was duplicated.
+type Fate = (Option<SimDuration>, Option<SimDuration>);
+
 impl NetState {
+    /// The plan's fate for one send, `None` when it is dropped — which
+    /// only an expendable send may be.
+    fn fate(&mut self, expendable: bool) -> Option<Fate> {
+        if expendable && self.rng.chance_permille(self.plan.drop_permille) {
+            return None;
+        }
+        let copy = self.rng.chance_permille(self.plan.dup_permille);
+        let copy = copy.then(|| self.draw_delay().unwrap_or(SimDuration::from_millis(1)));
+        Some((self.draw_delay(), copy))
+    }
+
     fn draw_delay(&mut self) -> Option<SimDuration> {
         if !self.rng.chance_permille(self.plan.delay_permille) {
             return None;
@@ -226,6 +235,7 @@ impl VirtualNet {
             plan,
             now: SimTime::ZERO,
             delivered: 0,
+            stream: [0; 4],
         })))
     }
 }
@@ -234,15 +244,152 @@ impl Net for VirtualNet {
     fn send(&mut self, delivery: Delivery) {
         let net = &mut *self.0.borrow_mut();
         let expendable = matches!(delivery, Delivery::Mom(_, MomMsg::Peer(_)));
-        if expendable && net.rng.chance_permille(net.plan.drop_permille) {
+        let Some((delay, copy)) = net.fate(expendable) else {
             return; // dropped on the floor
-        }
-        if net.rng.chance_permille(net.plan.dup_permille) {
-            let extra = net.draw_delay().unwrap_or(SimDuration::from_millis(1));
+        };
+        if let Some(extra) = copy {
             net.queue.schedule(net.now + extra, delivery.clone());
         }
-        let delay = net.draw_delay().unwrap_or(SimDuration::ZERO);
+        let delay = delay.unwrap_or(SimDuration::ZERO);
         net.queue.schedule(net.now + delay, delivery);
+    }
+}
+
+/// A follower on its leader's host, one zero-latency hop away in virtual
+/// time: the hub's link to it. Each run meets the expendable rule, drawn
+/// from the net's rng like every ping and ack: it is dropped, or held
+/// until the follower next answers the leader (delayed: the watermark
+/// read that opens the next pump), or applied at once; a duplicate is
+/// held the same way.
+pub struct Hop {
+    follower: Follower,
+    held: Vec<Vec<u8>>,
+    net: VirtualNet,
+    /// This follower's crash points, in leader records.
+    crashes: Vec<u64>,
+}
+
+impl Hop {
+    /// Applies the held runs, in the order they were sent.
+    fn land(&mut self) {
+        for run in std::mem::take(&mut self.held) {
+            self.follower.send(run);
+        }
+    }
+}
+
+impl FollowerLink for Hop {
+    fn send(&mut self, run: Vec<u8>) -> bool {
+        let net = &mut *self.net.0.borrow_mut();
+        let Some((delay, copy)) = net.fate(true) else {
+            net.stream[0] += 1;
+            return true;
+        };
+        if copy.is_some() {
+            net.stream[2] += 1;
+            self.held.push(run.clone());
+        }
+        if delay.is_some() {
+            net.stream[1] += 1;
+            self.held.push(run);
+        } else {
+            self.follower.send(run);
+        }
+        true
+    }
+
+    fn ack(&mut self) -> Option<WatermarkReply> {
+        self.land();
+        self.follower.ack()
+    }
+
+    fn image(&mut self) -> Option<Vec<u8>> {
+        self.land();
+        self.follower.image_bytes()
+    }
+
+    fn promote(mut self) -> Option<(PbsServer, u64)> {
+        self.land();
+        self.follower.promote()
+    }
+}
+
+/// The followers a leader's host runs inline, one [`Hop`] each, faulted
+/// by one plan: its expendable rule on every run, its follower crashes as
+/// the leader's journal passes them. The daemon's replication, and a
+/// test's that drives a `PbsServer` leader by hand.
+pub struct Replicas {
+    pub(crate) hub: ReplicationHub<Hop>,
+    net: VirtualNet,
+    /// Followers added so far: the number a crash point names the next
+    /// one by (failover removes the promoted one from the hub).
+    added: usize,
+    /// The daemon's books: failovers, the last one's lost tail, the acked
+    /// watermark and the follower errors not yet read; what the hub
+    /// knows and the stream's faults are filled in when it is read.
+    pub(crate) status: ReplicationStatus,
+}
+
+impl Replicas {
+    /// `followers` followers, `rep0`, `rep1`, …, streamed to by a hub
+    /// configured by `cfg` and faulted by `plan`.
+    pub fn new(plan: FaultPlan, followers: u32, cfg: HubConfig) -> Self {
+        Replicas::on(VirtualNet::new(plan), followers, cfg)
+    }
+
+    /// The same, their faults drawn on `net`.
+    pub(crate) fn on(net: VirtualNet, followers: u32, cfg: HubConfig) -> Self {
+        let mut replicas = Replicas {
+            hub: ReplicationHub::new(cfg),
+            net,
+            added: 0,
+            status: ReplicationStatus::default(),
+        };
+        for i in 0..followers {
+            replicas.add_follower(&format!("rep{i}"));
+        }
+        replicas
+    }
+
+    /// Attaches a fresh follower named `name`, with the crash points the
+    /// plan names for the `n`-th follower added.
+    pub fn add_follower(&mut self, name: &str) {
+        let idx = self.added;
+        self.added += 1;
+        let plan = &self.net.0.borrow().plan;
+        let crashes = plan.follower_crashes.iter().filter(|c| c.follower == idx);
+        let hop = Hop {
+            follower: Follower::new(),
+            held: Vec::new(),
+            net: self.net.clone(),
+            crashes: crashes.map(|c| c.after_record).collect(),
+        };
+        self.hub.add_follower(name, hop);
+    }
+
+    /// The hub that streams to them.
+    pub fn hub(&mut self) -> &mut ReplicationHub<Hop> {
+        &mut self.hub
+    }
+
+    /// Crashes every follower whose crash point the leader's journal has
+    /// reached (`appended` records): its state and held runs are gone, and
+    /// the hub re-seeds it once it reads the fallen watermark.
+    pub fn fire_crashes(&mut self, appended: u64) {
+        for hop in self.hub.followers_mut() {
+            let due = hop.crashes.iter().filter(|&&c| c <= appended).count();
+            if due > 0 {
+                hop.crashes.retain(|&c| c > appended);
+                hop.follower = Follower::new();
+                hop.held.clear();
+                self.net.0.borrow_mut().stream[3] += due as u64;
+            }
+        }
+    }
+
+    /// Runs dropped, delayed and duplicated, and followers crashed, so far.
+    pub(crate) fn faults(&self) -> [u64; 4] {
+        self.net.0.borrow().stream
     }
 }
 
@@ -261,7 +408,7 @@ pub(crate) struct Ensemble {
 impl Ensemble {
     /// Boots an ensemble on this thread, every fault from `faults`: its
     /// daemons over one net, and the door its clients reach it by.
-    pub(crate) fn boot(config: DaemonConfig, faults: FaultPlan, tag: &str) -> (Self, Door) {
+    pub(crate) fn boot(config: DaemonConfig, faults: FaultPlan) -> (Self, Door) {
         let (sender, inbox) = channel();
         let net = VirtualNet::new(faults.clone());
         let moms = (0..config.nodes)
@@ -275,7 +422,9 @@ impl Ensemble {
         reactor.set_wake(move || {
             let _ = wake.send(Delivery::Server(ServerCmd::ReactorWake));
         });
-        let server = ServerDaemon::new(config, &faults, net.clone(), reactor, tag);
+        let replicas = (config.followers > 0)
+            .then(|| Replicas::on(net.clone(), config.followers, HubConfig::default()));
+        let server = ServerDaemon::new(config, &faults, net.clone(), reactor, replicas);
         let door = Door {
             inbox: sender,
             directory: Arc::clone(&server.moms.directory),
@@ -436,7 +585,7 @@ impl DaemonHandle<Virtual> {
     /// Boots the ensemble in virtual time, every fault from `faults`.
     /// Time starts at zero and moves only as the ensemble steps.
     pub fn simulate(config: DaemonConfig, faults: FaultPlan) -> Self {
-        let (ensemble, door) = Ensemble::boot(config, faults, "");
+        let (ensemble, door) = Ensemble::boot(config, faults);
         let driver = Virtual(RefCell::new(ensemble));
         DaemonHandle { door, driver }
     }
@@ -571,18 +720,69 @@ mod tests {
         );
     }
 
-    /// The zero-fault plan faults no frame of the replication stream.
+    /// A crash point names a follower by the order it was added: one
+    /// added after a failover (which removed the promoted follower) takes
+    /// no crash drawn for a follower that survived it.
     #[test]
-    fn zero_fault_plan_faults_no_frame() {
-        let faults = FaultPlan::none(9).stream().faults;
-        assert_eq!(faults.seed, 9);
-        let rates = (
-            faults.drop_permille,
-            faults.delay_permille,
-            faults.reorder_permille,
-        );
-        assert_eq!(rates, (0, 0, 0));
-        assert!(faults.follower_crashes.is_empty());
+    fn a_rejoined_follower_takes_no_survivors_crash() {
+        let crash = FollowerCrash {
+            follower: 1,
+            after_record: 3,
+        };
+        let plan = FaultPlan {
+            follower_crashes: vec![crash],
+            ..FaultPlan::none(2)
+        };
+        let mut replicas = Replicas::new(plan, 2, HubConfig::default());
+        let cluster = dynbatch_cluster::Cluster::homogeneous(2, 8);
+        let mut leader = PbsServer::new(cluster, dynbatch_core::AllocPolicy::Pack);
+        leader.enable_journal(0);
+        assert!(replicas.hub().await_replicated(&leader, 1));
+        let (mut leader, report) = replicas.hub().fail_over(1, 1).unwrap();
+        assert_eq!(report.promoted, "rep0");
+        replicas.add_follower("rejoin0");
+        leader.enable_journal(0);
+        assert!(replicas.hub().await_replicated(&leader, 1));
+        replicas.fire_crashes(3);
+        let hops = replicas.hub().followers_mut();
+        let applied: Vec<u64> = hops.map(|hop| hop.follower.watermark()).collect();
+        assert_eq!((applied, replicas.faults()[3]), (vec![0, 1], 1));
+    }
+
+    /// Every run meets the expendable rule: the zero-fault plan faults
+    /// none; with every fault certain, a run is dropped; with drops off,
+    /// it is held and duplicated, and both copies land before the
+    /// follower's next answer.
+    #[test]
+    fn a_run_meets_the_expendable_rule() {
+        let cluster = dynbatch_cluster::Cluster::homogeneous(2, 8);
+        let mut leader = PbsServer::new(cluster, dynbatch_core::AllocPolicy::Pack);
+        leader.enable_journal(0);
+        let certain = FaultPlan {
+            drop_permille: 1000,
+            dup_permille: 1000,
+            delay_permille: 1000,
+            ..FaultPlan::none(4)
+        };
+        let late = FaultPlan {
+            drop_permille: 0,
+            ..certain.clone()
+        };
+        let plans = [
+            (FaultPlan::none(9), [0; 4]),
+            (certain, [1, 0, 0, 0]),
+            (late, [0, 1, 1, 0]),
+        ];
+        let mut replicas = plans.map(|(plan, faults)| {
+            let mut replicas = Replicas::new(plan, 1, HubConfig::default());
+            replicas.hub().pump(&leader);
+            assert_eq!(replicas.faults(), faults);
+            replicas
+        });
+        let hop = replicas[2].hub().followers_mut().next().unwrap();
+        assert_eq!((hop.held.len(), hop.follower.watermark()), (2, 0));
+        assert_eq!(hop.ack().map(|r| r.applied), Some(1));
+        assert!(hop.held.is_empty());
     }
 
     /// A delivery with no fault arrives at its send instant, in send order.

@@ -22,8 +22,8 @@
 //! queue of deliveries of one ensemble ([`fault`]). One loop steps the
 //! ensemble under either of two clocks:
 //!
-//! - [`DaemonHandle::start`]: on one thread (plus one per replication
-//!   follower), paced by the wall clock, with no fault. The paper's Fig 12
+//! - [`DaemonHandle::start`]: on one thread, replication followers
+//!   included, paced by the wall clock, with no fault. The paper's Fig 12
 //!   measures this round trip (sub-second for up to 10 nodes); the bench
 //!   harness reproduces it with [`DaemonHandle::tm_dynget_timed`].
 //! - [`DaemonHandle::simulate`]: on the caller's thread, in virtual time.
@@ -51,5 +51,5 @@ mod mom;
 pub mod wire;
 
 pub use daemon::{DaemonConfig, DaemonHandle, Driver, Threads};
-pub use fault::{FaultPlan, ServerCrash, Virtual};
+pub use fault::{FaultPlan, FollowerCrash, Hop, Replicas, ServerCrash, Virtual};
 pub use wire::{ClientReq, MomMsg, MomToServer, PeerMsg, ReplicationStatus, ServerCmd};

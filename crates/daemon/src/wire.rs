@@ -170,6 +170,14 @@ pub struct ReplicationStatus {
     pub acked_lost: u64,
     /// Divergence errors reported by followers (poisoned replicas).
     pub errors: Vec<String>,
+    /// Runs of the replication stream the fault plan dropped.
+    pub runs_dropped: u64,
+    /// Runs it delayed to the next pump.
+    pub runs_delayed: u64,
+    /// Runs it duplicated.
+    pub runs_duplicated: u64,
+    /// Follower crashes it fired.
+    pub follower_crashes: u64,
 }
 
 /// Everything the server daemon receives.

@@ -47,7 +47,6 @@ pub use reactor::{
     BatchEvent, Command, Reactor, ReactorClient, ReactorConnector, ReactorStats, Reply,
 };
 pub use replication::{
-    FailoverReport, Follower, FollowerHandle, HubConfig, HubStats, PumpReport, ReplFaultPlan,
-    ReplicationHub,
+    FailoverReport, Follower, FollowerLink, HubConfig, HubStats, ReplicationHub,
 };
 pub use server::{Applied, Effect, PbsServer};

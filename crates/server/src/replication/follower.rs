@@ -1,42 +1,34 @@
 //! The follower: a [`PbsServer`] that applies the replicated stream
-//! through [`PbsServer::execute`], and the thread that hosts it.
+//! through [`PbsServer::execute`], and the link the hub reaches it by
+//! when it runs inline.
 //!
 //! Invariant owned here: the replica reflects exactly the records
-//! through its watermark — only the contiguous prefix is ever applied,
+//! through its watermark — a frame applies only at the next position,
 //! and an apply error or a digest mismatch poisons the follower for
 //! good, so a diverged replica is never promoted.
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use dynbatch_core::codec::to_bytes;
 
 use super::framing::{decode_frames, digest64, Frame};
+use super::hub::{FollowerLink, WatermarkReply};
 use crate::journal::{Journal, Record, ServerImage};
 use crate::server::PbsServer;
 
-// ---------------------------------------------------------------------------
-// Follower: the synchronous apply state machine.
-
 /// A follower `PbsServer`: applies the replicated stream through the
-/// ordinary mutation paths and tracks the contiguous-prefix watermark.
+/// ordinary mutation paths and tracks the applied watermark.
 ///
-/// Tolerates at-least-once, out-of-order delivery: stale frames are
-/// ignored, future records parked in a reorder buffer, and only the
-/// contiguous prefix is ever applied. Any apply error or digest mismatch
-/// poisons the follower — it stops advancing and reports the error — so
-/// a diverged replica can never be promoted silently.
+/// A plain go-back-N receiver: a record or boundary mark applies only at
+/// the position after its watermark, anything else is ignored (a stale
+/// duplicate, or an early arrival the hub resends once the watermark
+/// stalls), and a digest check is verified only at the watermark it
+/// names. Any apply error or digest mismatch poisons the follower — it
+/// stops advancing and reports the error — so a diverged replica can
+/// never be promoted silently.
 #[derive(Debug, Default)]
 pub struct Follower {
     server: Option<PbsServer>,
     term: u64,
     applied: u64,
-    buffer: BTreeMap<u64, Record>,
-    pending_digests: BTreeMap<u64, u64>,
-    pending_marks: BTreeSet<u64>,
-    torn_frames: u64,
     error: Option<String>,
 }
 
@@ -67,11 +59,6 @@ impl Follower {
     /// The poisoning error, if the follower diverged or failed to apply.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
-    }
-
-    /// Torn trailing frames tolerated (truncate-and-warn) so far.
-    pub fn torn_frames(&self) -> u64 {
-        self.torn_frames
     }
 
     /// The replica's encoded image ([`crate::codec`]), once
@@ -109,18 +96,16 @@ impl Follower {
         Ok(follower.server.expect("installed above"))
     }
 
-    /// Applies a wire run of frames. Torn trailing frames are truncated
-    /// and counted; corruption or divergence poisons the follower.
+    /// Applies a wire run of frames. A torn trailing frame is truncated
+    /// (the hub resends it); corruption or divergence poisons the
+    /// follower.
     pub fn apply_bytes(&mut self, bytes: &[u8]) -> Result<(), String> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        let (frames, torn) = decode_frames(bytes).inspect_err(|e| {
+        let (frames, _torn) = decode_frames(bytes).inspect_err(|e| {
             self.error = Some(e.clone());
         })?;
-        if torn {
-            self.torn_frames += 1;
-        }
         for f in frames {
             self.apply_frame(f)?;
         }
@@ -141,45 +126,24 @@ impl Follower {
 
     fn apply_frame_inner(&mut self, frame: Frame) -> Result<(), String> {
         match frame {
+            // Records and marks apply at the next position of the term
+            // the replica was seeded in; a new leader always seeds with
+            // its genesis snapshot first, and the hub resends whatever
+            // this skips until the watermark moves.
             Frame::Record { term, pos, record } => {
-                // A never-seeded follower adopts the stream's term so
-                // reordered records can park in the buffer ahead of the
-                // seeding snapshot. Once seeded, records from another
-                // term are ignored: a new leader always seeds with its
-                // genesis snapshot first, and the hub keeps resending
-                // until the watermark moves.
-                if self.term == 0 {
-                    self.term = term;
-                }
-                if term != self.term || pos <= self.applied {
+                if term != self.term || pos != self.applied + 1 {
                     return Ok(());
                 }
-                if pos == self.applied + 1 {
-                    self.apply_one(pos, record)?;
-                    self.drain_buffer()
-                } else {
-                    self.buffer.insert(pos, record);
-                    Ok(())
-                }
+                self.apply_one(pos, record)
             }
             Frame::Mark { term, pos } => {
-                // Same ordering rules as a record: the marked position is
-                // a snapshot record whose image is the state after
-                // `pos - 1` — a caught-up replica crosses it in place.
-                if self.term == 0 {
-                    self.term = term;
-                }
-                if term != self.term || pos <= self.applied {
-                    return Ok(());
-                }
-                if pos == self.applied + 1 && self.server.is_some() {
+                // The marked position is a snapshot record whose image is
+                // the state after `pos - 1`: the replica crosses it in
+                // place.
+                if term == self.term && pos == self.applied + 1 && self.server.is_some() {
                     self.applied = pos;
-                    self.check_digests()?;
-                    self.drain_buffer()
-                } else {
-                    self.pending_marks.insert(pos);
-                    Ok(())
                 }
+                Ok(())
             }
             Frame::Snapshot { term, pos, image } => {
                 if term < self.term {
@@ -192,7 +156,7 @@ impl Follower {
                         // what this replica holds. Verify byte-identity.
                         self.verify_image(pos, &image)?;
                         self.applied = self.applied.max(pos);
-                        return self.drain_buffer();
+                        return Ok(());
                     }
                     if pos <= self.applied {
                         return Ok(()); // stale duplicate
@@ -200,44 +164,25 @@ impl Follower {
                 }
                 self.install(term, pos, &image)
             }
-            Frame::Digest { term, pos, digest } => {
-                if self.term == 0 {
-                    self.term = term;
-                }
-                if term != self.term || pos < self.applied {
-                    return Ok(());
-                }
-                if pos == self.applied {
-                    self.verify_digest(pos, digest)
-                } else {
-                    self.pending_digests.insert(pos, digest);
-                    Ok(())
-                }
+            // A check for a position not reached yet, or passed, is
+            // dropped: that loses a check, never data.
+            Frame::Digest { term, pos, digest } if term == self.term && pos == self.applied => {
+                self.verify_digest(pos, digest)
             }
+            Frame::Digest { .. } => Ok(()),
         }
     }
 
-    /// Installs a catch-up image: state jumps to `pos`. Buffered records
-    /// the image already covers are dropped; later ones stay applicable.
+    /// Installs a catch-up image: state jumps to `pos`.
     fn install(&mut self, term: u64, pos: u64, image: &ServerImage) -> Result<(), String> {
         let server = PbsServer::restore(image).map_err(|e| e.to_string())?;
-        if term != self.term {
-            self.buffer.clear();
-            self.pending_digests.clear();
-            self.pending_marks.clear();
-            self.term = term;
-        } else {
-            self.buffer.retain(|&p, _| p > pos);
-            self.pending_digests.retain(|&p, _| p >= pos);
-            self.pending_marks.retain(|&p| p > pos);
-        }
         self.server = Some(server);
+        self.term = term;
         self.applied = pos;
-        self.check_digests()?;
-        self.drain_buffer()
+        Ok(())
     }
 
-    /// Applies the next contiguous record through the leader's own
+    /// Applies the next record through the leader's own
     /// [`PbsServer::execute`]; the replica has no journal, so nothing is
     /// appended. A snapshot never arrives this way — the stream carries
     /// one as [`Frame::Snapshot`] or crosses it with [`Frame::Mark`] — so
@@ -253,21 +198,7 @@ impl Follower {
             .execute(record)
             .map_err(|e| format!("apply of record {pos} failed: {e}"))?;
         self.applied = pos;
-        self.check_digests()
-    }
-
-    fn drain_buffer(&mut self) -> Result<(), String> {
-        loop {
-            let next = self.applied + 1;
-            if self.pending_marks.remove(&next) {
-                self.applied = next;
-                self.check_digests()?;
-            } else if let Some(record) = self.buffer.remove(&next) {
-                self.apply_one(next, record)?;
-            } else {
-                return Ok(());
-            }
-        }
+        Ok(())
     }
 
     /// The seeded replica's encoded image.
@@ -302,167 +233,30 @@ impl Follower {
             ))
         }
     }
-
-    /// Verifies (and discards) digest checks the watermark has reached.
-    /// Checks for positions the replica jumped past are unverifiable and
-    /// dropped.
-    fn check_digests(&mut self) -> Result<(), String> {
-        while let Some((&pos, &digest)) = self.pending_digests.iter().next() {
-            if pos < self.applied {
-                self.pending_digests.remove(&pos);
-            } else if pos == self.applied {
-                self.pending_digests.remove(&pos);
-                self.verify_digest(pos, digest)?;
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Follower threads.
-
-/// A watermark/health report from a follower thread.
-#[derive(Debug, Clone)]
-pub struct WatermarkReply {
-    /// Leader term the follower tracks.
-    pub term: u64,
-    /// Applied-record watermark under that term.
-    pub applied: u64,
-    /// The poisoning error, when the replica diverged.
-    pub error: Option<String>,
-    /// Torn trailing frames tolerated so far.
-    pub torn_frames: u64,
-}
-
-/// Messages into a follower thread.
-pub enum FollowerMsg {
-    /// A wire run of encoded frames.
-    Frames(Vec<u8>),
-    /// Report term/watermark/health.
-    Watermark(Sender<WatermarkReply>),
-    /// Report the replica's encoded image (`None` before seeding).
-    ImageQuery(Sender<Option<Vec<u8>>>),
-    /// Surrender the replica for promotion; the thread exits after
-    /// replying.
-    Promote(Sender<Option<(Box<PbsServer>, u64)>>),
-    /// Simulated process death: all replica state is dropped; the
-    /// follower re-seeds from the next snapshot transfer.
-    Crash,
-    /// Orderly exit.
-    Shutdown,
-}
-
-/// A handle to a follower thread: the hub's streaming/ack endpoint.
-pub struct FollowerHandle {
-    name: String,
-    tx: Sender<FollowerMsg>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl FollowerHandle {
-    /// Spawns a follower thread named `name` (thread-leak checks key on
-    /// the name prefix).
-    pub fn spawn(name: &str) -> FollowerHandle {
-        let (tx, rx) = channel();
-        let join = thread::Builder::new()
-            .name(name.to_owned())
-            .spawn(move || follower_main(rx))
-            .expect("spawn follower thread");
-        FollowerHandle {
-            name: name.to_owned(),
-            tx,
-            join: Some(join),
-        }
+/// A follower on the hub's own thread, with nothing between them: a run
+/// applies as it is sent.
+impl FollowerLink for Follower {
+    fn send(&mut self, run: Vec<u8>) -> bool {
+        // Errors poison the follower; the watermark read reports them.
+        let _ = self.apply_bytes(&run);
+        true
     }
 
-    /// The follower's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    fn ack(&mut self) -> Option<WatermarkReply> {
+        Some(WatermarkReply {
+            term: self.term,
+            applied: self.applied,
+            error: self.error.clone(),
+        })
     }
 
-    /// Sends a message; `false` when the thread is gone.
-    pub fn send(&self, msg: FollowerMsg) -> bool {
-        self.tx.send(msg).is_ok()
+    fn image(&mut self) -> Option<Vec<u8>> {
+        self.image_bytes()
     }
 
-    /// Synchronous watermark/health query; `None` when the thread is
-    /// gone or wedged.
-    pub fn watermark(&self) -> Option<WatermarkReply> {
-        let (tx, rx) = channel();
-        self.tx.send(FollowerMsg::Watermark(tx)).ok()?;
-        rx.recv_timeout(Duration::from_secs(30)).ok()
-    }
-
-    /// Synchronous encoded-image query.
-    pub fn image_bytes(&self) -> Option<Vec<u8>> {
-        let (tx, rx) = channel();
-        self.tx.send(FollowerMsg::ImageQuery(tx)).ok()?;
-        rx.recv_timeout(Duration::from_secs(30)).ok()?
-    }
-
-    /// Promotes: the thread surrenders its replica (with watermark) and
-    /// exits; the handle joins it.
-    pub fn promote(mut self) -> Option<(PbsServer, u64)> {
-        let (tx, rx) = channel();
-        self.tx.send(FollowerMsg::Promote(tx)).ok()?;
-        let got = rx.recv_timeout(Duration::from_secs(30)).ok()?;
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-        got.map(|(server, watermark)| (*server, watermark))
-    }
-
-    /// Orderly shutdown: signals the thread and joins it.
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(FollowerMsg::Shutdown);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for FollowerHandle {
-    fn drop(&mut self) {
-        // Dropped without shutdown/promote (hub teardown on error
-        // paths): still signal and join — no leaked threads, ever.
-        let _ = self.tx.send(FollowerMsg::Shutdown);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-fn follower_main(rx: Receiver<FollowerMsg>) {
-    let mut f = Follower::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            FollowerMsg::Frames(bytes) => {
-                // Errors poison the follower; surfaced via Watermark.
-                let _ = f.apply_bytes(&bytes);
-            }
-            FollowerMsg::Watermark(reply) => {
-                let _ = reply.send(WatermarkReply {
-                    term: f.term(),
-                    applied: f.watermark(),
-                    error: f.error().map(str::to_owned),
-                    torn_frames: f.torn_frames(),
-                });
-            }
-            FollowerMsg::ImageQuery(reply) => {
-                let _ = reply.send(f.image_bytes());
-            }
-            FollowerMsg::Promote(reply) => {
-                let _ = reply.send(
-                    f.take_promoted()
-                        .map(|(server, watermark)| (Box::new(server), watermark)),
-                );
-                return;
-            }
-            FollowerMsg::Crash => f = Follower::new(),
-            FollowerMsg::Shutdown => return,
-        }
+    fn promote(mut self) -> Option<(PbsServer, u64)> {
+        self.take_promoted()
     }
 }

@@ -1,110 +1,59 @@
-//! The leader side: the stream fault plan, the [`ReplicationHub`] that
-//! ships the journal tail to every follower thread, and failover.
+//! The leader side: the [`ReplicationHub`] that ships the journal tail
+//! to every follower, reads back their watermarks, and fails over; and
+//! the [`FollowerLink`] seam it reaches a follower by, wherever that
+//! follower runs.
 //!
 //! Invariant owned here: the replicated watermark a host gates acks on
 //! is the minimum watermark live followers acked in the current term,
 //! and failover promotes only a follower of that term that reported no
 //! error.
 
-use std::collections::VecDeque;
-
 use dynbatch_core::codec::to_bytes;
-use dynbatch_simtime::SplitMix64;
 
-use super::follower::{FollowerHandle, FollowerMsg};
+use super::follower::Follower;
 use super::framing::{digest64, encode_stream_tail, encode_tail_frames, EncodedRun, Frame};
 use crate::codec::{DIGEST_FRAME, RECORD_FRAME, SNAPSHOT_FRAME};
 use crate::server::PbsServer;
 
-// ---------------------------------------------------------------------------
-// Replication fault plan.
-
-/// A scheduled follower "process death" (state dropped, thread stays):
-/// fires once the leader has appended `after_record` records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FollowerCrash {
-    /// Which follower, by the order the hub added it (0 = the first).
-    pub follower: usize,
-    /// Leader `total_appended` coordinate the crash fires at.
-    pub after_record: u64,
+/// A follower's term, watermark and health, as the hub reads them.
+#[derive(Debug, Clone)]
+pub struct WatermarkReply {
+    /// Leader term the follower tracks.
+    pub term: u64,
+    /// Applied-record watermark under that term.
+    pub applied: u64,
+    /// The poisoning error, when the replica diverged.
+    pub error: Option<String>,
 }
 
-/// Seeded faults on the replication stream. Stream faults only delay
-/// convergence (the hub resends, followers reorder-buffer); follower
-/// crashes force snapshot re-seeding. The daemon builds this plan from its
-/// one `FaultPlan`, whose server crashes are the leader kills — killing
-/// the leader is not a stream fault.
-#[derive(Debug, Clone, Default)]
-pub struct ReplFaultPlan {
-    /// Seed for the per-frame fault draws.
-    pub seed: u64,
-    /// Per-frame probability (‰) the frame is silently dropped.
-    pub drop_permille: u32,
-    /// Per-frame probability (‰) delivery is deferred one pump.
-    pub delay_permille: u32,
-    /// Per-batch probability (‰) the pump's frames are shuffled.
-    pub reorder_permille: u32,
-    /// Scheduled follower crashes.
-    pub follower_crashes: Vec<FollowerCrash>,
+/// The hub's one seam to a follower: whatever carries the stream — the
+/// follower itself on the hub's thread, a faulted hop, a thread — is
+/// reached by these four calls. A run may be lost or late; the hub
+/// resends from the watermark it reads.
+pub trait FollowerLink {
+    /// Ships one run of encoded frames; `false` once the follower is gone.
+    fn send(&mut self, run: Vec<u8>) -> bool;
+    /// The follower's term, watermark and health; `None` once it is gone.
+    fn ack(&mut self) -> Option<WatermarkReply>;
+    /// The replica's encoded image ([`Follower::image_bytes`]); `None`
+    /// before seeding, or once the follower is gone.
+    fn image(&mut self) -> Option<Vec<u8>>;
+    /// Surrenders the replica, with the watermark it is exact at.
+    fn promote(self) -> Option<(PbsServer, u64)>;
 }
-
-impl ReplFaultPlan {
-    /// No faults (the seed is kept for derived draws).
-    pub fn none(seed: u64) -> Self {
-        ReplFaultPlan {
-            seed,
-            ..ReplFaultPlan::default()
-        }
-    }
-
-    /// Derives a fault mix from a seed: moderate drop/delay/reorder
-    /// pressure plus possible follower crashes inside `horizon` records.
-    ///
-    /// Convention (same as `FaultPlan::from_seed`): any NEW field must be
-    /// drawn *after* all existing ones so previously pinned seeds keep
-    /// their fault pressure.
-    pub fn from_seed(seed: u64, followers: usize, horizon: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0x5245_504c_4943_4154);
-        let drop_permille = rng.next_below(150) as u32;
-        let delay_permille = rng.next_below(200) as u32;
-        let reorder_permille = rng.next_below(250) as u32;
-        let mut follower_crashes = Vec::new();
-        for follower in 0..followers {
-            if rng.chance_permille(300) {
-                follower_crashes.push(FollowerCrash {
-                    follower,
-                    after_record: 1 + rng.next_below(horizon.max(1)),
-                });
-            }
-        }
-        ReplFaultPlan {
-            seed,
-            drop_permille,
-            delay_permille,
-            reorder_permille,
-            follower_crashes,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The leader-side hub.
 
 /// Hub configuration.
 #[derive(Debug, Clone)]
 pub struct HubConfig {
     /// Emit a rolling-digest frame every this many records (0 = off).
     pub digest_every: u64,
-    /// Refresh follower watermarks every this many pumps (min 1). The
-    /// refresh is a synchronous round-trip per live follower — exact,
-    /// but the latency is the whole pump cost on a hot path. Shipping
-    /// frames never waits for it: a higher setting just batches ack
-    /// visibility (go-back-N reacts at the next refresh), and every
-    /// consumer that *needs* a fresh watermark (`await_replicated`,
-    /// `fail_over`) forces one itself.
+    /// Read follower watermarks every this many pumps (min 1): the
+    /// cadence for a follower whose read is a round trip to another
+    /// thread. Shipping never waits for it: a higher setting batches ack
+    /// visibility (go-back-N reacts at the next read), and every consumer
+    /// that *needs* a fresh watermark (`await_replicated`, `fail_over`)
+    /// reads one itself.
     pub ack_every: u64,
-    /// Stream faults.
-    pub faults: ReplFaultPlan,
 }
 
 impl Default for HubConfig {
@@ -112,7 +61,6 @@ impl Default for HubConfig {
         HubConfig {
             digest_every: 32,
             ack_every: 1,
-            faults: ReplFaultPlan::none(0),
         }
     }
 }
@@ -132,41 +80,33 @@ pub struct HubStats {
     pub digests_sent: u64,
     /// Wire bytes of every frame counted above, envelope included.
     pub bytes_sent: u64,
-    /// Frames dropped by fault injection.
-    pub frames_dropped: u64,
-    /// Go-back-N resend episodes (stalled watermark).
+    /// Go-back-N resend episodes (a watermark that stalled or fell).
     pub resends: u64,
-    /// Follower crashes injected by the fault plan.
-    pub follower_crashes: u64,
 }
 
-struct Link {
-    handle: FollowerHandle,
+/// The hub's cursor on one follower.
+struct Link<L> {
+    name: String,
+    follower: L,
     /// Term of the follower's last watermark report.
     acked_term: u64,
     /// Last reported applied watermark (0 when on another term).
     acked: u64,
     /// Highest position optimistically shipped this term.
     sent_through: u64,
-    /// `acked` at the previous pump — stall (go-back-N) detection.
+    /// `acked` at the previous read — stall (go-back-N) detection.
     last_acked: u64,
-    /// Frames deferred by the delay fault, delivered next pump.
-    delayed: VecDeque<Vec<u8>>,
-    /// Outstanding scheduled crashes, ascending.
-    crashes: VecDeque<u64>,
     alive: bool,
 }
 
-/// One pump's outcome.
-#[derive(Debug, Clone, Default)]
-pub struct PumpReport {
-    /// Leader `total_appended` at pump time.
-    pub target: u64,
-    /// Min live-follower watermark after the pump's ack refresh (`None`
-    /// with no live followers).
-    pub replicated: Option<u64>,
-    /// Divergence/poisoning errors reported by followers.
-    pub errors: Vec<String>,
+impl<L> Link<L> {
+    /// Forgets what the follower holds: it is re-seeded from scratch.
+    fn restart(&mut self) {
+        self.acked_term = 0;
+        self.acked = 0;
+        self.sent_through = 0;
+        self.last_acked = 0;
+    }
 }
 
 /// What a completed failover reports: what was promoted, at which
@@ -191,74 +131,63 @@ pub struct FailoverReport {
     pub acked_lost: u64,
 }
 
-/// The leader-side replication hub: owns the follower threads, streams
-/// the journal tail to each, refreshes acked watermarks, injects stream
-/// faults, and runs failover.
+/// The leader-side replication hub: a state machine with a cursor per
+/// follower. It streams the journal tail to each, reads back acked
+/// watermarks, resends from them, and runs failover. It owns no thread
+/// and draws no fault: what carries a run, and what befalls it on the
+/// way, is the link's ([`FollowerLink`]).
 ///
-/// Everything is driven from the owner's thread by [`ReplicationHub::pump`]
-/// — the hub never spawns its own timers, so streaming is deterministic
-/// given the pump sequence and the fault seed.
-pub struct ReplicationHub {
+/// Everything is driven from the owner's thread by [`ReplicationHub::pump`],
+/// so streaming is deterministic given the pump sequence and the links.
+pub struct ReplicationHub<L = Follower> {
     term: u64,
     digest_every: u64,
     next_digest_at: u64,
     ack_every: u64,
     deferred_errors: Vec<String>,
-    faults: ReplFaultPlan,
-    rng: SplitMix64,
-    links: Vec<Link>,
-    /// Followers added so far: the number a crash point names the next
-    /// one by. `links.len()` would not do — failover removes a link.
-    added: usize,
+    links: Vec<Link<L>>,
     stats: HubStats,
 }
 
-impl ReplicationHub {
+impl<L: FollowerLink> ReplicationHub<L> {
     /// A hub at term 1 with no followers yet.
     pub fn new(cfg: HubConfig) -> Self {
-        let rng = SplitMix64::new(cfg.faults.seed ^ 0x4855_4221);
         ReplicationHub {
             term: 1,
             digest_every: cfg.digest_every,
-            next_digest_at: if cfg.digest_every > 0 {
-                cfg.digest_every
-            } else {
-                u64::MAX
-            },
+            next_digest_at: Self::first_digest(cfg.digest_every),
             ack_every: cfg.ack_every.max(1),
             deferred_errors: Vec::new(),
-            faults: cfg.faults,
-            rng,
             links: Vec::new(),
-            added: 0,
             stats: HubStats::default(),
         }
     }
 
-    /// Spawns and attaches a follower thread named `name`. The crash
-    /// points the plan names for the `n`-th follower added (counting from
-    /// 0, over the hub's life) bind to it.
-    pub fn add_follower(&mut self, name: &str) {
-        let idx = self.added;
-        self.added += 1;
-        let mut crashes: Vec<u64> = self
-            .faults
-            .follower_crashes
-            .iter()
-            .filter(|c| c.follower == idx)
-            .map(|c| c.after_record)
-            .collect();
-        crashes.sort_unstable();
+    fn first_digest(digest_every: u64) -> u64 {
+        if digest_every > 0 {
+            digest_every
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Attaches `follower` under `name`; the next pump seeds it.
+    pub fn add_follower(&mut self, name: &str, follower: L) {
         self.links.push(Link {
-            handle: FollowerHandle::spawn(name),
+            name: name.to_owned(),
+            follower,
             acked_term: 0,
             acked: 0,
             sent_through: 0,
             last_acked: 0,
-            delayed: VecDeque::new(),
-            crashes: crashes.into(),
             alive: true,
         });
+    }
+
+    /// Every follower's link, hub-index order — for a host that acts on
+    /// its followers between pumps.
+    pub fn followers_mut(&mut self) -> impl Iterator<Item = &mut L> {
+        self.links.iter_mut().map(|l| &mut l.follower)
     }
 
     /// The current leader term.
@@ -271,81 +200,72 @@ impl ReplicationHub {
         self.stats
     }
 
+    /// The acked watermark a live link counts with this term: 0 for a
+    /// follower still on another term.
+    fn acked_now(&self, l: &Link<L>) -> u64 {
+        if l.acked_term == self.term {
+            l.acked
+        } else {
+            0
+        }
+    }
+
     /// Cached acked watermark per follower (0 for dead followers or
     /// followers still on another term) — conservative, refreshed each
-    /// pump.
+    /// read.
     pub fn acked_watermarks(&self) -> Vec<u64> {
-        self.links
-            .iter()
-            .map(|l| {
-                if l.alive && l.acked_term == self.term {
-                    l.acked
-                } else {
-                    0
-                }
-            })
-            .collect()
+        let acked = |l: &Link<L>| if l.alive { self.acked_now(l) } else { 0 };
+        self.links.iter().map(acked).collect()
     }
 
     /// Follower names, hub-index order.
     pub fn follower_names(&self) -> Vec<String> {
-        self.links
-            .iter()
-            .map(|l| l.handle.name().to_owned())
-            .collect()
+        self.links.iter().map(|l| l.name.clone()).collect()
     }
 
-    /// Follower `idx`'s encoded image ([`super::Follower::image_bytes`];
-    /// synchronous, drains its stream backlog first by channel order).
+    /// Follower `idx`'s encoded image ([`super::Follower::image_bytes`]).
     /// `None` for a dead or unseeded follower.
-    pub fn follower_image(&self, idx: usize) -> Option<Vec<u8>> {
-        self.links.get(idx)?.handle.image_bytes()
+    pub fn follower_image(&mut self, idx: usize) -> Option<Vec<u8>> {
+        self.links.get_mut(idx)?.follower.image()
     }
 
     /// Min live-follower acked watermark this term — the replicated
     /// watermark acks may gate on. `None` with no live followers (a
     /// degenerate single-copy deployment: nothing to wait for).
     pub fn replicated_watermark(&self) -> Option<u64> {
-        self.links
-            .iter()
-            .filter(|l| l.alive)
-            .map(|l| {
-                if l.acked_term == self.term {
-                    l.acked
-                } else {
-                    0
-                }
-            })
-            .min()
+        let live = self.links.iter().filter(|l| l.alive);
+        live.map(|l| self.acked_now(l)).min()
     }
 
     /// One replication step of a leader that keeps streaming: compaction
     /// is held behind the replicated watermark, so followers stream plain
     /// records across snapshot boundaries instead of taking a snapshot
     /// transfer, then one [`ReplicationHub::pump`].
-    pub fn stream(&mut self, leader: &mut PbsServer) -> PumpReport {
+    pub fn stream(&mut self, leader: &mut PbsServer) -> Vec<String> {
         if let Some(w) = self.replicated_watermark() {
             leader.journal_retain_from(w + 1);
         }
         self.pump(leader)
     }
 
-    /// One streaming round: refresh each live follower's watermark,
-    /// inject due faults, and ship the journal tail (go-back-N from the
-    /// acked watermark on stall; snapshot transfer when the tail was
-    /// compacted away).
-    pub fn pump(&mut self, leader: &PbsServer) -> PumpReport {
+    /// One streaming round: read each live follower's watermark (every
+    /// `ack_every`-th pump), and ship the journal tail (go-back-N from the
+    /// acked watermark on a stall; snapshot transfer when the tail was
+    /// compacted away). Returns the divergence errors followers reported
+    /// since the last pump.
+    pub fn pump(&mut self, leader: &PbsServer) -> Vec<String> {
         let journal = leader
             .journal()
             .expect("replication requires the leader to journal");
         let target = journal.total_appended();
         self.stats.pumps += 1;
-        // Watermark queries are synchronous round-trips; batching them to
-        // every `ack_every`-th pump keeps the ship path one-way. Their
-        // replies sit behind all sent frames (channel FIFO), so the values
-        // read on a sync pump are identical to what per-pump polling would
-        // have read — only the *visibility* of progress is batched.
-        let sync = self.ack_every <= 1 || self.stats.pumps.is_multiple_of(self.ack_every);
+        // A read of a follower on another thread is a round trip queued
+        // behind the runs sent before it, so what a read sees is what
+        // per-pump reading would have seen — only the *visibility* of
+        // progress is batched.
+        if self.ack_every <= 1 || self.stats.pumps.is_multiple_of(self.ack_every) {
+            self.refresh_acks();
+        }
         let digest_frame = if target >= self.next_digest_at {
             self.next_digest_at = target + self.digest_every;
             Some(Frame::Digest {
@@ -356,64 +276,24 @@ impl ReplicationHub {
         } else {
             None
         };
-        let mut report = PumpReport {
-            target,
-            ..PumpReport::default()
-        };
-        let term = self.term;
-        for link in &mut self.links {
-            if !link.alive {
-                continue;
-            }
-            // Deliver frames the delay fault deferred last pump, as one
-            // concatenated byte run (the follower deframes runs).
-            if !link.delayed.is_empty() {
-                let mut run: Vec<u8> = Vec::new();
-                for bytes in link.delayed.drain(..) {
-                    run.extend_from_slice(&bytes);
-                }
-                if !link.handle.send(FollowerMsg::Frames(run)) {
-                    link.alive = false;
-                }
-            }
-            // Scheduled follower crash: state dropped, thread stays; the
-            // follower re-seeds below via snapshot transfer.
-            while link.crashes.front().is_some_and(|&c| target >= c) {
-                link.crashes.pop_front();
-                link.handle.send(FollowerMsg::Crash);
-                link.acked_term = 0;
-                link.acked = 0;
-                link.sent_through = 0;
-                link.last_acked = 0;
-                link.delayed.clear();
-                self.stats.follower_crashes += 1;
-            }
-            if sync {
-                Self::refresh_link(link, term, &mut self.stats, &mut self.deferred_errors);
-            }
-        }
-        report.errors.append(&mut self.deferred_errors);
         // Shared encode: every contiguously-streaming link needs the same
         // tail modulo its start position, so the pump encodes it once into
         // one buffer and each link reads its suffix from there.
         // Snapshot records cross as Mark frames — valid only for a
         // follower that already holds the boundary state. A link that has
-        // never acked (fresh, or reset after a crash) has a stateless
+        // never acked (fresh, or restarted after a crash) has a stateless
         // follower and takes the per-link seed path below: a full
         // snapshot transfer it can install, never a Mark it cannot cross.
-        let needs_seed = |l: &Link| l.sent_through == 0 && l.acked == 0;
+        let needs_seed = |l: &Link<L>| l.sent_through == 0 && l.acked == 0;
         let min_from = self
             .links
             .iter()
             .filter(|l| l.alive && l.sent_through < target && !needs_seed(l))
             .map(|l| l.sent_through + 1)
             .min();
-        let shared = min_from.and_then(|from| encode_stream_tail(journal, term, from));
+        let shared = min_from.and_then(|from| encode_stream_tail(journal, self.term, from));
         let digest_run = digest_frame.as_ref().map(EncodedRun::single);
-        for link in &mut self.links {
-            if !link.alive {
-                continue;
-            }
+        for link in self.links.iter_mut().filter(|l| l.alive) {
             if link.sent_through >= target && digest_run.is_none() {
                 continue;
             }
@@ -427,17 +307,14 @@ impl ReplicationHub {
                 // Seed / heal: a stateless follower, or a start the
                 // compactor already discarded — restart the link with a
                 // snapshot image it can install, then plain records.
-                seed_run = encode_tail_frames(journal, term, from);
+                seed_run = encode_tail_frames(journal, self.term, from);
                 Some(&seed_run)
             };
-            let mut frames: Vec<(u8, &[u8])> =
-                run.into_iter().flat_map(|r| r.suffix(from)).collect();
-            frames.extend(digest_run.iter().flat_map(|d| d.suffix(0)));
-            if frames.len() >= 2 && self.rng.chance_permille(self.faults.reorder_permille) {
-                self.rng.shuffle(&mut frames);
-            }
+            // One send per link per pump: every frame rides a single
+            // concatenated run.
             let mut out: Vec<u8> = Vec::new();
-            for (kind, bytes) in frames {
+            let frames = run.into_iter().flat_map(|r| r.suffix(from));
+            for (kind, bytes) in frames.chain(digest_run.iter().flat_map(|d| d.suffix(0))) {
                 match kind {
                     RECORD_FRAME => self.stats.records_sent += 1,
                     SNAPSHOT_FRAME => self.stats.snapshots_sent += 1,
@@ -445,66 +322,43 @@ impl ReplicationHub {
                     _ => self.stats.marks_sent += 1,
                 }
                 self.stats.bytes_sent += bytes.len() as u64;
-                if self.rng.chance_permille(self.faults.drop_permille) {
-                    self.stats.frames_dropped += 1;
-                    continue;
-                }
-                if self.rng.chance_permille(self.faults.delay_permille) {
-                    link.delayed.push_back(bytes.to_vec());
-                    continue;
-                }
                 out.extend_from_slice(bytes);
             }
-            // One channel send per link per pump: every surviving frame
-            // rides a single concatenated run, so the follower thread is
-            // woken once, not once per record.
-            if !out.is_empty() && !link.handle.send(FollowerMsg::Frames(out)) {
+            if !out.is_empty() && !link.follower.send(out) {
                 link.alive = false;
             }
             link.sent_through = target;
         }
-        report.replicated = self.replicated_watermark();
-        report
+        std::mem::take(&mut self.deferred_errors)
     }
 
-    /// One synchronous watermark round-trip for `link`: refresh the acked
-    /// cursor, detect a stalled stream (go-back-N resend from the acked
-    /// prefix), and stash any follower-reported divergence.
-    fn refresh_link(link: &mut Link, term: u64, stats: &mut HubStats, errors: &mut Vec<String>) {
-        let Some(reply) = link.handle.watermark() else {
-            link.alive = false;
-            return;
-        };
-        if let Some(e) = reply.error {
-            // A poisoned replica never advances again: it leaves the
-            // watermark and the stream as a dead one does, reported once.
-            errors.push(format!("{}: {e}", link.handle.name()));
-            link.alive = false;
-            return;
-        }
-        link.acked_term = reply.term;
-        link.acked = if reply.term == term { reply.applied } else { 0 };
-        // Go-back-N: watermark stalled below what we shipped — assume
-        // loss, resend from the acked prefix.
-        if link.acked < link.sent_through && link.acked == link.last_acked {
-            link.sent_through = link.acked;
-            stats.resends += 1;
-        }
-        link.last_acked = link.acked;
-        link.sent_through = link.sent_through.max(link.acked);
-    }
-
-    /// Forces a watermark round-trip on every live link, regardless of
-    /// `ack_every` phase. Consumers that need fresh visibility between
-    /// pumps ([`ReplicationHub::await_replicated`], a driver's converge
-    /// loop) call this; any follower-reported error surfaces in the next
-    /// pump's report.
+    /// Reads every live follower's watermark now, regardless of
+    /// `ack_every` phase: refreshes its acked cursor, goes back to the
+    /// acked prefix when the watermark stalled below what was shipped or
+    /// fell (the follower lost its state), and keeps any reported error
+    /// for the next pump to return — a poisoned replica never advances
+    /// again, so it leaves the watermark and the stream as a dead one
+    /// does, reported once.
     pub fn refresh_acks(&mut self) {
         let term = self.term;
-        for link in &mut self.links {
-            if link.alive {
-                Self::refresh_link(link, term, &mut self.stats, &mut self.deferred_errors);
+        for link in self.links.iter_mut().filter(|l| l.alive) {
+            let Some(reply) = link.follower.ack() else {
+                link.alive = false;
+                continue;
+            };
+            if let Some(e) = reply.error {
+                self.deferred_errors.push(format!("{}: {e}", link.name));
+                link.alive = false;
+                continue;
             }
+            link.acked_term = reply.term;
+            link.acked = if reply.term == term { reply.applied } else { 0 };
+            if link.acked < link.sent_through && link.acked <= link.last_acked {
+                link.sent_through = link.acked;
+                self.stats.resends += 1;
+            }
+            link.last_acked = link.acked;
+            link.sent_through = link.sent_through.max(link.acked);
         }
     }
 
@@ -518,23 +372,23 @@ impl ReplicationHub {
                 Some(w) if w >= through => return true,
                 _ => {}
             }
-            // The next pump's report carries what this one heard.
-            let report = self.pump(leader);
-            self.deferred_errors.extend(report.errors);
+            // The next pump returns what this one heard.
+            let errors = self.pump(leader);
+            self.deferred_errors.extend(errors);
             if self.ack_every > 1 {
-                // Batched-ack configs only poll watermarks every few pumps;
-                // the gate needs fresh visibility *now*.
+                // Batched reads see progress only every few pumps; the
+                // gate needs fresh visibility *now*.
                 self.refresh_acks();
             }
         }
         false
     }
 
-    /// Leader failover: drains every live follower's stream, promotes
+    /// Leader failover: reads every live follower's watermark, promotes
     /// the highest-watermark one that holds a replica of the current term
-    /// (ties break on hub order), bumps the
-    /// term, and resets the survivors to re-seed from the new leader's
-    /// genesis snapshot on the next pump.
+    /// (ties break on hub order), bumps the term, and restarts the
+    /// survivors to re-seed from the new leader's genesis snapshot on the
+    /// next pump.
     ///
     /// The caller supplies the dead leader's final `total_appended` and
     /// the watermark through which commands were acked; the report
@@ -547,14 +401,8 @@ impl ReplicationHub {
         acked_through: u64,
     ) -> Result<(PbsServer, FailoverReport), String> {
         let mut best: Option<(usize, u64)> = None;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            if !link.alive {
-                continue;
-            }
-            while let Some(bytes) = link.delayed.pop_front() {
-                link.handle.send(FollowerMsg::Frames(bytes));
-            }
-            let Some(reply) = link.handle.watermark() else {
+        for (i, link) in self.links.iter_mut().enumerate().filter(|(_, l)| l.alive) {
+            let Some(reply) = link.follower.ack() else {
                 link.alive = false;
                 continue;
             };
@@ -567,47 +415,21 @@ impl ReplicationHub {
         }
         let (idx, _) = best.ok_or("no live follower to promote")?;
         let link = self.links.remove(idx);
-        let promoted_name = link.handle.name().to_owned();
         let (server, watermark) = link
-            .handle
+            .follower
             .promote()
             .ok_or("promoted follower had no replica state")?;
         self.term += 1;
-        self.next_digest_at = if self.digest_every > 0 {
-            self.digest_every
-        } else {
-            u64::MAX
-        };
-        for l in &mut self.links {
-            l.acked_term = 0;
-            l.acked = 0;
-            l.sent_through = 0;
-            l.last_acked = 0;
-            l.delayed.clear();
-        }
-        let lost_records = old_appended.saturating_sub(watermark);
+        self.next_digest_at = Self::first_digest(self.digest_every);
+        self.links.iter_mut().for_each(Link::restart);
         let report = FailoverReport {
             new_term: self.term,
-            promoted: promoted_name,
+            promoted: link.name,
             promoted_watermark: watermark,
             old_appended,
-            lost_records,
+            lost_records: old_appended.saturating_sub(watermark),
             acked_lost: acked_through.saturating_sub(watermark),
         };
         Ok((server, report))
-    }
-
-    /// Sends raw bytes down follower `idx`'s link (a corrupt frame, in
-    /// tests).
-    #[cfg(test)]
-    pub(super) fn send_raw(&self, idx: usize, bytes: Vec<u8>) -> bool {
-        self.links[idx].handle.send(FollowerMsg::Frames(bytes))
-    }
-
-    /// Shuts down every follower thread and joins it.
-    pub fn shutdown(&mut self) {
-        for link in self.links.drain(..) {
-            link.handle.shutdown();
-        }
     }
 }

@@ -6,8 +6,10 @@
 //! observer of its write-ahead journal. A [`ReplicationHub`] streams every
 //! appended [`Record`](crate::journal::Record) (plus
 //! [`ServerImage`](crate::journal::ServerImage) snapshots for catch-up
-//! and compaction handoff) to N follower threads over in-process
-//! channels. Followers rebuild state through the leader's own apply step
+//! and compaction handoff) to N followers, each reached through one
+//! [`FollowerLink`]: a [`Follower`] on the hub's own thread, a daemon's
+//! faulted hop, or a thread of its own. Followers rebuild state through
+//! the leader's own apply step
 //! ([`PbsServer::execute`](crate::server::PbsServer::execute)), so leader
 //! and follower execute the identical deterministic code — divergence is
 //! detectable by construction and checked at every snapshot boundary plus
@@ -22,7 +24,7 @@
 //!
 //! The transport is hardened the way an on-the-wire journal must be:
 //! each frame is length-delimited and CRC-32 protected; a torn trailing
-//! frame (the partial-write crash artifact) is truncated and counted,
+//! frame (the partial-write crash artifact) is truncated,
 //! while a CRC mismatch (bit corruption) is a hard error. A payload is
 //! one frame in the binary encoding of [`crate::codec`] (varints, tag
 //! bytes, length-prefixed strings and vectors); the decoder accepts only
@@ -30,11 +32,12 @@
 //! error too. Per pump the hub encodes the tail once into one buffer and
 //! hands every link its suffix; [`HubStats::bytes_sent`] counts the bytes.
 //!
-//! Delivery is at-least-once and unordered: the hub go-back-N resends
-//! from the follower's acked watermark when progress stalls, and the
-//! follower keeps a reorder buffer, applying only the contiguous prefix.
-//! Faults ([`ReplFaultPlan`]) therefore delay convergence but can never
-//! corrupt it.
+//! Delivery is go-back-N: a follower applies a frame only at the
+//! position after its watermark and ignores every other, and the hub
+//! resends from the follower's acked watermark when progress stalls. The
+//! hub owns no thread and draws no fault; whatever a link does to a run —
+//! loses, duplicates or delays it — therefore delays convergence but can
+//! never corrupt it.
 //!
 //! Failover promotes the highest-watermark follower: its server state is
 //! byte-identical to the crashed leader at the replicated watermark (the
@@ -51,12 +54,10 @@ mod hub;
 #[cfg(test)]
 mod tests;
 
-pub use follower::{Follower, FollowerHandle, FollowerMsg, WatermarkReply};
+pub use follower::Follower;
 pub use framing::{
     crc32, decode_frames, deframe, digest64, encode_frame, frame, tail_frames, Deframed, Frame,
 };
-pub use hub::{
-    FailoverReport, FollowerCrash, HubConfig, HubStats, PumpReport, ReplFaultPlan, ReplicationHub,
-};
+pub use hub::{FailoverReport, FollowerLink, HubConfig, HubStats, ReplicationHub, WatermarkReply};
 #[cfg(test)]
 pub(crate) use tests::installed;

@@ -8,6 +8,7 @@ use dynbatch_core::{
     AllocPolicy, DfsConfig, GroupId, JobSpec, SchedulerConfig, SimDuration, SimTime, UserId,
 };
 use dynbatch_sched::Maui;
+use dynbatch_simtime::SplitMix64;
 
 fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -223,7 +224,7 @@ fn record_frames_cost_a_third_of_the_records_json() {
         digest_every: 0,
         ..HubConfig::default()
     });
-    hub.add_follower("tst-repl-bytes");
+    hub.add_follower("tst-repl-bytes", Follower::new());
     let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     leader.enable_journal(0);
     hub.pump(&leader); // the genesis snapshot seeds the follower
@@ -245,7 +246,6 @@ fn record_frames_cost_a_third_of_the_records_json() {
         frame_bytes * 3.0 <= json,
         "{frame_bytes:.1} B per record frame vs {json:.1} B of JSON"
     );
-    hub.shutdown();
 }
 
 #[test]
@@ -261,7 +261,7 @@ fn follower_reaches_leader_digest_in_order() {
 }
 
 #[test]
-fn follower_tolerates_reorder_dup_and_checks_digests() {
+fn follower_ignores_duplicates_and_early_frames_and_checks_digests() {
     let leader = scripted_leader(0);
     let mut frames = tail_frames(leader.journal().unwrap(), 1, 1);
     let top = leader.journal().unwrap().total_appended();
@@ -270,10 +270,14 @@ fn follower_tolerates_reorder_dup_and_checks_digests() {
         pos: top,
         digest: digest64(&to_bytes(&leader.image())),
     });
-    // Deliver in reverse with every frame duplicated: the reorder
-    // buffer + dup suppression must still converge byte-identically.
+    // Every frame twice, and the one after it once ahead of it: the
+    // duplicate is stale and the early frame is ignored (the hub resends
+    // it), so the in-order pass still converges byte-identically.
     let mut f = Follower::new();
-    for frame in frames.iter().rev() {
+    for (i, frame) in frames.iter().enumerate() {
+        if let Some(next) = frames.get(i + 1) {
+            f.apply_frame(next.clone()).unwrap();
+        }
         f.apply_frame(frame.clone()).unwrap();
         f.apply_frame(frame.clone()).unwrap();
     }
@@ -292,6 +296,81 @@ fn follower_tolerates_reorder_dup_and_checks_digests() {
         })
         .is_err());
     assert!(bad.error().is_some());
+}
+
+/// A test transport: `deliver` decides what becomes of each run sent to
+/// the follower.
+struct Wire<F> {
+    follower: Follower,
+    deliver: F,
+}
+
+fn wire<F: FnMut(&mut Follower, Vec<u8>)>(deliver: F) -> Wire<F> {
+    let follower = Follower::new();
+    Wire { follower, deliver }
+}
+
+impl<F: FnMut(&mut Follower, Vec<u8>)> FollowerLink for Wire<F> {
+    fn send(&mut self, run: Vec<u8>) -> bool {
+        (self.deliver)(&mut self.follower, run);
+        true
+    }
+
+    fn ack(&mut self) -> Option<WatermarkReply> {
+        self.follower.ack()
+    }
+
+    fn image(&mut self) -> Option<Vec<u8>> {
+        self.follower.image()
+    }
+
+    fn promote(self) -> Option<(PbsServer, u64)> {
+        self.follower.promote()
+    }
+}
+
+/// A run delivered after a later one: the follower ignores the later
+/// run's records, which lie past its watermark, and the hub resends them
+/// once the watermark stalls — no error, and the replica converges.
+/// (Watermarks are read every fourth pump, so two runs are in flight
+/// between reads.)
+#[test]
+fn a_run_overtaken_by_a_later_one_converges_through_a_resend() {
+    let mut hub = ReplicationHub::new(HubConfig {
+        ack_every: 4,
+        ..HubConfig::default()
+    });
+    // After the seed, every other run is held and delivered right after
+    // the next one, to the seeded follower.
+    let (mut sent, mut held) = (0, None);
+    let overtaken = wire(move |f, run| {
+        sent += 1;
+        if sent % 2 == 0 {
+            held = Some(run);
+        } else {
+            f.send(run);
+            held.take().map(|early| f.send(early));
+        }
+    });
+    hub.add_follower("tst-repl-late", overtaken);
+    let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
+    leader.enable_journal(0);
+    hub.pump(&leader); // the seed
+    let mut m = hp_maui();
+    for k in 0..6u64 {
+        submit(&mut leader, rigid(&format!("L{k}"), 0, 8, 30), t(k)).unwrap();
+        cycle(&mut leader, &mut m, t(k));
+        let errors = hub.pump(&leader);
+        assert!(errors.is_empty(), "{errors:?}");
+    }
+    let top = leader.journal().unwrap().total_appended();
+    assert!(hub.await_replicated(&leader, top));
+    assert!(hub.pump(&leader).is_empty());
+    assert!(
+        hub.stats().resends >= 1,
+        "the overtaken records were resent"
+    );
+    assert_eq!(hub.follower_image(0).unwrap(), to_bytes(&leader.image()));
 }
 
 #[test]
@@ -330,11 +409,10 @@ fn catchup_via_snapshot_after_compaction() {
 fn hub_streams_and_fails_over() {
     let mut hub = ReplicationHub::new(HubConfig {
         digest_every: 4,
-        faults: ReplFaultPlan::none(7),
         ..HubConfig::default()
     });
-    hub.add_follower("tst-repl-a");
-    hub.add_follower("tst-repl-b");
+    hub.add_follower("tst-repl-a", Follower::new());
+    hub.add_follower("tst-repl-b", Follower::new());
     let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     leader.enable_journal(0);
     let mut m = hp_maui();
@@ -364,28 +442,36 @@ fn hub_streams_and_fails_over() {
     let top2 = leader.journal().unwrap().total_appended();
     assert!(hub.await_replicated(&leader, top2));
     assert_eq!(hub.follower_image(0).unwrap(), to_bytes(&leader.image()));
-    hub.shutdown();
 }
 
+/// Lost runs, duplicates and a follower that loses its state only delay
+/// convergence: the hub resends from the watermark it reads and re-seeds
+/// the follower whose watermark fell.
 #[test]
-fn hub_converges_under_stream_faults() {
-    let faults = ReplFaultPlan {
-        seed: 11,
-        drop_permille: 200,
-        delay_permille: 200,
-        reorder_permille: 300,
-        follower_crashes: vec![FollowerCrash {
-            follower: 0,
-            after_record: 5,
-        }],
-    };
+fn hub_converges_over_a_lossy_link() {
     let mut hub = ReplicationHub::new(HubConfig {
         digest_every: 3,
-        faults,
         ..HubConfig::default()
     });
-    hub.add_follower("tst-replf-a");
-    hub.add_follower("tst-replf-b");
+    for (i, name) in ["tst-replf-a", "tst-replf-b"].into_iter().enumerate() {
+        // A fifth of the runs lost, a fifth duplicated, and the follower's
+        // state lost at the fifth send.
+        let (mut rng, mut sends) = (SplitMix64::new(11 + i as u64), 0);
+        let lossy = wire(move |f, run| {
+            sends += 1;
+            if sends == 5 {
+                *f = Follower::new();
+            }
+            if rng.chance_permille(200) {
+                return;
+            }
+            if rng.chance_permille(200) {
+                f.send(run.clone());
+            }
+            f.send(run);
+        });
+        hub.add_follower(name, lossy);
+    }
     let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     leader.enable_journal(5);
     let mut m = hp_maui();
@@ -397,74 +483,28 @@ fn hub_converges_under_stream_faults() {
         )
         .unwrap();
         cycle(&mut leader, &mut m, t(k));
-        hub.pump(&leader);
+        assert!(hub.pump(&leader).is_empty());
     }
     let top = leader.journal().unwrap().total_appended();
     assert!(hub.await_replicated(&leader, top));
     for i in 0..2 {
         assert_eq!(hub.follower_image(i).unwrap(), to_bytes(&leader.image()));
     }
-    assert!(hub.stats().follower_crashes >= 1);
-    hub.shutdown();
+    assert!(hub.stats().snapshots_sent >= 4, "both followers re-seeded");
 }
 
-/// A crash point names a follower by the order it was added, over the
-/// hub's life: one added after a failover takes no crash drawn for a
-/// follower that survived it.
-#[test]
-fn a_follower_added_after_failover_takes_no_survivors_crash() {
-    const CRASH_AT: u64 = 40;
-    let faults = ReplFaultPlan {
-        follower_crashes: vec![FollowerCrash {
-            follower: 1,
-            after_record: CRASH_AT,
-        }],
-        ..ReplFaultPlan::none(3)
-    };
-    let mut hub = ReplicationHub::new(HubConfig {
-        faults,
-        ..HubConfig::default()
-    });
-    hub.add_follower("tst-repl-add-a");
-    hub.add_follower("tst-repl-add-b");
-    let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
-    leader.enable_journal(0);
-    for k in 0..3u64 {
-        submit(&mut leader, rigid(&format!("A{k}"), 0, 8, 30), t(k)).unwrap();
-    }
-    let top = leader.journal().unwrap().total_appended();
-    assert!(top < CRASH_AT);
-    assert!(hub.await_replicated(&leader, top));
-    // The first follower is promoted; the second, which carries the
-    // crash, survives; a third joins.
-    let (mut leader, report) = hub.fail_over(top, top).unwrap();
-    assert_eq!(report.promoted, "tst-repl-add-a");
-    hub.add_follower("tst-repl-add-c");
-    leader.enable_journal(0);
-    let mut k = 0;
-    while leader.journal().unwrap().total_appended() <= CRASH_AT {
-        submit(&mut leader, rigid(&format!("B{k}"), 1, 8, 30), t(10 + k)).unwrap();
-        hub.pump(&leader);
-        k += 1;
-    }
-    let top = leader.journal().unwrap().total_appended();
-    assert!(hub.await_replicated(&leader, top));
-    assert_eq!(hub.stats().follower_crashes, 1, "only the survivor crashed");
-    hub.shutdown();
-}
-
-/// A follower that has heard only a record frame of the current term has
-/// adopted the term but holds no replica: failover never promotes it. A
-/// seeded peer is promoted instead; with none left, the follower stays
-/// attached and there is nobody to promote.
+/// A follower that has heard only a record frame of the current term
+/// holds no replica: failover never promotes it. A seeded peer is
+/// promoted instead; with none left, the follower stays attached and
+/// there is nobody to promote.
 #[test]
 fn failover_never_promotes_a_follower_without_a_replica() {
     let leader = scripted_leader(0);
     let top = leader.journal().unwrap().total_appended();
     let mut hub = ReplicationHub::new(HubConfig::default());
-    hub.add_follower("tst-repl-seeded");
+    hub.add_follower("tst-repl-seeded", Follower::new());
     assert!(hub.await_replicated(&leader, top));
-    hub.add_follower("tst-repl-bare");
+    hub.add_follower("tst-repl-bare", Follower::new());
     let (_, report) = hub.fail_over(top, top).unwrap();
     assert_eq!(report.promoted, "tst-repl-seeded");
     // The new term's first record reaches the bare follower before any
@@ -474,11 +514,14 @@ fn failover_never_promotes_a_follower_without_a_replica() {
         pos: 2,
         record: Record::ExpireSweep { now: t(99) },
     };
-    assert!(hub.send_raw(0, encode_frame(&record)));
+    assert!(hub
+        .followers_mut()
+        .next()
+        .unwrap()
+        .send(encode_frame(&record)));
     let err = hub.fail_over(1, 1).unwrap_err();
     assert_eq!(err, "no live follower to promote");
     assert_eq!(hub.acked_watermarks().len(), 1, "the follower left the hub");
-    hub.shutdown();
 }
 
 /// A follower poisoned by a corrupt frame leaves the ensemble as a dead
@@ -488,8 +531,8 @@ fn failover_never_promotes_a_follower_without_a_replica() {
 #[test]
 fn a_poisoned_follower_leaves_the_watermark_and_is_reported_once() {
     let mut hub = ReplicationHub::new(HubConfig::default());
-    hub.add_follower("tst-repl-poison-a");
-    hub.add_follower("tst-repl-poison-b");
+    hub.add_follower("tst-repl-poison-a", Follower::new());
+    hub.add_follower("tst-repl-poison-b", Follower::new());
     let mut leader = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     leader.enable_journal(16);
     let mut errors = Vec::new();
@@ -504,10 +547,10 @@ fn a_poisoned_follower_leaves_the_watermark_and_is_reported_once() {
             });
             let n = corrupt.len();
             corrupt[n - 1] ^= 0x40;
-            assert!(hub.send_raw(1, corrupt));
+            assert!(hub.followers_mut().nth(1).unwrap().send(corrupt));
         }
         // What the daemon does at every command boundary.
-        errors.extend(hub.stream(&mut leader).errors);
+        errors.extend(hub.stream(&mut leader));
     }
     assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(errors[0].starts_with("tst-repl-poison-b: "), "{errors:?}");
@@ -524,13 +567,12 @@ fn a_poisoned_follower_leaves_the_watermark_and_is_reported_once() {
     assert!(hub.stats().pumps - pumps <= 2, "await_replicated wedged");
     assert_eq!(hub.replicated_watermark(), Some(top));
     assert_eq!(hub.acked_watermarks(), vec![top, 0]);
-    assert!(hub.pump(&leader).errors.is_empty(), "reported once");
-    hub.shutdown();
+    assert!(hub.pump(&leader).is_empty(), "reported once");
 }
 
 /// A snapshot record in a record frame is not something the leader
-/// sends: an unseeded follower must not install it, a seeded one must
-/// not take it for a boundary.
+/// sends: an unseeded follower ignores it (it takes nothing but a
+/// snapshot frame), a seeded one must not take it for a boundary.
 #[test]
 fn snapshot_travelling_as_a_record_poisons_the_follower() {
     let leader = scripted_leader(0);
@@ -543,10 +585,9 @@ fn snapshot_travelling_as_a_record_poisons_the_follower() {
     };
 
     let mut unseeded = Follower::new();
-    let err = unseeded.apply_frame(hostile(1)).unwrap_err();
-    assert!(err.contains("before any snapshot"), "{err}");
+    unseeded.apply_frame(hostile(1)).unwrap();
     assert!(unseeded.server().is_none(), "the image was installed");
-    assert!(unseeded.error().is_some());
+    assert_eq!(unseeded.watermark(), 0);
 
     let mut seeded = Follower::new();
     for f in tail_frames(journal, 1, 1) {
@@ -570,28 +611,32 @@ fn snapshot_travelling_as_a_record_poisons_the_follower() {
         .is_err());
 }
 
-/// A digest check for position 0 reaches a follower no snapshot has
-/// seeded yet (its watermark is 0 too): it poisons the follower — and,
-/// in a follower thread, reaches the watermark report — instead of
-/// panicking on the missing replica.
+/// A follower no snapshot has seeded yet (its watermark is 0) takes
+/// nothing but a snapshot: a digest check for position 0, a mark or a
+/// record is ignored — no panic on the missing replica, no error — and
+/// the seed that follows installs.
 #[test]
-fn digest_before_any_snapshot_poisons_instead_of_panicking() {
+fn an_unseeded_follower_ignores_all_but_a_snapshot() {
+    let leader = scripted_leader(0);
+    let mut frames = tail_frames(leader.journal().unwrap(), 1, 1).into_iter();
+    let seed = frames.next().unwrap();
+    let mut f = Follower::new();
     let digest = Frame::Digest {
         term: 1,
         pos: 0,
         digest: 0,
     };
-    let mut f = Follower::new();
-    let err = f.apply_bytes(&encode_frame(&digest)).unwrap_err();
-    assert!(err.contains("before any snapshot"), "{err}");
-    assert_eq!(f.error(), Some(err.as_str()));
-    assert_eq!(f.apply_frame(digest.clone()), Err(err));
-
-    let thread = FollowerHandle::spawn("tst-repl-digest0");
-    assert!(thread.send(FollowerMsg::Frames(encode_frame(&digest))));
-    let report = thread.watermark().expect("the follower thread is alive");
-    assert!(report.error.unwrap().contains("before any snapshot"));
-    thread.shutdown();
+    f.apply_bytes(&encode_frame(&digest)).unwrap();
+    f.apply_frame(Frame::Mark { term: 1, pos: 1 }).unwrap();
+    for frame in frames.clone() {
+        f.apply_frame(frame).unwrap();
+    }
+    assert_eq!((f.term(), f.watermark(), f.error()), (0, 0, None));
+    f.apply_frame(seed).unwrap();
+    for frame in frames {
+        f.apply_frame(frame).unwrap();
+    }
+    assert_eq!(f.image_bytes().unwrap(), to_bytes(&leader.image()));
 }
 
 /// Property: whatever a faulty transport does to a leader's true tail

@@ -22,7 +22,7 @@ use dynbatch_core::{JobId, SchedulerConfig, SimDuration, SimTime};
 use dynbatch_metrics::UtilizationRecorder;
 use dynbatch_sched::{DynDecision, Maui};
 use dynbatch_server::reactor::{Command, Reply};
-use dynbatch_server::replication::{PumpReport, ReplicationHub};
+use dynbatch_server::replication::{FollowerLink, ReplicationHub};
 use dynbatch_server::{Applied, Effect, PbsServer, Record};
 use dynbatch_simtime::Token;
 use dynbatch_workload::WorkloadItem;
@@ -229,7 +229,10 @@ impl BatchSim {
     }
 
     /// One replication round over the journal, for the replicated driver.
-    pub(crate) fn stream_to(&mut self, hub: &mut ReplicationHub) -> PumpReport {
+    pub(crate) fn stream_to<L: FollowerLink>(
+        &mut self,
+        hub: &mut ReplicationHub<L>,
+    ) -> Vec<String> {
         self.core.stream_to(hub)
     }
 

@@ -26,7 +26,7 @@ use dynbatch_core::{
 };
 use dynbatch_sched::{DynDecision, Maui};
 use dynbatch_server::reactor::{apply_to_server, Command, Reply};
-use dynbatch_server::replication::{PumpReport, ReplicationHub};
+use dynbatch_server::replication::{FollowerLink, ReplicationHub};
 use dynbatch_server::{Applied, Effect, PbsServer, Record};
 use dynbatch_simtime::{EventQueue, ScheduledEvent, Token};
 use std::collections::HashMap;
@@ -162,7 +162,7 @@ impl EventCore {
 
     /// One replication round over the server's journal
     /// ([`ReplicationHub::stream`]).
-    pub fn stream_to(&mut self, hub: &mut ReplicationHub) -> PumpReport {
+    pub fn stream_to<L: FollowerLink>(&mut self, hub: &mut ReplicationHub<L>) -> Vec<String> {
         hub.stream(&mut self.server)
     }
 

@@ -180,13 +180,25 @@ fi
 echo "==> every fault in one plan: the replication stream's faults and the server's"
 echo "    crashes live in FaultPlan, DaemonConfig is the deployment alone, and the"
 echo "    failover suite waits on no wall clock"
-if grep -rn 'ReplFaultPlan' crates/daemon tests/replication_failover.rs tests/chaos_daemon.rs \
-      tests/reactor_chaos.rs \
-    || grep -rnE 'struct Replication\b' crates/daemon \
+if grep -rnE 'struct Replication\b' crates/daemon \
     || awk '/pub struct DaemonConfig/,/^}/' crates/daemon/src/daemon.rs | grep -n 'server_crashes' \
     || grep -n 'thread::sleep' tests/replication_failover.rs; then
   echo "a second fault plan, a fault in the deployment or a sleep came back (see above)"
   exit 1
+fi
+
+echo "==> replication without a second fault plan or follower threads in the"
+echo "    daemon: the hub draws no fault (the daemon's hops take the plan's"
+echo "    expendable rule), and the only follower threads are ReplicatedSim's"
+if grep -rnE 'ReplFaultPlan|reorder_permille|FollowerMsg::Crash' crates src tests examples \
+    || grep -n 'fn stream(' crates/daemon/src/fault.rs; then
+  echo "a second fault plan or its pieces came back (see above)"; exit 1
+fi
+spawners=$(grep -rlE 'thread::(spawn|Builder|scope)' crates src tests examples \
+    | xargs grep -lE '\bFollower(Link)?\b' | grep -vx 'crates/sim/src/replica_drive.rs' || true)
+if [ -n "$spawners" ]; then
+  echo "a follower thread is spawned outside crates/sim/src/replica_drive.rs:"
+  echo "$spawners"; exit 1
 fi
 
 echo "==> one mom and one link rule: the mom lives in the daemon crate as one entry"

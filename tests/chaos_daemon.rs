@@ -9,8 +9,9 @@
 //! (recovery = snapshot-load + replay, then re-arming deadlines and
 //! re-attaching moms). A quarter of the seeds boot with two followers:
 //! there each server crash is a **leader kill** (a follower is promoted),
-//! and the same seed drops, defers and shuffles the replication stream's
-//! frames and crashes followers. The invariants asserted for every seed:
+//! and the same seed drops, delays and duplicates the replication
+//! stream's runs and crashes followers. The invariants asserted for every
+//! seed:
 //!
 //! 1. the ensemble **drains** — no lost message may wedge a job;
 //! 2. per-job **final states match the fault-free run** (everything
@@ -26,6 +27,10 @@
 //!    server image, journal length and delivery count;
 //! 7. with followers, **no acked record is lost** in a failover and no
 //!    follower diverges (`acked_lost == 0`, no replication error).
+//!
+//! Over each test's follower seeds, the plan must have dropped, delayed
+//! and duplicated runs and crashed followers: a refactor that quietly
+//! stopped faulting replication fails here.
 //!
 //! The run is single-threaded and sleeps nowhere, so a failing seed is a
 //! one-line repro. `chaos_seeds_00_09` … `chaos_seeds_40_49` take the
@@ -49,9 +54,11 @@ fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
     JobSpec::rigid(name, UserId(user), GroupId(0), cores, runtime)
 }
 
-/// One run: each job's final state in submission order, and the trace
-/// fingerprint. Asserts drain and the grant and mom invariants.
-type Run = (Vec<Option<JobState>>, (Vec<u8>, u64, u64));
+/// One run: each job's final state in submission order, the trace
+/// fingerprint and, with followers, the runs the plan dropped, delayed
+/// and duplicated and the followers it crashed. Asserts drain and the
+/// grant and mom invariants.
+type Run = (Vec<Option<JobState>>, (Vec<u8>, u64, u64), Option<[u64; 4]>);
 
 /// Seed `seed`'s deployment: 4 nodes, with two followers on a quarter
 /// of the seeds.
@@ -123,13 +130,18 @@ fn run_workload(config: DaemonConfig, faults: FaultPlan) -> Run {
     ids.extend(fillers);
     ids.push(victim);
     let states = ids.into_iter().map(|id| d.qstat(id)).collect();
-    (states, trace(&d))
+    let status = d.replication_status();
+    let stream = status.map(|s| {
+        let runs = [s.runs_dropped, s.runs_delayed, s.runs_duplicated];
+        [runs[0], runs[1], runs[2], s.follower_crashes]
+    });
+    (states, trace(&d), stream)
 }
 
 /// Fault-free reference, asserted against the scenario's intent so a
 /// silent workload drift cannot hollow out the sweep.
 fn baseline() -> Vec<Option<JobState>> {
-    let (states, _) = run_workload(config(0), FaultPlan::none(0));
+    let (states, ..) = run_workload(config(0), FaultPlan::none(0));
     let mut expected = vec![Some(JobState::Completed); 5];
     expected.push(Some(JobState::Cancelled));
     assert_eq!(states, expected, "fault-free run must complete everything");
@@ -137,25 +149,39 @@ fn baseline() -> Vec<Option<JobState>> {
 }
 
 /// One seed, twice: its final states must equal the fault-free run's, and
-/// its second run must replay the first exactly.
-fn chaos_seed(seed: u64, reference: &[Option<JobState>]) {
+/// its second run must replay the first exactly. Returns the replication
+/// stream's faults.
+fn chaos_seed(seed: u64, reference: &[Option<JobState>]) -> Option<[u64; 4]> {
     let config = config(seed);
     let faults = FaultPlan::from_seed(seed, &config, SimDuration::from_millis(300));
-    let (states, first) = run_workload(config.clone(), faults.clone());
+    let (states, first, stream) = run_workload(config.clone(), faults.clone());
     assert_eq!(
         states, reference,
         "seed {seed} diverged from fault-free run"
     );
-    let (_, second) = run_workload(config, faults);
+    let (_, second, _) = run_workload(config, faults);
     assert!(first == second, "seed {seed} is not one trace");
+    stream
 }
 
 fn sweep(seeds: Vec<u64>) {
     let reference = baseline();
     let workers = dynbatch::sim::sweep::worker_count(0).div_ceil(4).min(4);
-    dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
+    let faults = dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
         chaos_seed(seeds[i], &reference)
     });
+    let mut totals = [0; 4];
+    for seed in faults.iter().flatten() {
+        totals
+            .iter_mut()
+            .zip(seed)
+            .for_each(|(total, n)| *total += n);
+    }
+    assert!(
+        faults.iter().all(Option::is_none) || !totals.contains(&0),
+        "over the follower seeds, runs dropped, delayed, duplicated and follower crashes: \
+         {totals:?}"
+    );
 }
 
 /// The net engaged but silent: the scenario's intent holds, and the

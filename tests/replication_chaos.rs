@@ -1,12 +1,14 @@
 //! Replication chaos: the 50-seed leader-kill sweep.
 //!
-//! Each seed derives a stream-fault mix (frame drops, one-pump delays,
-//! batch reorders, follower crash/reseed cycles) and a leader-kill
+//! Each seed derives a daemon's [`FaultPlan`] — its run drops, one-pump
+//! delays and duplicates, drawn by the rule every expendable delivery
+//! takes, and its follower crash/reseed cycles — and a leader-kill
 //! coordinate in `total_appended` space, then drives a scripted scenario
-//! on a journaled leader replicated to two followers. When the leader's
-//! journal passes the kill coordinate the leader is abandoned (no
-//! further pumps — a real crash ships nothing) and the hub promotes the
-//! highest-watermark follower.
+//! on a journaled leader replicated to two followers, hosted the way the
+//! daemon hosts them ([`Replicas`]). When the leader's journal passes
+//! the kill coordinate the leader is abandoned (no further pumps — a
+//! real crash ships nothing) and the hub promotes the highest-watermark
+//! follower.
 //!
 //! Invariants per seed:
 //!
@@ -26,8 +28,6 @@
 //!    from the same boundary by journal recovery.
 //! 4. **Survivors re-seed under the new term** — the non-promoted
 //!    follower converges to the promoted leader's digest after failover.
-//! 5. **Zero leaked threads** — after `shutdown()`, no follower thread
-//!    tagged with this seed's prefix survives (`/proc/self/task` scan).
 //!
 //! If every follower happens to be mid-reseed at the kill (both crashed
 //! by the fault plan, catch-up frames still in flight), promotion
@@ -39,8 +39,9 @@ mod common;
 use common::*;
 use dynbatch::cluster::Cluster;
 use dynbatch::core::codec::to_bytes;
-use dynbatch::core::AllocPolicy;
-use dynbatch::server::replication::{HubConfig, ReplFaultPlan, ReplicationHub};
+use dynbatch::core::{AllocPolicy, SimDuration};
+use dynbatch::daemon::{DaemonConfig, FaultPlan, Replicas};
+use dynbatch::server::replication::{Follower, HubConfig, ReplicationHub};
 use dynbatch::server::{Journal, PbsServer};
 use dynbatch::simtime::SplitMix64;
 
@@ -113,27 +114,34 @@ fn drive_rest(mut s: PbsServer, from: usize) -> (String, String) {
     (s.state_digest(), accounting_text(&s))
 }
 
+/// What the daemon does at a command boundary: fire the follower
+/// crashes the leader's journal has reached, then pump.
+fn pump(replicas: &mut Replicas, leader: &PbsServer) {
+    replicas.fire_crashes(leader.journal().unwrap().total_appended());
+    replicas.hub().pump(leader);
+}
+
 fn chaos_run(seed: u64, reference: &Reference) {
     let mut rng = SplitMix64::new(seed).derive(0x5245_504c);
     let total = *reference.appended_at.last().unwrap();
     // Kill somewhere past the first mutation but possibly before the end.
     let kill_at = 2 + rng.next_below(total - 1);
-    let horizon = total;
 
-    let tag = format!("rc{seed:02}f");
     let cfg = HubConfig {
         digest_every: [0u64, 4, 32][rng.next_below(3) as usize],
-        faults: ReplFaultPlan::from_seed(seed, 2, horizon),
         ..HubConfig::default()
     };
-    let mut hub = ReplicationHub::new(cfg);
-    hub.add_follower(&format!("{tag}0"));
-    hub.add_follower(&format!("{tag}1"));
+    let deployment = DaemonConfig {
+        followers: 2,
+        ..DaemonConfig::default()
+    };
+    let plan = FaultPlan::from_seed(seed, &deployment, SimDuration::from_millis(300));
+    let mut replicas = Replicas::new(plan, 2, cfg);
 
     let mut s = PbsServer::new(Cluster::homogeneous(15, 8), AllocPolicy::Pack);
     s.enable_journal(0);
     let mut m = hp_maui();
-    hub.pump(&s); // genesis seed
+    pump(&mut replicas, &s); // genesis seed
 
     let mut acked_through = 0u64;
     let mut killed_after_op: Option<usize> = None;
@@ -145,11 +153,11 @@ fn chaos_run(seed: u64, reference: &Reference) {
             killed_after_op = Some(i);
             break;
         }
-        hub.pump(&s);
+        pump(&mut replicas, &s);
         // ~40% of boundaries ack under the replication gate.
         if rng.chance_permille(400) {
             assert!(
-                hub.await_replicated(&s, appended),
+                replicas.hub().await_replicated(&s, appended),
                 "seed {seed}: replication gate wedged at record {appended}"
             );
             acked_through = appended;
@@ -158,6 +166,7 @@ fn chaos_run(seed: u64, reference: &Reference) {
     let killed_after_op = killed_after_op.expect("kill coordinate inside the script");
     let old_appended = s.journal().unwrap().total_appended();
 
+    let hub = replicas.hub();
     match hub.fail_over(old_appended, acked_through) {
         Ok((mut promoted, report)) => {
             // Invariant 2: the gate means no acked command is ever lost.
@@ -198,7 +207,7 @@ fn chaos_run(seed: u64, reference: &Reference) {
             // Invariant 3: the promoted leader continues the remaining
             // script exactly like a journal-recovered reference would.
             promoted.enable_journal(0); // new term, fresh genesis
-            hub.pump(&promoted); // survivors re-seed under term 2
+            pump(&mut replicas, &promoted); // survivors re-seed under term 2
             let ref_server = match boundary_of(reference, w) {
                 None => PbsServer::recover(reference.base_journal.clone()),
                 Some(b) => PbsServer::recover(reference.journals[b].clone()),
@@ -209,7 +218,7 @@ fn chaos_run(seed: u64, reference: &Reference) {
             let mut m2 = hp_maui();
             for (secs, step) in script().iter().skip(resume_at) {
                 apply_step(&mut promoted, &mut m2, step, t(*secs));
-                hub.pump(&promoted);
+                pump(&mut replicas, &promoted);
             }
             assert_eq!(
                 promoted.state_digest(),
@@ -225,6 +234,7 @@ fn chaos_run(seed: u64, reference: &Reference) {
             // Invariant 4: the surviving follower converges to the new
             // leader's encoded image under the bumped term.
             let target = promoted.journal().unwrap().total_appended();
+            let hub = replicas.hub();
             assert!(
                 hub.await_replicated(&promoted, target),
                 "seed {seed}: survivor never converged under term 2"
@@ -255,10 +265,6 @@ fn chaos_run(seed: u64, reference: &Reference) {
             );
         }
     }
-
-    // Invariant 5: no leaked follower threads.
-    hub.shutdown();
-    assert_no_tagged_threads(&tag);
 }
 
 fn sweep(seeds: std::ops::Range<u64>) {
@@ -304,7 +310,7 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
     let mut m = hp_maui();
 
     let mut hub = ReplicationHub::new(HubConfig::default());
-    hub.add_follower("rcomp0");
+    hub.add_follower("rcomp0", Follower::new());
     hub.pump(&s);
 
     let all = script();
@@ -320,7 +326,7 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
     let mid_appended = j.total_appended();
 
     // Late follower: snapshot transfer is its only way in.
-    hub.add_follower("rcomp1");
+    hub.add_follower("rcomp1", Follower::new());
     for (secs, step) in &all[half..] {
         apply_step(&mut s, &mut m, step, t(*secs));
         hub.pump(&s);
@@ -335,6 +341,4 @@ fn compaction_handoff_preserves_digest_and_coordinates() {
             "follower {idx} diverged across the compaction handoff"
         );
     }
-    hub.shutdown();
-    assert_no_tagged_threads("rcomp");
 }

@@ -3,7 +3,8 @@
 //! reactor clients on the wire. Every test with a leader kill or a stream
 //! fault runs in virtual time (`DaemonHandle::simulate`, the faults in
 //! one `FaultPlan`), so it sleeps nowhere and pins its instants; one
-//! fault-free test runs the followers on threads.
+//! fault-free test runs the ensemble on the wall clock. Neither driver
+//! gives a follower a thread: the server daemon hosts them inline.
 //!
 //! Covers the daemon half of the replication contract:
 //!
@@ -19,14 +20,14 @@
 //!   leader (grant or window expiry), never left hanging; the
 //!   reconcile sweep only denies callers whose records died unreplicated,
 //!   and a denied caller's job takes its next `tm_dynget` at once.
-//! * **The leader answers every read** — with every frame deferred and
-//!   shuffled, the followers trail the leader, and a `qstat` after an
+//! * **The leader answers every read** — with every run deferred to the
+//!   next pump, the followers trail the leader, and a `qstat` after an
 //!   acked `qsub` still observes the job: follower reads are gone, so no
 //!   read waits on, or sees, a follower.
 
 mod common;
 
-use common::{assert_no_tagged_threads, tagged_threads_at_least};
+use common::{assert_no_tagged_threads, tagged_threads, tagged_threads_at_least};
 use dynbatch::core::{
     DfsConfig, GroupId, JobId, JobSpec, JobState, SchedulerConfig, SimDuration, SimTime, UserId,
 };
@@ -245,9 +246,8 @@ fn typed_door_acks_are_replication_gated() {
     assert_failovers(&d, 1);
 }
 
-/// The leader answers every read while the stream lags: with every frame
-/// deferred a pump and every batch shuffled, the followers chronically
-/// trail the leader — yet a `qstat` issued right after an acked `qsub`
+/// The leader answers every read while the stream lags: with every run
+/// deferred a pump, the followers chronically trail the leader — yet a `qstat` issued right after an acked `qsub`
 /// observes the job (`Reply::Status`), on the writing connection and on
 /// one that never wrote.
 #[test]
@@ -287,17 +287,42 @@ fn the_leader_answers_every_read_while_the_stream_lags() {
     assert_failovers(&d, 0);
 }
 
-/// The fault-free replicated ensemble on the wall clock: `1 + followers`
-/// threads (the ensemble's and one per follower), every follower at the
-/// leader's watermark once the workload drained, and not one thread left
-/// after `shutdown`.
+/// Followers start no thread under `simulate`: none is alive at boot,
+/// after a leader kill (whose host rejoins as a follower) or after the
+/// drain — under any name a follower thread had (`rep0`, `rep1`,
+/// `rejoin{n}`).
+#[test]
+fn simulated_followers_start_no_thread() {
+    let no_follower_thread = |when: &str| {
+        for tag in ["rep0", "rep1", "rejoin"] {
+            let live = tagged_threads(tag);
+            assert!(live.is_empty(), "{when}: follower threads {live:?}");
+        }
+    };
+    let d = replicated(Some(4), FaultPlan::none(0));
+    no_follower_thread("at boot");
+    let ids: Vec<JobId> = (0..4u32)
+        .map(|i| d.qsub(spec(&format!("t{i}"), i, 4, 50)).expect("qsub"))
+        .collect();
+    assert_failovers(&d, 1);
+    no_follower_thread("after the leader kill");
+    assert!(d.await_drained(Duration::from_secs(1)));
+    for id in ids {
+        assert_eq!(d.qstat(id), Some(JobState::Completed));
+    }
+    no_follower_thread("after the drain");
+}
+
+/// The fault-free replicated ensemble on the wall clock: one thread, the
+/// ensemble's, with its followers inline; every follower at the leader's
+/// watermark once the workload drained, and not one thread left after
+/// `shutdown`.
 #[test]
 fn threaded_followers_keep_up_and_leave_no_thread() {
-    let config = replicated_config();
-    let threads = (1 + config.followers) as usize;
-    let d = DaemonHandle::start(config);
+    let d = DaemonHandle::start(replicated_config());
     let tag = d.thread_tag().to_string();
-    assert_eq!(tagged_threads_at_least(&tag, threads).len(), threads);
+    let ensemble = vec![format!("{tag}srv")];
+    assert_eq!(tagged_threads_at_least(&tag, 1), ensemble);
     let typed = d.qsub(spec("typed", 0, 8, 40)).expect("typed qsub");
     let client = d.connect();
     client.send("qsub name=line user=1 group=0 cores=4 wall_ms=40");
@@ -309,6 +334,11 @@ fn threaded_followers_keep_up_and_leave_no_thread() {
     for id in [typed, line] {
         assert_eq!(d.qstat(id), Some(JobState::Completed));
     }
+    assert_eq!(
+        tagged_threads(&tag),
+        ensemble,
+        "one thread, followers included"
+    );
     let status = d.replication_status().expect("replication is on");
     assert_eq!(status.follower_watermarks, vec![status.leader_appended; 2]);
     assert!(status.errors.is_empty(), "{:?}", status.errors);
