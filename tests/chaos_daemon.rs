@@ -24,7 +24,8 @@
 //! 5. once every delivery has landed, **no mom holds a job entry** (so no
 //!    parked caller and no fan-out);
 //! 6. the seed is **one trace**: a second run of it ends with the same
-//!    server image, journal length and delivery count;
+//!    server image, journal length and delivery count, and a tier-1
+//!    seed's trace is the one pinned in `tests/chaos_traces.txt`;
 //! 7. with followers, **no acked record is lost** in a failover and no
 //!    follower diverges (`acked_lost == 0`, no replication error).
 //!
@@ -41,8 +42,8 @@
 mod common;
 
 use common::{
-    assert_grant_held, assert_moms_empty, assert_moms_within_server, assert_replication_whole,
-    assert_requests_within_calls, deployment, seeds_ending, trace,
+    assert_grant_held, assert_moms_empty, assert_moms_within_server, assert_pinned,
+    assert_replication_whole, assert_requests_within_calls, deployment, seeds_ending, trace, Trace,
 };
 use dynbatch::core::{DfsConfig, GroupId, JobSpec, JobState, SchedulerConfig, SimDuration, UserId};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan};
@@ -58,7 +59,7 @@ fn rigid(name: &str, user: u32, cores: u32, millis: u64) -> JobSpec {
 /// fingerprint and, with followers, the runs the plan dropped, delayed
 /// and duplicated and the followers it crashed. Asserts drain and the
 /// grant and mom invariants.
-type Run = (Vec<Option<JobState>>, (Vec<u8>, u64, u64), Option<[u64; 4]>);
+type Run = (Vec<Option<JobState>>, Trace, Option<[u64; 4]>);
 
 /// Seed `seed`'s deployment: 4 nodes, with two followers on a quarter
 /// of the seeds.
@@ -149,9 +150,9 @@ fn baseline() -> Vec<Option<JobState>> {
 }
 
 /// One seed, twice: its final states must equal the fault-free run's, and
-/// its second run must replay the first exactly. Returns the replication
-/// stream's faults.
-fn chaos_seed(seed: u64, reference: &[Option<JobState>]) -> Option<[u64; 4]> {
+/// its second run must replay the first exactly. Returns its trace and the
+/// replication stream's faults.
+fn chaos_seed(seed: u64, reference: &[Option<JobState>]) -> (Trace, Option<[u64; 4]>) {
     let config = config(seed);
     let faults = FaultPlan::from_seed(seed, &config, SimDuration::from_millis(300));
     let (states, first, stream) = run_workload(config.clone(), faults.clone());
@@ -161,15 +162,17 @@ fn chaos_seed(seed: u64, reference: &[Option<JobState>]) -> Option<[u64; 4]> {
     );
     let (_, second, _) = run_workload(config, faults);
     assert!(first == second, "seed {seed} is not one trace");
-    stream
+    (first, stream)
 }
 
 fn sweep(seeds: Vec<u64>) {
     let reference = baseline();
     let workers = dynbatch::sim::sweep::worker_count(0).div_ceil(4).min(4);
-    let faults = dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
+    let runs = dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
         chaos_seed(seeds[i], &reference)
     });
+    let (traces, faults): (Vec<Trace>, Vec<_>) = runs.into_iter().unzip();
+    assert_pinned("chaos_daemon", &seeds, &traces);
     let mut totals = [0; 4];
     for seed in faults.iter().flatten() {
         totals

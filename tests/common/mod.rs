@@ -18,6 +18,7 @@ use dynbatch::core::{
 };
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, Virtual};
 use dynbatch::sched::Maui;
+use dynbatch::server::replication::digest64;
 use dynbatch::server::{PbsServer, Record};
 pub use dynbatch::sim::reactor_drive::accounting_text;
 use std::time::Duration;
@@ -288,4 +289,48 @@ pub fn trace(d: &DaemonHandle<Virtual>) -> (Vec<u8>, u64, u64) {
     let server = d.server();
     let appended = server.journal().map_or(0, |j| j.total_appended());
     (to_bytes(&server.image()), appended, d.deliveries())
+}
+
+/// A seed's trace: see [`trace`].
+pub type Trace = (Vec<u8>, u64, u64);
+
+/// The committed trace pins of the virtual-time chaos suites.
+const PINS: &str = include_str!("../chaos_traces.txt");
+
+/// Asserts the trace of every pinned seed among `seeds` — the seeds the
+/// tier-1 tests run, [`seeds_ending`]`(0..50)` — against its line in
+/// `tests/chaos_traces.txt`: `suite seed digest64(image) appended
+/// deliveries`. On a mismatch it names the differing seeds and writes this
+/// run's line for each of its pinned seeds to
+/// `target/chaos_traces/{suite}.{first}-{last}.txt`; the pin file's
+/// header says how to fold those files back into it.
+pub fn assert_pinned(suite: &str, seeds: &[u64], traces: &[Trace]) {
+    let pinned = seeds.iter().zip(traces);
+    let pinned = pinned.filter(|(seed, _)| **seed < 1000 && *seed % 100 < 50);
+    let actual: Vec<(u64, String)> = pinned
+        .map(|(seed, (image, appended, deliveries))| {
+            let digest = digest64(image);
+            let line = format!("{suite} {seed} {digest:016x} {appended} {deliveries}");
+            (*seed, line)
+        })
+        .collect();
+    let differing: Vec<u64> = actual
+        .iter()
+        .filter(|(_, line)| !PINS.lines().any(|pin| pin == line))
+        .map(|(seed, _)| *seed)
+        .collect();
+    if differing.is_empty() {
+        return;
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/target/chaos_traces");
+    let (first, last) = (seeds[0], seeds[seeds.len() - 1]);
+    let path = format!("{dir}/{suite}.{first}-{last}.txt");
+    let lines: String = actual.iter().map(|(_, line)| format!("{line}\n")).collect();
+    std::fs::create_dir_all(dir).expect("create target/chaos_traces");
+    std::fs::write(&path, lines).expect("write the actual traces");
+    panic!(
+        "{suite}: {} seeds differ from tests/chaos_traces.txt: {differing:?}; \
+         this run's lines are in {path}",
+        differing.len()
+    );
 }

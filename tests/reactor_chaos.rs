@@ -31,7 +31,8 @@
 //! 5. once every delivery has landed, **no mom holds a job entry** (so no
 //!    parked caller and no fan-out);
 //! 6. the seed is **one trace**: a second run of it ends with the same
-//!    server image, journal length and delivery count.
+//!    server image, journal length and delivery count, and a tier-1
+//!    seed's trace is the one pinned in `tests/chaos_traces.txt`.
 //!
 //! `reactor_churn_seeds_00_09` … `_40_49` take the seeds below 1000
 //! whose last two digits fall in their range (500 in all);
@@ -45,8 +46,8 @@
 mod common;
 
 use common::{
-    assert_grant_held, assert_moms_empty, assert_no_tagged_threads, assert_replication_whole,
-    assert_requests_within_calls, deployment, seeds_ending, trace,
+    assert_grant_held, assert_moms_empty, assert_no_tagged_threads, assert_pinned,
+    assert_replication_whole, assert_requests_within_calls, deployment, seeds_ending, trace, Trace,
 };
 use dynbatch::core::{DfsConfig, JobId, JobState, SchedulerConfig, SimDuration};
 use dynbatch::daemon::{DaemonConfig, DaemonHandle, FaultPlan, ServerCrash};
@@ -76,7 +77,7 @@ fn plan_with_crash(seed: u64, config: &DaemonConfig) -> FaultPlan {
 /// One chaos run: seed-derived waves of connect / submit / (read | churn)
 /// against a faulted 2-node ensemble. The invariants are asserted inside;
 /// returns the trace fingerprint.
-fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
+fn churn_run(seed: u64) -> Trace {
     let config = deployment(seed, 2, sched());
     let faults = plan_with_crash(seed, &config);
     let d = DaemonHandle::simulate(config, faults);
@@ -164,13 +165,13 @@ fn churn_run(seed: u64) -> (Vec<u8>, u64, u64) {
 
 fn sweep(seeds: Vec<u64>) {
     let workers = dynbatch::sim::sweep::worker_count(0).div_ceil(4).min(4);
-    dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
+    let traces = dynbatch::sim::sweep::parallel_tasks(seeds.len(), workers, |i| {
         let seed = seeds[i];
-        assert!(
-            churn_run(seed) == churn_run(seed),
-            "seed {seed} is not one trace"
-        );
+        let first = churn_run(seed);
+        assert!(first == churn_run(seed), "seed {seed} is not one trace");
+        first
     });
+    assert_pinned("reactor_chaos", &seeds, &traces);
 }
 
 #[test]
