@@ -5,18 +5,20 @@
 //! Each daemon is a state machine: it handles a message at an instant,
 //! acts on what is due by then, and says when it is next due. The server
 //! is the `ServerDaemon`; each compute node runs a `MomDaemon`. A daemon
-//! reaches another only through its net (the [`wire`](crate::wire) seam).
-//! An ensemble — the daemons, one queue of deliveries between them, and
-//! one inbox its clients write to ([`crate::fault`]) — is stepped by one
-//! loop under either of two clocks:
+//! shares nothing: it writes what it sends to other daemons into its own
+//! outbox (the server's is in its `Moms`). An ensemble ([`crate::fault`])
+//! owns the daemons, the net between them and the one inbox its clients
+//! write to; after each daemon step it moves that daemon's outbox onto
+//! the net. One loop steps it under either of two clocks:
 //!
-//! - **wall clock** ([`DaemonHandle::start`]): on one thread, named
-//!   `{tag}srv`, that sleeps on the inbox until the next deadline or
-//!   delivery is due (1 wall ms == 1 `SimTime` ms since boot), with no
-//!   fault. An ensemble runs exactly one thread, followers included: it
-//!   is named with the ensemble's [`DaemonHandle::thread_tag`] prefix and
-//!   is joined by [`DaemonHandle::shutdown`], so a shut-down ensemble
-//!   leaves zero live threads (the suites check `/proc/self/task`).
+//! - **wall clock** ([`DaemonHandle::start`]): booted on the caller's
+//!   thread and moved to one thread, named `{tag}srv`, that sleeps on the
+//!   inbox until the next deadline or delivery is due (1 wall ms == 1
+//!   `SimTime` ms since boot), with no fault. An ensemble runs exactly one
+//!   thread, followers included: it is named with the ensemble's
+//!   [`DaemonHandle::thread_tag`] prefix and is joined when the handle is
+//!   shut down or dropped, so nothing outlives the handle (the suites
+//!   check `/proc/self/task`).
 //! - **virtual** ([`DaemonHandle::simulate`]): on the caller's thread, in
 //!   virtual time, every handle call stepping the ensemble until its
 //!   answer arrives; the queue may fault deliveries. It starts no thread.
@@ -35,9 +37,7 @@
 //! that armed it, so a stale one can never act on a successor run.
 
 use crate::fault::{Ensemble, FaultPlan, Replicas};
-use crate::wire::{
-    ClientReq, Delivery, Link, MomMsg, MomToServer, Net, ReplicationStatus, ServerCmd,
-};
+use crate::wire::{ClientReq, Delivery, Link, MomMsg, MomToServer, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::{Allocation, Cluster};
 use dynbatch_core::{
     JobId, JobOutcome, JobSpec, JobState, NodeId, SchedulerConfig, SimDuration, SimTime, UserId,
@@ -52,7 +52,6 @@ use dynbatch_sim::{EventCore, Hook, RunEnd};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -89,12 +88,6 @@ impl Default for DaemonConfig {
 /// budget) stay unique across concurrently running tests.
 static ENSEMBLE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The mother superior of every running job, read by the handle's TM calls
-/// and written only by the server daemon.
-type Directory = Arc<Mutex<HashMap<JobId, NodeId>>>;
-
-const POISONED: &str = "a daemon panicked holding the mother-superior directory";
-
 /// How a [`DaemonHandle`] waits for an answer: [`Threads`] block on the
 /// channel, [`Virtual`](crate::fault::Virtual) steps the ensemble until it
 /// arrives.
@@ -106,10 +99,21 @@ pub trait Driver {
     fn ack(&self, client: &ReactorClient, timeout: Option<Duration>) -> Option<ReactorReply>;
 }
 
-/// The wall-clock driver: the thread the ensemble runs on.
+/// The wall-clock driver: the thread the ensemble runs on. Dropping it
+/// stops the ensemble and joins the thread.
 pub struct Threads {
-    thread: JoinHandle<()>,
+    thread: Option<JoinHandle<()>>,
+    inbox: Sender<Delivery>,
     tag: String,
+}
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        let _ = self.inbox.send(Delivery::Server(ServerCmd::Shutdown));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Driver for Threads {
@@ -122,11 +126,9 @@ impl Driver for Threads {
     }
 }
 
-/// What clients reach an ensemble by: its inbox, the directory that names
-/// each running job's mother superior, and the command reactor.
+/// What clients reach an ensemble by: its inbox and the command reactor.
 pub(crate) struct Door {
     pub(crate) inbox: Sender<Delivery>,
-    pub(crate) directory: Directory,
     pub(crate) reactor: ReactorConnector,
 }
 
@@ -144,23 +146,20 @@ pub struct DaemonHandle<D = Threads> {
 }
 
 impl DaemonHandle<Threads> {
-    /// Boots the ensemble on its own thread — its followers' too —,
-    /// fault-free, paced by the wall clock.
+    /// Boots the ensemble, fault-free, and runs it on its own thread —
+    /// its followers too —, paced by the wall clock.
     pub fn start(config: DaemonConfig) -> Self {
         let tag = format!("pbs{}.", ENSEMBLE_SEQ.fetch_add(1, Ordering::Relaxed));
-        let (door_tx, door_rx) = channel();
-        // The net is `Rc`: the ensemble is built on the thread that steps it.
-        let body = move || {
-            let (ensemble, door) = Ensemble::boot(config, FaultPlan::none(0));
-            let _ = door_tx.send(door);
-            ensemble.pace(Instant::now());
-        };
+        let (ensemble, door) = Ensemble::boot(config, FaultPlan::none(0));
         let thread = thread::Builder::new()
             .name(format!("{tag}srv"))
-            .spawn(body)
+            .spawn(move || ensemble.pace(Instant::now()))
             .expect("spawn the ensemble thread");
-        let door = door_rx.recv().expect("the ensemble boots");
-        let driver = Threads { thread, tag };
+        let driver = Threads {
+            thread: Some(thread),
+            inbox: door.inbox.clone(),
+            tag,
+        };
         DaemonHandle { door, driver }
     }
 
@@ -172,10 +171,9 @@ impl DaemonHandle<Threads> {
     }
 
     /// Stops the ensemble and joins its thread — nothing outlives the
-    /// handle.
+    /// handle. Dropping the handle does the same.
     pub fn shutdown(self) {
-        let _ = self.door.inbox.send(Delivery::Server(ServerCmd::Shutdown));
-        let _ = self.driver.thread.join();
+        drop(self);
     }
 }
 
@@ -223,22 +221,20 @@ impl<D: Driver> DaemonHandle<D> {
         self.driver.wait(&rx, timeout)
     }
 
-    /// Places a TM call at the job's mother superior; the answer comes on
-    /// the returned channel (`None`: the job has no mother superior).
-    fn tm_call(&self, job: JobId, req: TmRequest) -> Option<Receiver<TmResponse>> {
-        let ms = *self.door.directory.lock().expect(POISONED).get(&job)?;
+    /// Places a TM call of `job`'s application; the ensemble hands it to
+    /// the job's mother superior, and the answer comes on the returned
+    /// channel.
+    fn tm_call(&self, job: JobId, req: TmRequest) -> Receiver<TmResponse> {
         let (reply, rx) = channel();
-        let call = Delivery::Mom(ms, MomMsg::Tm { job, req, reply });
-        self.door.inbox.send(call).ok()?;
-        Some(rx)
+        let _ = self.door.inbox.send(Delivery::Tm(job, req, reply));
+        rx
     }
 
     /// One TM round trip: the call, then its answer (denied when the job
-    /// has no mother superior or the mom is gone).
+    /// has no mother superior or the ensemble is gone).
     fn tm(&self, job: JobId, req: TmRequest) -> TmResponse {
-        self.tm_call(job, req)
-            .and_then(|rx| self.driver.wait(&rx, None))
-            .unwrap_or(TmResponse::DynDenied)
+        let rx = self.tm_call(job, req);
+        self.driver.wait(&rx, None).unwrap_or(TmResponse::DynDenied)
     }
 
     /// Submits a job (blocking) — the whole spec as given, which the
@@ -347,12 +343,12 @@ const JOURNAL_SNAPSHOT_EVERY: usize = 64;
 /// The server daemon: the [`EventCore`] — `pbs_server`, Maui, the run
 /// ledger and every deadline — plus what only a deployment has: the moms,
 /// the command reactor, the waiters and the replication host.
-pub(crate) struct ServerDaemon<N> {
+pub(crate) struct ServerDaemon {
     pub(crate) core: EventCore,
     /// Outstanding server-crash points, in journal-record coordinates (a
     /// leader kill, with followers).
     crash_points: Vec<u64>,
-    pub(crate) moms: Moms<N>,
+    pub(crate) moms: Moms,
     /// The command reactor, parked in an `Option` so polling can split the
     /// borrow (the reactor iterates while its apply closure mutates the
     /// rest of the daemon).
@@ -367,13 +363,15 @@ pub(crate) struct ServerDaemon<N> {
 
 /// The moms, as the core's [`Hook`]: what the core decided becomes
 /// `RunJob`, `DynJoin`, `DynReject`, `DynDisjoin` and `KillJob` messages
-/// to each job's mother superior. The directory of mother superiors (read
-/// by [`DaemonHandle`]'s TM calls) has this one writer: an entry is set
-/// where `RunJob` is sent and cleared when the run ends, so it follows the
-/// running set.
-pub(crate) struct Moms<N> {
-    net: N,
-    pub(crate) directory: Directory,
+/// to each job's mother superior, written to the server's outbox. The
+/// directory of mother superiors (by which the ensemble routes a client's
+/// TM call) is kept here alone: an entry is set where `RunJob` is sent and
+/// cleared when the run ends, so it follows the running set.
+pub(crate) struct Moms {
+    /// What the server sent in its last step, in send order: the ensemble
+    /// puts it on the net.
+    pub(crate) outbox: Vec<Delivery>,
+    directory: HashMap<JobId, NodeId>,
     /// The server's end of its link to each mom.
     links: Vec<Link<MomToServer>>,
     /// With followers, the grants (`DynJoin`) are held: they leave at the
@@ -385,7 +383,12 @@ pub(crate) struct Moms<N> {
     held: Vec<(NodeId, ServerToMom)>,
 }
 
-impl<N: Net> Moms<N> {
+impl Moms {
+    /// The mother superior of `job`, while it runs.
+    pub(crate) fn mother_superior(&self, job: JobId) -> Option<NodeId> {
+        self.directory.get(&job).copied()
+    }
+
     /// Sends `msg` to the mom of `ms` (a held grant: at the step's end).
     fn send(&mut self, ms: NodeId, msg: ServerToMom) {
         if self.hold_grants && matches!(msg, ServerToMom::DynJoin { .. }) {
@@ -399,12 +402,12 @@ impl<N: Net> Moms<N> {
     /// link to it.
     fn post(&mut self, ms: NodeId, msg: ServerToMom) {
         let n = self.links[ms.0 as usize].number();
-        self.net.send(Delivery::Mom(ms, MomMsg::FromServer(n, msg)));
+        self.outbox
+            .push(Delivery::Mom(ms, MomMsg::FromServer(n, msg)));
     }
 
     fn send_to_ms(&mut self, job: JobId, msg: ServerToMom) {
-        let ms = self.directory.lock().expect(POISONED).get(&job).copied();
-        if let Some(ms) = ms {
+        if let Some(ms) = self.mother_superior(job) {
             self.send(ms, msg);
         }
     }
@@ -414,8 +417,6 @@ impl<N: Net> Moms<N> {
     fn run_job(&mut self, job: JobId, alloc: Allocation) {
         let ms = *self
             .directory
-            .lock()
-            .expect(POISONED)
             .entry(job)
             .or_insert_with(|| alloc.entries().next().expect("non-empty allocation").0);
         self.send(ms, ServerToMom::RunJob { job, alloc });
@@ -427,8 +428,7 @@ impl<N: Net> Moms<N> {
     /// keeps any parked TM caller.
     fn reattach(&mut self, server: &PbsServer, only: Option<NodeId>) {
         for j in server.live_jobs().filter(|j| j.state.is_active()) {
-            let mothered = || self.directory.lock().expect(POISONED).get(&j.id).copied();
-            if only.is_some_and(|node| mothered() != Some(node)) {
+            if only.is_some_and(|node| self.mother_superior(j.id) != Some(node)) {
                 continue;
             }
             if let Some(alloc) = server.cluster().allocation_of(j.id) {
@@ -438,7 +438,7 @@ impl<N: Net> Moms<N> {
     }
 }
 
-impl<N: Net> Hook for Moms<N> {
+impl Hook for Moms {
     fn cycle(
         &mut self,
         _server: &PbsServer,
@@ -450,7 +450,7 @@ impl<N: Net> Hook for Moms<N> {
             match action {
                 // A fresh run is mothered by its allocation's first node.
                 Applied::Started { job, alloc, .. } => {
-                    self.directory.lock().expect(POISONED).remove(&job);
+                    self.directory.remove(&job);
                     self.run_job(job, alloc);
                 }
                 Applied::DynGranted { job, added } => {
@@ -490,8 +490,7 @@ impl<N: Net> Hook for Moms<N> {
     /// The run stopped (exited, deleted, preempted, lost): its mom kills
     /// what is left of the application.
     fn run_ended(&mut self, job: JobId, _end: RunEnd, _now: SimTime) {
-        let ms = self.directory.lock().expect(POISONED).remove(&job);
-        if let Some(ms) = ms {
+        if let Some(ms) = self.directory.remove(&job) {
             self.send(ms, ServerToMom::KillJob { job });
         }
     }
@@ -503,14 +502,13 @@ impl<N: Net> Hook for Moms<N> {
     }
 }
 
-impl<N: Net> ServerDaemon<N> {
+impl ServerDaemon {
     /// Boots the server side of an ensemble: the event core with a
     /// journaling `pbs_server`, the crash points of `faults` and the
     /// deployment's followers (`repl`), seeded with the genesis snapshot.
     pub(crate) fn new(
         config: DaemonConfig,
         faults: &FaultPlan,
-        net: N,
         reactor: Reactor,
         repl: Option<Replicas>,
     ) -> Self {
@@ -525,8 +523,8 @@ impl<N: Net> ServerDaemon<N> {
             core,
             crash_points: crash_points.collect(),
             moms: Moms {
-                net,
-                directory: Directory::default(),
+                outbox: Vec::new(),
+                directory: HashMap::new(),
                 links: (0..config.nodes).map(|_| Link::default()).collect(),
                 hold_grants: config.followers > 0,
                 held: Vec::new(),
@@ -683,6 +681,7 @@ impl<N: Net> ServerDaemon<N> {
         // The dead leader's host rejoins as a fresh follower, so the
         // deployment keeps its followers.
         repl.add_follower(&format!("rejoin{}", repl.status.failovers));
+        repl.bank_faults();
         let status = &mut repl.status;
         match repl.hub.fail_over(old_appended, status.acked_watermark) {
             Ok((promoted, report)) => {
@@ -799,17 +798,13 @@ impl<N: Net> ServerDaemon<N> {
     fn replication_status(&mut self) -> Option<ReplicationStatus> {
         let leader_appended = self.appended();
         let repl = self.repl.as_mut()?;
-        let [runs_dropped, runs_delayed, runs_duplicated, follower_crashes] = repl.faults();
+        repl.bank_faults();
         repl.hub.refresh_acks();
         Some(ReplicationStatus {
             term: repl.hub.term(),
             follower_watermarks: repl.hub.acked_watermarks(),
             leader_appended,
             errors: std::mem::take(&mut repl.status.errors),
-            runs_dropped,
-            runs_delayed,
-            runs_duplicated,
-            follower_crashes,
             ..repl.status.clone()
         })
     }
@@ -973,6 +968,25 @@ mod tests {
         assert!(d.await_drained(Duration::from_secs(2)));
     }
 
+    /// A TM call is addressed by its job: for a job with no mother
+    /// superior — queued, or unknown — the ensemble answers `DynDenied`
+    /// as it reads the call, at the current instant.
+    #[test]
+    fn a_tm_call_for_a_job_without_a_mother_superior_is_denied_at_once() {
+        let d = sim(hp_config(1), &[]);
+        let blocker = d.qsub(spec("blocker", 8, 400)).expect("qsub");
+        assert!(d.await_running(blocker, Duration::from_secs(2)));
+        let queued = d.qsub(spec("queued", 8, 100)).expect("qsub");
+        d.run_until(ms(50));
+        for job in [queued, JobId(99)] {
+            let resp = d.tm_dynget_negotiated(job, 4, Duration::from_secs(30));
+            assert!(matches!(resp, TmResponse::DynDenied), "{resp:?}");
+            assert_eq!(d.now(), ms(50), "the clock moved");
+        }
+        assert_eq!(d.qstat(queued), Some(JobState::Queued));
+        assert!(d.await_drained(Duration::from_secs(2)));
+    }
+
     /// The directory has one writer, the server daemon, so it follows the
     /// running set even when every message is delayed and every ping and
     /// ack duplicated.
@@ -991,7 +1005,7 @@ mod tests {
         assert!(d.await_drained(Duration::from_secs(5)));
         // Every message still in flight lands.
         while d.step() {}
-        let left = d.door.directory.lock().unwrap().clone();
+        let left = &d.driver.0.borrow().server.moms.directory;
         assert!(left.is_empty(), "directory kept ended jobs: {left:?}");
     }
 
@@ -1027,7 +1041,7 @@ mod tests {
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         // Machine full: a negotiated +4 parks at the server.
-        let parked = d.tm_call(id, negotiated(4, 5_000)).expect("mothered");
+        let parked = d.tm_call(id, negotiated(4, 5_000));
         d.run_until(ms(50));
         assert_eq!(d.qstat(id), Some(JobState::DynQueued));
         // The 16-core job holds all of both nodes, so 4 on node 0 is a
@@ -1078,7 +1092,7 @@ mod tests {
         let d = sim(hp_config(2), &[4]);
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
-        let parked = d.tm_call(id, negotiated(4, 5_000)).expect("mothered");
+        let parked = d.tm_call(id, negotiated(4, 5_000));
         d.run_until(ms(100));
         let freed = d.tm_dynfree(id, alloc(&[(0, 4)]));
         assert!(matches!(freed, TmResponse::Freed), "{freed:?}");
@@ -1101,7 +1115,7 @@ mod tests {
         let id = d.qsub(spec("app", 16, 10_000)).expect("qsub");
         assert!(d.await_running(id, Duration::from_secs(2)));
         // Machine full and nothing will free cores: parks until answered.
-        let parked = d.tm_call(id, negotiated(4, 30_000)).expect("mothered");
+        let parked = d.tm_call(id, negotiated(4, 30_000));
         d.run_until(ms(50));
         assert_eq!(d.qstat(id), Some(JobState::DynQueued));
         d.qdel(id).expect("qdel DynQueued job");
@@ -1203,10 +1217,10 @@ mod tests {
 
     /// A server daemon on `nodes` nodes, sending into a test net, with an
     /// 8-core, 10 s job placed on node 0 at time zero.
-    fn serving(nodes: u32) -> (ServerDaemon<Vec<Delivery>>, JobId) {
+    fn serving(nodes: u32) -> (ServerDaemon, JobId) {
         let config = hp_config(nodes);
         let faults = FaultPlan::none(0);
-        let mut server = ServerDaemon::new(config, &faults, Vec::new(), Reactor::new(), None);
+        let mut server = ServerDaemon::new(config, &faults, Reactor::new(), None);
         let qsub = ReactorCommand::QSub(Box::new(spec("app", 8, 10_000)));
         let (reply, _) = server.apply_command(&qsub, SimTime::ZERO);
         let ReactorReply::Submitted(job) = reply else {
@@ -1217,7 +1231,7 @@ mod tests {
         (server, job)
     }
 
-    impl ServerDaemon<Vec<Delivery>> {
+    impl ServerDaemon {
         /// What the server holds for `job`.
         fn held(&self, job: JobId) -> Allocation {
             let cluster = self.core.server().cluster();
@@ -1249,10 +1263,10 @@ mod tests {
         server.hear_mom(1, forwarded_dynget(job, 8));
         let held = server.held(job);
         assert_eq!(held.total_cores(), 16, "the request is granted");
-        let sent = server.moms.net.len();
+        let sent = server.moms.outbox.len();
         server.hear_mom(1, forwarded_dynget(job, 8));
         assert_eq!(server.held(job), held);
-        assert_eq!(server.moms.net.len(), sent, "the duplicate was answered");
+        assert_eq!(server.moms.outbox.len(), sent, "the duplicate was answered");
         let record = server.core.server().job(job).expect("running");
         assert_eq!((record.dyn_requests, record.dyn_grants), (1, 1));
     }

@@ -2,21 +2,26 @@
 //! only.
 //!
 //! An `Ensemble` is the server daemon, one mom daemon per node, one
-//! seeded net between them and one inbox. Every daemon-to-daemon message
-//! goes through the net's queue of deliveries. Clients — reactor
-//! connections, TM calls with their reply `Sender`, observation requests
-//! — write every input into the inbox, which the ensemble reads in send
-//! order. The ensemble always steps the earlier of the next delivery and
-//! the next daemon deadline, a deadline first on a tie, each at its
-//! instant. Two clocks drive it:
+//! seeded net between them and one inbox, and the sole owner of each:
+//! nothing in it is shared, so it is `Send`. Every daemon-to-daemon
+//! message goes through the net's queue of deliveries: a daemon writes it
+//! to its own outbox, and after the step the ensemble moves that outbox
+//! onto the net in send order. Clients — reactor connections, TM calls
+//! with their reply `Sender`, observation requests — write every input
+//! into the inbox, which the ensemble reads in send order; a TM call is
+//! addressed by its job, and the ensemble hands it to the job's mother
+//! superior or, if it has none, answers it denied. The ensemble always
+//! steps the earlier of the next delivery and the next daemon deadline, a
+//! deadline first on a tie, each at its instant. Two clocks drive it:
 //!
 //! - [`DaemonHandle::simulate`] steps it on the caller's thread, in
 //!   virtual time. It reads the inbox once nothing more is due at the
 //!   current instant, so an input lands after every message sent before
 //!   it. A call on the handle steps the ensemble until its answer
 //!   arrives, so the caller never sleeps.
-//! - [`DaemonHandle::start`] paces it against the wall clock on its own
-//!   thread (`Ensemble::pace`), with [`FaultPlan::none`]. The thread
+//! - [`DaemonHandle::start`] boots it on the caller's thread and moves it
+//!   to its own, which paces it against the wall clock
+//!   (`Ensemble::pace`), with [`FaultPlan::none`]. The thread
 //!   sleeps on the inbox until the next deadline or delivery is due. It
 //!   steps each of those at its due instant and each client input at the
 //!   wall instant it is read.
@@ -56,23 +61,22 @@
 //! so the only thing threads could interleave is delivery order — and
 //! here that order is the queue's. Every draw comes from the plan's seed,
 //! so one seed is one exact trace: the same deliveries, journal and final
-//! server image on every run.
+//! server image on every run. The net draws from one stream of the seed,
+//! each replication hop from its own ([`Hop`]), by the plan's one rule.
 
 use crate::daemon::{DaemonConfig, DaemonHandle, Door, Driver, ServerDaemon};
-use crate::mom::MomDaemon;
-use crate::wire::{recv_until, Delivery, MomMsg, Net, ReplicationStatus, ServerCmd};
+use crate::mom::{answer, MomDaemon};
+use crate::wire::{recv_until, Delivery, MomMsg, ReplicationStatus, ServerCmd};
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
 use dynbatch_server::replication::{
     Follower, FollowerLink, HubConfig, ReplicationHub, WatermarkReply,
 };
-use dynbatch_server::{PbsServer, Reactor, ReactorClient, Reply};
+use dynbatch_server::{PbsServer, Reactor, ReactorClient, Reply, TmResponse};
 use dynbatch_simtime::{EventQueue, SplitMix64};
-use std::cell::{Ref, RefCell};
+use std::cell::Ref;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every fault of one virtual ensemble, seeded: the net's, the daemons'
@@ -178,93 +182,89 @@ impl FaultPlan {
     }
 }
 
-/// What the virtual net holds: every delivery in flight, the fault plan
-/// and its draws, and the ensemble's clock.
+/// One send's fate: its delay when the delay fault fired, and a late
+/// copy's delay when it was duplicated.
+type Fate = (Option<SimDuration>, Option<SimDuration>);
+
+impl FaultPlan {
+    /// The plan's one rule for one send, drawn from `rng`: its fate, or
+    /// `None` when it is dropped — which only an expendable send may be.
+    fn fate(&self, rng: &mut SplitMix64, expendable: bool) -> Option<Fate> {
+        if expendable && rng.chance_permille(self.drop_permille) {
+            return None;
+        }
+        let copy = rng.chance_permille(self.dup_permille);
+        let copy = copy.then(|| self.delay(rng).unwrap_or(SimDuration::from_millis(1)));
+        Some((self.delay(rng), copy))
+    }
+
+    fn delay(&self, rng: &mut SplitMix64) -> Option<SimDuration> {
+        if !rng.chance_permille(self.delay_permille) {
+            return None;
+        }
+        let max = self.max_delay.as_millis();
+        let ms = (max > 0).then(|| 1 + rng.next_below(max));
+        Some(SimDuration::from_millis(ms.unwrap_or(0)))
+    }
+}
+
+/// The virtual net: every delivery in flight, the fault plan and its
+/// draws, and the ensemble's clock.
 pub(crate) struct NetState {
     queue: EventQueue<Delivery>,
     plan: FaultPlan,
     rng: SplitMix64,
     now: SimTime,
     delivered: u64,
-    /// Replication runs dropped, delayed and duplicated, and follower
-    /// crashes fired.
-    stream: [u64; 4],
 }
-
-/// One send's fate: its delay when the delay fault fired, and a late
-/// copy's delay when it was duplicated.
-type Fate = (Option<SimDuration>, Option<SimDuration>);
 
 impl NetState {
-    /// The plan's fate for one send, `None` when it is dropped — which
-    /// only an expendable send may be.
-    fn fate(&mut self, expendable: bool) -> Option<Fate> {
-        if expendable && self.rng.chance_permille(self.plan.drop_permille) {
-            return None;
-        }
-        let copy = self.rng.chance_permille(self.plan.dup_permille);
-        let copy = copy.then(|| self.draw_delay().unwrap_or(SimDuration::from_millis(1)));
-        Some((self.draw_delay(), copy))
-    }
-
-    fn draw_delay(&mut self) -> Option<SimDuration> {
-        if !self.rng.chance_permille(self.plan.delay_permille) {
-            return None;
-        }
-        let max = self.plan.max_delay.as_millis();
-        let ms = (max > 0).then(|| 1 + self.rng.next_below(max));
-        Some(SimDuration::from_millis(ms.unwrap_or(0)))
-    }
-}
-
-/// The ensemble's handle on its virtual net: every daemon sends through a
-/// clone of it.
-#[derive(Clone)]
-pub(crate) struct VirtualNet(Rc<RefCell<NetState>>);
-
-impl VirtualNet {
     /// A net at time zero faulted by `plan`, its mom kills in flight.
     fn new(plan: FaultPlan) -> Self {
         let mut queue = EventQueue::new();
         for &(at, node) in &plan.mom_kills {
             queue.schedule(at, Delivery::Mom(NodeId(node), MomMsg::Crash));
         }
-        VirtualNet(Rc::new(RefCell::new(NetState {
+        NetState {
             queue,
             rng: SplitMix64::new(plan.seed).derive(0xFA01),
             plan,
             now: SimTime::ZERO,
             delivered: 0,
-            stream: [0; 4],
-        })))
-    }
-}
-
-impl Net for VirtualNet {
-    fn send(&mut self, delivery: Delivery) {
-        let net = &mut *self.0.borrow_mut();
-        let expendable = matches!(delivery, Delivery::Mom(_, MomMsg::Peer(_)));
-        let Some((delay, copy)) = net.fate(expendable) else {
-            return; // dropped on the floor
-        };
-        if let Some(extra) = copy {
-            net.queue.schedule(net.now + extra, delivery.clone());
         }
-        let delay = delay.unwrap_or(SimDuration::ZERO);
-        net.queue.schedule(net.now + delay, delivery);
+    }
+
+    /// Sends every delivery of `outbox` on its way, in send order, each
+    /// meeting the plan's rule now.
+    fn post(&mut self, outbox: &mut Vec<Delivery>) {
+        for delivery in outbox.drain(..) {
+            let expendable = matches!(delivery, Delivery::Mom(_, MomMsg::Peer(_)));
+            let Some((delay, copy)) = self.plan.fate(&mut self.rng, expendable) else {
+                continue; // dropped on the floor
+            };
+            if let Some(extra) = copy {
+                self.queue.schedule(self.now + extra, delivery.clone());
+            }
+            let delay = delay.unwrap_or(SimDuration::ZERO);
+            self.queue.schedule(self.now + delay, delivery);
+        }
     }
 }
 
 /// A follower on its leader's host, one zero-latency hop away in virtual
-/// time: the hub's link to it. Each run meets the expendable rule, drawn
-/// from the net's rng like every ping and ack: it is dropped, or held
-/// until the follower next answers the leader (delayed: the watermark
-/// read that opens the next pump), or applied at once; a duplicate is
-/// held the same way.
+/// time: the hub's link to it. Each run meets the plan's expendable rule,
+/// drawn from the hop's own stream of the plan's seed: it is dropped, or
+/// held until the follower next answers the leader (delayed: the
+/// watermark read that opens the next pump), or applied at once; a
+/// duplicate is held the same way.
 pub struct Hop {
     follower: Follower,
     held: Vec<Vec<u8>>,
-    net: VirtualNet,
+    plan: FaultPlan,
+    rng: SplitMix64,
+    /// Runs dropped, delayed and duplicated since [`Replicas`] last
+    /// banked them.
+    faults: [u64; 3],
     /// This follower's crash points, in leader records.
     crashes: Vec<u64>,
 }
@@ -280,17 +280,16 @@ impl Hop {
 
 impl FollowerLink for Hop {
     fn send(&mut self, run: Vec<u8>) -> bool {
-        let net = &mut *self.net.0.borrow_mut();
-        let Some((delay, copy)) = net.fate(true) else {
-            net.stream[0] += 1;
+        let Some((delay, copy)) = self.plan.fate(&mut self.rng, true) else {
+            self.faults[0] += 1;
             return true;
         };
         if copy.is_some() {
-            net.stream[2] += 1;
+            self.faults[2] += 1;
             self.held.push(run.clone());
         }
         if delay.is_some() {
-            net.stream[1] += 1;
+            self.faults[1] += 1;
             self.held.push(run);
         } else {
             self.follower.send(run);
@@ -320,13 +319,14 @@ impl FollowerLink for Hop {
 /// test's that drives a `PbsServer` leader by hand.
 pub struct Replicas {
     pub(crate) hub: ReplicationHub<Hop>,
-    net: VirtualNet,
-    /// Followers added so far: the number a crash point names the next
-    /// one by (failover removes the promoted one from the hub).
+    plan: FaultPlan,
+    /// Followers added so far: the number a crash point and a hop's
+    /// stream name the next one by (failover removes the promoted one
+    /// from the hub).
     added: usize,
     /// The daemon's books: failovers, the last one's lost tail, the acked
-    /// watermark and the follower errors not yet read; what the hub
-    /// knows and the stream's faults are filled in when it is read.
+    /// watermark, the follower errors not yet read and the stream's
+    /// faults; what the hub knows is filled in when it is read.
     pub(crate) status: ReplicationStatus,
 }
 
@@ -334,14 +334,9 @@ impl Replicas {
     /// `followers` followers, `rep0`, `rep1`, …, streamed to by a hub
     /// configured by `cfg` and faulted by `plan`.
     pub fn new(plan: FaultPlan, followers: u32, cfg: HubConfig) -> Self {
-        Replicas::on(VirtualNet::new(plan), followers, cfg)
-    }
-
-    /// The same, their faults drawn on `net`.
-    pub(crate) fn on(net: VirtualNet, followers: u32, cfg: HubConfig) -> Self {
         let mut replicas = Replicas {
             hub: ReplicationHub::new(cfg),
-            net,
+            plan,
             added: 0,
             status: ReplicationStatus::default(),
         };
@@ -351,17 +346,20 @@ impl Replicas {
         replicas
     }
 
-    /// Attaches a fresh follower named `name`, with the crash points the
-    /// plan names for the `n`-th follower added.
+    /// Attaches a fresh follower named `name`: the `n`-th added, it takes
+    /// the crash points the plan names for it and the plan's `n`-th hop
+    /// stream.
     pub fn add_follower(&mut self, name: &str) {
         let idx = self.added;
         self.added += 1;
-        let plan = &self.net.0.borrow().plan;
+        let plan = &self.plan;
         let crashes = plan.follower_crashes.iter().filter(|c| c.follower == idx);
         let hop = Hop {
             follower: Follower::new(),
             held: Vec::new(),
-            net: self.net.clone(),
+            plan: plan.clone(),
+            rng: SplitMix64::new(plan.seed).derive(0x40B).derive(idx as u64),
+            faults: [0; 3],
             crashes: crashes.map(|c| c.after_record).collect(),
         };
         self.hub.add_follower(name, hop);
@@ -382,37 +380,42 @@ impl Replicas {
                 hop.crashes.retain(|&c| c > appended);
                 hop.follower = Follower::new();
                 hop.held.clear();
-                self.net.0.borrow_mut().stream[3] += due as u64;
+                self.status.follower_crashes += due as u64;
             }
         }
     }
 
-    /// Runs dropped, delayed and duplicated, and followers crashed, so far.
-    pub(crate) fn faults(&self) -> [u64; 4] {
-        self.net.0.borrow().stream
+    /// Banks the runs each hop dropped, delayed and duplicated in the
+    /// books, so the counts survive the hop's promotion.
+    pub(crate) fn bank_faults(&mut self) {
+        for hop in self.hub.followers_mut() {
+            let [dropped, delayed, duplicated] = std::mem::take(&mut hop.faults);
+            self.status.runs_dropped += dropped;
+            self.status.runs_delayed += delayed;
+            self.status.runs_duplicated += duplicated;
+        }
     }
 }
 
 /// The virtual driver: the whole ensemble, stepped on the caller's thread.
-pub struct Virtual(RefCell<Ensemble>);
+pub struct Virtual(pub(crate) std::cell::RefCell<Ensemble>);
 
-/// An ensemble: its daemons, the net between them, and the inbox every
-/// client input arrives on, in send order.
+/// An ensemble, the sole owner of its state: its daemons, the net between
+/// them, and the inbox every client input arrives on, in send order.
 pub(crate) struct Ensemble {
-    server: ServerDaemon<VirtualNet>,
-    moms: Vec<MomDaemon<VirtualNet>>,
-    net: VirtualNet,
+    pub(crate) server: ServerDaemon,
+    moms: Vec<MomDaemon>,
+    net: NetState,
     inbox: Receiver<Delivery>,
 }
 
 impl Ensemble {
-    /// Boots an ensemble on this thread, every fault from `faults`: its
-    /// daemons over one net, and the door its clients reach it by.
+    /// Boots an ensemble, every fault from `faults`: its daemons over one
+    /// net, and the door its clients reach it by.
     pub(crate) fn boot(config: DaemonConfig, faults: FaultPlan) -> (Self, Door) {
         let (sender, inbox) = channel();
-        let net = VirtualNet::new(faults.clone());
         let moms = (0..config.nodes)
-            .map(|i| MomDaemon::new(NodeId(i), net.clone()))
+            .map(|i| MomDaemon::new(NodeId(i)))
             .collect();
         // The command reactor rides the server daemon; a client's send
         // nudges it through the inbox.
@@ -423,24 +426,19 @@ impl Ensemble {
             let _ = wake.send(Delivery::Server(ServerCmd::ReactorWake));
         });
         let replicas = (config.followers > 0)
-            .then(|| Replicas::on(net.clone(), config.followers, HubConfig::default()));
-        let server = ServerDaemon::new(config, &faults, net.clone(), reactor, replicas);
+            .then(|| Replicas::new(faults.clone(), config.followers, HubConfig::default()));
+        let server = ServerDaemon::new(config, &faults, reactor, replicas);
         let door = Door {
             inbox: sender,
-            directory: Arc::clone(&server.moms.directory),
             reactor: connector,
         };
         let ensemble = Ensemble {
             server,
             moms,
-            net,
+            net: NetState::new(faults),
             inbox,
         };
         (ensemble, door)
-    }
-
-    fn now(&self) -> SimTime {
-        self.net.0.borrow().now
     }
 
     /// The earliest daemon deadline and whose it is: 0 is the server,
@@ -455,7 +453,7 @@ impl Ensemble {
 
     /// When the next deadline or delivery is due.
     fn next_due(&self) -> Option<SimTime> {
-        let arrival = self.net.0.borrow().queue.peek_time();
+        let arrival = self.net.queue.peek_time();
         self.deadline()
             .map(|(t, _)| t)
             .into_iter()
@@ -469,7 +467,7 @@ impl Ensemble {
     /// lands after every message sent before it. `false` when nothing is
     /// pending by `limit`.
     fn step(&mut self, limit: SimTime) -> bool {
-        let now = self.now();
+        let now = self.net.now;
         if self.next_due().is_none_or(|t| t > now) && self.drain_clients(now) {
             return true;
         }
@@ -480,24 +478,21 @@ impl Ensemble {
     /// due by `limit` — a deadline first on a tie; `false` if none is.
     fn step_due(&mut self, limit: SimTime) -> bool {
         let deadline = self.deadline();
-        let arrival = self.net.0.borrow().queue.peek_time();
+        let arrival = self.net.queue.peek_time();
         match (deadline, arrival) {
             (Some((t, who)), _) if t <= limit && arrival.is_none_or(|a| t <= a) => {
-                self.net.0.borrow_mut().now = t;
+                self.net.now = t;
                 match who {
                     0 => {
-                        self.server.step(None, t);
+                        self.step_server(None, t);
                     }
-                    i => self.moms[i - 1].step(None, t),
+                    i => self.step_mom(i - 1, None, t),
                 }
             }
             (_, Some(t)) if t <= limit => {
-                let delivery = {
-                    let net = &mut *self.net.0.borrow_mut();
-                    net.now = t;
-                    net.delivered += 1;
-                    net.queue.pop().expect("peeked").payload
-                };
+                self.net.now = t;
+                self.net.delivered += 1;
+                let delivery = self.net.queue.pop().expect("peeked").payload;
                 self.deliver(delivery, t);
             }
             _ => return false,
@@ -505,12 +500,33 @@ impl Ensemble {
         true
     }
 
-    /// Hands `delivery` to its daemon at `t`; `false` once it stopped the
-    /// ensemble.
+    /// Steps the server at `t`, then puts what it sent on the net; `false`
+    /// once `cmd` stopped the ensemble.
+    fn step_server(&mut self, cmd: Option<ServerCmd>, t: SimTime) -> bool {
+        let running = self.server.step(cmd, t);
+        self.net.post(&mut self.server.moms.outbox);
+        running
+    }
+
+    /// Steps the mom of node `node` at `t`, then puts what it sent on the
+    /// net.
+    fn step_mom(&mut self, node: usize, msg: Option<MomMsg>, t: SimTime) {
+        let mom = &mut self.moms[node];
+        mom.step(msg, t);
+        self.net.post(&mut mom.outbox);
+    }
+
+    /// Hands `delivery` to its daemon at `t` — a TM call to its job's
+    /// mother superior, or straight back denied if the job has none;
+    /// `false` once it stopped the ensemble.
     fn deliver(&mut self, delivery: Delivery, t: SimTime) -> bool {
         match delivery {
-            Delivery::Server(cmd) => return self.server.step(Some(cmd), t),
-            Delivery::Mom(node, msg) => self.moms[node.0 as usize].step(Some(msg), t),
+            Delivery::Server(cmd) => return self.step_server(Some(cmd), t),
+            Delivery::Mom(node, msg) => self.step_mom(node.0 as usize, Some(msg), t),
+            Delivery::Tm(job, req, reply) => match self.server.moms.mother_superior(job) {
+                Some(ms) => self.step_mom(ms.0 as usize, Some(MomMsg::Tm(job, req, reply)), t),
+                None => answer(Some(reply), TmResponse::DynDenied),
+            },
         }
         true
     }
@@ -533,7 +549,7 @@ impl Ensemble {
         mut poll: impl FnMut() -> Option<T>,
         timeout: Option<Duration>,
     ) -> Option<T> {
-        let limit = timeout.map(|d| self.now() + SimDuration::from_millis(d.as_millis() as u64));
+        let limit = timeout.map(|d| self.net.now + SimDuration::from_millis(d.as_millis() as u64));
         loop {
             if let Some(v) = poll() {
                 return Some(v);
@@ -549,8 +565,7 @@ impl Ensemble {
 
     /// Moves the clock to `t`, unless it stands later.
     fn advance(&mut self, t: SimTime) {
-        let net = &mut *self.net.0.borrow_mut();
-        net.now = net.now.max(t);
+        self.net.now = self.net.now.max(t);
     }
 
     /// The wall-clock loop of [`DaemonHandle::start`], 1 wall ms since
@@ -586,13 +601,13 @@ impl DaemonHandle<Virtual> {
     /// Time starts at zero and moves only as the ensemble steps.
     pub fn simulate(config: DaemonConfig, faults: FaultPlan) -> Self {
         let (ensemble, door) = Ensemble::boot(config, faults);
-        let driver = Virtual(RefCell::new(ensemble));
+        let driver = Virtual(ensemble.into());
         DaemonHandle { door, driver }
     }
 
     /// The ensemble's clock.
     pub fn now(&self) -> SimTime {
-        self.driver.0.borrow().now()
+        self.driver.0.borrow().net.now
     }
 
     /// Takes one step (see the module docs); `false` once nothing is
@@ -610,7 +625,7 @@ impl DaemonHandle<Virtual> {
 
     /// Deliveries made so far (duplicates count, drops do not).
     pub fn deliveries(&self) -> u64 {
-        self.driver.0.borrow().net.0.borrow().delivered
+        self.driver.0.borrow().net.delivered
     }
 
     /// The server, for inspection (release the borrow before the next
@@ -640,9 +655,32 @@ mod tests {
         Delivery::Server(ServerCmd::FromMom(NodeId(node), 1, MomToServer::Restarted))
     }
 
-    fn pop_all(net: &VirtualNet) -> Vec<(SimTime, Delivery)> {
-        let queue = &mut net.0.borrow_mut().queue;
+    impl Replicas {
+        /// Runs dropped, delayed and duplicated, and followers crashed, so
+        /// far.
+        fn faults(&mut self) -> [u64; 4] {
+            self.bank_faults();
+            let s = &self.status;
+            [
+                s.runs_dropped,
+                s.runs_delayed,
+                s.runs_duplicated,
+                s.follower_crashes,
+            ]
+        }
+    }
+
+    fn pop_all(net: &mut NetState) -> Vec<(SimTime, Delivery)> {
+        let queue = &mut net.queue;
         std::iter::from_fn(|| queue.pop().map(|d| (d.at, d.payload))).collect()
+    }
+
+    /// Owning its state, the ensemble moves whole to the thread that
+    /// paces it.
+    #[test]
+    fn the_ensemble_is_send() {
+        fn send<T: Send>() {}
+        send::<Ensemble>();
     }
 
     #[test]
@@ -788,17 +826,20 @@ mod tests {
     /// A delivery with no fault arrives at its send instant, in send order.
     #[test]
     fn zero_fault_net_delivers_at_the_send_instant_in_send_order() {
-        let mut net = VirtualNet::new(FaultPlan::none(1));
+        let mut net = NetState::new(FaultPlan::none(1));
         let at = SimTime::from_millis(7);
-        net.0.borrow_mut().now = at;
+        net.now = at;
+        let mut outbox = Vec::new();
         for i in 0..50u32 {
             let kill = ServerToMom::KillJob {
                 job: JobId(i.into()),
             };
-            net.send(Delivery::Mom(NodeId(0), MomMsg::FromServer(i.into(), kill)));
-            net.send(restarted(i));
+            outbox.push(Delivery::Mom(NodeId(0), MomMsg::FromServer(i.into(), kill)));
+            outbox.push(restarted(i));
         }
-        let got = pop_all(&net);
+        net.post(&mut outbox);
+        assert!(outbox.is_empty());
+        let got = pop_all(&mut net);
         assert_eq!(got.len(), 100);
         for (i, pair) in got.chunks(2).enumerate() {
             assert!(pair.iter().all(|(t, _)| *t == at));
@@ -821,11 +862,11 @@ mod tests {
     fn every_message_may_be_duplicated() {
         let mut plan = FaultPlan::none(5);
         plan.dup_permille = 1000;
-        let mut net = VirtualNet::new(plan);
+        let mut net = NetState::new(plan);
         let kill = ServerToMom::KillJob { job: JobId(1) };
-        net.send(Delivery::Mom(NodeId(0), MomMsg::FromServer(1, kill)));
-        net.send(restarted(1));
-        let got = pop_all(&net);
+        let kill = Delivery::Mom(NodeId(0), MomMsg::FromServer(1, kill));
+        net.post(&mut vec![kill, restarted(1)]);
+        let got = pop_all(&mut net);
         let kills = got.iter().filter(|(_, d)| matches!(d, Delivery::Mom(..)));
         assert_eq!((got.len(), kills.count()), (4, 2), "{got:?}");
     }
@@ -834,15 +875,15 @@ mod tests {
     fn dropping_plan_loses_only_expendable_messages() {
         let mut plan = FaultPlan::none(3);
         plan.drop_permille = 1000; // drop every droppable message
-        let mut net = VirtualNet::new(plan);
+        let mut net = NetState::new(plan);
         let ack = crate::wire::PeerMsg::JoinAck {
             job: JobId(1),
             round: 0,
             from: NodeId(2),
         };
-        net.send(Delivery::Mom(NodeId(0), MomMsg::Peer(ack)));
-        net.send(restarted(1));
-        let got = pop_all(&net);
+        let ack = Delivery::Mom(NodeId(0), MomMsg::Peer(ack));
+        net.post(&mut vec![ack, restarted(1)]);
+        let got = pop_all(&mut net);
         assert!(
             matches!(got[..], [(_, Delivery::Server(ServerCmd::FromMom(..)))]),
             "the peer message is dropped, the sturdy one survives: {got:?}"

@@ -17,10 +17,12 @@
 //!                       └────┘ (one ping/ack per newly allocated node)
 //! ```
 //!
-//! Each daemon is a state machine stepped at an instant, and every
-//! daemon-to-daemon message goes through one seam ([`wire`]'s `Net`): the
-//! queue of deliveries of one ensemble ([`fault`]). One loop steps the
-//! ensemble under either of two clocks:
+//! Each daemon is a state machine stepped at an instant that shares
+//! nothing: it writes every message to another daemon into its own
+//! outbox. An ensemble ([`fault`]) is the sole owner of the daemons, the
+//! net between them and the inbox its clients write to; after each daemon
+//! step it moves that outbox onto the net, its one queue of deliveries.
+//! One loop steps the ensemble under either of two clocks:
 //!
 //! - [`DaemonHandle::start`]: on one thread, replication followers
 //!   included, paced by the wall clock, with no fault. The paper's Fig 12
@@ -38,7 +40,8 @@
 //! lives in one place: a job's hostlist, parked `tm_dynget` caller and
 //! in-flight fan-out in its mother superior's one entry for it, the
 //! mother-superior directory in the server daemon (written where `RunJob`
-//! is sent, cleared where the run ends), the server's deadlines in its
+//! is sent, cleared where the run ends; the ensemble routes each TM call,
+//! addressed by job, through it), the server's deadlines in its
 //! event core's queue. Every daemon message but a ping or ack is numbered
 //! on its link and applied once, in send order.
 

@@ -25,7 +25,7 @@
 //! in that step — a `KillJob` released with a grant denies the caller
 //! instead.
 
-use crate::wire::{Delivery, Link, MomMsg, MomToServer, Net, PeerMsg, ServerCmd};
+use crate::wire::{Delivery, Link, MomMsg, MomToServer, PeerMsg, ServerCmd};
 use dynbatch_cluster::Allocation;
 use dynbatch_core::{JobId, NodeId, SimDuration, SimTime};
 use dynbatch_server::{Command, ServerToMom, TmRequest, TmResponse};
@@ -64,7 +64,7 @@ struct Join {
 }
 
 /// Answers `parked`, if a caller waits.
-fn answer(parked: Option<Sender<TmResponse>>, resp: TmResponse) {
+pub(crate) fn answer(parked: Option<Sender<TmResponse>>, resp: TmResponse) {
     if let Some(reply) = parked {
         let _ = reply.send(resp);
     }
@@ -75,7 +75,7 @@ fn answer(parked: Option<Sender<TmResponse>>, resp: TmResponse) {
 /// before answering the application — the real cost Fig 12 measures).
 /// Pings are retransmitted with exponential backoff until acked, so the
 /// fan-out survives dropped peer messages.
-pub(crate) struct MomDaemon<N> {
+pub(crate) struct MomDaemon {
     node: NodeId,
     /// The jobs this mom mothers (ordered, so retransmissions leave in the
     /// same order on every run).
@@ -83,17 +83,19 @@ pub(crate) struct MomDaemon<N> {
     /// The last fan-out round this mom opened.
     round: u64,
     server: Link<ServerToMom>,
-    net: N,
+    /// What this mom sent in its last step, in send order: the ensemble
+    /// puts it on the net.
+    pub(crate) outbox: Vec<Delivery>,
 }
 
-impl<N: Net> MomDaemon<N> {
-    pub(crate) fn new(node: NodeId, net: N) -> Self {
+impl MomDaemon {
+    pub(crate) fn new(node: NodeId) -> Self {
         MomDaemon {
             node,
             jobs: BTreeMap::new(),
             round: 0,
             server: Link::default(),
-            net,
+            outbox: Vec::new(),
         }
     }
 
@@ -107,7 +109,7 @@ impl<N: Net> MomDaemon<N> {
     fn tell_server(&mut self, msg: MomToServer) {
         let n = self.server.number();
         let cmd = ServerCmd::FromMom(self.node, n, msg);
-        self.net.send(Delivery::Server(cmd));
+        self.outbox.push(Delivery::Server(cmd));
     }
 
     /// Handles one message at `now`.
@@ -126,7 +128,7 @@ impl<N: Net> MomDaemon<N> {
             }) => {
                 let from = self.node;
                 let ack = PeerMsg::JoinAck { job, round, from };
-                self.net.send(Delivery::Mom(reply_to, MomMsg::Peer(ack)));
+                self.outbox.push(Delivery::Mom(reply_to, MomMsg::Peer(ack)));
             }
             MomMsg::Peer(PeerMsg::JoinAck { job, round, from }) => {
                 let join = self.jobs.get_mut(&job).and_then(|e| e.join.as_mut());
@@ -134,7 +136,7 @@ impl<N: Net> MomDaemon<N> {
                     join.unacked.remove(&from);
                 }
             }
-            MomMsg::Tm { job, req, reply } => self.tm_call(job, req, reply),
+            MomMsg::Tm(job, req, reply) => self.tm_call(job, req, reply),
             MomMsg::Crash => {
                 // The mom "process" dies: every parked TM caller is denied,
                 // every fan-out is lost, and the fresh mom asks the server
@@ -217,7 +219,7 @@ impl<N: Net> MomDaemon<N> {
         self.round += 1;
         let round = self.round;
         for &peer in &unacked {
-            ping(&mut self.net, peer, job, round, node);
+            ping(&mut self.outbox, peer, job, round, node);
         }
         entry.join = Some(Join {
             round,
@@ -234,8 +236,9 @@ impl<N: Net> MomDaemon<N> {
     /// can be pending per job (paper §III-B) — a second concurrent
     /// `tm_dynget` is denied locally.
     fn tm_call(&mut self, job: JobId, req: TmRequest, reply: Sender<TmResponse>) {
-        // Not the mother superior for this job: a real mom would relay to
-        // the MS; our drivers always call the MS directly.
+        // The ensemble hands a call only to its job's mother superior; a
+        // mom that does not know the job — its placement is still on the
+        // way, or the mom crashed since — denies it.
         let Some(entry) = self.jobs.get_mut(&job) else {
             return answer(Some(reply), TmResponse::DynDenied);
         };
@@ -283,7 +286,7 @@ impl<N: Net> MomDaemon<N> {
                 answer(entry.parked.take(), TmResponse::DynGranted { added });
             } else if join.next_retry <= now {
                 for &peer in &join.unacked {
-                    ping(&mut self.net, peer, job, join.round, self.node);
+                    ping(&mut self.outbox, peer, job, join.round, self.node);
                 }
                 join.attempt += 1;
                 let backoff = JOIN_RETRY_BASE_MS << join.attempt.min(JOIN_RETRY_MAX_SHIFT);
@@ -300,13 +303,13 @@ impl<N: Net> MomDaemon<N> {
 }
 
 /// Asks `peer` to join `job`'s host group in fan-out `round`.
-fn ping(net: &mut impl Net, peer: NodeId, job: JobId, round: u64, reply_to: NodeId) {
+fn ping(outbox: &mut Vec<Delivery>, peer: NodeId, job: JobId, round: u64, reply_to: NodeId) {
     let ping = PeerMsg::JoinPing {
         job,
         round,
         reply_to,
     };
-    net.send(Delivery::Mom(peer, MomMsg::Peer(ping)));
+    outbox.push(Delivery::Mom(peer, MomMsg::Peer(ping)));
 }
 
 #[cfg(test)]
@@ -314,7 +317,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::{channel, Receiver};
 
-    type Mom = MomDaemon<Vec<Delivery>>;
+    type Mom = MomDaemon;
     const T: SimTime = SimTime::ZERO;
     const JOB: JobId = JobId(1);
 
@@ -351,29 +354,26 @@ mod tests {
     /// A mom on node 0 that was sent job 1's placement on `pairs` as the
     /// server's message 1.
     fn running(pairs: &[(u32, u32)]) -> Mom {
-        let mut mom = MomDaemon::new(NodeId(0), Vec::new());
+        let mut mom = MomDaemon::new(NodeId(0));
         deliver(&mut mom, 1, placed(pairs));
-        assert!(mom.net.is_empty(), "RunJob tells nobody: {:?}", mom.net);
+        assert!(
+            mom.outbox.is_empty(),
+            "RunJob tells nobody: {:?}",
+            mom.outbox
+        );
         mom
     }
 
     /// A TM call of job 1's application; its answer comes on the receiver.
     fn tm(mom: &mut Mom, req: TmRequest) -> Receiver<TmResponse> {
         let (reply, rx) = channel();
-        mom.step(
-            Some(MomMsg::Tm {
-                job: JOB,
-                req,
-                reply,
-            }),
-            T,
-        );
+        mom.step(Some(MomMsg::Tm(JOB, req, reply)), T);
         rx
     }
 
     /// What the mom told the server, in order.
     fn told(mom: &Mom) -> Vec<&MomToServer> {
-        let to_server = mom.net.iter().filter_map(|d| match d {
+        let to_server = mom.outbox.iter().filter_map(|d| match d {
             Delivery::Server(ServerCmd::FromMom(NodeId(0), _, msg)) => Some(msg),
             _ => None,
         });
@@ -382,7 +382,7 @@ mod tests {
 
     /// The round of the last ping the mom sent, to `peer`.
     fn last_round(mom: &Mom, peer: u32) -> u64 {
-        match mom.net.last() {
+        match mom.outbox.last() {
             Some(Delivery::Mom(to, MomMsg::Peer(PeerMsg::JoinPing { round, .. })))
                 if *to == NodeId(peer) =>
             {
@@ -509,9 +509,9 @@ mod tests {
 
     #[test]
     fn tm_call_for_unknown_job_denied() {
-        let mut mom = MomDaemon::new(NodeId(0), Vec::new());
+        let mut mom = MomDaemon::new(NodeId(0));
         assert!(denied(&tm(&mut mom, get(4))));
-        assert!(mom.net.is_empty());
+        assert!(mom.outbox.is_empty());
     }
 
     #[test]
@@ -564,14 +564,7 @@ mod tests {
         deliver(&mut mom, 2, ServerToMom::RunJob { job: other, alloc });
         let lost = tm(&mut mom, get(4));
         let (reply, kept) = channel();
-        mom.step(
-            Some(MomMsg::Tm {
-                job: other,
-                req: get(4),
-                reply,
-            }),
-            T,
-        );
+        mom.step(Some(MomMsg::Tm(other, get(4), reply)), T);
         let live = vec![other];
         deliver(&mut mom, 3, ServerToMom::ReconcileDyn { live });
         assert!(denied(&lost));
@@ -607,9 +600,9 @@ mod tests {
         let mut mom = running(&[(0, 8)]);
         let first = tm(&mut mom, get(8));
         deliver(&mut mom, 2, joined(&[(1, 8)]));
-        let sent = mom.net.len();
+        let sent = mom.outbox.len();
         deliver(&mut mom, 2, joined(&[(1, 8)]));
-        assert_eq!(mom.net.len(), sent, "the duplicate pinged again");
+        assert_eq!(mom.outbox.len(), sent, "the duplicate pinged again");
         ack_last_ping(&mut mom, 1);
         assert_eq!(granted(&first), alloc(&[(1, 8)]));
         let second = tm(&mut mom, get(8));
@@ -671,7 +664,7 @@ mod tests {
     /// its placement brings the entry back.
     #[test]
     fn server_messages_apply_once_in_send_order() {
-        let mut mom = MomDaemon::new(NodeId(0), Vec::new());
+        let mut mom = MomDaemon::new(NodeId(0));
         let kill = || ServerToMom::KillJob { job: JOB };
         deliver(&mut mom, 3, kill());
         deliver(&mut mom, 2, joined(&[(0, 4)]));
@@ -681,7 +674,7 @@ mod tests {
         deliver(&mut mom, 2, joined(&[(0, 4)]));
         deliver(&mut mom, 1, placed(&[(0, 8)]));
         assert!(mom.hostlists().is_empty(), "the killed run came back");
-        assert!(mom.net.is_empty());
+        assert!(mom.outbox.is_empty());
         deliver(&mut mom, 4, placed(&[(0, 2)]));
         assert_eq!(mom.hostlists()[&JOB], alloc(&[(0, 2)]));
     }
@@ -725,9 +718,9 @@ mod tests {
         let caller = tm(&mut mom, get(8));
         mom.step(Some(MomMsg::Crash), T);
         assert!(denied(&caller));
-        let sent = mom.net.len();
+        let sent = mom.outbox.len();
         deliver(&mut mom, 2, joined(&[(1, 8)]));
-        assert_eq!(mom.net.len(), sent, "pinged for a job it does not know");
+        assert_eq!(mom.outbox.len(), sent, "pinged for a job it does not know");
         assert_eq!(mom.next_due(), None);
         assert!(mom.hostlists().is_empty());
     }

@@ -1,12 +1,13 @@
-//! Channel message types, the one delivery seam between daemons
-//! (`Net`), the one link rule (`Link`), and the one way the wall-clock
-//! ensemble waits (`recv_until`).
+//! Channel message types, the one link rule (`Link`), and the one way the
+//! wall-clock ensemble waits (`recv_until`).
 //!
-//! Every daemon-to-daemon message — server→mom, mom→server, mom→mom —
-//! leaves through a `Net` as a `Delivery`; the ensemble's net is the
-//! queue of [`crate::fault`], under either driver. A client's input is a
-//! `Delivery` too, written into the ensemble's one inbox. Every enum is
-//! `Clone` so the queue can duplicate deliveries.
+//! Every daemon-to-daemon message — server→mom, mom→server, mom→mom — is
+//! a `Delivery` its sender writes to its own outbox; the ensemble moves
+//! each outbox onto its net ([`crate::fault`]) after the step that wrote
+//! it, under either driver. A client's input is a `Delivery` too, written
+//! into the ensemble's one inbox; a TM call is addressed by its job, and
+//! the ensemble routes it to the job's mother superior. Every enum is
+//! `Clone` so the net can duplicate deliveries.
 //!
 //! Every sturdy message — server→mom ([`MomMsg::FromServer`]) and
 //! mom→server ([`ServerCmd::FromMom`]) — carries its number on its link,
@@ -18,7 +19,7 @@
 //! events of its own event core.
 
 use dynbatch_core::{JobId, JobOutcome, JobState, NodeId, UserId};
-use dynbatch_server::{Command, ServerToMom, TmResponse};
+use dynbatch_server::{Command, ServerToMom, TmRequest, TmResponse};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender};
 use std::time::Instant;
@@ -47,12 +48,10 @@ pub(crate) enum Delivery {
     Server(ServerCmd),
     /// To the mom of a node.
     Mom(NodeId, MomMsg),
-}
-
-/// The delivery seam: where a daemon's messages to other daemons go.
-pub(crate) trait Net {
-    /// Sends one message on its way.
-    fn send(&mut self, delivery: Delivery);
+    /// A client's TM call, to the mother superior of its job: the
+    /// ensemble reads it as [`MomMsg::Tm`] there, or answers
+    /// [`TmResponse::DynDenied`] if the job has none.
+    Tm(JobId, TmRequest, Sender<TmResponse>),
 }
 
 /// One daemon's end of its link to another: the number of the last
@@ -247,26 +246,12 @@ pub enum MomMsg {
     FromServer(u64, ServerToMom),
     /// A peer-mom message.
     Peer(PeerMsg),
-    /// A TM call from an application process on this node.
-    Tm {
-        /// The calling job.
-        job: JobId,
-        /// The request.
-        req: dynbatch_server::TmRequest,
-        /// Where the TM response goes.
-        reply: Sender<TmResponse>,
-    },
+    /// A TM call from an application process on this node: the calling
+    /// job, its request and where the response goes.
+    Tm(JobId, TmRequest, Sender<TmResponse>),
     /// A virtual-time fault: the mom "process" dies and restarts, losing
     /// every job entry (its link to the server survives). Every parked
     /// `tm_dynget` caller is denied, then the mom announces
     /// [`MomToServer::Restarted`].
     Crash,
-}
-
-/// A test net: what a daemon sent, in order.
-#[cfg(test)]
-impl Net for Vec<Delivery> {
-    fn send(&mut self, delivery: Delivery) {
-        self.push(delivery);
-    }
 }

@@ -229,4 +229,12 @@ if grep -rnE 'fn spawn<|impl Net for Wires|MomMsg::Shutdown|mom_rxs' crates/daem
   echo "a deleted name reappeared (see above)"; exit 1
 fi
 
+echo "==> the ensemble owns its state: no shared net handle, locked directory or"
+echo "    net trait in the daemon crate, and the one RefCell is the virtual"
+echo "    driver's, at the handle's boundary"
+if grep -rnE 'VirtualNet|Rc<|Mutex|POISONED|trait Net' crates/daemon/src \
+    || grep -rn 'RefCell' crates/daemon/src | grep -v 'pub struct Virtual('; then
+  echo "shared state came back into the daemon crate (see above)"; exit 1
+fi
+
 echo "check.sh: all gates passed"

@@ -99,6 +99,18 @@ fn grow_then_shrink_then_finish() {
     assert_no_tagged_threads(&tag);
 }
 
+/// A handle dropped without `shutdown` stops its ensemble all the same:
+/// the thread is joined as the handle goes, with a job still running.
+#[test]
+fn a_dropped_handle_leaves_no_thread() {
+    let d = daemon(2);
+    let tag = d.thread_tag().to_string();
+    let job = d.qsub(rigid("left", 0, 8, 60_000)).unwrap();
+    assert!(d.await_running(job, Duration::from_secs(2)));
+    drop(d);
+    assert_no_tagged_threads(&tag);
+}
+
 #[test]
 fn overhead_grows_but_stays_small() {
     // A miniature Fig 12: allocating more nodes costs more hops but stays
