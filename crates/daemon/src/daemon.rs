@@ -1215,7 +1215,7 @@ mod tests {
     // The server daemon's end of each mom's link.
     // ------------------------------------------------------------------
 
-    /// A server daemon on `nodes` nodes, sending into a test net, with an
+    /// A server daemon on `nodes` nodes, writing to its outbox, with an
     /// 8-core, 10 s job placed on node 0 at time zero.
     fn serving(nodes: u32) -> (ServerDaemon, JobId) {
         let config = hp_config(nodes);
