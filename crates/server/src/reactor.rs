@@ -859,6 +859,129 @@ mod tests {
         assert_eq!(applied, 1);
     }
 
+    /// Two bodies under one ticket: the later one is the command, and only
+    /// its sender is answered.
+    #[test]
+    fn a_duplicate_ticket_keeps_the_later_body() {
+        let mut r = Reactor::new();
+        let a = r.connect();
+        let b = r.connect();
+        a.send_ticketed(1, "qstat 1");
+        b.send_ticketed(1, "qstat 2");
+        a.send_ticketed(0, "qstat 0");
+        let mut order = Vec::new();
+        let n = r.poll_bounded(u64::MAX, |ticket, cmd| {
+            order.push((ticket, cmd.clone()));
+            Reply::Ok
+        });
+        assert_eq!(n, 2);
+        assert_eq!(
+            order,
+            vec![(0, Command::QStat(JobId(0))), (1, Command::QStat(JobId(2)))]
+        );
+        assert_eq!(r.reorder_backlog(), 0);
+        assert_eq!((a.try_recv(), a.try_recv()), (Some(Reply::Ok), None));
+        assert_eq!((b.try_recv(), b.try_recv()), (Some(Reply::Ok), None));
+    }
+
+    /// A caller-assigned ticket the reactor has already passed is held but
+    /// never applied, and it does not stop the tickets after it.
+    #[test]
+    fn a_ticket_below_the_prefix_is_held_and_never_applied() {
+        let mut r = Reactor::new();
+        let c = r.connect();
+        c.send_ticketed(0, "qstat 0");
+        c.send_ticketed(1, "qstat 1");
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 2);
+        c.send_ticketed(0, "qstat 99");
+        c.send_ticketed(0, "qstat 98"); // the same stale ticket again
+        c.send_ticketed(1, "qstat 97");
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 0);
+        assert_eq!(r.reorder_backlog(), 2);
+        c.send_ticketed(3, "qstat 3");
+        c.send_ticketed(2, "qstat 2");
+        let mut applied = Vec::new();
+        r.poll_bounded(u64::MAX, |ticket, cmd| {
+            applied.push((ticket, cmd.clone()));
+            Reply::Ok
+        });
+        assert_eq!(
+            applied,
+            vec![(2, Command::QStat(JobId(2))), (3, Command::QStat(JobId(3)))]
+        );
+        assert_eq!((r.next_apply(), r.reorder_backlog()), (4, 2));
+        assert_eq!(r.stats().applied, 4);
+    }
+
+    /// A ticket far beyond the prefix is one held command, not a gap's
+    /// worth of room; the prefix before it applies as usual.
+    #[test]
+    fn a_ticket_far_ahead_is_held_without_the_gap() {
+        let mut r = Reactor::new();
+        let c = r.connect();
+        let far = 1u64 << 40;
+        c.send_ticketed(far, "qstat 7");
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 0);
+        assert_eq!(r.reorder_backlog(), 1);
+        for t in 0..3 {
+            c.send_ticketed(t, &format!("qstat {t}"));
+        }
+        assert_eq!(r.poll_bounded(u64::MAX, echo_reply), 3);
+        assert_eq!((r.next_apply(), r.reorder_backlog()), (3, 1));
+        for t in 0..3 {
+            assert_eq!(c.try_recv(), Some(Reply::Status(format!("t{t}"))));
+        }
+        assert_eq!(c.try_recv(), None);
+    }
+
+    /// `reactor_drive`'s shape: four threads send round-robin tickets while
+    /// the host admits one ticket at a time; every ticket applies once, in
+    /// order, and each thread reads its own replies in the order it sent.
+    #[test]
+    fn four_round_robin_senders_apply_in_ticket_order() {
+        const THREADS: u64 = 4;
+        const N: u64 = 2_000;
+        let mut r = Reactor::new();
+        r.set_reply_capacity(N as usize + 1);
+        let clients: Vec<ReactorClient> = (0..THREADS).map(|_| r.connect()).collect();
+        let mut applied = Vec::with_capacity(N as usize);
+        thread::scope(|scope| {
+            let handles: Vec<_> = clients
+                .into_iter()
+                .enumerate()
+                .map(|(c, client)| {
+                    scope.spawn(move || {
+                        let mine: Vec<u64> = (0..N).filter(|t| t % THREADS == c as u64).collect();
+                        for &t in &mine {
+                            client.send_ticketed(t, &format!("qstat {t}"));
+                        }
+                        for &t in &mine {
+                            assert_eq!(client.recv(), Some(Reply::Status(format!("t{t}"))));
+                        }
+                    })
+                })
+                .collect();
+            for i in 0..N {
+                while r.next_apply() <= i {
+                    let polled = r.poll_bounded(i + 1, |ticket, cmd| {
+                        assert_eq!(cmd, &Command::QStat(JobId(ticket)));
+                        applied.push(ticket);
+                        echo_reply(ticket, cmd)
+                    });
+                    if polled == 0 {
+                        thread::yield_now();
+                    }
+                }
+            }
+            for h in handles {
+                h.join().expect("client thread");
+            }
+        });
+        assert_eq!(applied, (0..N).collect::<Vec<_>>());
+        assert_eq!(r.stats().applied, N);
+        assert_eq!(r.reorder_backlog(), 0);
+    }
+
     /// Specs `format_qsub` has no words for: a moldable range, a malleable
     /// work pool, a priority boost.
     fn specs_beyond_the_grammar() -> Vec<JobSpec> {
@@ -1092,6 +1215,86 @@ mod tests {
             Err("qdel: job id is not an integer".to_owned())
         );
         assert!(parse_command(&format!("{evolving} timeout_ms=10")).is_ok());
+    }
+
+    /// Every way a `qsub` line is refused, with the exact words: a client
+    /// sees these in [`Reply::Denied`], and when a line is wrong in two
+    /// ways the table fixes which error it is told about.
+    #[test]
+    fn malformed_qsub_lines_deny_with_fixed_words() {
+        let rigid = "qsub name=X user=1 group=0 cores=4 wall_ms=10";
+        let evolving = "qsub name=X user=1 group=0 cores=4 class=evolving set_s=9 det_s=6 extra=2";
+        let table: Vec<(String, &str)> = vec![
+            // Not key=value; the first bad token in line order wins.
+            ("qsub name=X bogus".into(), "qsub: `bogus` is not key=value"),
+            ("qsub bogus name=X name=Y".into(), "qsub: `bogus` is not key=value"),
+            // A duplicate: the first key seen twice, in line order.
+            ("qsub name=X name=Y".into(), "qsub: duplicate field `name`"),
+            ("qsub user=1 cores=2 cores=3 user=4".into(), "qsub: duplicate field `cores`"),
+            ("qsub a=1 a=2 bogus".into(), "qsub: duplicate field `a`"),
+            (format!("{rigid} wall_ms=10"), "qsub: duplicate field `wall_ms`"),
+            // Missing fields, in the order they are read.
+            ("qsub".into(), "qsub: missing `name`"),
+            ("qsub cores=4 group=0 user=1".into(), "qsub: missing `name`"),
+            ("qsub name=X cores=4 group=0".into(), "qsub: missing `user`"),
+            ("qsub name=X user=1 cores=4".into(), "qsub: missing `group`"),
+            ("qsub name=X user=1 group=0".into(), "qsub: missing `cores`"),
+            ("qsub name=X user=1 group=0 cores=4".into(), "qsub: missing `wall_ms`"),
+            (
+                "qsub name=X user=1 group=0 cores=4 class=rigid".into(),
+                "qsub: missing `wall_ms`",
+            ),
+            (
+                "qsub name=X user=1 group=0 cores=4 class=evolving det_s=6 extra=2".into(),
+                "qsub: missing `set_s`",
+            ),
+            (
+                "qsub name=X user=1 group=0 cores=4 class=evolving set_s=9 extra=2".into(),
+                "qsub: missing `det_s`",
+            ),
+            (
+                "qsub name=X user=1 group=0 cores=4 class=evolving set_s=9 det_s=6".into(),
+                "qsub: missing `extra`",
+            ),
+            // Not an integer (a sign, a fraction, a word, nothing).
+            ("qsub name=X user=abc group=0 cores=4 wall_ms=10".into(), "qsub: `user` is not an integer"),
+            ("qsub name=X user=1 group=-1 cores=4 wall_ms=10".into(), "qsub: `group` is not an integer"),
+            ("qsub name=X user=1 group=0 cores=4.5 wall_ms=10".into(), "qsub: `cores` is not an integer"),
+            ("qsub name=X user=1 group=0 cores=4 wall_ms=".into(), "qsub: `wall_ms` is not an integer"),
+            (format!("{evolving} timeout_ms=soon"), "qsub: `timeout_ms` is not an integer"),
+            (
+                "qsub name=X user=1 group=0 cores=4 wall_ms=99999999999999999999".into(),
+                "qsub: `wall_ms` is not an integer",
+            ),
+            // Exceeds u32.
+            ("qsub name=X user=4294967296 group=0 cores=4 wall_ms=10".into(), "qsub: `user` exceeds u32"),
+            ("qsub name=X user=1 group=0 cores=4294967296 wall_ms=10".into(), "qsub: `cores` exceeds u32"),
+            (
+                "qsub name=X user=1 group=0 cores=4 class=evolving set_s=9 det_s=6 extra=4294967296"
+                    .into(),
+                "qsub: `extra` exceeds u32",
+            ),
+            // The class is read before the fields that depend on it.
+            ("qsub name=X user=1 group=0 cores=4 class=warp".into(), "qsub: unknown class `warp`"),
+            ("qsub name=X user=1 group=0 cores=4 class=".into(), "qsub: unknown class ``"),
+            // `JobSpec::validate`, before any leftover key is named.
+            ("qsub name=X user=1 group=0 cores=0 wall_ms=10".into(), "qsub: job must request at least one core"),
+            (
+                "qsub name=X user=1 group=0 cores=0 wall_ms=10 zz=1".into(),
+                "qsub: job must request at least one core",
+            ),
+            // Leftovers: the smallest key is named.
+            (format!("{rigid} zz=2 aa=1"), "qsub: unexpected field `aa`"),
+            (format!("{rigid} mm=2 =1"), "qsub: unexpected field ``"),
+            (format!("{rigid} timeout_ms=10"), "qsub: unexpected field `timeout_ms`"),
+            (format!("{evolving} wall_ms=10 extra_s=1"), "qsub: unexpected field `extra_s`"),
+        ];
+        let wrong: Vec<String> = table
+            .iter()
+            .filter(|(line, want)| parse_command(line) != Err((*want).to_owned()))
+            .map(|(line, want)| format!("{line}: {:?}, not {want:?}", parse_command(line)))
+            .collect();
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]
