@@ -58,6 +58,17 @@ impl JobState {
     pub fn is_terminal(self) -> bool {
         matches!(self, JobState::Completed | JobState::Cancelled)
     }
+
+    /// The state's name as `qstat` reports it (the variant's name).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            JobState::Queued => "Queued",
+            JobState::Running => "Running",
+            JobState::DynQueued => "DynQueued",
+            JobState::Completed => "Completed",
+            JobState::Cancelled => "Cancelled",
+        }
+    }
 }
 
 /// The resize bounds of a malleable job: the batch system may shrink it
@@ -457,6 +468,16 @@ mod tests {
 
     fn spec() -> JobSpec {
         JobSpec::rigid("A", UserId(0), GroupId(0), 4, SimDuration::from_secs(267))
+    }
+
+    /// `qstat` answered `format!("{:?}")` of the state before it answered
+    /// `as_str`; the benchmark's pinned reply hash covers these strings.
+    #[test]
+    fn state_names_are_the_debug_spellings() {
+        use JobState::*;
+        for state in [Queued, Running, DynQueued, Completed, Cancelled] {
+            assert_eq!(state.as_str(), format!("{state:?}"));
+        }
     }
 
     #[test]

@@ -39,8 +39,7 @@ use dynbatch_cluster::Allocation;
 use dynbatch_core::{
     ExecutionModel, GroupId, JobId, JobSpec, NodeId, SimDuration, SimTime, UserId,
 };
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
@@ -169,10 +168,16 @@ pub struct Reactor {
     /// Wake hook armed once; clients invoke it after every send so a
     /// hosting event loop can interrupt its blocking receive.
     wake: Arc<OnceLock<Box<dyn Fn() + Send + Sync>>>,
-    /// Reorder buffer: ticket → (conn, command). Only the contiguous
-    /// prefix starting at `next_apply` is admissible.
-    pending: BTreeMap<u64, (u64, Body)>,
+    /// Reorder buffer: `(ticket, conn, command)` in ticket order, one
+    /// entry per ticket. Its first `stale` entries hold tickets below
+    /// `next_apply`, which are never applied; the entry after them is
+    /// admissible when it holds `next_apply`.
+    pending: VecDeque<(u64, u64, Body)>,
+    stale: usize,
     next_apply: u64,
+    /// The acks of the batch being applied, kept between polls for its
+    /// buffer.
+    held: Vec<(u64, Reply)>,
     conns: HashMap<u64, Conn>,
     reply_capacity: usize,
     overflow_limit: usize,
@@ -196,8 +201,10 @@ impl Reactor {
             tickets: Arc::new(AtomicU64::new(0)),
             conn_ids: Arc::new(AtomicU64::new(0)),
             wake: Arc::new(OnceLock::new()),
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
+            stale: 0,
             next_apply: 0,
+            held: Vec::new(),
             conns: HashMap::new(),
             reply_capacity: 64,
             overflow_limit: 1024,
@@ -271,12 +278,14 @@ impl Reactor {
         F: FnMut(BatchEvent<'_>) -> Option<Reply>,
     {
         self.drain_mailbox();
-        let mut held: Vec<(u64, Reply)> = Vec::new();
-        while self.next_apply < limit {
-            let Some((conn, body)) = self.pending.remove(&self.next_apply) else {
-                break;
-            };
-            let ticket = self.next_apply;
+        let mut held = std::mem::take(&mut self.held);
+        while self.next_apply < limit
+            && self
+                .pending
+                .get(self.stale)
+                .is_some_and(|h| h.0 == self.next_apply)
+        {
+            let (ticket, conn, body) = self.pending.remove(self.stale).expect("checked above");
             let parsed = match body {
                 Body::Line(line) => parse_command(&line),
                 Body::Parsed(cmd) => Ok(*cmd),
@@ -301,9 +310,10 @@ impl Reactor {
         if !held.is_empty() {
             let _ = f(BatchEvent::Commit);
         }
-        for (conn, reply) in held {
+        for (conn, reply) in held.drain(..) {
             self.deliver(conn, reply);
         }
+        self.held = held;
         if n > 0 {
             self.stats.batches += 1;
             self.stats.applied += n as u64;
@@ -325,13 +335,32 @@ impl Reactor {
                         },
                     );
                 }
-                Envelope::Command { conn, ticket, body } => {
-                    self.pending.insert(ticket, (conn, body));
-                }
+                Envelope::Command { conn, ticket, body } => self.hold(ticket, conn, body),
                 Envelope::Disconnect { conn } => {
                     self.conns.remove(&conn);
                 }
             }
+        }
+    }
+
+    /// Puts a command in the reorder buffer at its ticket's place: at the
+    /// back when it arrives in order, by binary search when it is late. A
+    /// second body under a held ticket replaces the first.
+    fn hold(&mut self, ticket: u64, conn: u64, body: Body) {
+        let held = (ticket, conn, body);
+        if self.pending.back().is_none_or(|h| h.0 < ticket) {
+            self.pending.push_back(held);
+        } else {
+            match self.pending.binary_search_by_key(&ticket, |h| h.0) {
+                Ok(i) => {
+                    self.pending[i] = held;
+                    return;
+                }
+                Err(i) => self.pending.insert(i, held),
+            }
+        }
+        if ticket < self.next_apply {
+            self.stale += 1;
         }
     }
 
@@ -542,59 +571,45 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
     };
     match verb {
         "qsub" => {
-            let mut fields: HashMap<&str, &str> = HashMap::new();
+            let mut fields = QsubFields(Vec::with_capacity(QsubFields::MOST_READ));
             for tok in it {
                 let (k, v) = tok
                     .split_once('=')
                     .ok_or_else(|| format!("qsub: `{tok}` is not key=value"))?;
-                if fields.insert(k, v).is_some() {
+                if fields.0.iter().any(|&(seen, _)| seen == k) {
                     return Err(format!("qsub: duplicate field `{k}`"));
                 }
+                fields.0.push((k, v));
             }
-            // A field is taken out as it is read: any left over is one
-            // the grammar does not read.
-            let fields = RefCell::new(fields);
-            let take = |key: &str| fields.borrow_mut().remove(key);
-            let req = |key: &str| -> Result<&str, String> {
-                take(key).ok_or_else(|| format!("qsub: missing `{key}`"))
-            };
-            let num = |key: &str| -> Result<u64, String> {
-                req(key)?
-                    .parse::<u64>()
-                    .map_err(|_| format!("qsub: `{key}` is not an integer"))
-            };
-            let num32 = |key: &str| -> Result<u32, String> {
-                u32::try_from(num(key)?).map_err(|_| format!("qsub: `{key}` exceeds u32"))
-            };
-            let name = req("name")?;
-            let user = UserId(num32("user")?);
-            let group = GroupId(num32("group")?);
-            let cores = num32("cores")?;
-            let spec = match take("class") {
+            let name = fields.req("name")?;
+            let user = UserId(fields.num32("user")?);
+            let group = GroupId(fields.num32("group")?);
+            let cores = fields.num32("cores")?;
+            let spec = match fields.take("class") {
                 None | Some("rigid") => JobSpec::rigid(
                     name,
                     user,
                     group,
                     cores,
-                    SimDuration::from_millis(num("wall_ms")?),
+                    SimDuration::from_millis(fields.num("wall_ms")?),
                 ),
                 Some("evolving") => {
-                    let mut spec = JobSpec::evolving(
-                        name,
-                        user,
-                        group,
-                        cores,
-                        ExecutionModel::esp_evolving(num("set_s")?, num("det_s")?, num32("extra")?),
+                    let model = ExecutionModel::esp_evolving(
+                        fields.num("set_s")?,
+                        fields.num("det_s")?,
+                        fields.num32("extra")?,
                     );
-                    if fields.borrow().contains_key("timeout_ms") {
-                        spec.dyn_timeout = Some(SimDuration::from_millis(num("timeout_ms")?));
+                    let mut spec = JobSpec::evolving(name, user, group, cores, model);
+                    if fields.0.iter().any(|&(k, _)| k == "timeout_ms") {
+                        spec.dyn_timeout =
+                            Some(SimDuration::from_millis(fields.num("timeout_ms")?));
                     }
                     spec
                 }
                 Some(other) => return Err(format!("qsub: unknown class `{other}`")),
             };
             spec.validate().map_err(|e| format!("qsub: {e}"))?;
-            if let Some(k) = fields.borrow().keys().min() {
+            if let Some(k) = fields.0.iter().map(|&(k, _)| k).min() {
                 return Err(format!("qsub: unexpected field `{k}`"));
             }
             Ok(Command::QSub(Box::new(spec)))
@@ -655,6 +670,36 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
     }
 }
 
+/// A `qsub` line's `key=value` fields, in line order. A field is taken
+/// out as it is read: any left over is one the grammar does not read.
+struct QsubFields<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> QsubFields<'a> {
+    /// The most fields a line the grammar accepts has (an evolving job
+    /// with a timeout).
+    const MOST_READ: usize = 9;
+
+    fn take(&mut self, key: &str) -> Option<&'a str> {
+        let i = self.0.iter().position(|&(k, _)| k == key)?;
+        Some(self.0.remove(i).1)
+    }
+
+    fn req(&mut self, key: &str) -> Result<&'a str, String> {
+        self.take(key)
+            .ok_or_else(|| format!("qsub: missing `{key}`"))
+    }
+
+    fn num(&mut self, key: &str) -> Result<u64, String> {
+        self.req(key)?
+            .parse::<u64>()
+            .map_err(|_| format!("qsub: `{key}` is not an integer"))
+    }
+
+    fn num32(&mut self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.num(key)?).map_err(|_| format!("qsub: `{key}` exceeds u32"))
+    }
+}
+
 /// Formats a `qsub` line for [`parse_command`] — the generator side of
 /// the grammar, used by the SWF replay driver and tests.
 pub fn format_qsub(spec: &JobSpec) -> String {
@@ -693,7 +738,7 @@ pub fn apply_to_server(server: &mut crate::PbsServer, cmd: &Command, now: SimTim
     let record = match cmd {
         Command::QStat(job) => {
             return match server.job(*job) {
-                Ok(j) => Reply::Status(format!("{:?}", j.state)),
+                Ok(j) => Reply::Status(j.state.as_str().to_owned()),
                 Err(e) => Reply::Denied(e.to_string()),
             }
         }
