@@ -470,8 +470,8 @@ mod tests {
         JobSpec::rigid("A", UserId(0), GroupId(0), 4, SimDuration::from_secs(267))
     }
 
-    /// `qstat` answered `format!("{:?}")` of the state before it answered
-    /// `as_str`; the benchmark's pinned reply hash covers these strings.
+    /// `qstat` replies carry these names and the benchmark's pinned reply
+    /// hash covers them, so they stay the `Debug` spellings.
     #[test]
     fn state_names_are_the_debug_spellings() {
         use JobState::*;

@@ -12,7 +12,11 @@
 //!   The reactor holds out-of-order arrivals in a reorder buffer and
 //!   applies only the contiguous ticket prefix, so the command order —
 //!   and therefore every assigned job id, every scheduling decision, and
-//!   the journal itself — is independent of client interleaving.
+//!   the journal itself — is independent of client interleaving. The
+//!   buffer is a deque in ticket order: an in-order arrival goes on the
+//!   back and is admitted from the front, a late one is inserted by
+//!   binary search, and it holds one entry per command, never room for
+//!   the gap before a ticket far ahead.
 //! * **Ack-on-append (group commit).** A command's reply is delivered
 //!   only after the *whole batch* it was applied in has returned from the
 //!   server — by which point every mutation's journal record has been
@@ -32,6 +36,13 @@
 //! simulator, tests to a bare server. A malformed
 //! command consumes its ticket and earns [`Reply::Denied`] — parse
 //! failures are deterministic, so they too replay identically.
+//!
+//! The door's own cost per in-order command is constant: past the line's
+//! copy, the mailbox and, for a `qstat`, the reply's string, a steady
+//! batch allocates nothing (the reorder buffer and the batch's held acks
+//! keep their buffers; `crates/bench/tests/door_allocs.rs` counts it
+//! exactly), and a `qsub` line's fields are a short list searched in
+//! place.
 
 use crate::journal::Record;
 use crate::server::Effect;
@@ -408,7 +419,8 @@ impl Reactor {
     }
 
     /// Commands received but not yet admissible (waiting on a ticket gap
-    /// or a [`Reactor::poll_bounded`] limit). Excludes the mailbox.
+    /// or a [`Reactor::poll_bounded`] limit), plus any sent under a ticket
+    /// already passed, which never apply. Excludes the mailbox.
     pub fn reorder_backlog(&self) -> usize {
         self.pending.len()
     }
@@ -576,7 +588,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 let (k, v) = tok
                     .split_once('=')
                     .ok_or_else(|| format!("qsub: `{tok}` is not key=value"))?;
-                if fields.0.iter().any(|&(seen, _)| seen == k) {
+                if fields.has(k) {
                     return Err(format!("qsub: duplicate field `{k}`"));
                 }
                 fields.0.push((k, v));
@@ -600,7 +612,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         fields.num32("extra")?,
                     );
                     let mut spec = JobSpec::evolving(name, user, group, cores, model);
-                    if fields.0.iter().any(|&(k, _)| k == "timeout_ms") {
+                    if fields.has("timeout_ms") {
                         spec.dyn_timeout =
                             Some(SimDuration::from_millis(fields.num("timeout_ms")?));
                     }
@@ -678,6 +690,10 @@ impl<'a> QsubFields<'a> {
     /// The most fields a line the grammar accepts has (an evolving job
     /// with a timeout).
     const MOST_READ: usize = 9;
+
+    fn has(&self, key: &str) -> bool {
+        self.0.iter().any(|&(k, _)| k == key)
+    }
 
     fn take(&mut self, key: &str) -> Option<&'a str> {
         let i = self.0.iter().position(|&(k, _)| k == key)?;

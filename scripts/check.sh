@@ -30,6 +30,12 @@ cargo run --release -q -p dynbatch-bench --bin perf_smoke -- --quick \
 echo "==> frozen benchmark harness still builds and passes against this tree"
 echo "    (API drift in PbsServer/BatchSim/EventQueue fails here, not in the"
 echo "    benchmark pipeline)"
+# Cargo rewrites benchmark/Cargo.lock when the lock lags the tree's crates;
+# the committed lock is put back on exit, pass or fail, so the check leaves
+# the tree as it found it.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock && rm -f "$lock_copy"' EXIT
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> BENCH_sched.json (committed, and the quick run's) carries exactly"
