@@ -96,8 +96,8 @@ fn parsing_the_benchmarks_qsub_lines_allocates_an_exact_count() {
     let evolving =
         "qsub name=b18 user=9 group=0 cores=3 class=evolving set_s=845 det_s=591 extra=4";
     // Per line: the field list, the job's name, the boxed spec and, for
-    // the evolving job, its request points. First
-    // calls on this thread set up what a process does once.
+    // the evolving job, its request points. The first calls on this
+    // thread set up what a process does once.
     parse_command(rigid).unwrap();
     parse_command(evolving).unwrap();
     let rigid_allocs = tally(|| drop(parse_command(rigid).unwrap()));
